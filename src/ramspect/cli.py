@@ -3,7 +3,8 @@
 Text/CSV artifacts begin with '#' header lines (version, effective config,
 master seed); JSON artifacts embed the same header object at the top level.
 Below the header, output is byte-identical across re-runs with the same
-config and seed, independent of --workers.
+config and seed.  --workers exists only on per-m, theorem and sweep, and
+does not change the output below the header.
 """
 from __future__ import annotations
 
@@ -277,8 +278,8 @@ def cmd_generate(ns) -> int:
 
 def cmd_phi(ns) -> int:
     g, gsrc = _build_graph(ns)
-    cfg = {"graph": gsrc, "cap": ns.cap, "workers": ns.workers}
-    sizes = so.phi_exact(g, cap=ns.cap, workers=ns.workers).sizes
+    cfg = {"graph": gsrc, "cap": ns.cap}
+    sizes = so.phi_exact(g, cap=ns.cap).sizes
     body = ",".join(str(s) for s in sizes)
     summary = f"|Phi|={len(sizes)} max={max(sizes)}"
     _emit(ns, _text_header(ns, cfg), body + "\n" + summary + "\n")
@@ -287,8 +288,8 @@ def cmd_phi(ns) -> int:
 
 def cmd_psi(ns) -> int:
     g, gsrc = _build_graph(ns)
-    cfg = {"graph": gsrc, "cap": ns.cap, "workers": ns.workers}
-    pairs = so.psi_exact(g, cap=ns.cap, workers=ns.workers)
+    cfg = {"graph": gsrc, "cap": ns.cap}
+    pairs = so.psi_exact(g, cap=ns.cap)
     body = ",".join(f"{k}:{s}" for k, s in pairs)
     summary = f"|Psi|={len(pairs)} max={max(s for _, s in pairs)}"
     _emit(ns, _text_header(ns, cfg), body + "\n" + summary + "\n")
@@ -452,7 +453,6 @@ def _build_parser() -> _Parser:
         _add_graph_args(p)
         p.add_argument("--cap", type=int, default=cap,
                        help="refuse graphs larger than this")
-        p.add_argument("--workers", type=int, default=1)
         common(p)
         p.set_defaults(func=fn)
 

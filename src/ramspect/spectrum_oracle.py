@@ -1,27 +1,32 @@
 """Exact induced-subgraph size spectra for small graphs.
 
-phi_exact enumerates all 2^n induced subgraphs with a reflected-Gray-code
-walk: each step toggles one vertex v and updates the running edge count by
-|N(v) ∩ current|, one AND plus one popcount.  psi_exact is the same walk
-recording (order, size) pairs.  phi_naive recounts every subset from scratch
-and exists only to cross-check the walk.
-
-The walk parallelizes by fixing the membership of the top t vertices and
-running 2^t independent sub-walks over the rest; the merged spectrum is
-identical to the serial one regardless of worker count or schedule.
+phi_exact and psi_exact share one meet-in-the-middle kernel.  The vertices
+split into a low block of b = min(n, ceil(n/2) + 1) vertices and a high
+block of the rest.  Edge counts of all 2^b low subsets are built by
+doubling, and each high vertex gets one vector of neighbour counts into
+those subsets.  A reflected-Gray-code walk over the 2^(n-b) high subsets
+then adds or subtracts one such vector per step and marks every sum in a
+numpy table at once: indexed by edge count for Phi, by (order, edge count)
+for Psi.  The kernel is single-threaded; its output depends only on the
+graph.  phi_naive/psi_naive recount every subset from scratch and exist only
+to cross-check the kernel.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .errors import CapacityError, ParameterError
-from .graph_core import Graph, count_edges, iter_bits
+import numpy as np
+
+from .errors import CapacityError, ParameterError, RamspectError
+from .graph_core import Graph
 
 PHI_EXACT_CAP = 30
 PHI_NAIVE_CAP = 20
+# rough throughputs behind the capacity message's time estimate
+EXACT_SUBSETS_PER_S = 2e8
+NAIVE_SUBSETS_PER_S = 5e5
 
 
 @dataclass(frozen=True)
@@ -58,105 +63,73 @@ class SizeSpectrum:
         return lo < len(self.sizes) and self.sizes[lo] == e
 
 
-def _require_cap(n: int, cap: int, op: str):
+def _require_cap(n: int, cap: int, op: str, per_s: float = EXACT_SUBSETS_PER_S):
     if n > cap:
-        est = (1 << n) // 2_000_000  # rough seconds at a couple million steps/s
+        # 2^n / per_s as mantissa and decimal exponent, without building 2^n
+        exp10 = n * math.log10(2) - math.log10(per_s)
+        whole = math.floor(exp10)
         raise CapacityError(
             f"{op} is exact over all 2^n subsets and is capped at n={cap}; "
-            f"n={n} would take ~2^{n} steps (~{est}s)"
+            f"n={n} would take ~2^{n} steps (~{10 ** (exp10 - whole):.1f}e{whole} s)"
         )
 
 
-def _walk_phi(adj, m: int, init_mask: int, init_count: int, seen: bytearray) -> int:
-    """Gray-code sub-walk over subsets of the low m vertices on top of a fixed
-    high-vertex mask.  Marks every reachable edge count; returns steps taken."""
-    cur = init_mask
-    e = init_count
-    seen[e] = 1
-    total = 1 << m
-    s = 1
-    bc = int.bit_count
-    while s < total:
-        low = s & -s
-        v = low.bit_length() - 1
-        row = adj[v]
-        if cur & low:
-            cur ^= low
-            e -= bc(row & cur)
+def _seen_table(g: Graph, stride: int) -> np.ndarray:
+    """Boolean table marking |U|*stride + e(U) for every vertex subset U.
+
+    stride 0 gives the size spectrum; stride C(n,2)+1 gives (order, size)
+    pairs.  Each subset is a low part S of the first b vertices and a high
+    part T of the rest, and e(S u T) = e(S) + e(T) + sum_{v in T} |N(v) & S|.
+    The 2^b low terms are one vector; a Gray walk over T adds or subtracts
+    one neighbour-count vector per step and marks the vector shifted by the
+    high part's own contribution.
+    """
+    n = g.n
+    b = min(n, (n + 1) // 2 + 1)
+    low = np.arange(1 << b)
+    # acc is the index vector itself, intp so no scatter casts it; the
+    # per-vertex count vectors, the bulk of the memory, are int16
+    acc = np.zeros(1 << b, dtype=np.intp)
+    for j in range(b):  # e(S + j) = e(S) + |N(j) & S| for S below j
+        half = 1 << j
+        nbrs = g.adj[j] & (half - 1)
+        acc[half:2 * half] = acc[:half] + np.bitwise_count(low[:half] & nbrs)
+    acc += stride * np.bitwise_count(low).astype(np.intp)
+    counts = [np.bitwise_count(low & (row & ((1 << b) - 1))).astype(np.int16)
+              for row in g.adj[b:]]
+    seen = np.zeros(n * stride + n * (n - 1) // 2 + 1, dtype=np.bool_)
+    seen[acc] = True
+    high = [row >> b for row in g.adj[b:]]
+    cur = e = k = 0
+    steps = 1
+    for s in range(1, 1 << (n - b)):
+        i = (s & -s).bit_length() - 1
+        cur ^= 1 << i
+        d = (high[i] & cur).bit_count()
+        if cur >> i & 1:
+            acc += counts[i]
+            e += d
+            k += 1
         else:
-            e += bc(row & cur)
-            cur ^= low
-        seen[e] = 1
-        s += 1
-    return total
+            acc -= counts[i]
+            e -= d
+            k -= 1
+        seen[k * stride + e:][acc] = True
+        steps += 1
+    if steps << b != 1 << n:
+        raise RamspectError(f"block walk covered {steps}*2^{b} subsets, expected 2^{n}")
+    return seen
 
 
-def _walk_psi(adj, m: int, init_mask: int, init_count: int, init_size: int,
-              stride: int, seen: bytearray) -> int:
-    cur = init_mask
-    e = init_count
-    size = init_size
-    seen[size * stride + e] = 1
-    total = 1 << m
-    s = 1
-    bc = int.bit_count
-    while s < total:
-        low = s & -s
-        v = low.bit_length() - 1
-        row = adj[v]
-        if cur & low:
-            cur ^= low
-            e -= bc(row & cur)
-            size -= 1
-        else:
-            e += bc(row & cur)
-            cur ^= low
-            size += 1
-        seen[size * stride + e] = 1
-        s += 1
-    return total
-
-
-def _blocks(g: Graph, workers: int):
-    """Split the subset lattice into 2^t prefix blocks, t = ceil(log2(workers))."""
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
-    t = 0
-    while (1 << t) < workers and t < g.n:
-        t += 1
-    m = g.n - t
-    for q in range(1 << t):
-        pmask = q << m
-        yield pmask, count_edges(g, pmask), m
-
-
-def phi_exact(g: Graph, cap: int = PHI_EXACT_CAP, workers: int = 1) -> SizeSpectrum:
+def phi_exact(g: Graph, cap: int = PHI_EXACT_CAP) -> SizeSpectrum:
     """The full spectrum {e(H) : H induced subgraph of g}, computed exactly."""
     _require_cap(g.n, cap, "phi_exact")
-    top = g.n * (g.n - 1) // 2
-    adj = g.adj
-    tasks = list(_blocks(g, workers))
-    buffers = [bytearray(top + 1) for _ in tasks]
-    if workers == 1:
-        steps = sum(_walk_phi(adj, m, pm, pc, buf)
-                    for (pm, pc, m), buf in zip(tasks, buffers))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_walk_phi, adj, m, pm, pc, buf)
-                    for (pm, pc, m), buf in zip(tasks, buffers)]
-            steps = sum(f.result() for f in futs)
-    assert steps == 1 << g.n, f"walk visited {steps} subsets, expected 2^{g.n}"
-    merged = bytearray(top + 1)
-    for buf in buffers:
-        for i, b in enumerate(buf):
-            if b:
-                merged[i] = 1
-    return SizeSpectrum(g.n, tuple(i for i, b in enumerate(merged) if b))
+    return SizeSpectrum(g.n, tuple(np.flatnonzero(_seen_table(g, 0)).tolist()))
 
 
 def phi_naive(g: Graph, cap: int = PHI_NAIVE_CAP) -> SizeSpectrum:
     """Reference oracle: recounts the edges of every subset from scratch."""
-    _require_cap(g.n, cap, "phi_naive")
+    _require_cap(g.n, cap, "phi_naive", NAIVE_SUBSETS_PER_S)
     adj = g.adj
     seen = set()
     bc = int.bit_count
@@ -171,34 +144,17 @@ def phi_naive(g: Graph, cap: int = PHI_NAIVE_CAP) -> SizeSpectrum:
     return SizeSpectrum(g.n, tuple(sorted(seen)))
 
 
-def psi_exact(g: Graph, cap: int = PHI_EXACT_CAP, workers: int = 1) -> tuple:
+def psi_exact(g: Graph, cap: int = PHI_EXACT_CAP) -> tuple:
     """All achievable (order, size) pairs over induced subgraphs, sorted."""
     _require_cap(g.n, cap, "psi_exact")
-    top = g.n * (g.n - 1) // 2
-    stride = top + 1
-    adj = g.adj
-    tasks = list(_blocks(g, workers))
-    buffers = [bytearray((g.n + 1) * stride) for _ in tasks]
-    if workers == 1:
-        steps = sum(_walk_psi(adj, m, pm, pc, pm.bit_count(), stride, buf)
-                    for (pm, pc, m), buf in zip(tasks, buffers))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_walk_psi, adj, m, pm, pc, pm.bit_count(), stride, buf)
-                    for (pm, pc, m), buf in zip(tasks, buffers)]
-            steps = sum(f.result() for f in futs)
-    assert steps == 1 << g.n, f"walk visited {steps} subsets, expected 2^{g.n}"
-    merged = bytearray((g.n + 1) * stride)
-    for buf in buffers:
-        for i, b in enumerate(buf):
-            if b:
-                merged[i] = 1
-    return tuple((i // stride, i % stride) for i, b in enumerate(merged) if b)
+    stride = g.n * (g.n - 1) // 2 + 1
+    flat = np.flatnonzero(_seen_table(g, stride)).tolist()
+    return tuple(divmod(i, stride) for i in flat)
 
 
 def psi_naive(g: Graph, cap: int = PHI_NAIVE_CAP) -> tuple:
     """From-scratch reference for psi_exact."""
-    _require_cap(g.n, cap, "psi_naive")
+    _require_cap(g.n, cap, "psi_naive", NAIVE_SUBSETS_PER_S)
     adj = g.adj
     seen = set()
     bc = int.bit_count
@@ -211,16 +167,6 @@ def psi_naive(g: Graph, cap: int = PHI_NAIVE_CAP) -> tuple:
             e += bc(adj[low.bit_length() - 1] & m)
         seen.add((bc(mask), e))
     return tuple(sorted(seen))
-
-
-def phi_window(g: Graph, lo: int, hi: int, cap: int = PHI_EXACT_CAP,
-               workers: int = 1) -> tuple:
-    """Members of the spectrum within [lo, hi]."""
-    top = g.n * (g.n - 1) // 2
-    if not (0 <= lo <= hi <= top):
-        raise ParameterError(f"window [{lo},{hi}] out of range [0,{top}]")
-    spectrum = phi_exact(g, cap=cap, workers=workers)
-    return tuple(e for e in spectrum if lo <= e <= hi)
 
 
 def complete_graph_spectrum(n: int) -> tuple:

@@ -115,18 +115,37 @@ def test_phi_monotone_under_vertex_removal():
         assert set(so.phi_exact(sub).sizes) <= set(so.phi_exact(g).sizes)
 
 
-# ── windows, caps, workers ───────────────────────────────────────────────
+# ── block split ──────────────────────────────────────────────────────────
 
 
-def test_phi_window_agrees_with_full_spectrum():
-    rng = random.Random(131)
-    for _ in range(15):
-        g = random_graph(rng, rng.randrange(2, 11))
-        top = g.edge_count()
-        lo = rng.randrange(0, top + 1)
-        hi = rng.randrange(lo, top + 1)
-        want = tuple(s for s in so.phi_exact(g).sizes if lo <= s <= hi)
-        assert so.phi_window(g, lo, hi) == want
+def test_tiny_and_closed_form_graphs_match_naive():
+    # n <= 3 leaves the high block empty; n = 4, 5 give it one vertex
+    rng = random.Random(139)
+    graphs = [random_graph(rng, n) for n in (0, 1, 2, 3) for _ in range(4)]
+    graphs += [gc.generate(model, n=n) for model in ("complete", "empty")
+               for n in range(9)]
+    for g in graphs:
+        assert so.phi_exact(g).sizes == so.phi_naive(g).sizes
+        assert so.psi_exact(g) == so.psi_naive(g)
+
+
+def test_n24_phi_is_psi_projection_above_naive_cap():
+    g = gc.generate("gnp", n=24, p=0.5, seed=24)
+    assert g.n > so.PHI_NAIVE_CAP
+    phi = so.phi_exact(g).sizes
+    psi = so.psi_exact(g)
+    assert phi == tuple(sorted({s for _, s in psi}))
+    assert phi[-1] == g.edge_count()
+    assert len(psi) == len(so.psi_exact(gc.complement(g)))
+
+
+def test_complete_graph_at_cap():
+    n = so.PHI_EXACT_CAP
+    assert so.phi_exact(gc.generate("complete", n=n)).sizes == \
+        so.complete_graph_spectrum(n)
+
+
+# ── caps ─────────────────────────────────────────────────────────────────
 
 
 def test_caps_raise_capacity_error():
@@ -137,15 +156,6 @@ def test_caps_raise_capacity_error():
         so.psi_exact(g)
     with pytest.raises(CapacityError):
         so.phi_naive(gc.generate("empty", n=so.PHI_NAIVE_CAP + 1))
-
-
-def test_workers_do_not_change_results():
-    rng = random.Random(137)
-    for _ in range(8):
-        g = random_graph(rng, rng.randrange(4, 14))
-        base = so.phi_exact(g, workers=1).sizes
-        assert so.phi_exact(g, workers=3).sizes == base
-        assert so.psi_exact(g, workers=3) == so.psi_exact(g, workers=1)
 
 
 def test_size_spectrum_requires_zero():
