@@ -5,6 +5,8 @@ point-probability anticoncentration tools, and the randomized construction
 that certifies many distinct induced-subgraph sizes near a target edge count.
 """
 
+__version__ = "0.1.0"
+
 from . import (  # noqa: F401
     anticoncentration,
     double_exposure,
@@ -13,5 +15,3 @@ from . import (  # noqa: F401
     spectrum_oracle,
     structure_audit,
 )
-
-__version__ = "0.1.0"

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ContractViolation, ParameterError
 
 EXACT_WEIGHT_CAP = 10**6  # cap on sum |a_i| for the dense DP
 
@@ -93,7 +93,7 @@ def lo_exact_distribution(inst: LOInstance) -> LOPmf:
     pmf = LOPmf(inst.offset - neg, f)
     total = pmf.total()
     if abs(total - 1.0) > 1e-12:
-        raise AssertionError(f"pmf mass drifted to {total!r}")
+        raise ContractViolation(f"pmf mass drifted to {total!r}")
     return pmf
 
 
@@ -103,55 +103,44 @@ class MCEstimate:
     stderr: float
     trials: int
     hits: int
-    workers: int
 
 
-def lo_point_prob_mc(inst: LOInstance, x: int, trials: int, seed: int = 0,
-                     workers: int = 1) -> MCEstimate:
-    """Monte-Carlo estimate of Pr(X = x) with a binomial standard error.
-
-    Each worker draws from its own generator seeded by (seed, worker index),
-    so results are reproducible for a fixed worker count.
-    """
-    if trials < 1:
-        raise ParameterError(f"trials must be positive, got {trials}")
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
-    a = np.asarray(inst.coefficients, dtype=np.int64)
-    target = x - inst.offset
-    per = [trials // workers + (1 if i < trials % workers else 0) for i in range(workers)]
-    hits = 0
-    for widx, t in enumerate(per):
-        if t == 0:
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(widx,)))
-        chunk = max(1, (1 << 22) // len(a))
-        done = 0
-        while done < t:
-            b = min(chunk, t - done)
-            draws = rng.random((b, len(a))) < inst.p
-            sums = draws @ a
-            hits += int(np.count_nonzero(sums == target))
-            done += b
-    est = hits / trials
-    se = math.sqrt(max(est * (1.0 - est), 1.0 / trials) / trials)
-    return MCEstimate(est, se, trials, hits, workers)
-
-
-def _mc_max_mass(inst: LOInstance, trials: int, seed: int) -> float:
-    """Empirical mode frequency; used only past the exact-DP cap."""
+def _sampled_sums(inst: LOInstance, trials: int, seed: int):
+    """Yield chunks of sampled sum_i a_i * xi_i (offset excluded), trials in all,
+    from one generator seeded by (seed, spawn key 0)."""
     a = np.asarray(inst.coefficients, dtype=np.int64)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-    counts = {}
     chunk = max(1, (1 << 22) // len(a))
     done = 0
     while done < trials:
         b = min(chunk, trials - done)
-        sums = (rng.random((b, len(a))) < inst.p) @ a
+        # draws stays referenced until the next chunk replaces it: freeing it
+        # inside the expression tripled the system time (page faults from the
+        # allocator) of 2e5 trials at n = 1024 on a 2-core Linux VM
+        draws = rng.random((b, len(a))) < inst.p
+        yield draws @ a
+        done += b
+
+
+def lo_point_prob_mc(inst: LOInstance, x: int, trials: int, seed: int = 0) -> MCEstimate:
+    """Monte-Carlo estimate of Pr(X = x) with a binomial standard error."""
+    if trials < 1:
+        raise ParameterError(f"trials must be positive, got {trials}")
+    target = x - inst.offset
+    hits = sum(int(np.count_nonzero(sums == target))
+               for sums in _sampled_sums(inst, trials, seed))
+    est = hits / trials
+    se = math.sqrt(max(est * (1.0 - est), 1.0 / trials) / trials)
+    return MCEstimate(est, se, trials, hits)
+
+
+def _mc_max_mass(inst: LOInstance, trials: int, seed: int) -> float:
+    """Empirical mode frequency; used only past the exact-DP cap."""
+    counts = {}
+    for sums in _sampled_sums(inst, trials, seed):
         vals, cnt = np.unique(sums, return_counts=True)
         for v, c in zip(vals.tolist(), cnt.tolist()):
             counts[v] = counts.get(v, 0) + c
-        done += b
     return max(counts.values()) / trials
 
 

@@ -3,20 +3,20 @@
 Text/CSV artifacts begin with '#' header lines (version, effective config,
 master seed); JSON artifacts embed the same header object at the top level.
 Below the header, output is byte-identical across re-runs with the same
-config and seed.  --workers exists only on per-m, theorem and sweep, and
-does not change the output below the header.
+config and seed.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+import typing
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__ as VERSION
 from . import anticoncentration as ac
 from . import graph_core as gc
 from . import spectrum_oracle as so
@@ -27,7 +27,6 @@ from .errors import (CapacityError, ConstructionFailure, GraphParseError,
 from .ramsey_construct import ConstructionParams, construct
 from .seeding import derive_seed
 
-VERSION = "0.1.0"
 SCHEMA = 1
 
 
@@ -48,16 +47,8 @@ def fit_slope(points) -> tuple[float, float]:
         raise ParameterError("slope fit needs positive n and count values")
     if len({n for n, _ in pts}) != len(pts):
         raise ParameterError("slope fit needs pairwise-distinct n values")
-    xs = [math.log(n) for n, _ in pts]
-    ys = [math.log(c) for _, c in pts]
-    k = len(pts)
-    xbar = sum(xs) / k
-    ybar = sum(ys) / k
-    sxx = sum((x - xbar) ** 2 for x in xs)
-    sxy = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    sse = sum((y - ybar - slope * (x - xbar)) ** 2 for x, y in zip(xs, ys))
-    se = math.sqrt(max(sse, 0.0) / (k - 2) / sxx)
+    logs = np.log(np.array(pts))
+    slope, se = ac._least_squares_slope(logs[:, 0], logs[:, 1])
     return slope, 1.96 * se
 
 
@@ -71,26 +62,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _coerce(text: str):
+def _field_types(cls) -> dict:
+    """Settable field name -> the types its annotation admits."""
+    hints = typing.get_type_hints(cls)
+    # seed is set by --seed, never by --set
+    return {f.name: set(typing.get_args(hints[f.name])) or {hints[f.name]}
+            for f in fields(cls) if f.name != "seed"}
+
+
+def _coerce(key: str, text: str, types: set):
+    """Parse an override value as the field's type; an int is a valid float."""
     low = text.lower()
-    if low == "none":
+    if low == "none" and type(None) in types:
         return None
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    for cast in (int, float):
+    if bool in types and low in ("true", "false"):
+        return low == "true"
+    casts = (int, float) if float in types else (int,) if int in types else ()
+    for cast in casts:
         try:
             return cast(text)
         except ValueError:
             pass
-    return text
+    want = " or ".join(sorted("None" if t is type(None) else t.__name__
+                              for t in types))
+    raise ParameterError(f"override {key} expects {want}, got {text!r}")
 
 
-# seed is set by --seed, never by --set
-_CP_KEYS = frozenset(f.name for f in fields(ConstructionParams)) - {"seed"}
-_EP_KEYS = frozenset(f.name for f in fields(ExposureParams)) - {"seed"}
-_AP_KEYS = frozenset(f.name for f in fields(sa.AuditParams)) - {"seed"}
+_CP_FIELDS = _field_types(ConstructionParams)
+_EP_FIELDS = _field_types(ExposureParams)
+_AP_FIELDS = _field_types(sa.AuditParams)
 
 
 def _split_overrides(pairs, groups: dict) -> dict:
@@ -106,7 +106,7 @@ def _split_overrides(pairs, groups: dict) -> dict:
             raise ParameterError(
                 f"unknown override key {key!r}; known keys: {', '.join(known)}")
         for name in hits:
-            out[name][key] = _coerce(val.strip())
+            out[name][key] = _coerce(key, val.strip(), groups[name][key])
     return out
 
 
@@ -172,14 +172,16 @@ def _build_graph(ns) -> tuple[gc.Graph, dict]:
         return g, {"file": ns.graph, "n": g.n}
     if ns.n is None:
         raise ParameterError("--gen requires --n")
-    if ns.gen == "paley":
-        g = gc.generate("paley", q=ns.n)
-        return g, {"model": "paley", "q": ns.n}
-    g = gc.generate(ns.gen, n=ns.n, p=ns.p, seed=ns.graph_seed)
-    cfg = {"model": ns.gen, "n": ns.n, "seed": ns.graph_seed}
-    if ns.gen == "gnp":
-        cfg["p"] = ns.p
-    return g, cfg
+    return _generate(ns.gen, ns.n, ns.p, ns.graph_seed)
+
+
+def _generate(model: str, n: int, p: float, seed: int) -> tuple[gc.Graph, dict]:
+    if model == "paley":
+        return gc.generate("paley", q=n), {"model": "paley", "q": n}
+    cfg = {"model": model, "n": n, "seed": seed}
+    if model == "gnp":
+        cfg["p"] = p
+    return gc.generate(model, n=n, p=p, seed=seed), cfg
 
 
 def _units_out(units) -> list:
@@ -249,7 +251,7 @@ def _dump_outcome(ns, config: dict, out) -> None:
 
 
 def _pipeline_params(ns) -> tuple[ConstructionParams, ExposureParams, dict]:
-    ov = _split_overrides(ns.set, {"construct": _CP_KEYS, "exposure": _EP_KEYS})
+    ov = _split_overrides(ns.set, {"construct": _CP_FIELDS, "exposure": _EP_FIELDS})
     cp = ConstructionParams(seed=ns.seed, **ov["construct"])
     ep = ExposureParams(seed=derive_seed(ns.seed, "exposure"), **ov["exposure"])
     return cp, ep, ov
@@ -264,14 +266,7 @@ def _default_m(cp: ConstructionParams, n: int) -> int:
 
 
 def cmd_generate(ns) -> int:
-    if ns.gen == "paley":
-        g = gc.generate("paley", q=ns.n)
-        cfg = {"model": "paley", "q": ns.n}
-    else:
-        g = gc.generate(ns.gen, n=ns.n, p=ns.p, seed=ns.seed)
-        cfg = {"model": ns.gen, "n": ns.n, "seed": ns.seed}
-        if ns.gen == "gnp":
-            cfg["p"] = ns.p
+    g, cfg = _generate(ns.gen, ns.n, ns.p, ns.seed)
     _emit(ns, _text_header(ns, cfg), gc.dump_graph(g))
     return 0
 
@@ -298,7 +293,7 @@ def cmd_psi(ns) -> int:
 
 def cmd_audit(ns) -> int:
     g, gsrc = _build_graph(ns)
-    ov = _split_overrides(ns.set, {"audit": _AP_KEYS})
+    ov = _split_overrides(ns.set, {"audit": _AP_FIELDS})
     params = sa.AuditParams(seed=ns.seed, **ov["audit"])
     cfg = {"graph": gsrc, "params": asdict(params), "exhaustive": ns.exhaustive}
 
@@ -351,8 +346,7 @@ def cmd_per_m(ns) -> int:
     g, gsrc = _build_graph(ns)
     cp, ep, ov = _pipeline_params(ns)
     m = ns.m if ns.m is not None else _default_m(cp, g.n)
-    cfg = {"graph": gsrc, "m": m, "cparams": asdict(cp), "eparams": asdict(ep),
-           "workers": ns.workers}
+    cfg = {"graph": gsrc, "m": m, "cparams": asdict(cp), "eparams": asdict(ep)}
     out = per_m_run(g, m, cp, ep)
     body = _PER_M_COLS + "\n" + _per_m_row(out) + "\n"
     _emit(ns, _text_header(ns, cfg), body)
@@ -365,7 +359,7 @@ def cmd_theorem(ns) -> int:
     g, gsrc = _build_graph(ns)
     cp, ep, _ = _pipeline_params(ns)
     cfg = {"graph": gsrc, "cparams": asdict(cp), "eparams": asdict(ep),
-           "sigma": ns.sigma, "workers": ns.workers}
+           "sigma": ns.sigma}
     out = theorem_run(g, cp, ep, sigma=ns.sigma)
     lines = [_PER_M_COLS]
     lines.extend(_per_m_row(w) for w in out.kept)
@@ -384,10 +378,9 @@ def cmd_theorem(ns) -> int:
 
 
 def cmd_sweep(ns) -> int:
-    ov = _split_overrides(ns.set, {"construct": _CP_KEYS, "exposure": _EP_KEYS})
+    ov = _split_overrides(ns.set, {"construct": _CP_FIELDS, "exposure": _EP_FIELDS})
     cfg = {"mode": ns.mode, "n_values": ns.n_list, "p": ns.p,
-           "overrides": {k: v for grp in ov.values() for k, v in grp.items()},
-           "workers": ns.workers}
+           "overrides": {k: v for grp in ov.values() for k, v in grp.items()}}
     rows = []
     failures = 0
     for n in ns.n_list:
@@ -401,7 +394,8 @@ def cmd_sweep(ns) -> int:
                 count = per_m_run(g, _default_m(cp, n), cp, ep).distinct_count
             else:
                 count = theorem_run(g, cp, ep).total_distinct
-        except ConstructionFailure:
+        except (ConstructionFailure, ParameterError):
+            # e.g. an n whose m-window holds no positive integer
             failures += 1
             count = 0
         rows.append((n, count))
@@ -483,7 +477,6 @@ def _build_parser() -> _Parser:
                        help="construction/exposure parameter override")
         p.add_argument("--diagnostics", metavar="FILE",
                        help="where to write failure diagnostics (exit 3)")
-        p.add_argument("--workers", type=int, default=1)
         common(p)
 
     p = sub.add_parser("construct", help="run the scaffold construction (JSON)")
@@ -508,7 +501,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.add_argument("--diagnostics", metavar="FILE")
-    p.add_argument("--workers", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -157,19 +157,17 @@ class Unit:
         return m
 
 
-def unit_rows(g: Graph, x: Unit, compl: bool = False) -> tuple[int, int]:
+def unit_rows(g: Graph, x: Unit) -> tuple[int, int]:
     """Multiplicity masks (m1, m2) of the unit's neighborhood multiset.
 
     m2 covers vertices of multiplicity 2 (pair units only), m1 multiplicity 1.
-    With compl=True each component neighborhood is complemented first.
     """
     if x.is_pair:
         a, b = x.vertices
-        ra = g.comp_row(a) if compl else g.adj[a]
-        rb = g.comp_row(b) if compl else g.adj[b]
+        ra, rb = g.adj[a], g.adj[b]
         return ra ^ rb, ra & rb
     (v,) = x.vertices
-    return (g.comp_row(v) if compl else g.adj[v]), 0
+    return g.adj[v], 0
 
 
 def unit_degree(g: Graph, x: Unit, umask: int) -> int:
@@ -177,33 +175,28 @@ def unit_degree(g: Graph, x: Unit, umask: int) -> int:
     return sum((g.adj[v] & umask).bit_count() for v in x.vertices)
 
 
-def symdiff_size(
-    g: Graph,
-    x: Unit,
-    y: Unit,
-    umask: int | None = None,
-    compl_y: bool = False,
-    count_elements: bool = False,
-) -> int:
+def multiset_gap(x1: int, x2: int, y1: int, y2: int) -> int:
+    """Total multiplicity gap, sum over v of |mult_x(v) - mult_y(v)|, of two
+    multisets given as unit_rows masks (x1, x2) and (y1, y2).
+
+    Where x1 ^ y1 is set the multiplicities differ by one; elsewhere they
+    differ by two exactly where x2 ^ y2 is set.
+    """
+    d1 = x1 ^ y1
+    return d1.bit_count() + 2 * ((x2 ^ y2) & ~d1).bit_count()
+
+
+def symdiff_size(g: Graph, x: Unit, y: Unit, umask: int | None = None) -> int:
     """Size of the multiset symmetric difference of the two unit neighborhoods,
     restricted to umask (whole vertex set when None).
 
-    Default counts total multiplicity gap (sum over vertices of
-    |mult_x - mult_y|); count_elements=True counts vertices with differing
-    multiplicity instead.  For two singles both readings agree with the
-    ordinary set symmetric difference.
+    For two singles this is the ordinary set symmetric difference.
     """
-    if umask is None:
-        umask = g.full_mask
     a1, a2 = unit_rows(g, x)
-    b1, b2 = unit_rows(g, y, compl=compl_y)
-    # gap 2: one side has multiplicity 2 where the other has 0
-    g2 = (a2 & ~(b2 | b1)) | (b2 & ~(a2 | a1))
-    # gap 1: multiplicities differ by exactly one
-    g1 = (a2 & b1) | (a1 & b2) | (a1 & ~(b2 | b1)) | (b1 & ~(a2 | a1))
-    if count_elements:
-        return ((g1 | g2) & umask).bit_count()
-    return ((g1 & umask).bit_count()) + 2 * ((g2 & umask).bit_count())
+    b1, b2 = unit_rows(g, y)
+    if umask is not None:
+        a1, a2, b1, b2 = a1 & umask, a2 & umask, b1 & umask, b2 & umask
+    return multiset_gap(a1, a2, b1, b2)
 
 
 # ── edge counting ────────────────────────────────────────────────────────

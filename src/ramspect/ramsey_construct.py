@@ -11,9 +11,9 @@ Stages: bucket vertex pairs by degree sum and keep the fullest bucket;
 drop pairs whose neighborhoods nearly complement each other; extract either
 a star (many bucket pairs through one vertex) or a large matching; thin the
 survivors to units with pairwise far neighborhoods (greedy independent set
-in a conflict graph, Turan bound asserted); then repeatedly sample U0 with
+in a conflict graph, Turan bound checked); then repeatedly sample U0 with
 per-vertex probability p = sqrt(4m/e(G)) until five concentration events
-hold, and read S, T, X off the degree order.
+hold, and read S, T, X off the degree order, keeping one unit per degree.
 
 All the asymptotic constants are explicit knobs on ConstructionParams with
 defaults tuned for dense random graphs at desk scale; every resolved value
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConstructionFailure, ContractViolation, ParameterError
 from .graph_core import (Graph, Unit, count_edges, induced_subgraph, iter_bits,
-                         symdiff_size, unit_degree, unit_rows)
+                         multiset_gap, symdiff_size, unit_degree, unit_rows)
 from .seeding import derive_seed
 from .structure_audit import AuditParams, rich_extract
 
@@ -204,32 +204,25 @@ def star_or_matching(g: Graph, h: list, h_filtered: list, d_prime: int,
          "star_floor": star_floor, "match_floor": match_floor})
 
 
-def _unit_gap_masks(g: Graph, units):
-    return [unit_rows(g, x) for x in units]
-
-
 def independent_units(g: Graph, units, theta_conflict: float):
     """Greedy independent set in the conflict graph (close neighborhoods).
 
     Conflict edge: multiset symdiff below theta_conflict*n.  Greedy
     min-degree removal meets the Turan bound |A| >= |L|/(1+avg degree),
-    asserted against the computed conflict graph.
+    checked against the computed conflict graph.
     """
     if not units:
         raise ParameterError("unit list must be nonempty")
     k = len(units)
     thr = theta_conflict * g.n
-    rows = _unit_gap_masks(g, units)
+    rows = [unit_rows(g, x) for x in units]
     bc = int.bit_count
     fadj = [0] * k
     f_edges = 0
     for i in range(k):
         a1, a2 = rows[i]
         for j in range(i + 1, k):
-            b1, b2 = rows[j]
-            g2 = (a2 & ~(b2 | b1)) | (b2 & ~(a2 | a1))
-            g1 = (a2 & b1) | (a1 & b2) | (a1 & ~(b2 | b1)) | (b1 & ~(a2 | a1))
-            if bc(g1) + 2 * bc(g2) < thr:
+            if multiset_gap(a1, a2, *rows[j]) < thr:
                 fadj[i] |= 1 << j
                 fadj[j] |= 1 << i
                 f_edges += 1
@@ -349,10 +342,10 @@ def sample_U0(g: Graph, a_units, m: int, d_doubleprime: int,
 def select_STX(g: Graph, u0: int, q, r, p: float, d_doubleprime: int):
     """Split the surviving units into S, T, X with a guaranteed degree gap.
 
-    The units in both Q and R are halved by unit order into Y and X.  On Y,
-    equal-degree collisions form a graph whose greedy independent set B has
-    all-distinct integer degrees; sorting B and taking the outer thirds
-    yields S and T with min_T - max_S >= ceil(|B|/3).
+    The units in both Q and R are halved by unit order into Y and X.  B
+    keeps the first unit of Y at each degree, so its integer degrees are
+    all distinct; sorting B and taking the outer thirds yields S and T with
+    min_T - max_S >= ceil(|B|/3).
     """
     rset = set(r)
     rq = tuple(x for x in q if x in rset)
@@ -363,32 +356,14 @@ def select_STX(g: Graph, u0: int, q, r, p: float, d_doubleprime: int):
     half = len(rq) // 2
     y, x = rq[:half], rq[half:]
     ydeg = [unit_degree(g, u, u0) for u in y]
-    k = len(y)
-    fadj = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if ydeg[i] == ydeg[j]:
-                fadj[i] |= 1 << j
-                fadj[j] |= 1 << i
-    alive = (1 << k) - 1
-    chosen = []
-    while alive:
-        best_i, best_d = -1, k + 1
-        m = alive
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            di = (fadj[i] & alive).bit_count()
-            if di < best_d:
-                best_d, best_i = di, i
-            m ^= low
-        chosen.append(best_i)
-        alive &= ~((1 << best_i) | fadj[best_i])
-    if len(chosen) < 3:
+    first = {}
+    for i, dd in enumerate(ydeg):
+        first.setdefault(dd, i)
+    if len(first) < 3:
         raise ConstructionFailure("select_STX",
-                                  f"collision-free family has {len(chosen)} < 3 units",
-                                  {"y_size": k, "distinct_degrees": len(set(ydeg))})
-    b = sorted(chosen, key=lambda i: (ydeg[i], y[i]))
+                                  f"collision-free family has {len(first)} < 3 units",
+                                  {"y_size": len(y), "distinct_degrees": len(first)})
+    b = [first[dd] for dd in sorted(first)]
     third = len(b) // 3
     s = tuple(y[i] for i in b[:third])
     t = tuple(y[i] for i in b[-third:])

@@ -8,10 +8,9 @@ candidate family under a budget and reports the first violation it finds;
 exhaustive=True enumerates every W (tiny n only) and decides exactly.
 
 Diversity counts, for each vertex, how many others have a nearly identical
-neighborhood; the pair variant does the same for vertex pairs with multiset
-neighborhoods, and close_complement_pair_count counts pairs whose
-neighborhoods nearly complement each other.  Rich graphs keep all of these
-counts polynomially small, which is what the audits let an experiment check.
+neighborhood, and close_complement_pair_count counts pairs whose
+neighborhoods nearly complement each other.  Rich graphs keep both counts
+polynomially small, which is what the audits let an experiment check.
 
 rich_extract mirrors the proof-style cleanup loop: while a richness violation
 (W, Y) exists, keep the side of Y that is sparse (or dense) toward W, drop it
@@ -27,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import CapacityError, ParameterError
-from .graph_core import Graph, Unit, induced_subgraph, iter_bits, mask_of, symdiff_size
+from .graph_core import Graph, induced_subgraph, iter_bits, mask_of
 
 RICHNESS_EXHAUSTIVE_CAP = 14
 
@@ -85,80 +84,21 @@ def diversity_profile(g: Graph, c_div: float) -> list[int]:
     return counts
 
 
-def is_diverse(g: Graph, c_div: float, delta: float) -> bool:
-    """(c, delta)-diversity: every per-vertex close-neighborhood count <= n^delta."""
-    counts = diversity_profile(g, c_div)
-    return max(counts, default=0) <= g.n ** delta
-
-
 def close_complement_pair_count(g: Graph, threshold_fraction: float) -> int:
     """Pairs {x1,x2} whose neighborhoods nearly complement each other:
     |N(x1) symdiff N_bar(x2)| < threshold_fraction * n."""
     if threshold_fraction <= 0:
         raise ParameterError("threshold_fraction must be positive")
     thr = threshold_fraction * g.n
+    adj = g.adj
+    nbar = [g.comp_row(v) for v in range(g.n)]
     count = 0
     for x1 in range(g.n):
+        r = adj[x1]
         for x2 in range(x1 + 1, g.n):
-            d = symdiff_size(g, Unit.single(x1), Unit.single(x2), compl_y=True)
-            if d < thr:
+            if (r ^ nbar[x2]).bit_count() < thr:
                 count += 1
     return count
-
-
-@dataclass(frozen=True)
-class PairWitness:
-    center: Unit
-    family: tuple  # pairwise-disjoint units with nearly identical neighborhoods
-
-
-def pair_diversity_witness(g: Graph, c_div: float, delta: float,
-                           alpha: float) -> PairWitness | None:
-    """First violation of (c, delta, alpha)_2 pair diversity, if any.
-
-    A violation is a pair x with |N(x1) symdiff N_bar(x2)| >= alpha*n for
-    which more than n^delta pairwise-disjoint pairs y (also disjoint from x)
-    satisfy |N(x) symdiff N(y)| < c_div*n in the multiset sense.
-    """
-    if alpha < 2 * delta:
-        raise ParameterError(f"alpha must be at least 2*delta, got {alpha}")
-    n = g.n
-    adj = g.adj
-    thr_close = c_div * n
-    thr_alpha = alpha * n
-    need = math.floor(n ** delta) + 1  # strictly more than n^delta
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    rows1 = [adj[a] ^ adj[b] for a, b in pairs]  # multiplicity-1 masks
-    rows2 = [adj[a] & adj[b] for a, b in pairs]  # multiplicity-2 masks
-    bc = int.bit_count
-    for xi, (a, b) in enumerate(pairs):
-        if symdiff_size(g, Unit.single(a), Unit.single(b), compl_y=True) < thr_alpha:
-            continue
-        x1, x2 = rows1[xi], rows2[xi]
-        close = []
-        for yi, (cy, dy) in enumerate(pairs):
-            if yi == xi:
-                continue
-            y1, y2 = rows1[yi], rows2[yi]
-            g2 = (x2 & ~(y2 | y1)) | (y2 & ~(x2 | x1))
-            g1 = (x2 & y1) | (x1 & y2) | (x1 & ~(y2 | y1)) | (y1 & ~(x2 | x1))
-            if bc(g1) + 2 * bc(g2) < thr_close:
-                close.append(yi)
-        if len(close) < need:
-            continue  # even ignoring disjointness there are too few
-        xmask = (1 << a) | (1 << b)
-        used = xmask
-        family = []
-        for yi in close:
-            cy, dy = pairs[yi]
-            ym = (1 << cy) | (1 << dy)
-            if ym & used:
-                continue
-            used |= ym
-            family.append(Unit.pair(cy, dy))
-            if len(family) >= need:
-                return PairWitness(Unit.pair(a, b), tuple(family))
-    return None
 
 
 # ── richness ─────────────────────────────────────────────────────────────

@@ -188,18 +188,12 @@ def test_criterion_8_separation_integrity():
 
 
 def test_criterion_9_determinism(tmp_path):
-    def body(path):
-        return [l for l in path.read_text().splitlines()
-                if not l.startswith("#")]
-
-    a, b, c = (tmp_path / x for x in ("a.csv", "b.csv", "c.csv"))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["per-m", "--gen", "gnp", "--n", "256", "--graph-seed", "3",
             "--seed", "11"]
-    assert cli.main(argv + ["--workers", "1", "--out", str(a)]) == 0
-    assert cli.main(argv + ["--workers", "1", "--out", str(b)]) == 0
-    assert cli.main(argv + ["--workers", "4", "--out", str(c)]) == 0
+    assert cli.main(argv + ["--out", str(a)]) == 0
+    assert cli.main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-    assert body(a) == body(c)
 
     pa, pb = tmp_path / "pa.txt", tmp_path / "pb.txt"
     argv = ["phi", "--gen", "gnp", "--n", "20", "--graph-seed", "2"]

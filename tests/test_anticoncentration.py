@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ramspect import anticoncentration as ac
-from ramspect.errors import CapacityError, ParameterError
+from ramspect.errors import CapacityError, ContractViolation, ParameterError
 
 
 def brute_pmf(inst):
@@ -52,6 +52,12 @@ def test_exact_mass_sums_to_one():
         coeffs = tuple(rng.choice((-2, -1, 1, 2)) for _ in range(rng.randrange(1, 12)))
         pmf = ac.lo_exact_distribution(ac.LOInstance(coeffs, p=0.4))
         assert float(np.sum(pmf.masses)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_exact_mass_drift_is_a_contract_violation(monkeypatch):
+    monkeypatch.setattr(ac.LOPmf, "total", lambda self: 1.5)
+    with pytest.raises(ContractViolation, match="drifted"):
+        ac.lo_exact_distribution(ac.LOInstance((1, 2), p=0.5))
 
 
 def test_exact_weight_cap_enforced():

@@ -162,6 +162,47 @@ def test_huge_graph_file_is_a_capacity_error(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "--gen", "gnp", "--n", "64", "--set", "retry_max=2.5"],
+    ["per-m", "--gen", "gnp", "--n", "64", "--set", "trials=1e1"],
+    ["audit", "--gen", "gnp", "--n", "16", "--set", "epsilon=abc"],
+])
+def test_mistyped_override_exits_one(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: override ")
+
+
+def test_override_values_follow_field_types():
+    groups = {"construct": cli._CP_FIELDS, "exposure": cli._EP_FIELDS}
+    ov = cli._split_overrides(
+        ["retry_max=7", "kappa1=2", "kappa2=1e0", "kappa3=none",
+         "rich_prepass=False", "trials=3"], groups)
+    assert ov["construct"] == {"retry_max": 7, "kappa1": 2, "kappa2": 1.0,
+                               "kappa3": None, "rich_prepass": False}
+    assert ov["exposure"] == {"trials": 3}
+    for bad in ("rich_prepass=1", "kappa1=none", "retry_max=true"):
+        with pytest.raises(ParameterError, match="expects"):
+            cli._split_overrides([bad], groups)
+
+
+def test_pmf_drift_exits_one_without_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(cli.ac.LOPmf, "total", lambda self: 1.5)
+    code, out, err = run(capsys, "lo", "--n-list", "16,32,64,128")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: pmf mass drifted to 1.5"]
+
+
+def test_workers_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["per-m", "--gen", "gnp", "--n", "64", "--workers", "2"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
 def test_pipeline_failure_exits_three_with_diagnostics(tmp_path, capsys):
     diag = tmp_path / "fail.diag.json"
     code, _, err = run(capsys, "construct", "--gen", "complete", "--n", "64",
@@ -236,6 +277,19 @@ def test_sweep_csv_and_slope_line(tmp_path):
     assert math.isfinite(slope)
 
 
+def test_sweep_gives_zero_rows_for_empty_m_windows(tmp_path, capsys):
+    # the m-window [c*n^2, 2c*n^2] holds no positive integer at n = 16, 32
+    out = tmp_path / "sw.csv"
+    code, _, err = run(capsys, "sweep", "--n-list", "16,32,64", "--out", str(out))
+    assert code in (0, 3)
+    assert "Traceback" not in err
+    lines = body_lines(out)
+    rows = [l.split(",") for l in lines[1:4]]
+    assert lines[0] == "n,count"
+    assert [n for n, _ in rows] == ["16", "32", "64"]
+    assert rows[0][1] == "0" and rows[1][1] == "0"
+
+
 # ── determinism ──────────────────────────────────────────────────────────
 
 
@@ -246,18 +300,3 @@ def test_rerun_is_byte_identical(tmp_path):
     assert cli.main(argv + ["--out", str(a)]) == 0
     assert cli.main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_worker_count_does_not_change_bytes_below_header(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    argv = ["per-m", "--gen", "gnp", "--n", "256", "--graph-seed", "3",
-            "--seed", "11"]
-    assert cli.main(argv + ["--workers", "1", "--out", str(a)]) == 0
-    assert cli.main(argv + ["--workers", "4", "--out", str(b)]) == 0
-    assert body_lines(a) == body_lines(b)
-
-    pa, pb = tmp_path / "pa.txt", tmp_path / "pb.txt"
-    argv = ["phi", "--gen", "gnp", "--n", "20", "--graph-seed", "2"]
-    assert cli.main(argv + ["--out", str(pa)]) == 0
-    assert cli.main(argv + ["--out", str(pb)]) == 0
-    assert pa.read_bytes() == pb.read_bytes()

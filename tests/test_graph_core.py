@@ -119,13 +119,19 @@ def test_unit_degree_counts_multiset():
         assert gc.unit_degree(g, gc.Unit.single(v), umask) == want_s
 
 
-def brute_symdiff(g, x, y, uvs, compl_y):
+def brute_symdiff(g, x, y, uvs):
     """Summed multiset symmetric-difference gap, restricted to uvs."""
     def mult(unit, v):
-        if compl_y and unit is y:
-            return sum(1 for w in unit.vertices if w != v and not g.has_edge(w, v))
         return sum(1 for w in unit.vertices if g.has_edge(w, v))
     return sum(abs(mult(x, v) - mult(y, v)) for v in uvs)
+
+
+def test_multiset_gap_all_multiplicity_pairs():
+    # vertex 0 carries multiplicity a in x and b in y, as unit_rows encodes it
+    def rows(mult):
+        return (1 if mult == 1 else 0), (1 if mult == 2 else 0)
+    for a, b in itertools.product((0, 1, 2), repeat=2):
+        assert gc.multiset_gap(*rows(a), *rows(b)) == abs(a - b), (a, b)
 
 
 def test_symdiff_size_matches_brute_force():
@@ -137,19 +143,9 @@ def test_symdiff_size_matches_brute_force():
         mk = lambda: (gc.Unit.single(rng.randrange(n)) if rng.random() < 0.5
                       else gc.Unit.pair(*rng.sample(range(n), 2)))
         x, y = mk(), mk()
-        for compl_y in (False, True):
-            got = gc.symdiff_size(g, x, y, gc.mask_of(uvs), compl_y=compl_y)
-            assert got == brute_symdiff(g, x, y, uvs, compl_y)
-
-
-def test_symdiff_close_complement_single_pair():
-    # |N(x1) ^ comp-neighborhood(x2)| via the unit helper, checked by hand
-    g = gc.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    x1, x2 = gc.Unit.single(0), gc.Unit.single(3)
-    full = g.full_mask
-    got = gc.symdiff_size(g, x1, x2, full, compl_y=True)
-    # N(0) = {1}; complement row of 3 = {0,1}; difference = {0}
-    assert got == 1
+        got = gc.symdiff_size(g, x, y, gc.mask_of(uvs))
+        assert got == brute_symdiff(g, x, y, uvs)
+        assert gc.symdiff_size(g, x, y) == brute_symdiff(g, x, y, range(n))
 
 
 # ── generators ───────────────────────────────────────────────────────────

@@ -56,12 +56,6 @@ def test_diversity_profile_matches_brute_force():
         assert sa.diversity_profile(g, c) == want
 
 
-def test_is_diverse_extremes():
-    # identical neighborhoods everywhere: complete graph is maximally repetitive
-    assert not sa.is_diverse(gc.generate("complete", n=9), 0.5, 0.3)
-    assert sa.is_diverse(PALEY13, 0.1, 0.5)
-
-
 def test_close_complement_pair_count_matches_brute_force():
     rng = random.Random(5)
     for _ in range(20):
@@ -76,33 +70,12 @@ def test_close_complement_pair_count_matches_brute_force():
             if d < thr:
                 want += 1
         assert sa.close_complement_pair_count(g, thr / n) == want
-
-
-# ── pair diversity witness ───────────────────────────────────────────────
-
-
-def test_pair_witness_on_repetitive_graph():
-    """Complete bipartite-ish repetition yields many near-identical pairs."""
-    g = gc.generate("complete", n=12)
-    w = sa.pair_diversity_witness(g, c_div=0.4, delta=0.3, alpha=0.6)
-    assert w is not None
-    need = math.floor(12 ** 0.3) + 1
-    assert len(w.family) >= need
-    # family units pairwise disjoint and disjoint from the center
-    used = w.center.mask()
-    for u in w.family:
-        assert not (u.mask() & used)
-        used |= u.mask()
-
-
-def test_pair_witness_none_on_paley():
-    assert sa.pair_diversity_witness(PALEY13, c_div=0.05, delta=0.5,
-                                     alpha=1.0) is None
-
-
-def test_pair_witness_validates_alpha():
-    with pytest.raises(ParameterError):
-        sa.pair_diversity_witness(PALEY13, 0.1, 0.4, 0.5)
+    # path 0-1-2-3 by hand: N(0) = {1} against N_bar(3) = {0, 1} and
+    # N(1) = {0, 2} against N_bar(2) = {0} each differ in one vertex; the
+    # other four pairs differ in two
+    path = gc.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert sa.close_complement_pair_count(path, 2 / 4) == 2
+    assert sa.close_complement_pair_count(path, 3 / 4) == 6
 
 
 # ── richness ─────────────────────────────────────────────────────────────
