@@ -148,6 +148,17 @@ def test_symdiff_size_matches_brute_force():
         assert gc.symdiff_size(g, x, y) == brute_symdiff(g, x, y, range(n))
 
 
+def test_symdiff_close_complement_single_pair():
+    # |N(x1) ^ comp-neighborhood(x2)| via the unit helpers, checked by hand:
+    # x2's rows are taken in the complement graph
+    g = gc.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    x1, x2 = gc.Unit.single(0), gc.Unit.single(3)
+    got = gc.multiset_gap(*gc.unit_rows(g, x1),
+                          *gc.unit_rows(gc.complement(g), x2))
+    # N(0) = {1}; complement row of 3 = {0,1}; difference = {0}
+    assert got == 1
+
+
 # ── generators ───────────────────────────────────────────────────────────
 
 
