@@ -147,11 +147,11 @@ def _emit(ns, header: str, body: str) -> None:
         sys.stdout.write(body)
 
 
-def _emit_json(ns, config: dict, payload: dict) -> None:
+def _json_doc(ns, config: dict, payload: dict) -> str:
     # JSON artifacts embed the header object so the file stays parseable
     doc = {"schema": SCHEMA, "header": _header_obj(ns, config)}
     doc.update(payload)
-    _emit(ns, "", _dumps(doc))
+    return _dumps(doc) + "\n"
 
 
 def _add_graph_args(p: _Parser) -> None:
@@ -164,14 +164,17 @@ def _add_graph_args(p: _Parser) -> None:
     p.add_argument("--graph-seed", type=int, default=0, help="generator seed")
 
 
-def _build_graph(ns) -> tuple[gc.Graph, dict]:
+def _build_graph(ns, cap: int | None = None) -> tuple[gc.Graph, dict]:
+    # a vertex count above cap is refused before any row is built
     if bool(ns.graph) == bool(ns.gen):
         raise ParameterError("exactly one of --graph or --gen is required")
     if ns.graph:
-        g = gc.load_graph(Path(ns.graph).read_text())
+        g = gc.load_graph(Path(ns.graph).read_text(), max_n=cap)
         return g, {"file": ns.graph, "n": g.n}
     if ns.n is None:
         raise ParameterError("--gen requires --n")
+    if cap is not None and ns.n > cap:
+        raise CapacityError(f"--n {ns.n} is above the cap {cap}")
     return _generate(ns.gen, ns.n, ns.p, ns.graph_seed)
 
 
@@ -235,19 +238,18 @@ def _dump_outcome(ns, config: dict, out) -> None:
             "x_witnesses": {str(i): [[list(u.vertices), v] for u, v in wit]
                             for i, wit in r.x_witnesses.items()},
         })
-    doc = {"schema": SCHEMA, "header": _header_obj(ns, config),
-           "m": out.m, "e_u": out.e_u, "u_mask": out.u_mask,
-           "k_selected": list(out.k_selected),
-           "p_selected": [list(c) for c in out.p_selected],
-           "family": [[k, i, list(u.vertices)] for k, i, u in out.family],
-           "distinct_sizes": list(out.distinct_sizes),
-           "window_center": out.window_center,
-           "window_radius": out.window_radius,
-           "attempts": out.attempts,
-           "constants": out.constants,
-           "records": rec_rows,
-           "diagnostics": out.diagnostics}
-    Path(ns.dump).write_text(_dumps(doc) + "\n")
+    payload = {"m": out.m, "e_u": out.e_u, "u_mask": out.u_mask,
+               "k_selected": list(out.k_selected),
+               "p_selected": [list(c) for c in out.p_selected],
+               "family": [[k, i, list(u.vertices)] for k, i, u in out.family],
+               "distinct_sizes": list(out.distinct_sizes),
+               "window_center": out.window_center,
+               "window_radius": out.window_radius,
+               "attempts": out.attempts,
+               "constants": out.constants,
+               "records": rec_rows,
+               "diagnostics": out.diagnostics}
+    Path(ns.dump).write_text(_json_doc(ns, config, payload))
 
 
 def _pipeline_params(ns) -> tuple[ConstructionParams, ExposureParams, dict]:
@@ -272,7 +274,7 @@ def cmd_generate(ns) -> int:
 
 
 def cmd_phi(ns) -> int:
-    g, gsrc = _build_graph(ns)
+    g, gsrc = _build_graph(ns, ns.cap)
     cfg = {"graph": gsrc, "cap": ns.cap}
     sizes = so.phi_exact(g, cap=ns.cap).sizes
     body = ",".join(str(s) for s in sizes)
@@ -282,7 +284,7 @@ def cmd_phi(ns) -> int:
 
 
 def cmd_psi(ns) -> int:
-    g, gsrc = _build_graph(ns)
+    g, gsrc = _build_graph(ns, ns.cap)
     cfg = {"graph": gsrc, "cap": ns.cap}
     pairs = so.psi_exact(g, cap=ns.cap)
     body = ",".join(f"{k}:{s}" for k, s in pairs)
@@ -313,7 +315,7 @@ def cmd_audit(ns) -> int:
             "rounds": [asdict(r) for r in extract.trace],
         },
     }
-    _emit_json(ns, cfg, payload)
+    _emit(ns, "", _json_doc(ns, cfg, payload))
     return 0
 
 
@@ -338,7 +340,7 @@ def cmd_construct(ns) -> int:
     cfg = {"graph": gsrc, "m": m, "cparams": asdict(cp),
            "overrides": ov["construct"]}
     res = construct(g, m, cp)
-    _emit_json(ns, cfg, _construct_payload(res))
+    _emit(ns, "", _json_doc(ns, cfg, _construct_payload(res)))
     return 0
 
 
@@ -367,13 +369,12 @@ def cmd_theorem(ns) -> int:
                  f"windows_attempted={len(out.windows)}")
     _emit(ns, _text_header(ns, cfg), "\n".join(lines) + "\n")
     if ns.dump:
-        doc = {"schema": SCHEMA, "header": _header_obj(ns, cfg),
-               "step": out.step, "total_distinct": out.total_distinct,
-               "windows": [[m, (o.distinct_count if o is not None else None),
-                            kept] for m, o, kept in out.windows],
-               "kept_sizes": [list(w.distinct_sizes) for w in out.kept],
-               "diagnostics": out.diagnostics}
-        Path(ns.dump).write_text(_dumps(doc) + "\n")
+        payload = {"step": out.step, "total_distinct": out.total_distinct,
+                   "windows": [[m, (o.distinct_count if o is not None else None),
+                                kept] for m, o, kept in out.windows],
+                   "kept_sizes": [list(w.distinct_sizes) for w in out.kept],
+                   "diagnostics": out.diagnostics}
+        Path(ns.dump).write_text(_json_doc(ns, cfg, payload))
     return 0
 
 

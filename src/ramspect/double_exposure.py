@@ -42,7 +42,6 @@ class ExposureParams:
     beta: float | None = None      # None -> 2*c'^2/3
     q_const: float | None = None   # None -> max(3*beta, (2.1*sqrt(d)+1)/sqrt(n))
     gamma: float = 0.05
-    q_thin: int = 1
     expose_window: float | None = None  # |e(U)-m| gate, units of n^(3/2); None -> kappa1/4 + 0.02
     kappa_window: float = 0.25     # reported-size containment radius, units of n^(3/2)
     verify_fraction: float = 0.01
@@ -52,8 +51,6 @@ class ExposureParams:
     def __post_init__(self):
         if self.c_prime is not None and self.c_prime <= 0:
             raise ParameterError("c_prime must be positive")
-        if self.q_thin < 1:
-            raise ParameterError("q_thin must be >= 1")
         if not 0 < self.gamma < 1:
             raise ParameterError("gamma must lie in (0, 1)")
         if self.trials < 1:
@@ -163,7 +160,7 @@ def expose(u0_mask: int, seed: int) -> int:
 @dataclass
 class PerKRecord:
     k: int
-    i_values: list
+    i_values: list   # always 0..i_top, so i indexes z_masks and e_values
     z_masks: list
     e_values: list
     deltas: list
@@ -193,7 +190,7 @@ def family_table(g: Graph, u_mask: int, s_units, t_units,
         zm = z_family(s_units, t_units, k, 0)
         e_z = count_edges(g, zm)
         e_zu = count_edges(g, zm, u_mask)
-        i_values, z_masks, e_values = [0], [zm], [e_z + e_zu]
+        z_masks, e_values = [zm], [e_z + e_zu]
         for i in range(1, i_top + 1):
             out = s_units[k - i]
             inc = t_units[i - 1]
@@ -203,22 +200,21 @@ def family_table(g: Graph, u_mask: int, s_units, t_units,
                     - count_edges(g, om, rest) - count_edges(g, om))
             e_zu += count_edges(g, tm, u_mask) - count_edges(g, om, u_mask)
             zm = rest | tm
-            i_values.append(i)
             z_masks.append(zm)
             e_values.append(e_z + e_zu)
         deltas = [b - a for a, b in zip(e_values, e_values[1:])]
         verified = []
-        for idx, i in enumerate(i_values):
-            if (first_cell and idx == 0) or rng.random() < verify_fraction:
-                direct = count_edges(g, z_masks[idx] | u_mask) - e_u
-                if direct != e_values[idx]:
+        for i in range(i_top + 1):
+            if (first_cell and i == 0) or rng.random() < verify_fraction:
+                direct = count_edges(g, z_masks[i] | u_mask) - e_u
+                if direct != e_values[i]:
                     raise ContractViolation(
-                        f"incremental e_({k},{i})={e_values[idx]} but direct "
+                        f"incremental e_({k},{i})={e_values[i]} but direct "
                         f"count gives {direct}")
                 verified.append((k, i))
                 first_cell = False
-        records.append(PerKRecord(k=k, i_values=i_values, z_masks=z_masks,
-                                  e_values=e_values, deltas=deltas,
+        records.append(PerKRecord(k=k, i_values=list(range(i_top + 1)),
+                                  z_masks=z_masks, e_values=e_values, deltas=deltas,
                                   verified_cells=verified))
     return records
 
@@ -359,11 +355,11 @@ def per_m_run(g: Graph, m: int, cparams: ConstructionParams | None = None,
                     break
                 b = min(a + length, span_hi)
                 inside = [i for i in rec.i_pass
-                          if a <= rec.e_values[rec.i_values.index(i)] <= b]
+                          if a <= rec.e_values[i] <= b]
                 if inside:
                     reps.append(min(inside))
             for i in sorted(set(reps)):
-                cells.append((rec.e_values[rec.i_values.index(i)], k, i))
+                cells.append((rec.e_values[i], k, i))
         cells.sort()
         sep = math.floor(2 * resolved.q_const * rt) + 1  # strict > 2Q*sqrt(n)
         sel = _stride_select(cells, sep, [c[0] for c in cells])
@@ -395,7 +391,7 @@ def per_m_run(g: Graph, m: int, cparams: ConstructionParams | None = None,
     # every size reproducible from scratch
     for (k, i, x), s in zip(family, sizes):
         rec = by_k[k]
-        zm = rec.z_masks[rec.i_values.index(i)]
+        zm = rec.z_masks[i]
         direct = count_edges(g, zm | u | x.mask())
         if direct != s:
             raise ContractViolation(
@@ -449,8 +445,8 @@ def theorem_run(g: Graph, cparams: ConstructionParams | None = None,
     last_max = None
     idx = 0
     for m in range(m_lo, m_hi + 1, step):
-        cp = _reseed(cparams, derive_seed(cparams.seed, "window-c", idx))
-        ep = _reseed(eparams, derive_seed(eparams.seed, "window-e", idx))
+        cp = replace(cparams, seed=derive_seed(cparams.seed, "window-c", idx))
+        ep = replace(eparams, seed=derive_seed(eparams.seed, "window-e", idx))
         idx += 1
         try:
             out = per_m_run(g, m, cp, ep)
@@ -477,7 +473,3 @@ def theorem_run(g: Graph, cparams: ConstructionParams | None = None,
                           total_distinct=total, step=step,
                           diagnostics={"m_lo": m_lo, "m_hi": m_hi,
                                        "attempted": len(windows)})
-
-
-def _reseed(params, seed: int):
-    return replace(params, seed=seed)

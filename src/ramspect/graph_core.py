@@ -271,10 +271,11 @@ def generate(model: str, *, n: int | None = None, p: float = 0.5,
     raise ParameterError(f"unknown model {model!r}")
 
 
-def load_graph(text: str) -> Graph:
+def load_graph(text: str, max_n: int | None = None) -> Graph:
     """Parse the edge-list format: first line "n <N>", then one "u v" per line.
 
-    Blank lines and lines starting with '#' are ignored.
+    Blank lines and lines starting with '#' are ignored.  A header above
+    max_n is a CapacityError, raised before any row is built.
     """
     n = None
     edges = []
@@ -292,6 +293,8 @@ def load_graph(text: str) -> Graph:
                 raise GraphParseError(f"line {lineno}: bad vertex count {parts[1]!r}")
             if n < 0:
                 raise GraphParseError(f"line {lineno}: negative vertex count")
+            if max_n is not None and n > max_n:
+                raise CapacityError(f"graph declares n={n}, above the cap {max_n}")
             continue
         if len(parts) != 2:
             raise GraphParseError(f"line {lineno}: expected 'u v', got {line!r}")

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionFailure, ContractViolation, ParameterError
-from .graph_core import (Graph, Unit, count_edges, induced_subgraph, iter_bits,
-                         multiset_gap, symdiff_size, unit_degree, unit_rows)
+from .graph_core import (Graph, Unit, count_edges, iter_bits, mask_of, multiset_gap,
+                         symdiff_size, unit_degree, unit_rows)
 from .seeding import derive_seed
 from .structure_audit import AuditParams, rich_extract
 
@@ -43,7 +43,6 @@ DENSITY_FACTOR = 800.0
 class ConstructionParams:
     """Knobs for the scaffold pipeline; None fields resolve at run time."""
 
-    ramsey_const: float = 10.0
     epsilon: float = 0.2
     delta: float = 0.3
     c_density: float = 0.0003
@@ -64,7 +63,6 @@ class ConstructionParams:
     retry_max: int = 40
     rich_prepass: bool = True
     c_div: float = 0.1      # audit pass-through
-    alpha: float | None = None    # None -> 2*delta
     audit_budget: int = 200
     k_rounds: int = 8
     seed: int = 0
@@ -86,9 +84,8 @@ class ConstructionParams:
                 raise ParameterError(f"{name} must be positive")
 
     def audit_params(self) -> AuditParams:
-        alpha = 2 * self.delta if self.alpha is None else self.alpha
         return AuditParams(epsilon=self.epsilon, delta=self.delta, c_div=self.c_div,
-                           alpha=alpha, sample_budget=self.audit_budget,
+                           sample_budget=self.audit_budget,
                            k_rounds=self.k_rounds, seed=derive_seed(self.seed, "audit"))
 
 
@@ -415,9 +412,9 @@ def construct(g: Graph, m: int, params: ConstructionParams | None = None) -> Con
 
     Entry checks: e(G) >= density_factor*c*n^2 (stage "density") and
     c*n^2 <= m <= 2c*n^2 (parameter error).  With rich_prepass on, the
-    pipeline runs inside the extracted vertex set and the result is mapped
-    back to original vertex ids; every threshold uses the working size,
-    echoed as working_n.
+    pipeline runs inside the induced subgraph that rich_extract audited and
+    hands back, and the result is mapped back to original vertex ids; every
+    threshold uses the working size, echoed as working_n.
     """
     params = params or ConstructionParams()
     if m != int(m) or m < 1:
@@ -441,7 +438,7 @@ def construct(g: Graph, m: int, params: ConstructionParams | None = None) -> Con
                 "rich_prepass", f"extraction ended with status {ext.status}",
                 {"status": ext.status, "final_size": ext.u_mask.bit_count(),
                  "rounds": len(ext.trace)})
-        work, vmap = induced_subgraph(g, ext.u_mask)
+        work, vmap = ext.graph, list(iter_bits(ext.u_mask))
     else:
         work, vmap = g, list(range(n))
     wn = work.n
@@ -470,12 +467,6 @@ def construct(g: Graph, m: int, params: ConstructionParams | None = None) -> Con
         vs = tuple(vmap[v] for v in u.vertices)
         return Unit.single(vs[0]) if len(vs) == 1 else Unit.pair(*vs)
 
-    def remap_mask(mask: int) -> int:
-        out = 0
-        for v in iter_bits(mask):
-            out |= 1 << vmap[v]
-        return out
-
     diag = {
         "rich_status": rich_status,
         "h_size": len(h), "h_filtered_size": len(h_filt),
@@ -492,7 +483,7 @@ def construct(g: Graph, m: int, params: ConstructionParams | None = None) -> Con
     res = ConstructionResult(
         mode=mode,
         anchor=None if anchor is None else vmap[anchor],
-        u0_mask=remap_mask(u0),
+        u0_mask=mask_of(vmap[v] for v in iter_bits(u0)),
         a_units=tuple(remap_unit(u) for u in a),
         s_units=tuple(remap_unit(u) for u in s),
         t_units=tuple(remap_unit(u) for u in t),

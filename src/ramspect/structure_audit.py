@@ -17,6 +17,7 @@ rich_extract mirrors the proof-style cleanup loop: while a richness violation
 from W, and keep only vertices with the matching density toward the dropped
 set.  Each such round retains at least a (delta/4) fraction; a graph that
 keeps yielding witnesses for K rounds is reported as far from Ramsey-like.
+A rich extraction hands back the induced subgraph it audited for construct.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class AuditParams:
     epsilon: float = 0.2
     delta: float = 0.3
     c_div: float = 0.1
-    alpha: float = 0.6
     sample_budget: int = 500
     k_rounds: int = 8
     seed: int = 0
@@ -48,9 +48,6 @@ class AuditParams:
             raise ParameterError(f"delta must lie in (0, 1/2], got {self.delta}")
         if self.c_div <= 0:
             raise ParameterError(f"c_div must be positive, got {self.c_div}")
-        if self.alpha < 2 * self.delta:
-            raise ParameterError(
-                f"alpha must be at least 2*delta, got {self.alpha} < {2 * self.delta}")
         if self.sample_budget < 1:
             raise ParameterError("sample_budget must be >= 1")
         if self.k_rounds < 1:
@@ -118,11 +115,14 @@ class RichnessVerdict:
 
 
 def _bad_vertices(g: Graph, wmask: int, epsilon: float) -> int:
-    """Mask of vertices with too few neighbors or non-neighbors inside W."""
-    thr = epsilon * wmask.bit_count()
+    """Mask of vertices with too few neighbors or non-neighbors inside W;
+    v has |W| - |N(v) & W| - [v in W] of the latter."""
+    wsize = wmask.bit_count()
+    thr = epsilon * wsize
     bad = 0
     for v in range(g.n):
-        if (g.adj[v] & wmask).bit_count() < thr or (g.comp_row(v) & wmask).bit_count() < thr:
+        k = (g.adj[v] & wmask).bit_count()
+        if k < thr or wsize - k - (wmask >> v & 1) < thr:
             bad |= 1 << v
     return bad
 
@@ -215,39 +215,45 @@ class ExtractResult:
     status: str  # "rich" | "rounds_exhausted" | "failed_shrink"
     u_mask: int
     trace: tuple = field(default_factory=tuple)
+    # induced_subgraph(g, u_mask)[0], the graph audited last; only when "rich"
+    graph: Graph | None = field(default=None, compare=False)
 
 
 def rich_extract(g: Graph, params: AuditParams) -> ExtractResult:
     """Iteratively carve toward an empirically rich vertex subset.
 
     Stops with status "rich" the first time the budgeted audit finds no
-    witness.  A round that would shrink the live set below the (delta/4)
-    retention floor stops with "failed_shrink"; exhausting k_rounds with
-    witnesses still arriving stops with "rounds_exhausted".  Both of the
-    latter signal a graph far from Ramsey-like.
+    witness, and hands back the graph it audited as ExtractResult.graph.
+    A round that would shrink the live set below the (delta/4) retention
+    floor stops with "failed_shrink"; exhausting k_rounds with witnesses
+    still arriving stops with "rounds_exhausted".  Both of the latter
+    signal a graph far from Ramsey-like.  Only a round that shrinks the
+    live set induces a new working graph, from the current one.
     """
+    sub, vmap = g, range(g.n)
     umask = g.full_mask
     trace = []
     for rnd in range(params.k_rounds):
-        sub, vmap = induced_subgraph(g, umask)
         if sub.n == 0:
             return ExtractResult("failed_shrink", umask, tuple(trace))
         verdict = richness_audit(sub, params)
         if not verdict.found:
-            return ExtractResult("rich", umask, tuple(trace))
+            return ExtractResult("rich", umask, tuple(trace), sub)
         w, y = verdict.witness_w, verdict.witness_y
         wsize = w.bit_count()
         thr = params.epsilon * wsize
-        sparse = [v for v in iter_bits(y) if (sub.adj[v] & w).bit_count() < thr]
-        dense = [v for v in iter_bits(y)
-                 if (sub.comp_row(v) & w).bit_count() < thr and v not in sparse]
+        # every vertex of Y is bad toward W, so one of the two lists is nonempty
+        sparse, dense = [], []
+        for v in iter_bits(y):
+            k = (sub.adj[v] & w).bit_count()
+            if k < thr:
+                sparse.append(v)
+            elif wsize - k - (w >> v & 1) < thr:
+                dense.append(v)
         side, members = ("sparse", sparse) if len(sparse) >= len(dense) else ("dense", dense)
-        if not members:
-            side, members = ("dense", dense) if not sparse else ("sparse", sparse)
-        cap = max(1, math.ceil((params.c_div * sub.n) ** params.delta / 2))
-        cap = min(cap, max(1, wsize // 2), len(members))
-        smask = mask_of(members[:cap])
-        ssize = cap
+        ssize = max(1, math.ceil((params.c_div * sub.n) ** params.delta / 2))
+        ssize = min(ssize, max(1, wsize // 2), len(members))
+        smask = mask_of(members[:ssize])
         rest = w & ~smask
         keep = 0
         if side == "sparse":
@@ -260,12 +266,11 @@ def rich_extract(g: Graph, params: AuditParams) -> ExtractResult:
             for v in iter_bits(rest):
                 if (sub.adj[v] & smask).bit_count() >= lo:
                     keep |= 1 << v
-        new_umask = 0
-        for v in iter_bits(keep):
-            new_umask |= 1 << vmap[v]
-        before, after = sub.n, new_umask.bit_count()
+        umask = mask_of(vmap[v] for v in iter_bits(keep))
+        before, after = sub.n, keep.bit_count()
         trace.append(ExtractRound(before, wsize, y.bit_count(), side, ssize, after))
         if after < (params.delta / 4) * before:
-            return ExtractResult("failed_shrink", new_umask, tuple(trace))
-        umask = new_umask
+            return ExtractResult("failed_shrink", umask, tuple(trace))
+        sub, kept = induced_subgraph(sub, keep)
+        vmap = [vmap[v] for v in kept]
     return ExtractResult("rounds_exhausted", umask, tuple(trace))

@@ -103,6 +103,14 @@ def test_audit_json_keys(capsys):
     assert doc["header"]["version"] == cli.VERSION
 
 
+def test_audit_accepts_delta_in_its_range(capsys):
+    # delta = 0.4 lies in (0, 1/2]; no other audit key may refuse it
+    code, out, err = run(capsys, "audit", "--gen", "gnp", "--n", "30",
+                         "--set", "delta=0.4")
+    assert code == 0, err
+    assert json.loads(out)["header"]["config"]["params"]["delta"] == 0.4
+
+
 def test_generate_roundtrips_through_phi(tmp_path, capsys):
     f = tmp_path / "g.graph"
     assert cli.main(["generate", "--gen", "gnp", "--n", "12", "--p", "0.5",
@@ -145,17 +153,22 @@ def test_capacity_exits_two(capsys):
 
 def test_huge_graph_file_is_a_capacity_error(tmp_path):
     # 2^20000 has more decimal digits than int-to-str allows; the message
-    # must not need them
-    f = tmp_path / "huge.graph"
-    f.write_text("n 20000\n")
+    # must not need them.  At n = 10^12 the n rows would not fit in memory,
+    # so the cap is checked before the graph is built.
+    sources = []
+    for n in (20000, 10 ** 12):
+        f = tmp_path / f"huge{n}.graph"
+        f.write_text(f"n {n}\n")
+        sources.append(["--graph", str(f)])
+    sources.append(["--gen", "complete", "--n", str(10 ** 12)])
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    for cmd in ("phi", "psi"):
+    for argv in ([cmd, *source] for cmd in ("phi", "psi") for source in sources):
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys; from ramspect.cli import main; sys.exit(main(sys.argv[1:]))",
-             cmd, "--graph", str(f)],
+             *argv],
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 2, proc.stderr
         assert "capacity" in proc.stderr

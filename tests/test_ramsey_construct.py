@@ -7,6 +7,7 @@ import pytest
 
 from ramspect import graph_core as gc
 from ramspect import ramsey_construct as rc
+from ramspect import structure_audit as sa
 from ramspect.errors import ContractViolation, ParameterError
 from ramspect.ramsey_construct import (ConstructionFailure, ConstructionParams,
                                        construct, verify_construction)
@@ -179,6 +180,27 @@ def test_construct_rich_prepass_rejects_homogeneous_input():
     with pytest.raises(ConstructionFailure) as exc:
         construct(g, M256, params)
     assert exc.value.stage == "rich_prepass"
+
+
+def test_rich_extract_hands_its_shrunken_graph_to_construct():
+    """G(256,1/2) joined to an independent block B = {0..7}, 8 > 264^0.3:
+    W = N(0) = V - B leaves every B vertex too few non-neighbors, so the
+    extraction shrinks to the G(256,1/2) part, which the next audit finds
+    rich; construct then works inside the graph the extraction handed back."""
+    a = gc.generate("gnp", n=256, p=0.5, seed=1)
+    rows = [a.full_mask << 8] * 8 + [(r << 8) | 0xFF for r in a.adj]
+    g = gc.Graph(264, rows)
+    params = ConstructionParams(seed=1)
+    ext = sa.rich_extract(g, params.audit_params())
+    assert ext.status == "rich"
+    assert len(ext.trace) == 1 and ext.trace[0].side == "dense"
+    assert ext.u_mask == a.full_mask << 8
+    assert ext.graph == gc.induced_subgraph(g, ext.u_mask)[0] == a
+    res = construct(g, round(1.5 * 0.0003 * 264 * 264), params)
+    assert res.diagnostics["rich_status"] == "rich"
+    assert res.working_n == 256
+    assert not res.u0_mask & 0xFF
+    assert verify_construction(g, res, params)
 
 
 def test_verifier_catches_tampering():

@@ -28,8 +28,6 @@ def test_audit_params_validation():
     with pytest.raises(ParameterError):
         sa.AuditParams(delta=0.6)
     with pytest.raises(ParameterError):
-        sa.AuditParams(delta=0.4, alpha=0.5)  # alpha < 2*delta
-    with pytest.raises(ParameterError):
         sa.AuditParams(sample_budget=0)
 
 
@@ -101,7 +99,7 @@ def brute_richness_witness(g, delta, epsilon):
 
 
 def test_paley13_is_exhaustively_rich():
-    params = sa.AuditParams(epsilon=0.07, delta=0.5, alpha=1.0)
+    params = sa.AuditParams(epsilon=0.07, delta=0.5)
     verdict = sa.richness_audit(PALEY13, params, exhaustive=True)
     assert verdict.exhaustive
     assert not verdict.found
@@ -113,9 +111,16 @@ def test_exhaustive_richness_matches_brute_force_battery():
     for _ in range(8):
         n = rng.randrange(5, 10)
         g = random_graph(rng, n, rng.choice((0.2, 0.5)))
-        params = sa.AuditParams(epsilon=0.2, delta=0.5, alpha=1.0)
+        params = sa.AuditParams(epsilon=0.2, delta=0.5)
         verdict = sa.richness_audit(g, params, exhaustive=True)
         want = brute_richness_witness(g, 0.5, 0.2)
+        # the non-neighbor count without complement rows, on every subset W
+        for w in range(1 << n):
+            thr = 0.2 * w.bit_count()
+            ref = gc.mask_of(v for v in range(n)
+                             if (g.adj[v] & w).bit_count() < thr
+                             or (g.comp_row(v) & w).bit_count() < thr)
+            assert sa._bad_vertices(g, w, 0.2) == ref
         assert verdict.found == (want is not None)
         if verdict.found:
             # the verdict's witness really is one
@@ -137,7 +142,7 @@ def test_sampled_witness_implies_exhaustive_witness():
     for _ in range(12):
         n = rng.randrange(6, 11)
         g = random_graph(rng, n, 0.15)  # sparse graphs violate richness easily
-        params = sa.AuditParams(epsilon=0.25, delta=0.5, alpha=1.0,
+        params = sa.AuditParams(epsilon=0.25, delta=0.5,
                                 sample_budget=80, seed=rng.randrange(999))
         sampled = sa.richness_audit(g, params)
         if sampled.found:
@@ -163,11 +168,11 @@ def test_rich_extract_on_random_graph_keeps_everything():
     immediately; at delta=0.3 the n^delta ceiling is tiny and small random
     graphs legitimately produce witnesses."""
     g = gc.generate("gnp", n=40, p=0.5, seed=2)
-    res = sa.rich_extract(g, sa.AuditParams(delta=0.5, alpha=1.0,
-                                            sample_budget=120))
+    res = sa.rich_extract(g, sa.AuditParams(delta=0.5, sample_budget=120))
     assert res.status == "rich"
     assert res.u_mask == g.full_mask
     assert res.trace == ()
+    assert res.graph is g
 
 
 def test_rich_extract_trace_invariants_on_homogeneous_graph():
