@@ -28,6 +28,7 @@ from .ramsey_construct import ConstructionParams, construct
 from .seeding import derive_seed
 
 SCHEMA = 1
+VERTEX_CAP = 1 << 16  # no command builds a graph on more vertices
 
 
 # ── slope fitting ────────────────────────────────────────────────────────
@@ -164,7 +165,12 @@ def _add_graph_args(p: _Parser) -> None:
     p.add_argument("--graph-seed", type=int, default=0, help="generator seed")
 
 
-def _build_graph(ns, cap: int | None = None) -> tuple[gc.Graph, dict]:
+def _require_cap(flag: str, n: int, cap: int = VERTEX_CAP) -> None:
+    if n > cap:
+        raise CapacityError(f"{flag} {n} is above the cap {cap}")
+
+
+def _build_graph(ns, cap: int = VERTEX_CAP) -> tuple[gc.Graph, dict]:
     # a vertex count above cap is refused before any row is built
     if bool(ns.graph) == bool(ns.gen):
         raise ParameterError("exactly one of --graph or --gen is required")
@@ -173,8 +179,7 @@ def _build_graph(ns, cap: int | None = None) -> tuple[gc.Graph, dict]:
         return g, {"file": ns.graph, "n": g.n}
     if ns.n is None:
         raise ParameterError("--gen requires --n")
-    if cap is not None and ns.n > cap:
-        raise CapacityError(f"--n {ns.n} is above the cap {cap}")
+    _require_cap("--n", ns.n, cap)
     return _generate(ns.gen, ns.n, ns.p, ns.graph_seed)
 
 
@@ -268,13 +273,14 @@ def _default_m(cp: ConstructionParams, n: int) -> int:
 
 
 def cmd_generate(ns) -> int:
+    _require_cap("--n", ns.n)
     g, cfg = _generate(ns.gen, ns.n, ns.p, ns.seed)
     _emit(ns, _text_header(ns, cfg), gc.dump_graph(g))
     return 0
 
 
 def cmd_phi(ns) -> int:
-    g, gsrc = _build_graph(ns, ns.cap)
+    g, gsrc = _build_graph(ns, min(ns.cap, VERTEX_CAP))
     cfg = {"graph": gsrc, "cap": ns.cap}
     sizes = so.phi_exact(g, cap=ns.cap).sizes
     body = ",".join(str(s) for s in sizes)
@@ -284,7 +290,7 @@ def cmd_phi(ns) -> int:
 
 
 def cmd_psi(ns) -> int:
-    g, gsrc = _build_graph(ns, ns.cap)
+    g, gsrc = _build_graph(ns, min(ns.cap, VERTEX_CAP))
     cfg = {"graph": gsrc, "cap": ns.cap}
     pairs = so.psi_exact(g, cap=ns.cap)
     body = ",".join(f"{k}:{s}" for k, s in pairs)
@@ -382,6 +388,7 @@ def cmd_sweep(ns) -> int:
     ov = _split_overrides(ns.set, {"construct": _CP_FIELDS, "exposure": _EP_FIELDS})
     cfg = {"mode": ns.mode, "n_values": ns.n_list, "p": ns.p,
            "overrides": {k: v for grp in ov.values() for k, v in grp.items()}}
+    _require_cap("--n-list value", max(ns.n_list, default=0))
     rows = []
     failures = 0
     for n in ns.n_list:

@@ -2,8 +2,12 @@
 
 A graph on n vertices is stored as one Python integer per vertex: bit u of
 ``adj[v]`` is set iff uv is an edge.  Arbitrary-precision ints give branch-free
-AND/XOR row operations and popcounts via ``int.bit_count``, which is what every
-counting routine in this package reduces to.
+AND/XOR row operations and popcounts via ``int.bit_count``.  Loops over many
+row pairs run on a packed view instead: pack_rows lays a list of rows out as
+an (k, ceil(n/64)) array of little-endian uint64 words, and popcount sums
+``np.bitwise_count`` over the words of each row.  popcount takes either form,
+so multiset_gap is one formula for both; every counting routine in this
+package reduces to one of the two popcounts.
 
 Vertex sets are plain int bitmasks throughout ("mask" in signatures).  A Unit
 is either a single vertex or an unordered pair of distinct vertices; pair
@@ -19,6 +23,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import CapacityError, ContractViolation, GraphParseError, ParameterError
 
@@ -127,6 +133,35 @@ def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, list[int]]:
     return Graph(len(vmap), rows, _checked=True), vmap
 
 
+# ── packed rows ──────────────────────────────────────────────────────────
+
+
+def pack_rows(rows, n: int) -> np.ndarray:
+    """(len(rows), ceil(n/64)) uint64 array; word w of row i holds bits
+    64w..64w+63 of rows[i], least significant first."""
+    nbytes = 8 * -(-n // 64)
+    buf = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+    return np.frombuffer(buf, dtype="<u8").reshape(len(rows), nbytes // 8)
+
+
+def popcount(x):
+    """Set bits of an int, or of each row of a packed word array."""
+    if isinstance(x, int):
+        return x.bit_count()
+    return np.bitwise_count(x).sum(axis=-1, dtype=np.int64)
+
+
+def complement_gaps(rows: np.ndarray, a, b, n: int) -> np.ndarray:
+    """|N(a) symdiff N_bar(b)| for each pair of vertex indices a[i], b[i],
+    over the packed adjacency rows of an n-vertex graph.
+
+    N_bar(b) is V minus N(b) minus b, so the symmetric difference is V minus
+    N(a) symdiff N(b) with b's bit flipped; that bit is set iff ab is an edge.
+    """
+    edge = (rows[a, b >> 6] >> (b & 63).astype(np.uint64)) & np.uint64(1)
+    return n - 1 - popcount(rows[a] ^ rows[b]) + 2 * edge.astype(np.int64)
+
+
 # ── units ────────────────────────────────────────────────────────────────
 
 
@@ -175,15 +210,16 @@ def unit_degree(g: Graph, x: Unit, umask: int) -> int:
     return sum((g.adj[v] & umask).bit_count() for v in x.vertices)
 
 
-def multiset_gap(x1: int, x2: int, y1: int, y2: int) -> int:
+def multiset_gap(x1, x2, y1, y2):
     """Total multiplicity gap, sum over v of |mult_x(v) - mult_y(v)|, of two
-    multisets given as unit_rows masks (x1, x2) and (y1, y2).
+    multisets given as unit_rows masks (x1, x2) and (y1, y2), as ints or as
+    packed rows (one gap per row).
 
     Where x1 ^ y1 is set the multiplicities differ by one; elsewhere they
     differ by two exactly where x2 ^ y2 is set.
     """
     d1 = x1 ^ y1
-    return d1.bit_count() + 2 * ((x2 ^ y2) & ~d1).bit_count()
+    return popcount(d1) + 2 * popcount((x2 ^ y2) & ~d1)
 
 
 def symdiff_size(g: Graph, x: Unit, y: Unit, umask: int | None = None) -> int:

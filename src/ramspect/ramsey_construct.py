@@ -15,6 +15,13 @@ in a conflict graph, Turan bound checked); then repeatedly sample U0 with
 per-vertex probability p = sqrt(4m/e(G)) until five concentration events
 hold, and read S, T, X off the degree order, keeping one unit per degree.
 
+The bucket travels as a (k, 2) int64 array of vertex pairs.  The three
+pair stages run on numpy: the close-complement filter and the conflict
+graph compare packed uint64 rows (graph_core.pack_rows, packed once per
+call) with np.bitwise_count, and the star degrees are one np.bincount.
+Every decision is an integer comparison, so the results equal those of
+the int-row loops the tests keep as references.
+
 All the asymptotic constants are explicit knobs on ConstructionParams with
 defaults tuned for dense random graphs at desk scale; every resolved value
 is echoed in the result diagnostics so runs are self-describing.
@@ -30,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionFailure, ContractViolation, ParameterError
-from .graph_core import (Graph, Unit, count_edges, iter_bits, mask_of, multiset_gap,
-                         symdiff_size, unit_degree, unit_rows)
+from .graph_core import (Graph, Unit, complement_gaps, count_edges, iter_bits, mask_of,
+                         multiset_gap, pack_rows, symdiff_size, unit_degree, unit_rows)
 from .seeding import derive_seed
 from .structure_audit import AuditParams, rich_extract
 
@@ -116,9 +123,10 @@ def pigeonhole_pairs(g: Graph, bucket_width: int | None = None, *,
                      sample_coeff: float = 10.0, seed: int = 0):
     """Bucket pairs by degree sum; return (d_prime, fullest bucket's pairs).
 
-    d_prime is the bucket's center j*w + w//2.  Ties go to the lowest
-    bucket.  Above pair_enum_cap vertices a uniform pair sample of size
-    ~sample_coeff*n^(3/2) stands in for full enumeration.
+    The pairs come as a (k, 2) int64 array of rows (a, b), a < b, in
+    lexicographic order.  d_prime is the bucket's center j*w + w//2.  Ties
+    go to the lowest bucket.  Above pair_enum_cap vertices a uniform pair
+    sample of size ~sample_coeff*n^(3/2) stands in for full enumeration.
     """
     n = g.n
     if n < 4:
@@ -139,55 +147,54 @@ def pigeonhole_pairs(g: Graph, bucket_width: int | None = None, *,
             b = rng.randrange(n)
             if a != b:
                 seen.add((a, b) if a < b else (b, a))
-        pairs = sorted(seen)
-        ii = np.array([a for a, _ in pairs], dtype=np.int64)
-        jj = np.array([b for _, b in pairs], dtype=np.int64)
+        ii, jj = np.array(sorted(seen), dtype=np.int64).T
     buckets = (degs[ii] + degs[jj]) // w
     counts = np.bincount(buckets)
     j = int(np.argmax(counts))  # argmax returns the first (lowest) maximum
     sel = buckets == j
-    h = list(zip(ii[sel].tolist(), jj[sel].tolist()))
-    return j * w + w // 2, h
+    return j * w + w // 2, np.stack([ii[sel], jj[sel]], axis=1).astype(np.int64, copy=False)
 
 
-def filter_close_complements(g: Graph, h: list, theta_compl: float) -> list:
-    """Drop pairs whose neighborhoods nearly complement each other."""
+FILTER_CHUNK = 8192  # pairs gathered per step of the close-complement filter
+
+
+def filter_close_complements(g: Graph, h: np.ndarray, theta_compl: float) -> np.ndarray:
+    """Drop pairs whose neighborhoods nearly complement each other; returns
+    the rows (a, b) of h with |N(a) symdiff N_bar(b)| >= theta_compl*n."""
     thr = theta_compl * g.n
-    adj = g.adj
-    nbar = [g.comp_row(v) for v in range(g.n)]
-    out = []
-    for a, b in h:
-        if (adj[a] ^ nbar[b]).bit_count() >= thr:
-            out.append((a, b))
-    return out
+    rows = pack_rows(g.adj, g.n)
+    keep = np.empty(len(h), dtype=bool)
+    for s in range(0, len(h), FILTER_CHUNK):
+        a, b = h[s:s + FILTER_CHUNK].T
+        keep[s:s + FILTER_CHUNK] = complement_gaps(rows, a, b, g.n) >= thr
+    return h[keep]
 
 
-def star_or_matching(g: Graph, h: list, h_filtered: list, d_prime: int,
+def star_or_matching(g: Graph, h: np.ndarray, h_filtered: np.ndarray, d_prime: int,
                      star_floor: float, match_floor: float):
     """Either a heavy star center or a large matching inside the bucket.
 
-    Star branch: if some vertex carries >= star_floor filtered pairs, its
-    unit list is the Singles of its UNFILTERED bucket neighbors and
-    d'' = d' - deg(v).  Otherwise a greedy lexicographic matching on the
-    filtered pairs; if it reaches match_floor, units are the matched Pairs
-    and d'' = d'.  Both under floor -> stage failure.
+    Star branch: if the vertex v in most filtered pairs (the lowest on
+    ties) is in >= star_floor of them, its unit list is the Singles of its
+    UNFILTERED bucket neighbors and d'' = d' - deg(v).  Otherwise a greedy
+    lexicographic matching on the filtered pairs; if it reaches match_floor,
+    units are the matched Pairs and d'' = d'.  Both under floor -> stage
+    failure.
     """
-    if not h_filtered:
+    if len(h_filtered) == 0:
         raise ConstructionFailure("star_or_matching", "filtered bucket is empty",
                                   {"h_size": len(h)})
-    hdeg = Counter()
-    for a, b in h_filtered:
-        hdeg[a] += 1
-        hdeg[b] += 1
-    top = max(hdeg.values())
-    best = min(v for v, c in hdeg.items() if c == top)
-    if hdeg[best] >= star_floor:
-        nb = sorted({b if a == best else a for a, b in h if best in (a, b)})
+    hdeg = np.bincount(h_filtered.ravel())
+    best = int(np.argmax(hdeg))  # argmax returns the lowest vertex of top degree
+    top = int(hdeg[best])
+    if top >= star_floor:
+        at_a, at_b = h[:, 0] == best, h[:, 1] == best
+        nb = np.unique(np.concatenate([h[at_a, 1], h[at_b, 0]])).tolist()
         units = tuple(Unit.single(v) for v in nb)
         return "star", best, units, d_prime - g.degree(best)
     used = 0
     matching = []
-    for a, b in h_filtered:
+    for a, b in h_filtered.tolist():
         if not (used >> a & 1) and not (used >> b & 1):
             used |= (1 << a) | (1 << b)
             matching.append((a, b))
@@ -197,48 +204,48 @@ def star_or_matching(g: Graph, h: list, h_filtered: list, d_prime: int,
     raise ConstructionFailure(
         "star_or_matching",
         "no vertex reaches the star floor and the greedy matching is too small",
-        {"max_star_degree": hdeg[best], "matching_size": len(matching),
+        {"max_star_degree": top, "matching_size": len(matching),
          "star_floor": star_floor, "match_floor": match_floor})
 
 
 def independent_units(g: Graph, units, theta_conflict: float):
     """Greedy independent set in the conflict graph (close neighborhoods).
 
-    Conflict edge: multiset symdiff below theta_conflict*n.  Greedy
-    min-degree removal meets the Turan bound |A| >= |L|/(1+avg degree),
-    checked against the computed conflict graph.
+    Conflict edge: multiset symdiff below theta_conflict*n, computed on
+    packed unit rows one unit against all later ones.  Greedy min-degree
+    removal (lowest index on ties) meets the Turan bound
+    |A| >= |L|/(1+avg degree), checked against the computed conflict graph.
     """
     if not units:
         raise ParameterError("unit list must be nonempty")
     k = len(units)
     thr = theta_conflict * g.n
     rows = [unit_rows(g, x) for x in units]
-    bc = int.bit_count
-    fadj = [0] * k
-    f_edges = 0
-    for i in range(k):
-        a1, a2 = rows[i]
-        for j in range(i + 1, k):
-            if multiset_gap(a1, a2, *rows[j]) < thr:
-                fadj[i] |= 1 << j
-                fadj[j] |= 1 << i
-                f_edges += 1
-    alive = (1 << k) - 1
+    x1 = pack_rows([r[0] for r in rows], g.n)
+    x2 = pack_rows([r[1] for r in rows], g.n)
+    conflict = np.zeros((k, k), dtype=bool)
+    for i in range(k - 1):
+        close = multiset_gap(x1[i], x2[i], x1[i + 1:], x2[i + 1:]) < thr
+        conflict[i, i + 1:] = close
+        conflict[i + 1:, i] = close
+    f_edges = int(conflict.sum()) // 2
+    # removing a vertex of degree 0 changes no other degree, so all of them
+    # are taken at once; the rest go one at a time by lowest (degree, index)
+    deg = conflict.sum(axis=1)
+    alive = np.ones(k, dtype=bool)
     chosen = []
-    while alive:
-        best_i = -1
-        best_d = k + 1
-        m = alive
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            di = bc(fadj[i] & alive)
-            if di < best_d:
-                best_d = di
-                best_i = i
-            m ^= low
-        chosen.append(best_i)
-        alive &= ~((1 << best_i) | fadj[best_i])
+    while alive.any():
+        free = alive & (deg == 0)
+        if free.any():
+            chosen.extend(np.flatnonzero(free).tolist())
+            alive &= ~free
+            continue
+        i = int(np.argmin(np.where(alive, deg, k + 1)))
+        gone = alive & conflict[i]
+        gone[i] = True
+        chosen.append(i)
+        alive &= ~gone
+        deg -= conflict[gone].sum(axis=0)
     turan = k / (1.0 + 2.0 * f_edges / k)
     if len(chosen) + 1e-9 < turan:
         raise ContractViolation(

@@ -11,6 +11,8 @@ Diversity counts, for each vertex, how many others have a nearly identical
 neighborhood, and close_complement_pair_count counts pairs whose
 neighborhoods nearly complement each other.  Rich graphs keep both counts
 polynomially small, which is what the audits let an experiment check.
+Both pair loops, and the bad-vertex count of every richness candidate, run
+on graph_core's packed uint64 rows, packed once per call.
 
 rich_extract mirrors the proof-style cleanup loop: while a richness violation
 (W, Y) exists, keep the side of Y that is sparse (or dense) toward W, drop it
@@ -26,8 +28,11 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import CapacityError, ParameterError
-from .graph_core import Graph, induced_subgraph, iter_bits, mask_of
+from .graph_core import (Graph, complement_gaps, induced_subgraph, iter_bits, mask_of,
+                         pack_rows, popcount)
 
 RICHNESS_EXHAUSTIVE_CAP = 14
 
@@ -70,15 +75,13 @@ def diversity_profile(g: Graph, c_div: float) -> list[int]:
     if c_div <= 0:
         raise ParameterError(f"c_div must be positive, got {c_div}")
     thr = c_div * g.n
-    adj = g.adj
-    counts = [0] * g.n
-    for x in range(g.n):
-        rx = adj[x]
-        for y in range(x + 1, g.n):
-            if (rx ^ adj[y]).bit_count() < thr:
-                counts[x] += 1
-                counts[y] += 1
-    return counts
+    rows = pack_rows(g.adj, g.n)
+    counts = np.zeros(g.n, dtype=np.int64)
+    for x in range(g.n - 1):
+        close = popcount(rows[x] ^ rows[x + 1:]) < thr
+        counts[x] += close.sum()
+        counts[x + 1:] += close
+    return counts.tolist()
 
 
 def close_complement_pair_count(g: Graph, threshold_fraction: float) -> int:
@@ -87,14 +90,11 @@ def close_complement_pair_count(g: Graph, threshold_fraction: float) -> int:
     if threshold_fraction <= 0:
         raise ParameterError("threshold_fraction must be positive")
     thr = threshold_fraction * g.n
-    adj = g.adj
-    nbar = [g.comp_row(v) for v in range(g.n)]
+    rows = pack_rows(g.adj, g.n)
     count = 0
-    for x1 in range(g.n):
-        r = adj[x1]
-        for x2 in range(x1 + 1, g.n):
-            if (r ^ nbar[x2]).bit_count() < thr:
-                count += 1
+    for x1 in range(g.n - 1):
+        x2 = np.arange(x1 + 1, g.n)
+        count += int((complement_gaps(rows, np.full_like(x2, x1), x2, g.n) < thr).sum())
     return count
 
 
@@ -114,17 +114,18 @@ class RichnessVerdict:
         return self.status == "witness_found"
 
 
-def _bad_vertices(g: Graph, wmask: int, epsilon: float) -> int:
-    """Mask of vertices with too few neighbors or non-neighbors inside W;
-    v has |W| - |N(v) & W| - [v in W] of the latter."""
+def _bad_vertices(rows: np.ndarray, wmask: int, epsilon: float) -> int:
+    """Mask of vertices with too few neighbors or non-neighbors inside W,
+    over a graph's packed adjacency rows; v has |N(v) & W| of the former and
+    |W| - |N(v) & W| - [v in W] of the latter."""
+    n = len(rows)
     wsize = wmask.bit_count()
     thr = epsilon * wsize
-    bad = 0
-    for v in range(g.n):
-        k = (g.adj[v] & wmask).bit_count()
-        if k < thr or wsize - k - (wmask >> v & 1) < thr:
-            bad |= 1 << v
-    return bad
+    w = pack_rows([wmask], n)
+    k = popcount(rows & w)
+    in_w = np.unpackbits(w.view(np.uint8), count=n, bitorder="little")
+    bad = (k < thr) | (wsize - k - in_w < thr)
+    return int.from_bytes(np.packbits(bad, bitorder="little").tobytes(), "little")
 
 
 def _candidate_sets(g: Graph, delta: float, budget: int, seed: int):
@@ -174,6 +175,7 @@ def richness_audit(g: Graph, params: AuditParams, exhaustive: bool = False) -> R
     n = g.n
     limit = n ** params.delta
     wmin = math.ceil(params.delta * n)
+    rows = pack_rows(g.adj, n)
     if exhaustive:
         if n > RICHNESS_EXHAUSTIVE_CAP:
             raise CapacityError(
@@ -184,14 +186,14 @@ def richness_audit(g: Graph, params: AuditParams, exhaustive: bool = False) -> R
             if w.bit_count() < wmin:
                 continue
             tried += 1
-            bad = _bad_vertices(g, w, params.epsilon)
+            bad = _bad_vertices(rows, w, params.epsilon)
             if bad.bit_count() > limit:
                 return RichnessVerdict("witness_found", w, bad, tried, True)
         return RichnessVerdict("no_witness_in_budget", 0, 0, tried, True)
     tried = 0
     for w in _candidate_sets(g, params.delta, params.sample_budget, params.seed):
         tried += 1
-        bad = _bad_vertices(g, w, params.epsilon)
+        bad = _bad_vertices(rows, w, params.epsilon)
         if bad.bit_count() > limit:
             return RichnessVerdict("witness_found", w, bad, tried, False)
     return RichnessVerdict("no_witness_in_budget", 0, 0, tried, False)

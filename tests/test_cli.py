@@ -175,6 +175,32 @@ def test_huge_graph_file_is_a_capacity_error(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_every_graph_command_caps_the_vertex_count(tmp_path):
+    # a header or --n far above cli.VERTEX_CAP must be refused before the
+    # rows are built, not end in a MemoryError traceback
+    huge = 10 ** 12
+    f = tmp_path / "huge.graph"
+    f.write_text(f"n {huge}\n")
+    argvs = [[cmd, *source]
+             for cmd in ("audit", "construct", "per-m", "theorem")
+             for source in (["--graph", str(f)], ["--gen", "gnp", "--n", str(huge)])]
+    argvs.append(["sweep", "--mode", "per-m", "--n-list", f"64,{huge}"])
+    argvs.append(["generate", "--gen", "complete", "--n", str(huge)])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    for argv in argvs:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from ramspect.cli import main; sys.exit(main(sys.argv[1:]))",
+             *argv],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr.startswith("capacity:"), (argv, proc.stderr)
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["construct", "--gen", "gnp", "--n", "64", "--set", "retry_max=2.5"],
     ["per-m", "--gen", "gnp", "--n", "64", "--set", "trials=1e1"],

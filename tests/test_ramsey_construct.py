@@ -1,8 +1,10 @@
 """Scaffold construction pipeline: stages, invariants, and the verifier."""
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from ramspect import graph_core as gc
@@ -25,7 +27,7 @@ def test_pigeonhole_bucket_center_and_membership():
         g = gc.generate("gnp", n=40, p=0.5, seed=seed)
         d_prime, bucket = rc.pigeonhole_pairs(g)
         w = math.ceil(math.sqrt(40))
-        assert bucket
+        assert len(bucket)
         assert d_prime % w == w // 2  # bucket center
         degs = g.degrees()
         j = d_prime // w
@@ -44,7 +46,7 @@ def test_pigeonhole_width_one_star():
     g = gc.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     d_prime, bucket = rc.pigeonhole_pairs(g, bucket_width=1)
     assert d_prime == 2
-    assert sorted(bucket) == [(1, 2), (1, 3), (2, 3)]
+    assert sorted(map(tuple, bucket.tolist())) == [(1, 2), (1, 3), (2, 3)]
 
 
 def test_pigeonhole_rejects_tiny_graphs():
@@ -56,7 +58,8 @@ def test_pigeonhole_sampling_path_is_deterministic():
     g = gc.generate("gnp", n=60, p=0.5, seed=7)
     a = rc.pigeonhole_pairs(g, pair_enum_cap=50, seed=11)
     b = rc.pigeonhole_pairs(g, pair_enum_cap=50, seed=11)
-    assert a == b
+    assert a[0] == b[0]
+    assert a[1].tolist() == b[1].tolist()
 
 
 # ── complement filter ────────────────────────────────────────────────────
@@ -66,10 +69,11 @@ def test_filter_close_complements_matches_direct_rule():
     g = gc.generate("gnp", n=30, p=0.5, seed=5)
     _, bucket = rc.pigeonhole_pairs(g)
     kept = rc.filter_close_complements(g, bucket, 0.3)
+    kept_rows = set(map(tuple, kept.tolist()))
     thr = 0.3 * g.n
-    for a, b in bucket:
+    for a, b in bucket.tolist():
         gap = (g.adj[a] ^ g.comp_row(b)).bit_count()
-        assert ((a, b) in kept) == (gap >= thr)
+        assert ((a, b) in kept_rows) == (gap >= thr)
 
 
 # ── star / matching split ────────────────────────────────────────────────
@@ -128,6 +132,107 @@ def test_independent_units_are_pairwise_far():
     for i in range(len(a)):
         for j in range(i + 1, len(a)):
             assert gc.symdiff_size(g, a[i], a[j]) >= thr
+
+
+# ── packed stages against the int-row references (multi-word rows) ──────
+# n = 130 and 200 are not multiples of 64, so every packed row ends in a
+# partly filled word.
+
+
+def reference_independent_units(g, units, theta_conflict):
+    """The bitset greedy the packed kernel replaced: conflict rows as ints,
+    then repeated min-degree picks by a strict < scan in index order."""
+    k = len(units)
+    thr = theta_conflict * g.n
+    rows = [gc.unit_rows(g, x) for x in units]
+    fadj = [0] * k
+    for i in range(k):
+        a1, a2 = rows[i]
+        for j in range(i + 1, k):
+            b1, b2 = rows[j]
+            d1 = a1 ^ b1
+            if d1.bit_count() + 2 * ((a2 ^ b2) & ~d1).bit_count() < thr:
+                fadj[i] |= 1 << j
+                fadj[j] |= 1 << i
+    alive = (1 << k) - 1
+    chosen = []
+    while alive:
+        best_i, best_d = -1, k + 1
+        for i in gc.iter_bits(alive):
+            di = (fadj[i] & alive).bit_count()
+            if di < best_d:
+                best_d, best_i = di, i
+        chosen.append(best_i)
+        alive &= ~((1 << best_i) | fadj[best_i])
+    return tuple(units[i] for i in sorted(chosen)), sum(r.bit_count() for r in fadj) // 2
+
+
+def reference_star_anchor(h_filtered):
+    """Vertex of top filtered-pair degree, lowest vertex on ties."""
+    hdeg = Counter()
+    for a, b in h_filtered:
+        hdeg[a] += 1
+        hdeg[b] += 1
+    top = max(hdeg.values())
+    return min(v for v, c in hdeg.items() if c == top), top
+
+
+@pytest.mark.parametrize("n", [130, 200])
+def test_filter_close_complements_multiword_matches_comp_row_rule(n):
+    g = gc.generate("gnp", n=n, p=0.5, seed=n)
+    _, bucket = rc.pigeonhole_pairs(g)
+    pairs = bucket.tolist()
+    for theta in (0.3, 0.45, 0.5):
+        want = [[a, b] for a, b in pairs
+                if (g.adj[a] ^ g.comp_row(b)).bit_count() >= theta * n]
+        kept = rc.filter_close_complements(g, bucket, theta)
+        assert kept.tolist() == want
+    assert 0 < len(want) < len(pairs)  # theta = 0.5 drops some pairs, not all
+
+
+@pytest.mark.parametrize("n", [130, 200])
+def test_independent_units_multiword_matches_bitset_greedy(n):
+    g = gc.generate("gnp", n=n, p=0.5, seed=n + 1)
+    singles = tuple(gc.Unit.single(v) for v in range(0, n, 3))
+    pairs = tuple(gc.Unit.pair(v, v + 1) for v in range(0, n - 1, 2))
+    # singles differ in about n/2 vertices, pairs have multiset gaps near
+    # 3n/4; these thetas put both families on either side of the threshold
+    for units, theta in ((singles, 0.45), (singles, 0.5), (pairs, 0.7), (pairs, 0.75)):
+        want, conflicts = reference_independent_units(g, units, theta)
+        assert conflicts > 0
+        got = rc.independent_units(g, units, theta)
+        assert got == want
+        assert len(got) < len(units)
+    # the pair term 2|(x2 ^ y2) & ~(x1 ^ y1)| is what separates pairs here
+    x1, x2 = gc.unit_rows(g, pairs[0])
+    y1, y2 = gc.unit_rows(g, pairs[1])
+    assert ((x2 ^ y2) & ~(x1 ^ y1)).bit_count() > 0
+
+
+@pytest.mark.parametrize("n", [130, 200])
+def test_star_anchor_multiword_matches_counter_reference(n):
+    g = gc.generate("gnp", n=n, p=0.5, seed=n + 2)
+    d_prime, bucket = rc.pigeonhole_pairs(g)
+    kept = rc.filter_close_complements(g, bucket, 0.45)
+    anchor, top = reference_star_anchor(kept.tolist())
+    mode, got, units, d_dp = rc.star_or_matching(g, bucket, kept, d_prime, top, 1e9)
+    assert (mode, got) == ("star", anchor)
+    assert d_dp == d_prime - g.degree(anchor)
+    partners = sorted({b if a == anchor else a
+                       for a, b in bucket.tolist() if anchor in (a, b)})
+    assert [u.vertices[0] for u in units] == partners
+
+
+def test_star_anchor_tie_goes_to_lowest_vertex():
+    # vertices 90 (listed first) and 5 (only ever the second entry) both
+    # carry three filtered pairs; vertex 5 must win the tie
+    g = gc.generate("gnp", n=130, p=0.5, seed=4)
+    h = np.array([[90, 100], [90, 101], [90, 102], [1, 5], [2, 5], [3, 5],
+                  [7, 120]], dtype=np.int64)
+    assert reference_star_anchor(h.tolist()) == (5, 3)
+    mode, anchor, units, _ = rc.star_or_matching(g, h, h, 0, 3.0, 1e9)
+    assert (mode, anchor) == ("star", 5)
+    assert [u.vertices for u in units] == [(1,), (2,), (3,)]
 
 
 # ── end-to-end construction ──────────────────────────────────────────────

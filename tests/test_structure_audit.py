@@ -76,6 +76,20 @@ def test_close_complement_pair_count_matches_brute_force():
     assert sa.close_complement_pair_count(path, 3 / 4) == 6
 
 
+def test_pair_audits_multiword_match_int_rows():
+    # n = 130: packed rows end in a partly filled third word
+    g = random_graph(random.Random(13), 130)
+    n = g.n
+    for c in (0.45, 0.5):
+        want = [sum((g.adj[x] ^ g.adj[y]).bit_count() < c * n for y in range(n) if y != x)
+                for x in range(n)]
+        assert sa.diversity_profile(g, c) == want
+        want = sum((g.adj[x] ^ g.comp_row(y)).bit_count() < c * n
+                   for x, y in itertools.combinations(range(n), 2))
+        assert sa.close_complement_pair_count(g, c) == want
+    assert 0 < want < n * (n - 1) // 2
+
+
 # ── richness ─────────────────────────────────────────────────────────────
 
 
@@ -120,13 +134,30 @@ def test_exhaustive_richness_matches_brute_force_battery():
             ref = gc.mask_of(v for v in range(n)
                              if (g.adj[v] & w).bit_count() < thr
                              or (g.comp_row(v) & w).bit_count() < thr)
-            assert sa._bad_vertices(g, w, 0.2) == ref
+            assert sa._bad_vertices(gc.pack_rows(g.adj, n), w, 0.2) == ref
         assert verdict.found == (want is not None)
         if verdict.found:
             # the verdict's witness really is one
-            bad = sa._bad_vertices(g, verdict.witness_w, 0.2)
+            bad = sa._bad_vertices(gc.pack_rows(g.adj, n), verdict.witness_w, 0.2)
             assert bad.bit_count() > n ** 0.5
             assert verdict.witness_w.bit_count() >= math.ceil(0.5 * n)
+
+
+@pytest.mark.parametrize("n", [130, 200])
+def test_bad_vertices_multiword_matches_comp_row_reference(n):
+    rng = random.Random(n)
+    g = random_graph(rng, n, 0.3)
+    rows = gc.pack_rows(g.adj, n)
+    found = 0
+    for size in (1, n // 3, n // 2, n - 1, n):
+        w = gc.mask_of(rng.sample(range(n), size))
+        thr = 0.25 * size
+        ref = gc.mask_of(v for v in range(n)
+                         if (g.adj[v] & w).bit_count() < thr
+                         or (g.comp_row(v) & w).bit_count() < thr)
+        assert sa._bad_vertices(rows, w, 0.25) == ref
+        found += ref != 0
+    assert found  # some W leaves bad vertices
 
 
 def test_exhaustive_cap():
@@ -147,7 +178,8 @@ def test_sampled_witness_implies_exhaustive_witness():
         sampled = sa.richness_audit(g, params)
         if sampled.found:
             checked += 1
-            bad = sa._bad_vertices(g, sampled.witness_w, params.epsilon)
+            bad = sa._bad_vertices(gc.pack_rows(g.adj, n), sampled.witness_w,
+                                   params.epsilon)
             assert bad.bit_count() > n ** params.delta
     assert checked > 0  # the battery actually exercised the witness path
 
