@@ -327,6 +327,8 @@ def cmd_audit(ns) -> int:
 
 def cmd_lo(ns) -> int:
     n_values = ns.n_list
+    # each n builds an n-int coefficient tuple before the exact/MC choice
+    _require_cap("--n-list value", max(n_values, default=0), ac.EXACT_WEIGHT_CAP)
     cfg = {"model": ns.model, "n_values": n_values, "p": ns.p,
            "trials": ns.trials}
     fit = ac.lo_scaling_fit(n_values, coeff_model=ns.model, p=ns.p,

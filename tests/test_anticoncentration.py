@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramspect import anticoncentration as ac
 from ramspect.errors import CapacityError, ContractViolation, ParameterError
@@ -36,6 +37,57 @@ def test_exact_matches_brute_force_battery():
         for x, pr in want.items():
             assert pmf.prob(x) == pytest.approx(pr, rel=1e-12, abs=1e-15)
         assert pmf.max_mass() == pytest.approx(max(want.values()), rel=1e-12)
+
+
+def dense_reference(inst):
+    """The DP over the whole dense support, one shift-and-mix per coefficient."""
+    w = inst.weight
+    neg = sum(-a for a in inst.coefficients if a < 0)
+    f = np.zeros(w + 1, dtype=np.float64)
+    f[neg] = 1.0  # index i holds Pr(X = support_min + i)
+    p = inst.p
+    q = 1.0 - p
+    for a in inst.coefficients:
+        if a > 0:
+            f[a:] = f[a:] * q + f[:-a] * p
+            f[:a] *= q
+        else:
+            b = -a
+            f[:-b] = f[:-b] * q + f[b:] * p
+            f[-b:] *= q
+    return inst.offset - neg, f
+
+
+def assert_matches_dense_reference(inst):
+    pmf = ac.lo_exact_distribution(inst)
+    support_min, masses = dense_reference(inst)
+    assert pmf.support_min == support_min
+    assert pmf.masses.tobytes() == masses.tobytes()
+    return masses
+
+
+@settings(derandomize=True, database=None, deadline=2000, max_examples=300)
+@given(coeffs=st.lists(st.integers(-15, 15).filter(bool), min_size=1, max_size=80),
+       offset=st.integers(-50, 50),
+       p=st.sampled_from((0.5, 0.3, 0.05, 1e-9, 0.99)))
+def test_live_window_dp_is_byte_identical_to_dense_reference(coeffs, offset, p):
+    assert_matches_dense_reference(ac.LOInstance(tuple(coeffs), offset, p))
+
+
+def _signed_coefficients(n, seed):
+    rng = random.Random(seed)
+    return tuple(rng.choice((-1, 1)) * rng.randint(1, 10) for _ in range(n))
+
+
+@pytest.mark.parametrize("inst", [
+    ac.LOInstance(ac.model_coefficients("u10", 2048, 0)),
+    ac.LOInstance((1,) * 3000),
+    ac.LOInstance(_signed_coefficients(2000, 7), offset=-5, p=0.05),
+], ids=["u10-2048", "ones-3000", "signed-2000-p0.05"])
+def test_live_window_dp_matches_dense_reference_where_tails_underflow(inst):
+    masses = assert_matches_dense_reference(inst)
+    # the tails underflow to exact zero mid-run, so the window ends walk inward
+    assert masses[0] == 0.0 or masses[-1] == 0.0
 
 
 def test_exact_binomial_midpoint_n100():
@@ -96,6 +148,27 @@ def test_mc_is_seed_deterministic_for_fixed_workers():
     assert a.estimate != c.estimate
 
 
+def one_shot_sums(inst, trials, seed):
+    """All (trials, n) Bernoulli draws at once, from _sampled_sums' stream."""
+    a = np.asarray(inst.coefficients, dtype=np.int64)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
+    return (rng.random((trials, len(a))) < inst.p) @ a
+
+
+@pytest.mark.parametrize("n,trials", [(1, 2 * 65536 + 5), (7, 20_001), (1024, 1000),
+                                      (70_000, 3)])
+def test_mc_chunks_match_one_shot_sampler(n, trials):
+    # trials is no multiple of the chunk; at n = 70 000 each chunk is one row
+    inst = ac.LOInstance(ac.model_coefficients("u3", n, 4), offset=3, p=0.4)
+    want = one_shot_sums(inst, trials, 11)
+    got = np.concatenate(list(ac._sampled_sums(inst, trials, 11)))
+    assert np.array_equal(got, want)
+    vals, counts = np.unique(want, return_counts=True)
+    target = int(vals[counts.argmax()])
+    est = ac.lo_point_prob_mc(inst, target + inst.offset, trials, seed=11)
+    assert est.hits == int(counts.max())
+
+
 # ── coefficient models and scaling ───────────────────────────────────────
 
 
@@ -123,6 +196,12 @@ def test_scaling_fit_validation():
         ac.lo_scaling_fit((64, 64, 128, 256))  # repeats
     with pytest.raises(ParameterError):
         ac.lo_scaling_fit((64, 66, 68, 70))  # under two octaves
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_scaling_fit_rejects_nonpositive_trials(trials):
+    with pytest.raises(ParameterError, match="trials"):
+        ac.lo_scaling_fit((8, 16, 32, 64), trials=trials, exact_cap=20)
 
 
 def test_scaling_fit_falls_back_to_mc_past_cap():

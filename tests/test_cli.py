@@ -235,6 +235,26 @@ def test_pmf_drift_exits_one_without_traceback(monkeypatch, capsys):
     assert err.splitlines() == ["error: pmf mass drifted to 1.5"]
 
 
+def test_lo_rejects_nonpositive_trials(capsys):
+    code, out, err = run(capsys, "lo", "--n-list", "8,16,32,64", "--trials", "-3")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: trials must be positive, got -3"]
+
+
+def test_lo_caps_n_before_building_coefficients(monkeypatch, capsys):
+    def no_build(*args):
+        raise AssertionError("coefficients built before the cap check")
+
+    monkeypatch.setattr(cli.ac, "model_coefficients", no_build)
+    huge = cli.ac.EXACT_WEIGHT_CAP + 1
+    code, out, err = run(capsys, "lo", "--model", "u3", "--n-list", f"16,32,64,{huge}")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"capacity: --n-list value {huge} is above the cap {cli.ac.EXACT_WEIGHT_CAP}"]
+
+
 def test_workers_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["per-m", "--gen", "gnp", "--n", "64", "--workers", "2"])
