@@ -54,6 +54,29 @@ CASES = {
          "--seed", "9"],
         {"out.csv": (text_body,
                      "20fb5c1d4e66b85de019ab192b685812652057ade5f26451053130773f05e4a7")}),
+    "phi": (
+        ["phi", "--gen", "gnp", "--n", "18", "--graph-seed", "2"],
+        {"out.csv": (text_body,
+                     "d8fa7e993134fdda83d4b1b44f0b071dce23e7c8c6de1e5d40846250aa03491c")}),
+    "psi": (
+        ["psi", "--gen", "gnp", "--n", "16", "--graph-seed", "2"],
+        {"out.csv": (text_body,
+                     "07fcb269a9ccc40b4d6bcb0dbd577ef9c2f847ee3a89709c65a9acdb7fbfef6d")}),
+    "generate": (
+        ["generate", "--gen", "gnp", "--n", "40", "--seed", "5"],
+        {"out.txt": (text_body,
+                     "b3cdae1bceab9c4b7d378ad25e44a5044be9e73af77a7ceffcb32e8a1ac2b020")}),
+    "theorem": (
+        ["theorem", "--gen", "gnp", "--n", "256", "--graph-seed", "3",
+         "--seed", "11"],
+        {"out.csv": (text_body,
+                     "a470260affe2a004b12071ef3aade1ebc56ea7ec71d68f0974435e4404600d93"),
+         "dump.json": (json_body,
+                       "1f2fe01c9f3efbf3d3cf107a4848752bf55a11785e5607db504b0a109c906566")}),
+    "sweep": (
+        ["sweep", "--mode", "per-m", "--n-list", "256,384,512", "--seed", "4"],
+        {"out.csv": (text_body,
+                     "39cad27304b4c8598a3efda277dcdda0068c91c0a7df1336c9c835fe4785bf20")}),
 }
 
 
