@@ -55,12 +55,6 @@ class LOPmf:
     support_min: int
     masses: np.ndarray = field(repr=False)
 
-    def prob(self, x: int) -> float:
-        i = x - self.support_min
-        if 0 <= i < len(self.masses):
-            return float(self.masses[i])
-        return 0.0
-
     def max_mass(self) -> float:
         return float(self.masses.max())
 

@@ -92,6 +92,7 @@ def _coerce(key: str, text: str, types: set):
 _CP_FIELDS = _field_types(ConstructionParams)
 _EP_FIELDS = _field_types(ExposureParams)
 _AP_FIELDS = _field_types(sa.AuditParams)
+_PIPELINE_FIELDS = {"construct": _CP_FIELDS, "exposure": _EP_FIELDS}
 
 
 def _split_overrides(pairs, groups: dict) -> dict:
@@ -257,11 +258,10 @@ def _dump_outcome(ns, config: dict, out) -> None:
     Path(ns.dump).write_text(_json_doc(ns, config, payload))
 
 
-def _pipeline_params(ns) -> tuple[ConstructionParams, ExposureParams, dict]:
-    ov = _split_overrides(ns.set, {"construct": _CP_FIELDS, "exposure": _EP_FIELDS})
-    cp = ConstructionParams(seed=ns.seed, **ov["construct"])
-    ep = ExposureParams(seed=derive_seed(ns.seed, "exposure"), **ov["exposure"])
-    return cp, ep, ov
+def _pipeline_params(ov: dict, seed: int) -> tuple[ConstructionParams, ExposureParams]:
+    cp = ConstructionParams(seed=seed, **ov["construct"])
+    ep = ExposureParams(seed=derive_seed(seed, "exposure"), **ov["exposure"])
+    return cp, ep
 
 
 def _default_m(cp: ConstructionParams, n: int) -> int:
@@ -279,23 +279,19 @@ def cmd_generate(ns) -> int:
     return 0
 
 
-def cmd_phi(ns) -> int:
+def cmd_spectrum(ns) -> int:
+    """phi lists the edge counts, psi the order:size pairs."""
     g, gsrc = _build_graph(ns, min(ns.cap, VERTEX_CAP))
     cfg = {"graph": gsrc, "cap": ns.cap}
-    sizes = so.phi_exact(g, cap=ns.cap).sizes
-    body = ",".join(str(s) for s in sizes)
-    summary = f"|Phi|={len(sizes)} max={max(sizes)}"
-    _emit(ns, _text_header(ns, cfg), body + "\n" + summary + "\n")
-    return 0
-
-
-def cmd_psi(ns) -> int:
-    g, gsrc = _build_graph(ns, min(ns.cap, VERTEX_CAP))
-    cfg = {"graph": gsrc, "cap": ns.cap}
-    pairs = so.psi_exact(g, cap=ns.cap)
-    body = ",".join(f"{k}:{s}" for k, s in pairs)
-    summary = f"|Psi|={len(pairs)} max={max(s for _, s in pairs)}"
-    _emit(ns, _text_header(ns, cfg), body + "\n" + summary + "\n")
+    if ns.cmd == "phi":
+        sizes = so.phi_exact(g, cap=ns.cap).sizes
+        cells = [str(s) for s in sizes]
+    else:
+        pairs = so.psi_exact(g, cap=ns.cap)
+        sizes = [s for _, s in pairs]
+        cells = [f"{k}:{s}" for k, s in pairs]
+    summary = f"|{ns.cmd.capitalize()}|={len(cells)} max={max(sizes)}"
+    _emit(ns, _text_header(ns, cfg), ",".join(cells) + "\n" + summary + "\n")
     return 0
 
 
@@ -343,7 +339,8 @@ def cmd_lo(ns) -> int:
 
 def cmd_construct(ns) -> int:
     g, gsrc = _build_graph(ns)
-    cp, _, ov = _pipeline_params(ns)
+    ov = _split_overrides(ns.set, _PIPELINE_FIELDS)
+    cp, _ = _pipeline_params(ov, ns.seed)
     m = ns.m if ns.m is not None else _default_m(cp, g.n)
     cfg = {"graph": gsrc, "m": m, "cparams": asdict(cp),
            "overrides": ov["construct"]}
@@ -354,7 +351,7 @@ def cmd_construct(ns) -> int:
 
 def cmd_per_m(ns) -> int:
     g, gsrc = _build_graph(ns)
-    cp, ep, ov = _pipeline_params(ns)
+    cp, ep = _pipeline_params(_split_overrides(ns.set, _PIPELINE_FIELDS), ns.seed)
     m = ns.m if ns.m is not None else _default_m(cp, g.n)
     cfg = {"graph": gsrc, "m": m, "cparams": asdict(cp), "eparams": asdict(ep)}
     out = per_m_run(g, m, cp, ep)
@@ -367,7 +364,7 @@ def cmd_per_m(ns) -> int:
 
 def cmd_theorem(ns) -> int:
     g, gsrc = _build_graph(ns)
-    cp, ep, _ = _pipeline_params(ns)
+    cp, ep = _pipeline_params(_split_overrides(ns.set, _PIPELINE_FIELDS), ns.seed)
     cfg = {"graph": gsrc, "cparams": asdict(cp), "eparams": asdict(ep),
            "sigma": ns.sigma}
     out = theorem_run(g, cp, ep, sigma=ns.sigma)
@@ -387,26 +384,26 @@ def cmd_theorem(ns) -> int:
 
 
 def cmd_sweep(ns) -> int:
-    ov = _split_overrides(ns.set, {"construct": _CP_FIELDS, "exposure": _EP_FIELDS})
+    if not ns.n_list:
+        raise ParameterError("--n-list needs at least one n")
+    ov = _split_overrides(ns.set, _PIPELINE_FIELDS)
     cfg = {"mode": ns.mode, "n_values": ns.n_list, "p": ns.p,
            "overrides": {k: v for grp in ov.values() for k, v in grp.items()}}
-    _require_cap("--n-list value", max(ns.n_list, default=0))
+    _require_cap("--n-list value", max(ns.n_list))
     rows = []
-    failures = 0
+    failures = []
     for n in ns.n_list:
         g = gc.generate("gnp", n=n, p=ns.p, seed=derive_seed(ns.seed, "graph", n))
-        seed_n = derive_seed(ns.seed, "sweep", n)
-        cp = ConstructionParams(seed=seed_n, **ov["construct"])
-        ep = ExposureParams(seed=derive_seed(seed_n, "exposure"),
-                            **ov["exposure"])
+        cp, ep = _pipeline_params(ov, derive_seed(ns.seed, "sweep", n))
         try:
             if ns.mode == "per-m":
                 count = per_m_run(g, _default_m(cp, n), cp, ep).distinct_count
             else:
                 count = theorem_run(g, cp, ep).total_distinct
-        except (ConstructionFailure, ParameterError):
+        except (ConstructionFailure, ParameterError) as exc:
             # e.g. an n whose m-window holds no positive integer
-            failures += 1
+            stage = exc.stage if isinstance(exc, ConstructionFailure) else "parameters"
+            failures.append({"n": n, "stage": stage, "message": str(exc)})
             count = 0
         rows.append((n, count))
     lines = ["n,count"]
@@ -419,7 +416,10 @@ def cmd_sweep(ns) -> int:
     except ParameterError:
         lines.append("slope=nan ci95=nan")
     _emit(ns, _text_header(ns, cfg), "\n".join(lines) + "\n")
-    return 0 if failures < len(ns.n_list) else 3
+    if len(failures) == len(ns.n_list):
+        raise ConstructionFailure("sweep", f"every n failed ({len(failures)} of "
+                                  f"{len(ns.n_list)})", {"per_n": failures})
+    return 0
 
 
 # ── parser assembly / dispatch ───────────────────────────────────────────
@@ -451,14 +451,13 @@ def _build_parser() -> _Parser:
     common(p)
     p.set_defaults(func=cmd_generate)
 
-    for name, fn, cap in (("phi", cmd_phi, so.PHI_EXACT_CAP),
-                          ("psi", cmd_psi, so.PHI_EXACT_CAP)):
+    for name in ("phi", "psi"):
         p = sub.add_parser(name, help=f"exact {name} spectrum of a small graph")
         _add_graph_args(p)
-        p.add_argument("--cap", type=int, default=cap,
+        p.add_argument("--cap", type=int, default=so.PHI_EXACT_CAP,
                        help="refuse graphs larger than this")
         common(p)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("audit", help="density/diversity/richness report (JSON)")
     _add_graph_args(p)
@@ -481,12 +480,13 @@ def _build_parser() -> _Parser:
     def pipeline(p, *, with_m):
         _add_graph_args(p)
         if with_m:
+            # theorem records a failed window and goes on: it never exits 3
             p.add_argument("--m", type=int, default=None,
                            help="target edge count (default: window midpoint)")
+            p.add_argument("--diagnostics", metavar="FILE",
+                           help="where to write failure diagnostics (exit 3)")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="construction/exposure parameter override")
-        p.add_argument("--diagnostics", metavar="FILE",
-                       help="where to write failure diagnostics (exit 3)")
         common(p)
 
     p = sub.add_parser("construct", help="run the scaffold construction (JSON)")

@@ -55,6 +55,9 @@ class ExposureParams:
             raise ParameterError("gamma must lie in (0, 1)")
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
+        if not 0 < self.kappa_window < math.inf:
+            raise ParameterError(
+                f"kappa_window must be positive and finite, got {self.kappa_window}")
         if self.beta is not None and self.q_const is not None \
                 and self.q_const < 3 * self.beta:
             raise ParameterError(
@@ -429,6 +432,8 @@ def theorem_run(g: Graph, cparams: ConstructionParams | None = None,
     window whose smallest size fails to clear the previous kept maximum.
     Per-window failures are recorded and contribute nothing.
     """
+    if sigma is not None and not 0 < sigma < math.inf:
+        raise ParameterError(f"sigma must be positive and finite, got {sigma}")
     cparams = cparams or ConstructionParams()
     eparams = eparams or ExposureParams()
     n = g.n

@@ -1,0 +1,108 @@
+"""Test-only references: exact homogeneous numbers, graph complement, edge
+lookup, the K_n closed form and pmf point lookup.
+
+Nothing in the package or the benchmark calls these; the tests use them to
+check the package's results against independent computations.
+"""
+from __future__ import annotations
+
+import math
+
+from ramspect.errors import CapacityError, ParameterError
+from ramspect.graph_core import Graph, iter_bits
+
+HOMOGENEOUS_CAP = 64  # exact clique/independence search refuses larger graphs
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    return bool((g.adj[u] >> v) & 1)
+
+
+def complement(g: Graph) -> Graph:
+    return Graph(g.n, (g.comp_row(v) for v in range(g.n)), _checked=True)
+
+
+def complete_graph_spectrum(n: int) -> tuple:
+    """Closed form for K_n: exactly the triangular numbers C(k,2), k <= n."""
+    return tuple(sorted({k * (k - 1) // 2 for k in range(n + 1)}))
+
+
+def prob(pmf, x: int) -> float:
+    """Pr(X = x) under an LOPmf; zero outside its support."""
+    i = x - pmf.support_min
+    if 0 <= i < len(pmf.masses):
+        return float(pmf.masses[i])
+    return 0.0
+
+
+# ── exact clique / independence numbers ──────────────────────────────────
+
+
+def _max_clique(adj: list[int], n: int) -> int:
+    """Branch-and-bound maximum clique with a greedy coloring bound."""
+    best = 0
+    order = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
+    # remap rows so the search expands high-degree vertices first
+    pos = {v: i for i, v in enumerate(order)}
+    rows = [0] * n
+    for v in range(n):
+        r = 0
+        for u in iter_bits(adj[v]):
+            r |= 1 << pos[u]
+        rows[pos[v]] = r
+
+    def color_bound(cand: int) -> list[tuple[int, int]]:
+        # greedy coloring: returns (vertex, color) with colors nondecreasing
+        colored = []
+        color = 0
+        rest = cand
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                low = avail & -avail
+                v = low.bit_length() - 1
+                avail &= ~low & ~rows[v]
+                rest ^= low
+                colored.append((v, color))
+        return colored
+
+    def expand(cand: int, size: int):
+        nonlocal best
+        colored = color_bound(cand)
+        for v, color in reversed(colored):
+            if size + color <= best:
+                return  # colors are nondecreasing: nothing left can improve
+            if size + 1 > best:
+                best = size + 1
+            nxt = cand & rows[v]
+            if nxt:
+                expand(nxt, size + 1)
+            cand ^= 1 << v
+
+    expand((1 << n) - 1, 0)
+    return best
+
+
+def homogeneous_number(g: Graph) -> tuple[int, int]:
+    """Exact (clique number, independence number).  Refuses n > HOMOGENEOUS_CAP."""
+    if g.n > HOMOGENEOUS_CAP:
+        raise CapacityError(
+            f"exact homogeneous search capped at n={HOMOGENEOUS_CAP}; "
+            f"n={g.n} would branch over subsets of up to 2^{g.n} candidates"
+        )
+    if g.n == 0:
+        return 0, 0
+    omega = _max_clique(list(g.adj), g.n)
+    alpha = _max_clique([g.comp_row(v) for v in range(g.n)], g.n)
+    return omega, alpha
+
+
+def is_c_ramsey(g: Graph, c: float) -> bool:
+    """True iff every homogeneous set has size < c*log2(n)."""
+    if c <= 0:
+        raise ParameterError(f"Ramsey constant must be positive, got {c}")
+    if g.n < 2:
+        return False
+    omega, alpha = homogeneous_number(g)
+    return max(omega, alpha) < c * math.log2(g.n)

@@ -273,6 +273,45 @@ def test_pipeline_failure_exits_three_with_diagnostics(tmp_path, capsys):
     assert "diagnostics" in doc
 
 
+def test_sweep_where_every_n_fails_exits_three_with_diagnostics(tmp_path, capsys):
+    diag = tmp_path / "sweep.diag.json"
+    code, _, err = run(capsys, "sweep", "--n-list", "16,32,40",
+                       "--diagnostics", str(diag), "--out", str(tmp_path / "sw.csv"))
+    assert code == 3
+    assert err.splitlines() == [
+        f"pipeline failure at stage 'sweep'; diagnostics in {diag}"]
+    doc = json.loads(diag.read_text())
+    assert set(doc) == {"schema", "stage", "message", "diagnostics"}
+    assert doc["stage"] == "sweep"
+    per_n = doc["diagnostics"]["per_n"]
+    assert [f["n"] for f in per_n] == [16, 32, 40]
+    assert all(f["stage"] and f["message"] for f in per_n)
+
+
+def test_sweep_rejects_an_empty_n_list(capsys):
+    code, out, err = run(capsys, "sweep", "--n-list", ",")
+    assert code == 1
+    assert err == "error: --n-list needs at least one n\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag,value", [("--sigma", "-1"), ("--sigma", "0"),
+                                        ("--set", "kappa_window=0")])
+def test_theorem_rejects_a_stride_that_is_not_positive(flag, value, capsys):
+    code, _, err = run(capsys, "theorem", "--gen", "gnp", "--n", "256", flag, value)
+    assert code == 1
+    name = value.partition("=")[0] if flag == "--set" else "sigma"
+    assert err.startswith(f"error: {name} must be positive") and err.count("\n") == 1
+
+
+def test_theorem_diagnostics_flag_is_gone(capsys):
+    # theorem records a failed window and goes on, so it never exits 3
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["theorem", "--gen", "gnp", "--n", "64", "--diagnostics", "x"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --diagnostics x" in capsys.readouterr().err
+
+
 # ── pipeline artifacts ───────────────────────────────────────────────────
 
 
@@ -340,7 +379,7 @@ def test_sweep_gives_zero_rows_for_empty_m_windows(tmp_path, capsys):
     # the m-window [c*n^2, 2c*n^2] holds no positive integer at n = 16, 32
     out = tmp_path / "sw.csv"
     code, _, err = run(capsys, "sweep", "--n-list", "16,32,64", "--out", str(out))
-    assert code in (0, 3)
+    assert code == 0
     assert "Traceback" not in err
     lines = body_lines(out)
     rows = [l.split(",") for l in lines[1:4]]

@@ -192,3 +192,16 @@ def test_theorem_is_deterministic():
     b = theorem_run(G256, ConstructionParams(seed=4), ExposureParams(seed=9))
     assert a.total_distinct == b.total_distinct
     assert [w.distinct_sizes for w in a.kept] == [w.distinct_sizes for w in b.kept]
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+def test_theorem_rejects_a_stride_that_is_not_positive(sigma):
+    # a stride of at most zero rounded up to step 1: a window at every m
+    with pytest.raises(ParameterError, match="sigma"):
+        theorem_run(G256, sigma=sigma)
+
+
+@pytest.mark.parametrize("kappa", [0.0, -0.25, math.inf])
+def test_exposure_params_reject_a_window_radius_that_is_not_positive(kappa):
+    with pytest.raises(ParameterError, match="kappa_window"):
+        ExposureParams(kappa_window=kappa)

@@ -44,3 +44,60 @@ def test_every_param_field_is_read():
             and id(node) not in skip}
     unread = sorted(key for key, name in declared.items() if name not in read)
     assert not unread, unread
+
+
+BENCH = SRC.parents[1] / "bench"
+
+
+def _public_names(tree) -> dict:
+    """Public top-level functions, classes and UPPER_CASE constants, and the
+    public methods of public classes, each mapped to the node that defines it."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
+            out[node.name] = node
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.FunctionDef) \
+                            and not stmt.name.startswith("_"):
+                        out[f"{node.name}.{stmt.name}"] = stmt
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and t.id.isupper():
+                    out[t.id] = node
+    return out
+
+
+def test_every_public_name_is_used_outside_tests():
+    # a library name that only tests call is test code; it belongs in tests/
+    src = {p: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    users = list(src.values()) + [
+        ast.parse(p.read_text(), filename=str(p)) for p in sorted(BENCH.glob("*.py"))
+        if not p.name.startswith("test_")]
+    unused = []
+    for path, tree in src.items():
+        for key, defn in _public_names(tree).items():
+            name = key.rpartition(".")[2]
+            inside = {id(node) for node in ast.walk(defn)}
+            used = any(
+                id(node) not in inside and isinstance(getattr(node, "ctx", None), ast.Load)
+                and (isinstance(node, ast.Attribute) and node.attr == name
+                     or "." not in key and isinstance(node, ast.Name) and node.id == name)
+                for tree2 in users for node in ast.walk(tree2))
+            if not used:
+                unused.append(f"{path.name}:{key}")
+    assert not unused, unused
+
+
+def test_only_main_returns_exit_code_three():
+    # every exit-3 path raises ConstructionFailure, and main alone turns it
+    # into the diagnostics file, the stderr line and the code
+    tree = ast.parse((SRC / "cli.py").read_text())
+    found = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if isinstance(node, ast.Return)
+             and node.value is not None
+             and any(isinstance(c, ast.Constant) and c.value == 3
+                     for c in ast.walk(node.value))]
+    assert found == ["main"]
