@@ -66,6 +66,10 @@ CASES = {
         ["generate", "--gen", "gnp", "--n", "40", "--seed", "5"],
         {"out.txt": (text_body,
                      "b3cdae1bceab9c4b7d378ad25e44a5044be9e73af77a7ceffcb32e8a1ac2b020")}),
+    "generate-n1500": (
+        ["generate", "--gen", "gnp", "--n", "1500", "--p", "0.3", "--seed", "11"],
+        {"out.txt": (text_body,
+                     "30b85f2368097723a33532548ed449e039ce796c9a463138a6759cd1ba4c0841")}),
     "theorem": (
         ["theorem", "--gen", "gnp", "--n", "256", "--graph-seed", "3",
          "--seed", "11"],
