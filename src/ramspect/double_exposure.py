@@ -400,10 +400,13 @@ def per_m_run(g: Graph, m: int, cparams: ConstructionParams | None = None,
             raise ContractViolation(
                 f"size {s} for (k={k}, i={i}, x={x.vertices}) != direct {direct}")
     radius = eparams.kappa_window * wn ** 1.5
-    for s in sizes:
-        if abs(s - e_u) > radius:
-            raise ContractViolation(
-                f"size {s} outside window {e_u}+-{radius:.1f}")
+    outside = [s for s in sizes if abs(s - e_u) > radius]
+    if outside:
+        raise ConstructionFailure(
+            "window", f"{len(outside)} of {len(sizes)} sizes outside "
+            f"{e_u}+-{radius:.1f} (kappa_window={eparams.kappa_window})",
+            {"center": e_u, "radius": radius,
+             "kappa_window": eparams.kappa_window, "outside": outside})
     return PerMOutcome(
         m=m, u_mask=u, e_u=e_u, records=tuple(records),
         k_selected=tuple(k_sel), p_selected=tuple((k, i) for _, k, i in sel),
@@ -430,12 +433,16 @@ def theorem_run(g: Graph, cparams: ConstructionParams | None = None,
     Step defaults to a stride just beyond twice the containment radius, so
     kept windows cannot overlap; a greedy pass additionally drops any
     window whose smallest size fails to clear the previous kept maximum.
-    Per-window failures are recorded and contribute nothing.
+    Per-window failures are recorded and contribute nothing.  An explicit
+    sigma (stride in units of n^(3/2)) below 2*kappa_window is refused:
+    windows closer than twice the containment radius can only be dropped.
     """
-    if sigma is not None and not 0 < sigma < math.inf:
-        raise ParameterError(f"sigma must be positive and finite, got {sigma}")
     cparams = cparams or ConstructionParams()
     eparams = eparams or ExposureParams()
+    floor = 2 * eparams.kappa_window
+    if sigma is not None and not floor <= sigma < math.inf:
+        raise ParameterError(f"sigma must be positive, finite and at least "
+                             f"2*kappa_window = {floor}, got {sigma}")
     n = g.n
     c = cparams.c_density
     m_lo = math.ceil(c * n * n)

@@ -20,8 +20,10 @@ itself as well as N(v).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -253,6 +255,39 @@ def _is_prime(q: int) -> bool:
     return True
 
 
+GNP_CHUNK = 1 << 18  # pairs per row block (and getrandbits call) of the gnp generator
+
+
+def _gnp_rows(n: int, p: float, seed: int) -> list[int]:
+    """Adjacency rows in which pair (u, v) is an edge iff its draw of
+    ``random.Random(seed).random()``, taken in row-major pair order, is
+    below p.
+
+    random() is ((a >> 5) * 2**26 + (b >> 6)) / 2**53 for two successive
+    32-bit Mersenne-Twister outputs a and b, and getrandbits(64 * k) returns
+    the same 2k words little-endian.  So each <u8 word w of one bulk draw
+    yields the same 53-bit key, and random() < p iff key < ceil(p * 2**53),
+    which is exact in binary64.  Rows are taken in blocks of a multiple of 8
+    rows holding about GNP_CHUNK pairs (at least 8 rows), one draw each; a
+    block's upper-triangle bits are packed into its rows and, transposed,
+    into its byte columns of every row, so no temporary grows with n**2.
+    """
+    below = np.uint64(math.ceil(p * 2.0 ** 53))
+    rng = random.Random(seed)
+    bits = np.zeros((n, -(-n // 8)), np.uint8)
+    step = max(8, GNP_CHUNK // max(n, 1) & ~7)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        size = (b - a) * (2 * n - a - b - 1) // 2  # pairs (u, v), a <= u < b, u < v
+        w = np.frombuffer(rng.getrandbits(64 * size).to_bytes(8 * size, "little"), "<u8")
+        block = np.zeros((b - a, n), bool)
+        block[np.arange(n) > np.arange(a, b)[:, None]] = \
+            (((w & 0xFFFFFFFF) >> 5 << 26) | (w >> 38)) < below
+        bits[a:b] |= np.packbits(block, axis=1, bitorder="little")
+        bits[:, a >> 3:-(-b // 8)] |= np.packbits(block.T, axis=1, bitorder="little")
+    return list(map(int.from_bytes, bits, repeat("little")))
+
+
 def generate(model: str, *, n: int | None = None, p: float = 0.5,
              q: int | None = None, seed: int = 0) -> Graph:
     """Deterministic graph generators: gnp, paley, complete, empty."""
@@ -261,14 +296,7 @@ def generate(model: str, *, n: int | None = None, p: float = 0.5,
             raise ParameterError("gnp requires n >= 0")
         if not 0.0 <= p <= 1.0:
             raise ParameterError(f"gnp requires p in [0,1], got {p}")
-        rng = random.Random(seed)
-        rows = [0] * n
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < p:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-        return Graph(n, rows, _checked=True)
+        return Graph(n, _gnp_rows(n, p, seed), _checked=True)
     if model == "paley":
         if q is None:
             raise ParameterError("paley requires q")

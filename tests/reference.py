@@ -1,5 +1,6 @@
 """Test-only references: exact homogeneous numbers, graph complement, edge
-lookup, the K_n closed form and pmf point lookup.
+lookup, the K_n closed form, pmf point lookup and the pair-by-pair G(n, p)
+loop.
 
 Nothing in the package or the benchmark calls these; the tests use them to
 check the package's results against independent computations.
@@ -7,6 +8,7 @@ check the package's results against independent computations.
 from __future__ import annotations
 
 import math
+import random
 
 from ramspect.errors import CapacityError, ParameterError
 from ramspect.graph_core import Graph, iter_bits
@@ -33,6 +35,18 @@ def prob(pmf, x: int) -> float:
     if 0 <= i < len(pmf.masses):
         return float(pmf.masses[i])
     return 0.0
+
+
+def gnp_loop(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) with one ``random()`` draw per pair, in row-major pair order."""
+    rng = random.Random(seed)
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph(n, rows, _checked=True)
 
 
 # ── exact clique / independence numbers ──────────────────────────────────

@@ -288,6 +288,21 @@ def test_sweep_where_every_n_fails_exits_three_with_diagnostics(tmp_path, capsys
     assert all(f["stage"] and f["message"] for f in per_n)
 
 
+def test_per_m_sizes_outside_a_small_window_exit_three(tmp_path, capsys):
+    # kappa_window is a parameter, so a harvest outside it is a failed window
+    diag = tmp_path / "pm.diag.json"
+    code, _, err = run(capsys, "per-m", "--gen", "gnp", "--n", "64",
+                       "--set", "kappa_window=0.01", "--diagnostics", str(diag))
+    assert code == 3
+    assert err.splitlines() == [
+        f"pipeline failure at stage 'window'; diagnostics in {diag}"]
+    doc = json.loads(diag.read_text())
+    assert doc["stage"] == "window"
+    window = doc["diagnostics"]
+    assert window["kappa_window"] == 0.01 and window["outside"]
+    assert all(abs(s - window["center"]) > window["radius"] for s in window["outside"])
+
+
 def test_sweep_rejects_an_empty_n_list(capsys):
     code, out, err = run(capsys, "sweep", "--n-list", ",")
     assert code == 1
@@ -296,6 +311,7 @@ def test_sweep_rejects_an_empty_n_list(capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--sigma", "-1"), ("--sigma", "0"),
+                                        ("--sigma", "0.49"),
                                         ("--set", "kappa_window=0")])
 def test_theorem_rejects_a_stride_that_is_not_positive(flag, value, capsys):
     code, _, err = run(capsys, "theorem", "--gen", "gnp", "--n", "256", flag, value)

@@ -194,11 +194,21 @@ def test_theorem_is_deterministic():
     assert [w.distinct_sizes for w in a.kept] == [w.distinct_sizes for w in b.kept]
 
 
-@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, 0.5 - 1e-9])
 def test_theorem_rejects_a_stride_that_is_not_positive(sigma):
-    # a stride of at most zero rounded up to step 1: a window at every m
+    # a stride of at most zero rounded up to step 1: a window at every m;
+    # one below 2*kappa_window (0.5 by default) adds only overlapping windows
     with pytest.raises(ParameterError, match="sigma"):
         theorem_run(G256, sigma=sigma)
+
+
+G64 = gc.generate("gnp", n=64, p=0.5, seed=0)
+
+
+def test_theorem_records_a_window_outside_a_small_radius_as_failed():
+    out = theorem_run(G64, eparams=ExposureParams(kappa_window=0.01))
+    assert out.windows == ((2, None, False),)
+    assert out.total_distinct == 0
 
 
 @pytest.mark.parametrize("kappa", [0.0, -0.25, math.inf])

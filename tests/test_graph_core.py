@@ -1,12 +1,15 @@
 """Bit-packed graph primitives against brute-force recounts."""
 import itertools
+import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramspect import graph_core as gc
 from ramspect.errors import GraphParseError, ParameterError
-from reference import complement, has_edge, homogeneous_number, is_c_ramsey
+from reference import complement, gnp_loop, has_edge, homogeneous_number, is_c_ramsey
 
 
 def brute_count_edges(g, avs, bvs=None):
@@ -181,6 +184,49 @@ def test_generate_gnp_frozen_sample():
     g = gc.generate("gnp", n=10, p=0.5, seed=42)
     assert g.edge_count() == 21
     assert g.degrees() == [5, 5, 5, 5, 2, 3, 3, 3, 4, 7]
+
+
+BOUNDARY_N = (0, 1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129)  # byte and word edges
+EDGE_P = (0.0, 5e-324, 0.5, 1 - 2 ** -53, 1.0)
+
+
+@settings(derandomize=True, database=None, deadline=2000, max_examples=150)
+@given(n=st.sampled_from(BOUNDARY_N) | st.integers(0, 200),
+       p=st.sampled_from(EDGE_P) | st.floats(0.0, 1.0),
+       seed=st.sampled_from((-1, -2 ** 70, 2 ** 64, 2 ** 64 + 1, 2 ** 200))
+       | st.integers(-2 ** 80, 2 ** 80))
+def test_gnp_is_identical_to_the_pair_by_pair_loop(n, p, seed):
+    assert gc.generate("gnp", n=n, p=p, seed=seed).adj == gnp_loop(n, p, seed).adj
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gnp_threshold_is_exact_at_the_draw(seed):
+    # the one pair of G(2, p) is an edge iff its random() draw r is below p
+    r = random.Random(seed).random()
+    assert gc.generate("gnp", n=2, p=r, seed=seed).edge_count() == 0
+    assert gc.generate("gnp", n=2, p=math.nextafter(r, 2.0), seed=seed).edge_count() == 1
+
+
+@pytest.mark.parametrize("chunk", [1, 1000, 2000])
+@pytest.mark.parametrize("n", [9, 21, 65, 130])
+def test_gnp_row_blocks_match_the_loop(monkeypatch, chunk, n):
+    # blocks of 8 to 104 rows: each block draws on where the last one stopped
+    # and packs its transpose into its own byte columns of every row
+    monkeypatch.setattr(gc, "GNP_CHUNK", chunk)
+    assert gc.generate("gnp", n=n, p=0.4, seed=n).adj == gnp_loop(n, 0.4, n).adj
+
+
+def test_gnp_temporaries_stay_below_an_n_by_n_bool_array(monkeypatch):
+    n = 2048
+    monkeypatch.setattr(gc, "GNP_CHUNK", 1 << 12)
+    tracemalloc.start()
+    try:
+        gc.generate("gnp", n=n, p=0.5, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the packed matrix and the output rows take n*n/8 bytes each
+    assert peak < n * n // 2
 
 
 def test_generate_paley_13():
