@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import typing
 from dataclasses import asdict, fields
@@ -266,7 +267,11 @@ def _pipeline_params(ov: dict, seed: int) -> tuple[ConstructionParams, ExposureP
 
 def _default_m(cp: ConstructionParams, n: int) -> int:
     # midpoint of the admissible window [c*n^2, 2c*n^2]
-    return round(1.5 * cp.c_density * n * n)
+    mid = 1.5 * cp.c_density * n * n
+    if not mid < math.inf:
+        raise ParameterError(f"c_density={cp.c_density} puts the m window beyond "
+                             f"float range at n={n}")
+    return round(mid)
 
 
 # ── subcommands ──────────────────────────────────────────────────────────

@@ -49,8 +49,10 @@ class ExposureParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c_prime is not None and self.c_prime <= 0:
+        if self.c_prime is not None and not self.c_prime > 0:  # rejects NaN too
             raise ParameterError("c_prime must be positive")
+        if self.big_m is not None and not self.big_m > 0:
+            raise ParameterError("big_m must be positive")
         if not 0 < self.gamma < 1:
             raise ParameterError("gamma must lie in (0, 1)")
         if self.trials < 1:
@@ -58,6 +60,10 @@ class ExposureParams:
         if not 0 < self.kappa_window < math.inf:
             raise ParameterError(
                 f"kappa_window must be positive and finite, got {self.kappa_window}")
+        for name in ("beta", "q_const", "expose_window", "verify_fraction"):
+            value = getattr(self, name)
+            if value is not None and math.isnan(value):
+                raise ParameterError(f"{name} must be a number, got nan")
         if self.beta is not None and self.q_const is not None \
                 and self.q_const < 3 * self.beta:
             raise ParameterError(
@@ -97,6 +103,9 @@ def resolve_exposure(res: ConstructionResult, params: ExposureParams) -> Resolve
     rt = math.sqrt(n)
     if params.c_prime is not None:
         kappa = params.c_prime * rt
+        if kappa > len(res.s_units):  # also keeps an overflowed kappa out of ceil
+            raise ParameterError(
+                f"row range needs k={kappa:.1f} first S units but |S|={len(res.s_units)}")
     else:
         struct_cap = min(len(res.s_units) / 2, len(res.t_units))
         kappa = max(1.0, min(struct_cap, res.gap_floor / 4))
@@ -364,7 +373,9 @@ def per_m_run(g: Graph, m: int, cparams: ConstructionParams | None = None,
             for i in sorted(set(reps)):
                 cells.append((rec.e_values[i], k, i))
         cells.sort()
-        sep = math.floor(2 * resolved.q_const * rt) + 1  # strict > 2Q*sqrt(n)
+        # strict > 2Q*sqrt(n); no two sizes are wn**2 apart, so the clamp
+        # changes no selection and keeps a huge Q out of floor
+        sep = math.floor(min(2 * resolved.q_const * rt, wn * wn)) + 1
         sel = _stride_select(cells, sep, [c[0] for c in cells])
         if not sel:
             attempts_log.append({"attempt": t, "stage": "selection"})
@@ -445,12 +456,17 @@ def theorem_run(g: Graph, cparams: ConstructionParams | None = None,
                              f"2*kappa_window = {floor}, got {sigma}")
     n = g.n
     c = cparams.c_density
+    if not 2 * c * n * n < math.inf:
+        raise ParameterError(f"c_density={c} puts the m range beyond float range at n={n}")
     m_lo = math.ceil(c * n * n)
     m_hi = math.floor(2 * c * n * n)
     if m_lo > m_hi:
         raise ParameterError(f"empty m range [{m_lo}, {m_hi}]")
     sig = sigma if sigma is not None else 2.2 * eparams.kappa_window
-    step = max(1, round(sig * n ** 1.5))
+    stride = sig * n ** 1.5
+    if not stride < math.inf:
+        raise ParameterError(f"sigma={sig} gives a stride beyond float range at n={n}")
+    step = max(1, round(stride))
     windows = []
     kept = []
     union = set()

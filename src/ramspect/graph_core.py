@@ -5,9 +5,11 @@ A graph on n vertices is stored as one Python integer per vertex: bit u of
 AND/XOR row operations and popcounts via ``int.bit_count``.  Loops over many
 row pairs run on a packed view instead: pack_rows lays a list of rows out as
 an (k, ceil(n/64)) array of little-endian uint64 words, and popcount sums
-``np.bitwise_count`` over the words of each row.  popcount takes either form,
-so multiset_gap is one formula for both; every counting routine in this
-package reduces to one of the two popcounts.
+``np.bitwise_count`` over the words of each row.  The all-pairs multiset
+gaps of a unit family come from one kernel, pair_gaps: each gap is
+|A| + |B| - 2|A & B| over 0/1 rows, the intersections one float32 Gram
+product (exact for integer counts below 2**24).  Every counting routine in
+this package reduces to a popcount or to that Gram product.
 
 Vertex sets are plain int bitmasks throughout ("mask" in signatures).  A Unit
 is either a single vertex or an unordered pair of distinct vertices; pair
@@ -136,11 +138,9 @@ def pack_rows(rows, n: int) -> np.ndarray:
     return np.frombuffer(buf, dtype="<u8").reshape(len(rows), nbytes // 8)
 
 
-def popcount(x):
-    """Set bits of an int, or of each row of a packed word array."""
-    if isinstance(x, int):
-        return x.bit_count()
-    return np.bitwise_count(x).sum(axis=-1, dtype=np.int64)
+def popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each row of a packed word array."""
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
 def complement_gaps(rows: np.ndarray, a, b, n: int) -> np.ndarray:
@@ -202,16 +202,65 @@ def unit_degree(g: Graph, x: Unit, umask: int) -> int:
     return sum((g.adj[v] & umask).bit_count() for v in x.vertices)
 
 
-def multiset_gap(x1, x2, y1, y2):
+def multiset_gap(x1: int, x2: int, y1: int, y2: int) -> int:
     """Total multiplicity gap, sum over v of |mult_x(v) - mult_y(v)|, of two
-    multisets given as unit_rows masks (x1, x2) and (y1, y2), as ints or as
-    packed rows (one gap per row).
+    multisets given as unit_rows masks (x1, x2) and (y1, y2).
 
     Where x1 ^ y1 is set the multiplicities differ by one; elsewhere they
     differ by two exactly where x2 ^ y2 is set.
     """
     d1 = x1 ^ y1
-    return popcount(d1) + 2 * popcount((x2 ^ y2) & ~d1)
+    return d1.bit_count() + 2 * ((x2 ^ y2) & ~d1).bit_count()
+
+
+GRAM_EXACT_CAP = 1 << 23  # pair_gaps refuses larger graphs: see its docstring
+
+
+def _bit_matrix(masks, n: int) -> np.ndarray:
+    """(len(masks), n) uint8 array of 0/1: entry (i, v) is bit v of masks[i]."""
+    return np.unpackbits(pack_rows(masks, n).view(np.uint8), axis=1, count=n,
+                         bitorder="little")
+
+
+def _gram_symdiff(masks, n: int, cols) -> np.ndarray:
+    """|A_i symdiff A_j| for every pair of the masks, inside the columns cols
+    (all when None), as |A_i| + |A_j| - 2|A_i & A_j|: the intersections are
+    one float32 Gram product of the 0/1 rows, which numpy hands to BLAS."""
+    bits = _bit_matrix(masks, n)
+    if cols is not None:
+        bits = bits[:, cols]
+    bits = bits.astype(np.float32)
+    gaps = bits @ bits.T
+    sizes = gaps.diagonal().copy()
+    gaps *= -2
+    gaps += sizes[:, None]
+    gaps += sizes
+    return gaps
+
+
+def pair_gaps(g: Graph, units, umask: int | None = None) -> np.ndarray:
+    """k x k float32 matrix whose (i, j) entry is
+    symdiff_size(g, units[i], units[j], umask).
+
+    With S the support (multiplicity >= 1) and D the doubled part of a
+    unit's neighborhood, the multiset gap is |S_x symdiff S_y| +
+    |D_x symdiff D_y|.  Each term comes from one float32 Gram product of
+    0/1 rows restricted to umask's columns; D is skipped when every unit is
+    a single.  All counts are integers and every partial sum and gap is at
+    most 2n <= 2**24, so float32 holds them exactly; larger graphs are
+    refused.  Compare entries against a float threshold in float64 (an
+    np.float64 scalar), since a Python float would be rounded to float32.
+    """
+    n = g.n
+    if n > GRAM_EXACT_CAP:
+        raise CapacityError(f"pair_gaps is exact in float32 up to n={GRAM_EXACT_CAP}, "
+                            f"got n={n}")
+    rows = [unit_rows(g, x) for x in units]
+    cols = None if umask is None else _bit_matrix([umask], n)[0].astype(bool)
+    gaps = _gram_symdiff([m1 | m2 for m1, m2 in rows], n, cols)
+    if any(x.is_pair for x in units):
+        gaps += _gram_symdiff([m2 for _, m2 in rows], n, cols)
+    return gaps
 
 
 def symdiff_size(g: Graph, x: Unit, y: Unit, umask: int | None = None) -> int:

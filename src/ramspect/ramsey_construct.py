@@ -15,12 +15,15 @@ in a conflict graph, Turan bound checked); then repeatedly sample U0 with
 per-vertex probability p = sqrt(4m/e(G)) until five concentration events
 hold, and read S, T, X off the degree order, keeping one unit per degree.
 
-The bucket travels as a (k, 2) int64 array of vertex pairs.  The three
-pair stages run on numpy: the close-complement filter and the conflict
-graph compare packed uint64 rows (graph_core.pack_rows, packed once per
-call) with np.bitwise_count, and the star degrees are one np.bincount.
-Every decision is an integer comparison, so the results equal those of
-the int-row loops the tests keep as references.
+The bucket travels as a (k, 2) int64 array of vertex pairs.  The pair
+stages run on numpy: the close-complement filter compares packed uint64
+rows (graph_core.pack_rows) with np.bitwise_count, and the star degrees are
+one np.bincount.  The unit-pair stages, the conflict graph and event (4)
+of U0 sampling, read all gaps off one graph_core.pair_gaps matrix (a
+float32 Gram product, exact for integer counts) and compare them with their
+float thresholds in float64.  Every decision is thus an exact integer
+comparison, so the results equal those of the int-row loops the tests keep
+as references.
 
 All the asymptotic constants are explicit knobs on ConstructionParams with
 defaults tuned for dense random graphs at desk scale; every resolved value
@@ -38,7 +41,7 @@ import numpy as np
 
 from .errors import ConstructionFailure, ContractViolation, ParameterError
 from .graph_core import (Graph, Unit, complement_gaps, count_edges, iter_bits, mask_of,
-                         multiset_gap, pack_rows, symdiff_size, unit_degree, unit_rows)
+                         pack_rows, pair_gaps, symdiff_size, unit_degree)
 from .seeding import derive_seed
 from .structure_audit import AuditParams, rich_extract
 
@@ -75,20 +78,26 @@ class ConstructionParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c_density <= 0:
+        # the checks are written "not x > 0" so that they also reject NaN
+        if not self.c_density > 0:
             raise ParameterError(f"c_density must be positive, got {self.c_density}")
         if not 0.0 < self.epsilon < 0.5:
             raise ParameterError(f"epsilon must lie in (0, 1/2), got {self.epsilon}")
         if self.bucket_width is not None and self.bucket_width < 1:
             raise ParameterError("bucket_width must be >= 1")
-        if self.density_factor <= 0:
+        if not self.density_factor > 0:
             raise ParameterError("density_factor must be positive")
         if self.retry_max < 1:
             raise ParameterError("retry_max must be >= 1")
         for name in ("kappa1", "kappa2", "kappa5", "star_coeff", "match_coeff",
                      "a_cap_coeff", "pair_sample_coeff"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be positive")
+        for name in ("theta_compl", "theta_conflict", "kappa3", "kappa4"):
+            value = getattr(self, name)
+            if value is not None and math.isnan(value):
+                raise ParameterError(f"{name} must be a number, got nan")
+        self.audit_params()  # the audit fields fail here, not in every theorem window
 
     def audit_params(self) -> AuditParams:
         return AuditParams(epsilon=self.epsilon, delta=self.delta, c_div=self.c_div,
@@ -140,7 +149,7 @@ def pigeonhole_pairs(g: Graph, bucket_width: int | None = None, *,
     else:
         rng = random.Random(derive_seed(seed, "pigeonhole"))
         # the dedup loop must not chase more pairs than exist
-        want = min(int(sample_coeff * n ** 1.5), n * (n - 1) // 2)
+        want = max(1, int(min(sample_coeff * n ** 1.5, n * (n - 1) // 2)))
         seen = set()
         while len(seen) < want:
             a = rng.randrange(n)
@@ -211,23 +220,17 @@ def star_or_matching(g: Graph, h: np.ndarray, h_filtered: np.ndarray, d_prime: i
 def independent_units(g: Graph, units, theta_conflict: float):
     """Greedy independent set in the conflict graph (close neighborhoods).
 
-    Conflict edge: multiset symdiff below theta_conflict*n, computed on
-    packed unit rows one unit against all later ones.  Greedy min-degree
-    removal (lowest index on ties) meets the Turan bound
-    |A| >= |L|/(1+avg degree), checked against the computed conflict graph.
+    Conflict edge: multiset symdiff below theta_conflict*n, read off the
+    pair_gaps matrix of all unit pairs.  Greedy min-degree removal (lowest
+    index on ties) meets the Turan bound |A| >= |L|/(1+avg degree), checked
+    against the computed conflict graph.
     """
     if not units:
         raise ParameterError("unit list must be nonempty")
     k = len(units)
-    thr = theta_conflict * g.n
-    rows = [unit_rows(g, x) for x in units]
-    x1 = pack_rows([r[0] for r in rows], g.n)
-    x2 = pack_rows([r[1] for r in rows], g.n)
-    conflict = np.zeros((k, k), dtype=bool)
-    for i in range(k - 1):
-        close = multiset_gap(x1[i], x2[i], x1[i + 1:], x2[i + 1:]) < thr
-        conflict[i, i + 1:] = close
-        conflict[i + 1:, i] = close
+    # float64 threshold: a Python float would be rounded to the gaps' float32
+    conflict = pair_gaps(g, units) < np.float64(theta_conflict * g.n)
+    np.fill_diagonal(conflict, False)
     f_edges = int(conflict.sum()) // 2
     # removing a vertex of degree 0 changes no other degree, so all of them
     # are taken at once; the rest go one at a time by lowest (degree, index)
@@ -294,6 +297,7 @@ def sample_U0(g: Graph, a_units, m: int, d_doubleprime: int,
     d_window = params.kappa2 * math.sqrt(n)
     sym_floor = kappa3 * n
     coll_cap = kappa4 * math.sqrt(n)
+    upper = np.triu_indices(len(a_units), 1)
     attempts = []
     fail_hist = [0] * 5
     for t in range(params.retry_max):
@@ -309,18 +313,13 @@ def sample_U0(g: Graph, a_units, m: int, d_doubleprime: int,
         degs = [unit_degree(g, x, u0) for x in a_units]
         r = tuple(x for x, dd in zip(a_units, degs) if abs(dd - target_d) <= d_window)
         ok3 = len(r) >= (2 / 3) * len(a_units)
-        min_sym = None
-        ok4 = True
-        for i in range(len(a_units)):
-            for j in range(i + 1, len(a_units)):
-                s = symdiff_size(g, a_units[i], a_units[j], umask=u0)
-                if min_sym is None or s < min_sym:
-                    min_sym = s
-                if s < sym_floor:
-                    ok4 = False
-                    break
-            if not ok4:
-                break
+        # the upper triangle in row-major order is the pair order of event (4);
+        # min_pair_symdiff covers the pairs up to the first one below the floor
+        gaps = pair_gaps(g, a_units, u0)[upper]
+        fails = np.flatnonzero(gaps < np.float64(sym_floor))
+        ok4 = not len(fails)
+        seen = gaps if ok4 else gaps[:fails[0] + 1]
+        min_sym = int(seen.min()) if len(seen) else None
         cnt = Counter(degs)
         collisions = sum(c * (c - 1) // 2 for c in cnt.values())
         ok5 = collisions <= coll_cap
@@ -464,7 +463,8 @@ def construct(g: Graph, m: int, params: ConstructionParams | None = None) -> Con
     mode, anchor, units, d_dp = star_or_matching(work, h, h_filt, d_prime,
                                                  star_floor, match_floor)
     a_full = independent_units(work, units, theta_conflict)
-    a_cap = max(1, math.ceil(params.a_cap_coeff * math.sqrt(wn)))
+    # clamped before ceil: a huge a_cap_coeff would overflow to inf
+    a_cap = max(1, math.ceil(min(params.a_cap_coeff * math.sqrt(wn), len(a_full))))
     a = a_full[:a_cap]
     u0, q, r, u0_diag = sample_U0(work, a, m, d_dp, params)
     p = u0_diag["p"]

@@ -51,7 +51,7 @@ class AuditParams:
             raise ParameterError(f"epsilon must lie in (0, 1/2), got {self.epsilon}")
         if not 0.0 < self.delta <= 0.5:
             raise ParameterError(f"delta must lie in (0, 1/2], got {self.delta}")
-        if self.c_div <= 0:
+        if not self.c_div > 0:  # rejects NaN too
             raise ParameterError(f"c_div must be positive, got {self.c_div}")
         if self.sample_budget < 1:
             raise ParameterError("sample_budget must be >= 1")
@@ -72,7 +72,7 @@ def density_bounds_check(g: Graph, epsilon: float) -> tuple[float, bool]:
 
 def diversity_profile(g: Graph, c_div: float) -> list[int]:
     """For each vertex, the number of others with symdiff(N(x), N(y)) < c_div*n."""
-    if c_div <= 0:
+    if not c_div > 0:
         raise ParameterError(f"c_div must be positive, got {c_div}")
     thr = c_div * g.n
     rows = pack_rows(g.adj, g.n)
@@ -87,7 +87,7 @@ def diversity_profile(g: Graph, c_div: float) -> list[int]:
 def close_complement_pair_count(g: Graph, threshold_fraction: float) -> int:
     """Pairs {x1,x2} whose neighborhoods nearly complement each other:
     |N(x1) symdiff N_bar(x2)| < threshold_fraction * n."""
-    if threshold_fraction <= 0:
+    if not threshold_fraction > 0:
         raise ParameterError("threshold_fraction must be positive")
     thr = threshold_fraction * g.n
     rows = pack_rows(g.adj, g.n)
@@ -253,7 +253,8 @@ def rich_extract(g: Graph, params: AuditParams) -> ExtractResult:
             elif wsize - k - (w >> v & 1) < thr:
                 dense.append(v)
         side, members = ("sparse", sparse) if len(sparse) >= len(dense) else ("dense", dense)
-        ssize = max(1, math.ceil((params.c_div * sub.n) ** params.delta / 2))
+        # clamped at sub.n before ceil, which a huge c_div would overflow
+        ssize = max(1, math.ceil(min((params.c_div * sub.n) ** params.delta / 2, sub.n)))
         ssize = min(ssize, max(1, wsize // 2), len(members))
         smask = mask_of(members[:ssize])
         rest = w & ~smask

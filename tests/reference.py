@@ -1,6 +1,7 @@
 """Test-only references: exact homogeneous numbers, graph complement, edge
-lookup, the K_n closed form, pmf point lookup and the pair-by-pair G(n, p)
-loop.
+lookup, the K_n closed form, pmf point lookup, the pair-by-pair G(n, p)
+loop, and the pair-by-pair conflict greedy and event-(4) scan of the
+scaffold construction.
 
 Nothing in the package or the benchmark calls these; the tests use them to
 check the package's results against independent computations.
@@ -11,7 +12,7 @@ import math
 import random
 
 from ramspect.errors import CapacityError, ParameterError
-from ramspect.graph_core import Graph, iter_bits
+from ramspect.graph_core import Graph, iter_bits, symdiff_size
 
 HOMOGENEOUS_CAP = 64  # exact clique/independence search refuses larger graphs
 
@@ -47,6 +48,52 @@ def gnp_loop(n: int, p: float, seed: int) -> Graph:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
     return Graph(n, rows, _checked=True)
+
+
+# ── scaffold construction ────────────────────────────────────────────────
+
+
+def independent_units_greedy(g: Graph, units, theta_conflict: float):
+    """(kept units, conflict edge count): the conflict graph built from one
+    symdiff_size call per unit pair, then repeated picks of the live unit of
+    least live degree (lowest index on ties), checked against the Turan
+    bound |A| >= |L|/(1 + average degree)."""
+    k = len(units)
+    thr = theta_conflict * g.n
+    fadj = [0] * k
+    for i in range(k):
+        for j in range(i + 1, k):
+            if symdiff_size(g, units[i], units[j]) < thr:
+                fadj[i] |= 1 << j
+                fadj[j] |= 1 << i
+    alive = (1 << k) - 1
+    chosen = []
+    while alive:
+        best_i, best_d = -1, k + 1
+        for i in iter_bits(alive):
+            di = (fadj[i] & alive).bit_count()
+            if di < best_d:
+                best_d, best_i = di, i
+        chosen.append(best_i)
+        alive &= ~((1 << best_i) | fadj[best_i])
+    edges = sum(r.bit_count() for r in fadj) // 2
+    assert len(chosen) >= k / (1 + 2 * edges / k), "greedy below the Turan bound"
+    return tuple(units[i] for i in sorted(chosen)), edges
+
+
+def event4_scan(g: Graph, units, umask: int, sym_floor: float):
+    """(ok4, min_pair_symdiff) of one sample_U0 attempt: visit the unit
+    pairs in row-major order, track the least symdiff inside umask and stop
+    at the first pair below sym_floor."""
+    min_sym = None
+    for i in range(len(units)):
+        for j in range(i + 1, len(units)):
+            s = symdiff_size(g, units[i], units[j], umask=umask)
+            if min_sym is None or s < min_sym:
+                min_sym = s
+            if s < sym_floor:
+                return False, min_sym
+    return True, min_sym
 
 
 # ── exact clique / independence numbers ──────────────────────────────────

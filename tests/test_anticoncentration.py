@@ -67,7 +67,7 @@ def assert_matches_dense_reference(inst):
     return masses
 
 
-@settings(derandomize=True, database=None, deadline=2000, max_examples=300)
+@settings(max_examples=300)
 @given(coeffs=st.lists(st.integers(-15, 15).filter(bool), min_size=1, max_size=80),
        offset=st.integers(-50, 50),
        p=st.sampled_from((0.5, 0.3, 0.05, 1e-9, 0.99)))

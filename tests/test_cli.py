@@ -227,6 +227,57 @@ def test_override_values_follow_field_types():
             cli._split_overrides([bad], groups)
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "--gen", "gnp", "--n", "64", "--set", "c_density=nan"],
+    ["construct", "--gen", "gnp", "--n", "64", "--set", "c_density=1e308"],
+    ["construct", "--gen", "gnp", "--n", "64", "--set", "density_factor=nan"],
+    ["construct", "--gen", "gnp", "--n", "64", "--set", "a_cap_coeff=nan"],
+    ["construct", "--gen", "gnp", "--n", "64", "--set", "theta_conflict=nan"],
+    ["construct", "--gen", "gnp", "--n", "64", "--set", "kappa3=nan"],
+    ["construct", "--gen", "gnp", "--n", "64", "--set", "pair_sample_coeff=nan",
+     "--set", "pair_enum_cap=10"],
+    ["audit", "--gen", "gnp", "--n", "40", "--set", "c_div=nan"],
+    ["theorem", "--gen", "gnp", "--n", "64", "--sigma", "1e308"],
+    ["theorem", "--gen", "gnp", "--n", "64", "--set", "c_density=1e308"],
+    ["theorem", "--gen", "gnp", "--n", "64", "--set", "delta=nan"],
+    ["per-m", "--gen", "gnp", "--n", "64", "--set", "c_prime=1e308"],
+    ["per-m", "--gen", "gnp", "--n", "64", "--set", "big_m=0"],
+    ["per-m", "--gen", "gnp", "--n", "64", "--set", "beta=nan"],
+])
+def test_non_finite_and_huge_overrides_exit_one(argv, capsys):
+    # NaN fails every positivity check; an overflowing product is refused
+    # where no clamp keeps its meaning
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,same_as", [
+    (["construct", "--gen", "gnp", "--n", "64", "--set", "a_cap_coeff=1e308"],
+     "a_cap_coeff=1e9"),
+    (["construct", "--gen", "gnp", "--n", "64", "--set", "pair_sample_coeff=1e308",
+      "--set", "pair_enum_cap=10"], "pair_sample_coeff=1e9"),
+    (["audit", "--gen", "gnp", "--n", "40", "--set", "c_div=1e308"], "c_div=1e9"),
+    (["per-m", "--gen", "gnp", "--n", "64", "--set", "q_const=1e308"], "q_const=1e9"),
+])
+def test_huge_overrides_are_clamped_to_what_a_large_value_does(argv, same_as, capsys):
+    # a_cap, the pair sample, the audit's S and the cell separation are
+    # clamped where they already stop mattering, before ceil/round overflows
+    def body(text):
+        # JSON artifacts echo the overrides in their header
+        if argv[0] == "per-m":
+            return text
+        return {k: v for k, v in json.loads(text).items() if k != "header"}
+
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and "Traceback" not in err
+    code, ref_out, _ = run(capsys, *argv[:-1], same_as)
+    assert code == 0
+    assert body(out) == body(ref_out)
+
+
 def test_pmf_drift_exits_one_without_traceback(monkeypatch, capsys):
     monkeypatch.setattr(cli.ac.LOPmf, "total", lambda self: 1.5)
     code, out, err = run(capsys, "lo", "--n-list", "16,32,64,128")

@@ -3,12 +3,15 @@ import itertools
 import math
 import random
 import tracemalloc
+from datetime import timedelta
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramspect import graph_core as gc
-from ramspect.errors import GraphParseError, ParameterError
+from ramspect.errors import CapacityError, GraphParseError, ParameterError
 from reference import complement, gnp_loop, has_edge, homogeneous_number, is_c_ramsey
 
 
@@ -163,6 +166,34 @@ def test_symdiff_close_complement_single_pair():
     assert got == 1
 
 
+WORD_N = (63, 64, 65, 127, 129)  # rows that end just before, at and after a word edge
+
+
+@settings(max_examples=60)
+@given(n=st.sampled_from(WORD_N), seed=st.integers(0, 2 ** 32),
+       kinds=st.lists(st.booleans(), min_size=1, max_size=10),
+       umask_p=st.sampled_from((None, 0.0, 0.3, 0.7, 1.0)))
+def test_pair_gaps_equals_symdiff_size_on_every_pair(n, seed, kinds, umask_p):
+    # kinds[i] makes unit i a pair; all-False lists take the singles-only path
+    rng = random.Random(seed)
+    g = gc.generate("gnp", n=n, p=rng.choice((0.1, 0.5, 0.9)), seed=seed)
+    units = [gc.Unit.pair(*rng.sample(range(n), 2)) if pair else
+             gc.Unit.single(rng.randrange(n)) for pair in kinds]
+    umask = None if umask_p is None else \
+        gc.mask_of(v for v in range(n) if rng.random() < umask_p)
+    gaps = gc.pair_gaps(g, units, umask)
+    assert gaps.dtype == np.float32 and gaps.shape == (len(units),) * 2
+    want = [[gc.symdiff_size(g, x, y, umask) for y in units] for x in units]
+    assert gaps.tolist() == want
+
+
+def test_pair_gaps_refuses_graphs_beyond_float32_exactness():
+    # raised before any row is read, so a stand-in with no rows will do
+    big = SimpleNamespace(n=gc.GRAM_EXACT_CAP + 1, adj=())
+    with pytest.raises(CapacityError):
+        gc.pair_gaps(big, [gc.Unit.single(0)])
+
+
 # ── generators ───────────────────────────────────────────────────────────
 
 
@@ -190,7 +221,14 @@ BOUNDARY_N = (0, 1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129)  # byte and word edge
 EDGE_P = (0.0, 5e-324, 0.5, 1 - 2 ** -53, 1.0)
 
 
-@settings(derandomize=True, database=None, deadline=2000, max_examples=150)
+def test_property_tests_replay_fixed_examples():
+    # the profile tests/conftest.py loads for every property test
+    s = settings()
+    assert s.derandomize and s.database is None
+    assert s.deadline == timedelta(milliseconds=2000)
+
+
+@settings(max_examples=150)
 @given(n=st.sampled_from(BOUNDARY_N) | st.integers(0, 200),
        p=st.sampled_from(EDGE_P) | st.floats(0.0, 1.0),
        seed=st.sampled_from((-1, -2 ** 70, 2 ** 64, 2 ** 64 + 1, 2 ** 200))

@@ -13,6 +13,7 @@ from ramspect import structure_audit as sa
 from ramspect.errors import ContractViolation, ParameterError
 from ramspect.ramsey_construct import (ConstructionFailure, ConstructionParams,
                                        construct, verify_construction)
+from reference import event4_scan, independent_units_greedy
 
 G256 = gc.generate("gnp", n=256, p=0.5, seed=3)
 M256 = round(1.5 * 0.0003 * 256 * 256)  # window midpoint for default c
@@ -139,34 +140,6 @@ def test_independent_units_are_pairwise_far():
 # partly filled word.
 
 
-def reference_independent_units(g, units, theta_conflict):
-    """The bitset greedy the packed kernel replaced: conflict rows as ints,
-    then repeated min-degree picks by a strict < scan in index order."""
-    k = len(units)
-    thr = theta_conflict * g.n
-    rows = [gc.unit_rows(g, x) for x in units]
-    fadj = [0] * k
-    for i in range(k):
-        a1, a2 = rows[i]
-        for j in range(i + 1, k):
-            b1, b2 = rows[j]
-            d1 = a1 ^ b1
-            if d1.bit_count() + 2 * ((a2 ^ b2) & ~d1).bit_count() < thr:
-                fadj[i] |= 1 << j
-                fadj[j] |= 1 << i
-    alive = (1 << k) - 1
-    chosen = []
-    while alive:
-        best_i, best_d = -1, k + 1
-        for i in gc.iter_bits(alive):
-            di = (fadj[i] & alive).bit_count()
-            if di < best_d:
-                best_d, best_i = di, i
-        chosen.append(best_i)
-        alive &= ~((1 << best_i) | fadj[best_i])
-    return tuple(units[i] for i in sorted(chosen)), sum(r.bit_count() for r in fadj) // 2
-
-
 def reference_star_anchor(h_filtered):
     """Vertex of top filtered-pair degree, lowest vertex on ties."""
     hdeg = Counter()
@@ -198,7 +171,7 @@ def test_independent_units_multiword_matches_bitset_greedy(n):
     # singles differ in about n/2 vertices, pairs have multiset gaps near
     # 3n/4; these thetas put both families on either side of the threshold
     for units, theta in ((singles, 0.45), (singles, 0.5), (pairs, 0.7), (pairs, 0.75)):
-        want, conflicts = reference_independent_units(g, units, theta)
+        want, conflicts = independent_units_greedy(g, units, theta)
         assert conflicts > 0
         got = rc.independent_units(g, units, theta)
         assert got == want
@@ -233,6 +206,99 @@ def test_star_anchor_tie_goes_to_lowest_vertex():
     mode, anchor, units, _ = rc.star_or_matching(g, h, h, 0, 3.0, 1e9)
     assert (mode, anchor) == ("star", 5)
     assert [u.vertices for u in units] == [(1,), (2,), (3,)]
+
+
+def pipeline_units(n, seed, star_coeff):
+    """(graph, mode, unit list L) of a default build on G(n, 1/2), without
+    the rich prepass, up to star_or_matching; a huge star_coeff forces
+    matching mode."""
+    g = gc.generate("gnp", n=n, p=0.5, seed=seed)
+    d_prime, h = rc.pigeonhole_pairs(g)
+    kept = rc.filter_close_complements(g, h, 0.1)
+    floor = 0.25 * n ** 0.75
+    mode, _, units, _ = rc.star_or_matching(g, h, kept, d_prime, star_coeff * n ** 0.75,
+                                            floor)
+    return g, mode, units
+
+
+@pytest.mark.parametrize("star_coeff,mode,thetas", [
+    # G(n, 1/2) star units are about n/2 apart and matched pairs about 3n/4,
+    # with the closest near 0.45n and 0.68n: theta_conflict = 0.3 would give
+    # no conflict edge, so these thetas sit in the lower tail
+    (0.25, "star", (0.46, 0.48, 0.5)),
+    (1e6, "matching", (0.69, 0.71, 0.75)),
+])
+def test_independent_units_on_built_unit_lists_matches_reference_greedy(
+        star_coeff, mode, thetas):
+    g, got_mode, units = pipeline_units(300, 5, star_coeff)
+    assert got_mode == mode
+    for theta in thetas:
+        want, conflicts = independent_units_greedy(g, units, theta)
+        assert conflicts > 0
+        assert rc.independent_units(g, units, theta) == want
+
+
+def test_conflict_threshold_is_compared_exactly():
+    # at n = 1000 the default theta_conflict = eps^2/4 gives a threshold of
+    # 10.000000000000002, which float32 rounds to 10.0: a gap of exactly 10
+    # is a conflict
+    theta = ConstructionParams().epsilon ** 2 / 4
+    assert theta * 1000 > 10
+    g = gc.from_edges(1000, [(0, v) for v in range(2, 12)])
+    units = (gc.Unit.single(0), gc.Unit.single(1))
+    assert gc.pair_gaps(g, units)[0, 1] == gc.symdiff_size(g, *units) == 10
+    assert rc.independent_units(g, units, theta) == units[:1]
+
+
+def test_event4_floor_is_compared_exactly():
+    # kappa3 * n lands just above 63, which float32 rounds to 63.0: an
+    # attempt that puts exactly 63 vertices of N(0) into U0 fails event (4)
+    kappa3 = 0.063
+    while kappa3 * 1000 <= 63:
+        kappa3 = math.nextafter(kappa3, 1)
+    g = gc.from_edges(1000, [(0, v) for v in range(2, 1000)])
+    units = (gc.Unit.single(0), gc.Unit.single(1))
+    params = ConstructionParams(seed=0, kappa3=kappa3, kappa4=1e9)
+    with pytest.raises(ConstructionFailure) as exc:
+        rc.sample_U0(g, units, 1, 0, params)
+    seen = [(a["min_pair_symdiff"], a["events"][3]) for a in exc.value.diagnostics["attempts"]]
+    assert (63, False) in seen and (64, True) in seen
+    assert all(ok4 == (gap >= kappa3 * 1000) for gap, ok4 in seen)
+
+
+@pytest.mark.parametrize("n,star_coeff", [(300, 0.25), (700, 1e6)])
+def test_sample_u0_event4_matches_the_pair_loop(n, star_coeff, monkeypatch):
+    # each attempt's (events[3], min_pair_symdiff) against the row-major
+    # pair scan, on the U0 the attempt drew: kappa3 = 0.02 passes event (4)
+    # in some attempts, the larger floors fail it in every one
+    g, mode, units = pipeline_units(n, 1, star_coeff)
+    a_units = rc.independent_units(g, units, 0.01)[:round(4 * n ** 0.5)]
+    assert all(x.is_pair == (mode == "matching") for x in a_units)
+    drawn = []
+    real = rc.pair_gaps
+
+    def spy(g, units, umask=None):
+        drawn.append(umask)
+        return real(g, units, umask)
+
+    monkeypatch.setattr(rc, "pair_gaps", spy)
+    m = round(1.5 * 0.0003 * n * n)
+    outcomes = {}
+    for kappa3 in (0.02, 0.05, 0.1, 0.2):
+        drawn.clear()
+        params = ConstructionParams(seed=1, kappa3=kappa3, kappa4=1e9, retry_max=6)
+        try:
+            attempts = rc.sample_U0(g, a_units, m, 0, params)[3]["attempts"]
+        except ConstructionFailure as exc:
+            attempts = exc.diagnostics["attempts"]
+        assert len(drawn) == len(attempts)
+        for att, u0 in zip(attempts, drawn):
+            ok4, min_sym = event4_scan(g, a_units, u0, kappa3 * n)
+            assert (att["events"][3], att["min_pair_symdiff"]) == (ok4, min_sym)
+            assert type(att["min_pair_symdiff"]) is int
+            outcomes.setdefault(kappa3, set()).add(ok4)
+    assert True in outcomes[0.02]
+    assert all(outcomes[k] == {False} for k in (0.05, 0.1, 0.2))
 
 
 # ── end-to-end construction ──────────────────────────────────────────────
