@@ -38,6 +38,12 @@ CASES = {
          "--seed", "3"],
         {"out.json": (json_body,
                       "e36355b174c61e182e603bba3653042c9ad95e4896d44abad30d891c8cad4a90")}),
+    # matching mode, and the close-complement filter drops 779 of 65,248 pairs
+    "construct-matching": (
+        ["construct", "--gen", "gnp", "--n", "512", "--graph-seed", "1",
+         "--seed", "3", "--set", "theta_compl=0.45", "--set", "star_coeff=100"],
+        {"out.json": (json_body,
+                      "e8a798842c3d7d583c6012064bec849dff7307abeaf31135cfa3c1478a02762e")}),
     "per-m": (
         ["per-m", "--gen", "gnp", "--n", "256", "--graph-seed", "3",
          "--seed", "11"],
