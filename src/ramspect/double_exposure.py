@@ -455,6 +455,12 @@ def theorem_run(g: Graph, cparams: ConstructionParams | None = None,
         raise ParameterError(f"sigma must be positive, finite and at least "
                              f"2*kappa_window = {floor}, got {sigma}")
     n = g.n
+    # every window's S lives in a working graph of wn <= n vertices, so
+    # c' > sqrt(n) makes resolve_exposure refuse c'*sqrt(wn) > |S| in all of
+    # them; refused once here rather than as a failure of every window
+    if eparams.c_prime is not None and not eparams.c_prime <= math.sqrt(n):
+        raise ParameterError(f"row range needs k={eparams.c_prime * math.sqrt(n):.1f} "
+                             f"first S units but |S| <= n = {n}")
     c = cparams.c_density
     if not 2 * c * n * n < math.inf:
         raise ParameterError(f"c_density={c} puts the m range beyond float range at n={n}")

@@ -8,8 +8,12 @@ an (k, ceil(n/64)) array of little-endian uint64 words, and popcount sums
 ``np.bitwise_count`` over the words of each row.  The all-pairs multiset
 gaps of a unit family come from one kernel, pair_gaps: each gap is
 |A| + |B| - 2|A & B| over 0/1 rows, the intersections one float32 Gram
-product (exact for integer counts below 2**24).  Every counting routine in
-this package reduces to a popcount or to that Gram product.
+product (exact for integer counts below 2**24).  The close-complement test
+|N(a) symdiff N_bar(b)| >= thr is one kernel, complement_gap_at_least: the
+bits past a prefix of each row can lower the gap by at most their count,
+so a prefix whose lower bound reaches thr settles the pair, and only the
+other pairs read their whole rows.  Every counting routine in this package
+reduces to a popcount or to that Gram product.
 
 Vertex sets are plain int bitmasks throughout ("mask" in signatures).  A Unit
 is either a single vertex or an unordered pair of distinct vertices; pair
@@ -143,15 +147,60 @@ def popcount(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
-def complement_gaps(rows: np.ndarray, a, b, n: int) -> np.ndarray:
-    """|N(a) symdiff N_bar(b)| for each pair of vertex indices a[i], b[i],
-    over the packed adjacency rows of an n-vertex graph.
+def _xor_popcount(words: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """popcount(words[a[i]] ^ words[b[i]]) for each pair, as int64 (zeros
+    when words has no columns).  np.take gathers rows faster than fancy
+    indexing, and adding the word columns one by one beats a sum over the
+    last axis."""
+    bits = np.bitwise_count(np.take(words, a, axis=0) ^ np.take(words, b, axis=0))
+    total = np.zeros(len(a), dtype=np.int64)
+    for col in bits.T:
+        total += col
+    return total
+
+
+GAP_CHUNK = 8192  # pairs gathered per step of complement_gap_at_least
+
+
+def complement_gap_at_least(rows: np.ndarray, a: np.ndarray, b: np.ndarray, n: int,
+                            thr: float) -> np.ndarray:
+    """Bool array: |N(a) symdiff N_bar(b)| >= thr for each pair of vertex
+    indices a[i], b[i] (int64 arrays), over the packed adjacency rows of an
+    n-vertex graph.
 
     N_bar(b) is V minus N(b) minus b, so the symmetric difference is V minus
-    N(a) symdiff N(b) with b's bit flipped; that bit is set iff ab is an edge.
+    N(a) symdiff N(b) with b's bit flipped; that bit is set iff ab is an
+    edge, and the gap is n - 1 - popcount(row a ^ row b) + 2*[ab edge].
+
+    A prefix screen decides most pairs from the first W = min(words,
+    ceil(2*thr/64) + 1) words alone, enough bits to clear thr when about
+    half of them differ.  The s = min(64W, n) bits seen there give the lower
+    bound s - 1 - popcount(prefix a ^ prefix b): the n - s unseen bits add
+    at most their count to the popcount, and the edge term is >= 0.  A pair
+    whose bound reaches thr is kept; only the others read the remaining
+    words and the edge bit.  On G(n, 1/2) the screen decides every pair; at
+    worst every pair reads every word, once.
     """
-    edge = (rows[a, b >> 6] >> (b & 63).astype(np.uint64)) & np.uint64(1)
-    return n - 1 - popcount(rows[a] ^ rows[b]) + 2 * edge.astype(np.int64)
+    words = rows.shape[1]
+    head = words if not 2 * thr / 64 + 1 < words else max(1, math.ceil(2 * thr / 64) + 1)
+    seen = min(64 * head, n)
+    prefix = np.ascontiguousarray(rows[:, :head])
+    suffix = np.ascontiguousarray(rows[:, head:])
+    flat = rows.ravel()
+    thr = np.float64(thr)
+    keep = np.empty(len(a), dtype=bool)
+    for s in range(0, len(a), GAP_CHUNK):
+        ca, cb = a[s:s + GAP_CHUNK], b[s:s + GAP_CHUNK]
+        pc = _xor_popcount(prefix, ca, cb)
+        part = seen - 1 - pc >= thr
+        rest = np.flatnonzero(~part)
+        if len(rest):
+            ra, rb = np.take(ca, rest), np.take(cb, rest)
+            pc = np.take(pc, rest) + _xor_popcount(suffix, ra, rb)
+            edge = np.take(flat, ra * words + (rb >> 6)) >> (rb & 63).astype(np.uint64)
+            part[rest] = n - 1 - pc + 2 * (edge & np.uint64(1)).astype(np.int64) >= thr
+        keep[s:s + GAP_CHUNK] = part
+    return keep
 
 
 # ── units ────────────────────────────────────────────────────────────────

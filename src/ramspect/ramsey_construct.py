@@ -16,9 +16,12 @@ per-vertex probability p = sqrt(4m/e(G)) until five concentration events
 hold, and read S, T, X off the degree order, keeping one unit per degree.
 
 The bucket travels as a (k, 2) int64 array of vertex pairs.  The pair
-stages run on numpy: the close-complement filter compares packed uint64
-rows (graph_core.pack_rows) with np.bitwise_count, and the star degrees are
-one np.bincount.  The unit-pair stages, the conflict graph and event (4)
+stages run on numpy.  The bucket sizes come from the degree histogram
+convolved with itself, so only the fullest bucket's pairs are listed, read
+off a bool mask per block of rows.  The close-complement filter is
+graph_core.complement_gap_at_least on packed uint64 rows, which settles
+most pairs from a prefix of their words, and the star degrees are one
+np.bincount.  The unit-pair stages, the conflict graph and event (4)
 of U0 sampling, read all gaps off one graph_core.pair_gaps matrix (a
 float32 Gram product, exact for integer counts) and compare them with their
 float thresholds in float64.  Every decision is thus an exact integer
@@ -40,8 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionFailure, ContractViolation, ParameterError
-from .graph_core import (Graph, Unit, complement_gaps, count_edges, iter_bits, mask_of,
-                         pack_rows, pair_gaps, symdiff_size, unit_degree)
+from .graph_core import (Graph, Unit, complement_gap_at_least, count_edges, iter_bits,
+                         mask_of, pack_rows, pair_gaps, symdiff_size, unit_degree)
 from .seeding import derive_seed
 from .structure_audit import AuditParams, rich_extract
 
@@ -127,6 +130,47 @@ class ConstructionResult:
         return self.s_units + self.t_units + self.x_units
 
 
+def _bucket_sizes(degs: np.ndarray, w: int) -> np.ndarray:
+    """Pairs a < b in each width-w degree-sum bucket, counted from the degree
+    histogram: its self convolution counts ordered pairs by degree sum, a = b
+    included, and those add hist[d] at the even sum 2d."""
+    lo = int(degs.min())
+    hist = np.bincount(degs - lo)
+    by_sum = np.convolve(hist, hist)
+    by_sum[::2] -= hist
+    by_sum = np.concatenate([np.zeros(2 * lo, np.int64), by_sum // 2])
+    return np.add.reduceat(by_sum, np.arange(0, len(by_sum), w))
+
+
+BUCKET_BLOCK = 1 << 18  # mask cells per row block of the bucket enumeration
+
+
+def _bucket_pairs(degs: np.ndarray, lo: int, w: int, size: int) -> np.ndarray:
+    """(size, 2) int64 array of the pairs a < b with lo <= deg a + deg b <
+    lo + w, in lexicographic order: for each block of rows a, one bool mask
+    over the columns b > a read row-major."""
+    n = len(degs)
+    d32 = degs.astype(np.int32)
+    off = d32 - np.int32(lo)
+    cols = np.arange(n)
+    out = np.empty((size, 2), dtype=np.int64)
+    at = 0
+    step = max(1, BUCKET_BLOCK // n)
+    for s in range(0, n - 1, step):
+        e, c = min(s + step, n - 1), s + 1
+        # 0 <= deg a + deg b - lo < w as one unsigned comparison
+        hit = (d32[c:] + off[s:e, None]).view(np.uint32) < w
+        hit &= cols[c:] > np.arange(s, e)[:, None]
+        a, b = np.divmod(np.flatnonzero(hit), n - c)
+        if at + len(a) <= size:
+            out[at:at + len(a), 0] = a + s
+            out[at:at + len(a), 1] = b + c
+        at += len(a)
+    if at != size:
+        raise ContractViolation(f"degree-sum bucket lists {at} pairs, its histogram {size}")
+    return out
+
+
 def pigeonhole_pairs(g: Graph, bucket_width: int | None = None, *,
                      pair_enum_cap: int = PAIR_ENUM_CAP,
                      sample_coeff: float = 10.0, seed: int = 0):
@@ -134,8 +178,10 @@ def pigeonhole_pairs(g: Graph, bucket_width: int | None = None, *,
 
     The pairs come as a (k, 2) int64 array of rows (a, b), a < b, in
     lexicographic order.  d_prime is the bucket's center j*w + w//2.  Ties
-    go to the lowest bucket.  Above pair_enum_cap vertices a uniform pair
-    sample of size ~sample_coeff*n^(3/2) stands in for full enumeration.
+    go to the lowest bucket.  Up to pair_enum_cap vertices every pair
+    counts: the bucket sizes come from the degree histogram and only the
+    fullest bucket's pairs are listed.  Above it a uniform pair sample of
+    size ~sample_coeff*n^(3/2) stands in for full enumeration.
     """
     n = g.n
     if n < 4:
@@ -145,18 +191,19 @@ def pigeonhole_pairs(g: Graph, bucket_width: int | None = None, *,
         raise ParameterError("bucket_width must be >= 1")
     degs = np.array(g.degrees(), dtype=np.int64)
     if n <= pair_enum_cap:
-        ii, jj = np.triu_indices(n, 1)
-    else:
-        rng = random.Random(derive_seed(seed, "pigeonhole"))
-        # the dedup loop must not chase more pairs than exist
-        want = max(1, int(min(sample_coeff * n ** 1.5, n * (n - 1) // 2)))
-        seen = set()
-        while len(seen) < want:
-            a = rng.randrange(n)
-            b = rng.randrange(n)
-            if a != b:
-                seen.add((a, b) if a < b else (b, a))
-        ii, jj = np.array(sorted(seen), dtype=np.int64).T
+        sizes = _bucket_sizes(degs, w)
+        j = int(np.argmax(sizes))  # argmax returns the first (lowest) maximum
+        return j * w + w // 2, _bucket_pairs(degs, j * w, w, int(sizes[j]))
+    rng = random.Random(derive_seed(seed, "pigeonhole"))
+    # the dedup loop must not chase more pairs than exist
+    want = max(1, int(min(sample_coeff * n ** 1.5, n * (n - 1) // 2)))
+    seen = set()
+    while len(seen) < want:
+        a = rng.randrange(n)
+        b = rng.randrange(n)
+        if a != b:
+            seen.add((a, b) if a < b else (b, a))
+    ii, jj = np.array(sorted(seen), dtype=np.int64).T
     buckets = (degs[ii] + degs[jj]) // w
     counts = np.bincount(buckets)
     j = int(np.argmax(counts))  # argmax returns the first (lowest) maximum
@@ -164,19 +211,12 @@ def pigeonhole_pairs(g: Graph, bucket_width: int | None = None, *,
     return j * w + w // 2, np.stack([ii[sel], jj[sel]], axis=1).astype(np.int64, copy=False)
 
 
-FILTER_CHUNK = 8192  # pairs gathered per step of the close-complement filter
-
-
 def filter_close_complements(g: Graph, h: np.ndarray, theta_compl: float) -> np.ndarray:
     """Drop pairs whose neighborhoods nearly complement each other; returns
     the rows (a, b) of h with |N(a) symdiff N_bar(b)| >= theta_compl*n."""
-    thr = theta_compl * g.n
     rows = pack_rows(g.adj, g.n)
-    keep = np.empty(len(h), dtype=bool)
-    for s in range(0, len(h), FILTER_CHUNK):
-        a, b = h[s:s + FILTER_CHUNK].T
-        keep[s:s + FILTER_CHUNK] = complement_gaps(rows, a, b, g.n) >= thr
-    return h[keep]
+    keep = complement_gap_at_least(rows, h[:, 0], h[:, 1], g.n, theta_compl * g.n)
+    return np.compress(keep, h, axis=0)
 
 
 def star_or_matching(g: Graph, h: np.ndarray, h_filtered: np.ndarray, d_prime: int,

@@ -11,8 +11,10 @@ Diversity counts, for each vertex, how many others have a nearly identical
 neighborhood, and close_complement_pair_count counts pairs whose
 neighborhoods nearly complement each other.  Rich graphs keep both counts
 polynomially small, which is what the audits let an experiment check.
-Both pair loops, and the bad-vertex count of every richness candidate, run
-on graph_core's packed uint64 rows, packed once per call.
+Both pair counts, and the bad-vertex count of every richness candidate, run
+on graph_core's packed uint64 rows, packed once per call: diversity loops
+over one row per vertex, and the close-complement count hands blocks of
+vertex pairs to graph_core.complement_gap_at_least.
 
 rich_extract mirrors the proof-style cleanup loop: while a richness violation
 (W, Y) exists, keep the side of Y that is sparse (or dense) toward W, drop it
@@ -31,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .graph_core import (Graph, complement_gaps, induced_subgraph, iter_bits, mask_of,
-                         pack_rows, popcount)
+from .graph_core import (Graph, complement_gap_at_least, induced_subgraph, iter_bits,
+                         mask_of, pack_rows, popcount)
 
 RICHNESS_EXHAUSTIVE_CAP = 14
 
@@ -84,17 +86,25 @@ def diversity_profile(g: Graph, c_div: float) -> list[int]:
     return counts.tolist()
 
 
+PAIR_BLOCK = 1 << 16  # vertex pairs handed to the gap kernel per block
+
+
 def close_complement_pair_count(g: Graph, threshold_fraction: float) -> int:
     """Pairs {x1,x2} whose neighborhoods nearly complement each other:
     |N(x1) symdiff N_bar(x2)| < threshold_fraction * n."""
     if not threshold_fraction > 0:
         raise ParameterError("threshold_fraction must be positive")
-    thr = threshold_fraction * g.n
-    rows = pack_rows(g.adj, g.n)
+    n = g.n
+    thr = threshold_fraction * n
+    rows = pack_rows(g.adj, n)
+    cols = np.arange(n)
+    step = max(1, PAIR_BLOCK // max(n, 1))
     count = 0
-    for x1 in range(g.n - 1):
-        x2 = np.arange(x1 + 1, g.n)
-        count += int((complement_gaps(rows, np.full_like(x2, x1), x2, g.n) < thr).sum())
+    for s in range(0, n, step):
+        # the pairs x1 < x2 with x1 in this block of rows, in row-major order
+        x1, x2 = np.divmod(np.flatnonzero(cols > np.arange(s, min(s + step, n))[:, None]), n)
+        far = complement_gap_at_least(rows, x1 + s, x2, n, thr)
+        count += len(far) - int(np.count_nonzero(far))
     return count
 
 

@@ -1,7 +1,7 @@
 """Test-only references: exact homogeneous numbers, graph complement, edge
 lookup, the K_n closed form, pmf point lookup, the pair-by-pair G(n, p)
-loop, and the pair-by-pair conflict greedy and event-(4) scan of the
-scaffold construction.
+loop, and the all-pairs degree-sum bucket, pair-by-pair conflict greedy and
+event-(4) scan of the scaffold construction.
 
 Nothing in the package or the benchmark calls these; the tests use them to
 check the package's results against independent computations.
@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import random
+
+import numpy as np
 
 from ramspect.errors import CapacityError, ParameterError
 from ramspect.graph_core import Graph, iter_bits, symdiff_size
@@ -51,6 +53,18 @@ def gnp_loop(n: int, p: float, seed: int) -> Graph:
 
 
 # ── scaffold construction ────────────────────────────────────────────────
+
+
+def bucket_by_enumeration(g: Graph, w: int):
+    """(d_prime, pairs) of the fullest width-w degree-sum bucket: every pair
+    a < b listed by np.triu_indices, bucketed by (deg a + deg b) // w, the
+    lowest bucket winning ties."""
+    degs = np.array(g.degrees(), dtype=np.int64)
+    ii, jj = np.triu_indices(g.n, 1)
+    buckets = (degs[ii] + degs[jj]) // w
+    j = int(np.argmax(np.bincount(buckets)))
+    sel = buckets == j
+    return j * w + w // 2, np.stack([ii[sel], jj[sel]], axis=1)
 
 
 def independent_units_greedy(g: Graph, units, theta_conflict: float):

@@ -371,6 +371,20 @@ def test_theorem_rejects_a_stride_that_is_not_positive(flag, value, capsys):
     assert err.startswith(f"error: {name} must be positive") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["1e308", "inf", "9"])
+def test_theorem_refuses_a_row_scale_that_fails_every_window(value, capsys):
+    # |S| <= n in every window, so c' > sqrt(n) = 8 asks for more S units than
+    # any window has; theorem refuses it once, as per-m does, instead of
+    # failing every window and exiting 0 with total_distinct=0
+    argv = ["--gen", "gnp", "--n", "64", "--set", f"c_prime={value}"]
+    code, out, err = run(capsys, "theorem", *argv)
+    per_m_code, _, per_m_err = run(capsys, "per-m", *argv)
+    assert (code, out, per_m_code) == (1, "", 1)
+    assert err.count("\n") == 1
+    assert err.startswith("error: row range needs k=")
+    assert err.partition(" but ")[0] == per_m_err.partition(" but ")[0]
+
+
 def test_theorem_diagnostics_flag_is_gone(capsys):
     # theorem records a failed window and goes on, so it never exits 3
     with pytest.raises(SystemExit) as exc:

@@ -187,6 +187,80 @@ def test_pair_gaps_equals_symdiff_size_on_every_pair(n, seed, kinds, umask_p):
     assert gaps.tolist() == want
 
 
+GAP_N = (63, 64, 65, 127, 128, 129, 130, 200)
+
+
+def gap_graph(n, p, seed, planted):
+    """G(n, p), or with planted=True G(n, p) XOR the complete bipartite graph
+    between the even and the odd vertices: an even and an odd vertex then
+    have nearly complementary neighborhoods, so their gaps are small and no
+    prefix of their rows can show the gap reaches a threshold."""
+    g = gc.generate("gnp", n=n, p=p, seed=seed)
+    if not planted:
+        return g
+    evens = gc.mask_of(range(0, n, 2))
+    odds = g.full_mask & ~evens
+    return gc.Graph(n, [row ^ (odds if v % 2 == 0 else evens) for v, row in enumerate(g.adj)],
+                    _checked=True)
+
+
+def comp_row_rule(g, a, b, thr):
+    return [(g.adj[x] ^ g.comp_row(y)).bit_count() >= thr for x, y in zip(a, b)]
+
+
+@settings(max_examples=120)
+@given(n=st.sampled_from(GAP_N), p=st.sampled_from((0.05, 0.5, 0.95)),
+       planted=st.booleans(), seed=st.integers(0, 2 ** 32),
+       theta=st.floats(0.001, 0.999))
+def test_complement_gap_at_least_matches_the_comp_row_rule(n, p, planted, seed, theta):
+    # theta spans prefixes of one word up to every word, the padded last one
+    # included (n = 130 at theta = 0.3 screens all three words, 192 > n bits)
+    g = gap_graph(n, p, seed, planted)
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, n, 300), rng.integers(0, n, 300)  # a = b and a > b too
+    rows = gc.pack_rows(g.adj, n)
+    got = gc.complement_gap_at_least(rows, a, b, n, theta * n)
+    assert got.dtype == bool
+    assert got.tolist() == comp_row_rule(g, a.tolist(), b.tolist(), theta * n)
+
+
+@pytest.mark.parametrize("n,theta,suffix_words", [(130, 0.3, 0), (200, 0.3, 1),
+                                                  (129, 0.5, 0), (2000, 0.1, 24)])
+def test_complement_gap_screen_and_fallback_both_decide_pairs(
+        monkeypatch, n, theta, suffix_words):
+    # the first popcount of a chunk is the prefix screen over every pair; a
+    # second one, over the suffix words, is the exact fallback for the pairs
+    # whose lower bound misses thr.  Planted near-complements need it.
+    g = gap_graph(n, 0.05, n, planted=True)
+    a, b = np.triu_indices(n, 1)
+    a, b = a[:gc.GAP_CHUNK], b[:gc.GAP_CHUNK]
+    calls = []
+    real = gc._xor_popcount
+
+    def spy(words, x, y):
+        calls.append((words.shape[1], len(x)))
+        return real(words, x, y)
+
+    monkeypatch.setattr(gc, "_xor_popcount", spy)
+    got = gc.complement_gap_at_least(gc.pack_rows(g.adj, n), a, b, n, theta * n)
+    assert got.tolist() == comp_row_rule(g, a.tolist(), b.tolist(), theta * n)
+    (head, screened), (tail, fallback) = calls
+    assert head + tail == -(-n // 64) and tail == suffix_words
+    assert screened == len(a) and 0 < fallback < len(a)
+    assert 0 < got.sum() < len(a)
+
+
+def test_complement_gap_at_least_on_no_pairs_and_tiny_graphs():
+    for n in (0, 1, 2):
+        g = gc.generate("complete", n=n)
+        rows = gc.pack_rows(g.adj, n)
+        a = np.arange(n)
+        assert gc.complement_gap_at_least(rows, a, a, n, 0.5).tolist() == [n >= 2] * n
+    rows = gc.pack_rows(gc.generate("empty", n=70).adj, 70)
+    none = np.zeros(0, dtype=np.int64)
+    assert gc.complement_gap_at_least(rows, none, none, 70, 3.0).shape == (0,)
+
+
 def test_pair_gaps_refuses_graphs_beyond_float32_exactness():
     # raised before any row is read, so a stand-in with no rows will do
     big = SimpleNamespace(n=gc.GRAM_EXACT_CAP + 1, adj=())

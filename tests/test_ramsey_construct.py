@@ -13,7 +13,9 @@ from ramspect import structure_audit as sa
 from ramspect.errors import ContractViolation, ParameterError
 from ramspect.ramsey_construct import (ConstructionFailure, ConstructionParams,
                                        construct, verify_construction)
-from reference import event4_scan, independent_units_greedy
+from hypothesis import given, settings, strategies as st
+
+from reference import bucket_by_enumeration, event4_scan, independent_units_greedy
 
 G256 = gc.generate("gnp", n=256, p=0.5, seed=3)
 M256 = round(1.5 * 0.0003 * 256 * 256)  # window midpoint for default c
@@ -63,6 +65,74 @@ def test_pigeonhole_sampling_path_is_deterministic():
     assert a[1].tolist() == b[1].tolist()
 
 
+def assert_same_bucket(got, want):
+    assert got[0] == want[0]
+    assert got[1].dtype == np.int64 and got[1].tolist() == want[1].tolist()
+
+
+@pytest.mark.parametrize("g", [gc.generate("paley", q=13), gc.generate("paley", q=29),
+                               gc.generate("complete", n=6), gc.generate("empty", n=5),
+                               gc.from_edges(9, [(v, (v + 1) % 9) for v in range(9)])],
+                         ids=["paley13", "paley29", "K6", "empty5", "C9"])
+@pytest.mark.parametrize("w", [1, None, 10 ** 6])
+def test_pigeonhole_on_a_regular_graph_is_one_bucket_of_every_pair(g, w):
+    width = math.ceil(math.sqrt(g.n)) if w is None else w
+    got = rc.pigeonhole_pairs(g, w)
+    assert_same_bucket(got, bucket_by_enumeration(g, width))
+    assert len(got[1]) == g.n * (g.n - 1) // 2
+
+
+@pytest.mark.parametrize("w,d_prime,pairs", [
+    # K_{1,3}: three leaf pairs of sum 2 tie three center pairs of sum 4
+    (1, 2, [(1, 2), (1, 3), (2, 3)]),
+    (2, 3, [(1, 2), (1, 3), (2, 3)]),  # buckets {2, 3} and {4, 5}: 3 pairs each
+    (5, 2, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),  # every sum < 5
+])
+def test_pigeonhole_ties_go_to_the_lowest_bucket_at_n_4(w, d_prime, pairs):
+    g = gc.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    got = rc.pigeonhole_pairs(g, w)
+    assert_same_bucket(got, bucket_by_enumeration(g, w))
+    assert (got[0], [tuple(p) for p in got[1].tolist()]) == (d_prime, pairs)
+
+
+@settings(max_examples=100)
+@given(n=st.integers(4, 90), p=st.sampled_from((0.05, 0.3, 0.5, 0.9)),
+       seed=st.integers(0, 2 ** 32),
+       w=st.sampled_from((1, 2, None, 10 ** 6)) | st.integers(1, 200))
+def test_pigeonhole_matches_the_all_pairs_enumeration(n, p, seed, w):
+    g = gc.generate("gnp", n=n, p=p, seed=seed)
+    width = math.ceil(math.sqrt(n)) if w is None else w
+    assert_same_bucket(rc.pigeonhole_pairs(g, w), bucket_by_enumeration(g, width))
+
+
+def test_pigeonhole_on_both_sides_of_the_enumeration_cap():
+    g = gc.generate("gnp", n=60, p=0.5, seed=7)
+    want = bucket_by_enumeration(g, 8)
+    # at the cap every pair is enumerated; one vertex above it the sample is
+    # asked for more pairs than exist, so it draws every pair as well
+    assert_same_bucket(rc.pigeonhole_pairs(g, pair_enum_cap=60), want)
+    assert_same_bucket(rc.pigeonhole_pairs(g, pair_enum_cap=59, sample_coeff=1e6, seed=3),
+                       want)
+
+
+def test_pigeonhole_enumeration_mask_stays_in_row_blocks(monkeypatch):
+    # blocks of one row and of a few rows list the same pairs in the same order
+    g = gc.generate("gnp", n=130, p=0.5, seed=2)
+    want = rc.pigeonhole_pairs(g)
+    for block in (1, 300, 1000):
+        monkeypatch.setattr(rc, "BUCKET_BLOCK", block)
+        assert_same_bucket(rc.pigeonhole_pairs(g), want)
+
+
+@pytest.mark.parametrize("skew", [-1, 1])
+def test_pigeonhole_refuses_a_bucket_its_histogram_does_not_count(monkeypatch, skew):
+    g = gc.generate("gnp", n=130, p=0.5, seed=2)
+    real = rc._bucket_sizes
+    monkeypatch.setattr(rc, "_bucket_sizes", lambda degs, w: real(degs, w) + skew)
+    with pytest.raises(ContractViolation, match="histogram"):
+        rc.pigeonhole_pairs(g)
+
+
 # ── complement filter ────────────────────────────────────────────────────
 
 
@@ -75,6 +145,19 @@ def test_filter_close_complements_matches_direct_rule():
     for a, b in bucket.tolist():
         gap = (g.adj[a] ^ g.comp_row(b)).bit_count()
         assert ((a, b) in kept_rows) == (gap >= thr)
+
+
+@settings(max_examples=60)
+@given(n=st.sampled_from((63, 64, 65, 127, 128, 129, 130, 200)),
+       p=st.sampled_from((0.05, 0.5, 0.95)), seed=st.integers(0, 2 ** 32),
+       theta=st.floats(0.001, 0.999))
+def test_filter_close_complements_matches_the_comp_row_rule_everywhere(n, p, seed, theta):
+    g = gc.generate("gnp", n=n, p=p, seed=seed)
+    _, bucket = rc.pigeonhole_pairs(g)
+    kept = rc.filter_close_complements(g, bucket, theta)
+    want = [[a, b] for a, b in bucket.tolist()
+            if (g.adj[a] ^ g.comp_row(b)).bit_count() >= theta * n]
+    assert kept.dtype == np.int64 and kept.tolist() == want
 
 
 # ── star / matching split ────────────────────────────────────────────────
