@@ -1,4 +1,5 @@
 """Entry-point behavior: pinned formats, exit codes, headers, determinism."""
+import argparse
 import json
 import math
 import os
@@ -119,6 +120,58 @@ def test_generate_roundtrips_through_phi(tmp_path, capsys):
     code, out, _ = run(capsys, "phi", "--graph", str(f))
     assert code == 0
     assert out.splitlines()[0].startswith("0,")
+
+
+# ── parser surface ───────────────────────────────────────────────────────
+
+
+def describe(action) -> str:
+    """Option strings, then '!' if required, ':type', '{choices}', '=default'
+    and the action kind when it is not a plain store; help text is left out."""
+    s = "/".join(action.option_strings)
+    s += "!" * action.required
+    if action.type is not None:
+        s += ":" + action.type.__name__
+    if action.choices is not None:
+        s += "{" + "|".join(action.choices) + "}"
+    if action.default is not None:
+        s += f"={action.default!r}"
+    kind = type(action).__name__
+    return s if kind == "_StoreAction" else f"{s} {kind}"
+
+
+GRAPH_FLAGS = ["--graph", "--gen{gnp|paley|complete|empty}", "--n:int",
+               "--p:float=0.5", "--graph-seed:int=0"]
+SEED_OUT = ["--seed:int=0", "--out"]
+SURFACE = {
+    "generate": ["--gen!{gnp|paley|complete|empty}", "--n!:int", "--p:float=0.5",
+                 *SEED_OUT],
+    "phi": [*GRAPH_FLAGS, "--cap:int=30", *SEED_OUT],
+    "psi": [*GRAPH_FLAGS, "--cap:int=30", *SEED_OUT],
+    "audit": [*GRAPH_FLAGS, "--set _AppendAction",
+              "--exhaustive=False _StoreTrueAction", *SEED_OUT],
+    "lo": ["--model{ones|u3|u10}='ones'", "--n-list!:_int_list", "--p:float=0.5",
+           "--trials:int=200000", *SEED_OUT],
+    "construct": [*GRAPH_FLAGS, "--m:int", "--diagnostics", "--set _AppendAction",
+                  *SEED_OUT],
+    "per-m": [*GRAPH_FLAGS, "--m:int", "--diagnostics", "--set _AppendAction",
+              *SEED_OUT, "--dump"],
+    "theorem": [*GRAPH_FLAGS, "--set _AppendAction", *SEED_OUT, "--sigma:float",
+                "--dump"],
+    "sweep": ["--mode{per-m|theorem}='per-m'", "--n-list!:_int_list",
+              "--p:float=0.5", "--set _AppendAction", "--diagnostics", *SEED_OUT],
+}
+
+
+def test_parser_surface_is_pinned():
+    # order matters: a usage line lists the options in registration order
+    top = cli._build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: [describe(a) for a in p._actions
+                  if not isinstance(a, argparse._HelpAction)]
+           for name, p in sub.choices.items()}
+    assert got == SURFACE
+    assert list(got) == list(SURFACE)
 
 
 # ── exit codes ───────────────────────────────────────────────────────────

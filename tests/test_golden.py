@@ -99,3 +99,42 @@ def test_artifact_digest_is_pinned(name, tmp_path):
     assert cli.main(argv) == 0
     for fname, (body, want) in files.items():
         assert sha256(body(tmp_path / fname)) == want, fname
+
+
+def raw_json_body(path) -> bytes:
+    # keys stay in the order the CLI wrote them, so a change of key type
+    # (str(i) versus int i) that moves "10" relative to "2" moves the digest
+    doc = json.loads(path.read_text())
+    del doc["header"]
+    return json.dumps(doc).encode()
+
+
+def test_per_m_dump_of_witnesses_past_i_nine_is_pinned(tmp_path, monkeypatch):
+    # no desk-scale run reaches i >= 10, so the witness key order is pinned
+    # on a synthetic outcome
+    from ramspect.double_exposure import PerKRecord, PerMOutcome
+    from ramspect.graph_core import Unit
+    import numpy as np
+
+    rec = PerKRecord(
+        k=3, i_values=list(range(11)), z_masks=[1 << i for i in range(11)],
+        e_values=np.arange(11, dtype=np.int64) * 2, deltas=[2] * 10,
+        verified_cells=[(3, 0), (3, 7)], e_hat=np.float64(1.25),
+        checks=(True, True, False, True), i_pass=[2, 10],
+        x_witnesses={2: ((Unit.single(5), 7),),
+                     10: ((Unit.pair(4, 1), 9.5), (Unit.single(0), 3))})
+    outcome = PerMOutcome(
+        m=12, u_mask=0b1011, e_u=np.int64(11), records=(rec,), k_selected=(3,),
+        p_selected=((3, 2), (3, 10)),
+        family=((3, 2, Unit.single(5)), (3, 10, Unit.pair(1, 4))),
+        distinct_sizes=(18, 20), window_center=19, window_radius=2.5,
+        attempts=2, constants={"n": 8, "c_prime": 0.5},
+        diagnostics={"attempt_log": [{"e_u": 11}]})
+    monkeypatch.setattr(cli, "per_m_run", lambda *args: outcome)
+    out, dump = tmp_path / "out.csv", tmp_path / "dump.json"
+    assert cli.main(["per-m", "--gen", "empty", "--n", "4", "--m", "12",
+                     "--out", str(out), "--dump", str(dump)]) == 0
+    assert sha256(text_body(out)) == \
+        "02a7001226d98a5f4cbc206ca6de76c6ac841f9ae8761d0c83829c1b3ab80263"
+    assert sha256(raw_json_body(dump)) == \
+        "255fae313a37ff97f8aada6c07e980ca59105578dcdec13a2e8605168d0991c2"
