@@ -4,6 +4,12 @@ Text/CSV artifacts begin with '#' header lines (version, effective config,
 master seed); JSON artifacts embed the same header object at the top level.
 Below the header, output is byte-identical across re-runs with the same
 config and seed.
+
+The construct and per-m --dump JSON artifacts are the result dataclasses'
+fields: ConstructionResult minus u0_mask (written as u0_size), and
+PerMOutcome with each PerKRecord minus z_masks, deltas and verified_cells.
+A field added to one of those classes enters the artifact and moves the
+golden digests.
 """
 from __future__ import annotations
 
@@ -194,75 +200,34 @@ def _generate(model: str, n: int, p: float, seed: int) -> tuple[gc.Graph, dict]:
     return gc.generate(model, n=n, p=p, seed=seed), cfg
 
 
-def _units_out(units) -> list:
-    return [list(u.vertices) for u in units]
+def _fields(obj, drop=()) -> dict:
+    """A dataclass's fields by name, one level deep, minus those in drop."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in drop}
 
 
-def _construct_payload(res) -> dict:
-    return {
-        "mode": res.mode,
-        "anchor": res.anchor,
-        "d": res.d,
-        "d_prime": res.d_prime,
-        "d_doubleprime": res.d_doubleprime,
-        "p": res.p,
-        "u0_size": res.u0_mask.bit_count(),
-        "gap_floor": res.gap_floor,
-        "kappa3": res.kappa3,
-        "working_n": res.working_n,
-        "a_units": _units_out(res.a_units),
-        "s_units": _units_out(res.s_units),
-        "t_units": _units_out(res.t_units),
-        "x_units": _units_out(res.x_units),
-        "diagnostics": res.diagnostics,
-    }
-
-
-def _fmt_cell(cell) -> str:
-    k, i = cell
-    return f"{k}:{i}"
-
-
-def _per_m_row(out) -> str:
-    ks = "|".join(str(k) for k in out.k_selected)
-    ps = "|".join(_fmt_cell(c) for c in out.p_selected)
-    return f"{out.m},{out.e_u},{out.distinct_count},{ks},{ps},{out.attempts}"
-
-
-_PER_M_COLS = "m,e_U,distinct_count,k_selected,p_selected,attempts"
-
-
-def _dump_outcome(ns, config: dict, out) -> None:
-    rec_rows = []
-    for r in out.records:
-        rec_rows.append({
-            "k": r.k,
-            "i_values": list(r.i_values),
-            "e_values": list(r.e_values),
-            "e_hat": r.e_hat,
-            "checks": list(r.checks) if r.checks is not None else None,
-            "i_pass": list(r.i_pass),
-            "x_witnesses": {str(i): [[list(u.vertices), v] for u, v in wit]
-                            for i, wit in r.x_witnesses.items()},
-        })
-    payload = {"m": out.m, "e_u": out.e_u, "u_mask": out.u_mask,
-               "k_selected": list(out.k_selected),
-               "p_selected": [list(c) for c in out.p_selected],
-               "family": [[k, i, list(u.vertices)] for k, i, u in out.family],
-               "distinct_sizes": list(out.distinct_sizes),
-               "window_center": out.window_center,
-               "window_radius": out.window_radius,
-               "attempts": out.attempts,
-               "constants": out.constants,
-               "records": rec_rows,
-               "diagnostics": out.diagnostics}
-    Path(ns.dump).write_text(_json_doc(ns, config, payload))
+def _emit_windows(ns, config: dict, windows, footer: list, dump: dict) -> None:
+    """The per-m/theorem CSV, one row per window outcome, and --dump's JSON."""
+    lines = ["m,e_U,distinct_count,k_selected,p_selected,attempts"]
+    for w in windows:
+        ks = "|".join(str(k) for k in w.k_selected)
+        ps = "|".join(f"{k}:{i}" for k, i in w.p_selected)
+        lines.append(f"{w.m},{w.e_u},{w.distinct_count},{ks},{ps},{w.attempts}")
+    _emit(ns, _text_header(ns, config), "\n".join(lines + footer) + "\n")
+    if ns.dump:
+        Path(ns.dump).write_text(_json_doc(ns, config, dump))
 
 
 def _pipeline_params(ov: dict, seed: int) -> tuple[ConstructionParams, ExposureParams]:
     cp = ConstructionParams(seed=seed, **ov["construct"])
     ep = ExposureParams(seed=derive_seed(seed, "exposure"), **ov["exposure"])
     return cp, ep
+
+
+def _pipeline_inputs(ns):
+    """construct/per-m/theorem: graph, graph source, overrides, both param sets."""
+    g, gsrc = _build_graph(ns)
+    ov = _split_overrides(ns.set, _PIPELINE_FIELDS)
+    return (g, gsrc, ov, *_pipeline_params(ov, ns.seed))
 
 
 def _default_m(cp: ConstructionParams, n: int) -> int:
@@ -343,48 +308,42 @@ def cmd_lo(ns) -> int:
 
 
 def cmd_construct(ns) -> int:
-    g, gsrc = _build_graph(ns)
-    ov = _split_overrides(ns.set, _PIPELINE_FIELDS)
-    cp, _ = _pipeline_params(ov, ns.seed)
+    g, gsrc, ov, cp, _ = _pipeline_inputs(ns)
     m = ns.m if ns.m is not None else _default_m(cp, g.n)
     cfg = {"graph": gsrc, "m": m, "cparams": asdict(cp),
            "overrides": ov["construct"]}
     res = construct(g, m, cp)
-    _emit(ns, "", _json_doc(ns, cfg, _construct_payload(res)))
+    payload = {**_fields(res, drop=("u0_mask",)), "u0_size": res.u0_mask.bit_count()}
+    _emit(ns, "", _json_doc(ns, cfg, payload))
     return 0
 
 
 def cmd_per_m(ns) -> int:
-    g, gsrc = _build_graph(ns)
-    cp, ep = _pipeline_params(_split_overrides(ns.set, _PIPELINE_FIELDS), ns.seed)
+    g, gsrc, _, cp, ep = _pipeline_inputs(ns)
     m = ns.m if ns.m is not None else _default_m(cp, g.n)
     cfg = {"graph": gsrc, "m": m, "cparams": asdict(cp), "eparams": asdict(ep)}
     out = per_m_run(g, m, cp, ep)
-    body = _PER_M_COLS + "\n" + _per_m_row(out) + "\n"
-    _emit(ns, _text_header(ns, cfg), body)
-    if ns.dump:
-        _dump_outcome(ns, cfg, out)
+    # str keys: sort_keys orders "10" before "2", as the artifact always has
+    records = [{**_fields(r, drop=("z_masks", "deltas", "verified_cells")),
+                "x_witnesses": {str(i): w for i, w in r.x_witnesses.items()}}
+               for r in out.records]
+    _emit_windows(ns, cfg, [out], [], {**_fields(out), "records": records})
     return 0
 
 
 def cmd_theorem(ns) -> int:
-    g, gsrc = _build_graph(ns)
-    cp, ep = _pipeline_params(_split_overrides(ns.set, _PIPELINE_FIELDS), ns.seed)
+    g, gsrc, _, cp, ep = _pipeline_inputs(ns)
     cfg = {"graph": gsrc, "cparams": asdict(cp), "eparams": asdict(ep),
            "sigma": ns.sigma}
     out = theorem_run(g, cp, ep, sigma=ns.sigma)
-    lines = [_PER_M_COLS]
-    lines.extend(_per_m_row(w) for w in out.kept)
-    lines.append(f"# total_distinct={out.total_distinct} step={out.step} "
-                 f"windows_attempted={len(out.windows)}")
-    _emit(ns, _text_header(ns, cfg), "\n".join(lines) + "\n")
-    if ns.dump:
-        payload = {"step": out.step, "total_distinct": out.total_distinct,
-                   "windows": [[m, (o.distinct_count if o is not None else None),
-                                kept] for m, o, kept in out.windows],
-                   "kept_sizes": [list(w.distinct_sizes) for w in out.kept],
-                   "diagnostics": out.diagnostics}
-        Path(ns.dump).write_text(_json_doc(ns, cfg, payload))
+    footer = [f"# total_distinct={out.total_distinct} step={out.step} "
+              f"windows_attempted={len(out.windows)}"]
+    payload = {"step": out.step, "total_distinct": out.total_distinct,
+               "windows": [[m, (o.distinct_count if o is not None else None),
+                            kept] for m, o, kept in out.windows],
+               "kept_sizes": [list(w.distinct_sizes) for w in out.kept],
+               "diagnostics": out.diagnostics}
+    _emit_windows(ns, cfg, out.kept, footer, payload)
     return 0
 
 
@@ -437,23 +396,36 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints: {text!r}")
 
 
+# flags more than one subcommand takes, each registered from here alone
+_SHARED_FLAGS = {
+    "--m": dict(type=int, default=None,
+                help="target edge count (default: window midpoint)"),
+    "--diagnostics": dict(metavar="FILE",
+                          help="where to write failure diagnostics (exit 3)"),
+    "--set": dict(action="append", metavar="KEY=VALUE",
+                  help="parameter override (repeatable)"),
+    "--seed": dict(type=int, default=0, help="master seed"),
+    "--out": dict(metavar="FILE", help="output file (default stdout)"),
+    "--dump": dict(metavar="FILE", help="full outcome as JSON"),
+}
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="ramspect",
                   description="Induced-subgraph size spectra: oracles, audits, "
                               "and the randomized double-exposure pipeline.")
     sub = top.add_subparsers(dest="cmd", parser_class=_Parser)
 
-    def common(p, *, seed=True, out=True):
-        if seed:
-            p.add_argument("--seed", type=int, default=0, help="master seed")
-        if out:
-            p.add_argument("--out", metavar="FILE", help="output file (default stdout)")
+    def shared(p, *flags):
+        # in the order given: a usage line lists options as registered
+        for flag in flags:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
 
     p = sub.add_parser("generate", help="write a graph file")
     p.add_argument("--gen", required=True, choices=("gnp", "paley", "complete", "empty"))
     p.add_argument("--n", type=int, required=True, help="vertex count (prime q for paley)")
     p.add_argument("--p", type=float, default=0.5)
-    common(p)
+    shared(p, "--seed", "--out")
     p.set_defaults(func=cmd_generate)
 
     for name in ("phi", "psi"):
@@ -461,16 +433,15 @@ def _build_parser() -> _Parser:
         _add_graph_args(p)
         p.add_argument("--cap", type=int, default=so.PHI_EXACT_CAP,
                        help="refuse graphs larger than this")
-        common(p)
+        shared(p, "--seed", "--out")
         p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("audit", help="density/diversity/richness report (JSON)")
     _add_graph_args(p)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="audit parameter override (repeatable)")
+    shared(p, "--set")
     p.add_argument("--exhaustive", action="store_true",
                    help="decide richness exhaustively (small n only)")
-    common(p)
+    shared(p, "--seed", "--out")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("lo", help="anticoncentration max point mass (CSV)")
@@ -479,44 +450,33 @@ def _build_parser() -> _Parser:
                    help="comma-separated n values (>=4, spanning 2 octaves)")
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--trials", type=int, default=200_000)
-    common(p)
+    shared(p, "--seed", "--out")
     p.set_defaults(func=cmd_lo)
 
-    def pipeline(p, *, with_m):
-        _add_graph_args(p)
-        if with_m:
-            # theorem records a failed window and goes on: it never exits 3
-            p.add_argument("--m", type=int, default=None,
-                           help="target edge count (default: window midpoint)")
-            p.add_argument("--diagnostics", metavar="FILE",
-                           help="where to write failure diagnostics (exit 3)")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="construction/exposure parameter override")
-        common(p)
-
     p = sub.add_parser("construct", help="run the scaffold construction (JSON)")
-    pipeline(p, with_m=True)
+    _add_graph_args(p)
+    shared(p, "--m", "--diagnostics", "--set", "--seed", "--out")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("per-m", help="one exposure window (CSV)")
-    pipeline(p, with_m=True)
-    p.add_argument("--dump", metavar="FILE", help="full outcome as JSON")
+    _add_graph_args(p)
+    shared(p, "--m", "--diagnostics", "--set", "--seed", "--out", "--dump")
     p.set_defaults(func=cmd_per_m)
 
+    # no --diagnostics: theorem records a failed window and goes on, never exiting 3
     p = sub.add_parser("theorem", help="sweep m and union disjoint windows (CSV)")
-    pipeline(p, with_m=False)
+    _add_graph_args(p)
+    shared(p, "--set", "--seed", "--out")
     p.add_argument("--sigma", type=float, default=None,
                    help="window stride scale override")
-    p.add_argument("--dump", metavar="FILE", help="full outcome as JSON")
+    shared(p, "--dump")
     p.set_defaults(func=cmd_theorem)
 
     p = sub.add_parser("sweep", help="per-m or theorem across n; CSV + slope")
     p.add_argument("--mode", default="per-m", choices=("per-m", "theorem"))
     p.add_argument("--n-list", type=_int_list, required=True)
     p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--diagnostics", metavar="FILE")
-    common(p)
+    shared(p, "--set", "--diagnostics", "--seed", "--out")
     p.set_defaults(func=cmd_sweep)
 
     return top
@@ -537,15 +497,17 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return ns.func(ns)
-    except ConstructionFailure as exc:
-        path = _diag_path(ns)
-        doc = {"schema": SCHEMA, "stage": exc.stage, "message": str(exc),
-               "diagnostics": exc.diagnostics}
-        Path(path).write_text(_dumps(doc) + "\n")
-        print(f"pipeline failure at stage {exc.stage!r}; diagnostics in {path}",
-              file=sys.stderr)
-        return 3
+        try:
+            return ns.func(ns)
+        except ConstructionFailure as exc:
+            # a diagnostics path that cannot be written is an io error below
+            path = _diag_path(ns)
+            doc = {"schema": SCHEMA, "stage": exc.stage, "message": str(exc),
+                   "diagnostics": exc.diagnostics}
+            Path(path).write_text(_dumps(doc) + "\n")
+            print(f"pipeline failure at stage {exc.stage!r}; diagnostics in {path}",
+                  file=sys.stderr)
+            return 3
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return 2

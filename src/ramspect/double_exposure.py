@@ -464,7 +464,7 @@ def theorem_run(g: Graph, cparams: ConstructionParams | None = None,
     c = cparams.c_density
     if not 2 * c * n * n < math.inf:
         raise ParameterError(f"c_density={c} puts the m range beyond float range at n={n}")
-    m_lo = math.ceil(c * n * n)
+    m_lo = max(1, math.ceil(c * n * n))  # construct refuses m = 0 (n = 0)
     m_hi = math.floor(2 * c * n * n)
     if m_lo > m_hi:
         raise ParameterError(f"empty m range [{m_lo}, {m_hi}]")

@@ -438,6 +438,15 @@ def test_theorem_refuses_a_row_scale_that_fails_every_window(value, capsys):
     assert err.partition(" but ")[0] == per_m_err.partition(" but ")[0]
 
 
+def test_theorem_on_the_empty_graph_refuses_the_empty_m_range(capsys):
+    # n = 0 puts c*n^2 = 0 at both ends; m = 0 is no window, so theorem
+    # refuses the range as per-m refuses m = 0, not exit 0 with total 0
+    argv = ["--gen", "empty", "--n", "0"]
+    code, out, err = run(capsys, "theorem", *argv)
+    assert (code, out, err) == (1, "", "error: empty m range [1, 0]\n")
+    assert run(capsys, "per-m", *argv)[0] == 1
+
+
 def test_theorem_diagnostics_flag_is_gone(capsys):
     # theorem records a failed window and goes on, so it never exits 3
     with pytest.raises(SystemExit) as exc:
