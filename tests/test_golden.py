@@ -55,6 +55,16 @@ CASES = {
         ["audit", "--gen", "gnp", "--n", "40"],
         {"out.json": (json_body,
                       "c0e825bcce5bf03642c2a97981947eb870666cb79254c226966a079d46afb76c")}),
+    # 24 words per row, no richness witness
+    "audit-n1536": (
+        ["audit", "--gen", "gnp", "--n", "1536", "--graph-seed", "2"],
+        {"out.json": (json_body,
+                      "0eaab48fc24c4bac655b02caef8788e0623e7a17fdd08386008dda22c5ff1509")}),
+    # a partly filled last word, and extraction rounds after a witness
+    "audit-sparse": (
+        ["audit", "--gen", "gnp", "--n", "300", "--p", "0.05", "--set", "c_div=0.45"],
+        {"out.json": (json_body,
+                      "78c7d985586c26b0c8eaddc3764cec9593919a9800e4178d280c076e25112fbd")}),
     "lo": (
         ["lo", "--model", "u3", "--n-list", "16,32,64,128", "--trials", "2000",
          "--seed", "9"],
