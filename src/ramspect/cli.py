@@ -272,15 +272,21 @@ def cmd_audit(ns) -> int:
     cfg = {"graph": gsrc, "params": asdict(params), "exhaustive": ns.exhaustive}
 
     density, _ = sa.density_bounds_check(g, params.epsilon)
-    profile = sa.diversity_profile(g, params.c_div)
-    verdict = sa.richness_audit(g, params, exhaustive=ns.exhaustive)
+    # first, so that its cap refuses before the pair pass
+    verdict = sa.richness_audit(g, params, exhaustive=True) if ns.exhaustive else None
+    profile, close_pairs = sa.pair_audit(g, params.c_div, params.epsilon / 2)
     extract = sa.rich_extract(g, params)
+    if verdict is None:
+        # the extraction's first round is the budgeted audit, and it records
+        # a round exactly when that audit finds a witness
+        status = "witness_found" if extract.trace else "no_witness_in_budget"
+    else:
+        status = verdict.status
     payload = {
         "density": density,
         "diversity_max_count": max(profile) if profile else 0,
-        "close_complement_pairs":
-            sa.close_complement_pair_count(g, params.epsilon / 2),
-        "richness_status": verdict.status,
+        "close_complement_pairs": close_pairs,
+        "richness_status": status,
         "extract_trace": {
             "status": extract.status,
             "kept_size": extract.u_mask.bit_count(),

@@ -9,10 +9,13 @@ an (k, ceil(n/64)) array of little-endian uint64 words, and popcount sums
 gaps of a unit family come from one kernel, pair_gaps: each gap is
 |A| + |B| - 2|A & B| over 0/1 rows, the intersections one float32 Gram
 product (exact for integer counts below 2**24).  The close-complement test
-|N(a) symdiff N_bar(b)| >= thr is one kernel, complement_gap_at_least: the
-bits past a prefix of each row can lower the gap by at most their count,
-so a prefix whose lower bound reaches thr settles the pair, and only the
-other pairs read their whole rows.  Every counting routine in this package
+|N(a) symdiff N_bar(b)| >= thr on an arbitrary list of pairs, such as a
+degree-sum bucket, is one kernel, complement_gap_at_least: the bits past a
+prefix of each row can lower the gap by at most their count, so a prefix
+whose lower bound reaches thr settles the pair, and only the other pairs
+read their whole rows.  Counts over all pairs need no gather: they
+broadcast one packed row against the rows after it (see
+structure_audit.pair_audit).  Every counting routine in this package
 reduces to a popcount or to that Gram product.
 
 Vertex sets are plain int bitmasks throughout ("mask" in signatures).  A Unit

@@ -7,14 +7,14 @@ beyond toy sizes, so richness_audit drives a deterministic-then-random
 candidate family under a budget and reports the first violation it finds;
 exhaustive=True enumerates every W (tiny n only) and decides exactly.
 
-Diversity counts, for each vertex, how many others have a nearly identical
-neighborhood, and close_complement_pair_count counts pairs whose
-neighborhoods nearly complement each other.  Rich graphs keep both counts
+pair_audit counts, for each vertex, how many others have a nearly
+identical neighborhood (diversity), and how many pairs have neighborhoods
+that nearly complement each other.  Rich graphs keep both counts
 polynomially small, which is what the audits let an experiment check.
-Both pair counts, and the bad-vertex count of every richness candidate, run
-on graph_core's packed uint64 rows, packed once per call: diversity loops
-over one row per vertex, and the close-complement count hands blocks of
-vertex pairs to graph_core.complement_gap_at_least.
+Both counts read one popcount per pair, |N(x) symdiff N(y)|: the pair
+pass broadcasts each packed uint64 row against the rows after it, and the
+complement gap is n - 1 minus that popcount plus twice the edge bit.  The
+bad-vertex count of every richness candidate runs on the same packed rows.
 
 rich_extract mirrors the proof-style cleanup loop: while a richness violation
 (W, Y) exists, keep the side of Y that is sparse (or dense) toward W, drop it
@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .graph_core import (Graph, complement_gap_at_least, induced_subgraph, iter_bits,
-                         mask_of, pack_rows, popcount)
+from .graph_core import Graph, induced_subgraph, iter_bits, mask_of, pack_rows, popcount
 
 RICHNESS_EXHAUSTIVE_CAP = 14
 
@@ -72,40 +71,33 @@ def density_bounds_check(g: Graph, epsilon: float) -> tuple[float, bool]:
     return density, epsilon <= density <= 1.0 - epsilon
 
 
-def diversity_profile(g: Graph, c_div: float) -> list[int]:
-    """For each vertex, the number of others with symdiff(N(x), N(y)) < c_div*n."""
+def pair_audit(g: Graph, c_div: float, threshold_fraction: float) -> tuple[list[int], int]:
+    """The diversity profile and the close-complement pair count.
+
+    The profile holds, for each vertex x, the number of others y with
+    |N(x) symdiff N(y)| < c_div*n; the count is the number of pairs
+    {x, y} with |N(x) symdiff N_bar(y)| < threshold_fraction*n.  Both read
+    the popcount of row x xor row y: the complement gap is n - 1 minus it
+    plus 2*[xy edge], and the edge bit is bit x of row y.
+    """
     if not c_div > 0:
         raise ParameterError(f"c_div must be positive, got {c_div}")
-    thr = c_div * g.n
-    rows = pack_rows(g.adj, g.n)
-    counts = np.zeros(g.n, dtype=np.int64)
-    for x in range(g.n - 1):
-        close = popcount(rows[x] ^ rows[x + 1:]) < thr
-        counts[x] += close.sum()
-        counts[x + 1:] += close
-    return counts.tolist()
-
-
-PAIR_BLOCK = 1 << 16  # vertex pairs handed to the gap kernel per block
-
-
-def close_complement_pair_count(g: Graph, threshold_fraction: float) -> int:
-    """Pairs {x1,x2} whose neighborhoods nearly complement each other:
-    |N(x1) symdiff N_bar(x2)| < threshold_fraction * n."""
     if not threshold_fraction > 0:
         raise ParameterError("threshold_fraction must be positive")
     n = g.n
-    thr = threshold_fraction * n
+    div_thr, comp_thr = c_div * n, threshold_fraction * n
     rows = pack_rows(g.adj, n)
-    cols = np.arange(n)
-    step = max(1, PAIR_BLOCK // max(n, 1))
-    count = 0
-    for s in range(0, n, step):
-        # the pairs x1 < x2 with x1 in this block of rows, in row-major order
-        x1, x2 = np.divmod(np.flatnonzero(cols > np.arange(s, min(s + step, n))[:, None]), n)
-        far = complement_gap_at_least(rows, x1 + s, x2, n, thr)
-        count += len(far) - int(np.count_nonzero(far))
-    return count
+    counts = np.zeros(n, dtype=np.int64)
+    close_pairs = 0
+    for x in range(n - 1):
+        later = rows[x + 1:]
+        pc = popcount(rows[x] ^ later)
+        twin = pc < div_thr
+        counts[x] += twin.sum()
+        counts[x + 1:] += twin
+        edge = (later[:, x >> 6] >> np.uint64(x & 63) & np.uint64(1)).astype(np.int64)
+        close_pairs += int(np.count_nonzero(n - 1 - pc + 2 * edge < comp_thr))
+    return counts.tolist(), close_pairs
 
 
 # ── richness ─────────────────────────────────────────────────────────────
@@ -183,30 +175,24 @@ def richness_audit(g: Graph, params: AuditParams, exhaustive: bool = False) -> R
     exhaustive=True enumerates all W and therefore decides richness.
     """
     n = g.n
-    limit = n ** params.delta
-    wmin = math.ceil(params.delta * n)
-    rows = pack_rows(g.adj, n)
     if exhaustive:
         if n > RICHNESS_EXHAUSTIVE_CAP:
             raise CapacityError(
                 f"exhaustive richness enumerates 2^n candidate sets; capped at "
                 f"n={RICHNESS_EXHAUSTIVE_CAP}, got n={n}")
-        tried = 0
-        for w in range(1 << n):
-            if w.bit_count() < wmin:
-                continue
-            tried += 1
-            bad = _bad_vertices(rows, w, params.epsilon)
-            if bad.bit_count() > limit:
-                return RichnessVerdict("witness_found", w, bad, tried, True)
-        return RichnessVerdict("no_witness_in_budget", 0, 0, tried, True)
+        wmin = math.ceil(params.delta * n)
+        candidates = (w for w in range(1 << n) if w.bit_count() >= wmin)
+    else:
+        candidates = _candidate_sets(g, params.delta, params.sample_budget, params.seed)
+    limit = n ** params.delta
+    rows = pack_rows(g.adj, n)
     tried = 0
-    for w in _candidate_sets(g, params.delta, params.sample_budget, params.seed):
+    for w in candidates:
         tried += 1
         bad = _bad_vertices(rows, w, params.epsilon)
         if bad.bit_count() > limit:
-            return RichnessVerdict("witness_found", w, bad, tried, False)
-    return RichnessVerdict("no_witness_in_budget", 0, 0, tried, False)
+            return RichnessVerdict("witness_found", w, bad, tried, exhaustive)
+    return RichnessVerdict("no_witness_in_budget", 0, 0, tried, exhaustive)
 
 
 # ── extraction ───────────────────────────────────────────────────────────

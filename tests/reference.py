@@ -1,7 +1,8 @@
 """Test-only references: exact homogeneous numbers, graph complement, edge
 lookup, the K_n closed form, pmf point lookup, the pair-by-pair G(n, p)
-loop, and the all-pairs degree-sum bucket, pair-by-pair conflict greedy and
-event-(4) scan of the scaffold construction.
+loop, the all-pairs degree-sum bucket, pair-by-pair conflict greedy and
+event-(4) scan of the scaffold construction, and the audit's two pair
+counts as separate passes.
 
 Nothing in the package or the benchmark calls these; the tests use them to
 check the package's results against independent computations.
@@ -14,7 +15,8 @@ import random
 import numpy as np
 
 from ramspect.errors import CapacityError, ParameterError
-from ramspect.graph_core import Graph, iter_bits, symdiff_size
+from ramspect.graph_core import (Graph, complement_gap_at_least, iter_bits, pack_rows, popcount,
+                                 symdiff_size)
 
 HOMOGENEOUS_CAP = 64  # exact clique/independence search refuses larger graphs
 
@@ -108,6 +110,38 @@ def event4_scan(g: Graph, units, umask: int, sym_floor: float):
             if s < sym_floor:
                 return False, min_sym
     return True, min_sym
+
+
+# ── pair audits ──────────────────────────────────────────────────────────
+
+
+def diversity_profile(g: Graph, c_div: float) -> list[int]:
+    """For each vertex, the number of others with symdiff(N(x), N(y)) < c_div*n:
+    one packed row against the later rows per vertex."""
+    thr = c_div * g.n
+    rows = pack_rows(g.adj, g.n)
+    counts = np.zeros(g.n, dtype=np.int64)
+    for x in range(g.n - 1):
+        close = popcount(rows[x] ^ rows[x + 1:]) < thr
+        counts[x] += close.sum()
+        counts[x + 1:] += close
+    return counts.tolist()
+
+
+def close_complement_pair_count(g: Graph, threshold_fraction: float) -> int:
+    """Pairs {x1,x2} with |N(x1) symdiff N_bar(x2)| < threshold_fraction * n:
+    the pairs of each block of rows handed to complement_gap_at_least."""
+    n = g.n
+    thr = threshold_fraction * n
+    rows = pack_rows(g.adj, n)
+    cols = np.arange(n)
+    step = max(1, (1 << 16) // max(n, 1))
+    count = 0
+    for s in range(0, n, step):
+        x1, x2 = np.divmod(np.flatnonzero(cols > np.arange(s, min(s + step, n))[:, None]), n)
+        far = complement_gap_at_least(rows, x1 + s, x2, n, thr)
+        count += len(far) - int(np.count_nonzero(far))
+    return count
 
 
 # ── exact clique / independence numbers ──────────────────────────────────

@@ -204,6 +204,50 @@ def test_capacity_exits_two(capsys):
     assert "capacity" in err
 
 
+def test_exhaustive_audit_is_refused_before_the_pair_pass(capsys, monkeypatch):
+    from ramspect import structure_audit as sa
+
+    def refuse(*args):
+        raise AssertionError("ran before the exhaustive cap was checked")
+
+    monkeypatch.setattr(sa, "pair_audit", refuse)
+    monkeypatch.setattr(sa, "rich_extract", refuse)
+    code, _, err = run(capsys, "audit", "--gen", "gnp", "--n",
+                       str(sa.RICHNESS_EXHAUSTIVE_CAP + 1), "--exhaustive")
+    assert code == 2
+    assert err == ("capacity: exhaustive richness enumerates 2^n candidate sets; "
+                   f"capped at n={sa.RICHNESS_EXHAUSTIVE_CAP}, "
+                   f"got n={sa.RICHNESS_EXHAUSTIVE_CAP + 1}\n")
+
+
+@pytest.mark.parametrize("argv,n,status", [
+    (["--gen", "gnp", "--n", "40", "--set", "delta=0.5"], 40, "no_witness_in_budget"),
+    (["--gen", "complete", "--n", "16"], 16, "witness_found"),
+    (["--gen", "empty", "--n", "0"], 0, "no_witness_in_budget"),
+])
+def test_budgeted_audit_runs_richness_once(capsys, monkeypatch, argv, n, status):
+    # the status is read off the extraction, whose first round is the one
+    # budgeted audit of the input graph; later rounds audit smaller graphs,
+    # and at n = 0 the extraction stops before it audits
+    from ramspect import structure_audit as sa
+    calls = []
+    real = sa.richness_audit
+
+    def spy(g, params, exhaustive=False):
+        calls.append((g.n, exhaustive))
+        return real(g, params, exhaustive)
+
+    monkeypatch.setattr(sa, "richness_audit", spy)
+    code, out, _ = run(capsys, "audit", *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["richness_status"] == status
+    assert [c for c in calls if c[0] == n] == ([(n, False)] if n else [])
+    # one audit per extraction round, and one more when the last finds no witness
+    trace = doc["extract_trace"]
+    assert len(calls) == len(trace["rounds"]) + (trace["status"] == "rich")
+
+
 def test_huge_graph_file_is_a_capacity_error(tmp_path):
     # 2^20000 has more decimal digits than int-to-str allows; the message
     # must not need them.  At n = 10^12 the n rows would not fit in memory,

@@ -3,11 +3,14 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramspect import graph_core as gc
 from ramspect import structure_audit as sa
 from ramspect.errors import CapacityError, ParameterError
+from reference import close_complement_pair_count, diversity_profile
 
 
 def random_graph(rng, n, p=0.5):
@@ -51,7 +54,7 @@ def test_diversity_profile_matches_brute_force():
             if (g.adj[x] ^ g.adj[y]).bit_count() < c * n:
                 want[x] += 1
                 want[y] += 1
-        assert sa.diversity_profile(g, c) == want
+        assert sa.pair_audit(g, c, 0.5)[0] == want
 
 
 def test_close_complement_pair_count_matches_brute_force():
@@ -67,13 +70,13 @@ def test_close_complement_pair_count_matches_brute_force():
                     for v in range(n))
             if d < thr:
                 want += 1
-        assert sa.close_complement_pair_count(g, thr / n) == want
+        assert sa.pair_audit(g, 0.1, thr / n)[1] == want
     # path 0-1-2-3 by hand: N(0) = {1} against N_bar(3) = {0, 1} and
     # N(1) = {0, 2} against N_bar(2) = {0} each differ in one vertex; the
     # other four pairs differ in two
     path = gc.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    assert sa.close_complement_pair_count(path, 2 / 4) == 2
-    assert sa.close_complement_pair_count(path, 3 / 4) == 6
+    assert sa.pair_audit(path, 0.1, 2 / 4)[1] == 2
+    assert sa.pair_audit(path, 0.1, 3 / 4)[1] == 6
 
 
 def test_pair_audits_multiword_match_int_rows():
@@ -81,13 +84,54 @@ def test_pair_audits_multiword_match_int_rows():
     g = random_graph(random.Random(13), 130)
     n = g.n
     for c in (0.45, 0.5):
+        profile, pairs = sa.pair_audit(g, c, c)
         want = [sum((g.adj[x] ^ g.adj[y]).bit_count() < c * n for y in range(n) if y != x)
                 for x in range(n)]
-        assert sa.diversity_profile(g, c) == want
+        assert profile == want
         want = sum((g.adj[x] ^ g.comp_row(y)).bit_count() < c * n
                    for x, y in itertools.combinations(range(n), 2))
-        assert sa.close_complement_pair_count(g, c) == want
+        assert pairs == want
     assert 0 < want < n * (n - 1) // 2
+
+
+def audit_graph(n, p, seed, plant):
+    """G(n, p) with an optional plant: "twins" makes vertices 2i and 2i+1
+    share one drawn row (a gap of 0 between them), "complements" XORs in the
+    complete bipartite graph between even and odd vertices, which makes
+    every even-odd pair nearly complementary when p is far from 1/2."""
+    rng = np.random.default_rng(seed)
+    draw = np.triu(rng.random((n, n)) < p, 1)
+    draw |= draw.T
+    cls = np.arange(n) // 2 if plant == "twins" else np.arange(n)
+    adj = draw[np.ix_(cls, cls)]
+    if plant == "complements":
+        adj ^= (np.arange(n)[:, None] % 2) != (np.arange(n) % 2)
+    np.fill_diagonal(adj, False)
+    return gc.from_edges(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(adj, 1)))])
+
+
+@settings(max_examples=120)
+@given(n=st.sampled_from((0, 1, 2, 63, 64, 65, 127, 128, 129, 130)),
+       p=st.sampled_from((0.05, 0.5, 0.95)),
+       plant=st.sampled_from((None, "twins", "complements")),
+       seed=st.integers(0, 2 ** 32), c_div=st.floats(0.001, 0.999),
+       theta=st.floats(0.001, 0.999))
+def test_pair_audit_matches_the_separate_passes(n, p, plant, seed, c_div, theta):
+    # one popcount per pair against two separate references: the profile's
+    # row loop and the complement count through the gather kernel
+    g = audit_graph(n, p, seed, plant)
+    profile, pairs = sa.pair_audit(g, c_div, theta)
+    assert profile == diversity_profile(g, c_div)
+    assert pairs == close_complement_pair_count(g, theta)
+    if plant == "twins" and n >= 2:
+        assert min(profile[:n - n % 2]) >= 1  # each twin counts the other
+
+
+def test_pair_audit_refuses_thresholds_that_are_not_positive():
+    g = gc.generate("empty", n=3)
+    for c_div, theta in ((0.0, 0.1), (float("nan"), 0.1), (0.1, -1.0), (0.1, float("nan"))):
+        with pytest.raises(ParameterError):
+            sa.pair_audit(g, c_div, theta)
 
 
 # ── richness ─────────────────────────────────────────────────────────────
@@ -136,6 +180,7 @@ def test_exhaustive_richness_matches_brute_force_battery():
                              or (g.comp_row(v) & w).bit_count() < thr)
             assert sa._bad_vertices(gc.pack_rows(g.adj, n), w, 0.2) == ref
         assert verdict.found == (want is not None)
+        assert verdict.exhaustive
         if verdict.found:
             # the verdict's witness really is one
             bad = sa._bad_vertices(gc.pack_rows(g.adj, n), verdict.witness_w, 0.2)
@@ -176,6 +221,7 @@ def test_sampled_witness_implies_exhaustive_witness():
         params = sa.AuditParams(epsilon=0.25, delta=0.5,
                                 sample_budget=80, seed=rng.randrange(999))
         sampled = sa.richness_audit(g, params)
+        assert not sampled.exhaustive
         if sampled.found:
             checked += 1
             bad = sa._bad_vertices(gc.pack_rows(g.adj, n), sampled.witness_w,
