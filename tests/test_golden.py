@@ -32,6 +32,9 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+MATCHING_PER_M = ["per-m", "--gen", "gnp", "--n", "512", "--graph-seed", "1",
+                  "--seed", "3", "--set", "theta_compl=0.45", "--set", "star_coeff=100"]
+
 CASES = {
     "construct": (
         ["construct", "--gen", "gnp", "--n", "512", "--graph-seed", "1",
@@ -51,6 +54,13 @@ CASES = {
                      "43f88f37522f2a858ede7c45b52b99fd0ad2cebaa6fd3eeaadaacdf7b85305c5"),
          "dump.json": (json_body,
                        "dd83dfd5e3b289689d8d775121e4a92dbdd1f7acdec453176aef7bdbff33f02f")}),
+    # matching mode: the family is pair units, some with an internal edge
+    "per-m-matching": (
+        MATCHING_PER_M,
+        {"out.csv": (text_body,
+                     "bfde0070d8807b8506c9cba8a9cfd6fb0d98d135c0b6b8a618d013f07440a121"),
+         "dump.json": (json_body,
+                       "e4c155d56e8f859dd7b434d9abf529b8d12816f5818da2df82d46e8c4eb90fd3")}),
     "audit": (
         ["audit", "--gen", "gnp", "--n", "40"],
         {"out.json": (json_body,
@@ -148,3 +158,17 @@ def test_per_m_dump_of_witnesses_past_i_nine_is_pinned(tmp_path, monkeypatch):
         "02a7001226d98a5f4cbc206ca6de76c6ac841f9ae8761d0c83829c1b3ab80263"
     assert sha256(raw_json_body(dump)) == \
         "255fae313a37ff97f8aada6c07e980ca59105578dcdec13a2e8605168d0991c2"
+
+
+def test_matching_pin_family_has_a_pair_with_an_internal_edge(tmp_path):
+    # the pin above guards the internal-edge term of the adjusted degree
+    # only if some emitted pair unit is itself an edge
+    from ramspect import graph_core as gc
+
+    dump = tmp_path / "dump.json"
+    assert cli.main(MATCHING_PER_M + ["--out", str(tmp_path / "out.csv"),
+                                      "--dump", str(dump)]) == 0
+    g = gc.generate("gnp", n=512, p=0.5, seed=1)
+    units = [gc.Unit(tuple(x)) for _, _, x in json.loads(dump.read_text())["family"]]
+    assert units and all(x.is_pair for x in units)
+    assert {gc.count_edges(g, x.mask()) for x in units} == {0, 1}
