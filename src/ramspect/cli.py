@@ -14,6 +14,7 @@ golden digests.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -266,13 +267,16 @@ def cmd_spectrum(ns) -> int:
 
 
 def cmd_audit(ns) -> int:
+    if ns.exhaustive and ns.gen and not ns.graph and ns.n is not None:
+        # the flags give the vertex count: refuse before building the graph
+        sa.check_exhaustive_cap(ns.n)
     g, gsrc = _build_graph(ns)
     ov = _split_overrides(ns.set, {"audit": _AP_FIELDS})
     params = sa.AuditParams(seed=ns.seed, **ov["audit"])
     cfg = {"graph": gsrc, "params": asdict(params), "exhaustive": ns.exhaustive}
 
     density, _ = sa.density_bounds_check(g, params.epsilon)
-    # first, so that its cap refuses before the pair pass
+    # first, so that its cap refuses a graph file before the pair pass
     verdict = sa.richness_audit(g, params, exhaustive=True) if ns.exhaustive else None
     profile, close_pairs = sa.pair_audit(g, params.c_div, params.epsilon / 2)
     extract = sa.rich_extract(g, params)
@@ -496,8 +500,15 @@ def _diag_path(ns) -> str:
     return f"{ns.cmd.replace('-', '_')}.diag.json"
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # built once per process: parse_args keeps no state between calls, and
+    # each call returns a fresh namespace
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     ns = parser.parse_args(argv)
     if getattr(ns, "cmd", None) is None:
         parser.print_usage(sys.stderr)

@@ -21,6 +21,15 @@ geometry (|B|, the S/T gap floor, d) and echoed in every outcome, so a run
 is reproducible from its own report.  The adjusted degree of a unit adds
 its internal edge, so a pair unit's emitted size never collides with a
 single's at equal plain degree.
+
+The adjusted degree of x in cell (k, i) is deg(x, U) + e(x) + deg(x, Z_{k,i}),
+exact because U lies in U0 and the S, T and X units are pairwise disjoint
+and miss U0 (per_m_run checks this, so a hand-built result that breaks it
+is a ContractViolation).  per_m_run counts e(x) once per run and deg(x, U)
+once per exposure attempt; per_k_checks adds only the degree into the few
+vertices of each Z_{k,i}.  The direct recounts that check the
+incremental arithmetic, family_table's sampled cells and every emitted
+size, are each one graph_core.count_edges_many batch.
 """
 
 from __future__ import annotations
@@ -30,7 +39,8 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .errors import ConstructionFailure, ContractViolation, ParameterError
-from .graph_core import Graph, Unit, count_edges, unit_degree
+from .graph_core import (Graph, Unit, check_disjoint_units, count_edges,
+                         count_edges_many, unit_degree)
 from .ramsey_construct import ConstructionParams, ConstructionResult, construct
 from .seeding import derive_seed
 
@@ -190,13 +200,13 @@ def family_table(g: Graph, u_mask: int, s_units, t_units,
 
     Each i -> i+1 replaces the last live S unit with the next T unit,
     adjusting internal-Z and Z-to-U edges incrementally.  The identity
-    e_{k,i} = e(U_{k,i}) - e(U) is re-verified by direct counting on a
-    seeded sample of cells (at least the first cell of every table).
+    e_{k,i} = e(U_{k,i}) - e(U) is re-verified by direct counting, one
+    count_edges_many batch, on a seeded sample of cells (always the table's
+    first cell).
     """
     rng = random.Random(derive_seed(seed, "verify"))
     records = []
-    first_cell = True
-    e_u = count_edges(g, u_mask)
+    recount = []   # (k, i, incremental e_{k,i}, mask of Z_{k,i} u U)
     for k in range(resolved.k_lo, resolved.k_hi + 1):
         i_top = min(k, resolved.i_hi)
         zm = z_family(s_units, t_units, k, 0)
@@ -217,36 +227,31 @@ def family_table(g: Graph, u_mask: int, s_units, t_units,
         deltas = [b - a for a, b in zip(e_values, e_values[1:])]
         verified = []
         for i in range(i_top + 1):
-            if (first_cell and i == 0) or rng.random() < verify_fraction:
-                direct = count_edges(g, z_masks[i] | u_mask) - e_u
-                if direct != e_values[i]:
-                    raise ContractViolation(
-                        f"incremental e_({k},{i})={e_values[i]} but direct "
-                        f"count gives {direct}")
+            if (not recount and i == 0) or rng.random() < verify_fraction:
+                recount.append((k, i, e_values[i], z_masks[i] | u_mask))
                 verified.append((k, i))
-                first_cell = False
         records.append(PerKRecord(k=k, i_values=list(range(i_top + 1)),
                                   z_masks=z_masks, e_values=e_values, deltas=deltas,
                                   verified_cells=verified))
+    e_u, *direct = count_edges_many(g, [u_mask] + [cell[3] for cell in recount])
+    for (k, i, e_ki, _), e_all in zip(recount, direct):
+        if e_all - e_u != e_ki:
+            raise ContractViolation(
+                f"incremental e_({k},{i})={e_ki} but direct count gives {e_all - e_u}")
     return records
 
 
-def _adjusted_values(g: Graph, x_units, ukimask: int):
-    out = []
-    for x in x_units:
-        v = unit_degree(g, x, ukimask) + count_edges(g, x.mask())
-        out.append((x, v))
-    return out
-
-
-def per_k_checks(record: PerKRecord, g: Graph, u_mask: int, u0_mask: int,
-                 x_units, d: float, resolved: ResolvedExposure):
+def per_k_checks(record: PerKRecord, g: Graph, u0_mask: int, x_units, x_base,
+                 d: float, resolved: ResolvedExposure):
     """Evaluate the four row checks; fills the record's witness fields.
 
     check1: enough cells i admit >= gamma*sqrt(n) X units with pairwise
     distinct adjusted degrees inside [d/2 - Q*sqrt(n), d/2 + Q*sqrt(n)];
     check2: e_{k,0} within Q*n of e(Z) + e(Z,U0)/2; check3: the row climbs
     at least 3*beta*n; check4: increments >= M*sqrt(n) total at most beta*n.
+    x_base[j] is the part of x_units[j]'s adjusted degree that no cell
+    changes, its degree into U plus its internal edge; each cell adds the
+    degree into its own Z_{k,i}.
     """
     n = resolved.n
     rt = math.sqrt(n)
@@ -255,11 +260,11 @@ def per_k_checks(record: PerKRecord, g: Graph, u_mask: int, u0_mask: int,
     need = resolved.gamma * rt
     record.i_pass = []
     record.x_witnesses = {}
-    for idx, i in enumerate(record.i_values):
-        ukimask = record.z_masks[idx] | u_mask
+    for i, zm in zip(record.i_values, record.z_masks):
         seen = set()
         wit = []
-        for x, v in _adjusted_values(g, x_units, ukimask):
+        for x, base in zip(x_units, x_base):
+            v = base + unit_degree(g, x, zm)
             if lo <= v <= hi and v not in seen:
                 seen.add(v)
                 wit.append((x, v))
@@ -332,6 +337,11 @@ def per_m_run(g: Graph, m: int, cparams: ConstructionParams | None = None,
         else cparams.kappa1 / 4 + 0.02
     gate_abs = gate * wn ** 1.5
     rt = math.sqrt(wn)
+    # e(U u Z_{k,i} u x) = e(U) + e_{k,i} + deg(x, U) + deg(x, Z_{k,i}) + e(x)
+    # holds when the S, T and X units are disjoint and miss U0 (so U, Z and
+    # x are disjoint); a single has no internal edge e(x)
+    check_disjoint_units(res.all_units(), res.u0_mask)
+    internal = [count_edges(g, x.mask()) if x.is_pair else 0 for x in res.x_units]
     attempts_log = []
     chosen = None
     for t in range(eparams.trials):
@@ -343,8 +353,9 @@ def per_m_run(g: Graph, m: int, cparams: ConstructionParams | None = None,
         records = family_table(g, u, res.s_units, res.t_units, resolved,
                                seed=derive_seed(eparams.seed, "table", t),
                                verify_fraction=eparams.verify_fraction)
+        x_base = [unit_degree(g, x, u) + e for x, e in zip(res.x_units, internal)]
         for rec in records:
-            per_k_checks(rec, g, u, res.u0_mask, res.x_units, res.d, resolved)
+            per_k_checks(rec, g, res.u0_mask, res.x_units, x_base, res.d, resolved)
         k_all = [rec.k for rec in records if all(rec.checks)]
         if not k_all:
             attempts_log.append({"attempt": t, "stage": "checks",
@@ -403,10 +414,9 @@ def per_m_run(g: Graph, m: int, cparams: ConstructionParams | None = None,
     if len(set(sizes)) != len(sizes):
         raise ContractViolation("emitted sizes collide despite separation")
     # every size reproducible from scratch
-    for (k, i, x), s in zip(family, sizes):
-        rec = by_k[k]
-        zm = rec.z_masks[i]
-        direct = count_edges(g, zm | u | x.mask())
+    direct_sizes = count_edges_many(
+        g, [by_k[k].z_masks[i] | u | x.mask() for k, i, x in family])
+    for (k, i, x), s, direct in zip(family, sizes, direct_sizes):
         if direct != s:
             raise ContractViolation(
                 f"size {s} for (k={k}, i={i}, x={x.vertices}) != direct {direct}")

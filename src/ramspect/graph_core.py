@@ -15,8 +15,10 @@ prefix of each row can lower the gap by at most their count, so a prefix
 whose lower bound reaches thr settles the pair, and only the other pairs
 read their whole rows.  Counts over all pairs need no gather: they
 broadcast one packed row against the rows after it (see
-structure_audit.pair_audit).  Every counting routine in this package
-reduces to a popcount or to that Gram product.
+structure_audit.pair_audit).  Edge counts of many vertex sets at once,
+count_edges_many, are the same kind of float32 product, over the adjacency
+matrix of the sets' union.  Every counting routine in this package reduces
+to a popcount or to such a product.
 
 Vertex sets are plain int bitmasks throughout ("mask" in signatures).  A Unit
 is either a single vertex or an unordered pair of distinct vertices; pair
@@ -236,6 +238,17 @@ class Unit:
         return m
 
 
+def check_disjoint_units(units, u0_mask: int) -> None:
+    """ContractViolation, naming the first offender, unless the units are
+    pairwise disjoint and miss U0."""
+    seen = u0_mask
+    for x in units:
+        for v in x.vertices:
+            if seen >> v & 1:
+                raise ContractViolation(f"unit {x.vertices} overlaps U0 or another unit")
+            seen |= 1 << v
+
+
 def unit_rows(g: Graph, x: Unit) -> tuple[int, int]:
     """Multiplicity masks (m1, m2) of the unit's neighborhood multiset.
 
@@ -251,7 +264,11 @@ def unit_rows(g: Graph, x: Unit) -> tuple[int, int]:
 
 def unit_degree(g: Graph, x: Unit, umask: int) -> int:
     """Multiset degree of the unit into the masked set: sum of component degrees."""
-    return sum((g.adj[v] & umask).bit_count() for v in x.vertices)
+    # written out for the one or two vertices of a unit: the exposure calls
+    # this once per X unit and cell, and a generator sum costs twice as much
+    adj, vs = g.adj, x.vertices
+    d = (adj[vs[0]] & umask).bit_count()
+    return d + (adj[vs[1]] & umask).bit_count() if len(vs) == 2 else d
 
 
 def multiset_gap(x1: int, x2: int, y1: int, y2: int) -> int:
@@ -338,6 +355,25 @@ def count_edges(g: Graph, amask: int, bmask: int | None = None) -> int:
     if amask & bmask:
         raise ContractViolation("count_edges(A, B) requires disjoint masks")
     return sum((g.adj[v] & bmask).bit_count() for v in iter_bits(amask))
+
+
+def count_edges_many(g: Graph, masks) -> list[int]:
+    """count_edges(g, mask) for each mask, in one batch.
+
+    The rows of the masks' union are unpacked once and cut to the union's
+    columns: a 0/1 float32 adjacency matrix A.  Each count is the sum of
+    popcount(row v & mask) over the mask's vertices v, halved.  With m the
+    mask's 0/1 row over the union, those popcounts are the entries of m @ A,
+    one float32 product for all masks (exact: each is at most n <= 2**24),
+    and their sum over the mask is taken in float64 (exact below 2**53).
+    """
+    n = g.n
+    member = _bit_matrix(list(masks), n)
+    verts = np.flatnonzero(member.any(axis=0))
+    adj = _bit_matrix([g.adj[v] for v in verts.tolist()], n)[:, verts].astype(np.float32)
+    m = member[:, verts].astype(np.float32)
+    twice = ((m @ adj) * m).sum(axis=1, dtype=np.float64)
+    return (twice.astype(np.int64) // 2).tolist()
 
 
 # ── generation and serialization ─────────────────────────────────────────

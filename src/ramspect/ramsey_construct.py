@@ -43,8 +43,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionFailure, ContractViolation, ParameterError
-from .graph_core import (Graph, Unit, complement_gap_at_least, count_edges, iter_bits,
-                         mask_of, pack_rows, pair_gaps, symdiff_size, unit_degree)
+from .graph_core import (Graph, Unit, check_disjoint_units, complement_gap_at_least,
+                         count_edges, iter_bits, mask_of, pack_rows, pair_gaps,
+                         symdiff_size, unit_degree)
 from .seeding import derive_seed
 from .structure_audit import AuditParams, rich_extract
 
@@ -419,12 +420,7 @@ def verify_construction(g: Graph, res: ConstructionResult,
     """Re-check the four output invariants from graph primitives alone."""
     n = res.working_n
     units = res.all_units()
-    seen = res.u0_mask
-    for x in units:
-        xm = x.mask()
-        if xm & seen:
-            raise ContractViolation(f"unit {x.vertices} overlaps U0 or another unit")
-        seen |= xm
+    check_disjoint_units(units, res.u0_mask)
     d_window = params.kappa2 * math.sqrt(n)
     for x in units:
         dd = unit_degree(g, x, res.u0_mask)

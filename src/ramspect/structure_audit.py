@@ -167,6 +167,14 @@ def _candidate_sets(g: Graph, delta: float, budget: int, seed: int):
             yield mask_of(rng.sample(verts, size))
 
 
+def check_exhaustive_cap(n: int) -> None:
+    """CapacityError when an exhaustive richness audit of n vertices is too large."""
+    if n > RICHNESS_EXHAUSTIVE_CAP:
+        raise CapacityError(
+            f"exhaustive richness enumerates 2^n candidate sets; capped at "
+            f"n={RICHNESS_EXHAUSTIVE_CAP}, got n={n}")
+
+
 def richness_audit(g: Graph, params: AuditParams, exhaustive: bool = False) -> RichnessVerdict:
     """Search for a witness against (delta, eps)-richness.
 
@@ -176,10 +184,7 @@ def richness_audit(g: Graph, params: AuditParams, exhaustive: bool = False) -> R
     """
     n = g.n
     if exhaustive:
-        if n > RICHNESS_EXHAUSTIVE_CAP:
-            raise CapacityError(
-                f"exhaustive richness enumerates 2^n candidate sets; capped at "
-                f"n={RICHNESS_EXHAUSTIVE_CAP}, got n={n}")
+        check_exhaustive_cap(n)
         wmin = math.ceil(params.delta * n)
         candidates = (w for w in range(1 << n) if w.bit_count() >= wmin)
     else:

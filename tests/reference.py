@@ -1,8 +1,9 @@
 """Test-only references: exact homogeneous numbers, graph complement, edge
 lookup, the K_n closed form, pmf point lookup, the pair-by-pair G(n, p)
 loop, the all-pairs degree-sum bucket, pair-by-pair conflict greedy and
-event-(4) scan of the scaffold construction, and the audit's two pair
-counts as separate passes.
+event-(4) scan of the scaffold construction, the audit's two pair counts
+as separate passes, and the exposure's adjusted degrees recounted per unit
+and cell.
 
 Nothing in the package or the benchmark calls these; the tests use them to
 check the package's results against independent computations.
@@ -15,8 +16,8 @@ import random
 import numpy as np
 
 from ramspect.errors import CapacityError, ParameterError
-from ramspect.graph_core import (Graph, complement_gap_at_least, iter_bits, pack_rows, popcount,
-                                 symdiff_size)
+from ramspect.graph_core import (Graph, complement_gap_at_least, count_edges, iter_bits,
+                                 pack_rows, popcount, symdiff_size, unit_degree)
 
 HOMOGENEOUS_CAP = 64  # exact clique/independence search refuses larger graphs
 
@@ -110,6 +111,15 @@ def event4_scan(g: Graph, units, umask: int, sym_floor: float):
             if s < sym_floor:
                 return False, min_sym
     return True, min_sym
+
+
+# ── double exposure ──────────────────────────────────────────────────────
+
+
+def adjusted_values(g: Graph, x_units, ukimask: int):
+    """(x, adjusted degree) for each X unit in one cell: the unit's degree
+    into U u Z_{k,i} plus its internal edge, both counted from scratch."""
+    return [(x, unit_degree(g, x, ukimask) + count_edges(g, x.mask())) for x in x_units]
 
 
 # ── pair audits ──────────────────────────────────────────────────────────

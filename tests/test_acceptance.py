@@ -108,8 +108,10 @@ def test_criterion_5_per_k_statistics():
         u = expose(res.u0_mask, derive_seed(1234, "expose", t))
         recs = family_table(g, u, res.s_units, res.t_units, rv,
                             seed=derive_seed(1234, "tab", t))
+        x_base = [gc.unit_degree(g, x, u) + gc.count_edges(g, x.mask())
+                  for x in res.x_units]
         for rec in recs:
-            checks = per_k_checks(rec, g, u, res.u0_mask, res.x_units,
+            checks = per_k_checks(rec, g, res.u0_mask, res.x_units, x_base,
                                   res.d, rv)
             rows += 1
             for j, c in enumerate(checks):

@@ -220,6 +220,46 @@ def test_exhaustive_audit_is_refused_before_the_pair_pass(capsys, monkeypatch):
                    f"got n={sa.RICHNESS_EXHAUSTIVE_CAP + 1}\n")
 
 
+def test_exhaustive_audit_of_a_generated_graph_is_refused_before_generation(
+        capsys, monkeypatch):
+    from ramspect import graph_core as gc
+    from ramspect import structure_audit as sa
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a graph that the exhaustive cap refuses")
+
+    monkeypatch.setattr(gc, "generate", refuse)
+    code, _, err = run(capsys, "audit", "--gen", "gnp", "--n", "4096", "--exhaustive")
+    assert code == 2
+    assert err == ("capacity: exhaustive richness enumerates 2^n candidate sets; "
+                   f"capped at n={sa.RICHNESS_EXHAUSTIVE_CAP}, got n=4096\n")
+
+
+def test_main_carries_no_value_from_one_call_into_the_next(tmp_path, capsys):
+    # the parser is built once per process, so every call must parse afresh
+    out = tmp_path / "audit.json"
+
+    def config(*argv):
+        assert cli.main(["audit", "--gen", "gnp", "--n", "12", *argv,
+                         "--out", str(out)]) == 0
+        return json.loads(out.read_text())["header"]["config"]
+
+    fresh = config()
+    first = config("--set", "c_div=0.3", "--set", "epsilon=0.15", "--exhaustive",
+                   "--seed", "5")
+    assert (first["params"]["c_div"], first["params"]["epsilon"]) == (0.3, 0.15)
+    assert first["exhaustive"] and first["params"]["seed"] == 5
+    second = config("--set", "delta=0.4")
+    assert second == {**fresh, "params": {**fresh["params"], "delta": 0.4}}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["audit", "--gen", "gnp", "--n", "12", "--set", "c_div=0.2",
+                  "--exhaustive", "--bogus"])
+    assert exc.value.code == 1
+    assert "usage" in capsys.readouterr().err
+    assert config() == fresh
+    assert cli._parser() is cli._parser()
+
+
 @pytest.mark.parametrize("argv,n,status", [
     (["--gen", "gnp", "--n", "40", "--set", "delta=0.5"], 40, "no_witness_in_budget"),
     (["--gen", "complete", "--n", "16"], 16, "witness_found"),

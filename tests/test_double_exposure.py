@@ -1,19 +1,31 @@
 """Exposure families: identity re-checks, separations, and determinism."""
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramspect import graph_core as gc
 from ramspect import double_exposure as de
 from ramspect.double_exposure import (ExposureParams, expose, family_table,
                                       per_m_run, resolve_exposure, theorem_run,
                                       z_family)
-from ramspect.errors import ParameterError
+from ramspect.errors import ContractViolation, ParameterError, RamspectError
 from ramspect.ramsey_construct import ConstructionParams, construct
+from reference import adjusted_values
 
 G256 = gc.generate("gnp", n=256, p=0.5, seed=3)
 M256 = round(1.5 * 0.0003 * 256 * 256)
 RES256 = construct(G256, M256, ConstructionParams(seed=4))
+
+# matching mode, as in the per-m-matching golden pin: pair units, some of
+# them edges, so the internal-edge term of the adjusted degree is not zero
+G512 = gc.generate("gnp", n=512, p=0.5, seed=1)
+M512 = round(1.5 * 0.0003 * 512 * 512)
+CP512 = ConstructionParams(seed=3, theta_compl=0.45, star_coeff=100)
+RES512 = construct(G512, M512, CP512)
+SCAFFOLDS = {"star": (G256, M256, ConstructionParams(seed=4), RES256),
+             "matching": (G512, M512, CP512, RES512)}
 
 
 # ── family masks and exposure ────────────────────────────────────────────
@@ -89,13 +101,108 @@ def test_family_table_edge_counts_match_direct_recount():
             assert e_ki == want
 
 
+@settings(max_examples=40)
+@given(mode=st.sampled_from(sorted(SCAFFOLDS)), seed=st.integers(0, 2 ** 32))
+def test_family_table_matches_count_edges_on_every_cell(mode, seed):
+    # no cell is left to the seeded sample: each e_{k,i} is recounted here
+    g, _, _, res = SCAFFOLDS[mode]
+    resolved = resolve_exposure(res, ExposureParams())
+    u = expose(res.u0_mask, seed)
+    e_u = gc.count_edges(g, u)
+    records = family_table(g, u, res.s_units, res.t_units, resolved, seed=seed,
+                           verify_fraction=0.0)
+    assert [rec.k for rec in records] == list(range(resolved.k_lo, resolved.k_hi + 1))
+    for rec in records:
+        assert rec.verified_cells in ([], [(resolved.k_lo, 0)])
+        for i, zm, e_ki in zip(rec.i_values, rec.z_masks, rec.e_values):
+            assert zm == z_family(res.s_units, res.t_units, rec.k, i)
+            assert e_ki == gc.count_edges(g, zm | u) - e_u
+
+
+def reference_witnesses(g, res, u, zm, lo, hi):
+    """The first X unit of each distinct in-window adjusted value, in order."""
+    seen, wit = set(), []
+    for x, v in adjusted_values(g, res.x_units, zm | u):
+        if lo <= v <= hi and v not in seen:
+            seen.add(v)
+            wit.append((x, v))
+    return tuple(wit)
+
+
+@settings(max_examples=30)
+@given(mode=st.sampled_from(sorted(SCAFFOLDS)), seed=st.integers(0, 2 ** 32))
+def test_per_k_witnesses_match_the_per_cell_reference(mode, seed):
+    g, _, _, res = SCAFFOLDS[mode]
+    resolved = resolve_exposure(res, ExposureParams())
+    u = expose(res.u0_mask, seed)
+    x_base = [gc.unit_degree(g, x, u) + gc.count_edges(g, x.mask()) for x in res.x_units]
+    rt = math.sqrt(resolved.n)
+    lo, hi = res.d / 2 - resolved.q_const * rt, res.d / 2 + resolved.q_const * rt
+    for rec in family_table(g, u, res.s_units, res.t_units, resolved, seed=seed):
+        de.per_k_checks(rec, g, res.u0_mask, res.x_units, x_base, res.d, resolved)
+        for i, zm in zip(rec.i_values, rec.z_masks):
+            want = reference_witnesses(g, res, u, zm, lo, hi)
+            if i in rec.i_pass:
+                assert rec.x_witnesses[i] == want
+            else:
+                assert i not in rec.x_witnesses
+                assert len(want) < resolved.gamma * rt
+
+
+@pytest.mark.parametrize("mode", sorted(SCAFFOLDS))
+def test_per_m_witnesses_match_the_per_cell_reference(mode):
+    g, m, cp, res = SCAFFOLDS[mode]
+    out = per_m_run(g, m, cp, ExposureParams(seed=9), result=res)
+    assert out.family
+    q, rt = out.constants["Q"], math.sqrt(res.working_n)
+    lo, hi = res.d / 2 - q * rt, res.d / 2 + q * rt
+    for rec in out.records:
+        for i in rec.i_pass:
+            want = reference_witnesses(g, res, out.u_mask, rec.z_masks[i], lo, hi)
+            assert rec.x_witnesses[i] == want
+    if mode == "matching":
+        assert {gc.count_edges(g, x.mask()) for _, _, x in out.family} == {0, 1}
+
+
+@pytest.mark.parametrize("intruder", ["an S unit", "a U0 vertex"])
+def test_per_m_refuses_x_units_that_meet_u0_or_the_swap_units(intruder):
+    # the adjusted degrees split e(U u Z u x) into exact terms only while
+    # x misses U0 and every S/T unit
+    x = RES256.s_units[0] if intruder == "an S unit" \
+        else gc.Unit.single(next(gc.iter_bits(RES256.u0_mask)))
+    bad = replace(RES256, x_units=RES256.x_units + (x,))
+    with pytest.raises(ContractViolation, match="overlaps U0 or another unit") as exc:
+        per_m_run(G256, M256, ConstructionParams(seed=4), ExposureParams(seed=9),
+                  result=bad)
+    assert isinstance(exc.value, RamspectError)
+
+
+def test_batched_recounts_check_the_incremental_sizes(monkeypatch):
+    # both batched recounts stay independent of the incremental arithmetic:
+    # shifting every count by one leaves the differences family_table checks
+    # intact but breaks each emitted size, and shifting all but e(U) breaks
+    # the table
+    real = gc.count_edges_many
+    monkeypatch.setattr(de, "count_edges_many", lambda g, masks: [e + 1 for e in real(g, masks)])
+    with pytest.raises(ContractViolation, match=r"size \d+ for \(k="):
+        per_m_run(G256, M256, ConstructionParams(seed=4), ExposureParams(seed=9),
+                  result=RES256)
+    monkeypatch.setattr(de, "count_edges_many",
+                        lambda g, masks: [e + (j > 0) for j, e in enumerate(real(g, masks))])
+    with pytest.raises(ContractViolation, match=r"incremental e_\(\d+,0\)"):
+        per_m_run(G256, M256, ConstructionParams(seed=4), ExposureParams(seed=9),
+                  result=RES256)
+
+
 def test_per_k_checks_shape():
     resolved = resolve_exposure(RES256, ExposureParams())
     u = expose(RES256.u0_mask, seed=31)
     records = family_table(G256, u, RES256.s_units, RES256.t_units, resolved,
                            seed=31)
-    checks = de.per_k_checks(records[0], G256, u, RES256.u0_mask,
-                             RES256.x_units, RES256.d, resolved)
+    x_base = [gc.unit_degree(G256, x, u) + gc.count_edges(G256, x.mask())
+              for x in RES256.x_units]
+    checks = de.per_k_checks(records[0], G256, RES256.u0_mask, RES256.x_units,
+                             x_base, RES256.d, resolved)
     assert len(checks) == 4
     assert all(isinstance(c, bool) for c in checks)
     # check 2 recomputed from its definition

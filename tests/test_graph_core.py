@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramspect import graph_core as gc
-from ramspect.errors import CapacityError, GraphParseError, ParameterError
+from ramspect.errors import (CapacityError, ContractViolation, GraphParseError,
+                             ParameterError)
 from reference import complement, gnp_loop, has_edge, homogeneous_number, is_c_ramsey
 
 
@@ -88,6 +89,45 @@ def test_count_edges_within_and_across():
         assert gc.count_edges(g, gc.mask_of(a)) == brute_count_edges(g, a)
         assert gc.count_edges(g, gc.mask_of(a), gc.mask_of(b)) == \
             brute_count_edges(g, a, b)
+
+
+MANY_N = (1, 63, 64, 65, 129)  # one vertex, and rows just before, at and after a word edge
+
+
+@settings(max_examples=120)
+@given(n=st.sampled_from(MANY_N), seed=st.integers(0, 2 ** 32),
+       kinds=st.lists(st.sampled_from(("empty", "single", "full", "random", "repeat")),
+                      max_size=8))
+def test_count_edges_many_equals_count_edges_per_mask(n, seed, kinds):
+    # empty, single-vertex, overlapping and repeated masks, and no mask at all
+    rng = random.Random(seed)
+    g = gc.generate("gnp", n=n, p=rng.choice((0.1, 0.5, 0.9)), seed=seed)
+    masks = []
+    for kind in kinds:
+        if kind == "repeat" and masks:
+            masks.append(rng.choice(masks))
+        elif kind == "single":
+            masks.append(1 << rng.randrange(n))
+        elif kind == "full":
+            masks.append(g.full_mask)
+        elif kind == "random":
+            masks.append(rng.getrandbits(n))
+        else:
+            masks.append(0)
+    got = gc.count_edges_many(g, masks)
+    assert got == [gc.count_edges(g, m) for m in masks]
+    assert all(type(e) is int for e in got)
+
+
+def test_check_disjoint_units_names_the_first_overlap():
+    a, b, c = gc.Unit.single(1), gc.Unit.pair(2, 5), gc.Unit.pair(0, 3)
+    gc.check_disjoint_units([a, b, c], 0)
+    gc.check_disjoint_units([a, b], gc.mask_of([0, 4]))
+    gc.check_disjoint_units([], 0)
+    with pytest.raises(ContractViolation, match=r"\(5,\)"):
+        gc.check_disjoint_units([b, gc.Unit.single(5)], 0)
+    with pytest.raises(ContractViolation, match=r"\(0, 3\)"):
+        gc.check_disjoint_units([a, c], gc.mask_of([3]))
 
 
 def test_mask_helpers_roundtrip():
