@@ -32,6 +32,9 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+LATE_WITNESS_AUDIT = ["audit", "--gen", "gnp", "--n", "200", "--p", "0.65",
+                      "--graph-seed", "1"]
+
 MATCHING_PER_M = ["per-m", "--gen", "gnp", "--n", "512", "--graph-seed", "1",
                   "--seed", "3", "--set", "theta_compl=0.45", "--set", "star_coeff=100"]
 
@@ -75,6 +78,12 @@ CASES = {
         ["audit", "--gen", "gnp", "--n", "300", "--p", "0.05", "--set", "c_div=0.45"],
         {"out.json": (json_body,
                       "78c7d985586c26b0c8eaddc3764cec9593919a9800e4178d280c076e25112fbd")}),
+    # the first richness witness is candidate 269, and the extraction rounds
+    # audit graphs of 63, 34, 23, 15, 6 and 3 vertices after it
+    "audit-late-witness": (
+        LATE_WITNESS_AUDIT,
+        {"out.json": (json_body,
+                      "aee54e1aff26a76166c7fa6b5e9cf7988364d8be5fdc34c3961a3c6d1ca7298c")}),
     "lo": (
         ["lo", "--model", "u3", "--n-list", "16,32,64,128", "--trials", "2000",
          "--seed", "9"],
@@ -172,3 +181,14 @@ def test_matching_pin_family_has_a_pair_with_an_internal_edge(tmp_path):
     units = [gc.Unit(tuple(x)) for _, _, x in json.loads(dump.read_text())["family"]]
     assert units and all(x.is_pair for x in units)
     assert {gc.count_edges(g, x.mask()) for x in units} == {0, 1}
+
+
+def test_late_witness_pin_finds_its_witness_past_the_first_candidates():
+    # the pin above guards the candidate order of the richness audit only
+    # if its first witness is not among the first few candidates
+    from ramspect import graph_core as gc
+    from ramspect import structure_audit as sa
+
+    g = gc.generate("gnp", n=200, p=0.65, seed=1)
+    verdict = sa.richness_audit(g, sa.AuditParams(seed=0))
+    assert verdict.found and verdict.budget_used > 32
