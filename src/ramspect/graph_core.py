@@ -17,8 +17,10 @@ read their whole rows.  Counts over all pairs need no gather: they
 broadcast one packed row against the rows after it (see
 structure_audit.pair_audit).  Edge counts of many vertex sets at once,
 count_edges_many, are the same kind of float32 product, over the adjacency
-matrix of the sets' union.  Every counting routine in this package reduces
-to a popcount or to such a product.
+matrix of the sets' union.  So are the counts |N(v) & M| of every vertex v
+into each of many sets M, neighbor_counts, which unpacks the adjacency
+rows a chunk at a time instead of building an n x n matrix.  Every counting
+routine in this package reduces to a popcount or to such a product.
 
 Vertex sets are plain int bitmasks throughout ("mask" in signatures).  A Unit
 is either a single vertex or an unordered pair of distinct vertices; pair
@@ -167,6 +169,14 @@ def _xor_popcount(words: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
 GAP_CHUNK = 8192  # pairs gathered per step of complement_gap_at_least
 
 
+def prefix_words(thr: float, words: int) -> int:
+    """Words a prefix screen reads for a gap threshold thr out of rows of
+    the given word count: ceil(2*thr/64) + 1, at least 1, which clears thr
+    when about half of the bits differ, or all the words when that is not
+    fewer (a huge thr included)."""
+    return words if not 2 * thr / 64 + 1 < words else max(1, math.ceil(2 * thr / 64) + 1)
+
+
 def complement_gap_at_least(rows: np.ndarray, a: np.ndarray, b: np.ndarray, n: int,
                             thr: float) -> np.ndarray:
     """Bool array: |N(a) symdiff N_bar(b)| >= thr for each pair of vertex
@@ -177,9 +187,8 @@ def complement_gap_at_least(rows: np.ndarray, a: np.ndarray, b: np.ndarray, n: i
     N(a) symdiff N(b) with b's bit flipped; that bit is set iff ab is an
     edge, and the gap is n - 1 - popcount(row a ^ row b) + 2*[ab edge].
 
-    A prefix screen decides most pairs from the first W = min(words,
-    ceil(2*thr/64) + 1) words alone, enough bits to clear thr when about
-    half of them differ.  The s = min(64W, n) bits seen there give the lower
+    A prefix screen decides most pairs from the first W = prefix_words(thr,
+    words) words alone.  The s = min(64W, n) bits seen there give the lower
     bound s - 1 - popcount(prefix a ^ prefix b): the n - s unseen bits add
     at most their count to the popcount, and the edge term is >= 0.  A pair
     whose bound reaches thr is kept; only the others read the remaining
@@ -187,7 +196,7 @@ def complement_gap_at_least(rows: np.ndarray, a: np.ndarray, b: np.ndarray, n: i
     worst every pair reads every word, once.
     """
     words = rows.shape[1]
-    head = words if not 2 * thr / 64 + 1 < words else max(1, math.ceil(2 * thr / 64) + 1)
+    head = prefix_words(thr, words)
     seen = min(64 * head, n)
     prefix = np.ascontiguousarray(rows[:, :head])
     suffix = np.ascontiguousarray(rows[:, head:])
@@ -282,10 +291,10 @@ def multiset_gap(x1: int, x2: int, y1: int, y2: int) -> int:
     return d1.bit_count() + 2 * ((x2 ^ y2) & ~d1).bit_count()
 
 
-GRAM_EXACT_CAP = 1 << 23  # pair_gaps refuses larger graphs: see its docstring
+GRAM_EXACT_CAP = 1 << 23  # pair_gaps and neighbor_counts refuse larger graphs: see pair_gaps
 
 
-def _bit_matrix(masks, n: int) -> np.ndarray:
+def bit_matrix(masks, n: int) -> np.ndarray:
     """(len(masks), n) uint8 array of 0/1: entry (i, v) is bit v of masks[i]."""
     return np.unpackbits(pack_rows(masks, n).view(np.uint8), axis=1, count=n,
                          bitorder="little")
@@ -295,7 +304,7 @@ def _gram_symdiff(masks, n: int, cols) -> np.ndarray:
     """|A_i symdiff A_j| for every pair of the masks, inside the columns cols
     (all when None), as |A_i| + |A_j| - 2|A_i & A_j|: the intersections are
     one float32 Gram product of the 0/1 rows, which numpy hands to BLAS."""
-    bits = _bit_matrix(masks, n)
+    bits = bit_matrix(masks, n)
     if cols is not None:
         bits = bits[:, cols]
     bits = bits.astype(np.float32)
@@ -325,10 +334,16 @@ def pair_gaps(g: Graph, units, umask: int | None = None) -> np.ndarray:
         raise CapacityError(f"pair_gaps is exact in float32 up to n={GRAM_EXACT_CAP}, "
                             f"got n={n}")
     rows = [unit_rows(g, x) for x in units]
-    cols = None if umask is None else _bit_matrix([umask], n)[0].astype(bool)
-    gaps = _gram_symdiff([m1 | m2 for m1, m2 in rows], n, cols)
+    width, cols = n, None
+    if umask is not None:
+        # rows cut to umask have no bit past its top one: a prefix umask
+        # such as (1 << h) - 1 unpacks and multiplies h columns only
+        rows = [(m1 & umask, m2 & umask) for m1, m2 in rows]
+        width = umask.bit_length()
+        cols = bit_matrix([umask], width)[0].astype(bool)
+    gaps = _gram_symdiff([m1 | m2 for m1, m2 in rows], width, cols)
     if any(x.is_pair for x in units):
-        gaps += _gram_symdiff([m2 for _, m2 in rows], n, cols)
+        gaps += _gram_symdiff([m2 for _, m2 in rows], width, cols)
     return gaps
 
 
@@ -368,12 +383,39 @@ def count_edges_many(g: Graph, masks) -> list[int]:
     and their sum over the mask is taken in float64 (exact below 2**53).
     """
     n = g.n
-    member = _bit_matrix(list(masks), n)
+    member = bit_matrix(list(masks), n)
     verts = np.flatnonzero(member.any(axis=0))
-    adj = _bit_matrix([g.adj[v] for v in verts.tolist()], n)[:, verts].astype(np.float32)
+    adj = bit_matrix([g.adj[v] for v in verts.tolist()], n)[:, verts].astype(np.float32)
     m = member[:, verts].astype(np.float32)
     twice = ((m @ adj) * m).sum(axis=1, dtype=np.float64)
     return (twice.astype(np.int64) // 2).tolist()
+
+
+NEIGHBOR_CHUNK = 256  # adjacency rows unpacked per product of neighbor_counts
+
+
+def neighbor_counts(rows: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """(n, k) float32 array whose entry (v, i) is |N(v) & M_i|, for k vertex
+    sets M_i given as the 0/1 rows of member (k, n uint8, as bit_matrix
+    returns), over the packed adjacency rows of an n-vertex graph.
+
+    With A the 0/1 adjacency matrix the counts are A @ member.T, one float32
+    product per block of NEIGHBOR_CHUNK adjacency rows unpacked from rows,
+    so no n x n matrix is built.  Exact: each count is an integer at most
+    n <= 2**24.
+    """
+    k, n = member.shape
+    if n > GRAM_EXACT_CAP:
+        raise CapacityError(f"neighbor_counts is exact in float32 up to n={GRAM_EXACT_CAP}, "
+                            f"got n={n}")
+    m = np.ascontiguousarray(member.T, dtype=np.float32)
+    out = np.empty((n, k), dtype=np.float32)
+    for v in range(0, n, NEIGHBOR_CHUNK):
+        # the chunk is a temporary of the call, so no two chunks are alive at once
+        np.matmul(np.unpackbits(rows[v:v + NEIGHBOR_CHUNK].view(np.uint8), axis=1, count=n,
+                                bitorder="little").astype(np.float32),
+                  m, out=out[v:v + NEIGHBOR_CHUNK])
+    return out
 
 
 # ── generation and serialization ─────────────────────────────────────────

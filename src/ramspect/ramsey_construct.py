@@ -22,9 +22,13 @@ off a bool mask per block of rows.  The close-complement filter is
 graph_core.complement_gap_at_least on packed uint64 rows, which settles
 most pairs from a prefix of their words, and the star degrees are one
 np.bincount.  The unit-pair stages, the conflict graph and event (4)
-of U0 sampling, read all gaps off one graph_core.pair_gaps matrix (a
-float32 Gram product, exact for integer counts) and compare them with their
-float thresholds in float64.  Every decision is thus an exact integer
+of U0 sampling, read all gaps off graph_core.pair_gaps matrices (float32
+Gram products, exact for integer counts) and compare them with their float
+thresholds in float64.  The conflict graph is screened on a prefix of the
+columns first, as the close-complement filter is: a gap over the prefix
+is at most the whole gap, so only the units in a pair whose prefix gap
+falls below the threshold are recounted over whole rows.  Every decision is
+thus an exact integer
 comparison, so the results equal those of the int-row loops the tests keep
 as references.
 
@@ -45,7 +49,7 @@ import numpy as np
 from .errors import ConstructionFailure, ContractViolation, ParameterError
 from .graph_core import (Graph, Unit, check_disjoint_units, complement_gap_at_least,
                          count_edges, iter_bits, mask_of, pack_rows, pair_gaps,
-                         symdiff_size, unit_degree)
+                         prefix_words, symdiff_size, unit_degree)
 from .seeding import derive_seed
 from .structure_audit import AuditParams, rich_extract
 
@@ -261,17 +265,29 @@ def star_or_matching(g: Graph, h: np.ndarray, h_filtered: np.ndarray, d_prime: i
 def independent_units(g: Graph, units, theta_conflict: float):
     """Greedy independent set in the conflict graph (close neighborhoods).
 
-    Conflict edge: multiset symdiff below theta_conflict*n, read off the
-    pair_gaps matrix of all unit pairs.  Greedy min-degree removal (lowest
-    index on ties) meets the Turan bound |A| >= |L|/(1+avg degree), checked
-    against the computed conflict graph.
+    Conflict edge: multiset symdiff below theta_conflict*n, the pair_gaps
+    matrix of all unit pairs compared with it.  A gap over a subset of the
+    columns is at most the whole gap, so the matrix is screened first on
+    the first head = min(n, 64*(ceil(2*theta*n/64) + 1)) columns, the
+    prefix_words rule of complement_gap_at_least: a pair whose prefix gap
+    reaches the threshold is no conflict, and only the units in some other
+    pair read their whole rows.  Greedy min-degree removal (lowest index on ties)
+    meets the Turan bound |A| >= |L|/(1+avg degree), checked against the
+    computed conflict graph.
     """
     if not units:
         raise ParameterError("unit list must be nonempty")
-    k = len(units)
+    k, n = len(units), g.n
     # float64 threshold: a Python float would be rounded to the gaps' float32
-    conflict = pair_gaps(g, units) < np.float64(theta_conflict * g.n)
+    thr = np.float64(theta_conflict * n)
+    head = min(n, 64 * prefix_words(thr, -(-n // 64)))
+    conflict = pair_gaps(g, units, (1 << head) - 1 if head < n else None) < thr
     np.fill_diagonal(conflict, False)
+    if head < n:
+        near = np.flatnonzero(conflict.any(axis=1))
+        if len(near):
+            conflict[np.ix_(near, near)] = pair_gaps(g, [units[i] for i in near]) < thr
+            np.fill_diagonal(conflict, False)
     f_edges = int(conflict.sum()) // 2
     # removing a vertex of degree 0 changes no other degree, so all of them
     # are taken at once; the rest go one at a time by lowest (degree, index)

@@ -13,8 +13,16 @@ that nearly complement each other.  Rich graphs keep both counts
 polynomially small, which is what the audits let an experiment check.
 Both counts read one popcount per pair, |N(x) symdiff N(y)|: the pair
 pass broadcasts each packed uint64 row against the rows after it, and the
-complement gap is n - 1 minus that popcount plus twice the edge bit.  The
-bad-vertex count of every richness candidate runs on the same packed rows.
+complement gap is n - 1 minus that popcount plus twice the edge bit.
+
+richness_audit scores the candidates in blocks, in the order they are
+drawn: AUDIT_BLOCK_FIRST of them first, so that an early witness stays
+cheap, then twice as many per block up to AUDIT_BLOCK_CAP.  A block's counts
+|N(v) & W|, for every vertex v and candidate W, are one float32 product,
+graph_core.neighbor_counts, over adjacency rows unpacked a chunk at a time;
+the bad-vertex counts follow from integer thresholds.  Only the witness's
+Y mask is read off the packed rows, by a popcount per vertex, and it must
+agree with the product's count.
 
 rich_extract mirrors the proof-style cleanup loop: while a richness violation
 (W, Y) exists, keep the side of Y that is sparse (or dense) toward W, drop it
@@ -29,13 +37,19 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError
-from .graph_core import Graph, induced_subgraph, iter_bits, mask_of, pack_rows, popcount
+from .errors import CapacityError, ContractViolation, ParameterError
+from .graph_core import (Graph, bit_matrix, induced_subgraph, iter_bits, mask_of,
+                         neighbor_counts, pack_rows, popcount)
 
 RICHNESS_EXHAUSTIVE_CAP = 14
+# richness_audit scores candidates in blocks: the first block is small, so a
+# witness among the first candidates stays cheap, and each next one doubles
+AUDIT_BLOCK_FIRST = 32
+AUDIT_BLOCK_CAP = 128
 
 
 @dataclass(frozen=True)
@@ -130,6 +144,25 @@ def _bad_vertices(rows: np.ndarray, wmask: int, epsilon: float) -> int:
     return int.from_bytes(np.packbits(bad, bitorder="little").tobytes(), "little")
 
 
+def _bad_counts(rows: np.ndarray, block: list, epsilon: float) -> np.ndarray:
+    """Number of bad vertices of each candidate W in block, as _bad_vertices
+    counts them, read off one graph_core.neighbor_counts product.
+
+    The counts k = |N(v) & W| and |W| - k - [v in W] are integers, so each
+    is below eps*|W| (taken in float64, as _bad_vertices takes it) iff it is
+    below ceil(eps*|W|); every side of those comparisons is an integer at
+    most n, exact in float32.
+    """
+    member = bit_matrix(block, len(rows))
+    k = neighbor_counts(rows, member)  # k[v, i] = |N(v) & block[i]|
+    wsize = np.array([w.bit_count() for w in block], dtype=np.float64)
+    thr = np.ceil(epsilon * wsize).astype(np.float32)
+    bad = k < thr
+    k += member.T  # now |N(v) & W| + [v in W]; the non-neighbor count is |W| minus it
+    bad |= k > wsize.astype(np.float32) - thr
+    return np.count_nonzero(bad, axis=0)
+
+
 def _candidate_sets(g: Graph, delta: float, budget: int, seed: int):
     """Deterministic candidates first, then seeded random sets, budget total."""
     wmin = math.ceil(delta * g.n)
@@ -191,12 +224,23 @@ def richness_audit(g: Graph, params: AuditParams, exhaustive: bool = False) -> R
         candidates = _candidate_sets(g, params.delta, params.sample_budget, params.seed)
     limit = n ** params.delta
     rows = pack_rows(g.adj, n)
-    tried = 0
-    for w in candidates:
-        tried += 1
-        bad = _bad_vertices(rows, w, params.epsilon)
-        if bad.bit_count() > limit:
+    tried, size = 0, AUDIT_BLOCK_FIRST
+    while block := list(islice(candidates, size)):
+        counts = _bad_counts(rows, block, params.epsilon)
+        hits = np.flatnonzero(counts > limit)
+        if len(hits):
+            i = int(hits[0])
+            w, tried = block[i], tried + i + 1
+            # the witness's Y mask comes from the popcount kernel, which must
+            # agree with the product on how many vertices are bad
+            bad = _bad_vertices(rows, w, params.epsilon)
+            if bad.bit_count() != counts[i]:
+                raise ContractViolation(
+                    f"richness candidate {tried} has {bad.bit_count()} bad vertices "
+                    f"by popcount and {counts[i]} by the block product")
             return RichnessVerdict("witness_found", w, bad, tried, exhaustive)
+        tried += len(block)
+        size = min(2 * size, AUDIT_BLOCK_CAP)
     return RichnessVerdict("no_witness_in_budget", 0, 0, tried, exhaustive)
 
 

@@ -1,9 +1,9 @@
 """Test-only references: exact homogeneous numbers, graph complement, edge
 lookup, the K_n closed form, pmf point lookup, the pair-by-pair G(n, p)
 loop, the all-pairs degree-sum bucket, pair-by-pair conflict greedy and
-event-(4) scan of the scaffold construction, the audit's two pair counts
-as separate passes, and the exposure's adjusted degrees recounted per unit
-and cell.
+event-(4) scan of the scaffold construction, the richness audit one
+candidate at a time, the audit's two pair counts as separate passes, and
+the exposure's adjusted degrees recounted per unit and cell.
 
 Nothing in the package or the benchmark calls these; the tests use them to
 check the package's results against independent computations.
@@ -15,6 +15,7 @@ import random
 
 import numpy as np
 
+from ramspect import structure_audit as sa
 from ramspect.errors import CapacityError, ParameterError
 from ramspect.graph_core import (Graph, complement_gap_at_least, count_edges, iter_bits,
                                  pack_rows, popcount, symdiff_size, unit_degree)
@@ -120,6 +121,31 @@ def adjusted_values(g: Graph, x_units, ukimask: int):
     """(x, adjusted degree) for each X unit in one cell: the unit's degree
     into U u Z_{k,i} plus its internal edge, both counted from scratch."""
     return [(x, unit_degree(g, x, ukimask) + count_edges(g, x.mask())) for x in x_units]
+
+
+# ── richness ─────────────────────────────────────────────────────────────
+
+
+def richness_audit_loop(g: Graph, params, exhaustive: bool = False):
+    """RichnessVerdict of the candidate-at-a-time audit: one _bad_vertices
+    popcount per candidate W, in the order richness_audit draws them,
+    stopping at the first W with more than n^delta bad vertices."""
+    n = g.n
+    if exhaustive:
+        sa.check_exhaustive_cap(n)
+        wmin = math.ceil(params.delta * n)
+        candidates = (w for w in range(1 << n) if w.bit_count() >= wmin)
+    else:
+        candidates = sa._candidate_sets(g, params.delta, params.sample_budget, params.seed)
+    limit = n ** params.delta
+    rows = pack_rows(g.adj, n)
+    tried = 0
+    for w in candidates:
+        tried += 1
+        bad = sa._bad_vertices(rows, w, params.epsilon)
+        if bad.bit_count() > limit:
+            return sa.RichnessVerdict("witness_found", w, bad, tried, exhaustive)
+    return sa.RichnessVerdict("no_witness_in_budget", 0, 0, tried, exhaustive)
 
 
 # ── pair audits ──────────────────────────────────────────────────────────

@@ -333,6 +333,103 @@ def test_conflict_threshold_is_compared_exactly():
     assert rc.independent_units(g, units, theta) == units[:1]
 
 
+# ── the prefix screen of the conflict graph ──────────────────────────────
+
+
+def near_twin_graph(n, twins, copied, seed):
+    """G(n, 1/2) in which, for each (a, b) in twins, vertex b has a's
+    neighbors among the vertices below 128 and among those in copied."""
+    rng = np.random.default_rng(seed)
+    adj = np.triu(rng.random((n, n)) < 0.5, 1)
+    adj |= adj.T
+    cols = [u for u in range(n) if u < 128 or u in copied]
+    for a, b in twins:
+        for u in cols:
+            if u not in (a, b):
+                adj[b, u] = adj[u, b] = adj[a, u]
+    return gc.from_edges(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(adj, 1)))])
+
+
+def spy_pair_gaps(mp):
+    """Record (unit count, umask) of every pair_gaps call independent_units makes."""
+    calls = []
+    real = rc.pair_gaps
+
+    def spy(g, units, umask=None):
+        calls.append((len(units), umask))
+        return real(g, units, umask)
+
+    mp.setattr(rc, "pair_gaps", spy)
+    return calls
+
+
+@settings(max_examples=30)
+@given(mode=st.sampled_from(("star", "matching")), seed=st.integers(0, 2 ** 32),
+       keep=st.sampled_from((0.0, 0.9, 0.97, 1.0)), extra=st.integers(0, 20))
+def test_near_twins_past_the_prefix_match_the_reference_greedy(mode, seed, keep, extra):
+    # at n = 300 and theta = 0.05 the screen reads the first 128 columns.
+    # Twins (a, b) agree there, so every unit built from them is open after
+    # the screen; how many later columns b copies decides whether the full
+    # rows put them in conflict (gap below 15) or not
+    n, theta = 300, 0.05
+    rng = random.Random(seed)
+    verts = rng.sample(range(128, n), 16)
+    twins = list(zip(verts[:8], verts[8:]))
+    copied = set(rng.sample(range(128, n), round(keep * (n - 128))))
+    g = near_twin_graph(n, twins, copied, seed)
+    others = rng.sample([v for v in range(n) if v not in verts], 2 * extra)
+    if mode == "star":
+        units = [gc.Unit.single(v) for v in verts + others]
+    else:
+        units = [gc.Unit.pair(a1, a2) for (a1, _), (a2, _) in zip(twins[::2], twins[1::2])]
+        units += [gc.Unit.pair(b1, b2) for (_, b1), (_, b2) in zip(twins[::2], twins[1::2])]
+        units += [gc.Unit.pair(*others[i:i + 2]) for i in range(0, len(others), 2)]
+    units = tuple(rng.sample(units, len(units)))
+    want, _ = independent_units_greedy(g, units, theta)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_pair_gaps(mp)
+        assert rc.independent_units(g, units, theta) == want
+    assert calls[0] == (len(units), (1 << 128) - 1)
+    assert len(calls) == 2 and calls[1][1] is None and calls[1][0] >= 8
+
+
+@pytest.mark.parametrize("mode", ["star", "matching"])
+def test_a_sparse_graph_leaves_every_pair_open(mode, monkeypatch):
+    # every prefix gap of G(300, 0.02) is far below theta*n = 30, so all
+    # units read their whole rows and the recount decides every pair
+    g = gc.generate("gnp", n=300, p=0.02, seed=7)
+    if mode == "star":
+        units = tuple(gc.Unit.single(v) for v in range(0, 300, 2))
+    else:
+        units = tuple(gc.Unit.pair(v, v + 1) for v in range(0, 300, 2))
+    want, conflicts = independent_units_greedy(g, units, 0.1)
+    assert conflicts > 0
+    calls = spy_pair_gaps(monkeypatch)
+    assert rc.independent_units(g, units, 0.1) == want
+    assert calls == [(len(units), (1 << 128) - 1), (len(units), None)]
+
+
+@pytest.mark.parametrize("n,theta", [(100, 0.3), (130, 0.45), (200, 0.9), (64, 0.01),
+                                     (300, 1e300)])
+def test_a_prefix_as_long_as_the_row_is_one_full_product(n, theta, monkeypatch):
+    # head = min(n, 64*(ceil(2*theta*n/64) + 1)) reaches n: no screen
+    g = gc.generate("gnp", n=n, p=0.5, seed=n)
+    units = tuple(gc.Unit.single(v) for v in range(0, n, 2))
+    want, _ = independent_units_greedy(g, units, theta)
+    calls = spy_pair_gaps(monkeypatch)
+    assert rc.independent_units(g, units, theta) == want
+    assert calls == [(len(units), None)]
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.5])
+def test_a_threshold_of_zero_or_below_keeps_every_unit(theta, monkeypatch):
+    g = gc.generate("gnp", n=300, p=0.5, seed=2)
+    units = tuple(gc.Unit.single(v) for v in range(0, 300, 3))
+    calls = spy_pair_gaps(monkeypatch)
+    assert rc.independent_units(g, units, theta) == units
+    assert calls == [(len(units), (1 << 64) - 1)]
+
+
 def test_event4_floor_is_compared_exactly():
     # kappa3 * n lands just above 63, which float32 rounds to 63.0: an
     # attempt that puts exactly 63 vertices of N(0) into U0 fails event (4)

@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramspect import graph_core as gc
 from ramspect import spectrum_oracle as so
@@ -128,6 +129,23 @@ def test_tiny_and_closed_form_graphs_match_naive():
     for g in graphs:
         assert so.phi_exact(g).sizes == so.phi_naive(g).sizes
         assert so.psi_exact(g) == so.psi_naive(g)
+
+
+@st.composite
+def small_graphs(draw):
+    """Any graph on at most 14 vertices; a third of the draws have n <= 3,
+    where the high block of the walk is empty."""
+    n = draw(st.one_of(st.integers(0, 3), st.integers(4, 14), st.integers(4, 14)))
+    pairs = list(itertools.combinations(range(n), 2))
+    bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return gc.from_edges(n, [pr for i, pr in enumerate(pairs) if bits >> i & 1])
+
+
+@settings(max_examples=60)
+@given(g=small_graphs())
+def test_exact_oracles_match_naive_on_any_small_graph(g):
+    assert so.phi_exact(g).sizes == so.phi_naive(g).sizes
+    assert so.psi_exact(g) == so.psi_naive(g)
 
 
 def test_n24_phi_is_psi_projection_above_naive_cap():

@@ -2,6 +2,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from ramspect import graph_core as gc
 from ramspect import structure_audit as sa
-from ramspect.errors import CapacityError, ParameterError
-from reference import close_complement_pair_count, diversity_profile
+from ramspect.errors import CapacityError, ContractViolation, ParameterError
+from reference import close_complement_pair_count, diversity_profile, richness_audit_loop
 
 
 def random_graph(rng, n, p=0.5):
@@ -236,6 +237,138 @@ def test_richness_audit_deterministic():
     a = sa.richness_audit(g, params)
     b = sa.richness_audit(g, params)
     assert a == b
+
+
+# ── batched richness audit against the candidate-at-a-time loop ──────────
+
+
+@settings(max_examples=60)
+@given(n=st.sampled_from((0, 1, 2, 63, 64, 65, 129)),
+       p=st.sampled_from((0.05, 0.3, 0.5, 0.7)), graph_seed=st.integers(0, 2 ** 32),
+       epsilon=st.floats(0.01, 0.3), delta=st.floats(0.2, 0.5),
+       budget=st.integers(1, 300), seed=st.integers(0, 999))
+def test_richness_audit_matches_the_candidate_loop(n, p, graph_seed, epsilon, delta,
+                                                   budget, seed):
+    g = audit_graph(n, p, graph_seed, None)
+    params = sa.AuditParams(epsilon=epsilon, delta=delta, sample_budget=budget, seed=seed)
+    assert sa.richness_audit(g, params) == richness_audit_loop(g, params)
+
+
+@settings(max_examples=40)
+@given(n=st.sampled_from(range(11)), p=st.sampled_from((0.15, 0.5, 0.85)),
+       graph_seed=st.integers(0, 2 ** 32), epsilon=st.floats(0.01, 0.3),
+       delta=st.floats(0.2, 0.5))
+def test_exhaustive_richness_audit_matches_the_candidate_loop(n, p, graph_seed, epsilon,
+                                                              delta):
+    g = audit_graph(n, p, graph_seed, None)
+    params = sa.AuditParams(epsilon=epsilon, delta=delta)
+    assert sa.richness_audit(g, params, exhaustive=True) == \
+        richness_audit_loop(g, params, exhaustive=True)
+
+
+def planted_witness_graph(n, seed):
+    """(graph, W): G(n, 1/2) with no edge between the first eight vertices
+    and W, the upper half of the vertices, so at epsilon = 0.05 all eight
+    are bad toward W, more than n^0.3 for every n below 1000."""
+    rng = np.random.default_rng(seed)
+    adj = np.triu(rng.random((n, n)) < 0.5, 1)
+    adj |= adj.T
+    adj[:8, n // 2:] = adj[n // 2:, :8] = False
+    g = gc.from_edges(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(adj, 1)))])
+    return g, gc.mask_of(range(n // 2, n))
+
+
+@settings(max_examples=30)
+@given(n=st.sampled_from((65, 129)), at=st.sampled_from((1, 32, 33, 96, 97, 224, 225)),
+       after=st.integers(0, 40), seed=st.integers(0, 2 ** 32))
+def test_planted_witness_is_found_at_its_index_across_block_boundaries(n, at, after, seed):
+    # the candidates before the plant have at most n^delta bad vertices;
+    # the audit must stop at the plant, whichever block it falls in
+    g, witness = planted_witness_graph(n, seed)
+    params = sa.AuditParams(epsilon=0.05, delta=0.3)
+    rows = gc.pack_rows(g.adj, n)
+    rng = random.Random(seed)
+    before = []
+    while len(before) < at - 1:
+        w = gc.mask_of(rng.sample(range(n), rng.randrange(n // 4, n + 1)))
+        if sa._bad_vertices(rows, w, params.epsilon).bit_count() <= n ** params.delta:
+            before.append(w)
+    later = [gc.mask_of(rng.sample(range(n), n // 2)) for _ in range(after)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sa, "_candidate_sets", lambda *args: iter(before + [witness] + later))
+        verdict = sa.richness_audit(g, params)
+        assert verdict == richness_audit_loop(g, params)
+    assert (verdict.budget_used, verdict.witness_w) == (at, witness)
+    assert verdict.witness_y & 0xFF == 0xFF
+
+
+@settings(max_examples=60)
+@given(n=st.sampled_from((1, 40, 64, 65, 129)), graph_seed=st.integers(0, 2 ** 32),
+       epsilon=st.sampled_from((0.125, 0.25, 0.375, 0.07, 0.35)),
+       seed=st.integers(0, 2 ** 32))
+def test_bad_counts_match_bad_vertices_where_eps_w_is_an_integer(n, graph_seed, epsilon,
+                                                                 seed):
+    # |W| a multiple of 8, 20 or 100 makes eps*|W| an integer, or a float
+    # an ulp off one (0.07 * 100 is 7.000000000000001): k < eps*|W| must
+    # then read the same through ceil(eps*|W|)
+    g = audit_graph(n, 0.5, graph_seed, None)
+    rng = random.Random(seed)
+    sizes = [s for s in range(0, n + 1) if s % 8 == 0 or s % 20 == 0]
+    block = [gc.mask_of(rng.sample(range(n), rng.choice(sizes))) for _ in range(40)]
+    rows = gc.pack_rows(g.adj, n)
+    want = [sa._bad_vertices(rows, w, epsilon).bit_count() for w in block]
+    assert sa._bad_counts(rows, block, epsilon).tolist() == want
+
+
+@pytest.mark.parametrize("epsilon,size,pattern", [
+    (0.25, 8, 0b1010),   # eps*|W| = 2 exactly: a count of 2 is not bad
+    (0.07, 100, 0b1111),  # eps*|W| = 7.000000000000001: a count of 7 is bad
+])
+def test_bad_counts_keep_the_ties_on_both_sides(epsilon, size, pattern):
+    # W = {0..size-1} and t = round(eps*|W|).  Vertices size and size+1 have
+    # t and t - 1 neighbors in W, vertices size+2 and size+3 have t and t - 1
+    # non-neighbors there; the pattern marks which of the four are bad
+    t = round(epsilon * size)
+    edges = [(size + i, u) for i, top in enumerate((t, t - 1, size - t, size - t + 1))
+             for u in range(top)]
+    g = gc.from_edges(size + 4, edges)
+    w = gc.mask_of(range(size))
+    rows = gc.pack_rows(g.adj, g.n)
+    want = gc.mask_of(v for v in range(g.n)
+                      if (g.adj[v] & w).bit_count() < epsilon * size
+                      or (g.comp_row(v) & w).bit_count() < epsilon * size)
+    assert want >> size == pattern
+    assert sa._bad_vertices(rows, w, epsilon) == want
+    assert sa._bad_counts(rows, [w], epsilon).tolist() == [want.bit_count()]
+
+
+def test_a_witness_recount_that_disagrees_is_a_contract_violation(monkeypatch):
+    g = gc.generate("gnp", n=40, p=0.05, seed=1)
+    params = sa.AuditParams()
+    assert sa.richness_audit(g, params).found
+    real = sa._bad_vertices
+
+    def drop_a_bit(rows, wmask, epsilon):
+        bad = real(rows, wmask, epsilon)
+        return bad & (bad - 1)
+
+    monkeypatch.setattr(sa, "_bad_vertices", drop_a_bit)
+    with pytest.raises(ContractViolation):
+        sa.richness_audit(g, params)
+
+
+def test_richness_audit_builds_no_n_by_n_matrix():
+    # an n x n float32 matrix at n = 2048 takes 16 MB; numpy reports its
+    # buffers to tracemalloc, and the audit reads the adjacency in row blocks
+    g = gc.generate("gnp", n=2048, p=0.5, seed=0)
+    tracemalloc.start()
+    try:
+        verdict = sa.richness_audit(g, sa.AuditParams())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.budget_used == sa.AuditParams().sample_budget
+    assert peak < 8 * 2 ** 20
 
 
 # ── extraction loop ──────────────────────────────────────────────────────
