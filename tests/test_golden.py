@@ -64,6 +64,15 @@ CASES = {
                      "bfde0070d8807b8506c9cba8a9cfd6fb0d98d135c0b6b8a618d013f07440a121"),
          "dump.json": (json_body,
                        "e4c155d56e8f859dd7b434d9abf529b8d12816f5818da2df82d46e8c4eb90fd3")}),
+    # kappa = c'*sqrt(n) = 3 exactly: a 4 x 4 family table (k = 3..6,
+    # i = 0..3) and 15 distinct sizes
+    "per-m-n1024": (
+        ["per-m", "--gen", "gnp", "--n", "1024", "--graph-seed", "0",
+         "--seed", "3", "--set", "c_prime=0.09375"],
+        {"out.csv": (text_body,
+                     "32479380c3479cfc6e91a61147e4f81d93873cc9f2c3c3abe62e36c2d63525dc"),
+         "dump.json": (json_body,
+                       "29199b6970947d916f72b8c4aa4ecb07df44b66c416860308630bcb4e8ecfe33")}),
     "audit": (
         ["audit", "--gen", "gnp", "--n", "40"],
         {"out.json": (json_body,
@@ -192,3 +201,15 @@ def test_late_witness_pin_finds_its_witness_past_the_first_candidates():
     g = gc.generate("gnp", n=200, p=0.65, seed=1)
     verdict = sa.richness_audit(g, sa.AuditParams(seed=0))
     assert verdict.found and verdict.budget_used > 32
+
+
+def test_n1024_pin_walks_a_four_by_four_table(tmp_path):
+    # the pin above guards the family table past its first swap only if
+    # its rows hold several cells
+    dump = tmp_path / "dump.json"
+    assert cli.main(CASES["per-m-n1024"][0] + ["--out", str(tmp_path / "out.csv"),
+                                               "--dump", str(dump)]) == 0
+    doc = json.loads(dump.read_text())
+    assert [(r["k"], r["i_values"]) for r in doc["records"]] == \
+        [(k, [0, 1, 2, 3]) for k in range(3, 7)]
+    assert len(doc["distinct_sizes"]) == 15
