@@ -7,9 +7,8 @@ config and seed.
 
 The construct and per-m --dump JSON artifacts are the result dataclasses'
 fields: ConstructionResult minus u0_mask (written as u0_size), and
-PerMOutcome with each PerKRecord minus z_masks, deltas and verified_cells.
-A field added to one of those classes enters the artifact and moves the
-golden digests.
+PerMOutcome with each PerKRecord minus z_masks.  A field added to one of
+those classes enters the artifact and moves the golden digests.
 """
 from __future__ import annotations
 
@@ -334,7 +333,7 @@ def cmd_per_m(ns) -> int:
     cfg = {"graph": gsrc, "m": m, "cparams": asdict(cp), "eparams": asdict(ep)}
     out = per_m_run(g, m, cp, ep)
     # str keys: sort_keys orders "10" before "2", as the artifact always has
-    records = [{**_fields(r, drop=("z_masks", "deltas", "verified_cells")),
+    records = [{**_fields(r, drop=("z_masks",)),
                 "x_witnesses": {str(i): w for i, w in r.x_witnesses.items()}}
                for r in out.records]
     _emit_windows(ns, cfg, [out], [], {**_fields(out), "records": records})

@@ -27,9 +27,10 @@ exact because U lies in U0 and the S, T and X units are pairwise disjoint
 and miss U0 (per_m_run checks this, so a hand-built result that breaks it
 is a ContractViolation).  per_m_run counts e(x) once per run and deg(x, U)
 once per exposure attempt; per_k_checks adds only the degree into the few
-vertices of each Z_{k,i}.  The direct recounts that check the
-incremental arithmetic, family_table's sampled cells and every emitted
-size, are each one graph_core.count_edges_many batch.
+vertices of each Z_{k,i}.  family_table counts every cell from its
+definition, e_{k,i} = e(U u Z_{k,i}) - e(U), in one
+graph_core.count_edges_many batch, and every emitted size, which adds the
+split degrees to those cells, is recounted from scratch in a second batch.
 """
 
 from __future__ import annotations
@@ -38,9 +39,11 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .errors import ConstructionFailure, ContractViolation, ParameterError
-from .graph_core import (Graph, Unit, check_disjoint_units, count_edges,
-                         count_edges_many, unit_degree)
+from .graph_core import (Graph, Unit, bernoulli, bit_matrix, check_disjoint_units,
+                         count_edges, count_edges_many, mask_from_bools, unit_degree)
 from .ramsey_construct import ConstructionParams, ConstructionResult, construct
 from .seeding import derive_seed
 
@@ -54,7 +57,6 @@ class ExposureParams:
     gamma: float = 0.05
     expose_window: float | None = None  # |e(U)-m| gate, units of n^(3/2); None -> kappa1/4 + 0.02
     kappa_window: float = 0.25     # reported-size containment radius, units of n^(3/2)
-    verify_fraction: float = 0.01
     trials: int = 8
     seed: int = 0
 
@@ -70,7 +72,7 @@ class ExposureParams:
         if not 0 < self.kappa_window < math.inf:
             raise ParameterError(
                 f"kappa_window must be positive and finite, got {self.kappa_window}")
-        for name in ("beta", "q_const", "expose_window", "verify_fraction"):
+        for name in ("beta", "q_const", "expose_window"):
             value = getattr(self, name)
             if value is not None and math.isnan(value):
                 raise ParameterError(f"{name} must be a number, got nan")
@@ -168,15 +170,10 @@ def expose(u0_mask: int, seed: int) -> int:
     """Independent rate-1/2 subsample of U0; deterministic in the seed."""
     if u0_mask == 0:
         raise ParameterError("U0 must be nonempty")
-    rng = random.Random(seed)
-    u = 0
-    m = u0_mask
-    while m:
-        low = m & -m
-        if rng.random() < 0.5:
-            u |= low
-        m ^= low
-    return u
+    # one random() draw per U0 vertex, in increasing vertex order
+    keep = bit_matrix([u0_mask], u0_mask.bit_length())[0].view(bool)
+    keep[keep] = bernoulli(random.Random(seed), int(np.count_nonzero(keep)), 0.5)
+    return mask_from_bools(keep)
 
 
 @dataclass
@@ -185,60 +182,25 @@ class PerKRecord:
     i_values: list   # always 0..i_top, so i indexes z_masks and e_values
     z_masks: list
     e_values: list
-    deltas: list
-    verified_cells: list
     e_hat: float | None = None
     checks: tuple | None = None
     i_pass: list = field(default_factory=list)   # i with a valid X witness
     x_witnesses: dict = field(default_factory=dict)  # i -> tuple of (Unit, adjusted value)
 
 
-def family_table(g: Graph, u_mask: int, s_units, t_units,
-                 resolved: ResolvedExposure, *, seed: int = 0,
-                 verify_fraction: float = 0.01):
-    """e_{k,i} over the whole index rectangle, one swap per step.
+def family_table(g: Graph, u_mask: int, s_units, t_units, resolved: ResolvedExposure):
+    """e_{k,i} = e(U u Z_{k,i}) - e(U) over the whole index rectangle.
 
-    Each i -> i+1 replaces the last live S unit with the next T unit,
-    adjusting internal-Z and Z-to-U edges incrementally.  The identity
-    e_{k,i} = e(U_{k,i}) - e(U) is re-verified by direct counting, one
-    count_edges_many batch, on a seeded sample of cells (always the table's
-    first cell).
+    Every cell's Z_{k,i} comes from z_family, and U and every U u Z_{k,i}
+    are counted in one count_edges_many batch.
     """
-    rng = random.Random(derive_seed(seed, "verify"))
-    records = []
-    recount = []   # (k, i, incremental e_{k,i}, mask of Z_{k,i} u U)
-    for k in range(resolved.k_lo, resolved.k_hi + 1):
-        i_top = min(k, resolved.i_hi)
-        zm = z_family(s_units, t_units, k, 0)
-        e_z = count_edges(g, zm)
-        e_zu = count_edges(g, zm, u_mask)
-        z_masks, e_values = [zm], [e_z + e_zu]
-        for i in range(1, i_top + 1):
-            out = s_units[k - i]
-            inc = t_units[i - 1]
-            om, tm = out.mask(), inc.mask()
-            rest = zm & ~om
-            e_z += (count_edges(g, tm, rest) + count_edges(g, tm)
-                    - count_edges(g, om, rest) - count_edges(g, om))
-            e_zu += count_edges(g, tm, u_mask) - count_edges(g, om, u_mask)
-            zm = rest | tm
-            z_masks.append(zm)
-            e_values.append(e_z + e_zu)
-        deltas = [b - a for a, b in zip(e_values, e_values[1:])]
-        verified = []
-        for i in range(i_top + 1):
-            if (not recount and i == 0) or rng.random() < verify_fraction:
-                recount.append((k, i, e_values[i], z_masks[i] | u_mask))
-                verified.append((k, i))
-        records.append(PerKRecord(k=k, i_values=list(range(i_top + 1)),
-                                  z_masks=z_masks, e_values=e_values, deltas=deltas,
-                                  verified_cells=verified))
-    e_u, *direct = count_edges_many(g, [u_mask] + [cell[3] for cell in recount])
-    for (k, i, e_ki, _), e_all in zip(recount, direct):
-        if e_all - e_u != e_ki:
-            raise ContractViolation(
-                f"incremental e_({k},{i})={e_ki} but direct count gives {e_all - e_u}")
-    return records
+    rows = [(k, [z_family(s_units, t_units, k, i) for i in range(min(k, resolved.i_hi) + 1)])
+            for k in range(resolved.k_lo, resolved.k_hi + 1)]
+    e_u, *counts = count_edges_many(g, [u_mask] + [zm | u_mask for _, zms in rows for zm in zms])
+    cells = iter(counts)
+    return [PerKRecord(k=k, i_values=list(range(len(zms))), z_masks=zms,
+                       e_values=[next(cells) - e_u for _ in zms])
+            for k, zms in rows]
 
 
 def per_k_checks(record: PerKRecord, g: Graph, u0_mask: int, x_units, x_base,
@@ -278,8 +240,8 @@ def per_k_checks(record: PerKRecord, g: Graph, u0_mask: int, x_units, x_base,
     check2 = abs(record.e_values[0] - record.e_hat) <= q * n
     check3 = record.e_values[-1] - record.e_values[0] >= 3 * resolved.beta * n
     big = resolved.big_m * rt
-    check4 = sum(abs(dl) for dl in record.deltas if abs(dl) >= big) \
-        <= resolved.beta * n
+    steps = (abs(b - a) for a, b in zip(record.e_values, record.e_values[1:]))
+    check4 = sum(dl for dl in steps if dl >= big) <= resolved.beta * n
     record.checks = (check1, check2, check3, check4)
     return record.checks
 
@@ -350,9 +312,7 @@ def per_m_run(g: Graph, m: int, cparams: ConstructionParams | None = None,
         if abs(e_u - m) > gate_abs:
             attempts_log.append({"attempt": t, "stage": "expose_gate", "e_u": e_u})
             continue
-        records = family_table(g, u, res.s_units, res.t_units, resolved,
-                               seed=derive_seed(eparams.seed, "table", t),
-                               verify_fraction=eparams.verify_fraction)
+        records = family_table(g, u, res.s_units, res.t_units, resolved)
         x_base = [unit_degree(g, x, u) + e for x, e in zip(res.x_units, internal)]
         for rec in records:
             per_k_checks(rec, g, res.u0_mask, res.x_units, x_base, res.d, resolved)

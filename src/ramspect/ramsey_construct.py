@@ -47,9 +47,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionFailure, ContractViolation, ParameterError
-from .graph_core import (Graph, Unit, check_disjoint_units, complement_gap_at_least,
-                         count_edges, iter_bits, mask_of, pack_rows, pair_gaps,
-                         prefix_words, symdiff_size, unit_degree)
+from .graph_core import (Graph, Unit, bernoulli, check_disjoint_units,
+                         complement_gap_at_least, count_edges, iter_bits, mask_from_bools,
+                         mask_of, pack_rows, pair_gaps, prefix_words, symdiff_size,
+                         unit_degree)
 from .seeding import derive_seed
 from .structure_audit import AuditParams, rich_extract
 
@@ -358,11 +359,7 @@ def sample_U0(g: Graph, a_units, m: int, d_doubleprime: int,
     attempts = []
     fail_hist = [0] * 5
     for t in range(params.retry_max):
-        rng = random.Random(derive_seed(params.seed, "u0", t))
-        u0 = 0
-        for v in range(n):
-            if rng.random() < p:
-                u0 |= 1 << v
+        u0 = mask_from_bools(bernoulli(random.Random(derive_seed(params.seed, "u0", t)), n, p))
         e_u0 = count_edges(g, u0)
         ok1 = abs(e_u0 - 4 * m) <= e_window
         q = tuple(x for x in a_units if not (x.mask() & u0))

@@ -1,9 +1,10 @@
 """Test-only references: exact homogeneous numbers, graph complement, edge
-lookup, the K_n closed form, pmf point lookup, the pair-by-pair G(n, p)
-loop, the all-pairs degree-sum bucket, pair-by-pair conflict greedy and
-event-(4) scan of the scaffold construction, the richness audit one
-candidate at a time, the audit's two pair counts as separate passes, and
-the exposure's adjusted degrees recounted per unit and cell.
+lookup, the K_n closed form, pmf point lookup, Bernoulli draws one
+random() call at a time, the pair-by-pair G(n, p) loop, the all-pairs
+degree-sum bucket, pair-by-pair conflict greedy, event-(4) scan and S/T/X
+split of the scaffold construction, the richness audit one candidate at a
+time, the audit's two pair counts as separate passes, and the exposure's
+adjusted degrees recounted per unit and cell.
 
 Nothing in the package or the benchmark calls these; the tests use them to
 check the package's results against independent computations.
@@ -42,6 +43,11 @@ def prob(pmf, x: int) -> float:
     if 0 <= i < len(pmf.masses):
         return float(pmf.masses[i])
     return 0.0
+
+
+def bernoulli_loop(rng: random.Random, k: int, p: float) -> list[bool]:
+    """k draws of ``rng.random() < p``, one call each."""
+    return [rng.random() < p for _ in range(k)]
 
 
 def gnp_loop(n: int, p: float, seed: int) -> Graph:
@@ -112,6 +118,26 @@ def event4_scan(g: Graph, units, umask: int, sym_floor: float):
             if s < sym_floor:
                 return False, min_sym
     return True, min_sym
+
+
+def select_stx_split(g: Graph, u0: int, q, r, p: float, d_doubleprime: int):
+    """(S, T, X, d, gap_floor, |B|) of select_STX, or None where it refuses:
+    the units of Q that are also in R, halved in order into Y and X; B the
+    first Y unit of each degree into U0, by rising degree; S and T the lower
+    and upper thirds of B."""
+    both = [x for x in q if x in r]
+    if len(both) < 6:
+        return None
+    y, x = both[:len(both) // 2], both[len(both) // 2:]
+    first = {}
+    for u in y:
+        first.setdefault(sum((g.adj[v] & u0).bit_count() for v in u.vertices), u)
+    if len(first) < 3:
+        return None
+    b = [first[dd] for dd in sorted(first)]
+    third = len(b) // 3
+    return (tuple(b[:third]), tuple(b[len(b) - third:]), tuple(x),
+            p * d_doubleprime, -(-len(b) // 3), len(b))
 
 
 # ── double exposure ──────────────────────────────────────────────────────

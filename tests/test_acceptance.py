@@ -106,8 +106,7 @@ def test_criterion_5_per_k_statistics():
     rows = 0
     for t in range(200):
         u = expose(res.u0_mask, derive_seed(1234, "expose", t))
-        recs = family_table(g, u, res.s_units, res.t_units, rv,
-                            seed=derive_seed(1234, "tab", t))
+        recs = family_table(g, u, res.s_units, res.t_units, rv)
         x_base = [gc.unit_degree(g, x, u) + gc.count_edges(g, x.mask())
                   for x in res.x_units]
         for rec in recs:

@@ -26,18 +26,20 @@ def brute_pmf(inst):
 # ── exact distribution ───────────────────────────────────────────────────
 
 
-def test_exact_matches_brute_force_battery():
-    rng = random.Random(41)
-    for _ in range(30):
-        n = rng.randrange(1, 9)
-        coeffs = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n))
-        inst = ac.LOInstance(coeffs, offset=rng.randrange(-3, 4),
-                             p=rng.choice((0.3, 0.5, 0.7)))
-        pmf = ac.lo_exact_distribution(inst)
-        want = brute_pmf(inst)
-        for x, pr in want.items():
-            assert prob(pmf, x) == pytest.approx(pr, rel=1e-12, abs=1e-15)
-        assert pmf.max_mass() == pytest.approx(max(want.values()), rel=1e-12)
+@settings(max_examples=120)
+@given(coeffs=st.lists(st.integers(-9, 9).filter(bool), min_size=1, max_size=12),
+       offset=st.integers(-20, 20),
+       p=st.sampled_from((0.3, 0.7, 0.05, 0.99))
+       | st.floats(1e-3, 1 - 1e-3).filter(lambda p: p != 0.5))
+def test_exact_matches_brute_force_battery(coeffs, offset, p):
+    inst = ac.LOInstance(tuple(coeffs), offset=offset, p=p)
+    pmf = ac.lo_exact_distribution(inst)
+    want = brute_pmf(inst)
+    for x, pr in want.items():
+        assert prob(pmf, x) == pytest.approx(pr, rel=1e-12, abs=1e-15)
+    # no mass where no outcome lands
+    assert {pmf.support_min + i for i in np.flatnonzero(pmf.masses)} <= set(want)
+    assert pmf.max_mass() == pytest.approx(max(want.values()), rel=1e-12)
 
 
 def dense_reference(inst):

@@ -191,6 +191,14 @@ def test_unknown_override_key_exits_one(capsys):
     assert "unknown override key" in err
 
 
+def test_verify_fraction_is_an_unknown_override_key(capsys):
+    # the family table counts every cell, so no key sets a re-check share
+    code, _, err = run(capsys, "per-m", "--gen", "gnp", "--n", "10",
+                       "--set", "verify_fraction=0.5")
+    assert code == 1
+    assert "unknown override key 'verify_fraction'" in err
+
+
 def test_missing_graph_source_exits_one(capsys):
     code, _, err = run(capsys, "phi")
     assert code == 1

@@ -1,9 +1,10 @@
-"""Exposure families: identity re-checks, separations, and determinism."""
+"""Exposure families: table counts, separations, and determinism."""
 import math
+import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ramspect import graph_core as gc
 from ramspect import double_exposure as de
@@ -12,7 +13,7 @@ from ramspect.double_exposure import (ExposureParams, expose, family_table,
                                       z_family)
 from ramspect.errors import ContractViolation, ParameterError, RamspectError
 from ramspect.ramsey_construct import ConstructionParams, construct
-from reference import adjusted_values
+from reference import adjusted_values, bernoulli_loop
 
 G256 = gc.generate("gnp", n=256, p=0.5, seed=3)
 M256 = round(1.5 * 0.0003 * 256 * 256)
@@ -55,6 +56,18 @@ def test_expose_is_a_deterministic_subset():
     assert 0.25 * u0.bit_count() < u_a.bit_count() < 0.75 * u0.bit_count()
 
 
+@settings(max_examples=100)
+@example(vertices={0}, seed=0)
+@given(vertices=st.sets(st.integers(0, 700), min_size=1, max_size=400)
+       | st.sets(st.integers(0, 70), min_size=1),
+       seed=st.integers(0, 2 ** 64))
+def test_expose_draws_once_per_u0_vertex_in_vertex_order(vertices, seed):
+    # U0 masks with gaps, from one vertex to dense runs past several words
+    u0 = gc.mask_of(vertices)
+    keep = bernoulli_loop(random.Random(seed), len(vertices), 0.5)
+    assert expose(u0, seed) == gc.mask_of(v for v, k in zip(sorted(vertices), keep) if k)
+
+
 # ── constant resolution ──────────────────────────────────────────────────
 
 
@@ -87,36 +100,34 @@ def test_resolve_honors_explicit_constants():
 # ── family table identity ────────────────────────────────────────────────
 
 
-def test_family_table_edge_counts_match_direct_recount():
-    resolved = resolve_exposure(RES256, ExposureParams())
-    u = expose(RES256.u0_mask, seed=31)
-    records = family_table(G256, u, RES256.s_units, RES256.t_units, resolved,
-                           seed=31, verify_fraction=1.0)
-    assert records
-    for rec in records:
-        assert resolved.k_lo <= rec.k <= resolved.k_hi
-        for i, e_ki in zip(rec.i_values, rec.e_values):
-            zm = z_family(RES256.s_units, RES256.t_units, rec.k, i)
-            want = gc.count_edges(G256, zm) + gc.count_edges(G256, zm, u)
-            assert e_ki == want
+# |S| = |T| = 6, so an explicit kappa = c'*sqrt(n) = 3 makes a 4 x 4 table
+G1024 = gc.generate("gnp", n=1024, p=0.5, seed=0)
+RES1024 = construct(G1024, round(1.5 * 0.0003 * 1024 * 1024), ConstructionParams(seed=3))
+TABLE_SCAFFOLDS = {"star": (G256, RES256), "matching": (G512, RES512),
+                   "star-n1024": (G1024, RES1024)}
 
 
 @settings(max_examples=40)
-@given(mode=st.sampled_from(sorted(SCAFFOLDS)), seed=st.integers(0, 2 ** 32))
-def test_family_table_matches_count_edges_on_every_cell(mode, seed):
-    # no cell is left to the seeded sample: each e_{k,i} is recounted here
-    g, _, _, res = SCAFFOLDS[mode]
-    resolved = resolve_exposure(res, ExposureParams())
+@example(mode="star-n1024", kappa=3, seed=0)
+@given(mode=st.sampled_from(sorted(TABLE_SCAFFOLDS)),
+       kappa=st.sampled_from([None, 1, 1.5, 2, 2.5, 3]), seed=st.integers(0, 2 ** 32))
+def test_family_table_matches_count_edges_on_every_cell(mode, kappa, seed):
+    # each e_{k,i} against its definition e(Z) + e(Z, U) on the int rows;
+    # kappa None is the derived scale, an explicit one is clamped to fit S and T
+    g, res = TABLE_SCAFFOLDS[mode]
+    c_prime = None if kappa is None else \
+        min(kappa, len(res.s_units) / 2, len(res.t_units)) / math.sqrt(res.working_n)
+    resolved = resolve_exposure(res, ExposureParams(c_prime=c_prime))
     u = expose(res.u0_mask, seed)
-    e_u = gc.count_edges(g, u)
-    records = family_table(g, u, res.s_units, res.t_units, resolved, seed=seed,
-                           verify_fraction=0.0)
+    records = family_table(g, u, res.s_units, res.t_units, resolved)
     assert [rec.k for rec in records] == list(range(resolved.k_lo, resolved.k_hi + 1))
+    if (mode, kappa) == ("star-n1024", 3):
+        assert [len(rec.i_values) for rec in records] == [4] * 4
     for rec in records:
-        assert rec.verified_cells in ([], [(resolved.k_lo, 0)])
+        assert rec.i_values == list(range(min(rec.k, resolved.i_hi) + 1))
         for i, zm, e_ki in zip(rec.i_values, rec.z_masks, rec.e_values):
             assert zm == z_family(res.s_units, res.t_units, rec.k, i)
-            assert e_ki == gc.count_edges(g, zm | u) - e_u
+            assert e_ki == gc.count_edges(g, zm) + gc.count_edges(g, zm, u)
 
 
 def reference_witnesses(g, res, u, zm, lo, hi):
@@ -138,7 +149,7 @@ def test_per_k_witnesses_match_the_per_cell_reference(mode, seed):
     x_base = [gc.unit_degree(g, x, u) + gc.count_edges(g, x.mask()) for x in res.x_units]
     rt = math.sqrt(resolved.n)
     lo, hi = res.d / 2 - resolved.q_const * rt, res.d / 2 + resolved.q_const * rt
-    for rec in family_table(g, u, res.s_units, res.t_units, resolved, seed=seed):
+    for rec in family_table(g, u, res.s_units, res.t_units, resolved):
         de.per_k_checks(rec, g, res.u0_mask, res.x_units, x_base, res.d, resolved)
         for i, zm in zip(rec.i_values, rec.z_masks):
             want = reference_witnesses(g, res, u, zm, lo, hi)
@@ -177,19 +188,13 @@ def test_per_m_refuses_x_units_that_meet_u0_or_the_swap_units(intruder):
     assert isinstance(exc.value, RamspectError)
 
 
-def test_batched_recounts_check_the_incremental_sizes(monkeypatch):
-    # both batched recounts stay independent of the incremental arithmetic:
-    # shifting every count by one leaves the differences family_table checks
-    # intact but breaks each emitted size, and shifting all but e(U) breaks
-    # the table
+def test_batched_recount_checks_every_emitted_size(monkeypatch):
+    # the size recount stays independent of the table: shifting every count
+    # by one leaves each e_(k,i) = e(U u Z) - e(U) as it was but breaks each
+    # emitted size
     real = gc.count_edges_many
     monkeypatch.setattr(de, "count_edges_many", lambda g, masks: [e + 1 for e in real(g, masks)])
     with pytest.raises(ContractViolation, match=r"size \d+ for \(k="):
-        per_m_run(G256, M256, ConstructionParams(seed=4), ExposureParams(seed=9),
-                  result=RES256)
-    monkeypatch.setattr(de, "count_edges_many",
-                        lambda g, masks: [e + (j > 0) for j, e in enumerate(real(g, masks))])
-    with pytest.raises(ContractViolation, match=r"incremental e_\(\d+,0\)"):
         per_m_run(G256, M256, ConstructionParams(seed=4), ExposureParams(seed=9),
                   result=RES256)
 
@@ -197,8 +202,7 @@ def test_batched_recounts_check_the_incremental_sizes(monkeypatch):
 def test_per_k_checks_shape():
     resolved = resolve_exposure(RES256, ExposureParams())
     u = expose(RES256.u0_mask, seed=31)
-    records = family_table(G256, u, RES256.s_units, RES256.t_units, resolved,
-                           seed=31)
+    records = family_table(G256, u, RES256.s_units, RES256.t_units, resolved)
     x_base = [gc.unit_degree(G256, x, u) + gc.count_edges(G256, x.mask())
               for x in RES256.x_units]
     checks = de.per_k_checks(records[0], G256, RES256.u0_mask, RES256.x_units,
@@ -211,6 +215,22 @@ def test_per_k_checks_shape():
     want_hat = gc.count_edges(G256, zm) + \
         gc.count_edges(G256, zm, RES256.u0_mask) / 2
     assert e_hat == pytest.approx(want_hat)
+
+
+@pytest.mark.parametrize("e_values,ok", [
+    ([0, 2, 0], True),               # two steps of 2: exactly beta*n
+    ([0, 2, 4, 6], False),           # three steps of 2, each at the M*sqrt(n) bar
+    ([0, 3, 0], False),              # a step down counts by its size
+    ([0, 1, 2, 3, 4, 5, 6], True),   # steps below the bar never count
+])
+def test_check4_totals_the_large_steps_of_the_row(e_values, ok):
+    # n = 4, M*sqrt(n) = 2 and beta*n = 4
+    resolved = de.ResolvedExposure(n=4, kappa=1.0, c_prime=0.5, beta=1.0, big_m=1.0,
+                                   q_const=3.0, gamma=0.5, k_lo=1, k_hi=1, i_hi=6, d=0.0)
+    rec = de.PerKRecord(k=6, i_values=list(range(len(e_values))),
+                        z_masks=[0] * len(e_values), e_values=e_values)
+    checks = de.per_k_checks(rec, gc.generate("empty", n=4), 0, (), [], 0.0, resolved)
+    assert checks[3] is ok
 
 
 # ── per-m runs ───────────────────────────────────────────────────────────

@@ -156,8 +156,7 @@ def test_per_m_dump_of_witnesses_past_i_nine_is_pinned(tmp_path, monkeypatch):
 
     rec = PerKRecord(
         k=3, i_values=list(range(11)), z_masks=[1 << i for i in range(11)],
-        e_values=np.arange(11, dtype=np.int64) * 2, deltas=[2] * 10,
-        verified_cells=[(3, 0), (3, 7)], e_hat=np.float64(1.25),
+        e_values=np.arange(11, dtype=np.int64) * 2, e_hat=np.float64(1.25),
         checks=(True, True, False, True), i_pass=[2, 10],
         x_witnesses={2: ((Unit.single(5), 7),),
                      10: ((Unit.pair(4, 1), 9.5), (Unit.single(0), 3))})

@@ -8,12 +8,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ramspect import graph_core as gc
 from ramspect.errors import (CapacityError, ContractViolation, GraphParseError,
                              ParameterError)
-from reference import complement, gnp_loop, has_edge, homogeneous_number, is_c_ramsey
+from reference import (bernoulli_loop, complement, gnp_loop, has_edge, homogeneous_number,
+                       is_c_ramsey)
 
 
 def brute_count_edges(g, avs, bvs=None):
@@ -349,6 +350,19 @@ def test_property_tests_replay_fixed_examples():
        | st.integers(-2 ** 80, 2 ** 80))
 def test_gnp_is_identical_to_the_pair_by_pair_loop(n, p, seed):
     assert gc.generate("gnp", n=n, p=p, seed=seed).adj == gnp_loop(n, p, seed).adj
+
+
+@settings(max_examples=200)
+@example(k=0, p=0.5, seed=0)
+@given(k=st.integers(0, 300),
+       p=st.sampled_from((0.0, 1.0, 0.5)) | st.floats(0.0, 1.0),
+       seed=st.integers(-2 ** 80, 2 ** 80))
+def test_bernoulli_matches_one_random_call_per_draw(k, p, seed):
+    # the same bools, and the generator left at the same point
+    fast, slow = random.Random(seed), random.Random(seed)
+    got = gc.bernoulli(fast, k, p)
+    assert got.dtype == bool and got.tolist() == bernoulli_loop(slow, k, p)
+    assert fast.getstate() == slow.getstate()
 
 
 @pytest.mark.parametrize("seed", range(6))

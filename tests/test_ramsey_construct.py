@@ -15,7 +15,9 @@ from ramspect.ramsey_construct import (ConstructionFailure, ConstructionParams,
                                        construct, verify_construction)
 from hypothesis import given, settings, strategies as st
 
-from reference import bucket_by_enumeration, event4_scan, independent_units_greedy
+from ramspect.seeding import derive_seed
+from reference import (bernoulli_loop, bucket_by_enumeration, event4_scan,
+                       independent_units_greedy, select_stx_split)
 
 G256 = gc.generate("gnp", n=256, p=0.5, seed=3)
 M256 = round(1.5 * 0.0003 * 256 * 256)  # window midpoint for default c
@@ -479,6 +481,62 @@ def test_sample_u0_event4_matches_the_pair_loop(n, star_coeff, monkeypatch):
             outcomes.setdefault(kappa3, set()).add(ok4)
     assert True in outcomes[0.02]
     assert all(outcomes[k] == {False} for k in (0.05, 0.1, 0.2))
+
+
+def test_sample_u0_draws_once_per_vertex_per_attempt(monkeypatch):
+    # attempt t's U0 holds vertex v iff the v-th random() draw of its
+    # derived seed is below p; a strict kappa3 makes every attempt fail
+    g, _, units = pipeline_units(300, 1, 0.25)
+    a_units = rc.independent_units(g, units, 0.01)[:70]
+    drawn = []
+    real = rc.pair_gaps
+    monkeypatch.setattr(rc, "pair_gaps",
+                        lambda g, units, umask=None: drawn.append(umask) or real(g, units, umask))
+    params = ConstructionParams(seed=5, kappa3=0.9, retry_max=4)
+    with pytest.raises(ConstructionFailure) as exc:
+        rc.sample_U0(g, a_units, round(1.5 * 0.0003 * 300 * 300), 0, params)
+    p = exc.value.diagnostics["p"]
+    assert len(drawn) == 4
+    for t, u0 in enumerate(drawn):
+        keep = bernoulli_loop(random.Random(derive_seed(5, "u0", t)), 300, p)
+        assert u0 == gc.mask_of(v for v in range(300) if keep[v])
+
+
+def stx_inputs(g, m, params):
+    """(g, U0, Q, R, p, d'') of a built scaffold, Q and R as sample_U0 hands
+    them to select_STX."""
+    res = construct(g, m, params)
+    u0, q, r, diag = rc.sample_U0(g, res.a_units, m, res.d_doubleprime, params)
+    assert u0 == res.u0_mask
+    return g, u0, q, r, diag["p"], res.d_doubleprime
+
+
+STX_INPUTS = {
+    "star": stx_inputs(G256, M256, ConstructionParams(seed=4)),
+    "matching": stx_inputs(gc.generate("gnp", n=512, p=0.5, seed=1),
+                           round(1.5 * 0.0003 * 512 * 512),
+                           ConstructionParams(seed=3, theta_compl=0.45, star_coeff=100)),
+}
+
+
+@settings(max_examples=60)
+@given(mode=st.sampled_from(sorted(STX_INPUTS)), seed=st.integers(0, 2 ** 32),
+       keep=st.sampled_from((1.0, 0.7, 0.4, 0.15)), shuffle=st.booleans())
+def test_select_stx_matches_the_reference_split(mode, seed, keep, shuffle):
+    # sub-lists of the scaffold's own Q and R, in order or shuffled, down to
+    # sizes where select_STX refuses for want of units or of degrees
+    g, u0, q, r, p, d_dp = STX_INPUTS[mode]
+    rng = random.Random(seed)
+    q = [x for x in q if rng.random() < keep]
+    r = [x for x in r if rng.random() < keep]
+    if shuffle:
+        rng.shuffle(q)
+    want = select_stx_split(g, u0, q, r, p, d_dp)
+    if want is None:
+        with pytest.raises(ConstructionFailure, match="select_STX"):
+            rc.select_STX(g, u0, q, r, p, d_dp)
+    else:
+        assert rc.select_STX(g, u0, q, r, p, d_dp) == want
 
 
 # ── end-to-end construction ──────────────────────────────────────────────
