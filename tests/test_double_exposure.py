@@ -100,6 +100,19 @@ def test_resolve_honors_explicit_constants():
 # ── family table identity ────────────────────────────────────────────────
 
 
+def test_family_table_edge_counts_match_direct_recount():
+    resolved = resolve_exposure(RES256, ExposureParams())
+    u = expose(RES256.u0_mask, seed=31)
+    records = family_table(G256, u, RES256.s_units, RES256.t_units, resolved)
+    assert records
+    for rec in records:
+        assert resolved.k_lo <= rec.k <= resolved.k_hi
+        for i, e_ki in zip(rec.i_values, rec.e_values):
+            zm = z_family(RES256.s_units, RES256.t_units, rec.k, i)
+            want = gc.count_edges(G256, zm) + gc.count_edges(G256, zm, u)
+            assert e_ki == want
+
+
 # |S| = |T| = 6, so an explicit kappa = c'*sqrt(n) = 3 makes a 4 x 4 table
 G1024 = gc.generate("gnp", n=1024, p=0.5, seed=0)
 RES1024 = construct(G1024, round(1.5 * 0.0003 * 1024 * 1024), ConstructionParams(seed=3))
