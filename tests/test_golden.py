@@ -102,10 +102,25 @@ CASES = {
         ["phi", "--gen", "gnp", "--n", "18", "--graph-seed", "2"],
         {"out.csv": (text_body,
                      "d8fa7e993134fdda83d4b1b44f0b071dce23e7c8c6de1e5d40846250aa03491c")}),
+    # above PHI_NAIVE_CAP; Phi is [0, 133] plus e(G) = 140, so most high
+    # subsets of the block walk add no new size
+    "phi-n24": (
+        ["phi", "--gen", "gnp", "--n", "24", "--graph-seed", "2"],
+        {"out.csv": (text_body,
+                     "c1515916624ae04c39b5206ad6dc0a7461b102c34b50bd2d27ebde7dfe1509b1")}),
+    # sparse: Phi is the whole interval [0, 45]
+    "phi-n24-sparse": (
+        ["phi", "--gen", "gnp", "--n", "24", "--p", "0.15", "--graph-seed", "2"],
+        {"out.csv": (text_body,
+                     "f6f46f29b6ab7503a3baa9c4d849f6005e21c76dded818a989b3959841e7e18f")}),
     "psi": (
         ["psi", "--gen", "gnp", "--n", "16", "--graph-seed", "2"],
         {"out.csv": (text_body,
                      "07fcb269a9ccc40b4d6bcb0dbd577ef9c2f847ee3a89709c65a9acdb7fbfef6d")}),
+    "psi-n22": (
+        ["psi", "--gen", "gnp", "--n", "22", "--graph-seed", "2"],
+        {"out.csv": (text_body,
+                     "81b513d1356219f78f4cb26bf751fed1b2b0b578e2077be70def04818687c37d")}),
     "generate": (
         ["generate", "--gen", "gnp", "--n", "40", "--seed", "5"],
         {"out.txt": (text_body,
