@@ -291,7 +291,8 @@ def multiset_gap(x1: int, x2: int, y1: int, y2: int) -> int:
     return d1.bit_count() + 2 * ((x2 ^ y2) & ~d1).bit_count()
 
 
-GRAM_EXACT_CAP = 1 << 23  # pair_gaps and neighbor_counts refuse larger graphs: see pair_gaps
+# pair_gaps, count_edges_many and neighbor_counts refuse larger graphs: see pair_gaps
+GRAM_EXACT_CAP = 1 << 23
 
 
 def bit_matrix(masks, n: int) -> np.ndarray:
@@ -381,8 +382,12 @@ def count_edges_many(g: Graph, masks) -> list[int]:
     mask's 0/1 row over the union, those popcounts are the entries of m @ A,
     one float32 product for all masks (exact: each is at most n <= 2**24),
     and their sum over the mask is taken in float64 (exact below 2**53).
+    Larger graphs are refused.
     """
     n = g.n
+    if n > GRAM_EXACT_CAP:
+        raise CapacityError(f"count_edges_many is exact in float32 up to n={GRAM_EXACT_CAP}, "
+                            f"got n={n}")
     member = bit_matrix(list(masks), n)
     verts = np.flatnonzero(member.any(axis=0))
     adj = bit_matrix([g.adj[v] for v in verts.tolist()], n)[:, verts].astype(np.float32)

@@ -7,9 +7,10 @@ doubling, and each high vertex gets one vector of neighbour counts into
 those subsets.  A reflected-Gray-code walk over the 2^(n-b) high subsets
 then adds or subtracts one such vector per step and marks every sum in a
 numpy table at once: indexed by edge count for Phi, by (order, edge count)
-for Psi.  The kernel is single-threaded; its output depends only on the
-graph.  phi_naive/psi_naive recount every subset from scratch and exist only
-to cross-check the kernel.
+for Psi.  A Phi step whose whole index range is already marked is skipped
+(see _seen_table); on G(n, 1/2) that is most steps.  The kernel is
+single-threaded; its output depends only on the graph.  phi_naive/psi_naive
+recount every subset from scratch and exist only to cross-check the kernel.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .graph_core import Graph
 
 PHI_EXACT_CAP = 30
 PHI_NAIVE_CAP = 20
-# rough throughputs behind the capacity message's time estimate
+# rough throughputs behind the capacity message's time estimate; the exact
+# one is the walk's rate with no step skipped, the worst case (K_n, or Psi)
 EXACT_SUBSETS_PER_S = 2e8
 NAIVE_SUBSETS_PER_S = 5e5
 
@@ -83,6 +85,13 @@ def _seen_table(g: Graph, stride: int) -> np.ndarray:
     The 2^b low terms are one vector; a Gray walk over T adds or subtracts
     one neighbour-count vector per step and marks the vector shifted by the
     high part's own contribution.
+
+    Step T marks only in [base, base + top]: base = |T|*stride + e(T) for S
+    empty, top the vector's entry for the whole low block, its largest.  A
+    Phi step whose range is all marked would change nothing and is skipped;
+    the vector catches up on the skipped flips at the next marking step, so
+    it moves no more often than in a walk that marks every step.  Psi never
+    skips: top >= stride, so its range holds (|T|, C(|T|,2) + 1), never marked.
     """
     n = g.n
     b = min(n, (n + 1) // 2 + 1)
@@ -97,25 +106,36 @@ def _seen_table(g: Graph, stride: int) -> np.ndarray:
     acc += stride * np.bitwise_count(low).astype(np.intp)
     counts = [np.bitwise_count(low & (row & ((1 << b) - 1))).astype(np.int16)
               for row in g.adj[b:]]
-    seen = np.zeros(n * stride + n * (n - 1) // 2 + 1, dtype=np.bool_)
+    # seen views a bytearray, so marks.find can look for the first unmarked entry
+    marks = bytearray(n * stride + n * (n - 1) // 2 + 1)
+    seen = np.frombuffer(marks, dtype=np.bool_)
     seen[acc] = True
     high = [row >> b for row in g.adj[b:]]
-    cur = e = k = 0
+    lowdeg = [int(c[-1]) for c in counts]
+    top = int(acc[-1])
+    cur = held = e = k = 0
     steps = 1
     for s in range(1, 1 << (n - b)):
         i = (s & -s).bit_length() - 1
         cur ^= 1 << i
         d = (high[i] & cur).bit_count()
         if cur >> i & 1:
-            acc += counts[i]
-            e += d
-            k += 1
+            e, k, top = e + d, k + 1, top + lowdeg[i]
         else:
-            acc -= counts[i]
-            e -= d
-            k -= 1
-        seen[k * stride + e:][acc] = True
+            e, k, top = e - d, k - 1, top - lowdeg[i]
         steps += 1
+        base = k * stride + e
+        if not stride and marks.find(0, base, base + top + 1) < 0:
+            continue
+        flips, held = cur ^ held, cur  # high vertices flipped since acc last marked
+        while flips:
+            j = (flips & -flips).bit_length() - 1
+            flips ^= 1 << j
+            if cur >> j & 1:
+                acc += counts[j]
+            else:
+                acc -= counts[j]
+        seen[base:][acc] = True
     if steps << b != 1 << n:
         raise RamspectError(f"block walk covered {steps}*2^{b} subsets, expected 2^{n}")
     return seen

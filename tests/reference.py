@@ -1,5 +1,6 @@
 """Test-only references: exact homogeneous numbers, graph complement, edge
-lookup, the K_n closed form, pmf point lookup, Bernoulli draws one
+lookup, the K_n closed form, the spectrum oracle's block walk marking at
+every step, pmf point lookup, Bernoulli draws one
 random() call at a time, the pair-by-pair G(n, p) loop, the all-pairs
 degree-sum bucket, pair-by-pair conflict greedy, event-(4) scan and S/T/X
 split of the scaffold construction, the richness audit one candidate at a
@@ -17,7 +18,7 @@ import random
 import numpy as np
 
 from ramspect import structure_audit as sa
-from ramspect.errors import CapacityError, ParameterError
+from ramspect.errors import CapacityError, ParameterError, RamspectError
 from ramspect.graph_core import (Graph, complement_gap_at_least, count_edges, iter_bits,
                                  pack_rows, popcount, symdiff_size, unit_degree)
 
@@ -35,6 +36,44 @@ def complement(g: Graph) -> Graph:
 def complete_graph_spectrum(n: int) -> tuple:
     """Closed form for K_n: exactly the triangular numbers C(k,2), k <= n."""
     return tuple(sorted({k * (k - 1) // 2 for k in range(n + 1)}))
+
+
+def seen_table_eager(g: Graph, stride: int) -> np.ndarray:
+    """spectrum_oracle._seen_table without its skip: the Gray walk over the
+    high block moves the index vector and marks it at every step."""
+    n = g.n
+    b = min(n, (n + 1) // 2 + 1)
+    low = np.arange(1 << b)
+    acc = np.zeros(1 << b, dtype=np.intp)
+    for j in range(b):  # e(S + j) = e(S) + |N(j) & S| for S below j
+        half = 1 << j
+        nbrs = g.adj[j] & (half - 1)
+        acc[half:2 * half] = acc[:half] + np.bitwise_count(low[:half] & nbrs)
+    acc += stride * np.bitwise_count(low).astype(np.intp)
+    counts = [np.bitwise_count(low & (row & ((1 << b) - 1))).astype(np.int16)
+              for row in g.adj[b:]]
+    seen = np.zeros(n * stride + n * (n - 1) // 2 + 1, dtype=np.bool_)
+    seen[acc] = True
+    high = [row >> b for row in g.adj[b:]]
+    cur = e = k = 0
+    steps = 1
+    for s in range(1, 1 << (n - b)):
+        i = (s & -s).bit_length() - 1
+        cur ^= 1 << i
+        d = (high[i] & cur).bit_count()
+        if cur >> i & 1:
+            acc += counts[i]
+            e += d
+            k += 1
+        else:
+            acc -= counts[i]
+            e -= d
+            k -= 1
+        seen[k * stride + e:][acc] = True
+        steps += 1
+    if steps << b != 1 << n:
+        raise RamspectError(f"block walk covered {steps}*2^{b} subsets, expected 2^{n}")
+    return seen
 
 
 def prob(pmf, x: int) -> float:

@@ -122,17 +122,22 @@ def test_criterion_5_per_k_statistics():
     assert rates[3] >= 0.9, rates
 
 
-def test_criterion_6_toy_oracle_inclusion():
+TOY_C_DENSITY = 0.003
+
+
+def _toy_inclusion_emitting(n: int, m: int) -> int:
+    """Runs the toy per_m_run on 20 G(n, 1/2) graphs, asserts every emitted
+    size is in phi_exact, and returns how many runs emitted sizes."""
     emitting = 0
     for i in range(20):
-        g = generate("gnp", n=18, p=0.5, seed=100 + i)
-        cp = ConstructionParams(seed=i, density_factor=20.0, c_density=0.003,
+        g = generate("gnp", n=n, p=0.5, seed=100 + i)
+        cp = ConstructionParams(seed=i, density_factor=20.0, c_density=TOY_C_DENSITY,
                                 kappa3=0.0, kappa4=1e9, retry_max=60,
                                 rich_prepass=False)
-        ep = ExposureParams(seed=i, c_prime=0.5 / 18 ** 0.5, beta=0.0,
+        ep = ExposureParams(seed=i, c_prime=0.5 / n ** 0.5, beta=0.0,
                             trials=12)
         try:
-            out = per_m_run(g, 1, cp, ep)
+            out = per_m_run(g, m, cp, ep)
         except ConstructionFailure:
             continue
         if out.distinct_count == 0:
@@ -141,7 +146,19 @@ def test_criterion_6_toy_oracle_inclusion():
         spectrum = set(so.phi_exact(g).sizes)
         stray = set(out.distinct_sizes) - spectrum
         assert not stray, f"graph {i}: sizes {sorted(stray)} not attainable"
+    return emitting
+
+
+def test_criterion_6_toy_oracle_inclusion():
+    emitting = _toy_inclusion_emitting(18, 1)
     assert emitting >= 8, f"only {emitting}/20 toy runs emitted sizes"
+
+
+@pytest.mark.parametrize("n", [24, 28, 30])
+def test_criterion_6_inclusion_above_the_naive_cap(n):
+    # m = 1 falls below the window [c n^2, 2c n^2] once n > 18: take its middle
+    emitting = _toy_inclusion_emitting(n, round(1.5 * TOY_C_DENSITY * n * n))
+    assert emitting >= 10, f"only {emitting}/20 toy runs emitted sizes"
 
 
 @pytest.mark.xfail(

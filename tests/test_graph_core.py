@@ -309,6 +309,16 @@ def test_pair_gaps_refuses_graphs_beyond_float32_exactness():
         gc.pair_gaps(big, [gc.Unit.single(0)])
 
 
+def test_count_edges_many_refuses_graphs_beyond_float32_exactness(monkeypatch):
+    # the cap is lowered so that a small graph crosses it
+    g = gc.generate("gnp", n=40, p=0.5, seed=1)
+    monkeypatch.setattr(gc, "GRAM_EXACT_CAP", 39)
+    with pytest.raises(CapacityError):
+        gc.count_edges_many(g, [g.full_mask])
+    monkeypatch.setattr(gc, "GRAM_EXACT_CAP", 40)
+    assert gc.count_edges_many(g, [g.full_mask]) == [g.edge_count()]
+
+
 # ── generators ───────────────────────────────────────────────────────────
 
 

@@ -2,13 +2,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ramspect import graph_core as gc
 from ramspect import spectrum_oracle as so
 from ramspect.errors import CapacityError, ParameterError
-from reference import complement, complete_graph_spectrum
+from reference import complement, complete_graph_spectrum, seen_table_eager
 
 
 def random_graph(rng, n, p=0.5):
@@ -146,6 +147,42 @@ def small_graphs(draw):
 def test_exact_oracles_match_naive_on_any_small_graph(g):
     assert so.phi_exact(g).sizes == so.phi_naive(g).sizes
     assert so.psi_exact(g) == so.psi_naive(g)
+
+
+@st.composite
+def walk_graphs(draw):
+    """A graph on 15 to 22 vertices, relabelled at random, from families on
+    which the Phi walk skips from no step (complete) to nearly every step
+    (sparse or dense G(n, p), empty)."""
+    n = draw(st.integers(15, 22))
+    family = draw(st.sampled_from(["gnp", "cliques", "bipartite", "complete", "empty"]))
+    if family == "gnp":
+        g = gc.generate("gnp", n=n, p=draw(st.sampled_from([0.05, 0.5, 0.95])),
+                        seed=draw(st.integers(0, 2 ** 32 - 1)))
+        edges = [(u, v) for u in range(n) for v in gc.iter_bits(g.adj[u]) if u < v]
+    elif family == "cliques":
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=6)))
+        edges = [pr for lo, hi in zip([0] + cuts, cuts + [n])
+                 for pr in itertools.combinations(range(lo, hi), 2)]
+    elif family == "bipartite":
+        a = draw(st.integers(1, n - 1))
+        edges = [(u, v) for u in range(a) for v in range(a, n)]
+    elif family == "complete":
+        edges = list(itertools.combinations(range(n), 2))
+    else:
+        edges = []
+    perm = draw(st.permutations(range(n)))
+    return gc.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=40)
+@given(g=walk_graphs())
+# the low block (vertices 0..8) is isolated and the high block a clique, so
+# each step's range is the single index e(T)
+@example(g=gc.from_edges(16, itertools.combinations(range(9, 16), 2)))
+def test_seen_table_matches_the_eager_walk(g):
+    for stride in (0, g.n * (g.n - 1) // 2 + 1):
+        assert np.array_equal(so._seen_table(g, stride), seen_table_eager(g, stride))
 
 
 def test_n24_phi_is_psi_projection_above_naive_cap():
