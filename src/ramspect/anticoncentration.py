@@ -178,11 +178,10 @@ class ScalingFit:
 
 
 def lo_scaling_fit(n_values, coeff_model: str = "ones", p: float = 0.5,
-                   trials: int = 200_000, seed: int = 0,
-                   exact_cap: int = EXACT_WEIGHT_CAP) -> ScalingFit:
+                   trials: int = 200_000, seed: int = 0) -> ScalingFit:
     """Least-squares slope of log(max point mass) against log(n).
 
-    Uses the exact DP whenever sum |a_i| fits under exact_cap and falls back
+    Uses the exact DP whenever sum |a_i| fits under EXACT_WEIGHT_CAP and falls back
     to a Monte-Carlo mode estimate beyond it.
     """
     if trials < 1:
@@ -196,7 +195,7 @@ def lo_scaling_fit(n_values, coeff_model: str = "ones", p: float = 0.5,
     methods = []
     for n in ns:
         inst = LOInstance(model_coefficients(coeff_model, n, seed), 0, p)
-        if inst.weight <= exact_cap:
+        if inst.weight <= EXACT_WEIGHT_CAP:
             probs.append(lo_exact_distribution(inst).max_mass())
             methods.append("exact")
         else:

@@ -183,7 +183,12 @@ def _build_graph(ns, cap: int = VERTEX_CAP) -> tuple[gc.Graph, dict]:
     if bool(ns.graph) == bool(ns.gen):
         raise ParameterError("exactly one of --graph or --gen is required")
     if ns.graph:
-        g = gc.load_graph(Path(ns.graph).read_text(), max_n=cap)
+        data = Path(ns.graph).read_bytes()
+        try:  # UTF-8 whatever the locale
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphParseError(f"{ns.graph}: byte {exc.start} is not valid UTF-8") from None
+        g = gc.load_graph(text, max_n=cap)
         return g, {"file": ns.graph, "n": g.n}
     if ns.n is None:
         raise ParameterError("--gen requires --n")

@@ -5,22 +5,27 @@ A graph on n vertices is stored as one Python integer per vertex: bit u of
 AND/XOR row operations and popcounts via ``int.bit_count``.  Loops over many
 row pairs run on a packed view instead: pack_rows lays a list of rows out as
 an (k, ceil(n/64)) array of little-endian uint64 words, and popcount sums
-``np.bitwise_count`` over the words of each row.  The all-pairs multiset
-gaps of a unit family come from one kernel, pair_gaps: each gap is
-|A| + |B| - 2|A & B| over 0/1 rows, the intersections one float32 Gram
-product (exact for integer counts below 2**24).  The close-complement test
-|N(a) symdiff N_bar(b)| >= thr on an arbitrary list of pairs, such as a
-degree-sum bucket, is one kernel, complement_gap_at_least: the bits past a
-prefix of each row can lower the gap by at most their count, so a prefix
-whose lower bound reaches thr settles the pair, and only the other pairs
-read their whole rows.  Counts over all pairs need no gather: they
-broadcast one packed row against the rows after it (see
-structure_audit.pair_audit).  Edge counts of many vertex sets at once,
-count_edges_many, are the same kind of float32 product, over the adjacency
-matrix of the sets' union.  So are the counts |N(v) & M| of every vertex v
-into each of many sets M, neighbor_counts, which unpacks the adjacency
-rows a chunk at a time instead of building an n x n matrix.  Every counting
-routine in this package reduces to a popcount or to such a product.
+``np.bitwise_count`` over the words of each row.  Int masks become packed
+words, bool arrays or 0/1 matrices, and back, only in this module
+(pack_rows, bit_matrix, mask_from_bools).
+
+Counts over many sets at once are 0/1 matrix products, and one private
+function, _product, converts 0/1 matrices to float32 and multiplies them;
+GRAM_EXACT_CAP carries its exactness argument and _require_exact its one
+cap test.  Three kernels call it: pair_gaps, every multiset gap
+|A| + |B| - 2|A & B| of a unit family from one Gram product;
+count_edges_many, edge counts of many vertex sets over the adjacency
+matrix of their union; and neighbor_counts, the counts |N(v) & M| of every
+vertex v into each of many sets M, a chunk of adjacency rows at a time.
+
+The close-complement test |N(a) symdiff N_bar(b)| >= thr on an arbitrary
+list of pairs, such as a degree-sum bucket, is one popcount kernel,
+complement_gap_at_least: the bits past a prefix of each row can lower the
+gap by at most their count, so a prefix whose lower bound reaches thr
+settles the pair, and only the other pairs read their whole rows.  Counts
+over all pairs need no gather: they broadcast one packed row against the
+rows after it (see structure_audit.pair_audit).  Every counting routine in
+this package reduces to a popcount or to a _product.
 
 Vertex sets are plain int bitmasks throughout ("mask" in signatures).  A Unit
 is either a single vertex or an unordered pair of distinct vertices; pair
@@ -291,30 +296,36 @@ def multiset_gap(x1: int, x2: int, y1: int, y2: int) -> int:
     return d1.bit_count() + 2 * ((x2 ^ y2) & ~d1).bit_count()
 
 
-# pair_gaps, count_edges_many and neighbor_counts refuse larger graphs: see pair_gaps
+# _product multiplies 0/1 matrices in float32, which holds every integer of
+# magnitude at most 2**24 exactly.  Each entry of a product counts the common
+# ones of two rows of at most 2n columns, so it is at most 2n.  The callers
+# add and subtract such entries only while the result stays within 2n,
+# double them (exact in binary floating point) or sum them in float64 (exact
+# below 2**53).  So every count is exact while 2n <= 2**24, and
+# _require_exact refuses larger graphs before any row is read.
 GRAM_EXACT_CAP = 1 << 23
+
+
+def _require_exact(op: str, n: int) -> None:
+    if n > GRAM_EXACT_CAP:
+        raise CapacityError(f"{op} is exact in float32 up to n={GRAM_EXACT_CAP}, got n={n}")
+
+
+def _product(a: np.ndarray, b: np.ndarray | None = None, out=None) -> np.ndarray:
+    """a @ b.T of two 0/1 matrices (a @ a.T when b is None) as a float32
+    array, which numpy hands to BLAS; exact within GRAM_EXACT_CAP."""
+    a = a.astype(np.float32)
+    return np.matmul(a, a.T if b is None else b.astype(np.float32).T, out=out)
+
+
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """The 0/1 uint8 rows of n bits that packed word rows hold."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
 
 
 def bit_matrix(masks, n: int) -> np.ndarray:
     """(len(masks), n) uint8 array of 0/1: entry (i, v) is bit v of masks[i]."""
-    return np.unpackbits(pack_rows(masks, n).view(np.uint8), axis=1, count=n,
-                         bitorder="little")
-
-
-def _gram_symdiff(masks, n: int, cols) -> np.ndarray:
-    """|A_i symdiff A_j| for every pair of the masks, inside the columns cols
-    (all when None), as |A_i| + |A_j| - 2|A_i & A_j|: the intersections are
-    one float32 Gram product of the 0/1 rows, which numpy hands to BLAS."""
-    bits = bit_matrix(masks, n)
-    if cols is not None:
-        bits = bits[:, cols]
-    bits = bits.astype(np.float32)
-    gaps = bits @ bits.T
-    sizes = gaps.diagonal().copy()
-    gaps *= -2
-    gaps += sizes[:, None]
-    gaps += sizes
-    return gaps
+    return _unpack(pack_rows(masks, n), n)
 
 
 def pair_gaps(g: Graph, units, umask: int | None = None) -> np.ndarray:
@@ -323,28 +334,30 @@ def pair_gaps(g: Graph, units, umask: int | None = None) -> np.ndarray:
 
     With S the support (multiplicity >= 1) and D the doubled part of a
     unit's neighborhood, the multiset gap is |S_x symdiff S_y| +
-    |D_x symdiff D_y|.  Each term comes from one float32 Gram product of
-    0/1 rows restricted to umask's columns; D is skipped when every unit is
-    a single.  All counts are integers and every partial sum and gap is at
-    most 2n <= 2**24, so float32 holds them exactly; larger graphs are
-    refused.  Compare entries against a float threshold in float64 (an
-    np.float64 scalar), since a Python float would be rounded to float32.
+    |D_x symdiff D_y|, the symmetric difference of the rows that lay S and
+    D side by side (D is left out when every unit is a single).  Each is
+    |A| + |B| - 2|A & B| over 0/1 rows restricted to umask's columns, the
+    intersections one Gram product.  Compare entries against a float
+    threshold in float64 (an np.float64 scalar), since a Python float would
+    be rounded to float32.
     """
-    n = g.n
-    if n > GRAM_EXACT_CAP:
-        raise CapacityError(f"pair_gaps is exact in float32 up to n={GRAM_EXACT_CAP}, "
-                            f"got n={n}")
+    _require_exact("pair_gaps", g.n)
     rows = [unit_rows(g, x) for x in units]
-    width, cols = n, None
+    width = g.n
     if umask is not None:
         # rows cut to umask have no bit past its top one: a prefix umask
         # such as (1 << h) - 1 unpacks and multiplies h columns only
         rows = [(m1 & umask, m2 & umask) for m1, m2 in rows]
         width = umask.bit_length()
-        cols = bit_matrix([umask], width)[0].astype(bool)
-    gaps = _gram_symdiff([m1 | m2 for m1, m2 in rows], width, cols)
-    if any(x.is_pair for x in units):
-        gaps += _gram_symdiff([m2 for _, m2 in rows], width, cols)
+    shift = width if any(x.is_pair for x in units) else 0
+    bits = bit_matrix([m1 | m2 | m2 << shift for m1, m2 in rows], width + shift)
+    if umask is not None:
+        bits = bits[:, bit_matrix([umask | umask << shift], width + shift)[0].astype(bool)]
+    gaps = _product(bits)
+    sizes = gaps.diagonal().copy()
+    gaps *= -2
+    gaps += sizes[:, None]
+    gaps += sizes
     return gaps
 
 
@@ -376,23 +389,17 @@ def count_edges(g: Graph, amask: int, bmask: int | None = None) -> int:
 def count_edges_many(g: Graph, masks) -> list[int]:
     """count_edges(g, mask) for each mask, in one batch.
 
-    The rows of the masks' union are unpacked once and cut to the union's
-    columns: a 0/1 float32 adjacency matrix A.  Each count is the sum of
-    popcount(row v & mask) over the mask's vertices v, halved.  With m the
-    mask's 0/1 row over the union, those popcounts are the entries of m @ A,
-    one float32 product for all masks (exact: each is at most n <= 2**24),
-    and their sum over the mask is taken in float64 (exact below 2**53).
-    Larger graphs are refused.
+    With A the 0/1 adjacency matrix of the masks' union and m a mask's 0/1
+    row over the union, the popcounts |N(v) & mask| are the entries of
+    m @ A, one product for all masks; each count is the sum of those
+    entries over the mask's vertices, halved, taken in float64.
     """
-    n = g.n
-    if n > GRAM_EXACT_CAP:
-        raise CapacityError(f"count_edges_many is exact in float32 up to n={GRAM_EXACT_CAP}, "
-                            f"got n={n}")
-    member = bit_matrix(list(masks), n)
+    _require_exact("count_edges_many", g.n)
+    member = bit_matrix(list(masks), g.n)
     verts = np.flatnonzero(member.any(axis=0))
-    adj = bit_matrix([g.adj[v] for v in verts.tolist()], n)[:, verts].astype(np.float32)
-    m = member[:, verts].astype(np.float32)
-    twice = ((m @ adj) * m).sum(axis=1, dtype=np.float64)
+    m = member[:, verts]
+    adj = bit_matrix([g.adj[v] for v in verts.tolist()], g.n)[:, verts]
+    twice = (_product(m, adj) * m).sum(axis=1, dtype=np.float64)
     return (twice.astype(np.int64) // 2).tolist()
 
 
@@ -404,22 +411,15 @@ def neighbor_counts(rows: np.ndarray, member: np.ndarray) -> np.ndarray:
     sets M_i given as the 0/1 rows of member (k, n uint8, as bit_matrix
     returns), over the packed adjacency rows of an n-vertex graph.
 
-    With A the 0/1 adjacency matrix the counts are A @ member.T, one float32
-    product per block of NEIGHBOR_CHUNK adjacency rows unpacked from rows,
-    so no n x n matrix is built.  Exact: each count is an integer at most
-    n <= 2**24.
+    The counts are A @ member.T for the 0/1 adjacency matrix A, one product
+    per block of NEIGHBOR_CHUNK rows unpacked at a time, so no n x n matrix
+    is built.
     """
     k, n = member.shape
-    if n > GRAM_EXACT_CAP:
-        raise CapacityError(f"neighbor_counts is exact in float32 up to n={GRAM_EXACT_CAP}, "
-                            f"got n={n}")
-    m = np.ascontiguousarray(member.T, dtype=np.float32)
+    _require_exact("neighbor_counts", n)
     out = np.empty((n, k), dtype=np.float32)
     for v in range(0, n, NEIGHBOR_CHUNK):
-        # the chunk is a temporary of the call, so no two chunks are alive at once
-        np.matmul(np.unpackbits(rows[v:v + NEIGHBOR_CHUNK].view(np.uint8), axis=1, count=n,
-                                bitorder="little").astype(np.float32),
-                  m, out=out[v:v + NEIGHBOR_CHUNK])
+        _product(_unpack(rows[v:v + NEIGHBOR_CHUNK], n), member, out=out[v:v + NEIGHBOR_CHUNK])
     return out
 
 

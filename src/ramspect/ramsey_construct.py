@@ -314,6 +314,11 @@ def independent_units(g: Graph, units, theta_conflict: float):
     return tuple(units[i] for i in sorted(chosen))
 
 
+def _theta_conflict(params: ConstructionParams) -> float:
+    """theta_conflict, or its default eps^2/4 when unset."""
+    return params.theta_conflict if params.theta_conflict is not None else params.epsilon ** 2 / 4
+
+
 def _resolve_kappa4(kappa4, a_size: int, p: float, d_dp: int, n: int) -> float:
     if kappa4 is not None:
         return kappa4
@@ -345,11 +350,7 @@ def sample_U0(g: Graph, a_units, m: int, d_doubleprime: int,
                              f"m too large for e(G)={eg}")
     n = g.n
     target_d = p * d_doubleprime
-    kappa3 = params.kappa3
-    if kappa3 is None:
-        theta_c = params.theta_conflict if params.theta_conflict is not None \
-            else params.epsilon ** 2 / 4
-        kappa3 = p * theta_c / 3.0
+    kappa3 = params.kappa3 if params.kappa3 is not None else p * _theta_conflict(params) / 3.0
     kappa4 = _resolve_kappa4(params.kappa4, len(a_units), p, d_doubleprime, n)
     e_window = params.kappa1 * n ** 1.5
     d_window = params.kappa2 * math.sqrt(n)
@@ -501,8 +502,7 @@ def construct(g: Graph, m: int, params: ConstructionParams | None = None) -> Con
         else math.ceil(math.sqrt(wn))
     theta_compl = params.theta_compl if params.theta_compl is not None \
         else params.epsilon / 2
-    theta_conflict = params.theta_conflict if params.theta_conflict is not None \
-        else params.epsilon ** 2 / 4
+    theta_conflict = _theta_conflict(params)
     d_prime, h = pigeonhole_pairs(work, width, pair_enum_cap=params.pair_enum_cap,
                                   sample_coeff=params.pair_sample_coeff,
                                   seed=params.seed)

@@ -48,22 +48,6 @@ class SizeSpectrum:
         if self.sizes[-1] > top:
             raise ParameterError(f"size {self.sizes[-1]} exceeds C({self.n},2)={top}")
 
-    def __len__(self):
-        return len(self.sizes)
-
-    def __iter__(self):
-        return iter(self.sizes)
-
-    def __contains__(self, e):
-        lo, hi = 0, len(self.sizes)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.sizes[mid] < e:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(self.sizes) and self.sizes[lo] == e
-
 
 def _require_cap(n: int, cap: int, op: str, per_s: float = EXACT_SUBSETS_PER_S):
     if n > cap:

@@ -3,9 +3,12 @@
 A graph is (delta, eps)-rich when for every vertex set W with |W| >= delta*n,
 at most n^delta vertices see fewer than eps*|W| neighbors or fewer than
 eps*|W| non-neighbors inside W.  Richness cannot be decided exhaustively
-beyond toy sizes, so richness_audit drives a deterministic-then-random
-candidate family under a budget and reports the first violation it finds;
-exhaustive=True enumerates every W (tiny n only) and decides exactly.
+beyond toy sizes, so richness_audit scores a candidate family under a budget
+and reports the first violation it finds; exhaustive=True enumerates every
+W (tiny n only) and decides exactly.  _candidate_sets states the budget
+once: the first sample_budget sets of four lazy phases chained in turn
+(neighborhoods, complement neighborhoods, degree-order prefixes, seeded
+random sets), so a phase the budget never reaches costs nothing.
 
 pair_audit counts, for each vertex, how many others have a nearly
 identical neighborhood (diversity), and how many pairs have neighborhoods
@@ -22,14 +25,17 @@ cheap, then twice as many per block up to AUDIT_BLOCK_CAP.  A block's counts
 graph_core.neighbor_counts, over adjacency rows unpacked a chunk at a time;
 the bad-vertex counts follow from integer thresholds.  Only the witness's
 Y mask is read off the packed rows, by a popcount per vertex, and it must
-agree with the product's count.
+agree with the product's count.  Masks, bools and 0/1 rows convert through
+graph_core alone.
 
 rich_extract mirrors the proof-style cleanup loop: while a richness violation
-(W, Y) exists, keep the side of Y that is sparse (or dense) toward W, drop it
-from W, and keep only vertices with the matching density toward the dropped
-set.  Each such round retains at least a (delta/4) fraction; a graph that
-keeps yielding witnesses for K rounds is reported as far from Ramsey-like.
-A rich extraction hands back the induced subgraph it audited for construct.
+(W, Y) exists, take a set S from the side of Y that is sparse (or dense)
+toward W, drop it from W, and keep the vertices of W whose count of
+neighbors in S lies in that side's band (_kept: at most 4*eps*|S| when
+sparse, at least (1 - 4*eps)*|S| when dense).  Each such round retains at
+least a (delta/4) fraction; a graph that keeps yielding witnesses for K
+rounds is reported as far from Ramsey-like.  A rich extraction hands back
+the induced subgraph it audited for construct.
 """
 
 from __future__ import annotations
@@ -37,13 +43,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
 from .errors import CapacityError, ContractViolation, ParameterError
-from .graph_core import (Graph, bit_matrix, induced_subgraph, iter_bits, mask_of,
-                         neighbor_counts, pack_rows, popcount)
+from .graph_core import (Graph, bit_matrix, induced_subgraph, iter_bits, mask_from_bools,
+                         mask_of, neighbor_counts, pack_rows, popcount)
 
 RICHNESS_EXHAUSTIVE_CAP = 14
 # richness_audit scores candidates in blocks: the first block is small, so a
@@ -137,11 +143,8 @@ def _bad_vertices(rows: np.ndarray, wmask: int, epsilon: float) -> int:
     n = len(rows)
     wsize = wmask.bit_count()
     thr = epsilon * wsize
-    w = pack_rows([wmask], n)
-    k = popcount(rows & w)
-    in_w = np.unpackbits(w.view(np.uint8), count=n, bitorder="little")
-    bad = (k < thr) | (wsize - k - in_w < thr)
-    return int.from_bytes(np.packbits(bad, bitorder="little").tobytes(), "little")
+    k = popcount(rows & pack_rows([wmask], n))
+    return mask_from_bools((k < thr) | (wsize - k - bit_matrix([wmask], n)[0] < thr))
 
 
 def _bad_counts(rows: np.ndarray, block: list, epsilon: float) -> np.ndarray:
@@ -164,40 +167,32 @@ def _bad_counts(rows: np.ndarray, block: list, epsilon: float) -> np.ndarray:
 
 
 def _candidate_sets(g: Graph, delta: float, budget: int, seed: int):
-    """Deterministic candidates first, then seeded random sets, budget total."""
-    wmin = math.ceil(delta * g.n)
-    emitted = 0
+    """The first budget candidate sets W, |W| >= delta*n, of four phases
+    drawn lazily in turn: the neighborhoods, the complement neighborhoods,
+    the prefixes of the vertices by falling degree, then seeded random sets
+    of three sizes in rotation."""
+    n = g.n
+    wmin = math.ceil(delta * n)
     degs = g.degrees()
-    for v in range(g.n):
-        if emitted >= budget:
-            return
-        if degs[v] >= wmin:
-            emitted += 1
-            yield g.adj[v]
-    for v in range(g.n):
-        if emitted >= budget:
-            return
-        if g.n - 1 - degs[v] >= wmin:
-            emitted += 1
-            yield g.comp_row(v)
-    order = sorted(range(g.n), key=lambda v: (-degs[v], v))
-    prefix = 0
-    for i, v in enumerate(order):
-        prefix |= 1 << v
-        if i + 1 >= wmin:
-            if emitted >= budget:
-                return
-            emitted += 1
-            yield prefix
-    rng = random.Random(seed)
-    sizes = sorted({wmin, min(g.n, 2 * wmin), max(wmin, g.n // 2)})
-    verts = list(range(g.n))
-    while emitted < budget:
-        for size in sizes:
-            if emitted >= budget:
-                return
-            emitted += 1
-            yield mask_of(rng.sample(verts, size))
+
+    def prefixes():
+        prefix = 0
+        for i, v in enumerate(sorted(range(n), key=lambda v: (-degs[v], v))):
+            prefix |= 1 << v
+            if i + 1 >= wmin:
+                yield prefix
+
+    def random_sets():
+        rng = random.Random(seed)
+        sizes = sorted({wmin, min(n, 2 * wmin), max(wmin, n // 2)})
+        verts = list(range(n))
+        while True:
+            for size in sizes:
+                yield mask_of(rng.sample(verts, size))
+
+    return islice(chain((g.adj[v] for v in range(n) if degs[v] >= wmin),
+                        (g.comp_row(v) for v in range(n) if n - 1 - degs[v] >= wmin),
+                        prefixes(), random_sets()), budget)
 
 
 def check_exhaustive_cap(n: int) -> None:
@@ -266,6 +261,15 @@ class ExtractResult:
     graph: Graph | None = field(default=None, compare=False)
 
 
+def _kept(g: Graph, rest: int, smask: int, side: str, epsilon: float) -> int:
+    """The vertices v of rest with lo <= |N(v) & S| <= hi, S = smask, where
+    the side picks the band: [0, 4*eps*|S|] for "sparse", [(1 - 4*eps)*|S|,
+    |S|] for "dense"."""
+    s = smask.bit_count()
+    lo, hi = (0, 4 * epsilon * s) if side == "sparse" else ((1.0 - 4 * epsilon) * s, s)
+    return mask_of(v for v in iter_bits(rest) if lo <= (g.adj[v] & smask).bit_count() <= hi)
+
+
 def rich_extract(g: Graph, params: AuditParams) -> ExtractResult:
     """Iteratively carve toward an empirically rich vertex subset.
 
@@ -302,18 +306,7 @@ def rich_extract(g: Graph, params: AuditParams) -> ExtractResult:
         ssize = max(1, math.ceil(min((params.c_div * sub.n) ** params.delta / 2, sub.n)))
         ssize = min(ssize, max(1, wsize // 2), len(members))
         smask = mask_of(members[:ssize])
-        rest = w & ~smask
-        keep = 0
-        if side == "sparse":
-            hi = 4 * params.epsilon * ssize
-            for v in iter_bits(rest):
-                if (sub.adj[v] & smask).bit_count() <= hi:
-                    keep |= 1 << v
-        else:
-            lo = (1.0 - 4 * params.epsilon) * ssize
-            for v in iter_bits(rest):
-                if (sub.adj[v] & smask).bit_count() >= lo:
-                    keep |= 1 << v
+        keep = _kept(sub, w & ~smask, smask, side, params.epsilon)
         umask = mask_of(vmap[v] for v in iter_bits(keep))
         before, after = sub.n, keep.bit_count()
         trace.append(ExtractRound(before, wsize, y.bit_count(), side, ssize, after))

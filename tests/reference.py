@@ -4,8 +4,10 @@ every step, pmf point lookup, Bernoulli draws one
 random() call at a time, the pair-by-pair G(n, p) loop, the all-pairs
 degree-sum bucket, pair-by-pair conflict greedy, event-(4) scan and S/T/X
 split of the scaffold construction, the richness audit one candidate at a
-time, the audit's two pair counts as separate passes, and the exposure's
-adjusted degrees recounted per unit and cell.
+time, its candidate family as one generator with a shared budget counter,
+the extraction's keep rule as one loop per side, the audit's two pair
+counts as separate passes, and the exposure's adjusted degrees recounted
+per unit and cell.
 
 Nothing in the package or the benchmark calls these; the tests use them to
 check the package's results against independent computations.
@@ -20,7 +22,7 @@ import numpy as np
 from ramspect import structure_audit as sa
 from ramspect.errors import CapacityError, ParameterError, RamspectError
 from ramspect.graph_core import (Graph, complement_gap_at_least, count_edges, iter_bits,
-                                 pack_rows, popcount, symdiff_size, unit_degree)
+                                 mask_of, pack_rows, popcount, symdiff_size, unit_degree)
 
 HOMOGENEOUS_CAP = 64  # exact clique/independence search refuses larger graphs
 
@@ -211,6 +213,64 @@ def richness_audit_loop(g: Graph, params, exhaustive: bool = False):
         if bad.bit_count() > limit:
             return sa.RichnessVerdict("witness_found", w, bad, tried, exhaustive)
     return sa.RichnessVerdict("no_witness_in_budget", 0, 0, tried, exhaustive)
+
+
+def candidate_sets_loop(g: Graph, delta: float, budget: int, seed: int):
+    """structure_audit._candidate_sets as one generator that counts what it
+    has emitted and stops at budget: neighborhoods, complement
+    neighborhoods, degree-order prefixes, then seeded random sets."""
+    wmin = math.ceil(delta * g.n)
+    emitted = 0
+    degs = g.degrees()
+    for v in range(g.n):
+        if emitted >= budget:
+            return
+        if degs[v] >= wmin:
+            emitted += 1
+            yield g.adj[v]
+    for v in range(g.n):
+        if emitted >= budget:
+            return
+        if g.n - 1 - degs[v] >= wmin:
+            emitted += 1
+            yield g.comp_row(v)
+    order = sorted(range(g.n), key=lambda v: (-degs[v], v))
+    prefix = 0
+    for i, v in enumerate(order):
+        prefix |= 1 << v
+        if i + 1 >= wmin:
+            if emitted >= budget:
+                return
+            emitted += 1
+            yield prefix
+    rng = random.Random(seed)
+    sizes = sorted({wmin, min(g.n, 2 * wmin), max(wmin, g.n // 2)})
+    verts = list(range(g.n))
+    while emitted < budget:
+        for size in sizes:
+            if emitted >= budget:
+                return
+            emitted += 1
+            yield mask_of(rng.sample(verts, size))
+
+
+def extract_keep_loop(g: Graph, rest: int, smask: int, side: str, epsilon: float) -> int:
+    """The vertices of rest that rich_extract keeps after it drops S = smask:
+    on the sparse side those with at most 4*eps*|S| neighbors in S, on the
+    dense side those with at least (1 - 4*eps)*|S|, one loop per side."""
+    ssize = smask.bit_count()
+    keep = 0
+    if side == "sparse":
+        hi = 4 * epsilon * ssize
+        for v in iter_bits(rest):
+            if (g.adj[v] & smask).bit_count() <= hi:
+                keep |= 1 << v
+    else:
+        lo = (1.0 - 4 * epsilon) * ssize
+        for v in iter_bits(rest):
+            if (g.adj[v] & smask).bit_count() >= lo:
+                keep |= 1 << v
+    return keep
 
 
 # ── pair audits ──────────────────────────────────────────────────────────

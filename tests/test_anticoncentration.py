@@ -202,14 +202,17 @@ def test_scaling_fit_validation():
 
 
 @pytest.mark.parametrize("trials", [0, -3])
-def test_scaling_fit_rejects_nonpositive_trials(trials):
+def test_scaling_fit_rejects_nonpositive_trials(trials, monkeypatch):
+    monkeypatch.setattr(ac, "EXACT_WEIGHT_CAP", 20)
     with pytest.raises(ParameterError, match="trials"):
-        ac.lo_scaling_fit((8, 16, 32, 64), trials=trials, exact_cap=20)
+        ac.lo_scaling_fit((8, 16, 32, 64), trials=trials)
 
 
-def test_scaling_fit_falls_back_to_mc_past_cap():
+def test_scaling_fit_falls_back_to_mc_past_cap(monkeypatch):
+    # the cap is lowered so that n = 32 and 64 take the Monte-Carlo path
+    monkeypatch.setattr(ac, "EXACT_WEIGHT_CAP", 20)
     fit = ac.lo_scaling_fit((8, 16, 32, 64), coeff_model="ones",
-                            trials=20_000, seed=2, exact_cap=20)
+                            trials=20_000, seed=2)
     assert fit.methods[0] == "exact"
     assert fit.methods[-1] == "mc"
     # mode mass still shrinks with n even in MC mode

@@ -122,6 +122,25 @@ def test_generate_roundtrips_through_phi(tmp_path, capsys):
     assert out.splitlines()[0].startswith("0,")
 
 
+GRAPH_COMMANDS = ("phi", "psi", "audit", "construct", "per-m", "theorem")
+
+
+@pytest.mark.parametrize("cmd", GRAPH_COMMANDS)
+def test_a_graph_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, cmd):
+    f = tmp_path / "latin1.graph"
+    f.write_bytes(b"n 4\n0 1\n# caf\xe9\n")  # a Latin-1 comment: byte 13 is 0xe9
+    code, out, err = run(capsys, cmd, "--graph", str(f))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {f}: byte 13 is not valid UTF-8"]
+
+
+def test_a_graph_file_is_read_as_utf8(tmp_path, capsys):
+    f = tmp_path / "utf8.graph"
+    f.write_bytes(("# café ✓\n" + K4).encode("utf-8"))
+    code, out, _ = run(capsys, "phi", "--graph", str(f))
+    assert (code, out) == (0, "0,1,3,6\n|Phi|=4 max=6\n")
+
+
 # ── parser surface ───────────────────────────────────────────────────────
 
 

@@ -302,6 +302,22 @@ def test_complement_gap_at_least_on_no_pairs_and_tiny_graphs():
     assert gc.complement_gap_at_least(rows, none, none, 70, 3.0).shape == (0,)
 
 
+NEIGHBOR_N = (63, 64, 65, 255, 256, 257)  # word edges, and one row past a NEIGHBOR_CHUNK
+
+
+@settings(max_examples=60)
+@given(n=st.sampled_from(NEIGHBOR_N), seed=st.integers(0, 2 ** 32),
+       kinds=st.lists(st.sampled_from(("empty", "single", "full", "random")), max_size=6))
+def test_neighbor_counts_equal_the_int_row_count(n, seed, kinds):
+    rng = random.Random(seed)
+    g = gc.generate("gnp", n=n, p=rng.choice((0.1, 0.5, 0.9)), seed=seed)
+    masks = [{"empty": 0, "single": 1 << rng.randrange(n), "full": g.full_mask,
+              "random": rng.getrandbits(n)}[kind] for kind in kinds]
+    got = gc.neighbor_counts(gc.pack_rows(g.adj, n), gc.bit_matrix(masks, n))
+    assert got.dtype == np.float32 and got.shape == (n, len(masks))
+    assert got.tolist() == [[(g.adj[v] & m).bit_count() for m in masks] for v in range(n)]
+
+
 def test_pair_gaps_refuses_graphs_beyond_float32_exactness():
     # raised before any row is read, so a stand-in with no rows will do
     big = SimpleNamespace(n=gc.GRAM_EXACT_CAP + 1, adj=())
@@ -309,14 +325,30 @@ def test_pair_gaps_refuses_graphs_beyond_float32_exactness():
         gc.pair_gaps(big, [gc.Unit.single(0)])
 
 
-def test_count_edges_many_refuses_graphs_beyond_float32_exactness(monkeypatch):
+PRODUCT_UNITS = [gc.Unit.single(0), gc.Unit.pair(1, 2), gc.Unit.pair(2, 39)]
+# each kernel of graph_core._product, with the int-row count it must equal
+PRODUCT_KERNELS = {
+    "pair_gaps": (lambda g: gc.pair_gaps(g, PRODUCT_UNITS).tolist(),
+                  lambda g: [[gc.symdiff_size(g, x, y) for y in PRODUCT_UNITS]
+                             for x in PRODUCT_UNITS]),
+    "count_edges_many": (lambda g: gc.count_edges_many(g, [g.full_mask, 0b1011]),
+                         lambda g: [gc.count_edges(g, g.full_mask), gc.count_edges(g, 0b1011)]),
+    "neighbor_counts": (lambda g: gc.neighbor_counts(gc.pack_rows(g.adj, g.n),
+                                                     gc.bit_matrix([g.full_mask], g.n)).tolist(),
+                        lambda g: [[d] for d in g.degrees()]),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(PRODUCT_KERNELS))
+def test_product_kernels_refuse_graphs_beyond_float32_exactness(monkeypatch, kernel):
     # the cap is lowered so that a small graph crosses it
+    call, want = PRODUCT_KERNELS[kernel]
     g = gc.generate("gnp", n=40, p=0.5, seed=1)
     monkeypatch.setattr(gc, "GRAM_EXACT_CAP", 39)
-    with pytest.raises(CapacityError):
-        gc.count_edges_many(g, [g.full_mask])
+    with pytest.raises(CapacityError, match=f"^{kernel} is exact in float32 up to n=39"):
+        call(g)
     monkeypatch.setattr(gc, "GRAM_EXACT_CAP", 40)
-    assert gc.count_edges_many(g, [g.full_mask]) == [g.edge_count()]
+    assert call(g) == want(g)
 
 
 # ── generators ───────────────────────────────────────────────────────────

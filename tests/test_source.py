@@ -101,3 +101,35 @@ def test_only_main_returns_exit_code_three():
              and any(isinstance(c, ast.Constant) and c.value == 3
                      for c in ast.walk(node.value))]
     assert found == ["main"]
+
+
+PRODUCT_MODULES = ("graph_core", "structure_audit", "ramsey_construct", "double_exposure")
+
+
+def _inside(tree, name: str) -> set:
+    """ids of the nodes inside the top-level function of the given name."""
+    return {id(node) for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == name for node in ast.walk(fn)}
+
+
+def test_every_matrix_product_is_graph_core_product():
+    # one function converts 0/1 matrices and multiplies them, so a change of
+    # kernel (a popcount loop below some size, say) lands in one place, and
+    # GRAM_EXACT_CAP, the bound of its exactness, is tested in one place
+    found = []
+    for mod in PRODUCT_MODULES:
+        tree = ast.parse((SRC / f"{mod}.py").read_text())
+        product, require = _inside(tree, "_product"), _inside(tree, "_require_exact")
+        for node in ast.walk(tree):
+            where = f"{mod}.py:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) \
+                    or isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot"):
+                if mod != "graph_core" or id(node) not in product:
+                    found.append(f"{where}: matrix product outside graph_core._product")
+            if isinstance(node, ast.Name) and node.id == "GRAM_EXACT_CAP" \
+                    and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute) \
+                    and node.attr == "GRAM_EXACT_CAP":
+                if mod != "graph_core" or id(node) not in require:
+                    found.append(f"{where}: GRAM_EXACT_CAP read outside _require_exact")
+    assert not found, found
+    assert _inside(ast.parse((SRC / "graph_core.py").read_text()), "_product")

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from ramspect import graph_core as gc
 from ramspect import structure_audit as sa
 from ramspect.errors import CapacityError, ContractViolation, ParameterError
-from reference import close_complement_pair_count, diversity_profile, richness_audit_loop
+from reference import (candidate_sets_loop, close_complement_pair_count, diversity_profile,
+                       extract_keep_loop, richness_audit_loop)
 
 
 def random_graph(rng, n, p=0.5):
@@ -371,7 +372,47 @@ def test_richness_audit_builds_no_n_by_n_matrix():
     assert peak < 8 * 2 ** 20
 
 
+@settings(max_examples=120)
+@given(n=st.sampled_from((0, 1, 2, 5, 16, 40, 65)),
+       p=st.sampled_from((0.02, 0.3, 0.5, 0.7, 0.98)), graph_seed=st.integers(0, 2 ** 32),
+       delta=st.floats(0.01, 0.5), budget=st.integers(1, 300), seed=st.integers(0, 999))
+def test_candidate_sets_match_the_counting_generator(n, p, graph_seed, delta, budget, seed):
+    # budgets from inside the first phase to deep in the random one, and
+    # sparse or dense graphs whose first two phases are nearly empty
+    g = audit_graph(n, p, graph_seed, None)
+    got = list(sa._candidate_sets(g, delta, budget, seed))
+    assert got == list(candidate_sets_loop(g, delta, budget, seed))
+    assert len(got) == budget
+
+
+def test_candidate_sets_sort_by_degree_only_once_the_budget_reaches_the_prefixes(monkeypatch):
+    # on G(64, 1/2) every neighborhood and complement neighborhood is large
+    # enough, so the first 128 candidates come from the first two phases
+    g = gc.generate("gnp", n=64, p=0.5, seed=1)
+    sorts = []
+    monkeypatch.setattr(sa, "sorted", lambda *a, **k: sorts.append(1) or sorted(*a, **k),
+                        raising=False)
+    assert len(list(sa._candidate_sets(g, 0.3, 64, 0))) == 64
+    assert sorts == []
+    list(sa._candidate_sets(g, 0.3, 129, 0))
+    assert sorts == [1]
+
+
 # ── extraction loop ──────────────────────────────────────────────────────
+
+
+@settings(max_examples=120)
+@given(n=st.sampled_from((1, 7, 40, 65, 130)), p=st.sampled_from((0.05, 0.5, 0.95)),
+       graph_seed=st.integers(0, 2 ** 32), epsilon=st.floats(0.01, 0.49),
+       side=st.sampled_from(("sparse", "dense")), seed=st.integers(0, 2 ** 32),
+       s_rate=st.sampled_from((0.02, 0.2, 0.6)))
+def test_kept_band_matches_the_loop_per_side(n, p, graph_seed, epsilon, side, seed, s_rate):
+    g = audit_graph(n, p, graph_seed, None)
+    rng = random.Random(seed)
+    smask = gc.mask_of(v for v in range(n) if rng.random() < s_rate) or 1
+    rest = rng.getrandbits(n) & ~smask
+    assert sa._kept(g, rest, smask, side, epsilon) == \
+        extract_keep_loop(g, rest, smask, side, epsilon)
 
 
 def test_rich_extract_on_random_graph_keeps_everything():
