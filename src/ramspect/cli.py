@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import typing
 from dataclasses import asdict, fields
@@ -31,7 +30,7 @@ from . import structure_audit as sa
 from .double_exposure import ExposureParams, per_m_run, theorem_run
 from .errors import (CapacityError, ConstructionFailure, GraphParseError,
                      ParameterError, RamspectError)
-from .ramsey_construct import ConstructionParams, construct
+from .ramsey_construct import ConstructionParams, construct, m_window
 from .seeding import derive_seed
 
 SCHEMA = 1
@@ -235,15 +234,6 @@ def _pipeline_inputs(ns):
     return (g, gsrc, ov, *_pipeline_params(ov, ns.seed))
 
 
-def _default_m(cp: ConstructionParams, n: int) -> int:
-    # midpoint of the admissible window [c*n^2, 2c*n^2]
-    mid = 1.5 * cp.c_density * n * n
-    if not mid < math.inf:
-        raise ParameterError(f"c_density={cp.c_density} puts the m window beyond "
-                             f"float range at n={n}")
-    return round(mid)
-
-
 # ── subcommands ──────────────────────────────────────────────────────────
 
 
@@ -323,7 +313,7 @@ def cmd_lo(ns) -> int:
 
 def cmd_construct(ns) -> int:
     g, gsrc, ov, cp, _ = _pipeline_inputs(ns)
-    m = ns.m if ns.m is not None else _default_m(cp, g.n)
+    m = ns.m if ns.m is not None else m_window(cp, g.n).mid
     cfg = {"graph": gsrc, "m": m, "cparams": asdict(cp),
            "overrides": ov["construct"]}
     res = construct(g, m, cp)
@@ -334,7 +324,7 @@ def cmd_construct(ns) -> int:
 
 def cmd_per_m(ns) -> int:
     g, gsrc, _, cp, ep = _pipeline_inputs(ns)
-    m = ns.m if ns.m is not None else _default_m(cp, g.n)
+    m = ns.m if ns.m is not None else m_window(cp, g.n).mid
     cfg = {"graph": gsrc, "m": m, "cparams": asdict(cp), "eparams": asdict(ep)}
     out = per_m_run(g, m, cp, ep)
     # str keys: sort_keys orders "10" before "2", as the artifact always has
@@ -375,7 +365,7 @@ def cmd_sweep(ns) -> int:
         cp, ep = _pipeline_params(ov, derive_seed(ns.seed, "sweep", n))
         try:
             if ns.mode == "per-m":
-                count = per_m_run(g, _default_m(cp, n), cp, ep).distinct_count
+                count = per_m_run(g, m_window(cp, n).mid, cp, ep).distinct_count
             else:
                 count = theorem_run(g, cp, ep).total_distinct
         except (ConstructionFailure, ParameterError) as exc:

@@ -31,6 +31,11 @@ vertices of each Z_{k,i}.  family_table counts every cell from its
 definition, e_{k,i} = e(U u Z_{k,i}) - e(U), in one
 graph_core.count_edges_many batch, and every emitted size, which adds the
 split degrees to those cells, is recounted from scratch in a second batch.
+
+Each window has one outcome: per_m_run leaves its retry loop at the
+accepted exposure, and a loop that runs out returns the empty outcome.
+theorem_run steps m through ramsey_construct.m_window and keeps a window by
+one predicate: it emitted sizes, all above the last kept window's maximum.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ import numpy as np
 from .errors import ConstructionFailure, ContractViolation, ParameterError
 from .graph_core import (Graph, Unit, bernoulli, bit_matrix, check_disjoint_units,
                          count_edges, count_edges_many, mask_from_bools, unit_degree)
-from .ramsey_construct import ConstructionParams, ConstructionResult, construct
+from .ramsey_construct import ConstructionParams, ConstructionResult, construct, m_window
 from .seeding import derive_seed
 
 
@@ -305,7 +310,6 @@ def per_m_run(g: Graph, m: int, cparams: ConstructionParams | None = None,
     check_disjoint_units(res.all_units(), res.u0_mask)
     internal = [count_edges(g, x.mask()) if x.is_pair else 0 for x in res.x_units]
     attempts_log = []
-    chosen = None
     for t in range(eparams.trials):
         u = expose(res.u0_mask, derive_seed(eparams.seed, "expose", t))
         e_u = count_edges(g, u)
@@ -351,11 +355,10 @@ def per_m_run(g: Graph, m: int, cparams: ConstructionParams | None = None,
         if not sel:
             attempts_log.append({"attempt": t, "stage": "selection"})
             continue
-        chosen = (t, u, e_u, records, k_sel, sel, by_k)
         attempts_log.append({"attempt": t, "stage": "accepted",
                              "rows_passing": k_all, "cells": len(sel)})
         break
-    if chosen is None:
+    else:
         return PerMOutcome(m=m, u_mask=0, e_u=0, records=(), k_selected=(),
                            p_selected=(), family=(), distinct_sizes=(),
                            window_center=0, window_radius=0.0,
@@ -363,7 +366,7 @@ def per_m_run(g: Graph, m: int, cparams: ConstructionParams | None = None,
                            constants=resolved.as_dict(),
                            diagnostics={"attempts": attempts_log,
                                         "construction": res.diagnostics})
-    t, u, e_u, records, k_sel, sel, by_k = chosen
+    # t, u, e_u, records, k_sel, sel and by_k are the accepted attempt's
     family = []
     sizes = []
     for e_ki, k, i in sel:
@@ -409,7 +412,7 @@ class TheoremOutcome:
 def theorem_run(g: Graph, cparams: ConstructionParams | None = None,
                 eparams: ExposureParams | None = None,
                 sigma: float | None = None) -> TheoremOutcome:
-    """Sweep m across [c*n^2, 2c*n^2] and union disjoint windows.
+    """Sweep m across ramsey_construct.m_window and union disjoint windows.
 
     Step defaults to a stride just beyond twice the containment radius, so
     kept windows cannot overlap; a greedy pass additionally drops any
@@ -431,11 +434,7 @@ def theorem_run(g: Graph, cparams: ConstructionParams | None = None,
     if eparams.c_prime is not None and not eparams.c_prime <= math.sqrt(n):
         raise ParameterError(f"row range needs k={eparams.c_prime * math.sqrt(n):.1f} "
                              f"first S units but |S| <= n = {n}")
-    c = cparams.c_density
-    if not 2 * c * n * n < math.inf:
-        raise ParameterError(f"c_density={c} puts the m range beyond float range at n={n}")
-    m_lo = max(1, math.ceil(c * n * n))  # construct refuses m = 0 (n = 0)
-    m_hi = math.floor(2 * c * n * n)
+    m_lo, m_hi, _ = m_window(cparams, n)
     if m_lo > m_hi:
         raise ParameterError(f"empty m range [{m_lo}, {m_hi}]")
     sig = sigma if sigma is not None else 2.2 * eparams.kappa_window
@@ -447,26 +446,20 @@ def theorem_run(g: Graph, cparams: ConstructionParams | None = None,
     kept = []
     union = set()
     last_max = None
-    idx = 0
-    for m in range(m_lo, m_hi + 1, step):
+    for idx, m in enumerate(range(m_lo, m_hi + 1, step)):
         cp = replace(cparams, seed=derive_seed(cparams.seed, "window-c", idx))
         ep = replace(eparams, seed=derive_seed(eparams.seed, "window-e", idx))
-        idx += 1
         try:
             out = per_m_run(g, m, cp, ep)
         except (ConstructionFailure, ParameterError):
-            windows.append((m, None, False))
-            continue
-        if not out.distinct_sizes:
-            windows.append((m, out, False))
-            continue
-        if last_max is not None and min(out.distinct_sizes) <= last_max:
-            windows.append((m, out, False))
-            continue
-        windows.append((m, out, True))
-        kept.append(out)
-        union.update(out.distinct_sizes)
-        last_max = max(out.distinct_sizes)
+            out = None
+        keep = out is not None and bool(out.distinct_sizes) \
+            and (last_max is None or min(out.distinct_sizes) > last_max)
+        windows.append((m, out, keep))
+        if keep:
+            kept.append(out)
+            union.update(out.distinct_sizes)
+            last_max = max(out.distinct_sizes)
     for a, b in zip(kept, kept[1:]):
         if max(a.distinct_sizes) >= min(b.distinct_sizes):
             raise ContractViolation("kept windows overlap")

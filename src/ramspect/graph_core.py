@@ -16,7 +16,8 @@ cap test.  Three kernels call it: pair_gaps, every multiset gap
 |A| + |B| - 2|A & B| of a unit family from one Gram product;
 count_edges_many, edge counts of many vertex sets over the adjacency
 matrix of their union; and neighbor_counts, the counts |N(v) & M| of every
-vertex v into each of many sets M, a chunk of adjacency rows at a time.
+vertex v into each of many sets M, a chunk of adjacency rows at a time
+against the sets' matrix, converted to float32 once for all the chunks.
 
 The close-complement test |N(a) symdiff N_bar(b)| >= thr on an arbitrary
 list of pairs, such as a degree-sum bucket, is one popcount kernel,
@@ -176,10 +177,10 @@ GAP_CHUNK = 8192  # pairs gathered per step of complement_gap_at_least
 
 def prefix_words(thr: float, words: int) -> int:
     """Words a prefix screen reads for a gap threshold thr out of rows of
-    the given word count: ceil(2*thr/64) + 1, at least 1, which clears thr
-    when about half of the bits differ, or all the words when that is not
-    fewer (a huge thr included)."""
-    return words if not 2 * thr / 64 + 1 < words else max(1, math.ceil(2 * thr / 64) + 1)
+    the given word count: ceil(2*thr/64) + 1, which clears thr when about
+    half of the bits differ, one word for any thr <= 0 (-inf included), or
+    all the words when that is not fewer (a huge thr included)."""
+    return words if not 2 * thr / 64 + 1 < words else math.ceil(2 * max(thr, 0) / 64) + 1
 
 
 def complement_gap_at_least(rows: np.ndarray, a: np.ndarray, b: np.ndarray, n: int,
@@ -246,10 +247,7 @@ class Unit:
         return len(self.vertices) == 2
 
     def mask(self) -> int:
-        m = 0
-        for v in self.vertices:
-            m |= 1 << v
-        return m
+        return mask_of(self.vertices)
 
 
 def check_disjoint_units(units, u0_mask: int) -> None:
@@ -313,9 +311,10 @@ def _require_exact(op: str, n: int) -> None:
 
 def _product(a: np.ndarray, b: np.ndarray | None = None, out=None) -> np.ndarray:
     """a @ b.T of two 0/1 matrices (a @ a.T when b is None) as a float32
-    array, which numpy hands to BLAS; exact within GRAM_EXACT_CAP."""
-    a = a.astype(np.float32)
-    return np.matmul(a, a.T if b is None else b.astype(np.float32).T, out=out)
+    array, which numpy hands to BLAS; exact within GRAM_EXACT_CAP.  An
+    operand that is float32 already is used as it is."""
+    a = a.astype(np.float32, copy=False)
+    return np.matmul(a, a.T if b is None else b.astype(np.float32, copy=False).T, out=out)
 
 
 def _unpack(words: np.ndarray, n: int) -> np.ndarray:
@@ -417,6 +416,7 @@ def neighbor_counts(rows: np.ndarray, member: np.ndarray) -> np.ndarray:
     """
     k, n = member.shape
     _require_exact("neighbor_counts", n)
+    member = member.astype(np.float32)
     out = np.empty((n, k), dtype=np.float32)
     for v in range(0, n, NEIGHBOR_CHUNK):
         _product(_unpack(rows[v:v + NEIGHBOR_CHUNK], n), member, out=out[v:v + NEIGHBOR_CHUNK])
@@ -492,12 +492,6 @@ def _gnp_rows(n: int, p: float, seed: int) -> list[int]:
 def generate(model: str, *, n: int | None = None, p: float = 0.5,
              q: int | None = None, seed: int = 0) -> Graph:
     """Deterministic graph generators: gnp, paley, complete, empty."""
-    if model == "gnp":
-        if n is None or n < 0:
-            raise ParameterError("gnp requires n >= 0")
-        if not 0.0 <= p <= 1.0:
-            raise ParameterError(f"gnp requires p in [0,1], got {p}")
-        return Graph(n, _gnp_rows(n, p, seed), _checked=True)
     if model == "paley":
         if q is None:
             raise ParameterError("paley requires q")
@@ -514,16 +508,18 @@ def generate(model: str, *, n: int | None = None, p: float = 0.5,
                     row |= 1 << v
             rows.append(row)
         return Graph(q, rows, _checked=True)
+    if model not in ("gnp", "complete", "empty"):
+        raise ParameterError(f"unknown model {model!r}")
+    if n is None or n < 0:
+        raise ParameterError(f"{model} requires n >= 0")
+    if model == "gnp":
+        if not 0.0 <= p <= 1.0:
+            raise ParameterError(f"gnp requires p in [0,1], got {p}")
+        return Graph(n, _gnp_rows(n, p, seed), _checked=True)
     if model == "complete":
-        if n is None or n < 0:
-            raise ParameterError("complete requires n >= 0")
         full = (1 << n) - 1
         return Graph(n, (full & ~(1 << v) for v in range(n)), _checked=True)
-    if model == "empty":
-        if n is None or n < 0:
-            raise ParameterError("empty requires n >= 0")
-        return Graph(n, (0,) * n, _checked=True)
-    raise ParameterError(f"unknown model {model!r}")
+    return Graph(n, (0,) * n, _checked=True)
 
 
 def load_graph(text: str, max_n: int | None = None) -> Graph:

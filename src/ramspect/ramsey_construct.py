@@ -32,6 +32,12 @@ thus an exact integer
 comparison, so the results equal those of the int-row loops the tests keep
 as references.
 
+The target m must lie in the m-window, the integers m >= 1 with
+c*n^2 <= m <= 2c*n^2 for c = c_density.  m_window states it once, with its
+default midpoint and its float-overflow refusal: construct's entry check,
+double_exposure.theorem_run's sweep and the CLI's default m all read it
+there.
+
 All the asymptotic constants are explicit knobs on ConstructionParams with
 defaults tuned for dense random graphs at desk scale; every resolved value
 is echoed in the result diagnostics so runs are self-describing.
@@ -43,14 +49,15 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConstructionFailure, ContractViolation, ParameterError
 from .graph_core import (Graph, Unit, bernoulli, check_disjoint_units,
                          complement_gap_at_least, count_edges, iter_bits, mask_from_bools,
-                         mask_of, pack_rows, pair_gaps, prefix_words, symdiff_size,
-                         unit_degree)
+                         mask_of, multiset_gap, pack_rows, pair_gaps, prefix_words,
+                         unit_degree, unit_rows)
 from .seeding import derive_seed
 from .structure_audit import AuditParams, rich_extract
 
@@ -87,21 +94,16 @@ class ConstructionParams:
     seed: int = 0
 
     def __post_init__(self):
-        # the checks are written "not x > 0" so that they also reject NaN
-        if not self.c_density > 0:
-            raise ParameterError(f"c_density must be positive, got {self.c_density}")
-        if not 0.0 < self.epsilon < 0.5:
-            raise ParameterError(f"epsilon must lie in (0, 1/2), got {self.epsilon}")
+        # written "not x > 0" so that NaN fails too; epsilon and the other
+        # audit fields are AuditParams' to check
+        for name in ("c_density", "density_factor", "kappa1", "kappa2", "kappa5",
+                     "star_coeff", "match_coeff", "a_cap_coeff", "pair_sample_coeff"):
+            if not getattr(self, name) > 0:
+                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
         if self.bucket_width is not None and self.bucket_width < 1:
             raise ParameterError("bucket_width must be >= 1")
-        if not self.density_factor > 0:
-            raise ParameterError("density_factor must be positive")
         if self.retry_max < 1:
             raise ParameterError("retry_max must be >= 1")
-        for name in ("kappa1", "kappa2", "kappa5", "star_coeff", "match_coeff",
-                     "a_cap_coeff", "pair_sample_coeff"):
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be positive")
         for name in ("theta_compl", "theta_conflict", "kappa3", "kappa4"):
             value = getattr(self, name)
             if value is not None and math.isnan(value):
@@ -112,6 +114,28 @@ class ConstructionParams:
         return AuditParams(epsilon=self.epsilon, delta=self.delta, c_div=self.c_div,
                            sample_budget=self.audit_budget,
                            k_rounds=self.k_rounds, seed=derive_seed(self.seed, "audit"))
+
+
+class MWindow(NamedTuple):
+    lo: int
+    hi: int
+    mid: int
+
+
+def m_window(params: ConstructionParams, n: int) -> MWindow:
+    """The edge-count targets m that n vertices admit, as (lo, hi, mid).
+
+    The admissible m are the integers with c*n^2 <= m <= 2c*n^2, c =
+    c_density, and m >= 1: lo = max(1, ceil(c*n^2)) and hi = floor(2c*n^2),
+    an empty window when lo > hi.  mid = round(1.5c*n^2) is the default
+    target.  construct, theorem_run and the CLI read the window from here
+    alone, and a window beyond float range is refused here alone.
+    """
+    c = params.c_density
+    if not 2 * c * n * n < math.inf:
+        raise ParameterError(f"c_density={c} puts the m window beyond float range at n={n}")
+    return MWindow(max(1, math.ceil(c * n * n)), math.floor(2 * c * n * n),
+                   round(1.5 * c * n * n))
 
 
 @dataclass(frozen=True)
@@ -431,27 +455,34 @@ def select_STX(g: Graph, u0: int, q, r, p: float, d_doubleprime: int):
 
 def verify_construction(g: Graph, res: ConstructionResult,
                         params: ConstructionParams) -> bool:
-    """Re-check the four output invariants from graph primitives alone."""
-    n = res.working_n
+    """Re-check the four output invariants from graph primitives alone.
+
+    Int rows throughout, independent of the pair_gaps products the stages
+    use.  Each unit's degree into U0 is counted once and read by both the
+    degree window and the S/T gap; each X unit's multiplicity rows are cut
+    to U0 once and every X pair compared with multiset_gap, which is
+    symdiff_size on those rows.
+    """
+    n, u0 = res.working_n, res.u0_mask
     units = res.all_units()
-    check_disjoint_units(units, res.u0_mask)
+    check_disjoint_units(units, u0)
     d_window = params.kappa2 * math.sqrt(n)
-    for x in units:
-        dd = unit_degree(g, x, res.u0_mask)
+    ds, dt, dx = ([unit_degree(g, x, u0) for x in group]
+                  for group in (res.s_units, res.t_units, res.x_units))
+    for x, dd in zip(res.s_units + res.t_units + res.x_units, ds + dt + dx):
         if abs(dd - res.d) > d_window:
             raise ContractViolation(
                 f"unit {x.vertices} degree {dd} outside {res.d:.2f}+-{d_window:.2f}")
-    if res.s_units and res.t_units:
-        max_s = max(unit_degree(g, x, res.u0_mask) for x in res.s_units)
-        min_t = min(unit_degree(g, x, res.u0_mask) for x in res.t_units)
-        if min_t - max_s < res.gap_floor:
-            raise ContractViolation(
-                f"degree gap {min_t - max_s} below floor {res.gap_floor}")
+    if ds and dt:
+        gap = min(dt) - max(ds)
+        if gap < res.gap_floor:
+            raise ContractViolation(f"degree gap {gap} below floor {res.gap_floor}")
     sym_floor = res.kappa3 * n
     xs = res.x_units
-    for i in range(len(xs)):
+    rows = [(m1 & u0, m2 & u0) for m1, m2 in (unit_rows(g, x) for x in xs)]
+    for i, (a1, a2) in enumerate(rows):
         for j in range(i + 1, len(xs)):
-            s = symdiff_size(g, xs[i], xs[j], umask=res.u0_mask)
+            s = multiset_gap(a1, a2, *rows[j])
             if s < sym_floor:
                 raise ContractViolation(
                     f"x units {xs[i].vertices},{xs[j].vertices} symdiff {s} "
@@ -466,8 +497,8 @@ def verify_construction(g: Graph, res: ConstructionResult,
 def construct(g: Graph, m: int, params: ConstructionParams | None = None) -> ConstructionResult:
     """Run the full pipeline and return an independently verified result.
 
-    Entry checks: e(G) >= density_factor*c*n^2 (stage "density") and
-    c*n^2 <= m <= 2c*n^2 (parameter error).  With rich_prepass on, the
+    Entry checks: m inside m_window (parameter error), then e(G) >=
+    density_factor*c*n^2 (stage "density").  With rich_prepass on, the
     pipeline runs inside the induced subgraph that rich_extract audited and
     hands back, and the result is mapped back to original vertex ids; every
     threshold uses the working size, echoed as working_n.
@@ -476,15 +507,14 @@ def construct(g: Graph, m: int, params: ConstructionParams | None = None) -> Con
     if m != int(m) or m < 1:
         raise ParameterError(f"m must be a positive integer, got {m}")
     n = g.n
-    c = params.c_density
-    if not c * n * n <= m <= 2 * c * n * n:
+    window = m_window(params, n)
+    if not window.lo <= m <= window.hi:
         raise ParameterError(
-            f"m={m} outside [c*n^2, 2c*n^2] = [{c * n * n:.1f}, {2 * c * n * n:.1f}]")
-    if g.edge_count() < params.density_factor * c * n * n:
-        raise ConstructionFailure(
-            "density",
-            f"e(G)={g.edge_count()} below {params.density_factor * c * n * n:.1f}",
-            {"edges": g.edge_count(), "required": params.density_factor * c * n * n})
+            f"m={m} outside the m window [{window.lo}, {window.hi}] at n={n}")
+    required = params.density_factor * params.c_density * n * n
+    if g.edge_count() < required:
+        raise ConstructionFailure("density", f"e(G)={g.edge_count()} below {required:.1f}",
+                                  {"edges": g.edge_count(), "required": required})
     rich_status = "skipped"
     if params.rich_prepass:
         ext = rich_extract(g, params.audit_params())

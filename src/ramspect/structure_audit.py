@@ -24,13 +24,16 @@ cheap, then twice as many per block up to AUDIT_BLOCK_CAP.  A block's counts
 |N(v) & W|, for every vertex v and candidate W, are one float32 product,
 graph_core.neighbor_counts, over adjacency rows unpacked a chunk at a time;
 the bad-vertex counts follow from integer thresholds.  Only the witness's
-Y mask is read off the packed rows, by a popcount per vertex, and it must
-agree with the product's count.  Masks, bools and 0/1 rows convert through
-graph_core alone.
+bad vertices are read off the packed rows, by a popcount per vertex in
+_bad_sides, the one statement of the bad-vertex rule.  It splits them into
+two sides: sparse, fewer than eps*|W| neighbors in W, and dense, the others
+(fewer than eps*|W| non-neighbors there).  The witness Y is their union,
+and its size must agree with the product's count.  Masks, bools and 0/1
+rows convert through graph_core alone.
 
 rich_extract mirrors the proof-style cleanup loop: while a richness violation
-(W, Y) exists, take a set S from the side of Y that is sparse (or dense)
-toward W, drop it from W, and keep the vertices of W whose count of
+(W, Y) exists, take a set S from the larger side of the verdict's split of
+Y, drop it from W, and keep the vertices of W whose count of
 neighbors in S lies in that side's band (_kept: at most 4*eps*|S| when
 sparse, at least (1 - 4*eps)*|S| when dense).  Each such round retains at
 least a (delta/4) fraction; a graph that keeps yielding witnesses for K
@@ -127,7 +130,8 @@ def pair_audit(g: Graph, c_div: float, threshold_fraction: float) -> tuple[list[
 class RichnessVerdict:
     status: str  # "witness_found" | "no_witness_in_budget"
     witness_w: int = 0  # masks; empty when no witness
-    witness_y: int = 0
+    witness_sparse: int = 0  # Y, split by side as _bad_sides splits it
+    witness_dense: int = 0
     budget_used: int = 0
     exhaustive: bool = False
 
@@ -135,24 +139,33 @@ class RichnessVerdict:
     def found(self) -> bool:
         return self.status == "witness_found"
 
+    @property
+    def witness_y(self) -> int:
+        """The witness's bad vertices, both sides."""
+        return self.witness_sparse | self.witness_dense
 
-def _bad_vertices(rows: np.ndarray, wmask: int, epsilon: float) -> int:
-    """Mask of vertices with too few neighbors or non-neighbors inside W,
-    over a graph's packed adjacency rows; v has |N(v) & W| of the former and
-    |W| - |N(v) & W| - [v in W] of the latter."""
+
+def _bad_sides(rows: np.ndarray, wmask: int, epsilon: float) -> tuple[int, int]:
+    """Masks (sparse, dense) of the vertices bad toward W, over a graph's
+    packed adjacency rows: sparse those with fewer than eps*|W| neighbors
+    in W, dense the others with fewer than eps*|W| non-neighbors there.  v
+    has |N(v) & W| of the former and |W| - |N(v) & W| - [v in W] of the
+    latter."""
     n = len(rows)
     wsize = wmask.bit_count()
     thr = epsilon * wsize
     k = popcount(rows & pack_rows([wmask], n))
-    return mask_from_bools((k < thr) | (wsize - k - bit_matrix([wmask], n)[0] < thr))
+    sparse = k < thr
+    dense = ~sparse & (wsize - k - bit_matrix([wmask], n)[0] < thr)
+    return mask_from_bools(sparse), mask_from_bools(dense)
 
 
 def _bad_counts(rows: np.ndarray, block: list, epsilon: float) -> np.ndarray:
-    """Number of bad vertices of each candidate W in block, as _bad_vertices
+    """Number of bad vertices of each candidate W in block, as _bad_sides
     counts them, read off one graph_core.neighbor_counts product.
 
     The counts k = |N(v) & W| and |W| - k - [v in W] are integers, so each
-    is below eps*|W| (taken in float64, as _bad_vertices takes it) iff it is
+    is below eps*|W| (taken in float64, as _bad_sides takes it) iff it is
     below ceil(eps*|W|); every side of those comparisons is an integer at
     most n, exact in float32.
     """
@@ -226,17 +239,18 @@ def richness_audit(g: Graph, params: AuditParams, exhaustive: bool = False) -> R
         if len(hits):
             i = int(hits[0])
             w, tried = block[i], tried + i + 1
-            # the witness's Y mask comes from the popcount kernel, which must
+            # the witness's sides come from the popcount kernel, which must
             # agree with the product on how many vertices are bad
-            bad = _bad_vertices(rows, w, params.epsilon)
-            if bad.bit_count() != counts[i]:
+            sparse, dense = _bad_sides(rows, w, params.epsilon)
+            bad = (sparse | dense).bit_count()
+            if bad != counts[i]:
                 raise ContractViolation(
-                    f"richness candidate {tried} has {bad.bit_count()} bad vertices "
+                    f"richness candidate {tried} has {bad} bad vertices "
                     f"by popcount and {counts[i]} by the block product")
-            return RichnessVerdict("witness_found", w, bad, tried, exhaustive)
+            return RichnessVerdict("witness_found", w, sparse, dense, tried, exhaustive)
         tried += len(block)
         size = min(2 * size, AUDIT_BLOCK_CAP)
-    return RichnessVerdict("no_witness_in_budget", 0, 0, tried, exhaustive)
+    return RichnessVerdict("no_witness_in_budget", budget_used=tried, exhaustive=exhaustive)
 
 
 # ── extraction ───────────────────────────────────────────────────────────
@@ -290,26 +304,20 @@ def rich_extract(g: Graph, params: AuditParams) -> ExtractResult:
         verdict = richness_audit(sub, params)
         if not verdict.found:
             return ExtractResult("rich", umask, tuple(trace), sub)
-        w, y = verdict.witness_w, verdict.witness_y
+        w, sparse, dense = verdict.witness_w, verdict.witness_sparse, verdict.witness_dense
         wsize = w.bit_count()
-        thr = params.epsilon * wsize
-        # every vertex of Y is bad toward W, so one of the two lists is nonempty
-        sparse, dense = [], []
-        for v in iter_bits(y):
-            k = (sub.adj[v] & w).bit_count()
-            if k < thr:
-                sparse.append(v)
-            elif wsize - k - (w >> v & 1) < thr:
-                dense.append(v)
-        side, members = ("sparse", sparse) if len(sparse) >= len(dense) else ("dense", dense)
+        # Y is nonempty, so the larger side is too
+        side, members = ("sparse", sparse) if sparse.bit_count() >= dense.bit_count() \
+            else ("dense", dense)
         # clamped at sub.n before ceil, which a huge c_div would overflow
         ssize = max(1, math.ceil(min((params.c_div * sub.n) ** params.delta / 2, sub.n)))
-        ssize = min(ssize, max(1, wsize // 2), len(members))
-        smask = mask_of(members[:ssize])
+        ssize = min(ssize, max(1, wsize // 2), members.bit_count())
+        smask = mask_of(islice(iter_bits(members), ssize))
         keep = _kept(sub, w & ~smask, smask, side, params.epsilon)
         umask = mask_of(vmap[v] for v in iter_bits(keep))
         before, after = sub.n, keep.bit_count()
-        trace.append(ExtractRound(before, wsize, y.bit_count(), side, ssize, after))
+        trace.append(ExtractRound(before, wsize, verdict.witness_y.bit_count(), side, ssize,
+                                  after))
         if after < (params.delta / 4) * before:
             return ExtractResult("failed_shrink", umask, tuple(trace))
         sub, kept = induced_subgraph(sub, keep)

@@ -5,9 +5,9 @@ random() call at a time, the pair-by-pair G(n, p) loop, the all-pairs
 degree-sum bucket, pair-by-pair conflict greedy, event-(4) scan and S/T/X
 split of the scaffold construction, the richness audit one candidate at a
 time, its candidate family as one generator with a shared budget counter,
-the extraction's keep rule as one loop per side, the audit's two pair
-counts as separate passes, and the exposure's adjusted degrees recounted
-per unit and cell.
+the extraction's split of a witness and its keep rule as int-row loops,
+the audit's two pair counts as separate passes, and the exposure's
+adjusted degrees recounted per unit and cell.
 
 Nothing in the package or the benchmark calls these; the tests use them to
 check the package's results against independent computations.
@@ -194,7 +194,7 @@ def adjusted_values(g: Graph, x_units, ukimask: int):
 
 
 def richness_audit_loop(g: Graph, params, exhaustive: bool = False):
-    """RichnessVerdict of the candidate-at-a-time audit: one _bad_vertices
+    """RichnessVerdict of the candidate-at-a-time audit: one _bad_sides
     popcount per candidate W, in the order richness_audit draws them,
     stopping at the first W with more than n^delta bad vertices."""
     n = g.n
@@ -209,10 +209,10 @@ def richness_audit_loop(g: Graph, params, exhaustive: bool = False):
     tried = 0
     for w in candidates:
         tried += 1
-        bad = sa._bad_vertices(rows, w, params.epsilon)
-        if bad.bit_count() > limit:
-            return sa.RichnessVerdict("witness_found", w, bad, tried, exhaustive)
-    return sa.RichnessVerdict("no_witness_in_budget", 0, 0, tried, exhaustive)
+        sparse, dense = sa._bad_sides(rows, w, params.epsilon)
+        if (sparse | dense).bit_count() > limit:
+            return sa.RichnessVerdict("witness_found", w, sparse, dense, tried, exhaustive)
+    return sa.RichnessVerdict("no_witness_in_budget", 0, 0, 0, tried, exhaustive)
 
 
 def candidate_sets_loop(g: Graph, delta: float, budget: int, seed: int):
@@ -252,6 +252,22 @@ def candidate_sets_loop(g: Graph, delta: float, budget: int, seed: int):
                 return
             emitted += 1
             yield mask_of(rng.sample(verts, size))
+
+
+def extract_sides_loop(g: Graph, w: int, y: int, epsilon: float) -> tuple[int, int]:
+    """The split rich_extract made of a witness (W, Y) with its own loop over
+    Y: sparse the vertices with fewer than eps*|W| neighbors in W, dense the
+    others with fewer than eps*|W| non-neighbors there."""
+    wsize = w.bit_count()
+    thr = epsilon * wsize
+    sparse, dense = [], []
+    for v in iter_bits(y):
+        k = (g.adj[v] & w).bit_count()
+        if k < thr:
+            sparse.append(v)
+        elif wsize - k - (w >> v & 1) < thr:
+            dense.append(v)
+    return mask_of(sparse), mask_of(dense)
 
 
 def extract_keep_loop(g: Graph, rest: int, smask: int, side: str, epsilon: float) -> int:

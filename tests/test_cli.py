@@ -407,6 +407,8 @@ def test_override_values_follow_field_types():
     ["per-m", "--gen", "gnp", "--n", "64", "--set", "c_prime=1e308"],
     ["per-m", "--gen", "gnp", "--n", "64", "--set", "big_m=0"],
     ["per-m", "--gen", "gnp", "--n", "64", "--set", "beta=nan"],
+    # 1.5c*n^2 is finite, 2c*n^2 is not: the m window refuses it, not the density stage
+    ["construct", "--gen", "gnp", "--n", "40", "--set", "c_density=6e304"],
 ])
 def test_non_finite_and_huge_overrides_exit_one(argv, capsys):
     # NaN fails every positivity check; an overflowing product is refused
@@ -582,6 +584,28 @@ def test_construct_json_artifact(tmp_path):
     assert doc["header"]["seed"] == 4
     for unit in doc["s_units"] + doc["t_units"] + doc["x_units"]:
         assert isinstance(unit, list) and len(unit) in (1, 2)
+
+
+@pytest.mark.parametrize("key,derived", [("theta_compl", ()),
+                                         ("theta_conflict", ("kappa3",))])
+def test_a_theta_of_minus_inf_reads_as_a_huge_negative_one(key, derived, tmp_path):
+    # any theta <= 0 screens a one-word prefix and keeps every pair, -inf
+    # included, which must not reach ceil()
+    docs = []
+    for value in ("-inf", "-1e300"):
+        out = tmp_path / f"{value}.json"
+        assert cli.main(["construct", "--gen", "gnp", "--n", "256", "--set", f"{key}={value}",
+                         "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        # the header echoes the override; theta and what it resolves are echoed
+        del doc["header"]
+        for name in (key,) + derived:
+            del doc["diagnostics"]["resolved"][name]
+        for name in derived:
+            del doc[name], doc["diagnostics"]["sampling"][name]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert docs[0]["diagnostics"]["h_filtered_size"] == docs[0]["diagnostics"]["h_size"]
 
 
 def test_per_m_csv_and_dump(tmp_path):

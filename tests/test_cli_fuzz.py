@@ -66,7 +66,7 @@ OVERRIDES = st.sampled_from([
     "c_density=0.5", "c_density=nan", "c_density=1e308", "kappa_window=0",
     "kappa_window=0.3", "trials=x", "trials=2", "retry_max=2", "c_prime=inf",
     "epsilon=0.3", "sample_budget=20", "c_div=-1", "delta=0.4", "rich_prepass=false",
-    "bogus=1", "no_equals_sign", "=1"])
+    "theta_compl=-inf", "theta_conflict=-inf", "bogus=1", "no_equals_sign", "=1"])
 PIPELINE = {**GRAPH_SOURCE, "--set": OVERRIDES, **SEED_OUT}
 # phi/psi get small n only: the exact oracles are exponential in n
 SPECTRUM = {**GRAPH_SOURCE, "--n": values("0", "1", "5", "13", HUGE),

@@ -2,6 +2,7 @@
 import math
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,8 +12,9 @@ from ramspect import double_exposure as de
 from ramspect.double_exposure import (ExposureParams, expose, family_table,
                                       per_m_run, resolve_exposure, theorem_run,
                                       z_family)
-from ramspect.errors import ContractViolation, ParameterError, RamspectError
-from ramspect.ramsey_construct import ConstructionParams, construct
+from ramspect.errors import (ConstructionFailure, ContractViolation, ParameterError,
+                             RamspectError)
+from ramspect.ramsey_construct import ConstructionParams, construct, m_window
 from reference import adjusted_values, bernoulli_loop
 
 G256 = gc.generate("gnp", n=256, p=0.5, seed=3)
@@ -325,6 +327,45 @@ def test_theorem_windows_are_disjoint_and_collision_free():
             seen.add(s)
     # every attempted window is recorded, kept or not
     assert len(out.windows) >= len(out.kept) >= 1
+
+
+@settings(max_examples=40)
+@given(n=st.integers(0, 300), c=st.floats(1e-5, 2.0))
+def test_theorem_attempts_m_from_the_window_low_end_to_within_its_high_end(n, c):
+    # on the empty graph every window fails at the density check, cheaply
+    params = ConstructionParams(c_density=c)
+    lo, hi, _ = m_window(params, n)
+    g = gc.generate("empty", n=n)
+    if lo > hi:
+        with pytest.raises(ParameterError, match="empty m range"):
+            theorem_run(g, params)
+        return
+    out = theorem_run(g, params)
+    ms = [m for m, _, _ in out.windows]
+    assert ms == list(range(lo, hi + 1, out.step))
+    assert ms[0] == lo and ms[-1] <= hi
+    assert (out.diagnostics["m_lo"], out.diagnostics["m_hi"]) == (lo, hi)
+    assert all(o is None and not kept for _, o, kept in out.windows)
+
+
+def test_theorem_keeps_a_window_only_above_the_last_kept_maximum(monkeypatch):
+    # six windows on the empty graph at c = 0.2, their outcomes faked in
+    # turn: a failure, no sizes, kept, touching the kept maximum, below it,
+    # kept again
+    outcomes = iter([None, (), (5, 7), (7, 9), (2, 3), (8, 9)])
+
+    def fake(g, m, cp, ep):
+        sizes = next(outcomes)
+        if sizes is None:
+            raise ConstructionFailure("density", "faked", {})
+        return SimpleNamespace(distinct_sizes=sizes)
+
+    monkeypatch.setattr(de, "per_m_run", fake)
+    out = theorem_run(gc.generate("empty", n=256), ConstructionParams(c_density=0.2))
+    assert [kept for _, _, kept in out.windows] == [False, False, True, False, False, True]
+    assert out.windows[0][1] is None
+    assert [o.distinct_sizes for o in out.kept] == [(5, 7), (8, 9)]
+    assert out.total_distinct == 4
 
 
 def test_theorem_is_deterministic():

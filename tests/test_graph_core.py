@@ -291,6 +291,14 @@ def test_complement_gap_screen_and_fallback_both_decide_pairs(
     assert 0 < got.sum() < len(a)
 
 
+@pytest.mark.parametrize("thr", [-math.inf, -1e300, -64.0, -1.0, 0.0])
+def test_a_threshold_of_zero_or_below_screens_one_word_and_keeps_every_pair(thr):
+    assert [gc.prefix_words(thr, words) for words in (1, 2, 16)] == [1, 1, 1]
+    g = gap_graph(130, 0.5, 0, planted=True)
+    a, b = np.triu_indices(130, 1)
+    assert gc.complement_gap_at_least(gc.pack_rows(g.adj, 130), a, b, 130, thr).all()
+
+
 def test_complement_gap_at_least_on_no_pairs_and_tiny_graphs():
     for n in (0, 1, 2):
         g = gc.generate("complete", n=n)

@@ -13,7 +13,7 @@ from ramspect import structure_audit as sa
 from ramspect.errors import ContractViolation, ParameterError
 from ramspect.ramsey_construct import (ConstructionFailure, ConstructionParams,
                                        construct, verify_construction)
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ramspect.seeding import derive_seed
 from reference import (bernoulli_loop, bucket_by_enumeration, event4_scan,
@@ -576,6 +576,31 @@ def test_construct_rejects_m_outside_window():
         construct(G256, 0)
 
 
+@settings(max_examples=150)
+@given(n=st.integers(0, 300), c=st.floats(1e-6, 2.0), pick=st.sampled_from((0, 1, 2)),
+       shift=st.integers(-2, 2))
+@example(n=4, c=0.25, pick=0, shift=0)  # c*n^2 = 4 exactly: m = 4 is inside
+@example(n=4, c=0.25, pick=1, shift=0)  # 2c*n^2 = 8 exactly: m = 8 is inside
+@example(n=1, c=0.4, pick=0, shift=0)   # [0.4, 0.8] holds no integer
+def test_construct_refuses_exactly_the_m_outside_the_window(n, c, pick, shift):
+    # the window against its statement, the integers m >= 1 with
+    # c*n^2 <= m <= 2c*n^2; the empty graph fails the density check right
+    # after the window check, so an admitted m costs nothing
+    params = ConstructionParams(c_density=c)
+    window = rc.m_window(params, n)
+    m = window[pick] + shift
+    inside = m >= 1 and c * n * n <= m <= 2 * c * n * n
+    assert inside == (window.lo <= m <= window.hi)
+    assert window.mid == round(1.5 * c * n * n)
+    assert window.lo > window.hi or window.lo <= window.mid <= window.hi
+    if m < 1:
+        return  # refused as no positive integer, before the window
+    with pytest.raises(ConstructionFailure if inside else ParameterError) as exc:
+        construct(gc.generate("empty", n=n), m, params)
+    if inside:
+        assert exc.value.stage == "density"
+
+
 def test_construct_density_entry_check():
     sparse = gc.generate("gnp", n=256, p=0.02, seed=0)
     with pytest.raises(ConstructionFailure) as exc:
@@ -622,6 +647,20 @@ def test_verifier_catches_tampering():
     # shrink the recorded degree target far below reality
     bad = replace(res, d=res.d + 100 * math.sqrt(res.working_n))
     with pytest.raises(ContractViolation):
+        verify_construction(G256, bad, params)
+    # claim an S/T degree gap one above the family's; the gap itself passes
+    gap = min(gc.unit_degree(G256, x, res.u0_mask) for x in res.t_units) \
+        - max(gc.unit_degree(G256, x, res.u0_mask) for x in res.s_units)
+    assert verify_construction(G256, replace(res, gap_floor=gap), params)
+    bad = replace(res, gap_floor=gap + 1)
+    with pytest.raises(ContractViolation, match="degree gap"):
+        verify_construction(G256, bad, params)
+    # claim a symdiff floor one above the closest X pair's gap inside U0
+    closest = min(gc.symdiff_size(G256, x, y, umask=res.u0_mask)
+                  for i, x in enumerate(res.x_units) for y in res.x_units[i + 1:])
+    assert verify_construction(G256, replace(res, kappa3=closest / res.working_n), params)
+    bad = replace(res, kappa3=(closest + 1) / res.working_n)
+    with pytest.raises(ContractViolation, match="symdiff"):
         verify_construction(G256, bad, params)
     # claim a much larger symdiff floor than the family achieves
     bad = replace(res, kappa3=0.9)

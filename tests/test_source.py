@@ -133,3 +133,13 @@ def test_every_matrix_product_is_graph_core_product():
                     found.append(f"{where}: GRAM_EXACT_CAP read outside _require_exact")
     assert not found, found
     assert _inside(ast.parse((SRC / "graph_core.py").read_text()), "_product")
+
+
+def test_only_ramsey_construct_reads_c_density():
+    # the m-window [c*n^2, 2c*n^2] and its overflow refusal live in
+    # ramsey_construct.m_window; a module that reads c_density restates them
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "ramsey_construct.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "c_density"]
+    assert not found, found

@@ -12,13 +12,28 @@ from ramspect import graph_core as gc
 from ramspect import structure_audit as sa
 from ramspect.errors import CapacityError, ContractViolation, ParameterError
 from reference import (candidate_sets_loop, close_complement_pair_count, diversity_profile,
-                       extract_keep_loop, richness_audit_loop)
+                       extract_keep_loop, extract_sides_loop, richness_audit_loop)
 
 
 def random_graph(rng, n, p=0.5):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
     return gc.from_edges(n, edges)
+
+
+def bad_sides_ref(g, w, epsilon):
+    """(sparse, dense) toward W from int rows, the non-neighbors read off
+    complement rows: fewer than eps*|W| neighbors in W, else fewer than
+    eps*|W| non-neighbors there."""
+    thr = epsilon * w.bit_count()
+    sparse = gc.mask_of(v for v in range(g.n) if (g.adj[v] & w).bit_count() < thr)
+    dense = gc.mask_of(v for v in range(g.n) if (g.comp_row(v) & w).bit_count() < thr)
+    return sparse, dense & ~sparse
+
+
+def bad_count(rows, w, epsilon):
+    """|Y| of W by the popcount kernel: both of _bad_sides' disjoint sides."""
+    return sum(side.bit_count() for side in sa._bad_sides(rows, w, epsilon))
 
 
 PALEY13 = gc.generate("paley", q=13)
@@ -176,17 +191,12 @@ def test_exhaustive_richness_matches_brute_force_battery():
         want = brute_richness_witness(g, 0.5, 0.2)
         # the non-neighbor count without complement rows, on every subset W
         for w in range(1 << n):
-            thr = 0.2 * w.bit_count()
-            ref = gc.mask_of(v for v in range(n)
-                             if (g.adj[v] & w).bit_count() < thr
-                             or (g.comp_row(v) & w).bit_count() < thr)
-            assert sa._bad_vertices(gc.pack_rows(g.adj, n), w, 0.2) == ref
+            assert sa._bad_sides(gc.pack_rows(g.adj, n), w, 0.2) == bad_sides_ref(g, w, 0.2)
         assert verdict.found == (want is not None)
         assert verdict.exhaustive
         if verdict.found:
             # the verdict's witness really is one
-            bad = sa._bad_vertices(gc.pack_rows(g.adj, n), verdict.witness_w, 0.2)
-            assert bad.bit_count() > n ** 0.5
+            assert bad_count(gc.pack_rows(g.adj, n), verdict.witness_w, 0.2) > n ** 0.5
             assert verdict.witness_w.bit_count() >= math.ceil(0.5 * n)
 
 
@@ -198,12 +208,9 @@ def test_bad_vertices_multiword_matches_comp_row_reference(n):
     found = 0
     for size in (1, n // 3, n // 2, n - 1, n):
         w = gc.mask_of(rng.sample(range(n), size))
-        thr = 0.25 * size
-        ref = gc.mask_of(v for v in range(n)
-                         if (g.adj[v] & w).bit_count() < thr
-                         or (g.comp_row(v) & w).bit_count() < thr)
-        assert sa._bad_vertices(rows, w, 0.25) == ref
-        found += ref != 0
+        ref = bad_sides_ref(g, w, 0.25)
+        assert sa._bad_sides(rows, w, 0.25) == ref
+        found += ref != (0, 0)
     assert found  # some W leaves bad vertices
 
 
@@ -226,9 +233,8 @@ def test_sampled_witness_implies_exhaustive_witness():
         assert not sampled.exhaustive
         if sampled.found:
             checked += 1
-            bad = sa._bad_vertices(gc.pack_rows(g.adj, n), sampled.witness_w,
-                                   params.epsilon)
-            assert bad.bit_count() > n ** params.delta
+            bad = bad_count(gc.pack_rows(g.adj, n), sampled.witness_w, params.epsilon)
+            assert bad > n ** params.delta
     assert checked > 0  # the battery actually exercised the witness path
 
 
@@ -292,7 +298,7 @@ def test_planted_witness_is_found_at_its_index_across_block_boundaries(n, at, af
     before = []
     while len(before) < at - 1:
         w = gc.mask_of(rng.sample(range(n), rng.randrange(n // 4, n + 1)))
-        if sa._bad_vertices(rows, w, params.epsilon).bit_count() <= n ** params.delta:
+        if bad_count(rows, w, params.epsilon) <= n ** params.delta:
             before.append(w)
     later = [gc.mask_of(rng.sample(range(n), n // 2)) for _ in range(after)]
     with pytest.MonkeyPatch.context() as mp:
@@ -317,7 +323,7 @@ def test_bad_counts_match_bad_vertices_where_eps_w_is_an_integer(n, graph_seed, 
     sizes = [s for s in range(0, n + 1) if s % 8 == 0 or s % 20 == 0]
     block = [gc.mask_of(rng.sample(range(n), rng.choice(sizes))) for _ in range(40)]
     rows = gc.pack_rows(g.adj, n)
-    want = [sa._bad_vertices(rows, w, epsilon).bit_count() for w in block]
+    want = [bad_count(rows, w, epsilon) for w in block]
     assert sa._bad_counts(rows, block, epsilon).tolist() == want
 
 
@@ -338,8 +344,13 @@ def test_bad_counts_keep_the_ties_on_both_sides(epsilon, size, pattern):
     want = gc.mask_of(v for v in range(g.n)
                       if (g.adj[v] & w).bit_count() < epsilon * size
                       or (g.comp_row(v) & w).bit_count() < epsilon * size)
+    want_sparse = gc.mask_of(v for v in range(g.n)
+                             if (g.adj[v] & w).bit_count() < epsilon * size)
     assert want >> size == pattern
-    assert sa._bad_vertices(rows, w, epsilon) == want
+    sparse, dense = sa._bad_sides(rows, w, epsilon)
+    assert (sparse, dense) == (want_sparse, want & ~want_sparse)
+    assert sparse | dense == want and not sparse & dense
+    assert (sparse >> size, dense >> size) == (pattern & 0b11, pattern & 0b1100)
     assert sa._bad_counts(rows, [w], epsilon).tolist() == [want.bit_count()]
 
 
@@ -347,13 +358,13 @@ def test_a_witness_recount_that_disagrees_is_a_contract_violation(monkeypatch):
     g = gc.generate("gnp", n=40, p=0.05, seed=1)
     params = sa.AuditParams()
     assert sa.richness_audit(g, params).found
-    real = sa._bad_vertices
+    real = sa._bad_sides
 
     def drop_a_bit(rows, wmask, epsilon):
-        bad = real(rows, wmask, epsilon)
-        return bad & (bad - 1)
+        sparse, dense = real(rows, wmask, epsilon)
+        return sparse & (sparse - 1), dense
 
-    monkeypatch.setattr(sa, "_bad_vertices", drop_a_bit)
+    monkeypatch.setattr(sa, "_bad_sides", drop_a_bit)
     with pytest.raises(ContractViolation):
         sa.richness_audit(g, params)
 
@@ -413,6 +424,38 @@ def test_kept_band_matches_the_loop_per_side(n, p, graph_seed, epsilon, side, se
     rest = rng.getrandbits(n) & ~smask
     assert sa._kept(g, rest, smask, side, epsilon) == \
         extract_keep_loop(g, rest, smask, side, epsilon)
+
+
+@settings(max_examples=120)
+@given(n=st.sampled_from((1, 7, 40, 64, 65, 130)), p=st.sampled_from((0.05, 0.5, 0.95)),
+       graph_seed=st.integers(0, 2 ** 32),
+       epsilon=st.one_of(st.floats(0.01, 0.49), st.sampled_from((0.125, 0.25, 0.07))),
+       seed=st.integers(0, 2 ** 32), w_rate=st.sampled_from((0.1, 0.5, 0.9)))
+def test_bad_sides_match_the_extraction_loop(n, p, graph_seed, epsilon, seed, w_rate):
+    # the loop rich_extract ran over Y splits it as _bad_sides does; over
+    # every vertex it leaves out exactly the vertices that are not bad
+    g = audit_graph(n, p, graph_seed, None)
+    rng = random.Random(seed)
+    w = gc.mask_of(v for v in range(n) if rng.random() < w_rate)
+    sparse, dense = sa._bad_sides(gc.pack_rows(g.adj, n), w, epsilon)
+    assert (sparse, dense) == extract_sides_loop(g, w, g.full_mask, epsilon)
+    assert (sparse, dense) == extract_sides_loop(g, w, sparse | dense, epsilon)
+    assert not sparse & dense
+
+
+@pytest.mark.parametrize("n,p,seed", [(40, 0.05, 1), (16, 1.0, 0), (60, 0.9, 3)])
+def test_rich_extract_takes_the_witness_sides_of_the_loop(n, p, seed):
+    # every round's y_size and side follow from the verdict's split, which
+    # the extraction loop reproduces on the audited graph
+    g = gc.generate("gnp", n=n, p=p, seed=seed)
+    params = sa.AuditParams(k_rounds=3, sample_budget=60)
+    verdict = sa.richness_audit(g, params)
+    assert verdict.found
+    sparse, dense = extract_sides_loop(g, verdict.witness_w, verdict.witness_y, params.epsilon)
+    assert (verdict.witness_sparse, verdict.witness_dense) == (sparse, dense)
+    first = sa.rich_extract(g, params).trace[0]
+    assert first.y_size == (sparse | dense).bit_count()
+    assert first.side == ("sparse" if sparse.bit_count() >= dense.bit_count() else "dense")
 
 
 def test_rich_extract_on_random_graph_keeps_everything():
