@@ -146,9 +146,8 @@ def _text_header(ns, config: dict) -> str:
 
 
 def _emit(ns, header: str, body: str) -> None:
-    """File outputs carry the '#' header; stdout stays bare for piping."""
-    if not body.endswith("\n"):
-        body += "\n"
+    """File outputs carry the '#' header; stdout stays bare for piping.  Every
+    body ends in a newline."""
     if getattr(ns, "out", None):
         Path(ns.out).write_text(header + body)
     else:
@@ -157,19 +156,7 @@ def _emit(ns, header: str, body: str) -> None:
 
 def _json_doc(ns, config: dict, payload: dict) -> str:
     # JSON artifacts embed the header object so the file stays parseable
-    doc = {"schema": SCHEMA, "header": _header_obj(ns, config)}
-    doc.update(payload)
-    return _dumps(doc) + "\n"
-
-
-def _add_graph_args(p: _Parser) -> None:
-    p.add_argument("--graph", metavar="FILE",
-                   help="edge-list file: header 'n <count>', then 'u v' lines")
-    p.add_argument("--gen", choices=("gnp", "paley", "complete", "empty"),
-                   help="generator model (alternative to --graph)")
-    p.add_argument("--n", type=int, help="vertex count (prime q for paley)")
-    p.add_argument("--p", type=float, default=0.5, help="gnp edge probability")
-    p.add_argument("--graph-seed", type=int, default=0, help="generator seed")
+    return _dumps({"schema": SCHEMA, "header": _header_obj(ns, config), **payload}) + "\n"
 
 
 def _require_cap(flag: str, n: int, cap: int = VERTEX_CAP) -> None:
@@ -182,20 +169,20 @@ def _build_graph(ns, cap: int = VERTEX_CAP) -> tuple[gc.Graph, dict]:
     if bool(ns.graph) == bool(ns.gen):
         raise ParameterError("exactly one of --graph or --gen is required")
     if ns.graph:
-        data = Path(ns.graph).read_bytes()
         try:  # UTF-8 whatever the locale
-            text = data.decode("utf-8")
+            text = Path(ns.graph).read_bytes().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise GraphParseError(f"{ns.graph}: byte {exc.start} is not valid UTF-8") from None
         g = gc.load_graph(text, max_n=cap)
         return g, {"file": ns.graph, "n": g.n}
     if ns.n is None:
         raise ParameterError("--gen requires --n")
-    _require_cap("--n", ns.n, cap)
-    return _generate(ns.gen, ns.n, ns.p, ns.graph_seed)
+    return _generate(ns.gen, ns.n, ns.p, ns.graph_seed, cap)
 
 
-def _generate(model: str, n: int, p: float, seed: int) -> tuple[gc.Graph, dict]:
+def _generate(model: str, n: int, p: float, seed: int,
+              cap: int = VERTEX_CAP) -> tuple[gc.Graph, dict]:
+    _require_cap("--n", n, cap)
     if model == "paley":
         return gc.generate("paley", q=n), {"model": "paley", "q": n}
     cfg = {"model": model, "n": n, "seed": seed}
@@ -238,7 +225,6 @@ def _pipeline_inputs(ns):
 
 
 def cmd_generate(ns) -> int:
-    _require_cap("--n", ns.n)
     g, cfg = _generate(ns.gen, ns.n, ns.p, ns.seed)
     _emit(ns, _text_header(ns, cfg), gc.dump_graph(g))
     return 0
@@ -296,12 +282,10 @@ def cmd_audit(ns) -> int:
 
 
 def cmd_lo(ns) -> int:
-    n_values = ns.n_list
     # each n builds an n-int coefficient tuple before the exact/MC choice
-    _require_cap("--n-list value", max(n_values, default=0), ac.EXACT_WEIGHT_CAP)
-    cfg = {"model": ns.model, "n_values": n_values, "p": ns.p,
-           "trials": ns.trials}
-    fit = ac.lo_scaling_fit(n_values, coeff_model=ns.model, p=ns.p,
+    _require_cap("--n-list value", max(ns.n_list, default=0), ac.EXACT_WEIGHT_CAP)
+    cfg = {"model": ns.model, "n_values": ns.n_list, "p": ns.p, "trials": ns.trials}
+    fit = ac.lo_scaling_fit(ns.n_list, coeff_model=ns.model, p=ns.p,
                             trials=ns.trials, seed=ns.seed)
     lines = ["n,max_prob,method"]
     for n, prob, method in zip(fit.n_values, fit.max_probs, fit.methods):
@@ -358,8 +342,7 @@ def cmd_sweep(ns) -> int:
     cfg = {"mode": ns.mode, "n_values": ns.n_list, "p": ns.p,
            "overrides": {k: v for grp in ov.values() for k, v in grp.items()}}
     _require_cap("--n-list value", max(ns.n_list))
-    rows = []
-    failures = []
+    rows, failures = [], []
     for n in ns.n_list:
         g = gc.generate("gnp", n=n, p=ns.p, seed=derive_seed(ns.seed, "graph", n))
         cp, ep = _pipeline_params(ov, derive_seed(ns.seed, "sweep", n))
@@ -374,8 +357,7 @@ def cmd_sweep(ns) -> int:
             failures.append({"n": n, "stage": stage, "message": str(exc)})
             count = 0
         rows.append((n, count))
-    lines = ["n,count"]
-    lines.extend(f"{n},{c}" for n, c in rows)
+    lines = ["n,count", *(f"{n},{c}" for n, c in rows)]
     # zero-count rows carry no log-scale information; fit on the rest
     fittable = [(n, c) for n, c in rows if c > 0]
     try:
@@ -400,17 +382,55 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints: {text!r}")
 
 
-# flags more than one subcommand takes, each registered from here alone
-_SHARED_FLAGS = {
-    "--m": dict(type=int, default=None,
-                help="target edge count (default: window midpoint)"),
-    "--diagnostics": dict(metavar="FILE",
-                          help="where to write failure diagnostics (exit 3)"),
+# every flag's spec, stated once; _COMMANDS lists the flags each command takes
+_FLAGS = {
+    "--graph": dict(metavar="FILE",
+                    help="edge-list file: header 'n <count>', then 'u v' lines"),
+    "--gen": dict(choices=gc.GRAPH_MODELS, help="generator model (alternative to --graph)"),
+    "--n": dict(type=int, help="vertex count (prime q for paley)"),
+    "--p": dict(type=float, default=0.5, help="gnp edge probability; for lo, Pr(xi_i = 1)"),
+    "--graph-seed": dict(type=int, default=0, help="generator seed"),
+    "--cap": dict(type=int, default=so.PHI_EXACT_CAP, help="refuse graphs larger than this"),
+    "--exhaustive": dict(action="store_true",
+                         help="decide richness exhaustively (small n only)"),
+    "--model": dict(default="ones", choices=ac.COEFF_MODELS),
+    "--n-list": dict(type=_int_list,
+                     help="comma-separated n values (lo: 4+, spanning 2 octaves)"),
+    "--trials": dict(type=int, default=200_000),
+    "--mode": dict(default="per-m", choices=("per-m", "theorem")),
+    "--m": dict(type=int, help="target edge count (default: window midpoint)"),
+    "--sigma": dict(type=float, help="window stride scale override"),
+    "--diagnostics": dict(metavar="FILE", help="where to write failure diagnostics (exit 3)"),
     "--set": dict(action="append", metavar="KEY=VALUE",
                   help="parameter override (repeatable)"),
     "--seed": dict(type=int, default=0, help="master seed"),
     "--out": dict(metavar="FILE", help="output file (default stdout)"),
     "--dump": dict(metavar="FILE", help="full outcome as JSON"),
+}
+
+_GRAPH = ("--graph", "--gen", "--n", "--p", "--graph-seed")
+# name -> (function, help line, flags in usage order; a trailing '!' marks a
+# required flag).  theorem takes no --diagnostics: it records a failed window
+# and goes on, so it never exits 3
+_COMMANDS = {
+    "generate": (cmd_generate, "write a graph file",
+                 ("--gen!", "--n!", "--p", "--seed", "--out")),
+    "phi": (cmd_spectrum, "exact phi spectrum of a small graph",
+            (*_GRAPH, "--cap", "--seed", "--out")),
+    "psi": (cmd_spectrum, "exact psi spectrum of a small graph",
+            (*_GRAPH, "--cap", "--seed", "--out")),
+    "audit": (cmd_audit, "density/diversity/richness report (JSON)",
+              (*_GRAPH, "--set", "--exhaustive", "--seed", "--out")),
+    "lo": (cmd_lo, "anticoncentration max point mass (CSV)",
+           ("--model", "--n-list!", "--p", "--trials", "--seed", "--out")),
+    "construct": (cmd_construct, "run the scaffold construction (JSON)",
+                  (*_GRAPH, "--m", "--diagnostics", "--set", "--seed", "--out")),
+    "per-m": (cmd_per_m, "one exposure window (CSV)",
+              (*_GRAPH, "--m", "--diagnostics", "--set", "--seed", "--out", "--dump")),
+    "theorem": (cmd_theorem, "sweep m and union disjoint windows (CSV)",
+                (*_GRAPH, "--set", "--seed", "--out", "--sigma", "--dump")),
+    "sweep": (cmd_sweep, "per-m or theorem across n; CSV + slope",
+              ("--mode", "--n-list!", "--p", "--set", "--diagnostics", "--seed", "--out")),
 }
 
 
@@ -419,70 +439,13 @@ def _build_parser() -> _Parser:
                   description="Induced-subgraph size spectra: oracles, audits, "
                               "and the randomized double-exposure pipeline.")
     sub = top.add_subparsers(dest="cmd", parser_class=_Parser)
-
-    def shared(p, *flags):
+    for name, (func, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         # in the order given: a usage line lists options as registered
         for flag in flags:
-            p.add_argument(flag, **_SHARED_FLAGS[flag])
-
-    p = sub.add_parser("generate", help="write a graph file")
-    p.add_argument("--gen", required=True, choices=("gnp", "paley", "complete", "empty"))
-    p.add_argument("--n", type=int, required=True, help="vertex count (prime q for paley)")
-    p.add_argument("--p", type=float, default=0.5)
-    shared(p, "--seed", "--out")
-    p.set_defaults(func=cmd_generate)
-
-    for name in ("phi", "psi"):
-        p = sub.add_parser(name, help=f"exact {name} spectrum of a small graph")
-        _add_graph_args(p)
-        p.add_argument("--cap", type=int, default=so.PHI_EXACT_CAP,
-                       help="refuse graphs larger than this")
-        shared(p, "--seed", "--out")
-        p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("audit", help="density/diversity/richness report (JSON)")
-    _add_graph_args(p)
-    shared(p, "--set")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="decide richness exhaustively (small n only)")
-    shared(p, "--seed", "--out")
-    p.set_defaults(func=cmd_audit)
-
-    p = sub.add_parser("lo", help="anticoncentration max point mass (CSV)")
-    p.add_argument("--model", default="ones", choices=ac.COEFF_MODELS)
-    p.add_argument("--n-list", type=_int_list, required=True,
-                   help="comma-separated n values (>=4, spanning 2 octaves)")
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--trials", type=int, default=200_000)
-    shared(p, "--seed", "--out")
-    p.set_defaults(func=cmd_lo)
-
-    p = sub.add_parser("construct", help="run the scaffold construction (JSON)")
-    _add_graph_args(p)
-    shared(p, "--m", "--diagnostics", "--set", "--seed", "--out")
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("per-m", help="one exposure window (CSV)")
-    _add_graph_args(p)
-    shared(p, "--m", "--diagnostics", "--set", "--seed", "--out", "--dump")
-    p.set_defaults(func=cmd_per_m)
-
-    # no --diagnostics: theorem records a failed window and goes on, never exiting 3
-    p = sub.add_parser("theorem", help="sweep m and union disjoint windows (CSV)")
-    _add_graph_args(p)
-    shared(p, "--set", "--seed", "--out")
-    p.add_argument("--sigma", type=float, default=None,
-                   help="window stride scale override")
-    shared(p, "--dump")
-    p.set_defaults(func=cmd_theorem)
-
-    p = sub.add_parser("sweep", help="per-m or theorem across n; CSV + slope")
-    p.add_argument("--mode", default="per-m", choices=("per-m", "theorem"))
-    p.add_argument("--n-list", type=_int_list, required=True)
-    p.add_argument("--p", type=float, default=0.5)
-    shared(p, "--set", "--diagnostics", "--seed", "--out")
-    p.set_defaults(func=cmd_sweep)
-
+            bare = flag.rstrip("!")
+            p.add_argument(bare, required=flag != bare, **_FLAGS[bare])
+        p.set_defaults(func=func)
     return top
 
 

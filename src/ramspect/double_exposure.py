@@ -34,8 +34,9 @@ split degrees to those cells, is recounted from scratch in a second batch.
 
 Each window has one outcome: per_m_run leaves its retry loop at the
 accepted exposure, and a loop that runs out returns the empty outcome.
-theorem_run steps m through ramsey_construct.m_window and keeps a window by
-one predicate: it emitted sizes, all above the last kept window's maximum.
+theorem_run steps m through ramsey_construct.nonempty_m_window and keeps a
+window by one predicate: it emitted sizes, all above the last kept window's
+maximum.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ import numpy as np
 from .errors import ConstructionFailure, ContractViolation, ParameterError
 from .graph_core import (Graph, Unit, bernoulli, bit_matrix, check_disjoint_units,
                          count_edges, count_edges_many, mask_from_bools, unit_degree)
-from .ramsey_construct import ConstructionParams, ConstructionResult, construct, m_window
+from .ramsey_construct import (ConstructionParams, ConstructionResult, construct,
+                               nonempty_m_window)
 from .seeding import derive_seed
 
 
@@ -412,7 +414,7 @@ class TheoremOutcome:
 def theorem_run(g: Graph, cparams: ConstructionParams | None = None,
                 eparams: ExposureParams | None = None,
                 sigma: float | None = None) -> TheoremOutcome:
-    """Sweep m across ramsey_construct.m_window and union disjoint windows.
+    """Sweep m across the non-empty m window and union disjoint windows.
 
     Step defaults to a stride just beyond twice the containment radius, so
     kept windows cannot overlap; a greedy pass additionally drops any
@@ -434,9 +436,7 @@ def theorem_run(g: Graph, cparams: ConstructionParams | None = None,
     if eparams.c_prime is not None and not eparams.c_prime <= math.sqrt(n):
         raise ParameterError(f"row range needs k={eparams.c_prime * math.sqrt(n):.1f} "
                              f"first S units but |S| <= n = {n}")
-    m_lo, m_hi, _ = m_window(cparams, n)
-    if m_lo > m_hi:
-        raise ParameterError(f"empty m range [{m_lo}, {m_hi}]")
+    m_lo, m_hi, _ = nonempty_m_window(cparams, n)
     sig = sigma if sigma is not None else 2.2 * eparams.kappa_window
     stride = sig * n ** 1.5
     if not stride < math.inf:

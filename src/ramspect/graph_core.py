@@ -489,9 +489,14 @@ def _gnp_rows(n: int, p: float, seed: int) -> list[int]:
     return list(map(int.from_bytes, bits, repeat("little")))
 
 
+GRAPH_MODELS = ("gnp", "paley", "complete", "empty")
+
+
 def generate(model: str, *, n: int | None = None, p: float = 0.5,
              q: int | None = None, seed: int = 0) -> Graph:
-    """Deterministic graph generators: gnp, paley, complete, empty."""
+    """Deterministic graph generators, one per name in GRAPH_MODELS."""
+    if model not in GRAPH_MODELS:
+        raise ParameterError(f"unknown model {model!r}")
     if model == "paley":
         if q is None:
             raise ParameterError("paley requires q")
@@ -508,8 +513,6 @@ def generate(model: str, *, n: int | None = None, p: float = 0.5,
                     row |= 1 << v
             rows.append(row)
         return Graph(q, rows, _checked=True)
-    if model not in ("gnp", "complete", "empty"):
-        raise ParameterError(f"unknown model {model!r}")
     if n is None or n < 0:
         raise ParameterError(f"{model} requires n >= 0")
     if model == "gnp":

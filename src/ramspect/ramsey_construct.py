@@ -36,7 +36,8 @@ The target m must lie in the m-window, the integers m >= 1 with
 c*n^2 <= m <= 2c*n^2 for c = c_density.  m_window states it once, with its
 default midpoint and its float-overflow refusal: construct's entry check,
 double_exposure.theorem_run's sweep and the CLI's default m all read it
-there.
+there.  Both of the first two refuse an empty window through
+nonempty_m_window.
 
 All the asymptotic constants are explicit knobs on ConstructionParams with
 defaults tuned for dense random graphs at desk scale; every resolved value
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -102,6 +104,10 @@ class ConstructionParams:
                 raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
         if self.bucket_width is not None and self.bucket_width < 1:
             raise ParameterError("bucket_width must be >= 1")
+        if self.bucket_width is not None and self.bucket_width > sys.maxsize:
+            # the bucket arithmetic runs in int64
+            raise ParameterError(f"bucket_width must be at most {sys.maxsize}, "
+                                 f"got {self.bucket_width}")
         if self.retry_max < 1:
             raise ParameterError("retry_max must be >= 1")
         for name in ("theta_compl", "theta_conflict", "kappa3", "kappa4"):
@@ -136,6 +142,15 @@ def m_window(params: ConstructionParams, n: int) -> MWindow:
         raise ParameterError(f"c_density={c} puts the m window beyond float range at n={n}")
     return MWindow(max(1, math.ceil(c * n * n)), math.floor(2 * c * n * n),
                    round(1.5 * c * n * n))
+
+
+def nonempty_m_window(params: ConstructionParams, n: int) -> MWindow:
+    """m_window, refused when it holds no m: construct and theorem_run read
+    it from here, so every command refuses an empty window in the same words."""
+    window = m_window(params, n)
+    if window.lo > window.hi:
+        raise ParameterError(f"empty m range [{window.lo}, {window.hi}]")
+    return window
 
 
 @dataclass(frozen=True)
@@ -497,17 +512,18 @@ def verify_construction(g: Graph, res: ConstructionResult,
 def construct(g: Graph, m: int, params: ConstructionParams | None = None) -> ConstructionResult:
     """Run the full pipeline and return an independently verified result.
 
-    Entry checks: m inside m_window (parameter error), then e(G) >=
+    Entry checks: a non-empty m window and m inside it (parameter errors),
+    then e(G) >=
     density_factor*c*n^2 (stage "density").  With rich_prepass on, the
     pipeline runs inside the induced subgraph that rich_extract audited and
     hands back, and the result is mapped back to original vertex ids; every
     threshold uses the working size, echoed as working_n.
     """
     params = params or ConstructionParams()
+    n = g.n
+    window = nonempty_m_window(params, n)
     if m != int(m) or m < 1:
         raise ParameterError(f"m must be a positive integer, got {m}")
-    n = g.n
-    window = m_window(params, n)
     if not window.lo <= m <= window.hi:
         raise ParameterError(
             f"m={m} outside the m window [{window.lo}, {window.hi}] at n={n}")

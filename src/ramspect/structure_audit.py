@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -79,6 +80,9 @@ class AuditParams:
             raise ParameterError(f"c_div must be positive, got {self.c_div}")
         if self.sample_budget < 1:
             raise ParameterError("sample_budget must be >= 1")
+        if self.sample_budget > sys.maxsize:  # islice's bound on the candidate draw
+            raise ParameterError(f"sample_budget must be at most {sys.maxsize}, "
+                                 f"got {self.sample_budget}")
         if self.k_rounds < 1:
             raise ParameterError("k_rounds must be >= 1")
 

@@ -186,6 +186,17 @@ def test_model_coefficients_shapes():
         ac.model_coefficients("gauss", 5, 0)
 
 
+def test_both_generators_refuse_a_negative_seed():
+    # numpy's SeedSequence takes no negative entropy; the refusal is a
+    # parameter error, raised before any draw
+    inst = ac.LOInstance((1, 2, 3), p=0.5)
+    with pytest.raises(ParameterError, match="seed must be non-negative, got -1"):
+        ac.model_coefficients("u3", 5, -1)
+    with pytest.raises(ParameterError, match="seed must be non-negative, got -1"):
+        ac.lo_point_prob_mc(inst, 2, trials=10, seed=-1)
+    assert ac.model_coefficients("ones", 5, -1) == (1,) * 5  # draws nothing
+
+
 def test_scaling_fit_slope_near_minus_half_for_ones():
     fit = ac.lo_scaling_fit((64, 128, 256, 512), coeff_model="ones", seed=1)
     assert fit.methods == ("exact",) * 4

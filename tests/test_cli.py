@@ -182,6 +182,11 @@ SURFACE = {
 }
 
 
+def test_every_flag_spec_is_taken_by_some_command():
+    taken = {flag.rstrip("!") for _, _, flags in cli._COMMANDS.values() for flag in flags}
+    assert taken == set(cli._FLAGS)
+
+
 def test_parser_surface_is_pinned():
     # order matters: a usage line lists the options in registration order
     top = cli._build_parser()
@@ -553,11 +558,72 @@ def test_theorem_refuses_a_row_scale_that_fails_every_window(value, capsys):
 
 def test_theorem_on_the_empty_graph_refuses_the_empty_m_range(capsys):
     # n = 0 puts c*n^2 = 0 at both ends; m = 0 is no window, so theorem
-    # refuses the range as per-m refuses m = 0, not exit 0 with total 0
+    # refuses the range as per-m does, not exit 0 with total 0
     argv = ["--gen", "empty", "--n", "0"]
     code, out, err = run(capsys, "theorem", *argv)
     assert (code, out, err) == (1, "", "error: empty m range [1, 0]\n")
-    assert run(capsys, "per-m", *argv)[0] == 1
+    assert run(capsys, "per-m", *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["per-m", "--gen", "gnp", "--n", "16"],
+    ["construct", "--gen", "gnp", "--n", "16"],
+    ["construct", "--gen", "paley", "--n", "5"],
+    ["construct", "--gen", "gnp", "--n", "16", "--m", "1"],
+    ["theorem", "--gen", "gnp", "--n", "16"],
+])
+def test_an_empty_m_window_is_refused_in_the_same_words(argv, capsys):
+    # [c*n^2, 2c*n^2] holds no integer at n = 16 or 5: the default m of that
+    # window is 0, which the user never passed, so the window is what is refused
+    assert run(capsys, *argv) == (1, "", "error: empty m range [1, 0]\n")
+
+
+@pytest.mark.parametrize("mode", ["per-m", "theorem"])
+def test_sweep_records_an_empty_m_window_in_the_same_words(mode, tmp_path, capsys):
+    diag = tmp_path / "sweep.diag.json"
+    code, _, _ = run(capsys, "sweep", "--mode", mode, "--n-list", "16,32",
+                     "--out", str(tmp_path / "sweep.csv"), "--diagnostics", str(diag))
+    assert code == 3
+    per_n = json.loads(diag.read_text())["diagnostics"]["per_n"]
+    assert [(f["stage"], f["message"]) for f in per_n] == \
+        [("parameters", "empty m range [1, 0]")] * 2
+
+
+BEYOND_MAXSIZE = "100000000000000000000000"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["audit", "--gen", "gnp", "--n", "64", "--set", f"sample_budget={BEYOND_MAXSIZE}"],
+     f"sample_budget must be at most {sys.maxsize}, got {BEYOND_MAXSIZE}"),
+    (["theorem", "--gen", "gnp", "--n", "64", "--set", f"audit_budget={BEYOND_MAXSIZE}"],
+     f"sample_budget must be at most {sys.maxsize}, got {BEYOND_MAXSIZE}"),
+    (["sweep", "--n-list", "256", "--set", f"audit_budget={BEYOND_MAXSIZE}"],
+     f"sample_budget must be at most {sys.maxsize}, got {BEYOND_MAXSIZE}"),
+    (["construct", "--gen", "gnp", "--n", "256", "--set",
+      f"bucket_width={sys.maxsize + 1}"],
+     f"bucket_width must be at most {sys.maxsize}, got {sys.maxsize + 1}"),
+    (["per-m", "--gen", "gnp", "--n", "256", "--set", f"bucket_width={sys.maxsize + 1}",
+      "--set", "pair_enum_cap=5"],
+     f"bucket_width must be at most {sys.maxsize}, got {sys.maxsize + 1}"),
+], ids=["audit", "theorem", "sweep", "construct", "per-m-sampled"])
+def test_an_int_override_beyond_maxsize_is_refused(argv, message, capsys):
+    # the candidate draw's islice and the int64 bucket arithmetic stop at
+    # sys.maxsize; a larger value is a parameter error, not a traceback
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_a_bucket_width_of_maxsize_still_runs_the_pipeline(tmp_path, capsys):
+    diag = tmp_path / "c.diag.json"
+    code, _, err = run(capsys, "construct", "--gen", "gnp", "--n", "256", "--set",
+                       f"bucket_width={sys.maxsize}", "--diagnostics", str(diag))
+    assert code == 3
+    assert err == f"pipeline failure at stage 'sample_U0'; diagnostics in {diag}\n"
+
+
+@pytest.mark.parametrize("model", ["u3", "u10"])
+def test_lo_refuses_a_negative_seed(model, capsys):
+    argv = ["lo", "--model", model, "--n-list", "4,8,16,32", "--seed", "-1"]
+    assert run(capsys, *argv) == (1, "", "error: seed must be non-negative, got -1\n")
 
 
 def test_theorem_diagnostics_flag_is_gone(capsys):

@@ -143,3 +143,14 @@ def test_only_ramsey_construct_reads_c_density():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Attribute) and node.attr == "c_density"]
     assert not found, found
+
+
+def test_cli_registers_its_flags_in_one_place():
+    # each flag's spec is one cli._FLAGS entry and each command lists the
+    # flags it takes; a second add_argument call would state a spec beside it
+    path = SRC / "cli.py"
+    calls = [f"cli.py:{node.lineno}"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "add_argument"]
+    assert len(calls) == 1, calls
