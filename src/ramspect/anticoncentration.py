@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ContractViolation, ParameterError
+from .errors import CapacityError, ContractViolation, ParameterError, _require
 
 EXACT_WEIGHT_CAP = 10**6  # cap on sum |a_i| for the dense DP
 
@@ -116,8 +116,7 @@ class MCEstimate:
 
 def _rng(seed: int, key: int) -> np.random.Generator:
     """The generator seeded by (seed, spawn key key), for a seed >= 0."""
-    if seed < 0:
-        raise ParameterError(f"seed must be non-negative, got {seed}")
+    _require("non-negative", {"seed": seed})
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
 
 
@@ -138,8 +137,7 @@ def _sampled_sums(inst: LOInstance, trials: int, seed: int):
 
 def lo_point_prob_mc(inst: LOInstance, x: int, trials: int, seed: int = 0) -> MCEstimate:
     """Monte-Carlo estimate of Pr(X = x) with a binomial standard error."""
-    if trials < 1:
-        raise ParameterError(f"trials must be positive, got {trials}")
+    _require("count", {"trials": trials})
     target = x - inst.offset
     hits = sum(int(np.count_nonzero(sums == target))
                for sums in _sampled_sums(inst, trials, seed))
@@ -190,8 +188,7 @@ def lo_scaling_fit(n_values, coeff_model: str = "ones", p: float = 0.5,
     Uses the exact DP whenever sum |a_i| fits under EXACT_WEIGHT_CAP and falls back
     to a Monte-Carlo mode estimate beyond it.
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be positive, got {trials}")
+    _require("count", {"trials": trials})
     ns = sorted(set(int(n) for n in n_values))
     if len(ns) < 4:
         raise ParameterError("scaling fit needs at least 4 distinct values of n")

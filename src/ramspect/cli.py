@@ -29,7 +29,7 @@ from . import spectrum_oracle as so
 from . import structure_audit as sa
 from .double_exposure import ExposureParams, per_m_run, theorem_run
 from .errors import (CapacityError, ConstructionFailure, GraphParseError,
-                     ParameterError, RamspectError)
+                     ParameterError, RamspectError, _require)
 from .ramsey_construct import ConstructionParams, construct, m_window
 from .seeding import derive_seed
 
@@ -386,7 +386,7 @@ def _int_list(text: str) -> list[int]:
 _FLAGS = {
     "--graph": dict(metavar="FILE",
                     help="edge-list file: header 'n <count>', then 'u v' lines"),
-    "--gen": dict(choices=gc.GRAPH_MODELS, help="generator model (alternative to --graph)"),
+    "--gen": dict(choices=gc.GRAPH_MODELS, help="model of the generated graph"),
     "--n": dict(type=int, help="vertex count (prime q for paley)"),
     "--p": dict(type=float, default=0.5, help="gnp edge probability; for lo, Pr(xi_i = 1)"),
     "--graph-seed": dict(type=int, default=0, help="generator seed"),
@@ -472,6 +472,8 @@ def main(argv=None) -> int:
         return 1
     try:
         try:
+            # every command takes --seed, and refuses a negative one here
+            _require("non-negative", {"seed": ns.seed})
             return ns.func(ns)
         except ConstructionFailure as exc:
             # a diagnostics path that cannot be written is an io error below

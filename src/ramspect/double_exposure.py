@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConstructionFailure, ContractViolation, ParameterError
+from .errors import ConstructionFailure, ContractViolation, ParameterError, _require
 from .graph_core import (Graph, Unit, bernoulli, bit_matrix, check_disjoint_units,
                          count_edges, count_edges_many, mask_from_bools, unit_degree)
 from .ramsey_construct import (ConstructionParams, ConstructionResult, construct,
@@ -68,21 +68,14 @@ class ExposureParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c_prime is not None and not self.c_prime > 0:  # rejects NaN too
-            raise ParameterError("c_prime must be positive")
-        if self.big_m is not None and not self.big_m > 0:
-            raise ParameterError("big_m must be positive")
+        _require("positive", vars(self), "c_prime", "big_m")
         if not 0 < self.gamma < 1:
             raise ParameterError("gamma must lie in (0, 1)")
-        if self.trials < 1:
-            raise ParameterError("trials must be >= 1")
+        _require("count", vars(self), "trials")
         if not 0 < self.kappa_window < math.inf:
             raise ParameterError(
                 f"kappa_window must be positive and finite, got {self.kappa_window}")
-        for name in ("beta", "q_const", "expose_window"):
-            value = getattr(self, name)
-            if value is not None and math.isnan(value):
-                raise ParameterError(f"{name} must be a number, got nan")
+        _require("number", vars(self), "beta", "q_const", "expose_window")
         if self.beta is not None and self.q_const is not None \
                 and self.q_const < 3 * self.beta:
             raise ParameterError(
@@ -211,7 +204,7 @@ def family_table(g: Graph, u_mask: int, s_units, t_units, resolved: ResolvedExpo
 
 
 def per_k_checks(record: PerKRecord, g: Graph, u0_mask: int, x_units, x_base,
-                 d: float, resolved: ResolvedExposure):
+                 resolved: ResolvedExposure):
     """Evaluate the four row checks; fills the record's witness fields.
 
     check1: enough cells i admit >= gamma*sqrt(n) X units with pairwise
@@ -225,7 +218,7 @@ def per_k_checks(record: PerKRecord, g: Graph, u0_mask: int, x_units, x_base,
     n = resolved.n
     rt = math.sqrt(n)
     q = resolved.q_const
-    lo, hi = d / 2 - q * rt, d / 2 + q * rt
+    lo, hi = resolved.d / 2 - q * rt, resolved.d / 2 + q * rt
     need = resolved.gamma * rt
     record.i_pass = []
     record.x_witnesses = {}
@@ -268,16 +261,17 @@ def _stride_select(items, key_gap: float, values) -> list:
 @dataclass(frozen=True)
 class PerMOutcome:
     m: int
-    u_mask: int
-    e_u: int
-    records: tuple
-    k_selected: tuple
-    p_selected: tuple          # (k, i) anchors in emission order
-    family: tuple              # (k, i, Unit) triples
-    distinct_sizes: tuple      # sorted distinct e(U u Z u x)
-    window_center: int
-    window_radius: float
-    attempts: int
+    # the defaults are the empty outcome of a window whose exposures all failed
+    u_mask: int = 0
+    e_u: int = 0
+    records: tuple = ()
+    k_selected: tuple = ()
+    p_selected: tuple = ()      # (k, i) anchors in emission order
+    family: tuple = ()          # (k, i, Unit) triples
+    distinct_sizes: tuple = ()  # sorted distinct e(U u Z u x)
+    window_center: int = 0
+    window_radius: float = 0.0
+    attempts: int = 0
     constants: dict = field(compare=False, default_factory=dict)
     diagnostics: dict = field(compare=False, default_factory=dict)
 
@@ -321,7 +315,7 @@ def per_m_run(g: Graph, m: int, cparams: ConstructionParams | None = None,
         records = family_table(g, u, res.s_units, res.t_units, resolved)
         x_base = [unit_degree(g, x, u) + e for x, e in zip(res.x_units, internal)]
         for rec in records:
-            per_k_checks(rec, g, res.u0_mask, res.x_units, x_base, res.d, resolved)
+            per_k_checks(rec, g, res.u0_mask, res.x_units, x_base, resolved)
         k_all = [rec.k for rec in records if all(rec.checks)]
         if not k_all:
             attempts_log.append({"attempt": t, "stage": "checks",
@@ -361,11 +355,7 @@ def per_m_run(g: Graph, m: int, cparams: ConstructionParams | None = None,
                              "rows_passing": k_all, "cells": len(sel)})
         break
     else:
-        return PerMOutcome(m=m, u_mask=0, e_u=0, records=(), k_selected=(),
-                           p_selected=(), family=(), distinct_sizes=(),
-                           window_center=0, window_radius=0.0,
-                           attempts=len(attempts_log),
-                           constants=resolved.as_dict(),
+        return PerMOutcome(m=m, attempts=len(attempts_log), constants=resolved.as_dict(),
                            diagnostics={"attempts": attempts_log,
                                         "construction": res.diagnostics})
     # t, u, e_u, records, k_sel, sel and by_k are the accepted attempt's

@@ -1,8 +1,11 @@
-"""Shared exception types.
+"""Shared exception types, and the one statement of the parameter rules.
 
 Exit-code mapping used by the CLI lives in cli.py; library code raises
 these and never calls sys.exit itself.
 """
+
+import math
+import sys
 
 
 class RamspectError(Exception):
@@ -35,3 +38,30 @@ class ConstructionFailure(RamspectError):
         super().__init__(f"{stage}: {message}")
         self.stage = stage
         self.diagnostics = diagnostics or {}
+
+
+def _require(rule: str, values: dict, *names: str) -> None:
+    """Refuse with a ParameterError each of values[name] that breaks rule.
+
+    names picks the keys to check, every key when none is given, and None
+    passes every rule.  The rules:
+    - "positive": v > 0, tested as not v > 0 so that NaN fails too;
+    - "count": positive and at most sys.maxsize, the bound of the islice
+      over the audit's candidates and of the int64 bucket arithmetic;
+    - "number": not NaN;
+    - "non-negative": v >= 0, NaN failing, the domain of a master seed.
+    """
+    for name in names or values:
+        v = values[name]
+        if v is None:
+            continue
+        if rule == "number":
+            if math.isnan(v):
+                raise ParameterError(f"{name} must be a number, got nan")
+        elif rule == "non-negative":
+            if not v >= 0:
+                raise ParameterError(f"{name} must be non-negative, got {v}")
+        elif not v > 0:
+            raise ParameterError(f"{name} must be positive, got {v}")
+        elif rule == "count" and v > sys.maxsize:
+            raise ParameterError(f"{name} must be at most {sys.maxsize}, got {v}")

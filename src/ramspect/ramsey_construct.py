@@ -48,14 +48,13 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConstructionFailure, ContractViolation, ParameterError
+from .errors import ConstructionFailure, ContractViolation, ParameterError, _require
 from .graph_core import (Graph, Unit, bernoulli, check_disjoint_units,
                          complement_gap_at_least, count_edges, iter_bits, mask_from_bools,
                          mask_of, multiset_gap, pack_rows, pair_gaps, prefix_words,
@@ -96,24 +95,11 @@ class ConstructionParams:
     seed: int = 0
 
     def __post_init__(self):
-        # written "not x > 0" so that NaN fails too; epsilon and the other
-        # audit fields are AuditParams' to check
-        for name in ("c_density", "density_factor", "kappa1", "kappa2", "kappa5",
-                     "star_coeff", "match_coeff", "a_cap_coeff", "pair_sample_coeff"):
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.bucket_width is not None and self.bucket_width < 1:
-            raise ParameterError("bucket_width must be >= 1")
-        if self.bucket_width is not None and self.bucket_width > sys.maxsize:
-            # the bucket arithmetic runs in int64
-            raise ParameterError(f"bucket_width must be at most {sys.maxsize}, "
-                                 f"got {self.bucket_width}")
-        if self.retry_max < 1:
-            raise ParameterError("retry_max must be >= 1")
-        for name in ("theta_compl", "theta_conflict", "kappa3", "kappa4"):
-            value = getattr(self, name)
-            if value is not None and math.isnan(value):
-                raise ParameterError(f"{name} must be a number, got nan")
+        # epsilon and the other audit fields are AuditParams' to check
+        _require("positive", vars(self), "c_density", "density_factor", "kappa1", "kappa2",
+                 "kappa5", "star_coeff", "match_coeff", "a_cap_coeff", "pair_sample_coeff")
+        _require("count", vars(self), "bucket_width", "retry_max")
+        _require("number", vars(self), "theta_compl", "theta_conflict", "kappa3", "kappa4")
         self.audit_params()  # the audit fields fail here, not in every theorem window
 
     def audit_params(self) -> AuditParams:
@@ -216,6 +202,12 @@ def _bucket_pairs(degs: np.ndarray, lo: int, w: int, size: int) -> np.ndarray:
     return out
 
 
+def _bucket_width(n: int, width: int | None) -> int:
+    """The degree-sum bucket width: width, or ceil(sqrt(n)) when it is None."""
+    _require("count", {"bucket_width": width})
+    return math.ceil(math.sqrt(n)) if width is None else width
+
+
 def pigeonhole_pairs(g: Graph, bucket_width: int | None = None, *,
                      pair_enum_cap: int = PAIR_ENUM_CAP,
                      sample_coeff: float = 10.0, seed: int = 0):
@@ -231,9 +223,7 @@ def pigeonhole_pairs(g: Graph, bucket_width: int | None = None, *,
     n = g.n
     if n < 4:
         raise ParameterError(f"need n >= 4, got {n}")
-    w = math.ceil(math.sqrt(n)) if bucket_width is None else bucket_width
-    if w < 1:
-        raise ParameterError("bucket_width must be >= 1")
+    w = _bucket_width(n, bucket_width)
     degs = np.array(g.degrees(), dtype=np.int64)
     if n <= pair_enum_cap:
         sizes = _bucket_sizes(degs, w)
@@ -544,8 +534,7 @@ def construct(g: Graph, m: int, params: ConstructionParams | None = None) -> Con
     else:
         work, vmap = g, list(range(n))
     wn = work.n
-    width = params.bucket_width if params.bucket_width is not None \
-        else math.ceil(math.sqrt(wn))
+    width = _bucket_width(wn, params.bucket_width)
     theta_compl = params.theta_compl if params.theta_compl is not None \
         else params.epsilon / 2
     theta_conflict = _theta_conflict(params)

@@ -45,13 +45,12 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
 import numpy as np
 
-from .errors import CapacityError, ContractViolation, ParameterError
+from .errors import CapacityError, ContractViolation, ParameterError, _require
 from .graph_core import (Graph, bit_matrix, induced_subgraph, iter_bits, mask_from_bools,
                          mask_of, neighbor_counts, pack_rows, popcount)
 
@@ -76,15 +75,8 @@ class AuditParams:
             raise ParameterError(f"epsilon must lie in (0, 1/2), got {self.epsilon}")
         if not 0.0 < self.delta <= 0.5:
             raise ParameterError(f"delta must lie in (0, 1/2], got {self.delta}")
-        if not self.c_div > 0:  # rejects NaN too
-            raise ParameterError(f"c_div must be positive, got {self.c_div}")
-        if self.sample_budget < 1:
-            raise ParameterError("sample_budget must be >= 1")
-        if self.sample_budget > sys.maxsize:  # islice's bound on the candidate draw
-            raise ParameterError(f"sample_budget must be at most {sys.maxsize}, "
-                                 f"got {self.sample_budget}")
-        if self.k_rounds < 1:
-            raise ParameterError("k_rounds must be >= 1")
+        _require("positive", vars(self), "c_div")
+        _require("count", vars(self), "sample_budget", "k_rounds")
 
 
 def density_bounds_check(g: Graph, epsilon: float) -> tuple[float, bool]:
@@ -107,10 +99,7 @@ def pair_audit(g: Graph, c_div: float, threshold_fraction: float) -> tuple[list[
     the popcount of row x xor row y: the complement gap is n - 1 minus it
     plus 2*[xy edge], and the edge bit is bit x of row y.
     """
-    if not c_div > 0:
-        raise ParameterError(f"c_div must be positive, got {c_div}")
-    if not threshold_fraction > 0:
-        raise ParameterError("threshold_fraction must be positive")
+    _require("positive", {"c_div": c_div, "threshold_fraction": threshold_fraction})
     n = g.n
     div_thr, comp_thr = c_div * n, threshold_fraction * n
     rows = pack_rows(g.adj, n)

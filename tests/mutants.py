@@ -1,0 +1,154 @@
+"""Mutation harness: each mutant in MUTANTS is one small edit to the source
+that some test must catch.
+
+For each mutant, src/, tests/ and pyproject.toml are copied to a temporary
+directory, the edit is applied there, and the mutant's test files run with
+pytest -x -q under a per-mutant timeout, one pytest process at a time.  A
+run with a failing test kills the mutant; a passing run lets it survive.
+The unmutated copy runs the same test files first, so that a failure is the
+mutant's.  One line is printed per mutant and a summary at the end; the exit
+status is non-zero when any mutant is not killed.
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py NAME ...     # the named ones
+
+tests/test_source.py checks that each old text occurs exactly once in its
+file, so a refactor that moves the code must update this table.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str     # the file edited, relative to the repository root
+    old: str      # text that occurs exactly once in that file
+    new: str
+    tests: tuple  # test files, relative to tests/, one of which should fail
+
+
+ERRORS = "src/ramspect/errors.py"
+RULES = ("test_param_rules.py",)
+
+MUTANTS = (
+    # the parameter rules of errors._require
+    Mutant("positive: > flipped to >=", ERRORS,
+           "elif not v > 0:", "elif not v >= 0:", RULES),
+    Mutant("positive: NaN let through", ERRORS,
+           "elif not v > 0:", "elif v <= 0:", RULES),
+    Mutant("count: maxsize bound dropped", ERRORS,
+           'elif rule == "count" and v > sys.maxsize:', "elif False:", RULES),
+    Mutant("count: maxsize bound flipped to >=", ERRORS,
+           'rule == "count" and v > sys.maxsize', 'rule == "count" and v >= sys.maxsize',
+           RULES),
+    Mutant("number: NaN check dropped", ERRORS,
+           "if math.isnan(v):", "if False:", RULES),
+    Mutant("non-negative: >= flipped to >", ERRORS,
+           "if not v >= 0:", "if not v > 0:", RULES),
+    Mutant("non-negative: NaN let through", ERRORS,
+           "if not v >= 0:", "if v < 0:", RULES),
+    Mutant("cli: --seed left unchecked", "src/ramspect/cli.py",
+           '_require("non-negative", {"seed": ns.seed})', "pass", ("test_cli.py",)),
+    Mutant("bucket width: check dropped", "src/ramspect/ramsey_construct.py",
+           '_require("count", {"bucket_width": width})', "pass", RULES),
+    # the window and audit rules given one home each
+    Mutant("verifier: S max read one unit short", "src/ramspect/ramsey_construct.py",
+           "gap = min(dt) - max(ds)", "gap = min(dt) - max(ds[:-1])",
+           ("test_ramsey_construct.py",)),
+    Mutant("verifier: S max read from T", "src/ramspect/ramsey_construct.py",
+           "gap = min(dt) - max(ds)", "gap = min(dt) - max(dt)",
+           ("test_ramsey_construct.py",)),
+    Mutant("verifier: X rows not cut to U0", "src/ramspect/ramsey_construct.py",
+           "rows = [(m1 & u0, m2 & u0) for", "rows = [(m1, m2) for",
+           ("test_ramsey_construct.py",)),
+    Mutant("m window: floor for the low end", "src/ramspect/ramsey_construct.py",
+           "max(1, math.ceil(c * n * n))", "max(1, math.floor(c * n * n))",
+           ("test_ramsey_construct.py",)),
+    Mutant("bad sides: sparse side misses one vertex of W", "src/ramspect/structure_audit.py",
+           "k = popcount(rows & pack_rows([wmask], n))",
+           "k = popcount(rows & pack_rows([wmask & (wmask - 1)], n))",
+           ("test_structure_audit.py",)),
+    Mutant("bad sides: the sides overlap", "src/ramspect/structure_audit.py",
+           "dense = ~sparse & (", "dense = (", ("test_structure_audit.py",)),
+    Mutant("bad sides: ties go to the dense side", "src/ramspect/structure_audit.py",
+           "sparse = k < thr\n", "sparse = (k < thr) & (wsize - k - bit_matrix([wmask], n)[0]"
+           " >= thr)\n", ("test_structure_audit.py",)),
+    Mutant("prefix_words: a threshold below 0 read as it is", "src/ramspect/graph_core.py",
+           "math.ceil(2 * max(thr, 0) / 64) + 1", "math.ceil(2 * thr / 64) + 1",
+           ("test_graph_core.py",)),
+    Mutant("theorem keep: >= for >", "src/ramspect/double_exposure.py",
+           "min(out.distinct_sizes) > last_max", "min(out.distinct_sizes) >= last_max",
+           ("test_double_exposure.py",)),
+    Mutant("theorem keep: emptiness test dropped", "src/ramspect/double_exposure.py",
+           "keep = out is not None and bool(out.distinct_sizes) \\",
+           "keep = out is not None \\", ("test_double_exposure.py",)),
+)
+
+
+def _pytest(work: Path, tests) -> int | None:
+    """pytest's exit status on the given test files in work, None on a timeout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(work / "src"), str(work / "tests"))))
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           *(f"tests/{t}" for t in tests)]
+    try:
+        return subprocess.run(cmd, cwd=work, env=env, capture_output=True,
+                              timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def run(mutant: Mutant | None, tests) -> str:
+    """killed, survived, timeout or error for one mutant (None: no edit)."""
+    with tempfile.TemporaryDirectory(prefix="ramspect-mutant-") as tmp:
+        work = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for sub in ("src", "tests"):
+            shutil.copytree(ROOT / sub, work / sub, ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", work)
+        if mutant is not None:
+            target = work / mutant.path
+            text = target.read_text()
+            if text.count(mutant.old) != 1:
+                return "error: old text does not occur exactly once"
+            target.write_text(text.replace(mutant.old, mutant.new))
+        code = _pytest(work, tests)
+    # pytest exits 1 when a test fails and 2 when one cannot be collected
+    outcomes = {None: "timeout", 0: "survived", 1: "killed", 2: "killed"}
+    return outcomes.get(code, f"error: exit {code}")
+
+
+def main(argv) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    start = time.monotonic()
+    files = sorted({t for m in chosen for t in m.tests})
+    if run(None, files) != "survived":
+        print(f"the unmutated tests fail: {' '.join(files)}", file=sys.stderr)
+        return 2
+    outcomes = []
+    for m in chosen:
+        t0 = time.monotonic()
+        outcome = run(m, m.tests)
+        outcomes.append(outcome)
+        print(f"{outcome:9s} {time.monotonic() - t0:6.1f}s  {m.name}", flush=True)
+    killed = outcomes.count("killed")
+    print(f"{killed} of {len(chosen)} killed in {time.monotonic() - start:.0f}s")
+    return 0 if killed == len(chosen) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -111,7 +111,7 @@ def test_criterion_5_per_k_statistics():
                   for x in res.x_units]
         for rec in recs:
             checks = per_k_checks(rec, g, res.u0_mask, res.x_units, x_base,
-                                  res.d, rv)
+                                  rv)
             rows += 1
             for j, c in enumerate(checks):
                 passes[j] += c

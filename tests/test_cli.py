@@ -626,6 +626,23 @@ def test_lo_refuses_a_negative_seed(model, capsys):
     assert run(capsys, *argv) == (1, "", "error: seed must be non-negative, got -1\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--gen", "gnp", "--n", "5"],
+    ["phi", "--gen", "gnp", "--n", "5"],
+    ["psi", "--gen", "gnp", "--n", "5"],
+    ["audit", "--gen", "gnp", "--n", "5"],
+    ["lo", "--n-list", "4,8,16,32"],
+    ["construct", "--gen", "gnp", "--n", "64"],
+    ["per-m", "--gen", "gnp", "--n", "64"],
+    ["theorem", "--gen", "gnp", "--n", "64"],
+    ["sweep", "--n-list", "64"],
+], ids=lambda argv: argv[0])
+def test_every_command_refuses_a_negative_seed(argv, capsys):
+    # one seed domain for every command and model, lo's u3 and u10 included
+    assert run(capsys, *argv, "--seed", "-1") == \
+        (1, "", "error: seed must be non-negative, got -1\n")
+
+
 def test_theorem_diagnostics_flag_is_gone(capsys):
     # theorem records a failed window and goes on, so it never exits 3
     with pytest.raises(SystemExit) as exc:

@@ -61,13 +61,14 @@ GRAPH_SOURCE = {
     "--p": values("0", "0.5", "1"),
     "--graph-seed": values("0", "2"),
 }
-SEED_OUT = {"--seed": values("0", "7"), "--out": st.just("out.txt")}
+SEED_OUT = {"--seed": values("0", "7", "-1"), "--out": st.just("out.txt")}
 OVERRIDES = st.sampled_from([
     "c_density=0.5", "c_density=nan", "c_density=1e308", "kappa_window=0",
     "kappa_window=0.3", "trials=x", "trials=2", "retry_max=2", "c_prime=inf",
     "epsilon=0.3", "sample_budget=20", "c_div=-1", "delta=0.4", "rich_prepass=false",
     "theta_compl=-inf", "theta_conflict=-inf", "sample_budget=100000000000000000000000",
-    "bucket_width=9223372036854775808", "bogus=1", "no_equals_sign", "=1"])
+    "bucket_width=9223372036854775808", "retry_max=100000000000000000000000", "trials=0",
+    "k_rounds=0", "big_m=nan", "bogus=1", "no_equals_sign", "=1"])
 PIPELINE = {**GRAPH_SOURCE, "--set": OVERRIDES, **SEED_OUT}
 # phi/psi get small n only: the exact oracles are exponential in n
 SPECTRUM = {**GRAPH_SOURCE, "--n": values("0", "1", "5", "13", HUGE),
@@ -86,7 +87,7 @@ FLAGS = {
               **SEED_OUT},
     "lo": {"--model": st.sampled_from(["ones", "u3", "u10", "bad"]),
            "--n-list": N_LISTS, "--p": values("0.5", "0.9"),
-           "--trials": values("1", "200"), **SEED_OUT, "--seed": values("0", "7", "-1")},
+           "--trials": values("1", "200"), **SEED_OUT},
     "construct": {**PIPELINE, "--m": values("1", "50", "0"), "--diagnostics": DIAG},
     "per-m": {**PIPELINE, "--m": values("1", "50", "0"), "--diagnostics": DIAG,
               "--dump": st.just("dump.json")},

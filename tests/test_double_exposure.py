@@ -165,7 +165,7 @@ def test_per_k_witnesses_match_the_per_cell_reference(mode, seed):
     rt = math.sqrt(resolved.n)
     lo, hi = res.d / 2 - resolved.q_const * rt, res.d / 2 + resolved.q_const * rt
     for rec in family_table(g, u, res.s_units, res.t_units, resolved):
-        de.per_k_checks(rec, g, res.u0_mask, res.x_units, x_base, res.d, resolved)
+        de.per_k_checks(rec, g, res.u0_mask, res.x_units, x_base, resolved)
         for i, zm in zip(rec.i_values, rec.z_masks):
             want = reference_witnesses(g, res, u, zm, lo, hi)
             if i in rec.i_pass:
@@ -221,7 +221,7 @@ def test_per_k_checks_shape():
     x_base = [gc.unit_degree(G256, x, u) + gc.count_edges(G256, x.mask())
               for x in RES256.x_units]
     checks = de.per_k_checks(records[0], G256, RES256.u0_mask, RES256.x_units,
-                             x_base, RES256.d, resolved)
+                             x_base, resolved)
     assert len(checks) == 4
     assert all(isinstance(c, bool) for c in checks)
     # check 2 recomputed from its definition
@@ -244,7 +244,7 @@ def test_check4_totals_the_large_steps_of_the_row(e_values, ok):
                                    q_const=3.0, gamma=0.5, k_lo=1, k_hi=1, i_hi=6, d=0.0)
     rec = de.PerKRecord(k=6, i_values=list(range(len(e_values))),
                         z_masks=[0] * len(e_values), e_values=e_values)
-    checks = de.per_k_checks(rec, gc.generate("empty", n=4), 0, (), [], 0.0, resolved)
+    checks = de.per_k_checks(rec, gc.generate("empty", n=4), 0, (), [], resolved)
     assert checks[3] is ok
 
 

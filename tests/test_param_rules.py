@@ -1,0 +1,92 @@
+"""The parameter rules of errors._require over every field and argument that
+states one: which values each rule refuses, and in what words."""
+import math
+import sys
+
+import pytest
+
+from ramspect import anticoncentration as ac
+from ramspect import graph_core as gc
+from ramspect import ramsey_construct as rc
+from ramspect import structure_audit as sa
+from ramspect.double_exposure import ExposureParams
+from ramspect.errors import ParameterError
+
+VALUES = {"0": 0, "1": 1, "-1": -1, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+          "maxsize": sys.maxsize, "maxsize+1": sys.maxsize + 1}
+# the values each rule refuses; the others pass.  A count refuses inf and
+# maxsize+1 by its bound and NaN by the positive rule.  These are the only
+# new refusals: retry_max, trials and k_rounds took all three before the
+# rules had one home, bucket_width and sample_budget took NaN, and
+# pigeonhole_pairs failed on all three with a TypeError or ValueError
+REFUSED = {
+    "positive": {"0", "-1", "nan", "-inf"},
+    "count": {"0", "-1", "nan", "inf", "-inf", "maxsize+1"},
+    "number": {"nan"},
+}
+G8 = gc.generate("gnp", n=8, p=0.5, seed=0)
+CP_RULES = {
+    "positive": ("c_density", "density_factor", "kappa1", "kappa2", "kappa5", "star_coeff",
+                 "match_coeff", "a_cap_coeff", "pair_sample_coeff", "c_div"),
+    "count": ("bucket_width", "retry_max", "audit_budget", "k_rounds"),
+    "number": ("theta_compl", "theta_conflict", "kappa3", "kappa4"),
+}
+EP_RULES = {"positive": ("c_prime", "big_m"), "count": ("trials",),
+            "number": ("beta", "q_const", "expose_window")}
+AP_RULES = {"positive": ("c_div",), "count": ("sample_budget", "k_rounds")}
+
+
+def _field_cases(cls, rules):
+    # audit_budget reaches AuditParams as sample_budget, and is refused by that name
+    return [(f"{cls.__name__}.{f}", rule, {"audit_budget": "sample_budget"}.get(f, f),
+             lambda v, f=f: cls(**{f: v}))
+            for rule, names in rules.items() for f in names]
+
+
+CASES = [
+    *_field_cases(rc.ConstructionParams, CP_RULES),
+    *_field_cases(ExposureParams, EP_RULES),
+    *_field_cases(sa.AuditParams, AP_RULES),
+    ("pair_audit.c_div", "positive", "c_div", lambda v: sa.pair_audit(G8, v, 0.1)),
+    ("pair_audit.threshold_fraction", "positive", "threshold_fraction",
+     lambda v: sa.pair_audit(G8, 0.1, v)),
+    ("lo_point_prob_mc.trials", "count", "trials",
+     lambda v: ac.lo_point_prob_mc(ac.LOInstance((1, 2)), 0, v)),
+    ("lo_scaling_fit.trials", "count", "trials",
+     lambda v: ac.lo_scaling_fit([4, 8, 16, 32], trials=v)),
+    ("pigeonhole_pairs.bucket_width", "count", "bucket_width",
+     lambda v: rc.pigeonhole_pairs(G8, v)),
+]
+
+
+def _message(name: str, rule: str, v) -> str:
+    if rule == "number":
+        return f"{name} must be a number, got nan"
+    if v > sys.maxsize:
+        return f"{name} must be at most {sys.maxsize}, got {v}"
+    return f"{name} must be positive, got {v}"
+
+
+@pytest.mark.parametrize("case,rule,name,call", CASES, ids=[c[0] for c in CASES])
+def test_each_rule_refuses_its_values_in_its_words(case, rule, name, call, monkeypatch):
+    # an accepted trial count draws nothing, so sys.maxsize trials end at once
+    monkeypatch.setattr(ac, "_sampled_sums", lambda inst, trials, seed: iter(()))
+    refused = {}
+    for label, v in VALUES.items():
+        try:
+            call(v)
+        except ParameterError as exc:
+            refused[label] = str(exc)
+    assert refused == {label: _message(name, rule, VALUES[label])
+                       for label in VALUES if label in REFUSED[rule]}
+
+
+def test_a_seed_must_be_non_negative():
+    refused = {}
+    for seed in (0, 1, sys.maxsize + 1, -1, -math.inf, math.nan):
+        try:
+            ac._rng(seed, 0)
+        except ParameterError as exc:
+            refused[seed] = str(exc)
+    assert list(refused.values()) == [f"seed must be non-negative, got {seed}"
+                                      for seed in (-1, -math.inf, math.nan)]

@@ -154,3 +154,40 @@ def test_cli_registers_its_flags_in_one_place():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "add_argument"]
     assert len(calls) == 1, calls
+
+
+RULE_TEXTS = ("must be positive, got", "must be >= 1")
+
+
+def test_the_parameter_rules_live_in_errors_require():
+    # the positive, count and number rules are stated once, in
+    # errors._require: a NaN test, a sys.maxsize bound or a rule's message
+    # anywhere else states one of them a second time
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        helper = _inside(tree, "_require") if path.name == "errors.py" else set()
+        for node in ast.walk(tree):
+            if id(node) in helper:
+                continue
+            name = node.attr if isinstance(node, ast.Attribute) else \
+                node.id if isinstance(node, ast.Name) else None
+            if name in ("isnan", "maxsize"):
+                found.append(f"{path.name}:{node.lineno}: {name}")
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and any(text in node.value for text in RULE_TEXTS):
+                found.append(f"{path.name}:{node.lineno}: {node.value.strip()!r}")
+    assert not found, found
+    assert _inside(ast.parse((SRC / "errors.py").read_text()), "_require")
+
+
+def test_every_mutant_edits_text_that_occurs_once():
+    # tests/mutants.py applies each edit by text, so code that moves must
+    # take the table along
+    import mutants
+
+    root = SRC.parents[1]
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for m in mutants.MUTANTS:
+        assert (root / m.path).read_text().count(m.old) == 1, m.name
+        assert m.tests and all((root / "tests" / t).is_file() for t in m.tests), m.name
