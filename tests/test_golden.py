@@ -50,6 +50,12 @@ CASES = {
          "--seed", "3", "--set", "theta_compl=0.45", "--set", "star_coeff=100"],
         {"out.json": (json_body,
                       "e8a798842c3d7d583c6012064bec849dff7307abeaf31135cfa3c1478a02762e")}),
+    # above pair_enum_cap, pigeonhole_pairs samples its pairs: about 615k
+    # randrange calls from the one seeded stream
+    "construct-sampled-pairs": (
+        ["construct", "--gen", "gnp", "--n", "600", "--set", "pair_enum_cap=500"],
+        {"out.json": (json_body,
+                      "1053825799eec24fac944e0b5d7db5b1c6264c5ce3593aa77f6764e8efda7968")}),
     "per-m": (
         ["per-m", "--gen", "gnp", "--n", "256", "--graph-seed", "3",
          "--seed", "11"],
