@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ContractViolation, ParameterError, _require
+from .seeding import np_stream
 
 EXACT_WEIGHT_CAP = 10**6  # cap on sum |a_i| for the dense DP
 
@@ -114,17 +115,11 @@ class MCEstimate:
     hits: int
 
 
-def _rng(seed: int, key: int) -> np.random.Generator:
-    """The generator seeded by (seed, spawn key key), for a seed >= 0."""
-    _require("non-negative", {"seed": seed})
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
-
-
 def _sampled_sums(inst: LOInstance, trials: int, seed: int):
     """Yield chunks of sampled sum_i a_i * xi_i (offset excluded), trials in all,
     from one generator seeded by (seed, spawn key 0)."""
     a = np.asarray(inst.coefficients, dtype=np.int64)
-    rng = _rng(seed, 0)
+    rng = np_stream(seed, 0)
     # 2**16 draws per chunk keep the float, bool and int64 blocks in cache;
     # rows are drawn in order, so the stream does not depend on the chunk
     chunk = max(1, (1 << 16) // len(a))
@@ -169,7 +164,7 @@ def model_coefficients(model: str, n: int, seed: int) -> tuple:
         lo, hi = 1, 10
     else:
         raise ParameterError(f"unknown coefficient model {model!r}; choose from {COEFF_MODELS}")
-    return tuple(int(v) for v in _rng(seed, n).integers(lo, hi + 1, size=n))
+    return tuple(int(v) for v in np_stream(seed, n).integers(lo, hi + 1, size=n))
 
 
 @dataclass(frozen=True)

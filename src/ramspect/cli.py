@@ -472,8 +472,10 @@ def main(argv=None) -> int:
         return 1
     try:
         try:
-            # every command takes --seed, and refuses a negative one here
-            _require("non-negative", {"seed": ns.seed})
+            # every command takes --seed and every graph command --graph-seed,
+            # and a negative one is refused here, before any graph is built
+            _require("non-negative", {"seed": ns.seed,
+                                      "graph_seed": getattr(ns, "graph_seed", None)})
             return ns.func(ns)
         except ConstructionFailure as exc:
             # a diagnostics path that cannot be written is an io error below

@@ -42,17 +42,16 @@ maximum.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConstructionFailure, ContractViolation, ParameterError, _require
-from .graph_core import (Graph, Unit, bernoulli, bit_matrix, check_disjoint_units,
-                         count_edges, count_edges_many, mask_from_bools, unit_degree)
+from .graph_core import (Graph, Unit, bit_matrix, check_disjoint_units, count_edges,
+                         count_edges_many, mask_from_bools, unit_degree)
 from .ramsey_construct import (ConstructionParams, ConstructionResult, construct,
                                nonempty_m_window)
-from .seeding import derive_seed
+from .seeding import bernoulli, derive_seed, stream
 
 
 @dataclass(frozen=True)
@@ -172,7 +171,7 @@ def expose(u0_mask: int, seed: int) -> int:
         raise ParameterError("U0 must be nonempty")
     # one random() draw per U0 vertex, in increasing vertex order
     keep = bit_matrix([u0_mask], u0_mask.bit_length())[0].view(bool)
-    keep[keep] = bernoulli(random.Random(seed), int(np.count_nonzero(keep)), 0.5)
+    keep[keep] = bernoulli(stream(seed), int(np.count_nonzero(keep)), 0.5)
     return mask_from_bools(keep)
 
 

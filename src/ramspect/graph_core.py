@@ -40,13 +40,13 @@ itself as well as N(v).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
 from .errors import CapacityError, ContractViolation, GraphParseError, ParameterError
+from .seeding import bernoulli, stream
 
 
 def mask_of(vertices) -> int:
@@ -439,41 +439,25 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def bernoulli(rng: random.Random, k: int, p: float) -> np.ndarray:
-    """k bools, the j-th True iff the j-th of k successive ``rng.random()``
-    draws is below p; rng is left where those k draws would leave it.
-
-    random() is ((a >> 5) * 2**26 + (b >> 6)) / 2**53 for two successive
-    32-bit Mersenne-Twister outputs a and b, and getrandbits(64 * k) returns
-    the same 2k words little-endian.  So each <u8 word w of one bulk draw
-    yields the same 53-bit key, and random() < p iff key < ceil(p * 2**53),
-    which is exact in binary64.
-    """
-    below = np.uint64(math.ceil(p * 2.0 ** 53))
-    w = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u8")
-    return (((w & 0xFFFFFFFF) >> 5 << 26) | (w >> 38)) < below
-
-
 def mask_from_bools(bits: np.ndarray) -> int:
     """The int mask whose bit v is set iff bits[v]."""
     return int.from_bytes(np.packbits(bits, bitorder="little"), "little")
 
 
-GNP_CHUNK = 1 << 18  # pairs per row block (and getrandbits call) of the gnp generator
+GNP_CHUNK = 1 << 18  # pairs per row block (and bulk draw) of the gnp generator
 
 
 def _gnp_rows(n: int, p: float, seed: int) -> list[int]:
     """Adjacency rows in which pair (u, v) is an edge iff its draw of
-    ``random.Random(seed).random()``, taken in row-major pair order, is
-    below p.
+    ``stream(seed).random()``, taken in row-major pair order, is below p.
 
-    The draws come from bernoulli.  Rows are taken in blocks of a multiple
-    of 8 rows holding about GNP_CHUNK pairs (at least 8 rows), one bulk
-    draw each; a block's upper-triangle bits are packed into its rows and,
-    transposed, into its byte columns of every row, so no temporary grows
-    with n**2.
+    The draws come from seeding.bernoulli.  Rows are taken in blocks of a
+    multiple of 8 rows holding about GNP_CHUNK pairs (at least 8 rows), one
+    bulk draw each; a block's upper-triangle bits are packed into its rows
+    and, transposed, into its byte columns of every row, so no temporary
+    grows with n**2.
     """
-    rng = random.Random(seed)
+    rng = stream(seed)
     bits = np.zeros((n, -(-n // 8)), np.uint8)
     step = max(8, GNP_CHUNK // max(n, 1) & ~7)
     for a in range(0, n, step):

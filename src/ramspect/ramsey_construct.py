@@ -47,7 +47,6 @@ is echoed in the result diagnostics so runs are self-describing.
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -55,11 +54,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConstructionFailure, ContractViolation, ParameterError, _require
-from .graph_core import (Graph, Unit, bernoulli, check_disjoint_units,
-                         complement_gap_at_least, count_edges, iter_bits, mask_from_bools,
-                         mask_of, multiset_gap, pack_rows, pair_gaps, prefix_words,
-                         unit_degree, unit_rows)
-from .seeding import derive_seed
+from .graph_core import (Graph, Unit, check_disjoint_units, complement_gap_at_least,
+                         count_edges, iter_bits, mask_from_bools, mask_of, multiset_gap,
+                         pack_rows, pair_gaps, prefix_words, unit_degree, unit_rows)
+from .seeding import bernoulli, derive_seed, stream
 from .structure_audit import AuditParams, rich_extract
 
 PAIR_ENUM_CAP = 3000
@@ -229,7 +227,7 @@ def pigeonhole_pairs(g: Graph, bucket_width: int | None = None, *,
         sizes = _bucket_sizes(degs, w)
         j = int(np.argmax(sizes))  # argmax returns the first (lowest) maximum
         return j * w + w // 2, _bucket_pairs(degs, j * w, w, int(sizes[j]))
-    rng = random.Random(derive_seed(seed, "pigeonhole"))
+    rng = stream(derive_seed(seed, "pigeonhole"))
     # the dedup loop must not chase more pairs than exist
     want = max(1, int(min(sample_coeff * n ** 1.5, n * (n - 1) // 2)))
     seen = set()
@@ -389,7 +387,7 @@ def sample_U0(g: Graph, a_units, m: int, d_doubleprime: int,
     attempts = []
     fail_hist = [0] * 5
     for t in range(params.retry_max):
-        u0 = mask_from_bools(bernoulli(random.Random(derive_seed(params.seed, "u0", t)), n, p))
+        u0 = mask_from_bools(bernoulli(stream(derive_seed(params.seed, "u0", t)), n, p))
         e_u0 = count_edges(g, u0)
         ok1 = abs(e_u0 - 4 * m) <= e_window
         q = tuple(x for x in a_units if not (x.mask() & u0))

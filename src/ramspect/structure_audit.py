@@ -44,7 +44,6 @@ the induced subgraph it audited for construct.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -53,6 +52,7 @@ import numpy as np
 from .errors import CapacityError, ContractViolation, ParameterError, _require
 from .graph_core import (Graph, bit_matrix, induced_subgraph, iter_bits, mask_from_bools,
                          mask_of, neighbor_counts, pack_rows, popcount)
+from .seeding import stream
 
 RICHNESS_EXHAUSTIVE_CAP = 14
 # richness_audit scores candidates in blocks: the first block is small, so a
@@ -77,6 +77,7 @@ class AuditParams:
             raise ParameterError(f"delta must lie in (0, 1/2], got {self.delta}")
         _require("positive", vars(self), "c_div")
         _require("count", vars(self), "sample_budget", "k_rounds")
+        _require("non-negative", vars(self), "seed")
 
 
 def density_bounds_check(g: Graph, epsilon: float) -> tuple[float, bool]:
@@ -189,7 +190,7 @@ def _candidate_sets(g: Graph, delta: float, budget: int, seed: int):
                 yield prefix
 
     def random_sets():
-        rng = random.Random(seed)
+        rng = stream(seed)
         sizes = sorted({wmin, min(n, 2 * wmin), max(wmin, n // 2)})
         verts = list(range(n))
         while True:

@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 
 
 ERRORS = "src/ramspect/errors.py"
+SEEDING = "src/ramspect/seeding.py"
 RULES = ("test_param_rules.py",)
 
 MUTANTS = (
@@ -59,9 +60,24 @@ MUTANTS = (
     Mutant("non-negative: NaN let through", ERRORS,
            "if not v >= 0:", "if v < 0:", RULES),
     Mutant("cli: --seed left unchecked", "src/ramspect/cli.py",
-           '_require("non-negative", {"seed": ns.seed})', "pass", ("test_cli.py",)),
+           '{"seed": ns.seed,', "{", ("test_cli.py",)),
+    Mutant("cli: --graph-seed left unchecked", "src/ramspect/cli.py",
+           '"graph_seed": getattr(ns, "graph_seed", None)', '"graph_seed": None',
+           ("test_cli.py",)),
     Mutant("bucket width: check dropped", "src/ramspect/ramsey_construct.py",
            '_require("count", {"bucket_width": width})', "pass", RULES),
+    # the seed domain and the bulk decoder of seeding.py
+    Mutant("stream: seed check dropped", SEEDING,
+           '_require("non-negative", {"seed": seed})\n    return random.Random(seed)',
+           "return random.Random(seed)", RULES),
+    Mutant("np_stream: seed check dropped", SEEDING,
+           '_require("non-negative", {"seed": seed})\n    return np.random.default_rng(',
+           "return np.random.default_rng(", RULES),
+    Mutant("bernoulli: the two 32-bit words swapped", SEEDING,
+           "(((w & 0xFFFFFFFF) >> 5 << 26) | (w >> 38))",
+           "(((w >> 32) >> 5 << 26) | ((w & 0xFFFFFFFF) >> 6))", ("test_graph_core.py",)),
+    Mutant("AuditParams: seed check dropped", "src/ramspect/structure_audit.py",
+           '_require("non-negative", vars(self), "seed")', "pass", RULES),
     # the window and audit rules given one home each
     Mutant("verifier: S max read one unit short", "src/ramspect/ramsey_construct.py",
            "gap = min(dt) - max(ds)", "gap = min(dt) - max(ds[:-1])",

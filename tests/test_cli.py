@@ -643,6 +643,20 @@ def test_every_command_refuses_a_negative_seed(argv, capsys):
         (1, "", "error: seed must be non-negative, got -1\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["phi", "--gen", "gnp", "--n", "10"],
+    ["audit", "--gen", "complete", "--n", "5"],
+    ["per-m", "--gen", "empty", "--n", "5"],
+    ["psi", "--gen", "paley", "--n", "5"],
+    ["construct", "--gen", "gnp", "--n", "64"],
+], ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_every_graph_command_refuses_a_negative_graph_seed(argv, capsys):
+    # random.Random seeds an int by its absolute value, so -1 would build
+    # the graph of seed 1; the models that draw nothing refuse it too
+    assert run(capsys, *argv, "--graph-seed", "-1") == \
+        (1, "", "error: graph_seed must be non-negative, got -1\n")
+
+
 def test_theorem_diagnostics_flag_is_gone(capsys):
     # theorem records a failed window and goes on, so it never exits 3
     with pytest.raises(SystemExit) as exc:

@@ -59,7 +59,7 @@ GRAPH_SOURCE = {
     "--gen": st.sampled_from(["gnp", "paley", "complete", "empty", "bogus"]),
     "--n": values("0", "1", "5", "13", "40", HUGE),
     "--p": values("0", "0.5", "1"),
-    "--graph-seed": values("0", "2"),
+    "--graph-seed": values("0", "2", "-1"),
 }
 SEED_OUT = {"--seed": values("0", "7", "-1"), "--out": st.just("out.txt")}
 OVERRIDES = st.sampled_from([

@@ -9,7 +9,8 @@ from ramspect import anticoncentration as ac
 from ramspect import graph_core as gc
 from ramspect import ramsey_construct as rc
 from ramspect import structure_audit as sa
-from ramspect.double_exposure import ExposureParams
+from ramspect import seeding
+from ramspect.double_exposure import ExposureParams, expose
 from ramspect.errors import ParameterError
 
 VALUES = {"0": 0, "1": 1, "-1": -1, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
@@ -81,12 +82,23 @@ def test_each_rule_refuses_its_values_in_its_words(case, rule, name, call, monke
                        for label in VALUES if label in REFUSED[rule]}
 
 
+SEEDED = {
+    "stream": seeding.stream,
+    "np_stream": lambda seed: seeding.np_stream(seed, 0),
+    "generate.gnp": lambda seed: gc.generate("gnp", n=8, seed=seed),
+    "expose": lambda seed: expose(0b1011, seed),
+    "AuditParams.seed": lambda seed: sa.AuditParams(seed=seed),
+}
+# random.Random seeds an int by its absolute value, so a negative seed
+# would replay the stream of its positive twin
+NEGATIVE_SEEDS = (-1, -2, -2 ** 70, -2 ** 80, -math.inf, math.nan)
+
+
 def test_a_seed_must_be_non_negative():
-    refused = {}
-    for seed in (0, 1, sys.maxsize + 1, -1, -math.inf, math.nan):
-        try:
-            ac._rng(seed, 0)
-        except ParameterError as exc:
-            refused[seed] = str(exc)
-    assert list(refused.values()) == [f"seed must be non-negative, got {seed}"
-                                      for seed in (-1, -math.inf, math.nan)]
+    for name, call in SEEDED.items():
+        for seed in (0, 1, 2 ** 64, sys.maxsize + 1, 2 ** 200):
+            call(seed)
+        for seed in NEGATIVE_SEEDS:
+            with pytest.raises(ParameterError) as exc:
+                call(seed)
+            assert str(exc.value) == f"seed must be non-negative, got {seed}", name

@@ -191,3 +191,20 @@ def test_every_mutant_edits_text_that_occurs_once():
     for m in mutants.MUTANTS:
         assert (root / m.path).read_text().count(m.old) == 1, m.name
         assert m.tests and all((root / "tests" / t).is_file() for t in m.tests), m.name
+
+
+STREAM_TEXTS = ("import random", "from random import", "random.Random(", "getrandbits",
+                "default_rng", "SeedSequence", "np.random")
+
+
+def test_every_random_stream_is_built_in_seeding():
+    # seeding.py alone turns a seed into a stream, so the seed domain is
+    # checked in one place, and the Mersenne-Twister facts its bulk
+    # decoders rest on are stated next to the one code that reads them
+    found = [f"{path.name}:{i}: {text}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "seeding.py"
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             for text in STREAM_TEXTS if text in line]
+    assert not found, found
+    seeding = (SRC / "seeding.py").read_text()
+    assert all(text in seeding for text in ("random.Random(", "getrandbits", "default_rng"))
