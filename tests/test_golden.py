@@ -127,6 +127,16 @@ CASES = {
         ["psi", "--gen", "gnp", "--n", "22", "--graph-seed", "2"],
         {"out.csv": (text_body,
                      "81b513d1356219f78f4cb26bf751fed1b2b0b578e2077be70def04818687c37d")}),
+    # K_n: Phi is the triangular numbers, so no step of the block walk is
+    # skipped and every step catches up and marks
+    "phi-complete-n28": (
+        ["phi", "--gen", "complete", "--n", "28"],
+        {"out.csv": (text_body,
+                     "f995d681f671627b6d4b4816a6c9e05004c1c064fa7801994add79563d643e57")}),
+    "psi-complete-n26": (
+        ["psi", "--gen", "complete", "--n", "26"],
+        {"out.csv": (text_body,
+                     "4eb3b78a7397d64b4b2c9de14a03c135f35616f960f9d364fa9da36ac77f2c70")}),
     "generate": (
         ["generate", "--gen", "gnp", "--n", "40", "--seed", "5"],
         {"out.txt": (text_body,
