@@ -232,13 +232,16 @@ def cmd_generate(ns) -> int:
 
 def cmd_spectrum(ns) -> int:
     """phi lists the edge counts, psi the order:size pairs."""
-    g, gsrc = _build_graph(ns, min(ns.cap, VERTEX_CAP))
+    # --cap may only lower the oracles' ceiling: above it the kernel's
+    # vectors of 2^(n/2 + 1) entries outgrow memory long before the walk ends
+    _require_cap("--cap", ns.cap, so.PHI_EXACT_CAP)
+    g, gsrc = _build_graph(ns, ns.cap)
     cfg = {"graph": gsrc, "cap": ns.cap}
     if ns.cmd == "phi":
-        sizes = so.phi_exact(g, cap=ns.cap).sizes
+        sizes = so.phi_exact(g).sizes
         cells = [str(s) for s in sizes]
     else:
-        pairs = so.psi_exact(g, cap=ns.cap)
+        pairs = so.psi_exact(g)
         sizes = [s for _, s in pairs]
         cells = [f"{k}:{s}" for k, s in pairs]
     summary = f"|{ns.cmd.capitalize()}|={len(cells)} max={max(sizes)}"
@@ -390,7 +393,8 @@ _FLAGS = {
     "--n": dict(type=int, help="vertex count (prime q for paley)"),
     "--p": dict(type=float, default=0.5, help="gnp edge probability; for lo, Pr(xi_i = 1)"),
     "--graph-seed": dict(type=int, default=0, help="generator seed"),
-    "--cap": dict(type=int, default=so.PHI_EXACT_CAP, help="refuse graphs larger than this"),
+    "--cap": dict(type=int, default=so.PHI_EXACT_CAP,
+                  help="refuse graphs larger than this (at most the default)"),
     "--exhaustive": dict(action="store_true",
                          help="decide richness exhaustively (small n only)"),
     "--model": dict(default="ones", choices=ac.COEFF_MODELS),

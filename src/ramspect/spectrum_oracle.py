@@ -3,14 +3,17 @@
 phi_exact and psi_exact share one meet-in-the-middle kernel.  The vertices
 split into a low block of b = min(n, ceil(n/2) + 1) vertices and a high
 block of the rest.  Edge counts of all 2^b low subsets are built by
-doubling, and each high vertex gets one vector of neighbour counts into
-those subsets.  A reflected-Gray-code walk over the 2^(n-b) high subsets
-then adds or subtracts one such vector per step and marks every sum in a
-numpy table at once: indexed by edge count for Phi, by (order, edge count)
-for Psi.  A Phi step whose whole index range is already marked is skipped
-(see _seen_table); on G(n, 1/2) that is most steps.  The kernel is
-single-threaded; its output depends only on the graph.  phi_naive/psi_naive
-recount every subset from scratch and exist only to cross-check the kernel.
+doubling, and each high vertex gets one row of neighbour counts into those
+subsets, all rows one intp array.  A reflected-Gray-code walk over the
+2^(n-b) high subsets then adds or subtracts one such row per step and marks
+every sum in a numpy table at once: indexed by edge count for Phi, by
+(order, edge count) for Psi.  The same doubling over the high block gives
+each step's offset and index range up front, in one table, so the Python
+loop only tests, moves and marks.  A Phi step whose whole index range is
+already marked is skipped (see _seen_table); on G(n, 1/2) that is most
+steps.  The kernel is single-threaded; its output depends only on the
+graph.  phi_naive/psi_naive recount every subset from scratch and exist
+only to cross-check the kernel.
 """
 
 from __future__ import annotations
@@ -60,74 +63,81 @@ def _require_cap(n: int, cap: int, op: str, per_s: float = EXACT_SUBSETS_PER_S):
         )
 
 
+def _block_sums(nbrs: list, weights: list) -> np.ndarray:
+    """Entry S is e(S) + sum of weights[j] over j in S, for every subset S of
+    a block of len(nbrs) vertices, vertex j's neighbours in the block being
+    the bit mask nbrs[j].  By doubling: adding j to a set S of lower vertices
+    adds |N(j) & S| + weights[j]."""
+    sets = np.arange(1 << len(nbrs))
+    out = np.zeros(1 << len(nbrs), dtype=np.intp)
+    for j, (row, w) in enumerate(zip(nbrs, weights)):
+        half = 1 << j
+        out[half:2 * half] = out[:half] + np.bitwise_count(sets[:half] & (row & (half - 1)))
+        out[half:2 * half] += w
+    return out
+
+
 def _seen_table(g: Graph, stride: int) -> np.ndarray:
     """Boolean table marking |U|*stride + e(U) for every vertex subset U.
 
     stride 0 gives the size spectrum; stride C(n,2)+1 gives (order, size)
     pairs.  Each subset is a low part S of the first b vertices and a high
-    part T of the rest, and e(S u T) = e(S) + e(T) + sum_{v in T} |N(v) & S|.
-    The 2^b low terms are one vector; a Gray walk over T adds or subtracts
-    one neighbour-count vector per step and marks the vector shifted by the
-    high part's own contribution.
+    part T of the other h = n - b, and e(S u T) = e(S) + e(T) +
+    sum_{v in T} |N(v) & S|.  The 2^b low indices |S|*stride + e(S) are one
+    vector, acc, and each high vertex v has one vector of |N(v) & S|, a row
+    of counts.  A Gray walk over T adds or subtracts one row per step and
+    marks acc shifted by base = |T|*stride + e(T).
 
-    Step T marks only in [base, base + top]: base = |T|*stride + e(T) for S
-    empty, top the vector's entry for the whole low block, its largest.  A
+    Everything a step needs apart from acc is one precomputed table over
+    the 2^h - 1 steps: step s visits T = s ^ (s >> 1), and base and the
+    range end come from _block_sums over the high block.  Step T marks only
+    in [base, base + top]: top is acc's entry for the whole low block, its
+    largest, so base + top is the index of the whole low block plus T.  A
     Phi step whose range is all marked would change nothing and is skipped;
-    the vector catches up on the skipped flips at the next marking step, so
-    it moves no more often than in a walk that marks every step.  Psi never
-    skips: top >= stride, so its range holds (|T|, C(|T|,2) + 1), never marked.
+    acc catches up on the skipped flips at the next marking step, so it
+    moves no more often than in a walk that marks every step.  Psi never
+    skips: top >= stride, so its range holds (|T|, C(|T|,2) + 1), never
+    marked.  The counts are intp, acc's own dtype, since numpy adds mixed
+    dtypes as a buffered cast at about three times the cost.
     """
     n = g.n
     b = min(n, (n + 1) // 2 + 1)
-    low = np.arange(1 << b)
-    # acc is the index vector itself, intp so no scatter casts it; the
-    # per-vertex count vectors, the bulk of the memory, are int16
-    acc = np.zeros(1 << b, dtype=np.intp)
-    for j in range(b):  # e(S + j) = e(S) + |N(j) & S| for S below j
-        half = 1 << j
-        nbrs = g.adj[j] & (half - 1)
-        acc[half:2 * half] = acc[:half] + np.bitwise_count(low[:half] & nbrs)
-    acc += stride * np.bitwise_count(low).astype(np.intp)
-    counts = [np.bitwise_count(low & (row & ((1 << b) - 1))).astype(np.int16)
-              for row in g.adj[b:]]
+    low_mask = (1 << b) - 1
+    acc = _block_sums(g.adj[:b], [stride] * b)
+    counts = np.arange(1 << b) & np.array([row & low_mask for row in g.adj[b:]],
+                                          dtype=np.intp).reshape(-1, 1)
+    np.bitwise_count(counts, out=counts)
+    high = [row >> b for row in g.adj[b:]]
+    gray = np.arange(1, 1 << len(high))
+    gray ^= gray >> 1
+    bases = _block_sums(high, [stride] * len(high))[gray]
+    # one past base + top, top being acc[-1] plus |N(v) & low block| for v in T
+    ends = _block_sums(high, (stride + counts[:, -1]).tolist())[gray] + (int(acc[-1]) + 1)
     # seen views a bytearray, so marks.find can look for the first unmarked entry
     marks = bytearray(n * stride + n * (n - 1) // 2 + 1)
     seen = np.frombuffer(marks, dtype=np.bool_)
     seen[acc] = True
-    high = [row >> b for row in g.adj[b:]]
-    lowdeg = [int(c[-1]) for c in counts]
-    top = int(acc[-1])
-    cur = held = e = k = 0
-    steps = 1
-    for s in range(1, 1 << (n - b)):
-        i = (s & -s).bit_length() - 1
-        cur ^= 1 << i
-        d = (high[i] & cur).bit_count()
-        if cur >> i & 1:
-            e, k, top = e + d, k + 1, top + lowdeg[i]
-        else:
-            e, k, top = e - d, k - 1, top - lowdeg[i]
-        steps += 1
-        base = k * stride + e
-        if not stride and marks.find(0, base, base + top + 1) < 0:
+    held = 0
+    for t, base, end in zip(gray.tolist(), bases.tolist(), ends.tolist()):
+        if not stride and marks.find(0, base, end) < 0:
             continue
-        flips, held = cur ^ held, cur  # high vertices flipped since acc last marked
+        flips, held = t ^ held, t  # high vertices flipped since acc last marked
         while flips:
             j = (flips & -flips).bit_length() - 1
             flips ^= 1 << j
-            if cur >> j & 1:
+            if t >> j & 1:
                 acc += counts[j]
             else:
                 acc -= counts[j]
         seen[base:][acc] = True
-    if steps << b != 1 << n:
-        raise RamspectError(f"block walk covered {steps}*2^{b} subsets, expected 2^{n}")
+    if (len(gray) + 1) << b != 1 << n:
+        raise RamspectError(f"block walk covered {len(gray) + 1}*2^{b} subsets, expected 2^{n}")
     return seen
 
 
-def phi_exact(g: Graph, cap: int = PHI_EXACT_CAP) -> SizeSpectrum:
+def phi_exact(g: Graph) -> SizeSpectrum:
     """The full spectrum {e(H) : H induced subgraph of g}, computed exactly."""
-    _require_cap(g.n, cap, "phi_exact")
+    _require_cap(g.n, PHI_EXACT_CAP, "phi_exact")
     return SizeSpectrum(g.n, tuple(np.flatnonzero(_seen_table(g, 0)).tolist()))
 
 
@@ -137,9 +147,9 @@ def phi_naive(g: Graph, cap: int = PHI_NAIVE_CAP) -> SizeSpectrum:
     return SizeSpectrum(g.n, tuple(sorted({e for _, e in psi_naive(g, cap)})))
 
 
-def psi_exact(g: Graph, cap: int = PHI_EXACT_CAP) -> tuple:
+def psi_exact(g: Graph) -> tuple:
     """All achievable (order, size) pairs over induced subgraphs, sorted."""
-    _require_cap(g.n, cap, "psi_exact")
+    _require_cap(g.n, PHI_EXACT_CAP, "psi_exact")
     stride = g.n * (g.n - 1) // 2 + 1
     flat = np.flatnonzero(_seen_table(g, stride)).tolist()
     return tuple(divmod(i, stride) for i in flat)

@@ -41,6 +41,8 @@ class Mutant(NamedTuple):
 ERRORS = "src/ramspect/errors.py"
 SEEDING = "src/ramspect/seeding.py"
 RULES = ("test_param_rules.py",)
+ORACLE = "src/ramspect/spectrum_oracle.py"
+WALK = ("test_spectrum_oracle.py",)
 
 MUTANTS = (
     # the parameter rules of errors._require
@@ -109,6 +111,22 @@ MUTANTS = (
     Mutant("theorem keep: emptiness test dropped", "src/ramspect/double_exposure.py",
            "keep = out is not None and bool(out.distinct_sizes) \\",
            "keep = out is not None \\", ("test_double_exposure.py",)),
+    # the step table and lazy catch-up of the Phi/Psi block walk
+    Mutant("walk: range end one short", ORACLE,
+           "+ (int(acc[-1]) + 1)", "+ int(acc[-1])", WALK),
+    Mutant("walk: no catch-up, only the step's own flip", ORACLE,
+           "< 0:\n            continue", "< 0:\n            held = t\n            continue",
+           WALK),
+    Mutant("walk: top moved with the wrong sign", ORACLE,
+           "(stride + counts[:, -1])", "(stride - counts[:, -1])", WALK),
+    Mutant("walk: top never moved", ORACLE,
+           "(stride + counts[:, -1])", "(stride + counts[:, 0])", WALK),
+    Mutant("walk: catch-up signs swapped", ORACLE,
+           "if t >> j & 1:", "if not t >> j & 1:", WALK),
+    Mutant("walk: range starts at base + 1", ORACLE,
+           "marks.find(0, base, end)", "marks.find(0, base + 1, end)", WALK),
+    Mutant("cli: --cap above the oracle cap let through", "src/ramspect/cli.py",
+           '_require_cap("--cap", ns.cap, so.PHI_EXACT_CAP)', "pass", ("test_cli.py",)),
 )
 
 

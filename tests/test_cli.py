@@ -267,6 +267,23 @@ def test_exhaustive_audit_of_a_generated_graph_is_refused_before_generation(
                    f"capped at n={sa.RICHNESS_EXHAUSTIVE_CAP}, got n=4096\n")
 
 
+@pytest.mark.parametrize("cmd", ["phi", "psi"])
+def test_cap_above_the_oracle_cap_is_refused_before_generation(cmd, capsys, monkeypatch):
+    # --cap may only lower the ceiling: a larger one would let the kernel
+    # allocate vectors of 2^(n/2 + 1) entries until the process is killed
+    from ramspect import graph_core as gc
+    from ramspect import spectrum_oracle as so
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a graph under a --cap above the oracle cap")
+
+    monkeypatch.setattr(gc, "generate", refuse)
+    cap = so.PHI_EXACT_CAP + 1
+    code, out, err = run(capsys, cmd, "--gen", "empty", "--n", str(cap), "--cap", str(cap))
+    assert (code, out) == (2, "")
+    assert err == f"capacity: --cap {cap} is above the cap {so.PHI_EXACT_CAP}\n"
+
+
 def test_main_carries_no_value_from_one_call_into_the_next(tmp_path, capsys):
     # the parser is built once per process, so every call must parse afresh
     out = tmp_path / "audit.json"

@@ -1,6 +1,7 @@
 """Exact spectrum walks against naive enumeration and closed forms."""
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,19 @@ def test_complete_graph_at_cap():
     n = so.PHI_EXACT_CAP
     assert so.phi_exact(gc.generate("complete", n=n)).sizes == \
         complete_graph_spectrum(n)
+
+
+def test_kernel_memory_at_cap_is_bounded():
+    # the high vertices' count vectors are intp, acc's dtype, for a
+    # same-dtype add; at the cap they are 14 vectors of 2^16 entries
+    g = gc.generate("empty", n=so.PHI_EXACT_CAP)
+    tracemalloc.start()
+    try:
+        assert so.phi_exact(g).sizes == (0,)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
 
 
 # ── caps ─────────────────────────────────────────────────────────────────
