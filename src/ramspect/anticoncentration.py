@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ContractViolation, ParameterError, _require
+from .errors import ContractViolation, ParameterError, _require, _require_cap
 from .seeding import np_stream
 
 EXACT_WEIGHT_CAP = 10**6  # cap on sum |a_i| for the dense DP
@@ -70,11 +70,8 @@ class LOPmf:
 def lo_exact_distribution(inst: LOInstance) -> LOPmf:
     """Exact pmf of the weighted Bernoulli sum via live-window DP."""
     w = inst.weight
-    if w > EXACT_WEIGHT_CAP:
-        raise CapacityError(
-            f"exact pmf needs two dense arrays of {w + 1} floats "
-            f"(cap {EXACT_WEIGHT_CAP}); use lo_point_prob_mc instead"
-        )
+    _require_cap("exact pmf weight", w, EXACT_WEIGHT_CAP, f"it needs two dense arrays of "
+                 f"{w + 1} floats; use lo_point_prob_mc instead")
     neg = sum(-a for a in inst.coefficients if a < 0)
     f = np.zeros(w + 1, dtype=np.float64)
     moved = np.empty(w + 1, dtype=np.float64)

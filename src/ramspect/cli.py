@@ -29,7 +29,7 @@ from . import spectrum_oracle as so
 from . import structure_audit as sa
 from .double_exposure import ExposureParams, per_m_run, theorem_run
 from .errors import (CapacityError, ConstructionFailure, GraphParseError,
-                     ParameterError, RamspectError, _require)
+                     ParameterError, RamspectError, _require, _require_cap)
 from .ramsey_construct import ConstructionParams, construct, m_window
 from .seeding import derive_seed
 
@@ -159,13 +159,9 @@ def _json_doc(ns, config: dict, payload: dict) -> str:
     return _dumps({"schema": SCHEMA, "header": _header_obj(ns, config), **payload}) + "\n"
 
 
-def _require_cap(flag: str, n: int, cap: int = VERTEX_CAP) -> None:
-    if n > cap:
-        raise CapacityError(f"{flag} {n} is above the cap {cap}")
-
-
-def _build_graph(ns, cap: int = VERTEX_CAP) -> tuple[gc.Graph, dict]:
-    # a vertex count above cap is refused before any row is built
+def _build_graph(ns, cap: int) -> tuple[gc.Graph, dict]:
+    # a vertex count above the command's cap, from --n or the file's header,
+    # is refused before any row is built
     if bool(ns.graph) == bool(ns.gen):
         raise ParameterError("exactly one of --graph or --gen is required")
     if ns.graph:
@@ -180,8 +176,7 @@ def _build_graph(ns, cap: int = VERTEX_CAP) -> tuple[gc.Graph, dict]:
     return _generate(ns.gen, ns.n, ns.p, ns.graph_seed, cap)
 
 
-def _generate(model: str, n: int, p: float, seed: int,
-              cap: int = VERTEX_CAP) -> tuple[gc.Graph, dict]:
+def _generate(model: str, n: int, p: float, seed: int, cap: int) -> tuple[gc.Graph, dict]:
     _require_cap("--n", n, cap)
     if model == "paley":
         return gc.generate("paley", q=n), {"model": "paley", "q": n}
@@ -216,7 +211,7 @@ def _pipeline_params(ov: dict, seed: int) -> tuple[ConstructionParams, ExposureP
 
 def _pipeline_inputs(ns):
     """construct/per-m/theorem: graph, graph source, overrides, both param sets."""
-    g, gsrc = _build_graph(ns)
+    g, gsrc = _build_graph(ns, VERTEX_CAP)
     ov = _split_overrides(ns.set, _PIPELINE_FIELDS)
     return (g, gsrc, ov, *_pipeline_params(ov, ns.seed))
 
@@ -225,7 +220,7 @@ def _pipeline_inputs(ns):
 
 
 def cmd_generate(ns) -> int:
-    g, cfg = _generate(ns.gen, ns.n, ns.p, ns.seed)
+    g, cfg = _generate(ns.gen, ns.n, ns.p, ns.seed, VERTEX_CAP)
     _emit(ns, _text_header(ns, cfg), gc.dump_graph(g))
     return 0
 
@@ -250,25 +245,20 @@ def cmd_spectrum(ns) -> int:
 
 
 def cmd_audit(ns) -> int:
-    if ns.exhaustive and ns.gen and not ns.graph and ns.n is not None:
-        # the flags give the vertex count: refuse before building the graph
-        sa.check_exhaustive_cap(ns.n)
-    g, gsrc = _build_graph(ns)
+    g, gsrc = _build_graph(ns, sa.RICHNESS_EXHAUSTIVE_CAP if ns.exhaustive else VERTEX_CAP)
     ov = _split_overrides(ns.set, {"audit": _AP_FIELDS})
     params = sa.AuditParams(seed=ns.seed, **ov["audit"])
     cfg = {"graph": gsrc, "params": asdict(params), "exhaustive": ns.exhaustive}
 
     density, _ = sa.density_bounds_check(g, params.epsilon)
-    # first, so that its cap refuses a graph file before the pair pass
-    verdict = sa.richness_audit(g, params, exhaustive=True) if ns.exhaustive else None
     profile, close_pairs = sa.pair_audit(g, params.c_div, params.epsilon / 2)
     extract = sa.rich_extract(g, params)
-    if verdict is None:
+    if ns.exhaustive:
+        status = sa.richness_audit(g, params, exhaustive=True).status
+    else:
         # the extraction's first round is the budgeted audit, and it records
         # a round exactly when that audit finds a witness
         status = "witness_found" if extract.trace else "no_witness_in_budget"
-    else:
-        status = verdict.status
     payload = {
         "density": density,
         "diversity_max_count": max(profile) if profile else 0,
@@ -344,7 +334,7 @@ def cmd_sweep(ns) -> int:
     ov = _split_overrides(ns.set, _PIPELINE_FIELDS)
     cfg = {"mode": ns.mode, "n_values": ns.n_list, "p": ns.p,
            "overrides": {k: v for grp in ov.values() for k, v in grp.items()}}
-    _require_cap("--n-list value", max(ns.n_list))
+    _require_cap("--n-list value", max(ns.n_list), VERTEX_CAP)
     rows, failures = [], []
     for n in ns.n_list:
         g = gc.generate("gnp", n=n, p=ns.p, seed=derive_seed(ns.seed, "graph", n))
@@ -476,10 +466,12 @@ def main(argv=None) -> int:
         return 1
     try:
         try:
-            # every command takes --seed and every graph command --graph-seed,
-            # and a negative one is refused here, before any graph is built
+            # every command takes --seed, every graph command --graph-seed and
+            # phi/psi --cap; a negative one is refused here, before any graph
+            # is built
             _require("non-negative", {"seed": ns.seed,
-                                      "graph_seed": getattr(ns, "graph_seed", None)})
+                                      "graph_seed": getattr(ns, "graph_seed", None),
+                                      "cap": getattr(ns, "cap", None)})
             return ns.func(ns)
         except ConstructionFailure as exc:
             # a diagnostics path that cannot be written is an io error below

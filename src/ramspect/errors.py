@@ -1,4 +1,5 @@
-"""Shared exception types, and the one statement of the parameter rules.
+"""Shared exception types, and the one statement of the parameter and
+capacity rules.
 
 Exit-code mapping used by the CLI lives in cli.py; library code raises
 these and never calls sys.exit itself.
@@ -23,7 +24,7 @@ class ContractViolation(RamspectError, ValueError):
 
 class CapacityError(RamspectError):
     """The request is well-formed but exceeds a hard size cap of an exact
-    routine.  The message states the cap and the estimated cost."""
+    routine.  Raised only by _require_cap, whose message states the cap."""
 
 
 class GraphParseError(RamspectError, ValueError):
@@ -65,3 +66,13 @@ def _require(rule: str, values: dict, *names: str) -> None:
             raise ParameterError(f"{name} must be positive, got {v}")
         elif rule == "count" and v > sys.maxsize:
             raise ParameterError(f"{name} must be at most {sys.maxsize}, got {v}")
+
+
+def _require_cap(what: str, value: int, cap: int, why: str = "") -> None:
+    """Refuse with a CapacityError a value above cap; value == cap passes.
+
+    The one message: "{what} {value} is above the cap {cap}", then "; {why}"
+    when a reason is given.
+    """
+    if value > cap:
+        raise CapacityError(f"{what} {value} is above the cap {cap}" + (f"; {why}" if why else ""))

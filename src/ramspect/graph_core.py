@@ -10,9 +10,10 @@ words, bool arrays or 0/1 matrices, and back, only in this module
 (pack_rows, bit_matrix, mask_from_bools).
 
 Counts over many sets at once are 0/1 matrix products, and one private
-function, _product, converts 0/1 matrices to float32 and multiplies them;
-GRAM_EXACT_CAP carries its exactness argument and _require_exact its one
-cap test.  Three kernels call it: pair_gaps, every multiset gap
+function, _product, converts 0/1 matrices to float32 and multiplies them.
+GRAM_EXACT_CAP carries its exactness argument, and _require_exact, its only
+reader, passes it to the package's one capacity rule, errors._require_cap.
+Three kernels call _product: pair_gaps, every multiset gap
 |A| + |B| - 2|A & B| of a unit family from one Gram product;
 count_edges_many, edge counts of many vertex sets over the adjacency
 matrix of their union; and neighbor_counts, the counts |N(v) & M| of every
@@ -45,7 +46,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import CapacityError, ContractViolation, GraphParseError, ParameterError
+from .errors import ContractViolation, GraphParseError, ParameterError, _require_cap
 from .seeding import bernoulli, stream
 
 
@@ -305,8 +306,7 @@ GRAM_EXACT_CAP = 1 << 23
 
 
 def _require_exact(op: str, n: int) -> None:
-    if n > GRAM_EXACT_CAP:
-        raise CapacityError(f"{op} is exact in float32 up to n={GRAM_EXACT_CAP}, got n={n}")
+    _require_cap(f"{op} n", n, GRAM_EXACT_CAP, "its float32 product is exact only up to the cap")
 
 
 def _product(a: np.ndarray, b: np.ndarray | None = None, out=None) -> np.ndarray:
@@ -531,8 +531,8 @@ def load_graph(text: str, max_n: int | None = None) -> Graph:
                 raise GraphParseError(f"line {lineno}: bad vertex count {parts[1]!r}")
             if n < 0:
                 raise GraphParseError(f"line {lineno}: negative vertex count")
-            if max_n is not None and n > max_n:
-                raise CapacityError(f"graph declares n={n}, above the cap {max_n}")
+            if max_n is not None:
+                _require_cap("graph header n", n, max_n)
             continue
         if len(parts) != 2:
             raise GraphParseError(f"line {lineno}: expected 'u v', got {line!r}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError, RamspectError
+from .errors import ParameterError, RamspectError, _require_cap
 from .graph_core import Graph
 
 PHI_EXACT_CAP = 30
@@ -52,15 +52,12 @@ class SizeSpectrum:
             raise ParameterError(f"size {self.sizes[-1]} exceeds C({self.n},2)={top}")
 
 
-def _require_cap(n: int, cap: int, op: str, per_s: float = EXACT_SUBSETS_PER_S):
-    if n > cap:
-        # 2^n / per_s as mantissa and decimal exponent, without building 2^n
-        exp10 = n * math.log10(2) - math.log10(per_s)
-        whole = math.floor(exp10)
-        raise CapacityError(
-            f"{op} is exact over all 2^n subsets and is capped at n={cap}; "
-            f"n={n} would take ~2^{n} steps (~{10 ** (exp10 - whole):.1f}e{whole} s)"
-        )
+def _require_order(op: str, n: int, cap: int, per_s: float) -> None:
+    # 2^n / per_s as mantissa and decimal exponent, without building 2^n
+    exp10 = n * math.log10(2) - math.log10(per_s)
+    whole = math.floor(exp10)
+    _require_cap(f"{op} n", n, cap, f"its walk over all 2^{n} subsets would take "
+                 f"~{10 ** (exp10 - whole):.1f}e{whole} s")
 
 
 def _block_sums(nbrs: list, weights: list) -> np.ndarray:
@@ -137,27 +134,27 @@ def _seen_table(g: Graph, stride: int) -> np.ndarray:
 
 def phi_exact(g: Graph) -> SizeSpectrum:
     """The full spectrum {e(H) : H induced subgraph of g}, computed exactly."""
-    _require_cap(g.n, PHI_EXACT_CAP, "phi_exact")
+    _require_order("phi_exact", g.n, PHI_EXACT_CAP, EXACT_SUBSETS_PER_S)
     return SizeSpectrum(g.n, tuple(np.flatnonzero(_seen_table(g, 0)).tolist()))
 
 
-def phi_naive(g: Graph, cap: int = PHI_NAIVE_CAP) -> SizeSpectrum:
+def phi_naive(g: Graph) -> SizeSpectrum:
     """Reference oracle: the size projection of psi_naive."""
-    _require_cap(g.n, cap, "phi_naive", NAIVE_SUBSETS_PER_S)
-    return SizeSpectrum(g.n, tuple(sorted({e for _, e in psi_naive(g, cap)})))
+    _require_order("phi_naive", g.n, PHI_NAIVE_CAP, NAIVE_SUBSETS_PER_S)
+    return SizeSpectrum(g.n, tuple(sorted({e for _, e in psi_naive(g)})))
 
 
 def psi_exact(g: Graph) -> tuple:
     """All achievable (order, size) pairs over induced subgraphs, sorted."""
-    _require_cap(g.n, PHI_EXACT_CAP, "psi_exact")
+    _require_order("psi_exact", g.n, PHI_EXACT_CAP, EXACT_SUBSETS_PER_S)
     stride = g.n * (g.n - 1) // 2 + 1
     flat = np.flatnonzero(_seen_table(g, stride)).tolist()
     return tuple(divmod(i, stride) for i in flat)
 
 
-def psi_naive(g: Graph, cap: int = PHI_NAIVE_CAP) -> tuple:
+def psi_naive(g: Graph) -> tuple:
     """Reference oracle: recounts the edges of every subset from scratch."""
-    _require_cap(g.n, cap, "psi_naive", NAIVE_SUBSETS_PER_S)
+    _require_order("psi_naive", g.n, PHI_NAIVE_CAP, NAIVE_SUBSETS_PER_S)
     adj = g.adj
     seen = set()
     bc = int.bit_count

@@ -49,7 +49,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import CapacityError, ContractViolation, ParameterError, _require
+from .errors import ContractViolation, ParameterError, _require, _require_cap
 from .graph_core import (Graph, bit_matrix, induced_subgraph, iter_bits, mask_from_bools,
                          mask_of, neighbor_counts, pack_rows, popcount)
 from .seeding import stream
@@ -202,14 +202,6 @@ def _candidate_sets(g: Graph, delta: float, budget: int, seed: int):
                         prefixes(), random_sets()), budget)
 
 
-def check_exhaustive_cap(n: int) -> None:
-    """CapacityError when an exhaustive richness audit of n vertices is too large."""
-    if n > RICHNESS_EXHAUSTIVE_CAP:
-        raise CapacityError(
-            f"exhaustive richness enumerates 2^n candidate sets; capped at "
-            f"n={RICHNESS_EXHAUSTIVE_CAP}, got n={n}")
-
-
 def richness_audit(g: Graph, params: AuditParams, exhaustive: bool = False) -> RichnessVerdict:
     """Search for a witness against (delta, eps)-richness.
 
@@ -219,7 +211,8 @@ def richness_audit(g: Graph, params: AuditParams, exhaustive: bool = False) -> R
     """
     n = g.n
     if exhaustive:
-        check_exhaustive_cap(n)
+        _require_cap("exhaustive richness n", n, RICHNESS_EXHAUSTIVE_CAP,
+                     "it enumerates all 2^n candidate sets")
         wmin = math.ceil(params.delta * n)
         candidates = (w for w in range(1 << n) if w.bit_count() >= wmin)
     else:

@@ -42,6 +42,7 @@ ERRORS = "src/ramspect/errors.py"
 SEEDING = "src/ramspect/seeding.py"
 RULES = ("test_param_rules.py",)
 ORACLE = "src/ramspect/spectrum_oracle.py"
+CLI = "src/ramspect/cli.py"
 WALK = ("test_spectrum_oracle.py",)
 
 MUTANTS = (
@@ -61,9 +62,9 @@ MUTANTS = (
            "if not v >= 0:", "if not v > 0:", RULES),
     Mutant("non-negative: NaN let through", ERRORS,
            "if not v >= 0:", "if v < 0:", RULES),
-    Mutant("cli: --seed left unchecked", "src/ramspect/cli.py",
+    Mutant("cli: --seed left unchecked", CLI,
            '{"seed": ns.seed,', "{", ("test_cli.py",)),
-    Mutant("cli: --graph-seed left unchecked", "src/ramspect/cli.py",
+    Mutant("cli: --graph-seed left unchecked", CLI,
            '"graph_seed": getattr(ns, "graph_seed", None)', '"graph_seed": None',
            ("test_cli.py",)),
     Mutant("bucket width: check dropped", "src/ramspect/ramsey_construct.py",
@@ -125,8 +126,13 @@ MUTANTS = (
            "if t >> j & 1:", "if not t >> j & 1:", WALK),
     Mutant("walk: range starts at base + 1", ORACLE,
            "marks.find(0, base, end)", "marks.find(0, base + 1, end)", WALK),
-    Mutant("cli: --cap above the oracle cap let through", "src/ramspect/cli.py",
+    Mutant("cli: --cap above the oracle cap let through", CLI,
            '_require_cap("--cap", ns.cap, so.PHI_EXACT_CAP)', "pass", ("test_cli.py",)),
+    Mutant("cli: a negative --cap let through", CLI,
+           '"cap": getattr(ns, "cap", None)', '"cap": None', ("test_cli.py",)),
+    # the capacity rule of errors._require_cap
+    Mutant("cap: > flipped to >=", ERRORS, "if value > cap:", "if value >= cap:", RULES),
+    Mutant("cap: check dropped", ERRORS, "if value > cap:", "if False:", RULES),
 )
 
 

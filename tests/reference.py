@@ -20,7 +20,7 @@ import random
 import numpy as np
 
 from ramspect import structure_audit as sa
-from ramspect.errors import CapacityError, ParameterError, RamspectError
+from ramspect.errors import ParameterError, RamspectError, _require_cap
 from ramspect.graph_core import (Graph, complement_gap_at_least, count_edges, iter_bits,
                                  mask_of, pack_rows, popcount, symdiff_size, unit_degree)
 
@@ -199,7 +199,7 @@ def richness_audit_loop(g: Graph, params, exhaustive: bool = False):
     stopping at the first W with more than n^delta bad vertices."""
     n = g.n
     if exhaustive:
-        sa.check_exhaustive_cap(n)
+        _require_cap("exhaustive richness n", n, sa.RICHNESS_EXHAUSTIVE_CAP)
         wmin = math.ceil(params.delta * n)
         candidates = (w for w in range(1 << n) if w.bit_count() >= wmin)
     else:
@@ -372,11 +372,8 @@ def _max_clique(adj: list[int], n: int) -> int:
 
 def homogeneous_number(g: Graph) -> tuple[int, int]:
     """Exact (clique number, independence number).  Refuses n > HOMOGENEOUS_CAP."""
-    if g.n > HOMOGENEOUS_CAP:
-        raise CapacityError(
-            f"exact homogeneous search capped at n={HOMOGENEOUS_CAP}; "
-            f"n={g.n} would branch over subsets of up to 2^{g.n} candidates"
-        )
+    _require_cap("exact homogeneous search n", g.n, HOMOGENEOUS_CAP,
+                 f"it would branch over subsets of up to 2^{g.n} candidates")
     if g.n == 0:
         return 0, 0
     omega = _max_clique(list(g.adj), g.n)

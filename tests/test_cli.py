@@ -247,9 +247,8 @@ def test_exhaustive_audit_is_refused_before_the_pair_pass(capsys, monkeypatch):
     code, _, err = run(capsys, "audit", "--gen", "gnp", "--n",
                        str(sa.RICHNESS_EXHAUSTIVE_CAP + 1), "--exhaustive")
     assert code == 2
-    assert err == ("capacity: exhaustive richness enumerates 2^n candidate sets; "
-                   f"capped at n={sa.RICHNESS_EXHAUSTIVE_CAP}, "
-                   f"got n={sa.RICHNESS_EXHAUSTIVE_CAP + 1}\n")
+    assert err == (f"capacity: --n {sa.RICHNESS_EXHAUSTIVE_CAP + 1} "
+                   f"is above the cap {sa.RICHNESS_EXHAUSTIVE_CAP}\n")
 
 
 def test_exhaustive_audit_of_a_generated_graph_is_refused_before_generation(
@@ -263,8 +262,7 @@ def test_exhaustive_audit_of_a_generated_graph_is_refused_before_generation(
     monkeypatch.setattr(gc, "generate", refuse)
     code, _, err = run(capsys, "audit", "--gen", "gnp", "--n", "4096", "--exhaustive")
     assert code == 2
-    assert err == ("capacity: exhaustive richness enumerates 2^n candidate sets; "
-                   f"capped at n={sa.RICHNESS_EXHAUSTIVE_CAP}, got n=4096\n")
+    assert err == f"capacity: --n 4096 is above the cap {sa.RICHNESS_EXHAUSTIVE_CAP}\n"
 
 
 @pytest.mark.parametrize("cmd", ["phi", "psi"])
@@ -282,6 +280,34 @@ def test_cap_above_the_oracle_cap_is_refused_before_generation(cmd, capsys, monk
     code, out, err = run(capsys, cmd, "--gen", "empty", "--n", str(cap), "--cap", str(cap))
     assert (code, out) == (2, "")
     assert err == f"capacity: --cap {cap} is above the cap {so.PHI_EXACT_CAP}\n"
+
+
+@pytest.mark.parametrize("cmd", ["phi", "psi"])
+def test_a_negative_cap_is_a_parameter_error(cmd, capsys):
+    # a cap below 0 refuses every graph, the empty one too, so it is refused
+    # as a parameter with the seeds; a cap of 0 still admits n = 0
+    argv = [cmd, "--gen", "gnp", "--n", "0", "--cap"]
+    assert run(capsys, *argv, "-1") == (1, "", "error: cap must be non-negative, got -1\n")
+    code, out, err = run(capsys, *argv, "0")
+    assert (code, err) == (0, "") and out.endswith(" max=0\n")
+
+
+def test_exhaustive_audit_of_a_graph_file_is_refused_at_its_header(
+        tmp_path, capsys, monkeypatch):
+    from ramspect import graph_core as gc
+    from ramspect import structure_audit as sa
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the rows of a graph that the exhaustive cap refuses")
+
+    monkeypatch.setattr(gc, "from_edges", refuse)
+    n = sa.RICHNESS_EXHAUSTIVE_CAP + 1
+    f = tmp_path / "big.graph"
+    f.write_text(f"n {n}\n0 1\n")
+    code, out, err = run(capsys, "audit", "--graph", str(f), "--exhaustive")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"capacity: graph header n {n} is above the cap {sa.RICHNESS_EXHAUSTIVE_CAP}"]
 
 
 def test_main_carries_no_value_from_one_call_into_the_next(tmp_path, capsys):

@@ -2,8 +2,9 @@
 exit code (0/1/2/3) with at most one stderr message line and no traceback.
 
 Every graph a case can build has n <= 40, or is refused before it is
-allocated: above --cap for phi/psi (a --cap above the oracles' own cap is
-refused first), above VERTEX_CAP for the rest (paley's q^2 loop at a prime
+allocated: above --cap for phi/psi (a --cap above the oracles' own cap, or
+below 0, is refused first), above RICHNESS_EXHAUSTIVE_CAP for audit
+--exhaustive, above VERTEX_CAP for the rest (paley's q^2 loop at a prime
 near the cap would run for hours).
 """
 import contextlib
@@ -73,7 +74,7 @@ OVERRIDES = st.sampled_from([
 PIPELINE = {**GRAPH_SOURCE, "--set": OVERRIDES, **SEED_OUT}
 # phi/psi get small n only: the exact oracles are exponential in n
 SPECTRUM = {**GRAPH_SOURCE, "--n": values("0", "1", "5", "13", HUGE),
-            "--cap": values("8", "30", "31", HUGE), **SEED_OUT}
+            "--cap": values("-1", "0", "8", "30", "31", HUGE), **SEED_OUT}
 # a diagnostics file in a missing directory cannot be written: exit 1, not 3
 DIAG = st.sampled_from(["diag.json", "missing_dir/diag.json"])
 N_LISTS = st.sampled_from(["8,16,32", "10,20,40", "4,40", ",", "x", "-4,8,16",

@@ -354,7 +354,7 @@ def test_product_kernels_refuse_graphs_beyond_float32_exactness(monkeypatch, ker
     call, want = PRODUCT_KERNELS[kernel]
     g = gc.generate("gnp", n=40, p=0.5, seed=1)
     monkeypatch.setattr(gc, "GRAM_EXACT_CAP", 39)
-    with pytest.raises(CapacityError, match=f"^{kernel} is exact in float32 up to n=39"):
+    with pytest.raises(CapacityError, match=f"^{kernel} n 40 is above the cap 39; "):
         call(g)
     monkeypatch.setattr(gc, "GRAM_EXACT_CAP", 40)
     assert call(g) == want(g)

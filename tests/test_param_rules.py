@@ -1,6 +1,8 @@
 """The parameter rules of errors._require over every field and argument that
-states one: which values each rule refuses, and in what words."""
+states one: which values each rule refuses, and in what words.  Likewise the
+capacity rule errors._require_cap at every cap the package checks."""
 import math
+import re
 import sys
 
 import pytest
@@ -10,8 +12,9 @@ from ramspect import graph_core as gc
 from ramspect import ramsey_construct as rc
 from ramspect import structure_audit as sa
 from ramspect import seeding
+from ramspect import spectrum_oracle as so
 from ramspect.double_exposure import ExposureParams, expose
-from ramspect.errors import ParameterError
+from ramspect.errors import CapacityError, ParameterError, _require_cap
 
 VALUES = {"0": 0, "1": 1, "-1": -1, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
           "maxsize": sys.maxsize, "maxsize+1": sys.maxsize + 1}
@@ -102,3 +105,45 @@ def test_a_seed_must_be_non_negative():
             with pytest.raises(ParameterError) as exc:
                 call(seed)
             assert str(exc.value) == f"seed must be non-negative, got {seed}", name
+
+
+def test_the_cap_rule_admits_its_cap_and_words_one_message():
+    _require_cap("n", 14, 14)
+    for why, tail in (("", ""), ("it enumerates 2^n sets", "; it enumerates 2^n sets")):
+        with pytest.raises(CapacityError) as exc:
+            _require_cap("n", 15, 14, why)
+        assert str(exc.value) == "n 15 is above the cap 14" + tail
+
+
+CAP = 6
+# each cap the package checks: the module constant that holds it (lowered to
+# CAP here; load_graph takes its cap as max_n), a call at vertex count or
+# weight v, and the subject of the refusal
+CAP_SITES = {
+    "load_graph": (None, lambda v: gc.load_graph(f"n {v}\n", max_n=CAP), "graph header n"),
+    "count_edges_many": ((gc, "GRAM_EXACT_CAP"),
+                         lambda v: gc.count_edges_many(gc.generate("empty", n=v), [0]),
+                         "count_edges_many n"),
+    "richness_audit": ((sa, "RICHNESS_EXHAUSTIVE_CAP"),
+                       lambda v: sa.richness_audit(gc.generate("empty", n=v), sa.AuditParams(),
+                                                   exhaustive=True),
+                       "exhaustive richness n"),
+    "phi_exact": ((so, "PHI_EXACT_CAP"), lambda v: so.phi_exact(gc.generate("empty", n=v)),
+                  "phi_exact n"),
+    "psi_naive": ((so, "PHI_NAIVE_CAP"), lambda v: so.psi_naive(gc.generate("empty", n=v)),
+                  "psi_naive n"),
+    "lo_exact_distribution": ((ac, "EXACT_WEIGHT_CAP"),
+                              lambda v: ac.lo_exact_distribution(ac.LOInstance((1,) * v)),
+                              "exact pmf weight"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(CAP_SITES))
+def test_each_cap_admits_its_value_and_refuses_the_next_in_one_format(site, monkeypatch):
+    const, call, what = CAP_SITES[site]
+    if const:
+        monkeypatch.setattr(*const, CAP)
+    call(CAP)
+    with pytest.raises(CapacityError) as exc:
+        call(CAP + 1)
+    assert re.fullmatch(f"{what} {CAP + 1} is above the cap {CAP}(; .+)?", str(exc.value))

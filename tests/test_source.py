@@ -181,6 +181,27 @@ def test_the_parameter_rules_live_in_errors_require():
     assert _inside(ast.parse((SRC / "errors.py").read_text()), "_require")
 
 
+def test_every_capacity_refusal_is_errors_require_cap():
+    # the cap test value > cap and its message are stated once, in
+    # errors._require_cap: a CapacityError raised or a cap message worded
+    # anywhere else states them a second time
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        helper = _inside(tree, "_require_cap") if path.name == "errors.py" else set()
+        for node in ast.walk(tree):
+            if id(node) in helper:
+                continue
+            if isinstance(node, ast.Call) and "CapacityError" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append(f"{path.name}:{node.lineno}: CapacityError(")
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and "above the cap" in node.value:
+                found.append(f"{path.name}:{node.lineno}: {node.value.strip()!r}")
+    assert not found, found
+    assert _inside(ast.parse((SRC / "errors.py").read_text()), "_require_cap")
+
+
 def test_every_mutant_edits_text_that_occurs_once():
     # tests/mutants.py applies each edit by text, so code that moves must
     # take the table along
