@@ -227,11 +227,8 @@ def cmd_generate(ns) -> int:
 
 def cmd_spectrum(ns) -> int:
     """phi lists the edge counts, psi the order:size pairs."""
-    # --cap may only lower the oracles' ceiling: above it the kernel's
-    # vectors of 2^(n/2 + 1) entries outgrow memory long before the walk ends
-    _require_cap("--cap", ns.cap, so.PHI_EXACT_CAP)
-    g, gsrc = _build_graph(ns, ns.cap)
-    cfg = {"graph": gsrc, "cap": ns.cap}
+    g, gsrc = _build_graph(ns, so.PHI_EXACT_CAP)
+    cfg = {"graph": gsrc}
     if ns.cmd == "phi":
         sizes = so.phi_exact(g).sizes
         cells = [str(s) for s in sizes]
@@ -383,8 +380,6 @@ _FLAGS = {
     "--n": dict(type=int, help="vertex count (prime q for paley)"),
     "--p": dict(type=float, default=0.5, help="gnp edge probability; for lo, Pr(xi_i = 1)"),
     "--graph-seed": dict(type=int, default=0, help="generator seed"),
-    "--cap": dict(type=int, default=so.PHI_EXACT_CAP,
-                  help="refuse graphs larger than this (at most the default)"),
     "--exhaustive": dict(action="store_true",
                          help="decide richness exhaustively (small n only)"),
     "--model": dict(default="ones", choices=ac.COEFF_MODELS),
@@ -410,9 +405,9 @@ _COMMANDS = {
     "generate": (cmd_generate, "write a graph file",
                  ("--gen!", "--n!", "--p", "--seed", "--out")),
     "phi": (cmd_spectrum, "exact phi spectrum of a small graph",
-            (*_GRAPH, "--cap", "--seed", "--out")),
+            (*_GRAPH, "--seed", "--out")),
     "psi": (cmd_spectrum, "exact psi spectrum of a small graph",
-            (*_GRAPH, "--cap", "--seed", "--out")),
+            (*_GRAPH, "--seed", "--out")),
     "audit": (cmd_audit, "density/diversity/richness report (JSON)",
               (*_GRAPH, "--set", "--exhaustive", "--seed", "--out")),
     "lo": (cmd_lo, "anticoncentration max point mass (CSV)",
@@ -466,12 +461,10 @@ def main(argv=None) -> int:
         return 1
     try:
         try:
-            # every command takes --seed, every graph command --graph-seed and
-            # phi/psi --cap; a negative one is refused here, before any graph
-            # is built
+            # every command takes --seed and every graph command --graph-seed;
+            # a negative one is refused here, before any graph is built
             _require("non-negative", {"seed": ns.seed,
-                                      "graph_seed": getattr(ns, "graph_seed", None),
-                                      "cap": getattr(ns, "cap", None)})
+                                      "graph_seed": getattr(ns, "graph_seed", None)})
             return ns.func(ns)
         except ConstructionFailure as exc:
             # a diagnostics path that cannot be written is an io error below

@@ -126,10 +126,9 @@ MUTANTS = (
            "if t >> j & 1:", "if not t >> j & 1:", WALK),
     Mutant("walk: range starts at base + 1", ORACLE,
            "marks.find(0, base, end)", "marks.find(0, base + 1, end)", WALK),
-    Mutant("cli: --cap above the oracle cap let through", CLI,
-           '_require_cap("--cap", ns.cap, so.PHI_EXACT_CAP)', "pass", ("test_cli.py",)),
-    Mutant("cli: a negative --cap let through", CLI,
-           '"cap": getattr(ns, "cap", None)', '"cap": None', ("test_cli.py",)),
+    Mutant("cli: phi/psi take the vertex cap", CLI,
+           "_build_graph(ns, so.PHI_EXACT_CAP)", "_build_graph(ns, VERTEX_CAP)",
+           ("test_cli.py",)),
     # the capacity rule of errors._require_cap
     Mutant("cap: > flipped to >=", ERRORS, "if value > cap:", "if value >= cap:", RULES),
     Mutant("cap: check dropped", ERRORS, "if value > cap:", "if False:", RULES),

@@ -266,30 +266,25 @@ def test_exhaustive_audit_of_a_generated_graph_is_refused_before_generation(
 
 
 @pytest.mark.parametrize("cmd", ["phi", "psi"])
-def test_cap_above_the_oracle_cap_is_refused_before_generation(cmd, capsys, monkeypatch):
-    # --cap may only lower the ceiling: a larger one would let the kernel
-    # allocate vectors of 2^(n/2 + 1) entries until the process is killed
+def test_spectrum_above_the_oracle_cap_is_refused_before_any_graph_is_built(
+        cmd, tmp_path, capsys, monkeypatch):
+    # above PHI_EXACT_CAP the kernel's vectors of 2^(n/2 + 1) entries outgrow
+    # memory long before the walk ends, so neither source may build the rows
     from ramspect import graph_core as gc
     from ramspect import spectrum_oracle as so
 
     def refuse(*args, **kwargs):
-        raise AssertionError("built a graph under a --cap above the oracle cap")
+        raise AssertionError("built a graph that the oracle cap refuses")
 
     monkeypatch.setattr(gc, "generate", refuse)
-    cap = so.PHI_EXACT_CAP + 1
-    code, out, err = run(capsys, cmd, "--gen", "empty", "--n", str(cap), "--cap", str(cap))
-    assert (code, out) == (2, "")
-    assert err == f"capacity: --cap {cap} is above the cap {so.PHI_EXACT_CAP}\n"
-
-
-@pytest.mark.parametrize("cmd", ["phi", "psi"])
-def test_a_negative_cap_is_a_parameter_error(cmd, capsys):
-    # a cap below 0 refuses every graph, the empty one too, so it is refused
-    # as a parameter with the seeds; a cap of 0 still admits n = 0
-    argv = [cmd, "--gen", "gnp", "--n", "0", "--cap"]
-    assert run(capsys, *argv, "-1") == (1, "", "error: cap must be non-negative, got -1\n")
-    code, out, err = run(capsys, *argv, "0")
-    assert (code, err) == (0, "") and out.endswith(" max=0\n")
+    monkeypatch.setattr(gc, "from_edges", refuse)
+    n, cap = so.PHI_EXACT_CAP + 1, so.PHI_EXACT_CAP
+    f = tmp_path / "big.graph"
+    f.write_text(f"n {n}\n0 1\n")
+    assert run(capsys, cmd, "--gen", "empty", "--n", str(n)) == (
+        2, "", f"capacity: --n {n} is above the cap {cap}\n")
+    assert run(capsys, cmd, "--graph", str(f)) == (
+        2, "", f"capacity: graph header n {n} is above the cap {cap}\n")
 
 
 def test_exhaustive_audit_of_a_graph_file_is_refused_at_its_header(
