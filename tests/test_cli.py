@@ -165,8 +165,8 @@ SEED_OUT = ["--seed:int=0", "--out"]
 SURFACE = {
     "generate": ["--gen!{gnp|paley|complete|empty}", "--n!:int", "--p:float=0.5",
                  *SEED_OUT],
-    "phi": [*GRAPH_FLAGS, "--cap:int=30", *SEED_OUT],
-    "psi": [*GRAPH_FLAGS, "--cap:int=30", *SEED_OUT],
+    "phi": [*GRAPH_FLAGS, *SEED_OUT],
+    "psi": [*GRAPH_FLAGS, *SEED_OUT],
     "audit": [*GRAPH_FLAGS, "--set _AppendAction",
               "--exhaustive=False _StoreTrueAction", *SEED_OUT],
     "lo": ["--model{ones|u3|u10}='ones'", "--n-list!:_int_list", "--p:float=0.5",
