@@ -489,14 +489,11 @@ def generate(model: str, *, n: int | None = None, p: float = 0.5,
         residues = 0
         for x in range(1, q):
             residues |= 1 << (x * x % q)
-        rows = []
-        for u in range(q):
-            row = 0
-            for v in range(q):
-                if v != u and (residues >> ((u - v) % q)) & 1:
-                    row |= 1 << v
-            rows.append(row)
-        return Graph(q, rows, _checked=True)
+        # -1 is a residue mod q, so v ~ u iff v - u is one: row u is the
+        # residue row rotated left by u within q bits
+        full = (1 << q) - 1
+        return Graph(q, (((residues << u) | (residues >> (q - u))) & full
+                         for u in range(q)), _checked=True)
     if n is None or n < 0:
         raise ParameterError(f"{model} requires n >= 0")
     if model == "gnp":

@@ -103,6 +103,9 @@ MUTANTS = (
     Mutant("bad sides: ties go to the dense side", "src/ramspect/structure_audit.py",
            "sparse = k < thr\n", "sparse = (k < thr) & (wsize - k - bit_matrix([wmask], n)[0]"
            " >= thr)\n", ("test_structure_audit.py",)),
+    Mutant("paley: rows rotated by u + 1", "src/ramspect/graph_core.py",
+           "(residues << u) | (residues >> (q - u))",
+           "(residues << u + 1) | (residues >> (q - u - 1))", ("test_graph_core.py",)),
     Mutant("prefix_words: a threshold below 0 read as it is", "src/ramspect/graph_core.py",
            "math.ceil(2 * max(thr, 0) / 64) + 1", "math.ceil(2 * thr / 64) + 1",
            ("test_graph_core.py",)),

@@ -1,13 +1,13 @@
 """Test-only references: exact homogeneous numbers, graph complement, edge
 lookup, the K_n closed form, the spectrum oracle's block walk marking at
-every step, pmf point lookup, Bernoulli draws one
-random() call at a time, the pair-by-pair G(n, p) loop, the all-pairs
-degree-sum bucket, pair-by-pair conflict greedy, event-(4) scan and S/T/X
-split of the scaffold construction, the richness audit one candidate at a
-time, its candidate family as one generator with a shared budget counter,
-the extraction's split of a witness and its keep rule as int-row loops,
-the audit's two pair counts as separate passes, and the exposure's
-adjusted degrees recounted per unit and cell.
+every step, pmf point lookup, Bernoulli draws one random() call at a time,
+the pair-by-pair G(n, p) and Paley loops, the all-pairs degree-sum bucket,
+pair-by-pair conflict greedy, event-(4) scan and S/T/X split of the scaffold
+construction, the richness audit one candidate at a time, its candidate
+family as one generator with a shared budget counter, the extraction's split
+of a witness and its keep rule as int-row loops, the audit's two pair counts
+as separate passes, and the exposure's adjusted degrees recounted per unit
+and cell.
 
 Nothing in the package or the benchmark calls these; the tests use them to
 check the package's results against independent computations.
@@ -101,6 +101,18 @@ def gnp_loop(n: int, p: float, seed: int) -> Graph:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
     return Graph(n, rows, _checked=True)
+
+
+def paley_loop(q: int) -> Graph:
+    """The Paley graph on Z_q, one pair at a time: v ~ u iff u - v is a
+    nonzero square mod q."""
+    residues = {x * x % q for x in range(1, q)}
+    rows = [0] * q
+    for u in range(q):
+        for v in range(q):
+            if v != u and (u - v) % q in residues:
+                rows[u] |= 1 << v
+    return Graph(q, rows, _checked=True)
 
 
 # ── scaffold construction ────────────────────────────────────────────────

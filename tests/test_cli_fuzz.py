@@ -3,8 +3,8 @@ exit code (0/1/2/3) with at most one stderr message line and no traceback.
 
 Every graph a case can build has n <= 40, or is refused before it is
 allocated: above PHI_EXACT_CAP for phi/psi, above RICHNESS_EXHAUSTIVE_CAP
-for audit --exhaustive, above VERTEX_CAP for the rest (paley's q^2 loop at a
-prime near the cap would run for hours).
+for audit --exhaustive, above VERTEX_CAP for the rest (a graph near that cap
+holds about 2^32 adjacency bits, half a gigabyte).
 """
 import contextlib
 import io

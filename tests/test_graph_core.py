@@ -15,7 +15,7 @@ from ramspect.errors import (CapacityError, ContractViolation, GraphParseError,
                              ParameterError)
 from ramspect.seeding import bernoulli
 from reference import (bernoulli_loop, complement, gnp_loop, has_edge, homogeneous_number,
-                       is_c_ramsey)
+                       is_c_ramsey, paley_loop)
 
 
 def brute_count_edges(g, avs, bvs=None):
@@ -454,6 +454,12 @@ def test_generate_paley_13():
     assert sorted(gc.iter_bits(g.adj[0])) == [1, 3, 4, 9, 10, 12]
     # self-complementary: isomorphic degree/edge profile
     assert complement(g).edge_count() == 39
+
+
+def test_paley_rows_by_rotation_match_the_pair_loop():
+    primes = [q for q in range(5, 400, 4) if all(q % d for d in range(2, q))]
+    for q in primes:
+        assert gc.generate("paley", q=q).adj == paley_loop(q).adj, q
 
 
 def test_generate_paley_rejects_bad_modulus():
