@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ContractViolation, ParameterError, _require, _require_cap
 from .seeding import np_stream
 
-EXACT_WEIGHT_CAP = 10**6  # cap on sum |a_i| for the dense DP
+EXACT_WEIGHT_CAP = 10**6  # cap on sum |a_i| for the live-window DP
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,10 @@ MUTANTS = (
     Mutant("prefix_words: a threshold below 0 read as it is", "src/ramspect/graph_core.py",
            "math.ceil(2 * max(thr, 0) / 64) + 1", "math.ceil(2 * thr / 64) + 1",
            ("test_graph_core.py",)),
+    Mutant("check4: a step of exactly M*rt not counted", "src/ramspect/double_exposure.py",
+           "if dl >= big)", "if dl > big)", ("test_double_exposure.py",)),
+    Mutant("check4: a falling step counted as negative", "src/ramspect/double_exposure.py",
+           "(abs(b - a) for a, b in", "((b - a) for a, b in", ("test_double_exposure.py",)),
     Mutant("theorem keep: >= for >", "src/ramspect/double_exposure.py",
            "min(out.distinct_sizes) > last_max", "min(out.distinct_sizes) >= last_max",
            ("test_double_exposure.py",)),
