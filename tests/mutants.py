@@ -103,16 +103,9 @@ MUTANTS = (
     Mutant("bad sides: ties go to the dense side", "src/ramspect/structure_audit.py",
            "sparse = k < thr\n", "sparse = (k < thr) & (wsize - k - bit_matrix([wmask], n)[0]"
            " >= thr)\n", ("test_structure_audit.py",)),
-    Mutant("paley: rows rotated by u + 1", "src/ramspect/graph_core.py",
-           "(residues << u) | (residues >> (q - u))",
-           "(residues << u + 1) | (residues >> (q - u - 1))", ("test_graph_core.py",)),
     Mutant("prefix_words: a threshold below 0 read as it is", "src/ramspect/graph_core.py",
            "math.ceil(2 * max(thr, 0) / 64) + 1", "math.ceil(2 * thr / 64) + 1",
            ("test_graph_core.py",)),
-    Mutant("check4: a step of exactly M*rt not counted", "src/ramspect/double_exposure.py",
-           "if dl >= big)", "if dl > big)", ("test_double_exposure.py",)),
-    Mutant("check4: a falling step counted as negative", "src/ramspect/double_exposure.py",
-           "(abs(b - a) for a, b in", "((b - a) for a, b in", ("test_double_exposure.py",)),
     Mutant("theorem keep: >= for >", "src/ramspect/double_exposure.py",
            "min(out.distinct_sizes) > last_max", "min(out.distinct_sizes) >= last_max",
            ("test_double_exposure.py",)),
@@ -133,9 +126,18 @@ MUTANTS = (
            "if t >> j & 1:", "if not t >> j & 1:", WALK),
     Mutant("walk: range starts at base + 1", ORACLE,
            "marks.find(0, base, end)", "marks.find(0, base + 1, end)", WALK),
+    # phi/psi's one ceiling, the oracle cap
     Mutant("cli: phi/psi take the vertex cap", CLI,
            "_build_graph(ns, so.PHI_EXACT_CAP)", "_build_graph(ns, VERTEX_CAP)",
            ("test_cli.py",)),
+    # the Paley rows by rotation, and check (4) of per_k_checks
+    Mutant("paley: rows rotated by u + 1", "src/ramspect/graph_core.py",
+           "(residues << u) | (residues >> (q - u))",
+           "(residues << u + 1) | (residues >> (q - u - 1))", ("test_graph_core.py",)),
+    Mutant("check4: a step of exactly M*rt not counted", "src/ramspect/double_exposure.py",
+           "if dl >= big)", "if dl > big)", ("test_double_exposure.py",)),
+    Mutant("check4: a falling step counted as negative", "src/ramspect/double_exposure.py",
+           "(abs(b - a) for a, b in", "((b - a) for a, b in", ("test_double_exposure.py",)),
     # the capacity rule of errors._require_cap
     Mutant("cap: > flipped to >=", ERRORS, "if value > cap:", "if value >= cap:", RULES),
     Mutant("cap: check dropped", ERRORS, "if value > cap:", "if False:", RULES),
