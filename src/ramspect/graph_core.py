@@ -187,8 +187,8 @@ def prefix_words(thr: float, words: int) -> int:
 def complement_gap_at_least(rows: np.ndarray, a: np.ndarray, b: np.ndarray, n: int,
                             thr: float) -> np.ndarray:
     """Bool array: |N(a) symdiff N_bar(b)| >= thr for each pair of vertex
-    indices a[i], b[i] (int64 arrays), over the packed adjacency rows of an
-    n-vertex graph.
+    indices a[i], b[i] (integer arrays), over the packed adjacency rows of
+    an n-vertex graph.
 
     N_bar(b) is V minus N(b) minus b, so the symmetric difference is V minus
     N(a) symdiff N(b) with b's bit flipped; that bit is set iff ab is an
@@ -211,7 +211,9 @@ def complement_gap_at_least(rows: np.ndarray, a: np.ndarray, b: np.ndarray, n: i
     thr = np.float64(thr)
     keep = np.empty(len(a), dtype=bool)
     for s in range(0, len(a), GAP_CHUNK):
-        ca, cb = a[s:s + GAP_CHUNK], b[s:s + GAP_CHUNK]
+        # intp once per chunk: np.take would convert narrower indices per
+        # call, and the flat word offsets below must not wrap in int32
+        ca, cb = (np.asarray(x[s:s + GAP_CHUNK], dtype=np.intp) for x in (a, b))
         pc = _xor_popcount(prefix, ca, cb)
         part = seen - 1 - pc >= thr
         rest = np.flatnonzero(~part)

@@ -15,22 +15,23 @@ in a conflict graph, Turan bound checked); then repeatedly sample U0 with
 per-vertex probability p = sqrt(4m/e(G)) until five concentration events
 hold, and read S, T, X off the degree order, keeping one unit per degree.
 
-The bucket travels as a (k, 2) int64 array of vertex pairs.  The pair
-stages run on numpy.  The bucket sizes come from the degree histogram
-convolved with itself, so only the fullest bucket's pairs are listed, read
-off a bool mask per block of rows.  The close-complement filter is
-graph_core.complement_gap_at_least on packed uint64 rows, which settles
-most pairs from a prefix of their words, and the star degrees are one
-np.bincount.  The unit-pair stages, the conflict graph and event (4)
-of U0 sampling, read all gaps off graph_core.pair_gaps matrices (float32
-Gram products, exact for integer counts) and compare them with their float
-thresholds in float64.  The conflict graph is screened on a prefix of the
-columns first, as the close-complement filter is: a gap over the prefix
-is at most the whole gap, so only the units in a pair whose prefix gap
-falls below the threshold are recounted over whole rows.  Every decision is
-thus an exact integer
-comparison, so the results equal those of the int-row loops the tests keep
-as references.
+The bucket travels as one C-contiguous (2, k) int32 array of vertex
+pairs, first vertices in row 0 and second ones in row 1, so every pair
+stage reads whole contiguous rows.  The pair stages run on numpy.  The
+bucket sizes come from the degree histogram convolved with itself, so only
+the fullest bucket's pairs are listed, read off a bool mask per block of
+rows.  The close-complement filter is graph_core.complement_gap_at_least
+on packed uint64 rows, which settles most pairs from a prefix of their
+words, and the star degrees are one np.bincount per row.  The unit-pair
+stages, the conflict graph and event (4) of U0 sampling, read all gaps
+off graph_core.pair_gaps matrices (float32 Gram products, exact for
+integer counts) and compare them with their float thresholds in float64.
+The conflict graph is screened on a prefix of the columns first, as the
+close-complement filter is: a gap over the prefix is at most the whole
+gap, so only the units in a pair whose prefix gap falls below the
+threshold are recounted over whole rows.  Every decision is thus an exact
+integer comparison, so the results equal those of the int-row loops the
+tests keep as references.
 
 The target m must lie in the m-window, the integers m >= 1 with
 c*n^2 <= m <= 2c*n^2 for c = c_density.  m_window states it once, with its
@@ -175,26 +176,32 @@ BUCKET_BLOCK = 1 << 18  # mask cells per row block of the bucket enumeration
 
 
 def _bucket_pairs(degs: np.ndarray, lo: int, w: int, size: int) -> np.ndarray:
-    """(size, 2) int64 array of the pairs a < b with lo <= deg a + deg b <
-    lo + w, in lexicographic order: for each block of rows a, one bool mask
-    over the columns b > a read row-major."""
+    """(2, size) int32 array of the pairs a < b with lo <= deg a + deg b <
+    lo + w, first vertices in row 0 and second ones in row 1, in
+    lexicographic order: for each block of rows a, one bool mask over the
+    columns b > a, read row-major.  The first vertices repeat each row by
+    its hit count; the second ones are the mask's flat hit indices less
+    their row's start."""
     n = len(degs)
     d32 = degs.astype(np.int32)
     off = d32 - np.int32(lo)
-    cols = np.arange(n)
-    out = np.empty((size, 2), dtype=np.int64)
+    cols = np.arange(n, dtype=np.int32)
+    out = np.empty((2, size), dtype=np.int32)
     at = 0
     step = max(1, BUCKET_BLOCK // n)
     for s in range(0, n - 1, step):
         e, c = min(s + step, n - 1), s + 1
         # 0 <= deg a + deg b - lo < w as one unsigned comparison
         hit = (d32[c:] + off[s:e, None]).view(np.uint32) < w
-        hit &= cols[c:] > np.arange(s, e)[:, None]
-        a, b = np.divmod(np.flatnonzero(hit), n - c)
-        if at + len(a) <= size:
-            out[at:at + len(a), 0] = a + s
-            out[at:at + len(a), 1] = b + c
-        at += len(a)
+        hit &= cols[c:] > cols[s:e, None]
+        per_row = np.count_nonzero(hit, axis=1)
+        k = int(per_row.sum())
+        if at + k <= size:
+            out[0, at:at + k] = np.repeat(cols[s:e], per_row)
+            # hit i*(n - c) + j of the flat mask is column b = c + j of row s + i
+            starts = np.arange(e - s) * (n - c) - c
+            out[1, at:at + k] = np.flatnonzero(hit) - np.repeat(starts, per_row)
+        at += k
     if at != size:
         raise ContractViolation(f"degree-sum bucket lists {at} pairs, its histogram {size}")
     return out
@@ -211,8 +218,9 @@ def pigeonhole_pairs(g: Graph, bucket_width: int | None = None, *,
                      sample_coeff: float = 10.0, seed: int = 0):
     """Bucket pairs by degree sum; return (d_prime, fullest bucket's pairs).
 
-    The pairs come as a (k, 2) int64 array of rows (a, b), a < b, in
-    lexicographic order.  d_prime is the bucket's center j*w + w//2.  Ties
+    The pairs come as one C-contiguous (2, k) int32 array: row 0 holds the
+    first vertices a and row 1 the second vertices b, a < b, the columns
+    in lexicographic order.  d_prime is the bucket's center j*w + w//2.  Ties
     go to the lowest bucket.  Up to pair_enum_cap vertices every pair
     counts: the bucket sizes come from the degree histogram and only the
     fullest bucket's pairs are listed.  Above it a uniform pair sample of
@@ -236,47 +244,52 @@ def pigeonhole_pairs(g: Graph, bucket_width: int | None = None, *,
         b = rng.randrange(n)
         if a != b:
             seen.add((a, b) if a < b else (b, a))
-    ii, jj = np.array(sorted(seen), dtype=np.int64).T
+    ii, jj = np.array(sorted(seen), dtype=np.int32).T
     buckets = (degs[ii] + degs[jj]) // w
     counts = np.bincount(buckets)
     j = int(np.argmax(counts))  # argmax returns the first (lowest) maximum
     sel = buckets == j
-    return j * w + w // 2, np.stack([ii[sel], jj[sel]], axis=1).astype(np.int64, copy=False)
+    return j * w + w // 2, np.stack([ii[sel], jj[sel]])
 
 
 def filter_close_complements(g: Graph, h: np.ndarray, theta_compl: float) -> np.ndarray:
     """Drop pairs whose neighborhoods nearly complement each other; returns
-    the rows (a, b) of h with |N(a) symdiff N_bar(b)| >= theta_compl*n."""
+    the columns (a, b) of the (2, k) bucket h with |N(a) symdiff N_bar(b)|
+    >= theta_compl*n, as a (2, k') array of h's dtype in h's order: h
+    itself when every pair is kept, as on G(n, 1/2) at the default theta."""
     rows = pack_rows(g.adj, g.n)
-    keep = complement_gap_at_least(rows, h[:, 0], h[:, 1], g.n, theta_compl * g.n)
-    return np.compress(keep, h, axis=0)
+    keep = complement_gap_at_least(rows, h[0], h[1], g.n, theta_compl * g.n)
+    return h if keep.all() else np.compress(keep, h, axis=1)
 
 
 def star_or_matching(g: Graph, h: np.ndarray, h_filtered: np.ndarray, d_prime: int,
                      star_floor: float, match_floor: float):
     """Either a heavy star center or a large matching inside the bucket.
 
-    Star branch: if the vertex v in most filtered pairs (the lowest on
-    ties) is in >= star_floor of them, its unit list is the Singles of its
+    h and h_filtered are (2, k) arrays of pairs, first vertices in row 0,
+    as pigeonhole_pairs and filter_close_complements return them.  Star
+    branch: if the vertex v in most filtered pairs (the lowest on ties) is
+    in >= star_floor of them, its unit list is the Singles of its
     UNFILTERED bucket neighbors and d'' = d' - deg(v).  Otherwise a greedy
     lexicographic matching on the filtered pairs; if it reaches match_floor,
     units are the matched Pairs and d'' = d'.  Both under floor -> stage
     failure.
     """
-    if len(h_filtered) == 0:
+    if h_filtered.shape[1] == 0:
         raise ConstructionFailure("star_or_matching", "filtered bucket is empty",
-                                  {"h_size": len(h)})
-    hdeg = np.bincount(h_filtered.ravel())
+                                  {"h_size": h.shape[1]})
+    # one row at a time: bincount copies its input to intp
+    hdeg = sum(np.bincount(row, minlength=g.n) for row in h_filtered)
     best = int(np.argmax(hdeg))  # argmax returns the lowest vertex of top degree
     top = int(hdeg[best])
     if top >= star_floor:
-        at_a, at_b = h[:, 0] == best, h[:, 1] == best
-        nb = np.unique(np.concatenate([h[at_a, 1], h[at_b, 0]])).tolist()
+        first, second = h
+        nb = np.unique(np.concatenate([second[first == best], first[second == best]])).tolist()
         units = tuple(Unit.single(v) for v in nb)
         return "star", best, units, d_prime - g.degree(best)
     used = 0
     matching = []
-    for a, b in h_filtered.tolist():
+    for a, b in zip(*h_filtered.tolist()):
         if not (used >> a & 1) and not (used >> b & 1):
             used |= (1 << a) | (1 << b)
             matching.append((a, b))
@@ -558,7 +571,7 @@ def construct(g: Graph, m: int, params: ConstructionParams | None = None) -> Con
 
     diag = {
         "rich_status": rich_status,
-        "h_size": len(h), "h_filtered_size": len(h_filt),
+        "h_size": h.shape[1], "h_filtered_size": h_filt.shape[1],
         "l_size": len(units), "a_full_size": len(a_full), "a_size": len(a),
         "b_size": b_size, "u0_size": u0.bit_count(),
         "d_floor_ok": d >= params.kappa5 * wn,

@@ -44,6 +44,9 @@ RULES = ("test_param_rules.py",)
 ORACLE = "src/ramspect/spectrum_oracle.py"
 CLI = "src/ramspect/cli.py"
 WALK = ("test_spectrum_oracle.py",)
+CONSTRUCT = "src/ramspect/ramsey_construct.py"
+GRAPH = "src/ramspect/graph_core.py"
+PAIRS = ("test_ramsey_construct.py",)
 
 MUTANTS = (
     # the parameter rules of errors._require
@@ -67,7 +70,7 @@ MUTANTS = (
     Mutant("cli: --graph-seed left unchecked", CLI,
            '"graph_seed": getattr(ns, "graph_seed", None)', '"graph_seed": None',
            ("test_cli.py",)),
-    Mutant("bucket width: check dropped", "src/ramspect/ramsey_construct.py",
+    Mutant("bucket width: check dropped", CONSTRUCT,
            '_require("count", {"bucket_width": width})', "pass", RULES),
     # the seed domain and the bulk decoder of seeding.py
     Mutant("stream: seed check dropped", SEEDING,
@@ -82,16 +85,16 @@ MUTANTS = (
     Mutant("AuditParams: seed check dropped", "src/ramspect/structure_audit.py",
            '_require("non-negative", vars(self), "seed")', "pass", RULES),
     # the window and audit rules given one home each
-    Mutant("verifier: S max read one unit short", "src/ramspect/ramsey_construct.py",
+    Mutant("verifier: S max read one unit short", CONSTRUCT,
            "gap = min(dt) - max(ds)", "gap = min(dt) - max(ds[:-1])",
            ("test_ramsey_construct.py",)),
-    Mutant("verifier: S max read from T", "src/ramspect/ramsey_construct.py",
+    Mutant("verifier: S max read from T", CONSTRUCT,
            "gap = min(dt) - max(ds)", "gap = min(dt) - max(dt)",
            ("test_ramsey_construct.py",)),
-    Mutant("verifier: X rows not cut to U0", "src/ramspect/ramsey_construct.py",
+    Mutant("verifier: X rows not cut to U0", CONSTRUCT,
            "rows = [(m1 & u0, m2 & u0) for", "rows = [(m1, m2) for",
            ("test_ramsey_construct.py",)),
-    Mutant("m window: floor for the low end", "src/ramspect/ramsey_construct.py",
+    Mutant("m window: floor for the low end", CONSTRUCT,
            "max(1, math.ceil(c * n * n))", "max(1, math.floor(c * n * n))",
            ("test_ramsey_construct.py",)),
     Mutant("bad sides: sparse side misses one vertex of W", "src/ramspect/structure_audit.py",
@@ -103,7 +106,7 @@ MUTANTS = (
     Mutant("bad sides: ties go to the dense side", "src/ramspect/structure_audit.py",
            "sparse = k < thr\n", "sparse = (k < thr) & (wsize - k - bit_matrix([wmask], n)[0]"
            " >= thr)\n", ("test_structure_audit.py",)),
-    Mutant("prefix_words: a threshold below 0 read as it is", "src/ramspect/graph_core.py",
+    Mutant("prefix_words: a threshold below 0 read as it is", GRAPH,
            "math.ceil(2 * max(thr, 0) / 64) + 1", "math.ceil(2 * thr / 64) + 1",
            ("test_graph_core.py",)),
     Mutant("theorem keep: >= for >", "src/ramspect/double_exposure.py",
@@ -131,13 +134,35 @@ MUTANTS = (
            "_build_graph(ns, so.PHI_EXACT_CAP)", "_build_graph(ns, VERTEX_CAP)",
            ("test_cli.py",)),
     # the Paley rows by rotation, and check (4) of per_k_checks
-    Mutant("paley: rows rotated by u + 1", "src/ramspect/graph_core.py",
+    Mutant("paley: rows rotated by u + 1", GRAPH,
            "(residues << u) | (residues >> (q - u))",
            "(residues << u + 1) | (residues >> (q - u - 1))", ("test_graph_core.py",)),
     Mutant("check4: a step of exactly M*rt not counted", "src/ramspect/double_exposure.py",
            "if dl >= big)", "if dl > big)", ("test_double_exposure.py",)),
     Mutant("check4: a falling step counted as negative", "src/ramspect/double_exposure.py",
            "(abs(b - a) for a, b in", "((b - a) for a, b in", ("test_double_exposure.py",)),
+    # the pair stages of construct: the degree-sum bucket, the close-complement
+    # screen, the star and the bucket counts
+    Mutant("pigeonhole: ties go to the highest bucket", CONSTRUCT,
+           "j = int(np.argmax(sizes))", "j = len(sizes) - 1 - int(np.argmax(sizes[::-1]))",
+           PAIRS),
+    Mutant("bucket sizes: the a = b correction skipped", CONSTRUCT,
+           "    by_sum[::2] -= hist\n", "", PAIRS),
+    Mutant("bucket mask: >= for >", CONSTRUCT,
+           "hit &= cols[c:] > cols[s:e, None]", "hit &= cols[c:] >= cols[s:e, None]", PAIRS),
+    Mutant("bucket: second vertices gathered one column late", CONSTRUCT,
+           "starts = np.arange(e - s) * (n - c) - c",
+           "starts = np.arange(e - s) * (n - c) - c - 1", PAIRS),
+    Mutant("gap screen: prefix bound loses min(., n)", GRAPH,
+           "seen = min(64 * head, n)", "seen = 64 * head", ("test_graph_core.py",)),
+    Mutant("gap screen: +2 in the prefix bound", GRAPH,
+           "part = seen - 1 - pc >= thr", "part = seen + 1 - pc >= thr",
+           ("test_graph_core.py",)),
+    Mutant("star: neighbours taken from the filtered bucket", CONSTRUCT,
+           "first, second = h\n", "first, second = h_filtered\n", PAIRS),
+    Mutant("diagnostics: bucket counts read with len", CONSTRUCT,
+           '"h_size": h.shape[1], "h_filtered_size": h_filt.shape[1]',
+           '"h_size": len(h), "h_filtered_size": len(h_filt)', PAIRS),
     # the capacity rule of errors._require_cap
     Mutant("cap: > flipped to >=", ERRORS, "if value > cap:", "if value >= cap:", RULES),
     Mutant("cap: check dropped", ERRORS, "if value > cap:", "if False:", RULES),

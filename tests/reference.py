@@ -121,13 +121,14 @@ def paley_loop(q: int) -> Graph:
 def bucket_by_enumeration(g: Graph, w: int):
     """(d_prime, pairs) of the fullest width-w degree-sum bucket: every pair
     a < b listed by np.triu_indices, bucketed by (deg a + deg b) // w, the
-    lowest bucket winning ties."""
+    lowest bucket winning ties.  The pairs are a (2, k) array, first
+    vertices in row 0."""
     degs = np.array(g.degrees(), dtype=np.int64)
     ii, jj = np.triu_indices(g.n, 1)
     buckets = (degs[ii] + degs[jj]) // w
     j = int(np.argmax(np.bincount(buckets)))
     sel = buckets == j
-    return j * w + w // 2, np.stack([ii[sel], jj[sel]], axis=1)
+    return j * w + w // 2, np.stack([ii[sel], jj[sel]])
 
 
 def independent_units_greedy(g: Graph, units, theta_conflict: float):

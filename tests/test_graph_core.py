@@ -292,6 +292,23 @@ def test_complement_gap_screen_and_fallback_both_decide_pairs(
     assert 0 < got.sum() < len(a)
 
 
+@pytest.mark.parametrize("n", [129, 200])
+def test_complement_gap_at_least_reads_int32_and_int64_indices_alike(n):
+    # planted near-complements miss the prefix bound, so the exact fallback
+    # reads their edge words at offsets computed from int32 indices as well;
+    # a dropped pair is decided there, since the screen only keeps pairs
+    g = gap_graph(n, 0.05, n, planted=True)
+    a, b = np.triu_indices(n, 1)
+    rows = gc.pack_rows(g.adj, n)
+    for theta in (0.1, 0.3, 0.5):
+        want = comp_row_rule(g, a.tolist(), b.tolist(), theta * n)
+        assert 0 < sum(want) < len(a)
+        for dtype in (np.int32, np.int64):
+            got = gc.complement_gap_at_least(rows, a.astype(dtype), b.astype(dtype), n,
+                                             theta * n)
+            assert got.tolist() == want
+
+
 @pytest.mark.parametrize("thr", [-math.inf, -1e300, -64.0, -1.0, 0.0])
 def test_a_threshold_of_zero_or_below_screens_one_word_and_keeps_every_pair(thr):
     assert [gc.prefix_words(thr, words) for words in (1, 2, 16)] == [1, 1, 1]

@@ -1,6 +1,7 @@
 """Scaffold construction pipeline: stages, invariants, and the verifier."""
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -32,17 +33,17 @@ def test_pigeonhole_bucket_center_and_membership():
         g = gc.generate("gnp", n=40, p=0.5, seed=seed)
         d_prime, bucket = rc.pigeonhole_pairs(g)
         w = math.ceil(math.sqrt(40))
-        assert len(bucket)
+        assert bucket.shape[1]
         assert d_prime % w == w // 2  # bucket center
         degs = g.degrees()
         j = d_prime // w
-        for a, b in bucket:
+        for a, b in zip(*bucket.tolist()):
             assert a != b
             assert (degs[a] + degs[b]) // w == j
         # the fullest bucket is at least as big as a random other bucket
         sums = [degs[a] + degs[b] for a in range(40) for b in range(a + 1, 40)]
         other = rng.choice(sorted(set(s // w for s in sums)))
-        assert len(bucket) >= sum(1 for s in sums if s // w == other)
+        assert bucket.shape[1] >= sum(1 for s in sums if s // w == other)
 
 
 def test_pigeonhole_width_one_star():
@@ -51,7 +52,7 @@ def test_pigeonhole_width_one_star():
     g = gc.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     d_prime, bucket = rc.pigeonhole_pairs(g, bucket_width=1)
     assert d_prime == 2
-    assert sorted(map(tuple, bucket.tolist())) == [(1, 2), (1, 3), (2, 3)]
+    assert sorted(zip(*bucket.tolist())) == [(1, 2), (1, 3), (2, 3)]
 
 
 def test_pigeonhole_rejects_tiny_graphs():
@@ -67,9 +68,20 @@ def test_pigeonhole_sampling_path_is_deterministic():
     assert a[1].tolist() == b[1].tolist()
 
 
+def assert_pair_layout(h):
+    """h is one C-contiguous (2, k) int32 array whose columns (a, b) have
+    a < b and run in strict lexicographic order."""
+    assert h.dtype == np.int32 and h.ndim == 2 and h.shape[0] == 2
+    assert h.flags.c_contiguous
+    pairs = list(zip(*h.tolist()))
+    assert all(a < b for a, b in pairs)
+    assert all(p < q for p, q in zip(pairs, pairs[1:]))
+
+
 def assert_same_bucket(got, want):
     assert got[0] == want[0]
-    assert got[1].dtype == np.int64 and got[1].tolist() == want[1].tolist()
+    assert_pair_layout(got[1])
+    assert got[1].tolist() == want[1].tolist()
 
 
 @pytest.mark.parametrize("g", [gc.generate("paley", q=13), gc.generate("paley", q=29),
@@ -81,7 +93,7 @@ def test_pigeonhole_on_a_regular_graph_is_one_bucket_of_every_pair(g, w):
     width = math.ceil(math.sqrt(g.n)) if w is None else w
     got = rc.pigeonhole_pairs(g, w)
     assert_same_bucket(got, bucket_by_enumeration(g, width))
-    assert len(got[1]) == g.n * (g.n - 1) // 2
+    assert got[1].shape[1] == g.n * (g.n - 1) // 2
 
 
 @pytest.mark.parametrize("w,d_prime,pairs", [
@@ -94,7 +106,7 @@ def test_pigeonhole_ties_go_to_the_lowest_bucket_at_n_4(w, d_prime, pairs):
     g = gc.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     got = rc.pigeonhole_pairs(g, w)
     assert_same_bucket(got, bucket_by_enumeration(g, w))
-    assert (got[0], [tuple(p) for p in got[1].tolist()]) == (d_prime, pairs)
+    assert (got[0], list(zip(*got[1].tolist()))) == (d_prime, pairs)
 
 
 @settings(max_examples=100)
@@ -126,6 +138,24 @@ def test_pigeonhole_enumeration_mask_stays_in_row_blocks(monkeypatch):
         assert_same_bucket(rc.pigeonhole_pairs(g), want)
 
 
+@pytest.mark.parametrize("n", [130, 200])
+def test_bucket_is_one_contiguous_int32_array_on_both_paths(n):
+    g = gc.generate("gnp", n=n, p=0.5, seed=n + 3)
+    w = math.ceil(math.sqrt(n))
+    enumerated = rc.pigeonhole_pairs(g)
+    assert_same_bucket(enumerated, bucket_by_enumeration(g, w))
+    d_prime, sampled = rc.pigeonhole_pairs(g, pair_enum_cap=n - 1, sample_coeff=1.0, seed=5)
+    assert_pair_layout(sampled)
+    degs = g.degrees()
+    assert {(degs[a] + degs[b]) // w for a, b in zip(*sampled.tolist())} == {d_prime // w}
+    for _, bucket in (enumerated, (d_prime, sampled)):
+        kept = rc.filter_close_complements(g, bucket, 0.5)
+        assert_pair_layout(kept)
+        # the kept pairs are a subset of the bucket, so strict order makes
+        # them a subsequence of it
+        assert set(zip(*kept.tolist())) < set(zip(*bucket.tolist()))
+
+
 @pytest.mark.parametrize("skew", [-1, 1])
 def test_pigeonhole_refuses_a_bucket_its_histogram_does_not_count(monkeypatch, skew):
     g = gc.generate("gnp", n=130, p=0.5, seed=2)
@@ -142,11 +172,11 @@ def test_filter_close_complements_matches_direct_rule():
     g = gc.generate("gnp", n=30, p=0.5, seed=5)
     _, bucket = rc.pigeonhole_pairs(g)
     kept = rc.filter_close_complements(g, bucket, 0.3)
-    kept_rows = set(map(tuple, kept.tolist()))
+    kept_pairs = set(zip(*kept.tolist()))
     thr = 0.3 * g.n
-    for a, b in bucket.tolist():
+    for a, b in zip(*bucket.tolist()):
         gap = (g.adj[a] ^ g.comp_row(b)).bit_count()
-        assert ((a, b) in kept_rows) == (gap >= thr)
+        assert ((a, b) in kept_pairs) == (gap >= thr)
 
 
 @settings(max_examples=60)
@@ -157,9 +187,10 @@ def test_filter_close_complements_matches_the_comp_row_rule_everywhere(n, p, see
     g = gc.generate("gnp", n=n, p=p, seed=seed)
     _, bucket = rc.pigeonhole_pairs(g)
     kept = rc.filter_close_complements(g, bucket, theta)
-    want = [[a, b] for a, b in bucket.tolist()
+    want = [(a, b) for a, b in zip(*bucket.tolist())
             if (g.adj[a] ^ g.comp_row(b)).bit_count() >= theta * n]
-    assert kept.dtype == np.int64 and kept.tolist() == want
+    assert kept.dtype == np.int32 and kept.shape == (2, len(want))
+    assert list(zip(*kept.tolist())) == want
 
 
 # ── star / matching split ────────────────────────────────────────────────
@@ -177,7 +208,7 @@ def test_star_mode_on_star_heavy_bucket():
     assert all(not u.is_pair for u in units)
     # star units come from the anchor's unfiltered bucket pairs
     partners = {b if a == anchor else a
-                for a, b in bucket if anchor in (a, b)}
+                for a, b in zip(*bucket.tolist()) if anchor in (a, b)}
     assert {u.vertices[0] for u in units} == partners
 
 
@@ -226,9 +257,10 @@ def test_independent_units_are_pairwise_far():
 
 
 def reference_star_anchor(h_filtered):
-    """Vertex of top filtered-pair degree, lowest vertex on ties."""
+    """Vertex of top filtered-pair degree, lowest vertex on ties, for a
+    (2, k) array of pairs."""
     hdeg = Counter()
-    for a, b in h_filtered:
+    for a, b in zip(*h_filtered.tolist()):
         hdeg[a] += 1
         hdeg[b] += 1
     top = max(hdeg.values())
@@ -239,12 +271,12 @@ def reference_star_anchor(h_filtered):
 def test_filter_close_complements_multiword_matches_comp_row_rule(n):
     g = gc.generate("gnp", n=n, p=0.5, seed=n)
     _, bucket = rc.pigeonhole_pairs(g)
-    pairs = bucket.tolist()
+    pairs = list(zip(*bucket.tolist()))
     for theta in (0.3, 0.45, 0.5):
-        want = [[a, b] for a, b in pairs
+        want = [(a, b) for a, b in pairs
                 if (g.adj[a] ^ g.comp_row(b)).bit_count() >= theta * n]
         kept = rc.filter_close_complements(g, bucket, theta)
-        assert kept.tolist() == want
+        assert list(zip(*kept.tolist())) == want
     assert 0 < len(want) < len(pairs)  # theta = 0.5 drops some pairs, not all
 
 
@@ -272,12 +304,12 @@ def test_star_anchor_multiword_matches_counter_reference(n):
     g = gc.generate("gnp", n=n, p=0.5, seed=n + 2)
     d_prime, bucket = rc.pigeonhole_pairs(g)
     kept = rc.filter_close_complements(g, bucket, 0.45)
-    anchor, top = reference_star_anchor(kept.tolist())
+    anchor, top = reference_star_anchor(kept)
     mode, got, units, d_dp = rc.star_or_matching(g, bucket, kept, d_prime, top, 1e9)
     assert (mode, got) == ("star", anchor)
     assert d_dp == d_prime - g.degree(anchor)
     partners = sorted({b if a == anchor else a
-                       for a, b in bucket.tolist() if anchor in (a, b)})
+                       for a, b in zip(*bucket.tolist()) if anchor in (a, b)})
     assert [u.vertices[0] for u in units] == partners
 
 
@@ -285,9 +317,8 @@ def test_star_anchor_tie_goes_to_lowest_vertex():
     # vertices 90 (listed first) and 5 (only ever the second entry) both
     # carry three filtered pairs; vertex 5 must win the tie
     g = gc.generate("gnp", n=130, p=0.5, seed=4)
-    h = np.array([[90, 100], [90, 101], [90, 102], [1, 5], [2, 5], [3, 5],
-                  [7, 120]], dtype=np.int64)
-    assert reference_star_anchor(h.tolist()) == (5, 3)
+    h = np.array([[90, 90, 90, 1, 2, 3, 7], [100, 101, 102, 5, 5, 5, 120]], dtype=np.int32)
+    assert reference_star_anchor(h) == (5, 3)
     mode, anchor, units, _ = rc.star_or_matching(g, h, h, 0, 3.0, 1e9)
     assert (mode, anchor) == ("star", 5)
     assert [u.vertices for u in units] == [(1,), (2,), (3,)]
@@ -683,6 +714,43 @@ def test_construct_diagnostics_shape():
     assert d["sampling"]["accepted_attempt"] >= 0
     assert d["u0_size"] == res.u0_mask.bit_count()
     assert res.working_n == 256
+
+
+def test_construct_diagnostics_count_the_bucket_and_the_filter():
+    # the construct-matching golden case: the filter drops 779 of 65,248 pairs
+    g = gc.generate("gnp", n=512, p=0.5, seed=1)
+    m = rc.m_window(ConstructionParams(), 512).mid
+    res = construct(g, m, ConstructionParams(seed=3, theta_compl=0.45, star_coeff=100))
+    assert res.mode == "matching"
+    assert (res.diagnostics["h_size"], res.diagnostics["h_filtered_size"]) == (65248, 64469)
+    # a star build lists the whole fullest bucket of its working graph
+    params = ConstructionParams(seed=4)
+    res = construct(G256, M256, params)
+    assert res.mode == "star"
+    work = sa.rich_extract(G256, params.audit_params()).graph
+    w = math.ceil(math.sqrt(work.n))
+    sizes = rc._bucket_sizes(np.array(work.degrees(), dtype=np.int64), w)
+    assert res.diagnostics["h_size"] == int(sizes.max()) \
+        == bucket_by_enumeration(work, w)[1].shape[1] > 2
+
+
+def test_pair_stages_keep_the_bucket_small():
+    # one (2, k) int32 bucket: pigeonhole -> filter -> star peaks near 16 MiB
+    # on G(2048, 1/2), where the filter keeps every pair; a (k, 2) int64
+    # bucket and its filtered copy peaked near 44 MiB
+    n = 2048
+    g = gc.generate("gnp", n=n, p=0.5, seed=0)
+    floor = 0.25 * n ** 0.75
+    tracemalloc.start()
+    try:
+        d_prime, h = rc.pigeonhole_pairs(g)
+        kept = rc.filter_close_complements(g, h, 0.1)
+        mode = rc.star_or_matching(g, h, kept, d_prime, floor, floor)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mode == "star" and h.shape[1] > 10 ** 6
+    assert peak <= 32 * 2 ** 20
 
 
 def test_construct_event_knobs_are_respected():
