@@ -11,14 +11,17 @@ words, bool arrays or 0/1 matrices, and back, only in this module
 
 Counts over many sets at once are 0/1 matrix products, and one private
 function, _product, converts 0/1 matrices to float32 and multiplies them.
-GRAM_EXACT_CAP carries its exactness argument, and _require_exact, its only
-reader, passes it to the package's one capacity rule, errors._require_cap.
-Three kernels call _product: pair_gaps, every multiset gap
-|A| + |B| - 2|A & B| of a unit family from one Gram product;
-count_edges_many, edge counts of many vertex sets over the adjacency
-matrix of their union; and neighbor_counts, the counts |N(v) & M| of every
-vertex v into each of many sets M, a chunk of adjacency rows at a time
-against the sets' matrix, converted to float32 once for all the chunks.
+It hands a Gram a @ a.T to BLAS as a gemm against a contiguous copy of
+a.T, not as the syrk numpy would choose.  GRAM_EXACT_CAP carries its
+exactness argument, and _require_exact, its only reader, passes it to the
+package's one capacity rule, errors._require_cap.  Three kernels call
+_product: pair_gaps, every multiset gap |A| + |B| - 2|A & B| of a unit
+family from one Gram product; count_edges_many, edge counts of many vertex
+sets over the adjacency matrix of their union; and neighbor_counts, the
+counts |N(v) & M| of every vertex v into each of many sets M of the first
+c columns (all n of them, or a prefix that a screen reads first), a chunk
+of adjacency rows at a time against the sets' matrix, converted to
+float32 once for all the chunks.
 
 The close-complement test |N(a) symdiff N_bar(b)| >= thr on an arbitrary
 list of pairs, such as a degree-sum bucket, is one popcount kernel,
@@ -314,9 +317,12 @@ def _require_exact(op: str, n: int) -> None:
 def _product(a: np.ndarray, b: np.ndarray | None = None, out=None) -> np.ndarray:
     """a @ b.T of two 0/1 matrices (a @ a.T when b is None) as a float32
     array, which numpy hands to BLAS; exact within GRAM_EXACT_CAP.  An
-    operand that is float32 already is used as it is."""
+    operand that is float32 already is used as it is.  A Gram goes to BLAS
+    as a gemm against a contiguous copy of a.T: numpy would send a @ a.T to
+    syrk, which is slower at these shapes."""
     a = a.astype(np.float32, copy=False)
-    return np.matmul(a, a.T if b is None else b.astype(np.float32, copy=False).T, out=out)
+    bt = np.ascontiguousarray(a.T) if b is None else b.astype(np.float32, copy=False).T
+    return np.matmul(a, bt, out=out)
 
 
 def _unpack(words: np.ndarray, n: int) -> np.ndarray:
@@ -409,19 +415,24 @@ NEIGHBOR_CHUNK = 256  # adjacency rows unpacked per product of neighbor_counts
 
 def neighbor_counts(rows: np.ndarray, member: np.ndarray) -> np.ndarray:
     """(n, k) float32 array whose entry (v, i) is |N(v) & M_i|, for k vertex
-    sets M_i given as the 0/1 rows of member (k, n uint8, as bit_matrix
-    returns), over the packed adjacency rows of an n-vertex graph.
+    sets M_i of the first c columns given as the 0/1 rows of member (k, c
+    uint8, as bit_matrix(masks, c) returns), over the packed adjacency rows
+    of an n-vertex graph, c <= n: with c < n, the counts over a prefix of
+    the columns.
 
-    The counts are A @ member.T for the 0/1 adjacency matrix A, one product
-    per block of NEIGHBOR_CHUNK rows unpacked at a time, so no n x n matrix
-    is built.
+    The counts are A @ member.T for the 0/1 adjacency matrix A cut to its
+    first c columns, one product per block of NEIGHBOR_CHUNK rows unpacked
+    at a time, so no n x n matrix is built.
     """
-    k, n = member.shape
+    k, c = member.shape
+    n = len(rows)
     _require_exact("neighbor_counts", n)
     member = member.astype(np.float32)
+    prefix = rows[:, :-(-c // 64)]
     out = np.empty((n, k), dtype=np.float32)
     for v in range(0, n, NEIGHBOR_CHUNK):
-        _product(_unpack(rows[v:v + NEIGHBOR_CHUNK], n), member, out=out[v:v + NEIGHBOR_CHUNK])
+        _product(_unpack(prefix[v:v + NEIGHBOR_CHUNK], c), member,
+                 out=out[v:v + NEIGHBOR_CHUNK])
     return out
 
 

@@ -22,10 +22,13 @@ bucket sizes come from the degree histogram convolved with itself, so only
 the fullest bucket's pairs are listed, read off a bool mask per block of
 rows.  The close-complement filter is graph_core.complement_gap_at_least
 on packed uint64 rows, which settles most pairs from a prefix of their
-words, and the star degrees are one np.bincount per row.  The unit-pair
-stages, the conflict graph and event (4) of U0 sampling, read all gaps
-off graph_core.pair_gaps matrices (float32 Gram products, exact for
-integer counts) and compare them with their float thresholds in float64.
+words.  The bucket's columns are in lexicographic order, so the star
+degrees count the sorted first row with np.searchsorted and the second
+with np.bincount, and the anchor's partners past it are one slice.  The
+unit-pair stages, the conflict graph and event (4) of U0 sampling, read
+all gaps off graph_core.pair_gaps matrices (float32 Gram products, exact
+for integer counts) and compare them with their float thresholds in
+float64.
 The conflict graph is screened on a prefix of the columns first, as the
 close-complement filter is: a gap over the prefix is at most the whole
 gap, so only the units in a pair whose prefix gap falls below the
@@ -56,8 +59,8 @@ import numpy as np
 
 from .errors import ConstructionFailure, ContractViolation, ParameterError, _require
 from .graph_core import (Graph, Unit, check_disjoint_units, complement_gap_at_least,
-                         count_edges, iter_bits, mask_from_bools, mask_of, multiset_gap,
-                         pack_rows, pair_gaps, prefix_words, unit_degree, unit_rows)
+                         count_edges, iter_bits, mask_from_bools, mask_of, pack_rows,
+                         pair_gaps, popcount, prefix_words, unit_degree, unit_rows)
 from .seeding import bernoulli, derive_seed, stream
 from .structure_audit import AuditParams, rich_extract
 
@@ -267,24 +270,34 @@ def star_or_matching(g: Graph, h: np.ndarray, h_filtered: np.ndarray, d_prime: i
     """Either a heavy star center or a large matching inside the bucket.
 
     h and h_filtered are (2, k) arrays of pairs, first vertices in row 0,
-    as pigeonhole_pairs and filter_close_complements return them.  Star
-    branch: if the vertex v in most filtered pairs (the lowest on ties) is
-    in >= star_floor of them, its unit list is the Singles of its
-    UNFILTERED bucket neighbors and d'' = d' - deg(v).  Otherwise a greedy
-    lexicographic matching on the filtered pairs; if it reaches match_floor,
-    units are the matched Pairs and d'' = d'.  Both under floor -> stage
-    failure.
+    as pigeonhole_pairs and filter_close_complements return them: in
+    lexicographic order, so each first row is sorted.  A bucket whose
+    first row decreases is a ContractViolation.  Star branch: if the vertex
+    v in most filtered pairs (the lowest on ties) is in >= star_floor of
+    them, its unit list is the Singles of its UNFILTERED bucket neighbors
+    and d'' = d' - deg(v).  Otherwise a greedy lexicographic matching on the
+    filtered pairs; if it reaches match_floor, units are the matched Pairs
+    and d'' = d'.  Both under floor -> stage failure.
+
+    The sorted first rows are counted by np.searchsorted, and v's partners
+    b > v are one slice of h; only the second rows are read whole.
     """
     if h_filtered.shape[1] == 0:
         raise ConstructionFailure("star_or_matching", "filtered bucket is empty",
                                   {"h_size": h.shape[1]})
-    # one row at a time: bincount copies its input to intp
-    hdeg = sum(np.bincount(row, minlength=g.n) for row in h_filtered)
+    for name, bucket in (("h", h), ("h_filtered", h_filtered)):
+        if np.any(bucket[0, 1:] < bucket[0, :-1]):
+            raise ContractViolation(f"star_or_matching: the first vertices of {name} decrease")
+    first, second = h_filtered
+    # vertex v leads the pairs from the first v' >= v up to the first v' >= v + 1
+    starts = np.searchsorted(first, np.arange(g.n + 1, dtype=first.dtype))
+    hdeg = np.diff(starts) + np.bincount(second, minlength=g.n)
     best = int(np.argmax(hdeg))  # argmax returns the lowest vertex of top degree
     top = int(hdeg[best])
     if top >= star_floor:
         first, second = h
-        nb = np.unique(np.concatenate([second[first == best], first[second == best]])).tolist()
+        lo, hi = np.searchsorted(first, np.array([best, best + 1], dtype=first.dtype))
+        nb = np.unique(np.concatenate([second[lo:hi], first[second == best]])).tolist()
         units = tuple(Unit.single(v) for v in nb)
         return "star", best, units, d_prime - g.degree(best)
     used = 0
@@ -473,11 +486,13 @@ def verify_construction(g: Graph, res: ConstructionResult,
                         params: ConstructionParams) -> bool:
     """Re-check the four output invariants from graph primitives alone.
 
-    Int rows throughout, independent of the pair_gaps products the stages
-    use.  Each unit's degree into U0 is counted once and read by both the
-    degree window and the S/T gap; each X unit's multiplicity rows are cut
-    to U0 once and every X pair compared with multiset_gap, which is
-    symdiff_size on those rows.
+    Popcounts of int rows and of packed rows, independent of the pair_gaps
+    products the stages use.  Each unit's degree into U0 is counted once
+    and read by both the degree window and the S/T gap.  Each X unit's
+    multiplicity rows are cut to U0 once and packed, and every X pair is
+    compared in one graph_core.popcount broadcast: the gap of multiset_gap,
+    |x1 ^ y1| + 2|(x2 ^ y2) & ~(x1 ^ y1)|, for all pairs at once, the first
+    pair below the floor in row-major order named in the error.
     """
     n, u0 = res.working_n, res.u0_mask
     units = res.all_units()
@@ -496,13 +511,17 @@ def verify_construction(g: Graph, res: ConstructionResult,
     sym_floor = res.kappa3 * n
     xs = res.x_units
     rows = [(m1 & u0, m2 & u0) for m1, m2 in (unit_rows(g, x) for x in xs)]
-    for i, (a1, a2) in enumerate(rows):
-        for j in range(i + 1, len(xs)):
-            s = multiset_gap(a1, a2, *rows[j])
-            if s < sym_floor:
-                raise ContractViolation(
-                    f"x units {xs[i].vertices},{xs[j].vertices} symdiff {s} "
-                    f"below {sym_floor:.2f}")
+    p1, p2 = (pack_rows([r[side] for r in rows], g.n) for side in (0, 1))
+    d1 = p1[:, None] ^ p1
+    gaps = popcount(d1) + 2 * popcount((p2[:, None] ^ p2) & ~d1)
+    # the upper triangle in row-major order is the pair order of the message
+    ii, jj = np.triu_indices(len(xs), 1)
+    low = np.flatnonzero(gaps[ii, jj] < sym_floor)
+    if len(low):
+        i, j = int(ii[low[0]]), int(jj[low[0]])
+        raise ContractViolation(
+            f"x units {xs[i].vertices},{xs[j].vertices} symdiff {int(gaps[i, j])} "
+            f"below {sym_floor:.2f}")
     want_pair = res.mode == "matching"
     for x in units:
         if x.is_pair != want_pair:

@@ -20,11 +20,17 @@ complement gap is n - 1 minus that popcount plus twice the edge bit.
 
 richness_audit scores the candidates in blocks, in the order they are
 drawn: AUDIT_BLOCK_FIRST of them first, so that an early witness stays
-cheap, then twice as many per block up to AUDIT_BLOCK_CAP.  A block's counts
-|N(v) & W|, for every vertex v and candidate W, are one float32 product,
-graph_core.neighbor_counts, over adjacency rows unpacked a chunk at a time;
-the bad-vertex counts follow from integer thresholds.  Only the witness's
-bad vertices are read off the packed rows, by a popcount per vertex in
+cheap, then twice as many per block up to AUDIT_BLOCK_CAP.  A block is
+screened on a prefix of the columns, as the close-complement filter is:
+one float32 product, graph_core.neighbor_counts, counts |N(v) & W| over the
+first 64*prefix_words(eps*n, words) columns (512 of 1024 at the defaults)
+for every vertex v and candidate W, over adjacency rows unpacked a chunk at
+a time.  A vertex with at least ceil(eps*|W|) neighbors and as many
+non-neighbors in that part of W is not bad; only the entries the prefix
+leaves open are counted in full, by a popcount of the packed rows, or by a
+second product over the other columns when most of the block is open.  The
+bad-vertex counts follow from integer thresholds.  The witness's bad
+vertices are read off the packed rows by a popcount per vertex in
 _bad_sides, the one statement of the bad-vertex rule.  It splits them into
 two sides: sparse, fewer than eps*|W| neighbors in W, and dense, the others
 (fewer than eps*|W| non-neighbors there).  The witness Y is their union,
@@ -51,7 +57,7 @@ import numpy as np
 
 from .errors import ContractViolation, ParameterError, _require, _require_cap
 from .graph_core import (Graph, bit_matrix, induced_subgraph, iter_bits, mask_from_bools,
-                         mask_of, neighbor_counts, pack_rows, popcount)
+                         mask_of, neighbor_counts, pack_rows, popcount, prefix_words)
 from .seeding import stream
 
 RICHNESS_EXHAUSTIVE_CAP = 14
@@ -154,23 +160,84 @@ def _bad_sides(rows: np.ndarray, wmask: int, epsilon: float) -> tuple[int, int]:
     return mask_from_bools(sparse), mask_from_bools(dense)
 
 
+# when _bad_counts' prefix screen leaves more than 1/OPEN_DENSE of a block's
+# entries open, a product over the other columns costs less than a
+# popcount per open entry
+OPEN_DENSE = 4
+OPEN_CHUNK = 8192  # open entries recounted per step of _open_bad
+
+
 def _bad_counts(rows: np.ndarray, block: list, epsilon: float) -> np.ndarray:
     """Number of bad vertices of each candidate W in block, as _bad_sides
-    counts them, read off one graph_core.neighbor_counts product.
+    counts them: a product over a prefix of the columns screens every
+    (vertex, candidate) entry, and only the entries it leaves open are
+    counted in full.
 
     The counts k = |N(v) & W| and |W| - k - [v in W] are integers, so each
     is below eps*|W| (taken in float64, as _bad_sides takes it) iff it is
-    below ceil(eps*|W|); every side of those comparisons is an integer at
-    most n, exact in float32.
+    below t = ceil(eps*|W|); every side of those comparisons is an integer
+    at most n, exact in float32.  The screen reads the first c columns, c =
+    min(64*prefix_words(eps*n, words), n), in one graph_core.neighbor_counts
+    product.  Both counts of v only grow from W's part in the prefix, P, to
+    the whole of W, so a v with at least t neighbors in W & P and at least
+    t non-neighbors there other than itself is not bad.  _open_bad
+    popcounts the open entries on the packed rows; a block left open at
+    more than 1/OPEN_DENSE of its entries takes a second product over the
+    other columns instead.
     """
-    member = bit_matrix(block, len(rows))
-    k = neighbor_counts(rows, member)  # k[v, i] = |N(v) & block[i]|
-    wsize = np.array([w.bit_count() for w in block], dtype=np.float64)
-    thr = np.ceil(epsilon * wsize).astype(np.float32)
-    bad = k < thr
-    k += member.T  # now |N(v) & W| + [v in W]; the non-neighbor count is |W| minus it
-    bad |= k > wsize.astype(np.float32) - thr
+    n, words = rows.shape
+    head = prefix_words(epsilon * n, words)
+    c = min(64 * head, n)
+    member = bit_matrix([w & ((1 << c) - 1) for w in block], c)
+    k = neighbor_counts(rows, member)  # k[v, i] = |N(v) & P & block[i]|
+    wsize = np.array([w.bit_count() for w in block], dtype=np.int64)
+    thr = np.ceil(epsilon * wsize).astype(np.int64)
+    t32 = thr.astype(np.float32)
+    # v has |W & P| - k - [v in W & P] non-neighbors in W & P, [v in P] for v < c
+    over = member.sum(axis=1, dtype=np.float32) - t32
+    open_ = k < t32
+    open_[:c] |= k[:c] + member.T > over
+    open_[c:] |= k[c:] > over
+    if np.count_nonzero(open_) <= open_.size // OPEN_DENSE:
+        return _open_bad(rows, pack_rows(block, n), head, k, open_, wsize, thr)
+    # bit j of the words past the prefix is column c + j
+    rest = bit_matrix([w >> c for w in block], n - c)
+    k += neighbor_counts(rows[:, head:], rest)
+    bad = k < t32
+    k[:c] += member.T
+    k[c:] += rest.T  # now |N(v) & W| + [v in W]
+    bad |= k > (wsize - thr).astype(np.float32)
     return np.count_nonzero(bad, axis=0)
+
+
+def _open_bad(rows: np.ndarray, wrows: np.ndarray, head: int, k: np.ndarray,
+              open_: np.ndarray, wsize: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """Bad vertices per candidate among the open entries of _bad_counts'
+    screen.  k holds the counts over the first head words of the rows
+    (all of each row when head is their word count), wrows the
+    candidates' packed rows; an open entry (v, i) adds the popcount of the
+    rest of row v & wrows[i] to k[v, i], reads v's bit of W, and is decided
+    by the rule of _bad_sides with the integer threshold thr[i].  The rows
+    are gathered word-major, so the popcount sums contiguous rows."""
+    count = len(wsize)
+    rest = np.ascontiguousarray(rows[:, head:].T)
+    wcols = np.ascontiguousarray(wrows.T)
+    wrest = wcols[head:]
+    flat = np.flatnonzero(open_)
+    kflat = k.ravel()
+    bad = np.zeros(count, dtype=np.int64)
+    for s in range(0, len(flat), OPEN_CHUNK):
+        at = flat[s:s + OPEN_CHUNK]
+        v, i = np.divmod(at, count)
+        both = np.take(rest, v, axis=1)
+        both &= np.take(wrest, i, axis=1)
+        got = np.bitwise_count(both).sum(axis=0, dtype=np.int64)
+        got += kflat[at].astype(np.int64)
+        inw = (wcols[v >> 6, i] >> (v & 63).astype(np.uint64) & np.uint64(1)).astype(np.int64)
+        t = thr[i]
+        hit = (got < t) | (wsize[i] - got - inw < t)
+        bad += np.bincount(i[hit], minlength=count)
+    return bad
 
 
 def _candidate_sets(g: Graph, delta: float, budget: int, seed: int):

@@ -47,6 +47,8 @@ WALK = ("test_spectrum_oracle.py",)
 CONSTRUCT = "src/ramspect/ramsey_construct.py"
 GRAPH = "src/ramspect/graph_core.py"
 PAIRS = ("test_ramsey_construct.py",)
+AUDIT = "src/ramspect/structure_audit.py"
+SCREEN = ("test_structure_audit.py",)
 
 MUTANTS = (
     # the parameter rules of errors._require
@@ -163,6 +165,29 @@ MUTANTS = (
     Mutant("diagnostics: bucket counts read with len", CONSTRUCT,
            '"h_size": h.shape[1], "h_filtered_size": h_filt.shape[1]',
            '"h_size": len(h), "h_filtered_size": len(h_filt)', PAIRS),
+    # the audit's prefix screen and its two ways of finishing open entries
+    Mutant("screen: >= read as >", AUDIT, "open_ = k < t32\n", "open_ = k <= t32\n", SCREEN),
+    Mutant("screen: the self bit left out of the prefix", AUDIT,
+           "open_[:c] |= k[:c] + member.T > over", "open_[:c] |= k[:c] > over", SCREEN),
+    Mutant("screen: the open-entry recount skipped", AUDIT,
+           "got = np.bitwise_count(both).sum(axis=0, dtype=np.int64)",
+           "got = np.zeros(len(at), dtype=np.int64)", SCREEN),
+    Mutant("screen: an open vertex's own bit of W not read", AUDIT,
+           "(wsize[i] - got - inw < t)", "(wsize[i] - got < t)", SCREEN),
+    Mutant("screen: the second product forgets membership past the prefix", AUDIT,
+           "    k[c:] += rest.T  # now", "    # now", SCREEN),
+    # the sorted-bucket star count and the packed X-pair verifier
+    Mutant("star: searchsorted(side=right)", CONSTRUCT,
+           "np.arange(g.n + 1, dtype=first.dtype))",
+           "np.arange(g.n + 1, dtype=first.dtype), side=\"right\")", PAIRS),
+    Mutant("star: the partner slice one short", CONSTRUCT,
+           "second[lo:hi]", "second[lo:hi - 1]", PAIRS),
+    Mutant("star: the bucket order left unchecked", CONSTRUCT,
+           "if np.any(bucket[0, 1:] < bucket[0, :-1]):", "if False:", PAIRS),
+    Mutant("verifier: triangle offset 1 read as 0", CONSTRUCT,
+           "np.triu_indices(len(xs), 1)", "np.triu_indices(len(xs), 0)", PAIRS),
+    Mutant("verifier: the doubled multiplicity term dropped", CONSTRUCT,
+           " + 2 * popcount((p2[:, None] ^ p2) & ~d1)", "", PAIRS),
     # the capacity rule of errors._require_cap
     Mutant("cap: > flipped to >=", ERRORS, "if value > cap:", "if value >= cap:", RULES),
     Mutant("cap: check dropped", ERRORS, "if value > cap:", "if False:", RULES),

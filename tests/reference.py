@@ -2,8 +2,9 @@
 lookup, the K_n closed form, the spectrum oracle's block walk marking at
 every step, pmf point lookup, Bernoulli draws one random() call at a time,
 the pair-by-pair G(n, p) and Paley loops, the all-pairs degree-sum bucket,
-pair-by-pair conflict greedy, event-(4) scan and S/T/X split of the scaffold
-construction, the richness audit one candidate at a time, its candidate
+star degrees by bincount, pair-by-pair conflict greedy, event-(4) scan, S/T/X
+split and int-row verifier of the scaffold construction, the richness
+audit's bad-vertex counts over whole rows and one candidate at a time, its candidate
 family as one generator with a shared budget counter, the extraction's split
 of a witness and its keep rule as int-row loops, the audit's two pair counts
 as separate passes, and the exposure's adjusted degrees recounted per unit
@@ -20,9 +21,11 @@ import random
 import numpy as np
 
 from ramspect import structure_audit as sa
-from ramspect.errors import ParameterError, RamspectError, _require_cap
-from ramspect.graph_core import (Graph, complement_gap_at_least, count_edges, iter_bits,
-                                 mask_of, pack_rows, popcount, symdiff_size, unit_degree)
+from ramspect.errors import ContractViolation, ParameterError, RamspectError, _require_cap
+from ramspect.graph_core import (Graph, bit_matrix, check_disjoint_units,
+                                 complement_gap_at_least, count_edges, iter_bits, mask_of,
+                                 multiset_gap, neighbor_counts, pack_rows, popcount,
+                                 symdiff_size, unit_degree, unit_rows)
 
 HOMOGENEOUS_CAP = 64  # exact clique/independence search refuses larger graphs
 
@@ -131,6 +134,48 @@ def bucket_by_enumeration(g: Graph, w: int):
     return j * w + w // 2, np.stack([ii[sel], jj[sel]])
 
 
+def star_degrees(h: np.ndarray, n: int) -> np.ndarray:
+    """Filtered-pair degree of every vertex of an n-vertex graph, for a
+    (2, k) array of pairs: one np.bincount per row, in any pair order."""
+    return sum(np.bincount(row, minlength=n) for row in h)
+
+
+def verify_construction_loop(g: Graph, res, params) -> bool:
+    """ramsey_construct.verify_construction on int rows throughout: each
+    unit's degree into U0 counted once for the degree window and the S/T
+    gap, then every X pair, in row-major order, compared with multiset_gap
+    on its multiplicity rows cut to U0."""
+    n, u0 = res.working_n, res.u0_mask
+    units = res.all_units()
+    check_disjoint_units(units, u0)
+    d_window = params.kappa2 * math.sqrt(n)
+    ds, dt, dx = ([unit_degree(g, x, u0) for x in group]
+                  for group in (res.s_units, res.t_units, res.x_units))
+    for x, dd in zip(res.s_units + res.t_units + res.x_units, ds + dt + dx):
+        if abs(dd - res.d) > d_window:
+            raise ContractViolation(
+                f"unit {x.vertices} degree {dd} outside {res.d:.2f}+-{d_window:.2f}")
+    if ds and dt:
+        gap = min(dt) - max(ds)
+        if gap < res.gap_floor:
+            raise ContractViolation(f"degree gap {gap} below floor {res.gap_floor}")
+    sym_floor = res.kappa3 * n
+    xs = res.x_units
+    rows = [(m1 & u0, m2 & u0) for m1, m2 in (unit_rows(g, x) for x in xs)]
+    for i, (a1, a2) in enumerate(rows):
+        for j in range(i + 1, len(xs)):
+            s = multiset_gap(a1, a2, *rows[j])
+            if s < sym_floor:
+                raise ContractViolation(
+                    f"x units {xs[i].vertices},{xs[j].vertices} symdiff {s} "
+                    f"below {sym_floor:.2f}")
+    want_pair = res.mode == "matching"
+    for x in units:
+        if x.is_pair != want_pair:
+            raise ContractViolation(f"mode {res.mode} but unit {x.vertices} mixes kinds")
+    return True
+
+
 def independent_units_greedy(g: Graph, units, theta_conflict: float):
     """(kept units, conflict edge count): the conflict graph built from one
     symdiff_size call per unit pair, then repeated picks of the live unit of
@@ -226,6 +271,21 @@ def richness_audit_loop(g: Graph, params, exhaustive: bool = False):
         if (sparse | dense).bit_count() > limit:
             return sa.RichnessVerdict("witness_found", w, sparse, dense, tried, exhaustive)
     return sa.RichnessVerdict("no_witness_in_budget", 0, 0, 0, tried, exhaustive)
+
+
+def bad_counts_product(rows: np.ndarray, block: list, epsilon: float) -> np.ndarray:
+    """structure_audit._bad_counts over whole rows: one neighbor_counts
+    product of every column, the bad-vertex rule read off integer
+    thresholds.  k = |N(v) & W| and |W| - k - [v in W] are integers, so
+    each is below eps*|W| iff it is below ceil(eps*|W|)."""
+    member = bit_matrix(block, len(rows))
+    k = neighbor_counts(rows, member)  # k[v, i] = |N(v) & block[i]|
+    wsize = np.array([w.bit_count() for w in block], dtype=np.float64)
+    thr = np.ceil(epsilon * wsize).astype(np.float32)
+    bad = k < thr
+    k += member.T  # now |N(v) & W| + [v in W]; the non-neighbor count is |W| minus it
+    bad |= k > wsize.astype(np.float32) - thr
+    return np.count_nonzero(bad, axis=0)
 
 
 def candidate_sets_loop(g: Graph, delta: float, budget: int, seed: int):

@@ -344,6 +344,27 @@ def test_neighbor_counts_equal_the_int_row_count(n, seed, kinds):
     assert got.tolist() == [[(g.adj[v] & m).bit_count() for m in masks] for v in range(n)]
 
 
+@settings(max_examples=60)
+@given(n=st.sampled_from(NEIGHBOR_N), c=st.sampled_from((0, 1, 63, 64, 65, 128, 200)),
+       seed=st.integers(0, 2 ** 32), k=st.integers(0, 5))
+def test_neighbor_counts_over_a_prefix_of_the_columns(n, c, seed, k):
+    # k sets of the first c columns count only those columns of every row;
+    # a slice of the packed words past a word edge counts the columns after it
+    c = min(c, n)
+    rng = random.Random(seed)
+    g = gc.generate("gnp", n=n, p=rng.choice((0.1, 0.5, 0.9)), seed=seed)
+    rows = gc.pack_rows(g.adj, n)
+    masks = [rng.getrandbits(c) for _ in range(k)]
+    got = gc.neighbor_counts(rows, gc.bit_matrix(masks, c))
+    assert got.shape == (n, k)
+    assert got.tolist() == [[(g.adj[v] & m).bit_count() for m in masks] for v in range(n)]
+    head = c // 64
+    tail = [rng.getrandbits(n - 64 * head) for _ in range(k)]
+    got = gc.neighbor_counts(rows[:, head:], gc.bit_matrix(tail, n - 64 * head))
+    assert got.tolist() == [[(g.adj[v] >> 64 * head & m).bit_count() for m in tail]
+                            for v in range(n)]
+
+
 def test_pair_gaps_refuses_graphs_beyond_float32_exactness():
     # raised before any row is read, so a stand-in with no rows will do
     big = SimpleNamespace(n=gc.GRAM_EXACT_CAP + 1, adj=())

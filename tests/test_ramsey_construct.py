@@ -18,7 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from ramspect.seeding import derive_seed
 from reference import (bernoulli_loop, bucket_by_enumeration, event4_scan,
-                       independent_units_greedy, select_stx_split)
+                       independent_units_greedy, select_stx_split, star_degrees,
+                       verify_construction_loop)
 
 G256 = gc.generate("gnp", n=256, p=0.5, seed=3)
 M256 = round(1.5 * 0.0003 * 256 * 256)  # window midpoint for default c
@@ -314,14 +315,53 @@ def test_star_anchor_multiword_matches_counter_reference(n):
 
 
 def test_star_anchor_tie_goes_to_lowest_vertex():
-    # vertices 90 (listed first) and 5 (only ever the second entry) both
-    # carry three filtered pairs; vertex 5 must win the tie
+    # vertices 90 (only ever the first entry) and 5 (only ever the second)
+    # both carry three filtered pairs; vertex 5 must win the tie.  The
+    # pairs are in lexicographic order, as pigeonhole_pairs lists them
     g = gc.generate("gnp", n=130, p=0.5, seed=4)
-    h = np.array([[90, 90, 90, 1, 2, 3, 7], [100, 101, 102, 5, 5, 5, 120]], dtype=np.int32)
+    h = np.array([[1, 2, 3, 7, 90, 90, 90], [5, 5, 5, 120, 100, 101, 102]], dtype=np.int32)
     assert reference_star_anchor(h) == (5, 3)
+    assert star_degrees(h, g.n)[[5, 90]].tolist() == [3, 3]
     mode, anchor, units, _ = rc.star_or_matching(g, h, h, 0, 3.0, 1e9)
     assert (mode, anchor) == ("star", 5)
     assert [u.vertices for u in units] == [(1,), (2,), (3,)]
+    # the anchor's partners past it are read from a slice of h's sorted first row
+    mode, anchor, units, _ = rc.star_or_matching(g, h, h[:, 4:], 0, 3.0, 1e9)
+    assert (mode, anchor) == ("star", 90)
+    assert [u.vertices for u in units] == [(100,), (101,), (102,)]
+
+
+def test_a_bucket_out_of_lexicographic_order_is_refused():
+    # the tie test's seven pairs out of order: either bucket's first row
+    # decreasing is refused
+    g = gc.generate("gnp", n=130, p=0.5, seed=4)
+    unsorted = np.array([[90, 90, 90, 1, 2, 3, 7], [100, 101, 102, 5, 5, 5, 120]],
+                        dtype=np.int32)
+    ordered = unsorted[:, np.lexsort(unsorted[::-1])]
+    assert ordered[0].tolist() == [1, 2, 3, 7, 90, 90, 90]
+    for h, kept, name in ((unsorted, ordered, "h"), (ordered, unsorted, "h_filtered")):
+        with pytest.raises(ContractViolation, match=f"first vertices of {name} decrease"):
+            rc.star_or_matching(g, h, kept, 0, 3.0, 1e9)
+    # a tie in the first row is no decrease
+    assert rc.star_or_matching(g, ordered, ordered, 0, 3.0, 1e9)[1] == 5
+
+
+@pytest.mark.parametrize("n,seed", [(130, 1), (200, 2), (512, 3)])
+def test_star_degrees_by_searchsorted_match_the_bincount_reference(n, seed):
+    # the anchor and its unit list against the per-row bincount count, on
+    # real buckets and on filtered ones that drop pairs
+    g = gc.generate("gnp", n=n, p=0.5, seed=seed)
+    d_prime, h = rc.pigeonhole_pairs(g)
+    for theta in (0.1, 0.45, 0.5):
+        kept = rc.filter_close_complements(g, h, theta)
+        hdeg = star_degrees(kept, n)
+        best = int(np.argmax(hdeg))
+        mode, anchor, units, d_dp = rc.star_or_matching(g, h, kept, d_prime, hdeg[best], 1e9)
+        assert (mode, anchor) == ("star", best)
+        partners = sorted({b if a == best else a for a, b in zip(*h.tolist()) if best in (a, b)})
+        assert [u.vertices[0] for u in units] == partners
+        with pytest.raises(ConstructionFailure):
+            rc.star_or_matching(g, h, kept, d_prime, hdeg[best] + 1, 1e9)
 
 
 def pipeline_units(n, seed, star_coeff):
@@ -702,6 +742,45 @@ def test_verifier_catches_tampering():
     bad = replace(res, mode=flipped)
     with pytest.raises(ContractViolation):
         verify_construction(G256, bad, params)
+
+
+def verdict(verify, g, res, params):
+    """True, or the text of the ContractViolation the verifier raised."""
+    try:
+        return verify(g, res, params)
+    except ContractViolation as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("star_coeff,mode", [(0.25, "star"), (1e6, "matching")])
+def test_verifier_matches_the_int_row_loop(star_coeff, mode):
+    # the packed X-pair broadcast against the pair-by-pair multiset_gap loop,
+    # on a sound scaffold and on hand-broken ones: the same verdict, and the
+    # same first pair in row-major order named in the same words
+    params = ConstructionParams(seed=4, star_coeff=star_coeff)
+    res = construct(G256, M256, params)
+    assert res.mode == mode and len(res.x_units) > 20
+    n, xs = res.working_n, res.x_units
+    gaps = sorted({gc.symdiff_size(G256, x, y, umask=res.u0_mask)
+                   for i, x in enumerate(xs) for y in xs[i + 1:]})
+    broken = [replace(res, kappa3=gap / n) for gap in (gaps[0], gaps[1], gaps[len(gaps) // 2])]
+    broken += [
+        replace(res, kappa3=(gaps[-1] + 1) / n),  # every pair below: the first is (0, 1)
+        replace(res, x_units=xs[::-1], kappa3=gaps[len(gaps) // 2] / n),
+        replace(res, x_units=xs[:1], kappa3=0.9),  # one unit: no pair to compare
+        replace(res, x_units=(), kappa3=0.9),
+        replace(res, x_units=xs[:-1] + (res.s_units[0],)),  # overlap, caught first
+        replace(res, mode="star" if mode == "matching" else "matching"),
+    ]
+    texts = []
+    for r in [res] + broken:
+        want = verdict(verify_construction_loop, G256, r, params)
+        assert verdict(verify_construction, G256, r, params) == want
+        texts.append(want)
+    assert texts[0] is True
+    symdiff = [t for t in texts if t is not True and "symdiff" in t]
+    assert len(symdiff) == len(set(symdiff)) == 4
+    assert f"x units {xs[0].vertices},{xs[1].vertices} symdiff" in texts[4]
 
 
 def test_construct_diagnostics_shape():

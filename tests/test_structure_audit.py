@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from ramspect import graph_core as gc
 from ramspect import structure_audit as sa
 from ramspect.errors import CapacityError, ContractViolation, ParameterError
-from reference import (candidate_sets_loop, close_complement_pair_count, diversity_profile,
-                       extract_keep_loop, extract_sides_loop, richness_audit_loop)
+from reference import (bad_counts_product, candidate_sets_loop, close_complement_pair_count,
+                       diversity_profile, extract_keep_loop, extract_sides_loop,
+                       richness_audit_loop)
 
 
 def random_graph(rng, n, p=0.5):
@@ -286,11 +287,13 @@ def planted_witness_graph(n, seed):
 
 
 @settings(max_examples=30)
-@given(n=st.sampled_from((65, 129)), at=st.sampled_from((1, 32, 33, 96, 97, 224, 225)),
+@given(n=st.sampled_from((65, 129, 256)), at=st.sampled_from((1, 32, 33, 96, 97, 224, 225)),
        after=st.integers(0, 40), seed=st.integers(0, 2 ** 32))
 def test_planted_witness_is_found_at_its_index_across_block_boundaries(n, at, after, seed):
     # the candidates before the plant have at most n^delta bad vertices;
-    # the audit must stop at the plant, whichever block it falls in
+    # the audit must stop at the plant, whichever block it falls in.  At
+    # n = 256 the prefix screen reads the first 128 columns, so the plant's
+    # W, the upper half, is all past it and only the full count finds it
     g, witness = planted_witness_graph(n, seed)
     params = sa.AuditParams(epsilon=0.05, delta=0.3)
     rows = gc.pack_rows(g.adj, n)
@@ -327,19 +330,27 @@ def test_bad_counts_match_bad_vertices_where_eps_w_is_an_integer(n, graph_seed, 
     assert sa._bad_counts(rows, block, epsilon).tolist() == want
 
 
-@pytest.mark.parametrize("epsilon,size,pattern", [
+TIE_CASES = [
     (0.25, 8, 0b1010),   # eps*|W| = 2 exactly: a count of 2 is not bad
     (0.07, 100, 0b1111),  # eps*|W| = 7.000000000000001: a count of 7 is bad
-])
-def test_bad_counts_keep_the_ties_on_both_sides(epsilon, size, pattern):
-    # W = {0..size-1} and t = round(eps*|W|).  Vertices size and size+1 have
-    # t and t - 1 neighbors in W, vertices size+2 and size+3 have t and t - 1
-    # non-neighbors there; the pattern marks which of the four are bad
+]
+
+
+def tie_graph(epsilon, size, pad=0):
+    """(graph, W) for the tie cases: W = {0..size-1} and t = round(eps*|W|).
+    Vertices size and size+1 have t and t - 1 neighbors in W, vertices
+    size+2 and size+3 have t and t - 1 non-neighbors there; pad isolated
+    vertices follow."""
     t = round(epsilon * size)
     edges = [(size + i, u) for i, top in enumerate((t, t - 1, size - t, size - t + 1))
              for u in range(top)]
-    g = gc.from_edges(size + 4, edges)
-    w = gc.mask_of(range(size))
+    return gc.from_edges(size + 4 + pad, edges), gc.mask_of(range(size))
+
+
+@pytest.mark.parametrize("epsilon,size,pattern", TIE_CASES)
+def test_bad_counts_keep_the_ties_on_both_sides(epsilon, size, pattern):
+    # the pattern marks which of the four vertices past W are bad
+    g, w = tie_graph(epsilon, size)
     rows = gc.pack_rows(g.adj, g.n)
     want = gc.mask_of(v for v in range(g.n)
                       if (g.adj[v] & w).bit_count() < epsilon * size
@@ -352,6 +363,29 @@ def test_bad_counts_keep_the_ties_on_both_sides(epsilon, size, pattern):
     assert sparse | dense == want and not sparse & dense
     assert (sparse >> size, dense >> size) == (pattern & 0b11, pattern & 0b1100)
     assert sa._bad_counts(rows, [w], epsilon).tolist() == [want.bit_count()]
+
+
+@pytest.mark.parametrize("epsilon,size,pattern", TIE_CASES)
+def test_the_prefix_screen_settles_exactly_the_vertices_at_or_above_both_ties(
+        epsilon, size, pattern, monkeypatch):
+    # 400 isolated vertices, bad on the sparse side, make the rows longer
+    # than the screen's prefix, which holds W.  The screen settles exactly
+    # the vertices whose counts reach t on both sides: size holds t
+    # neighbors and size+2 t non-neighbors, at the tie; every other vertex
+    # is bad, so open
+    g, w = tie_graph(epsilon, size, pad=400)
+    rows = gc.pack_rows(g.adj, g.n)
+    assert size + 4 <= 64 * gc.prefix_words(epsilon * g.n, rows.shape[1]) < g.n
+    opened = []
+    real = sa._open_bad
+    monkeypatch.setattr(sa, "OPEN_DENSE", 1)  # the popcount path for any open count
+    monkeypatch.setattr(sa, "_open_bad", lambda *a: opened.append(a[4][:, 0].copy())
+                        or real(*a))
+    bad = g.n - 4 + bin(pattern).count("1")
+    assert sa._bad_counts(rows, [w], epsilon).tolist() == [bad]
+    assert bad_counts_product(rows, [w], epsilon).tolist() == [bad]
+    settled = {size, size + 2} - {size + i for i in range(4) if pattern >> i & 1}
+    assert set(np.flatnonzero(~opened[0]).tolist()) == settled
 
 
 def test_a_witness_recount_that_disagrees_is_a_contract_violation(monkeypatch):
@@ -369,18 +403,90 @@ def test_a_witness_recount_that_disagrees_is_a_contract_violation(monkeypatch):
         sa.richness_audit(g, params)
 
 
-def test_richness_audit_builds_no_n_by_n_matrix():
+def test_richness_audit_builds_no_n_by_n_matrix(monkeypatch):
     # an n x n float32 matrix at n = 2048 takes 16 MB; numpy reports its
-    # buffers to tracemalloc, and the audit reads the adjacency in row blocks
-    g = gc.generate("gnp", n=2048, p=0.5, seed=0)
-    tracemalloc.start()
-    try:
-        verdict = sa.richness_audit(g, sa.AuditParams())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert verdict.budget_used == sa.AuditParams().sample_budget
-    assert peak < 8 * 2 ** 20
+    # buffers to tracemalloc, and the audit reads the adjacency in row
+    # blocks.  The audit's own candidates take the prefix screen and a
+    # popcount per open entry; sets in the upper half of the columns leave
+    # every entry open and take the second product over the other columns
+    n = 2048
+    g = gc.generate("gnp", n=n, p=0.5, seed=0)
+    params = sa.AuditParams()
+    head = 64 * gc.prefix_words(params.epsilon * n, n // 64)
+    assert head == 896
+    rng = random.Random(0)
+    high = [gc.mask_of(rng.sample(range(n // 2, n), 700)) for _ in range(params.sample_budget)]
+    real = sa.neighbor_counts
+    for family, widths in (("audit", {head}), ("high columns", {head, n - head})):
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            if family == "high columns":
+                mp.setattr(sa, "_candidate_sets", lambda *args: iter(high))
+            mp.setattr(sa, "neighbor_counts",
+                       lambda rows, member: seen.append(member.shape[1]) or real(rows, member))
+            tracemalloc.start()
+            try:
+                verdict = sa.richness_audit(g, params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert verdict.budget_used == params.sample_budget, family
+        assert peak < 8 * 2 ** 20, family
+        assert set(seen) == widths, family
+
+
+def planted_graph(n, seed, plant, frac):
+    """G(n, 1/2) with a clique or an independent set planted on a random
+    frac of the vertices (plant None: none)."""
+    rng = np.random.default_rng(seed)
+    adj = np.triu(rng.random((n, n)) < 0.5, 1)
+    adj |= adj.T
+    if plant is not None:
+        inside = rng.permutation(n)[:round(frac * n)]
+        adj[np.ix_(inside, inside)] = plant == "clique"
+    np.fill_diagonal(adj, False)
+    return gc.from_edges(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(adj, 1)))])
+
+
+@settings(max_examples=60)
+@given(n=st.sampled_from((129, 200, 256, 300)),
+       plant=st.sampled_from((None, "clique", "independent")), frac=st.floats(0.3, 0.4),
+       epsilon=st.one_of(st.floats(0.01, 0.3), st.sampled_from((0.125, 0.25, 0.07, 0.05))),
+       family=st.sampled_from(("audit", "high columns", "mixed", "integer ties")),
+       dense=st.sampled_from((1, sa.OPEN_DENSE, 1 << 30)), seed=st.integers(0, 2 ** 32))
+def test_screened_bad_counts_match_the_whole_row_product(n, plant, frac, epsilon, family,
+                                                          dense, seed):
+    # the prefix screen and either way of finishing its open entries (dense
+    # 1: a popcount per open entry; 1 << 30: the product over the other
+    # columns once any entry is open) against one product of whole rows:
+    # on planted structure, on sets packed past the prefix, where the
+    # screen settles nothing, and on sizes where eps*|W| is an integer
+    g = planted_graph(n, seed, plant, frac)
+    rows = gc.pack_rows(g.adj, n)
+    rng = random.Random(seed)
+    c = min(64 * gc.prefix_words(epsilon * n, rows.shape[1]), n)
+    audit = list(sa._candidate_sets(g, 0.3, 64, seed))
+    high = [gc.mask_of(rng.sample(range(c, n), rng.randrange(1, n - c + 1)))
+            for _ in range(16)] if c < n else []
+    ties = [gc.mask_of(rng.sample(range(n), size)) for size in rng.sample(
+        [s for s in range(8, n + 1) if s % 8 == 0 or s % 20 == 0 or s % 100 == 0], 16)]
+    block = {"audit": audit, "high columns": high, "mixed": audit[:24] + high + audit[24:],
+             "integer ties": ties}[family]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sa, "OPEN_DENSE", dense)
+        got = sa._bad_counts(rows, block, epsilon).tolist()
+    assert got == bad_counts_product(rows, block, epsilon).tolist()
+    assert got == [bad_count(rows, w, epsilon) for w in block]
+
+
+@settings(max_examples=30)
+@given(n=st.sampled_from((200, 256)), plant=st.sampled_from(("clique", "independent")),
+       frac=st.floats(0.3, 0.4), epsilon=st.floats(0.05, 0.3), seed=st.integers(0, 2 ** 32))
+def test_richness_audit_on_planted_structure_matches_the_candidate_loop(n, plant, frac,
+                                                                        epsilon, seed):
+    g = planted_graph(n, seed, plant, frac)
+    params = sa.AuditParams(epsilon=epsilon, sample_budget=300, seed=seed % 1000)
+    assert sa.richness_audit(g, params) == richness_audit_loop(g, params)
 
 
 @settings(max_examples=120)
