@@ -27,10 +27,13 @@ exact because U lies in U0 and the S, T and X units are pairwise disjoint
 and miss U0 (per_m_run checks this, so a hand-built result that breaks it
 is a ContractViolation).  per_m_run counts e(x) once per run and deg(x, U)
 once per exposure attempt; per_k_checks adds only the degree into the few
-vertices of each Z_{k,i}.  family_table counts every cell from its
-definition, e_{k,i} = e(U u Z_{k,i}) - e(U), in one
-graph_core.count_edges_many batch, and every emitted size, which adds the
-split degrees to those cells, is recounted from scratch in a second batch.
+vertices of each Z_{k,i}.  family_table splits each cell the same way:
+e_{k,i} = e(U u Z_{k,i}) - e(U) = e(Z') + sum over v in Z' of |N(v) & U|
+with Z' = Z_{k,i} minus U, exact for any masks, the degrees into U taken
+once per exposure attempt and e(Z') a count_edges over a few vertices.
+Every emitted size, which adds the split degrees to those cells, is
+recounted from scratch in one graph_core.count_edges_many batch, a kernel
+the table does not use.
 
 Each window has one outcome: per_m_run leaves its retry loop at the
 accepted exposure, and a loop that runs out returns the empty outcome.
@@ -48,7 +51,7 @@ import numpy as np
 
 from .errors import ConstructionFailure, ContractViolation, ParameterError, _require
 from .graph_core import (Graph, Unit, bit_matrix, check_disjoint_units, count_edges,
-                         count_edges_many, mask_from_bools, unit_degree)
+                         count_edges_many, iter_bits, mask_from_bools, unit_degree)
 from .ramsey_construct import (ConstructionParams, ConstructionResult, construct,
                                nonempty_m_window)
 from .seeding import bernoulli, derive_seed, stream
@@ -190,15 +193,26 @@ class PerKRecord:
 def family_table(g: Graph, u_mask: int, s_units, t_units, resolved: ResolvedExposure):
     """e_{k,i} = e(U u Z_{k,i}) - e(U) over the whole index rectangle.
 
-    Every cell's Z_{k,i} comes from z_family, and U and every U u Z_{k,i}
-    are counted in one count_edges_many batch.
+    Every cell's Z_{k,i} comes from z_family.  With Z' = Z_{k,i} minus U,
+    U u Z_{k,i} is the disjoint union of U and Z', so the cell is
+    e(Z') + sum over v in Z' of |N(v) & U|, for any masks.  The degrees
+    into U are taken once per vertex of the union of the cells' masks, and
+    each cell adds a count_edges over its few vertices.
     """
     rows = [(k, [z_family(s_units, t_units, k, i) for i in range(min(k, resolved.i_hi) + 1)])
             for k in range(resolved.k_lo, resolved.k_hi + 1)]
-    e_u, *counts = count_edges_many(g, [u_mask] + [zm | u_mask for _, zms in rows for zm in zms])
-    cells = iter(counts)
+    union = 0
+    for _, zms in rows:
+        for zm in zms:
+            union |= zm
+    into_u = {v: (g.adj[v] & u_mask).bit_count() for v in iter_bits(union & ~u_mask)}
+
+    def cell(zm: int) -> int:
+        z = zm & ~u_mask
+        return count_edges(g, z) + sum(into_u[v] for v in iter_bits(z))
+
     return [PerKRecord(k=k, i_values=list(range(len(zms))), z_masks=zms,
-                       e_values=[next(cells) - e_u for _ in zms])
+                       e_values=[cell(zm) for zm in zms])
             for k, zms in rows]
 
 

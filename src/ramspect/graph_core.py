@@ -17,7 +17,8 @@ exactness argument, and _require_exact, its only reader, passes it to the
 package's one capacity rule, errors._require_cap.  Three kernels call
 _product: pair_gaps, every multiset gap |A| + |B| - 2|A & B| of a unit
 family from one Gram product; count_edges_many, edge counts of many vertex
-sets over the adjacency matrix of their union; and neighbor_counts, the
+sets over the adjacency matrix of their union, which per_m_run uses only
+to recount its emitted sizes from scratch; and neighbor_counts, the
 counts |N(v) & M| of every vertex v into each of many sets M of the first
 c columns (all n of them, or a prefix that a screen reads first), a chunk
 of adjacency rows at a time against the sets' matrix, converted to

@@ -86,16 +86,16 @@ def _seen_table(g: Graph, stride: int) -> np.ndarray:
     marks acc shifted by base = |T|*stride + e(T).
 
     Everything a step needs apart from acc is one precomputed table over
-    the 2^h - 1 steps: step s visits T = s ^ (s >> 1), and base and the
-    range end come from _block_sums over the high block.  Step T marks only
-    in [base, base + top]: top is acc's entry for the whole low block, its
-    largest, so base + top is the index of the whole low block plus T.  A
-    Phi step whose range is all marked would change nothing and is skipped;
-    acc catches up on the skipped flips at the next marking step, so it
-    moves no more often than in a walk that marks every step.  Psi never
-    skips: top >= stride, so its range holds (|T|, C(|T|,2) + 1), never
-    marked.  The counts are intp, acc's own dtype, since numpy adds mixed
-    dtypes as a buffered cast at about three times the cost.
+    the 2^h - 1 steps: step s visits T = s ^ (s >> 1), and base and, for
+    Phi, the range end come from _block_sums over the high block.  Step T
+    marks only in [base, base + top]: top is acc's entry for the whole low
+    block, its largest, so base + top is the index of the whole low block
+    plus T.  A Phi step whose range is all marked would change nothing and
+    is skipped; acc catches up on the skipped flips at the next marking
+    step, so it moves no more often than in a walk that marks every step.
+    Psi never skips: top >= stride, so its range holds (|T|, C(|T|,2) + 1),
+    never marked.  The counts are intp, acc's own dtype, since numpy adds
+    mixed dtypes as a buffered cast at about three times the cost.
     """
     n = g.n
     b = min(n, (n + 1) // 2 + 1)
@@ -107,15 +107,17 @@ def _seen_table(g: Graph, stride: int) -> np.ndarray:
     high = [row >> b for row in g.adj[b:]]
     gray = np.arange(1, 1 << len(high))
     gray ^= gray >> 1
-    bases = _block_sums(high, [stride] * len(high))[gray]
-    # one past base + top, top being acc[-1] plus |N(v) & low block| for v in T
-    ends = _block_sums(high, (stride + counts[:, -1]).tolist())[gray] + (int(acc[-1]) + 1)
+    bases = _block_sums(high, [stride] * len(high))[gray].tolist()
+    # one past base + top, top being acc[-1] plus |N(v) & low block| for v in T;
+    # only Phi reads it, since Psi never skips
+    ends = bases if stride else (_block_sums(high, (stride + counts[:, -1]).tolist())[gray]
+                                 + (int(acc[-1]) + 1)).tolist()
     # seen views a bytearray, so marks.find can look for the first unmarked entry
     marks = bytearray(n * stride + n * (n - 1) // 2 + 1)
     seen = np.frombuffer(marks, dtype=np.bool_)
     seen[acc] = True
     held = 0
-    for t, base, end in zip(gray.tolist(), bases.tolist(), ends.tolist()):
+    for t, base, end in zip(gray.tolist(), bases, ends):
         if not stride and marks.find(0, base, end) < 0:
             continue
         flips, held = t ^ held, t  # high vertices flipped since acc last marked

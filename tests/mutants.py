@@ -49,6 +49,8 @@ GRAPH = "src/ramspect/graph_core.py"
 PAIRS = ("test_ramsey_construct.py",)
 AUDIT = "src/ramspect/structure_audit.py"
 SCREEN = ("test_structure_audit.py",)
+EXPOSE = "src/ramspect/double_exposure.py"
+TABLE = ("test_double_exposure.py",)
 
 MUTANTS = (
     # the parameter rules of errors._require
@@ -188,6 +190,13 @@ MUTANTS = (
            "np.triu_indices(len(xs), 1)", "np.triu_indices(len(xs), 0)", PAIRS),
     Mutant("verifier: the doubled multiplicity term dropped", CONSTRUCT,
            " + 2 * popcount((p2[:, None] ^ p2) & ~d1)", "", PAIRS),
+    # the exposure table from the degree split
+    Mutant("table: the vertices of U kept in Z'", EXPOSE,
+           "z = zm & ~u_mask", "z = zm", TABLE),
+    Mutant("table: the e(Z') term dropped", EXPOSE,
+           "return count_edges(g, z) + sum(", "return 0 + sum(", TABLE),
+    Mutant("table: degrees counted into U0, not U", EXPOSE,
+           "records = family_table(g, u, ", "records = family_table(g, res.u0_mask, ", TABLE),
     # the capacity rule of errors._require_cap
     Mutant("cap: > flipped to >=", ERRORS, "if value > cap:", "if value >= cap:", RULES),
     Mutant("cap: check dropped", ERRORS, "if value > cap:", "if False:", RULES),

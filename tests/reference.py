@@ -7,8 +7,8 @@ split and int-row verifier of the scaffold construction, the richness
 audit's bad-vertex counts over whole rows and one candidate at a time, its candidate
 family as one generator with a shared budget counter, the extraction's split
 of a witness and its keep rule as int-row loops, the audit's two pair counts
-as separate passes, and the exposure's adjusted degrees recounted per unit
-and cell.
+as separate passes, the exposure's adjusted degrees recounted per unit
+and cell, and its family table as one count_edges_many batch.
 
 Nothing in the package or the benchmark calls these; the tests use them to
 check the package's results against independent computations.
@@ -21,11 +21,12 @@ import random
 import numpy as np
 
 from ramspect import structure_audit as sa
+from ramspect.double_exposure import PerKRecord, z_family
 from ramspect.errors import ContractViolation, ParameterError, RamspectError, _require_cap
 from ramspect.graph_core import (Graph, bit_matrix, check_disjoint_units,
-                                 complement_gap_at_least, count_edges, iter_bits, mask_of,
-                                 multiset_gap, neighbor_counts, pack_rows, popcount,
-                                 symdiff_size, unit_degree, unit_rows)
+                                 complement_gap_at_least, count_edges, count_edges_many,
+                                 iter_bits, mask_of, multiset_gap, neighbor_counts,
+                                 pack_rows, popcount, symdiff_size, unit_degree, unit_rows)
 
 HOMOGENEOUS_CAP = 64  # exact clique/independence search refuses larger graphs
 
@@ -246,6 +247,18 @@ def adjusted_values(g: Graph, x_units, ukimask: int):
     """(x, adjusted degree) for each X unit in one cell: the unit's degree
     into U u Z_{k,i} plus its internal edge, both counted from scratch."""
     return [(x, unit_degree(g, x, ukimask) + count_edges(g, x.mask())) for x in x_units]
+
+
+def family_table_batch(g: Graph, u_mask: int, s_units, t_units, resolved):
+    """family_table from its definition: U and every U u Z_{k,i} counted in
+    one count_edges_many batch, each cell e(U u Z_{k,i}) - e(U)."""
+    rows = [(k, [z_family(s_units, t_units, k, i) for i in range(min(k, resolved.i_hi) + 1)])
+            for k in range(resolved.k_lo, resolved.k_hi + 1)]
+    e_u, *counts = count_edges_many(g, [u_mask] + [zm | u_mask for _, zms in rows for zm in zms])
+    cells = iter(counts)
+    return [PerKRecord(k=k, i_values=list(range(len(zms))), z_masks=zms,
+                       e_values=[next(cells) - e_u for _ in zms])
+            for k, zms in rows]
 
 
 # ── richness ─────────────────────────────────────────────────────────────

@@ -15,7 +15,7 @@ from ramspect.double_exposure import (ExposureParams, expose, family_table,
 from ramspect.errors import (ConstructionFailure, ContractViolation, ParameterError,
                              RamspectError)
 from ramspect.ramsey_construct import ConstructionParams, construct, m_window
-from reference import adjusted_values, bernoulli_loop
+from reference import adjusted_values, bernoulli_loop, family_table_batch
 
 G256 = gc.generate("gnp", n=256, p=0.5, seed=3)
 M256 = round(1.5 * 0.0003 * 256 * 256)
@@ -145,6 +145,46 @@ def test_family_table_matches_count_edges_on_every_cell(mode, kappa, seed):
             assert e_ki == gc.count_edges(g, zm) + gc.count_edges(g, zm, u)
 
 
+@settings(max_examples=40)
+@example(mode="matching", kappa=None, seed=0, share=1.0)
+@example(mode="star-n1024", kappa=3, seed=0, share=0.5)
+@given(mode=st.sampled_from(sorted(TABLE_SCAFFOLDS)),
+       kappa=st.sampled_from([None, 1, 1.5, 2, 2.5, 3]), seed=st.integers(0, 2 ** 32),
+       share=st.sampled_from([0.0, 0.5, 1.0]))
+def test_family_table_matches_the_batch_and_the_definition(mode, kappa, seed, share):
+    # the degree split against the one-batch reference and against
+    # e(U u Z) - e(U) per cell; share > 0 adds that share of the S and T
+    # vertices to U, so the Z masks meet U and only Z minus U may be counted
+    g, res = TABLE_SCAFFOLDS[mode]
+    c_prime = None if kappa is None else \
+        min(kappa, len(res.s_units) / 2, len(res.t_units)) / math.sqrt(res.working_n)
+    resolved = resolve_exposure(res, ExposureParams(c_prime=c_prime))
+    rng = random.Random(seed)
+    swap = [v for x in res.s_units + res.t_units for v in x.vertices]
+    u = expose(res.u0_mask, seed) | gc.mask_of(v for v in swap if rng.random() < share)
+    records = family_table(g, u, res.s_units, res.t_units, resolved)
+    assert records == family_table_batch(g, u, res.s_units, res.t_units, resolved)
+    e_u = gc.count_edges(g, u)
+    for rec in records:
+        for zm, e_ki in zip(rec.z_masks, rec.e_values):
+            assert e_ki == gc.count_edges(g, u | zm) - e_u
+            if share == 1.0:
+                assert e_ki == 0
+
+
+def test_family_table_never_reads_count_edges_many(monkeypatch):
+    resolved = resolve_exposure(RES256, ExposureParams())
+    u = expose(RES256.u0_mask, seed=31)
+    want = family_table_batch(G256, u, RES256.s_units, RES256.t_units, resolved)
+
+    def refuse(g, masks):
+        raise AssertionError("family_table read count_edges_many")
+
+    monkeypatch.setattr(gc, "count_edges_many", refuse)
+    monkeypatch.setattr(de, "count_edges_many", refuse)
+    assert family_table(G256, u, RES256.s_units, RES256.t_units, resolved) == want
+
+
 def reference_witnesses(g, res, u, zm, lo, hi):
     """The first X unit of each distinct in-window adjusted value, in order."""
     seen, wit = set(), []
@@ -204,9 +244,9 @@ def test_per_m_refuses_x_units_that_meet_u0_or_the_swap_units(intruder):
 
 
 def test_batched_recount_checks_every_emitted_size(monkeypatch):
-    # the size recount stays independent of the table: shifting every count
-    # by one leaves each e_(k,i) = e(U u Z) - e(U) as it was but breaks each
-    # emitted size
+    # the size recount is the one reader of count_edges_many, not the table:
+    # shifting every count it returns by one leaves each e_(k,i) as it was
+    # but breaks each emitted size
     real = gc.count_edges_many
     monkeypatch.setattr(de, "count_edges_many", lambda g, masks: [e + 1 for e in real(g, masks)])
     with pytest.raises(ContractViolation, match=r"size \d+ for \(k="):
