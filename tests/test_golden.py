@@ -170,6 +170,37 @@ def test_artifact_digest_is_pinned(name, tmp_path):
         assert sha256(body(tmp_path / fname)) == want, fname
 
 
+def planted_clique(n: int, size: int, seed: int):
+    """G(n, 1/2) at graph seed 0 with a clique on a seeded random set of
+    size vertices."""
+    import random
+
+    from ramspect import graph_core as gc
+
+    g = gc.generate("gnp", n=n)
+    clique = gc.mask_of(random.Random(seed).sample(range(n), size))
+    return gc.Graph(n, ((r | clique) & ~(1 << v) if clique >> v & 1 else r
+                        for v, r in enumerate(g.adj)))
+
+
+# G(600, 1/2) with a planted clique on 40% of its vertices: the audit finds a
+# witness in every round, and each of the eight rounds shrinks the working
+# graph (600, 421, 327, ...) through graph_core.induced_subgraph
+PLANTED_AUDIT_DIGEST = "fb0ed9d257cbdac550cda3e9864be3687a17a780ab8074dda86ed687b56ec562"
+
+
+def test_planted_clique_audit_is_pinned(tmp_path):
+    from ramspect import graph_core as gc
+
+    path = tmp_path / "planted.txt"
+    path.write_text(gc.dump_graph(planted_clique(600, 240, 1)))
+    out = tmp_path / "out.json"
+    assert cli.main(["audit", "--graph", str(path), "--out", str(out)]) == 0
+    rounds = json.loads(out.read_text())["extract_trace"]["rounds"]
+    assert len(rounds) == 8 and all(r["size_after"] < r["size_before"] for r in rounds)
+    assert sha256(json_body(out)) == PLANTED_AUDIT_DIGEST
+
+
 def raw_json_body(path) -> bytes:
     # keys stay in the order the CLI wrote them, so a change of key type
     # (str(i) versus int i) that moves "10" relative to "2" moves the digest
