@@ -37,7 +37,7 @@ the table does not use.
 
 Each window has one outcome: per_m_run leaves its retry loop at the
 accepted exposure, and a loop that runs out returns the empty outcome.
-theorem_run steps m through ramsey_construct.nonempty_m_window and keeps a
+theorem_run steps m through ramsey_construct.m_window and keeps a
 window by one predicate: it emitted sizes, all above the last kept window's
 maximum.
 """
@@ -52,8 +52,7 @@ import numpy as np
 from .errors import ConstructionFailure, ContractViolation, ParameterError, _require
 from .graph_core import (Graph, Unit, bit_matrix, check_disjoint_units, count_edges,
                          count_edges_many, iter_bits, mask_from_bools, unit_degree)
-from .ramsey_construct import (ConstructionParams, ConstructionResult, construct,
-                               nonempty_m_window)
+from .ramsey_construct import ConstructionParams, ConstructionResult, construct, m_window
 from .seeding import bernoulli, derive_seed, stream
 
 
@@ -439,7 +438,7 @@ def theorem_run(g: Graph, cparams: ConstructionParams | None = None,
     if eparams.c_prime is not None and not eparams.c_prime <= math.sqrt(n):
         raise ParameterError(f"row range needs k={eparams.c_prime * math.sqrt(n):.1f} "
                              f"first S units but |S| <= n = {n}")
-    m_lo, m_hi, _ = nonempty_m_window(cparams, n)
+    m_lo, m_hi, _ = m_window(cparams, n)
     sig = sigma if sigma is not None else 2.2 * eparams.kappa_window
     stride = sig * n ** 1.5
     if not stride < math.inf:

@@ -6,8 +6,11 @@ AND/XOR row operations and popcounts via ``int.bit_count``.  Loops over many
 row pairs run on a packed view instead: pack_rows lays a list of rows out as
 an (k, ceil(n/64)) array of little-endian uint64 words, and popcount sums
 ``np.bitwise_count`` over the words of each row.  Int masks become packed
-words, bool arrays or 0/1 matrices, and back, only in this module
-(pack_rows, bit_matrix, mask_from_bools).
+words, bool arrays or 0/1 matrices, and back, only in this module:
+pack_rows and bit_matrix turn int rows into words and 0/1 matrices, and one
+conversion, _int_rows, the inverse of pack_rows, turns little-endian packed
+bytes back into int rows for mask_from_bools, the gnp generator and
+induced_subgraph.
 
 Counts over many sets at once are 0/1 matrix products, and one private
 function, _product, converts 0/1 matrices to float32 and multiplies them.
@@ -130,22 +133,25 @@ def from_edges(n: int, edges) -> Graph:
     return Graph(n, rows, _checked=True)
 
 
+ROW_CHUNK = 256  # adjacency rows unpacked at a time: induced_subgraph, neighbor_counts
+
+
 def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, list[int]]:
     """Induced subgraph on the masked vertices, renumbered to 0..k-1.
 
     Returns (subgraph, vertex_map) where vertex_map[i] is the original id of
-    subgraph vertex i.
+    subgraph vertex i.  The kept rows are copied ROW_CHUNK at a time: unpacked
+    to 0/1 columns, cut to the kept columns, and packed back into int rows,
+    so no k x n array is built.
     """
     if mask & ~g.full_mask:
         raise ParameterError("mask has bits outside the vertex range")
     vmap = list(iter_bits(mask))
+    cols = np.array(vmap, dtype=np.intp)
     rows = []
-    for v in vmap:
-        row = g.adj[v] & mask
-        packed = 0
-        for j, u in enumerate(vmap):
-            packed |= ((row >> u) & 1) << j
-        rows.append(packed)
+    for s in range(0, len(vmap), ROW_CHUNK):
+        bits = bit_matrix([g.adj[v] for v in vmap[s:s + ROW_CHUNK]], g.n)[:, cols]
+        rows += _int_rows(np.packbits(bits, axis=1, bitorder="little"))
     return Graph(len(vmap), rows, _checked=True), vmap
 
 
@@ -158,6 +164,12 @@ def pack_rows(rows, n: int) -> np.ndarray:
     nbytes = 8 * -(-n // 64)
     buf = b"".join(r.to_bytes(nbytes, "little") for r in rows)
     return np.frombuffer(buf, dtype="<u8").reshape(len(rows), nbytes // 8)
+
+
+def _int_rows(packed) -> list[int]:
+    """The int rows that rows of little-endian packed bytes hold (byte b,
+    bit j of a row is bit 8b + j), the inverse of pack_rows."""
+    return list(map(int.from_bytes, packed, repeat("little")))
 
 
 def popcount(words: np.ndarray) -> np.ndarray:
@@ -411,9 +423,6 @@ def count_edges_many(g: Graph, masks) -> list[int]:
     return (twice.astype(np.int64) // 2).tolist()
 
 
-NEIGHBOR_CHUNK = 256  # adjacency rows unpacked per product of neighbor_counts
-
-
 def neighbor_counts(rows: np.ndarray, member: np.ndarray) -> np.ndarray:
     """(n, k) float32 array whose entry (v, i) is |N(v) & M_i|, for k vertex
     sets M_i of the first c columns given as the 0/1 rows of member (k, c
@@ -422,7 +431,7 @@ def neighbor_counts(rows: np.ndarray, member: np.ndarray) -> np.ndarray:
     the columns.
 
     The counts are A @ member.T for the 0/1 adjacency matrix A cut to its
-    first c columns, one product per block of NEIGHBOR_CHUNK rows unpacked
+    first c columns, one product per block of ROW_CHUNK rows unpacked
     at a time, so no n x n matrix is built.
     """
     k, c = member.shape
@@ -431,9 +440,9 @@ def neighbor_counts(rows: np.ndarray, member: np.ndarray) -> np.ndarray:
     member = member.astype(np.float32)
     prefix = rows[:, :-(-c // 64)]
     out = np.empty((n, k), dtype=np.float32)
-    for v in range(0, n, NEIGHBOR_CHUNK):
-        _product(_unpack(prefix[v:v + NEIGHBOR_CHUNK], c), member,
-                 out=out[v:v + NEIGHBOR_CHUNK])
+    for v in range(0, n, ROW_CHUNK):
+        _product(_unpack(prefix[v:v + ROW_CHUNK], c), member,
+                 out=out[v:v + ROW_CHUNK])
     return out
 
 
@@ -455,7 +464,7 @@ def _is_prime(q: int) -> bool:
 
 def mask_from_bools(bits: np.ndarray) -> int:
     """The int mask whose bit v is set iff bits[v]."""
-    return int.from_bytes(np.packbits(bits, bitorder="little"), "little")
+    return _int_rows([np.packbits(bits, bitorder="little")])[0]
 
 
 GNP_CHUNK = 1 << 18  # pairs per row block (and bulk draw) of the gnp generator
@@ -484,7 +493,7 @@ def _gnp_rows(n: int, p: float, seed: int) -> list[int]:
         block[np.arange(n) > np.arange(a, b)[:, None]] = draws
         bits[a:b] |= np.packbits(block, axis=1, bitorder="little")
         bits[:, a >> 3:-(-b // 8)] |= np.packbits(block.T, axis=1, bitorder="little")
-    return list(map(int.from_bytes, bits, repeat("little")))
+    return _int_rows(bits)
 
 
 GRAPH_MODELS = ("gnp", "paley", "complete", "empty")

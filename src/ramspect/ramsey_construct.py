@@ -38,10 +38,10 @@ tests keep as references.
 
 The target m must lie in the m-window, the integers m >= 1 with
 c*n^2 <= m <= 2c*n^2 for c = c_density.  m_window states it once, with its
-default midpoint and its float-overflow refusal: construct's entry check,
+default midpoint and its two refusals, of a window beyond float range and
+of a window that holds no m: construct's entry check,
 double_exposure.theorem_run's sweep and the CLI's default m all read it
-there.  Both of the first two refuse an empty window through
-nonempty_m_window.
+there.
 
 All the asymptotic constants are explicit knobs on ConstructionParams with
 defaults tuned for dense random graphs at desk scale; every resolved value
@@ -120,25 +120,19 @@ def m_window(params: ConstructionParams, n: int) -> MWindow:
     """The edge-count targets m that n vertices admit, as (lo, hi, mid).
 
     The admissible m are the integers with c*n^2 <= m <= 2c*n^2, c =
-    c_density, and m >= 1: lo = max(1, ceil(c*n^2)) and hi = floor(2c*n^2),
-    an empty window when lo > hi.  mid = round(1.5c*n^2) is the default
-    target.  construct, theorem_run and the CLI read the window from here
-    alone, and a window beyond float range is refused here alone.
+    c_density, and m >= 1: lo = max(1, ceil(c*n^2)) and hi = floor(2c*n^2).
+    mid = round(1.5c*n^2) is the default target.  construct, theorem_run
+    and the CLI read the window from here alone, so a window beyond float
+    range, or one that holds no m (lo > hi), is refused here alone, in the
+    same words for every command.
     """
     c = params.c_density
     if not 2 * c * n * n < math.inf:
         raise ParameterError(f"c_density={c} puts the m window beyond float range at n={n}")
-    return MWindow(max(1, math.ceil(c * n * n)), math.floor(2 * c * n * n),
-                   round(1.5 * c * n * n))
-
-
-def nonempty_m_window(params: ConstructionParams, n: int) -> MWindow:
-    """m_window, refused when it holds no m: construct and theorem_run read
-    it from here, so every command refuses an empty window in the same words."""
-    window = m_window(params, n)
-    if window.lo > window.hi:
-        raise ParameterError(f"empty m range [{window.lo}, {window.hi}]")
-    return window
+    lo, hi = max(1, math.ceil(c * n * n)), math.floor(2 * c * n * n)
+    if lo > hi:
+        raise ParameterError(f"empty m range [{lo}, {hi}]")
+    return MWindow(lo, hi, round(1.5 * c * n * n))
 
 
 @dataclass(frozen=True)
@@ -541,7 +535,7 @@ def construct(g: Graph, m: int, params: ConstructionParams | None = None) -> Con
     """
     params = params or ConstructionParams()
     n = g.n
-    window = nonempty_m_window(params, n)
+    window = m_window(params, n)
     if m != int(m) or m < 1:
         raise ParameterError(f"m must be a positive integer, got {m}")
     if not window.lo <= m <= window.hi:

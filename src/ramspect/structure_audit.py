@@ -347,7 +347,9 @@ def rich_extract(g: Graph, params: AuditParams) -> ExtractResult:
     floor stops with "failed_shrink"; exhausting k_rounds with witnesses
     still arriving stops with "rounds_exhausted".  Both of the latter
     signal a graph far from Ramsey-like.  Only a round that shrinks the
-    live set induces a new working graph, from the current one.
+    live set induces a new working graph, from the current one:
+    graph_core.induced_subgraph copies its kept rows a chunk at a time,
+    through 0/1 columns cut to the kept vertices and packed back into ints.
     """
     sub, vmap = g, range(g.n)
     umask = g.full_mask

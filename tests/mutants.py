@@ -197,6 +197,19 @@ MUTANTS = (
            "return count_edges(g, z) + sum(", "return 0 + sum(", TABLE),
     Mutant("table: degrees counted into U0, not U", EXPOSE,
            "records = family_table(g, u, ", "records = family_table(g, res.u0_mask, ", TABLE),
+    # induced_subgraph a chunk of rows at a time, and the one bytes-to-rows
+    # conversion
+    Mutant("induced: the kept-column take dropped", GRAPH,
+           "g.n)[:, cols]", "g.n)", ("test_graph_core.py",)),
+    Mutant("induced: kept columns packed big-endian", GRAPH,
+           'np.packbits(bits, axis=1, bitorder="little")',
+           'np.packbits(bits, axis=1, bitorder="big")', ("test_graph_core.py",)),
+    Mutant("induced: the chunk loop stops one chunk early", GRAPH,
+           "range(0, len(vmap), ROW_CHUNK)", "range(0, len(vmap) - ROW_CHUNK, ROW_CHUNK)",
+           ("test_graph_core.py",)),
+    Mutant("int rows: bytes read big-endian", GRAPH,
+           'int.from_bytes, packed, repeat("little")', 'int.from_bytes, packed, repeat("big")',
+           ("test_graph_core.py",)),
     # the capacity rule of errors._require_cap
     Mutant("cap: > flipped to >=", ERRORS, "if value > cap:", "if value >= cap:", RULES),
     Mutant("cap: check dropped", ERRORS, "if value > cap:", "if False:", RULES),

@@ -1,9 +1,9 @@
 """Test-only references: exact homogeneous numbers, graph complement, edge
 lookup, the K_n closed form, the spectrum oracle's block walk marking at
 every step, pmf point lookup, Bernoulli draws one random() call at a time,
-the pair-by-pair G(n, p) and Paley loops, the all-pairs degree-sum bucket,
-star degrees by bincount, pair-by-pair conflict greedy, event-(4) scan, S/T/X
-split and int-row verifier of the scaffold construction, the richness
+the pair-by-pair G(n, p) and Paley loops, induced subgraphs repacked bit
+by bit, the all-pairs degree-sum bucket, star degrees by bincount,
+pair-by-pair conflict greedy, event-(4) scan, S/T/X split and int-row verifier of the scaffold construction, the richness
 audit's bad-vertex counts over whole rows and one candidate at a time, its candidate
 family as one generator with a shared budget counter, the extraction's split
 of a witness and its keep rule as int-row loops, the audit's two pair counts
@@ -120,6 +120,21 @@ def paley_loop(q: int) -> Graph:
 
 
 # ── scaffold construction ────────────────────────────────────────────────
+
+
+def induced_subgraph_loop(g: Graph, mask: int) -> tuple[Graph, list[int]]:
+    """graph_core.induced_subgraph with each kept row repacked bit by bit."""
+    if mask & ~g.full_mask:
+        raise ParameterError("mask has bits outside the vertex range")
+    vmap = list(iter_bits(mask))
+    rows = []
+    for v in vmap:
+        row = g.adj[v] & mask
+        packed = 0
+        for j, u in enumerate(vmap):
+            packed |= ((row >> u) & 1) << j
+        rows.append(packed)
+    return Graph(len(vmap), rows, _checked=True), vmap
 
 
 def bucket_by_enumeration(g: Graph, w: int):

@@ -374,12 +374,12 @@ def test_theorem_windows_are_disjoint_and_collision_free():
 def test_theorem_attempts_m_from_the_window_low_end_to_within_its_high_end(n, c):
     # on the empty graph every window fails at the density check, cheaply
     params = ConstructionParams(c_density=c)
-    lo, hi, _ = m_window(params, n)
     g = gc.generate("empty", n=n)
-    if lo > hi:
+    if max(1, math.ceil(c * n * n)) > 2 * c * n * n:  # no integer m in the window
         with pytest.raises(ParameterError, match="empty m range"):
             theorem_run(g, params)
         return
+    lo, hi, _ = m_window(params, n)
     out = theorem_run(g, params)
     ms = [m for m, _, _ in out.windows]
     assert ms == list(range(lo, hi + 1, out.step))

@@ -15,7 +15,7 @@ from ramspect.errors import (CapacityError, ContractViolation, GraphParseError,
                              ParameterError)
 from ramspect.seeding import bernoulli
 from reference import (bernoulli_loop, complement, gnp_loop, has_edge, homogeneous_number,
-                       is_c_ramsey, paley_loop)
+                       induced_subgraph_loop, is_c_ramsey, paley_loop)
 
 
 def brute_count_edges(g, avs, bvs=None):
@@ -79,6 +79,60 @@ def test_induced_subgraph_matches_brute_force():
         assert sorted(vmap) == sorted(keep)
         for i, j in itertools.combinations(range(sub.n), 2):
             assert has_edge(sub, i, j) == has_edge(g, vmap[i], vmap[j])
+
+
+PALEY_Q = tuple(q for q in range(5, 300, 4) if all(q % d for d in range(2, q)))
+
+
+@st.composite
+def graphs_and_masks(draw):
+    """A G(n, p) for p in {0.05, 0.5, 0.95}, K_n, the empty graph or a Paley
+    graph, with an empty, full, one-vertex or random vertex mask."""
+    family = draw(st.sampled_from(("gnp", "complete", "empty", "paley")))
+    if family == "paley":
+        g = gc.generate("paley", q=draw(st.sampled_from(PALEY_Q)))
+    else:
+        g = gc.generate(family, n=draw(st.integers(0, 300)),
+                        p=draw(st.sampled_from((0.05, 0.5, 0.95))),
+                        seed=draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(("empty", "full", "one", "random")))
+    if kind == "one" and g.n:
+        return g, 1 << draw(st.integers(0, g.n - 1))
+    if kind == "random":
+        return g, draw(st.integers(0, g.full_mask))
+    return g, g.full_mask if kind == "full" else 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(gm=graphs_and_masks(), chunk=st.sampled_from((1, 3, gc.ROW_CHUNK)))
+@example(gm=(gc.generate("gnp", n=300, seed=2), (1 << 300) - 1), chunk=gc.ROW_CHUNK)
+def test_induced_subgraph_matches_the_bit_loop(gm, chunk):
+    # chunks of 1 and 3 rows put chunk boundaries inside every mask of a few
+    # vertices; the default chunk puts one inside masks of more than 256
+    g, mask = gm
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gc, "ROW_CHUNK", chunk)
+        assert gc.induced_subgraph(g, mask) == induced_subgraph_loop(g, mask)
+        with pytest.raises(ParameterError, match="outside the vertex range"):
+            gc.induced_subgraph(g, mask | 1 << g.n)
+
+
+def test_induced_subgraph_copies_a_chunk_of_rows_at_a_time():
+    n = 2048
+    g = gc.generate("gnp", n=n, seed=1)
+    rng = random.Random(0)
+    mask = gc.mask_of(v for v in range(n) if rng.random() < 0.9)
+    tracemalloc.start()
+    try:
+        sub, _ = gc.induced_subgraph(g, mask)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sub.n == mask.bit_count() > 1800
+    # above the rows it returns, a chunk's unpacked rows, their kept columns
+    # and packed bytes take about 2.6 * ROW_CHUNK * n bytes; one k x n uint8
+    # array alone, k about 7 * ROW_CHUNK here, would take 7 * ROW_CHUNK * n
+    assert peak - kept < 4 * gc.ROW_CHUNK * n
 
 
 def test_count_edges_within_and_across():

@@ -655,19 +655,29 @@ def test_construct_rejects_m_outside_window():
 @example(n=1, c=0.4, pick=0, shift=0)   # [0.4, 0.8] holds no integer
 def test_construct_refuses_exactly_the_m_outside_the_window(n, c, pick, shift):
     # the window against its statement, the integers m >= 1 with
-    # c*n^2 <= m <= 2c*n^2; the empty graph fails the density check right
-    # after the window check, so an admitted m costs nothing
+    # c*n^2 <= m <= 2c*n^2: its least candidate is max(1, ceil(c*n^2)), so
+    # it is empty exactly when that one lies above 2c*n^2, and then m_window
+    # and construct refuse it whatever m is asked for; the empty graph fails
+    # the density check right after the window check, so an admitted m
+    # costs nothing
     params = ConstructionParams(c_density=c)
+    g = gc.generate("empty", n=n)
+    if max(1, math.ceil(c * n * n)) > 2 * c * n * n:
+        for call in (lambda: rc.m_window(params, n), lambda: construct(g, 1 + shift, params)):
+            with pytest.raises(ParameterError, match=r"^empty m range \[\d+, \d+\]$"):
+                call()
+        return
     window = rc.m_window(params, n)
+    assert window.lo <= window.hi
     m = window[pick] + shift
     inside = m >= 1 and c * n * n <= m <= 2 * c * n * n
     assert inside == (window.lo <= m <= window.hi)
     assert window.mid == round(1.5 * c * n * n)
-    assert window.lo > window.hi or window.lo <= window.mid <= window.hi
+    assert window.lo <= window.mid <= window.hi
     if m < 1:
         return  # refused as no positive integer, before the window
     with pytest.raises(ConstructionFailure if inside else ParameterError) as exc:
-        construct(gc.generate("empty", n=n), m, params)
+        construct(g, m, params)
     if inside:
         assert exc.value.stage == "density"
 

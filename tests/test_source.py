@@ -229,3 +229,20 @@ def test_every_random_stream_is_built_in_seeding():
     assert not found, found
     seeding = (SRC / "seeding.py").read_text()
     assert all(text in seeding for text in ("random.Random(", "getrandbits", "default_rng"))
+
+
+def test_int_rows_are_read_from_bytes_in_one_place():
+    # graph_core._int_rows turns packed bytes into int rows, the inverse of
+    # pack_rows; a second int.from_bytes outside seeding.py, whose seed
+    # digests are not rows, would state that conversion again
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "seeding.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        helper = _inside(tree, "_int_rows") if path.name == "graph_core.py" else set()
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "from_bytes"
+                  and id(node) not in helper]
+    assert not found, found
+    assert _inside(ast.parse((SRC / "graph_core.py").read_text()), "_int_rows")
