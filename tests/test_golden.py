@@ -274,3 +274,65 @@ def test_n1024_pin_walks_a_four_by_four_table(tmp_path):
     assert [(r["k"], r["i_values"]) for r in doc["records"]] == \
         [(k, [0, 1, 2, 3]) for k in range(3, 7)]
     assert len(doc["distinct_sizes"]) == 15
+
+
+# ── Monte-Carlo pins ─────────────────────────────────────────────────────
+#
+# The sampler's hit counts, pinned on the one numpy stream of seed and spawn
+# key 0: any change to how the trials are drawn, chunked or split must keep
+# every count.
+
+
+def _signed_instance():
+    import random
+
+    from ramspect import anticoncentration as ac
+
+    rng = random.Random(5)
+    return ac.LOInstance(tuple(rng.choice((-1, 1)) * rng.randint(1, 6) for _ in range(40)),
+                         offset=-7, p=0.4)
+
+
+def _bench_instance():
+    # the bench lo workload's u3 instance at n = 1024, seed 0
+    from ramspect import anticoncentration as ac
+    from ramspect.seeding import derive_seed
+
+    return ac.LOInstance(ac.model_coefficients("u3", 1024, derive_seed(0, "lo-mc")))
+
+
+def _wide_instance():
+    # n = 70 000 coefficients: each chunk of the sampler is one row
+    from ramspect import anticoncentration as ac
+
+    return ac.LOInstance(ac.model_coefficients("u3", 70_000, 4), offset=3, p=0.4)
+
+
+MC_PINS = {
+    "u3-n1024": (_bench_instance, (1045,), 20_001, 3, (205,)),
+    "signed-p0.4": (_signed_instance, (-5,), 30_001, 8, (1085,)),
+    "u3-n70000": (_wide_instance,
+                  (56479, 56225, 55969, 55154, 55892, 55555, 56686), 7, 11, (1,) * 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MC_PINS))
+def test_mc_hits_are_pinned(name):
+    from ramspect import anticoncentration as ac
+
+    build, targets, trials, seed, want = MC_PINS[name]
+    inst = build()
+    assert tuple(ac.lo_point_prob_mc(inst, x, trials, seed=seed).hits
+                 for x in targets) == want
+
+
+def test_mc_scaling_fit_is_pinned(monkeypatch):
+    # the cap is lowered so that n = 16, 32 and 64 take _mc_max_mass
+    from ramspect import anticoncentration as ac
+
+    monkeypatch.setattr(ac, "EXACT_WEIGHT_CAP", 20)
+    fit = ac.lo_scaling_fit((8, 16, 32, 64), coeff_model="u3", p=0.4, trials=30_001, seed=2)
+    assert fit.methods == ("exact", "mc", "mc", "mc")
+    assert fit.max_probs == (0.12275712, 0.1021965934468851, 0.0674977500749975,
+                             0.04816506116462785)
+    assert fit.slope == -0.4647679192990799
