@@ -12,11 +12,22 @@ Its cost is len(coefficients) times the mean window width, at most
 sum |a_i| + 1, and the window drops the tails that underflow to exact zero.
 The Monte-Carlo estimator exists for instances past the exact cap and for
 cross-checking the DP.
+
+The estimator's trials all come from one numpy stream, trial t reading its
+len(a) uniforms from output t * len(a) on (seeding.py states the PCG64
+facts).  So a contiguous run of trials can start its own generator there,
+and _split_trials draws one run per CPU, each on its own thread: the hits
+and value counts are the one-stream loop's, bit for bit, for any CPU count.
+The sums are int64, so an instance whose weight sum |a_i| does not fit is
+refused before any draw.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +36,7 @@ from .errors import ContractViolation, ParameterError, _require, _require_cap
 from .seeding import np_stream
 
 EXACT_WEIGHT_CAP = 10**6  # cap on sum |a_i| for the live-window DP
+INT64_MAX = 2**63 - 1  # cap on sum |a_i| for the Monte-Carlo sampler's sums
 
 
 @dataclass(frozen=True)
@@ -112,27 +124,82 @@ class MCEstimate:
     hits: int
 
 
-def _sampled_sums(inst: LOInstance, trials: int, seed: int):
-    """Yield chunks of sampled sum_i a_i * xi_i (offset excluded), trials in all,
-    from one generator seeded by (seed, spawn key 0)."""
+def _sampled_sums(inst: LOInstance, first: int, trials: int, seed: int):
+    """Yield chunks of sampled sum_i a_i * xi_i (offset excluded) for the
+    trials first, ..., first + trials - 1 of the one stream of (seed, spawn
+    key 0), in which trial t reads the outputs t * len(a) onward."""
     a = np.asarray(inst.coefficients, dtype=np.int64)
-    rng = np_stream(seed, 0)
+    rng = np_stream(seed, 0, first * len(a))
     # 2**16 draws per chunk keep the float, bool and int64 blocks in cache;
     # rows are drawn in order, so the stream does not depend on the chunk
     chunk = max(1, (1 << 16) // len(a))
+    u = np.empty((min(chunk, trials), len(a)))
     done = 0
     while done < trials:
         b = min(chunk, trials - done)
-        yield (rng.random((b, len(a))) < inst.p) @ a
+        # an int64 product is numpy's own loop, not BLAS, so it starts no
+        # BLAS threads beside the trial runs
+        yield (rng.random(out=u[:b]) < inst.p) @ a
         done += b
+
+
+def _split_trials(job, trials: int) -> list:
+    """[job(first, count) for each run of trials], in trial order.
+
+    The trials 0, ..., trials - 1 are cut into W = min(CPUs, trials)
+    contiguous runs, W read from the process's CPU affinity (os.cpu_count()
+    where that is missing).  Run 0 goes on the calling thread and each other
+    run on a thread of its own; the generator draws, the comparison and the
+    int64 product release the GIL, so the runs overlap.  Every thread is
+    joined before this returns or raises, and an exception in a run is
+    raised here, that of the lowest run first.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    w = min(cpus, trials)
+    cuts = [trials * i // w for i in range(w + 1)]
+    results = [None] * w
+    errors = [None] * w
+
+    def run(i):
+        try:
+            results[i] = job(cuts[i], cuts[i + 1] - cuts[i])
+        except BaseException as exc:  # raised again on the calling thread
+            errors[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, w):
+            t = threading.Thread(target=run, args=(i,))
+            t.start()
+            threads.append(t)
+        results[0] = job(0, cuts[1])
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
+def _require_int64_sums(inst: LOInstance) -> None:
+    _require_cap("sampled sum weight", inst.weight, INT64_MAX, "the sampled sums are int64")
 
 
 def lo_point_prob_mc(inst: LOInstance, x: int, trials: int, seed: int = 0) -> MCEstimate:
     """Monte-Carlo estimate of Pr(X = x) with a binomial standard error."""
     _require("count", {"trials": trials})
+    _require_int64_sums(inst)
     target = x - inst.offset
-    hits = sum(int(np.count_nonzero(sums == target))
-               for sums in _sampled_sums(inst, trials, seed))
+
+    def run_hits(first, count):
+        return sum(int(np.count_nonzero(sums == target))
+                   for sums in _sampled_sums(inst, first, count, seed))
+
+    hits = sum(_split_trials(run_hits, trials))
     est = hits / trials
     se = math.sqrt(max(est * (1.0 - est), 1.0 / trials) / trials)
     return MCEstimate(est, se, trials, hits)
@@ -140,12 +207,16 @@ def lo_point_prob_mc(inst: LOInstance, x: int, trials: int, seed: int = 0) -> MC
 
 def _mc_max_mass(inst: LOInstance, trials: int, seed: int) -> float:
     """Empirical mode frequency; used only past the exact-DP cap."""
-    counts = {}
-    for sums in _sampled_sums(inst, trials, seed):
-        vals, cnt = np.unique(sums, return_counts=True)
-        for v, c in zip(vals.tolist(), cnt.tolist()):
-            counts[v] = counts.get(v, 0) + c
-    return max(counts.values()) / trials
+    _require_int64_sums(inst)
+
+    def run_counts(first, count):
+        counts = Counter()
+        for sums in _sampled_sums(inst, first, count, seed):
+            vals, cnt = np.unique(sums, return_counts=True)
+            counts.update(dict(zip(vals.tolist(), cnt.tolist())))
+        return counts
+
+    return max(sum(_split_trials(run_counts, trials), Counter()).values()) / trials
 
 
 COEFF_MODELS = ("ones", "u3", "u10")

@@ -17,6 +17,15 @@ CPython's random module, where a, b, ... are its successive 32-bit outputs:
   is one output shifted right by 32 - k;
 - randrange(n) is getrandbits(n.bit_length()) drawn again until it is
   below n.
+
+np_stream's generator is numpy's PCG64, and the Monte-Carlo sampler splits
+its stream through these facts of numpy's Generator over PCG64:
+- random() is (x >> 11) * 2**-53 for the next 64-bit output x, one output a
+  draw, and random(size) or random(out=...) makes those draws in C order;
+- bit_generator.advance(k) skips the next k outputs, in O(log k) steps.
+So np_stream(seed, key, skip) continues the unskipped stream at its output
+skip, and a run of draws can start anywhere without drawing what is before
+it.
 """
 
 from __future__ import annotations
@@ -41,10 +50,13 @@ def stream(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def np_stream(seed: int, key: int) -> np.random.Generator:
-    """numpy's generator seeded by (seed, spawn key key), for a seed >= 0."""
+def np_stream(seed: int, key: int, skip: int = 0) -> np.random.Generator:
+    """numpy's generator seeded by (seed, spawn key key), for a seed >= 0,
+    advanced past its first skip outputs."""
     _require("non-negative", {"seed": seed})
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+    rng.bit_generator.advance(skip)
+    return rng
 
 
 def bernoulli(rng: random.Random, k: int, p: float) -> np.ndarray:

@@ -51,6 +51,8 @@ AUDIT = "src/ramspect/structure_audit.py"
 SCREEN = ("test_structure_audit.py",)
 EXPOSE = "src/ramspect/double_exposure.py"
 TABLE = ("test_double_exposure.py",)
+AC = "src/ramspect/anticoncentration.py"
+SPLIT = ("test_anticoncentration.py",)
 
 MUTANTS = (
     # the parameter rules of errors._require
@@ -81,8 +83,10 @@ MUTANTS = (
            '_require("non-negative", {"seed": seed})\n    return random.Random(seed)',
            "return random.Random(seed)", RULES),
     Mutant("np_stream: seed check dropped", SEEDING,
-           '_require("non-negative", {"seed": seed})\n    return np.random.default_rng(',
-           "return np.random.default_rng(", RULES),
+           '_require("non-negative", {"seed": seed})\n    rng = np.random.default_rng(',
+           "rng = np.random.default_rng(", RULES),
+    Mutant("np_stream: skip ignored", SEEDING,
+           "rng.bit_generator.advance(skip)", "pass", SPLIT),
     Mutant("bernoulli: the two 32-bit words swapped", SEEDING,
            "(((w & 0xFFFFFFFF) >> 5 << 26) | (w >> 38))",
            "(((w >> 32) >> 5 << 26) | ((w & 0xFFFFFFFF) >> 6))", ("test_graph_core.py",)),
@@ -210,6 +214,20 @@ MUTANTS = (
     Mutant("int rows: bytes read big-endian", GRAPH,
            'int.from_bytes, packed, repeat("little")', 'int.from_bytes, packed, repeat("big")',
            ("test_graph_core.py",)),
+    # the Monte-Carlo trials split into runs on one jumped-ahead stream, and
+    # the int64 bound of the sampled sums
+    Mutant("split: a run skips first outputs, not first * len(a)", AC,
+           "np_stream(seed, 0, first * len(a))", "np_stream(seed, 0, first)", SPLIT),
+    Mutant("split: the last run dropped", AC,
+           "    return results\n", "    return results[:-1]\n", SPLIT),
+    Mutant("split: run 0 given run 1's count", AC,
+           "results[0] = job(0, cuts[1])", "results[0] = job(0, cuts[2] - cuts[1])", SPLIT),
+    Mutant("split: a run's exception dropped", AC,
+           "            raise exc\n", "            pass\n", SPLIT),
+    Mutant("split: threads left unjoined", AC,
+           "            t.join()\n", "            pass\n", SPLIT),
+    Mutant("int64 sums: the cap doubled", AC,
+           "inst.weight, INT64_MAX,", "inst.weight, 2 * INT64_MAX,", SPLIT),
     # the capacity rule of errors._require_cap
     Mutant("cap: > flipped to >=", ERRORS, "if value > cap:", "if value >= cap:", RULES),
     Mutant("cap: check dropped", ERRORS, "if value > cap:", "if False:", RULES),

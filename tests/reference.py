@@ -1,6 +1,7 @@
 """Test-only references: exact homogeneous numbers, graph complement, edge
 lookup, the K_n closed form, the spectrum oracle's block walk marking at
-every step, pmf point lookup, Bernoulli draws one random() call at a time,
+every step, pmf point lookup, the Monte-Carlo sampler's hits and mode
+mass from one stream drawn in one loop, Bernoulli draws one random() call at a time,
 the pair-by-pair G(n, p) and Paley loops, induced subgraphs repacked bit
 by bit, the all-pairs degree-sum bucket, star degrees by bincount,
 pair-by-pair conflict greedy, event-(4) scan, S/T/X split and int-row verifier of the scaffold construction, the richness
@@ -27,6 +28,7 @@ from ramspect.graph_core import (Graph, bit_matrix, check_disjoint_units,
                                  complement_gap_at_least, count_edges, count_edges_many,
                                  iter_bits, mask_of, multiset_gap, neighbor_counts,
                                  pack_rows, popcount, symdiff_size, unit_degree, unit_rows)
+from ramspect.seeding import np_stream
 
 HOMOGENEOUS_CAP = 64  # exact clique/independence search refuses larger graphs
 
@@ -88,6 +90,35 @@ def prob(pmf, x: int) -> float:
     if 0 <= i < len(pmf.masses):
         return float(pmf.masses[i])
     return 0.0
+
+
+def sampled_sums_loop(inst, trials: int, seed: int):
+    """Chunks of sampled sum_i a_i * xi_i (offset excluded), trials in all,
+    drawn in order from the one generator of (seed, spawn key 0)."""
+    a = np.asarray(inst.coefficients, dtype=np.int64)
+    rng = np_stream(seed, 0)
+    chunk = max(1, (1 << 16) // len(a))
+    done = 0
+    while done < trials:
+        b = min(chunk, trials - done)
+        yield (rng.random((b, len(a))) < inst.p) @ a
+        done += b
+
+
+def mc_hits_loop(inst, x: int, trials: int, seed: int) -> int:
+    """How many of the one-stream trials sum to x."""
+    return sum(int(np.count_nonzero(sums == x - inst.offset))
+               for sums in sampled_sums_loop(inst, trials, seed))
+
+
+def mc_max_mass_loop(inst, trials: int, seed: int) -> float:
+    """The one-stream trials' mode frequency."""
+    counts = {}
+    for sums in sampled_sums_loop(inst, trials, seed):
+        vals, cnt = np.unique(sums, return_counts=True)
+        for v, c in zip(vals.tolist(), cnt.tolist()):
+            counts[v] = counts.get(v, 0) + c
+    return max(counts.values()) / trials
 
 
 def bernoulli_loop(rng: random.Random, k: int, p: float) -> list[bool]:

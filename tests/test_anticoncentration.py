@@ -2,6 +2,9 @@
 import itertools
 import math
 import random
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from ramspect import anticoncentration as ac
 from ramspect.errors import CapacityError, ContractViolation, ParameterError
-from reference import prob
+from ramspect.seeding import np_stream
+from reference import mc_hits_loop, mc_max_mass_loop, prob, sampled_sums_loop
 
 
 def brute_pmf(inst):
@@ -142,7 +146,7 @@ def test_mc_within_four_standard_errors_of_exact():
     assert abs(est.estimate - exact) <= 4 * est.stderr
 
 
-def test_mc_is_seed_deterministic_for_fixed_workers():
+def test_mc_is_seed_deterministic():
     inst = ac.LOInstance((1, 2, -1, 3, 1, 1, -2, 1), p=0.5)
     a = ac.lo_point_prob_mc(inst, 2, trials=5000, seed=9)
     b = ac.lo_point_prob_mc(inst, 2, trials=5000, seed=9)
@@ -164,12 +168,139 @@ def test_mc_chunks_match_one_shot_sampler(n, trials):
     # trials is no multiple of the chunk; at n = 70 000 each chunk is one row
     inst = ac.LOInstance(ac.model_coefficients("u3", n, 4), offset=3, p=0.4)
     want = one_shot_sums(inst, trials, 11)
-    got = np.concatenate(list(ac._sampled_sums(inst, trials, 11)))
+    got = np.concatenate(list(ac._sampled_sums(inst, 0, trials, 11)))
     assert np.array_equal(got, want)
+    # a run of trials that starts at trial first continues the same stream
+    first = trials // 3
+    tail = np.concatenate(list(ac._sampled_sums(inst, first, trials - first, 11)))
+    assert np.array_equal(tail, want[first:])
     vals, counts = np.unique(want, return_counts=True)
     target = int(vals[counts.argmax()])
     est = ac.lo_point_prob_mc(inst, target + inst.offset, trials, seed=11)
     assert est.hits == int(counts.max())
+
+
+@pytest.mark.parametrize("key,skip,m", [(0, 0, 5), (0, 1, 5), (3, 7, 1), (0, 1000, 33),
+                                        (5, 4096, 100)])
+def test_np_stream_skip_continues_the_unskipped_stream(key, skip, m):
+    # PCG64 gives one 64-bit output per random() double, so skipping k
+    # outputs skips k draws
+    got = np_stream(17, key, skip).random(m)
+    assert np.array_equal(got, np_stream(17, key).random(skip + m)[skip:])
+
+
+def _cpus(k):
+    """The CPU affinity of a process allowed k CPUs."""
+    return lambda pid: set(range(k))
+
+
+def test_split_trials_cuts_contiguous_runs_in_trial_order(monkeypatch):
+    def job(first, count):
+        return first, count
+
+    monkeypatch.setattr(ac.os, "sched_getaffinity", _cpus(3))
+    assert ac._split_trials(job, 10) == [(0, 3), (3, 3), (6, 4)]
+    assert ac._split_trials(job, 11) == [(0, 3), (3, 4), (7, 4)]
+    assert ac._split_trials(job, 2) == [(0, 1), (1, 1)]
+    # without an affinity call, the CPU count decides, and no count is one CPU
+    monkeypatch.delattr(ac.os, "sched_getaffinity")
+    monkeypatch.setattr(ac.os, "cpu_count", lambda: 4)
+    assert ac._split_trials(job, 10) == [(0, 2), (2, 3), (5, 2), (7, 3)]
+    monkeypatch.setattr(ac.os, "cpu_count", lambda: None)
+    assert ac._split_trials(job, 10) == [(0, 10)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(coeffs=st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=12),
+       offset=st.integers(-9, 9), p=st.sampled_from((0.5, 0.3, 0.8)),
+       cpus=st.sampled_from((1, 2, 3, 7)),
+       size=st.sampled_from(("one", "under W", "chunk - 1", "chunk", "chunk + 1", "odd")),
+       odd=st.integers(0, 600), seed=st.integers(0, 2 ** 40))
+def test_split_trials_match_the_one_stream_loop(coeffs, offset, p, cpus, size, odd, seed):
+    inst = ac.LOInstance(tuple(coeffs), offset, p)
+    chunk = max(1, (1 << 16) // len(coeffs))
+    trials = {"one": 1, "under W": max(1, cpus - 1), "chunk - 1": chunk - 1, "chunk": chunk,
+              "chunk + 1": chunk + 1, "odd": 2 * odd + 1}[size]
+    sums = np.concatenate(list(sampled_sums_loop(inst, trials, seed)))
+    x = int(sums[trials // 2]) + offset
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ac.os, "sched_getaffinity", _cpus(cpus))
+        assert ac.lo_point_prob_mc(inst, x, trials, seed).hits \
+            == mc_hits_loop(inst, x, trials, seed)
+        assert ac._mc_max_mass(inst, trials, seed) == mc_max_mass_loop(inst, trials, seed)
+
+
+def test_split_trials_join_every_thread_and_raise_in_the_caller(monkeypatch):
+    monkeypatch.setattr(ac.os, "sched_getaffinity", _cpus(4))
+    before = threading.active_count()
+    inst = ac.LOInstance((1, -2, 3), p=0.5)
+    assert ac.lo_point_prob_mc(inst, 1, 1001, seed=1).hits == mc_hits_loop(inst, 1, 1001, 1)
+    assert threading.active_count() == before
+
+    sampled = ac._sampled_sums
+
+    def failing(inst, first, trials, seed):
+        if first == 500:
+            raise ValueError("run at trial 500")
+        return sampled(inst, first, trials, seed)
+
+    monkeypatch.setattr(ac, "_sampled_sums", failing)
+    with pytest.raises(ValueError, match="run at trial 500"):
+        ac.lo_point_prob_mc(inst, 1, 1000, seed=1)
+    assert threading.active_count() == before
+
+    def slow_workers(first, count):
+        if first == 0:
+            raise ValueError("run 0")
+        time.sleep(0.2)
+        return count
+
+    # run 0 fails on the calling thread while the other runs still sleep
+    with pytest.raises(ValueError, match="run 0"):
+        ac._split_trials(slow_workers, 40)
+    assert threading.active_count() == before
+
+
+def test_split_trials_hold_with_more_threads_than_cores(monkeypatch):
+    # seven runs on at most two cores, switching threads every 10 us: each
+    # run writes its own slot of the results, so no hit is lost or doubled
+    monkeypatch.setattr(ac.os, "sched_getaffinity", _cpus(7))
+    inst = ac.LOInstance(ac.model_coefficients("u3", 96, 2), offset=-4, p=0.35)
+    x = round(inst.p * sum(inst.coefficients)) + inst.offset  # near the mean
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        hits = [ac.lo_point_prob_mc(inst, x, 40_003, seed=s).hits for s in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert hits == [mc_hits_loop(inst, x, 40_003, s) for s in range(3)]
+    assert min(hits) > 1000
+
+
+def test_mc_refuses_sums_past_int64(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew before the refusal")
+
+    monkeypatch.setattr(ac, "_sampled_sums", no_draw)
+    # 3 * 2**62 wraps in int64: the wrapped sampler read Pr(X = 2**63) = 0,
+    # where it is 3/8
+    for inst, x in ((ac.LOInstance((2 ** 62,) * 3), 2 ** 63), (ac.LOInstance((2 ** 70,)), 0)):
+        with pytest.raises(CapacityError, match=f"sampled sum weight {inst.weight} is above "
+                                                f"the cap {2 ** 63 - 1}; the sampled sums "
+                                                f"are int64"):
+            ac.lo_point_prob_mc(inst, x, 4000, seed=1)
+        with pytest.raises(CapacityError, match="the sampled sums are int64"):
+            ac._mc_max_mass(inst, 4000, 1)
+    monkeypatch.undo()
+    # the cap itself samples exactly; its sums just fit
+    inst = ac.LOInstance((2 ** 62, -(2 ** 62 - 1)), p=0.5)
+    assert inst.weight == ac.INT64_MAX
+    est = ac.lo_point_prob_mc(inst, 1, 4000, seed=1)
+    assert est.hits == mc_hits_loop(inst, 1, 4000, 1)
+    assert abs(est.estimate - 0.25) <= 4 * est.stderr
+    # the CLI cannot reach the cap: lo's coefficients are at most 10 and its
+    # --n-list values at most EXACT_WEIGHT_CAP
+    assert 10 * ac.EXACT_WEIGHT_CAP < ac.INT64_MAX
 
 
 # ── coefficient models and scaling ───────────────────────────────────────

@@ -74,7 +74,7 @@ def _message(name: str, rule: str, v) -> str:
 @pytest.mark.parametrize("case,rule,name,call", CASES, ids=[c[0] for c in CASES])
 def test_each_rule_refuses_its_values_in_its_words(case, rule, name, call, monkeypatch):
     # an accepted trial count draws nothing, so sys.maxsize trials end at once
-    monkeypatch.setattr(ac, "_sampled_sums", lambda inst, trials, seed: iter(()))
+    monkeypatch.setattr(ac, "_sampled_sums", lambda inst, first, trials, seed: iter(()))
     refused = {}
     for label, v in VALUES.items():
         try:

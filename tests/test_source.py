@@ -246,3 +246,22 @@ def test_int_rows_are_read_from_bytes_in_one_place():
                   and id(node) not in helper]
     assert not found, found
     assert _inside(ast.parse((SRC / "graph_core.py").read_text()), "_int_rows")
+
+
+THREAD_TEXTS = ("threading", "Thread(", "concurrent.futures", "multiprocessing")
+
+
+def test_threads_are_started_in_one_place():
+    # anticoncentration._split_trials alone runs work on threads, so how the
+    # trials are cut, joined and re-raised is stated once, like _product's
+    # one matrix product
+    path = SRC / "anticoncentration.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    helper = next(fn for fn in tree.body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_split_trials")
+    inside = range(helper.lineno, helper.end_lineno + 1)
+    found = [f"{p.name}:{i}: {text}" for p in sorted(SRC.glob("*.py"))
+             for i, line in enumerate(p.read_text().splitlines(), 1)
+             for text in THREAD_TEXTS if text in line
+             and not (p == path and (i in inside or line == "import threading"))]
+    assert not found, found
