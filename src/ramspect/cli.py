@@ -135,6 +135,7 @@ def _dumps(obj) -> str:
 
 
 def _header_obj(ns, config: dict) -> dict:
+    # phi/psi take no --seed: their header reads seed 0
     return {"version": VERSION, "seed": getattr(ns, "seed", 0), "config": config}
 
 
@@ -404,10 +405,8 @@ _GRAPH = ("--graph", "--gen", "--n", "--p", "--graph-seed")
 _COMMANDS = {
     "generate": (cmd_generate, "write a graph file",
                  ("--gen!", "--n!", "--p", "--seed", "--out")),
-    "phi": (cmd_spectrum, "exact phi spectrum of a small graph",
-            (*_GRAPH, "--seed", "--out")),
-    "psi": (cmd_spectrum, "exact psi spectrum of a small graph",
-            (*_GRAPH, "--seed", "--out")),
+    "phi": (cmd_spectrum, "exact phi spectrum of a small graph", (*_GRAPH, "--out")),
+    "psi": (cmd_spectrum, "exact psi spectrum of a small graph", (*_GRAPH, "--out")),
     "audit": (cmd_audit, "density/diversity/richness report (JSON)",
               (*_GRAPH, "--set", "--exhaustive", "--seed", "--out")),
     "lo": (cmd_lo, "anticoncentration max point mass (CSV)",
@@ -461,9 +460,10 @@ def main(argv=None) -> int:
         return 1
     try:
         try:
-            # every command takes --seed and every graph command --graph-seed;
-            # a negative one is refused here, before any graph is built
-            _require("non-negative", {"seed": ns.seed,
+            # every command but phi/psi, which draw nothing, takes --seed, and
+            # every graph command --graph-seed; a negative one is refused
+            # here, before any graph is built
+            _require("non-negative", {"seed": getattr(ns, "seed", None),
                                       "graph_seed": getattr(ns, "graph_seed", None)})
             return ns.func(ns)
         except ConstructionFailure as exc:

@@ -72,7 +72,7 @@ MUTANTS = (
     Mutant("non-negative: NaN let through", ERRORS,
            "if not v >= 0:", "if v < 0:", RULES),
     Mutant("cli: --seed left unchecked", CLI,
-           '{"seed": ns.seed,', "{", ("test_cli.py",)),
+           '{"seed": getattr(ns, "seed", None),', "{", ("test_cli.py",)),
     Mutant("cli: --graph-seed left unchecked", CLI,
            '"graph_seed": getattr(ns, "graph_seed", None)', '"graph_seed": None',
            ("test_cli.py",)),

@@ -165,8 +165,8 @@ SEED_OUT = ["--seed:int=0", "--out"]
 SURFACE = {
     "generate": ["--gen!{gnp|paley|complete|empty}", "--n!:int", "--p:float=0.5",
                  *SEED_OUT],
-    "phi": [*GRAPH_FLAGS, *SEED_OUT],
-    "psi": [*GRAPH_FLAGS, *SEED_OUT],
+    "phi": [*GRAPH_FLAGS, "--out"],
+    "psi": [*GRAPH_FLAGS, "--out"],
     "audit": [*GRAPH_FLAGS, "--set _AppendAction",
               "--exhaustive=False _StoreTrueAction", *SEED_OUT],
     "lo": ["--model{ones|u3|u10}='ones'", "--n-list!:_int_list", "--p:float=0.5",
@@ -666,8 +666,6 @@ def test_lo_refuses_a_negative_seed(model, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["generate", "--gen", "gnp", "--n", "5"],
-    ["phi", "--gen", "gnp", "--n", "5"],
-    ["psi", "--gen", "gnp", "--n", "5"],
     ["audit", "--gen", "gnp", "--n", "5"],
     ["lo", "--n-list", "4,8,16,32"],
     ["construct", "--gen", "gnp", "--n", "64"],
@@ -679,6 +677,18 @@ def test_every_command_refuses_a_negative_seed(argv, capsys):
     # one seed domain for every command and model, lo's u3 and u10 included
     assert run(capsys, *argv, "--seed", "-1") == \
         (1, "", "error: seed must be non-negative, got -1\n")
+
+
+@pytest.mark.parametrize("cmd", ["phi", "psi"])
+def test_phi_and_psi_take_no_seed(cmd, capsys, tmp_path):
+    # the oracles draw nothing, so a seed could only enter the header
+    with pytest.raises(SystemExit) as exc:
+        cli.main([cmd, "--gen", "gnp", "--n", "5", "--seed", "3"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    out = tmp_path / "s.txt"
+    assert cli.main([cmd, "--gen", "gnp", "--n", "5", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "# seed 0"
 
 
 @pytest.mark.parametrize("argv", [

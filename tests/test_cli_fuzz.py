@@ -71,8 +71,10 @@ OVERRIDES = st.sampled_from([
     "bucket_width=9223372036854775808", "retry_max=100000000000000000000000", "trials=0",
     "k_rounds=0", "big_m=nan", "bogus=1", "no_equals_sign", "=1"])
 PIPELINE = {**GRAPH_SOURCE, "--set": OVERRIDES, **SEED_OUT}
-# phi/psi get small n only: the exact oracles are exponential in n
-SPECTRUM = {**GRAPH_SOURCE, "--n": values("0", "1", "5", "13", HUGE), **SEED_OUT}
+# phi/psi get small n only: the exact oracles are exponential in n; they
+# draw nothing and take no --seed
+SPECTRUM = {**GRAPH_SOURCE, "--n": values("0", "1", "5", "13", HUGE),
+            "--out": SEED_OUT["--out"]}
 # a diagnostics file in a missing directory cannot be written: exit 1, not 3
 DIAG = st.sampled_from(["diag.json", "missing_dir/diag.json"])
 N_LISTS = st.sampled_from(["8,16,32", "10,20,40", "4,40", ",", "x", "-4,8,16",
