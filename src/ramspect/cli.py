@@ -211,10 +211,9 @@ def _pipeline_params(ov: dict, seed: int) -> tuple[ConstructionParams, ExposureP
 
 
 def _pipeline_inputs(ns):
-    """construct/per-m/theorem: graph, graph source, overrides, both param sets."""
+    """per-m/theorem: graph, graph source and both param sets."""
     g, gsrc = _build_graph(ns, VERTEX_CAP)
-    ov = _split_overrides(ns.set, _PIPELINE_FIELDS)
-    return (g, gsrc, ov, *_pipeline_params(ov, ns.seed))
+    return (g, gsrc, *_pipeline_params(_split_overrides(ns.set, _PIPELINE_FIELDS), ns.seed))
 
 
 # ── subcommands ──────────────────────────────────────────────────────────
@@ -248,7 +247,6 @@ def cmd_audit(ns) -> int:
     params = sa.AuditParams(seed=ns.seed, **ov["audit"])
     cfg = {"graph": gsrc, "params": asdict(params), "exhaustive": ns.exhaustive}
 
-    density, _ = sa.density_bounds_check(g, params.epsilon)
     profile, close_pairs = sa.pair_audit(g, params.c_div, params.epsilon / 2)
     extract = sa.rich_extract(g, params)
     if ns.exhaustive:
@@ -258,7 +256,7 @@ def cmd_audit(ns) -> int:
         # a round exactly when that audit finds a witness
         status = "witness_found" if extract.trace else "no_witness_in_budget"
     payload = {
-        "density": density,
+        "density": sa.edge_density(g),
         "diversity_max_count": max(profile) if profile else 0,
         "close_complement_pairs": close_pairs,
         "richness_status": status,
@@ -287,10 +285,12 @@ def cmd_lo(ns) -> int:
 
 
 def cmd_construct(ns) -> int:
-    g, gsrc, ov, cp, _ = _pipeline_inputs(ns)
+    # construct runs no exposure, so an exposure key is an unknown one
+    g, gsrc = _build_graph(ns, VERTEX_CAP)
+    ov = _split_overrides(ns.set, {"construct": _CP_FIELDS})["construct"]
+    cp = ConstructionParams(seed=ns.seed, **ov)
     m = ns.m if ns.m is not None else m_window(cp, g.n).mid
-    cfg = {"graph": gsrc, "m": m, "cparams": asdict(cp),
-           "overrides": ov["construct"]}
+    cfg = {"graph": gsrc, "m": m, "cparams": asdict(cp), "overrides": ov}
     res = construct(g, m, cp)
     payload = {**_fields(res, drop=("u0_mask",)), "u0_size": res.u0_mask.bit_count()}
     _emit(ns, "", _json_doc(ns, cfg, payload))
@@ -298,7 +298,7 @@ def cmd_construct(ns) -> int:
 
 
 def cmd_per_m(ns) -> int:
-    g, gsrc, _, cp, ep = _pipeline_inputs(ns)
+    g, gsrc, cp, ep = _pipeline_inputs(ns)
     m = ns.m if ns.m is not None else m_window(cp, g.n).mid
     cfg = {"graph": gsrc, "m": m, "cparams": asdict(cp), "eparams": asdict(ep)}
     out = per_m_run(g, m, cp, ep)
@@ -311,7 +311,7 @@ def cmd_per_m(ns) -> int:
 
 
 def cmd_theorem(ns) -> int:
-    g, gsrc, _, cp, ep = _pipeline_inputs(ns)
+    g, gsrc, cp, ep = _pipeline_inputs(ns)
     cfg = {"graph": gsrc, "cparams": asdict(cp), "eparams": asdict(ep),
            "sigma": ns.sigma}
     out = theorem_run(g, cp, ep, sigma=ns.sigma)
@@ -458,6 +458,9 @@ def main(argv=None) -> int:
     if getattr(ns, "cmd", None) is None:
         parser.print_usage(sys.stderr)
         return 1
+    # formatted before the command runs, so that running out of memory
+    # costs no more than writing it
+    oom = f"capacity: out of memory in {ns.cmd}\n"
     try:
         try:
             # every command but phi/psi, which draw nothing, takes --seed, and
@@ -484,6 +487,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        pass  # leaving the clause drops the exception and the command's frames
+    sys.stderr.write(oom)
+    return 2
 
 
 if __name__ == "__main__":

@@ -46,6 +46,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
+from operator import or_
 
 import numpy as np
 
@@ -85,9 +87,8 @@ class ExposureParams:
 
 @dataclass(frozen=True)
 class ResolvedExposure:
-    """Concrete per-run constants; kappa is the index scale c'*sqrt(n)."""
+    """Concrete per-run constants."""
     n: int
-    kappa: float
     c_prime: float
     beta: float
     big_m: float
@@ -146,25 +147,8 @@ def resolve_exposure(res: ConstructionResult, params: ExposureParams) -> Resolve
     if i_hi > len(res.t_units):
         raise ParameterError(
             f"column range needs {i_hi} T units but |T|={len(res.t_units)}")
-    return ResolvedExposure(n=n, kappa=kappa, c_prime=c_prime, beta=beta,
-                            big_m=big_m, q_const=q_const, gamma=params.gamma,
-                            k_lo=k_lo, k_hi=k_hi, i_hi=i_hi, d=res.d)
-
-
-def z_family(s_units, t_units, k: int, i: int) -> int:
-    """Vertex mask of the first k-i units of S plus the first i units of T."""
-    if not 0 <= i <= k:
-        raise ParameterError(f"need 0 <= i <= k, got i={i}, k={k}")
-    if i > len(t_units):
-        raise ParameterError(f"i={i} exceeds |T|={len(t_units)}")
-    if k - i > len(s_units):
-        raise ParameterError(f"k-i={k - i} exceeds |S|={len(s_units)}")
-    zm = 0
-    for u in s_units[:k - i]:
-        zm |= u.mask()
-    for u in t_units[:i]:
-        zm |= u.mask()
-    return zm
+    return ResolvedExposure(n=n, c_prime=c_prime, beta=beta, big_m=big_m, q_const=q_const,
+                            gamma=params.gamma, k_lo=k_lo, k_hi=k_hi, i_hi=i_hi, d=res.d)
 
 
 def expose(u0_mask: int, seed: int) -> int:
@@ -192,18 +176,20 @@ class PerKRecord:
 def family_table(g: Graph, u_mask: int, s_units, t_units, resolved: ResolvedExposure):
     """e_{k,i} = e(U u Z_{k,i}) - e(U) over the whole index rectangle.
 
-    Every cell's Z_{k,i} comes from z_family.  With Z' = Z_{k,i} minus U,
-    U u Z_{k,i} is the disjoint union of U and Z', so the cell is
-    e(Z') + sum over v in Z' of |N(v) & U|, for any masks.  The degrees
-    into U are taken once per vertex of the union of the cells' masks, and
-    each cell adds a count_edges over its few vertices.
+    Z_{k,i}, the first k-i units of S and the first i of T, is s_pre[k-i] |
+    t_pre[i] over two running ORs of the units' masks, s_pre[j] the first j
+    units of S; resolve_exposure keeps k <= |S| and i <= |T|.  With Z' =
+    Z_{k,i} minus U, U u Z_{k,i} is the disjoint union of U and Z', so the
+    cell is e(Z') + sum over v in Z' of |N(v) & U|, for any masks.  The
+    degrees into U are taken once per vertex of the union of the cells'
+    masks, and each cell adds a count_edges over its few vertices.
     """
-    rows = [(k, [z_family(s_units, t_units, k, i) for i in range(min(k, resolved.i_hi) + 1)])
+    s_pre = list(accumulate((u.mask() for u in s_units[:resolved.k_hi]), or_, initial=0))
+    t_pre = list(accumulate((u.mask() for u in t_units[:resolved.i_hi]), or_, initial=0))
+    rows = [(k, [s_pre[k - i] | t_pre[i] for i in range(min(k, resolved.i_hi) + 1)])
             for k in range(resolved.k_lo, resolved.k_hi + 1)]
-    union = 0
-    for _, zms in rows:
-        for zm in zms:
-            union |= zm
+    # every cell has k - i <= k_hi and i <= i_hi, so it lies inside this union
+    union = s_pre[-1] | t_pre[-1]
     into_u = {v: (g.adj[v] & u_mask).bit_count() for v in iter_bits(union & ~u_mask)}
 
     def cell(zm: int) -> int:

@@ -86,15 +86,10 @@ class AuditParams:
         _require("non-negative", vars(self), "seed")
 
 
-def density_bounds_check(g: Graph, epsilon: float) -> tuple[float, bool]:
-    """Edge density and whether it lies within [eps, 1-eps]."""
-    if not 0.0 < epsilon < 0.5:
-        raise ParameterError(f"epsilon must lie in (0, 1/2), got {epsilon}")
+def edge_density(g: Graph) -> float:
+    """Edges over vertex pairs; 0.0 on fewer than two vertices."""
     top = g.n * (g.n - 1) // 2
-    if top == 0:
-        return 0.0, False
-    density = g.edge_count() / top
-    return density, epsilon <= density <= 1.0 - epsilon
+    return g.edge_count() / top if top else 0.0
 
 
 def pair_audit(g: Graph, c_div: float, threshold_fraction: float) -> tuple[list[int], int]:
@@ -133,7 +128,6 @@ class RichnessVerdict:
     witness_sparse: int = 0  # Y, split by side as _bad_sides splits it
     witness_dense: int = 0
     budget_used: int = 0
-    exhaustive: bool = False
 
     @property
     def found(self) -> bool:
@@ -301,10 +295,10 @@ def richness_audit(g: Graph, params: AuditParams, exhaustive: bool = False) -> R
                 raise ContractViolation(
                     f"richness candidate {tried} has {bad} bad vertices "
                     f"by popcount and {counts[i]} by the block product")
-            return RichnessVerdict("witness_found", w, sparse, dense, tried, exhaustive)
+            return RichnessVerdict("witness_found", w, sparse, dense, tried)
         tried += len(block)
         size = min(2 * size, AUDIT_BLOCK_CAP)
-    return RichnessVerdict("no_witness_in_budget", budget_used=tried, exhaustive=exhaustive)
+    return RichnessVerdict("no_witness_in_budget", budget_used=tried)
 
 
 # ── extraction ───────────────────────────────────────────────────────────

@@ -1,7 +1,8 @@
 """Mutation harness: each mutant in MUTANTS is one small edit to the source
 that some test must catch.
 
-For each mutant, src/, tests/ and pyproject.toml are copied to a temporary
+For each mutant, src/, tests/, bench/ (whose uses of the package count in
+tests/test_source.py) and pyproject.toml are copied to a temporary
 directory, the edit is applied there, and the mutant's test files run with
 pytest -x -q under a per-mutant timeout, one pytest process at a time.  A
 run with a failing test kills the mutant; a passing run lets it survive.
@@ -228,6 +229,20 @@ MUTANTS = (
            "            t.join()\n", "            pass\n", SPLIT),
     Mutant("int64 sums: the cap doubled", AC,
            "inst.weight, INT64_MAX,", "inst.weight, 2 * INT64_MAX,", SPLIT),
+    # nothing a command accepts goes unread: construct's one override group,
+    # the out-of-memory exit, the swap family's running ORs and the rule
+    # that every public name has a user outside the tests
+    Mutant("cli: construct reads the exposure group again", CLI,
+           '_split_overrides(ns.set, {"construct": _CP_FIELDS})',
+           "_split_overrides(ns.set, _PIPELINE_FIELDS)", ("test_cli.py",)),
+    Mutant("cli: the MemoryError handler dropped", CLI,
+           "    except MemoryError:\n        pass", "", ("test_cli.py",)),
+    Mutant("table: T's running OR read one unit short", EXPOSE,
+           "s_pre[k - i] | t_pre[i]", "s_pre[k - i] | t_pre[max(i - 1, 0)]", TABLE),
+    Mutant("public names: an unused constant in graph_core", GRAPH,
+           'GRAPH_MODELS = ("gnp", "paley", "complete", "empty")\n',
+           'GRAPH_MODELS = ("gnp", "paley", "complete", "empty")\nSPARE_CAP = 1 << 10\n',
+           ("test_source.py",)),
     # the capacity rule of errors._require_cap
     Mutant("cap: > flipped to >=", ERRORS, "if value > cap:", "if value >= cap:", RULES),
     Mutant("cap: check dropped", ERRORS, "if value > cap:", "if False:", RULES),
@@ -251,7 +266,7 @@ def run(mutant: Mutant | None, tests) -> str:
     with tempfile.TemporaryDirectory(prefix="ramspect-mutant-") as tmp:
         work = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for sub in ("src", "tests"):
+        for sub in ("src", "tests", "bench"):
             shutil.copytree(ROOT / sub, work / sub, ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", work)
         if mutant is not None:

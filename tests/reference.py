@@ -9,7 +9,8 @@ audit's bad-vertex counts over whole rows and one candidate at a time, its candi
 family as one generator with a shared budget counter, the extraction's split
 of a witness and its keep rule as int-row loops, the audit's two pair counts
 as separate passes, the exposure's adjusted degrees recounted per unit
-and cell, and its family table as one count_edges_many batch.
+and cell, and its family table as one count_edges_many batch over the
+swap family Z_{k,i} ORed together one unit at a time.
 
 Nothing in the package or the benchmark calls these; the tests use them to
 check the package's results against independent computations.
@@ -22,7 +23,7 @@ import random
 import numpy as np
 
 from ramspect import structure_audit as sa
-from ramspect.double_exposure import PerKRecord, z_family
+from ramspect.double_exposure import PerKRecord
 from ramspect.errors import ContractViolation, ParameterError, RamspectError, _require_cap
 from ramspect.graph_core import (Graph, bit_matrix, check_disjoint_units,
                                  complement_gap_at_least, count_edges, count_edges_many,
@@ -295,6 +296,23 @@ def adjusted_values(g: Graph, x_units, ukimask: int):
     return [(x, unit_degree(g, x, ukimask) + count_edges(g, x.mask())) for x in x_units]
 
 
+def z_family(s_units, t_units, k: int, i: int) -> int:
+    """Vertex mask of Z_{k,i}: the first k-i units of S plus the first i
+    units of T, one unit at a time."""
+    if not 0 <= i <= k:
+        raise ParameterError(f"need 0 <= i <= k, got i={i}, k={k}")
+    if i > len(t_units):
+        raise ParameterError(f"i={i} exceeds |T|={len(t_units)}")
+    if k - i > len(s_units):
+        raise ParameterError(f"k-i={k - i} exceeds |S|={len(s_units)}")
+    zm = 0
+    for u in s_units[:k - i]:
+        zm |= u.mask()
+    for u in t_units[:i]:
+        zm |= u.mask()
+    return zm
+
+
 def family_table_batch(g: Graph, u_mask: int, s_units, t_units, resolved):
     """family_table from its definition: U and every U u Z_{k,i} counted in
     one count_edges_many batch, each cell e(U u Z_{k,i}) - e(U)."""
@@ -328,8 +346,8 @@ def richness_audit_loop(g: Graph, params, exhaustive: bool = False):
         tried += 1
         sparse, dense = sa._bad_sides(rows, w, params.epsilon)
         if (sparse | dense).bit_count() > limit:
-            return sa.RichnessVerdict("witness_found", w, sparse, dense, tried, exhaustive)
-    return sa.RichnessVerdict("no_witness_in_budget", 0, 0, 0, tried, exhaustive)
+            return sa.RichnessVerdict("witness_found", w, sparse, dense, tried)
+    return sa.RichnessVerdict("no_witness_in_budget", 0, 0, 0, tried)
 
 
 def bad_counts_product(rows: np.ndarray, block: list, epsilon: float) -> np.ndarray:

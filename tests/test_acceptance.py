@@ -26,9 +26,9 @@ from ramspect.ramsey_construct import (ConstructionParams, construct,
                                        verify_construction)
 from ramspect.double_exposure import (ExposureParams, expose, family_table,
                                       per_k_checks, per_m_run, resolve_exposure,
-                                      theorem_run, z_family)
+                                      theorem_run)
 from ramspect.seeding import derive_seed
-from reference import complement, complete_graph_spectrum
+from reference import complement, complete_graph_spectrum, z_family
 
 
 def _mid_m(n: int, c: float = 0.0003) -> int:

@@ -3,6 +3,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -223,6 +224,26 @@ def test_verify_fraction_is_an_unknown_override_key(capsys):
     assert "unknown override key 'verify_fraction'" in err
 
 
+@pytest.mark.parametrize("key", sorted(cli._EP_FIELDS))
+def test_construct_refuses_every_exposure_key(key, capsys):
+    # construct runs no exposure, so an exposure value would change nothing
+    # but the header; its known keys are the ConstructionParams fields
+    known = ", ".join(sorted(cli._CP_FIELDS))
+    assert run(capsys, "construct", "--gen", "gnp", "--n", "64", "--set", f"{key}=1") == \
+        (1, "", f"error: unknown override key {key!r}; known keys: {known}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["per-m", "--gen", "gnp", "--n", "64"],
+    ["theorem", "--gen", "gnp", "--n", "64"],
+    ["sweep", "--n-list", "64"],
+], ids=lambda argv: argv[0])
+def test_the_exposure_commands_take_both_override_groups(argv, capsys):
+    known = ", ".join(sorted({**cli._CP_FIELDS, **cli._EP_FIELDS}))
+    assert run(capsys, *argv, "--set", "bogus=1") == \
+        (1, "", f"error: unknown override key 'bogus'; known keys: {known}\n")
+
+
 def test_missing_graph_source_exits_one(capsys):
     code, _, err = run(capsys, "phi")
     assert code == 1
@@ -358,6 +379,18 @@ def test_budgeted_audit_runs_richness_once(capsys, monkeypatch, argv, n, status)
     assert len(calls) == len(trace["rounds"]) + (trace["status"] == "rich")
 
 
+def cli_process(argv, env=(), **kwargs):
+    """cli.main run in a fresh interpreter on this checkout's src/, with env
+    entries added to the environment."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    full = {**os.environ, **dict(env)}
+    full["PYTHONPATH"] = os.pathsep.join(filter(None, (src, full.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from ramspect.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, env=full, timeout=60, **kwargs)
+
+
 def test_huge_graph_file_is_a_capacity_error(tmp_path):
     # 2^20000 has more decimal digits than int-to-str allows; the message
     # must not need them.  At n = 10^12 the n rows would not fit in memory,
@@ -368,15 +401,8 @@ def test_huge_graph_file_is_a_capacity_error(tmp_path):
         f.write_text(f"n {n}\n")
         sources.append(["--graph", str(f)])
     sources.append(["--gen", "complete", "--n", str(10 ** 12)])
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     for argv in ([cmd, *source] for cmd in ("phi", "psi") for source in sources):
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from ramspect.cli import main; sys.exit(main(sys.argv[1:]))",
-             *argv],
-            capture_output=True, text=True, env=env, timeout=60)
+        proc = cli_process(argv)
         assert proc.returncode == 2, proc.stderr
         assert "capacity" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -393,19 +419,38 @@ def test_every_graph_command_caps_the_vertex_count(tmp_path):
              for source in (["--graph", str(f)], ["--gen", "gnp", "--n", str(huge)])]
     argvs.append(["sweep", "--mode", "per-m", "--n-list", f"64,{huge}"])
     argvs.append(["generate", "--gen", "complete", "--n", str(huge)])
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     for argv in argvs:
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from ramspect.cli import main; sys.exit(main(sys.argv[1:]))",
-             *argv],
-            capture_output=True, text=True, env=env, timeout=60)
+        proc = cli_process(argv)
         assert proc.returncode == 2, (argv, proc.stderr)
         assert proc.stderr.startswith("capacity:"), (argv, proc.stderr)
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stdout == ""
+
+
+# the child's address space: with one BLAS thread the import takes about
+# 110 MiB, so every command below runs out well before it could finish
+OOM_LIMIT = 250 << 20
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (OOM_LIMIT, OOM_LIMIT))
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--gen", "gnp", "--n", "65536"],
+    ["audit", "--gen", "complete", "--n", "65536"],
+    ["construct", "--gen", "gnp", "--n", "65536"],
+    ["per-m", "--gen", "complete", "--n", "65536"],
+    ["theorem", "--gen", "complete", "--n", "65536"],
+    ["sweep", "--n-list", "65536"],
+], ids=lambda argv: argv[0])
+def test_running_out_of_memory_is_one_capacity_line(argv):
+    # gnp's packed bit matrix (512 MiB) fails in one allocation; complete's
+    # int rows fill the heap first.  The limit acts on the child alone
+    proc = cli_process(argv, env={"OPENBLAS_NUM_THREADS": "1"},
+                       preexec_fn=_limit_address_space)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"capacity: out of memory in {argv[0]}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,12 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 from ramspect import graph_core as gc
 from ramspect import double_exposure as de
 from ramspect.double_exposure import (ExposureParams, expose, family_table,
-                                      per_m_run, resolve_exposure, theorem_run,
-                                      z_family)
+                                      per_m_run, resolve_exposure, theorem_run)
 from ramspect.errors import (ConstructionFailure, ContractViolation, ParameterError,
                              RamspectError)
 from ramspect.ramsey_construct import ConstructionParams, construct, m_window
-from reference import adjusted_values, bernoulli_loop, family_table_batch
+from reference import adjusted_values, bernoulli_loop, family_table_batch, z_family
 
 G256 = gc.generate("gnp", n=256, p=0.5, seed=3)
 M256 = round(1.5 * 0.0003 * 256 * 256)
@@ -75,7 +74,6 @@ def test_expose_draws_once_per_u0_vertex_in_vertex_order(vertices, seed):
 
 def test_resolved_constants_relations():
     r = resolve_exposure(RES256, ExposureParams())
-    assert r.kappa == pytest.approx(r.c_prime * math.sqrt(256))
     assert r.beta == pytest.approx(2 * r.c_prime ** 2 / 3)
     assert r.q_const >= 3 * r.beta
     assert 1 <= r.k_lo <= r.k_hi <= len(RES256.s_units)
@@ -280,7 +278,7 @@ def test_per_k_checks_shape():
 ])
 def test_check4_totals_the_large_steps_of_the_row(e_values, ok):
     # n = 4, M*sqrt(n) = 2 and beta*n = 4
-    resolved = de.ResolvedExposure(n=4, kappa=1.0, c_prime=0.5, beta=1.0, big_m=1.0,
+    resolved = de.ResolvedExposure(n=4, c_prime=0.5, beta=1.0, big_m=1.0,
                                    q_const=3.0, gamma=0.5, k_lo=1, k_hi=1, i_hi=6, d=0.0)
     rec = de.PerKRecord(k=6, i_values=list(range(len(e_values))),
                         z_masks=[0] * len(e_values), e_values=e_values)

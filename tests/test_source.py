@@ -76,17 +76,24 @@ def test_every_public_name_is_used_outside_tests():
     users = list(src.values()) + [
         ast.parse(p.read_text(), filename=str(p)) for p in sorted(BENCH.glob("*.py"))
         if not p.name.startswith("test_")]
+    # every loaded bare name and attribute name, with the ids of its loads,
+    # gathered in one walk of each tree
+    loads = {ast.Name: {}, ast.Attribute: {}}
+    for tree in users:
+        for node in ast.walk(tree):
+            if type(node) in loads and isinstance(node.ctx, ast.Load):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                loads[type(node)].setdefault(name, set()).add(id(node))
     unused = []
     for path, tree in src.items():
         for key, defn in _public_names(tree).items():
             name = key.rpartition(".")[2]
-            inside = {id(node) for node in ast.walk(defn)}
-            used = any(
-                id(node) not in inside and isinstance(getattr(node, "ctx", None), ast.Load)
-                and (isinstance(node, ast.Attribute) and node.attr == name
-                     or "." not in key and isinstance(node, ast.Name) and node.id == name)
-                for tree2 in users for node in ast.walk(tree2))
-            if not used:
+            # a method is used only as an attribute; a load inside its own
+            # definition does not count
+            ids = loads[ast.Attribute].get(name, set())
+            if "." not in key:
+                ids = ids | loads[ast.Name].get(name, set())
+            if not ids - {id(node) for node in ast.walk(defn)}:
                 unused.append(f"{path.name}:{key}")
     assert not unused, unused
 
