@@ -476,9 +476,12 @@ def _gnp_rows(n: int, p: float, seed: int) -> list[int]:
 
     The draws come from seeding.bernoulli.  Rows are taken in blocks of a
     multiple of 8 rows holding about GNP_CHUNK pairs (at least 8 rows), one
-    bulk draw each; a block's upper-triangle bits are packed into its rows
-    and, transposed, into its byte columns of every row, so no temporary
-    grows with n**2.
+    bulk draw each, of two words a pair: from n = 257 on, every block but
+    perhaps a short last one reaches seeding.MT_BULK_WORDS words, so its
+    words come from numpy's MT19937, one state transfer per block.  A
+    block's upper-triangle bits are packed into its rows and, from a
+    contiguous copy of its transpose, into its byte columns of every row,
+    so no temporary grows with n**2.
     """
     rng = stream(seed)
     bits = np.zeros((n, -(-n // 8)), np.uint8)
@@ -492,7 +495,8 @@ def _gnp_rows(n: int, p: float, seed: int) -> list[int]:
         block = np.zeros((b - a, n), bool)
         block[np.arange(n) > np.arange(a, b)[:, None]] = draws
         bits[a:b] |= np.packbits(block, axis=1, bitorder="little")
-        bits[:, a >> 3:-(-b // 8)] |= np.packbits(block.T, axis=1, bitorder="little")
+        bits[:, a >> 3:-(-b // 8)] |= np.packbits(np.ascontiguousarray(block.T), axis=1,
+                                                  bitorder="little")
     return _int_rows(bits)
 
 

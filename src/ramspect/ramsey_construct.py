@@ -61,7 +61,7 @@ from .errors import ConstructionFailure, ContractViolation, ParameterError, _req
 from .graph_core import (Graph, Unit, check_disjoint_units, complement_gap_at_least,
                          count_edges, iter_bits, mask_from_bools, mask_of, pack_rows,
                          pair_gaps, popcount, prefix_words, unit_degree, unit_rows)
-from .seeding import bernoulli, derive_seed, stream
+from .seeding import bernoulli, derive_seed, randbelow, stream
 from .structure_audit import AuditParams, rich_extract
 
 PAIR_ENUM_CAP = 3000
@@ -169,7 +169,7 @@ def _bucket_sizes(degs: np.ndarray, w: int) -> np.ndarray:
     return np.add.reduceat(by_sum, np.arange(0, len(by_sum), w))
 
 
-BUCKET_BLOCK = 1 << 18  # mask cells per row block of the bucket enumeration
+BUCKET_BLOCK = 1 << 16  # mask cells per row block of the bucket enumeration
 
 
 def _bucket_pairs(degs: np.ndarray, lo: int, w: int, size: int) -> np.ndarray:
@@ -210,6 +210,60 @@ def _bucket_width(n: int, width: int | None) -> int:
     return math.ceil(math.sqrt(n)) if width is None else width
 
 
+PAIR_CHUNK = 1 << 20  # most Mersenne-Twister words per draw of _sampled_pairs
+
+
+def _sampled_pairs(rng, n: int, want: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs that the loop
+
+        seen = set()
+        while len(seen) < want:
+            a, b = rng.randrange(n), rng.randrange(n)
+            if a != b:
+                seen.add((min(a, b), max(a, b)))
+
+    collects, as two int32 arrays of the first and second vertices in
+    sorted(seen) order, for want <= n(n - 1)/2.
+
+    The randrange values come from seeding.randbelow, at most PAIR_CHUNK
+    words a draw.  Consecutive values pair up, and an odd last value waits
+    for the next draw.  A pair a != b is the key min*n + max; a bit array
+    over the keys marks the ones taken, so a draw takes its keys that are
+    neither marked nor repeated earlier in it, in draw order, up to want in
+    all.  The taken keys, sorted, are sorted(seen).
+    """
+    k = n.bit_length()
+    total = n * (n - 1) // 2
+    # a draw holds fewer than 2**shift pairs, and key << shift fits in int64
+    # below n = 2**21, where the bit array alone would take 512 GiB
+    shift = PAIR_CHUNK.bit_length()
+    seen = np.zeros(-(-n * n // 8), np.uint8)  # bit a*n + b marks the pair (a, b)
+    taken = []
+    have = 0
+    carry = np.empty(0, np.uint32)
+    while have < want:
+        # two values a pair, 2**k / n words a value on average, and about
+        # total / (total - have) pairs drawn for each new one
+        words = 2 * (want - have) * total << k
+        words = min(PAIR_CHUNK, words // (n * (total - have)) + 64)
+        vals = np.concatenate([carry, randbelow(rng, n, words)])
+        end = len(vals) & ~1
+        carry = vals[end:]
+        a, b = vals[:end:2].astype(np.int64), vals[1:end:2].astype(np.int64)
+        drawn = (np.minimum(a, b) * n + np.maximum(a, b))[a != b]
+        # sorted by key, then by draw position: a key's first draw leads its run
+        ranked = np.sort(drawn << shift | np.arange(len(drawn)))
+        key = ranked >> shift
+        fresh = (seen[key >> 3] >> (key & 7).astype(np.uint8) & 1) == 0
+        fresh[1:] &= key[1:] != key[:-1]
+        new = drawn[np.sort(ranked[fresh] & ((1 << shift) - 1))[:want - have]]
+        np.bitwise_or.at(seen, new >> 3, np.left_shift(1, new & 7).astype(np.uint8))
+        taken.append(new)
+        have += len(new)
+    ii, jj = np.divmod(np.sort(np.concatenate(taken)), n)
+    return ii.astype(np.int32), jj.astype(np.int32)
+
+
 def pigeonhole_pairs(g: Graph, bucket_width: int | None = None, *,
                      pair_enum_cap: int = PAIR_ENUM_CAP,
                      sample_coeff: float = 10.0, seed: int = 0):
@@ -221,7 +275,8 @@ def pigeonhole_pairs(g: Graph, bucket_width: int | None = None, *,
     go to the lowest bucket.  Up to pair_enum_cap vertices every pair
     counts: the bucket sizes come from the degree histogram and only the
     fullest bucket's pairs are listed.  Above it a uniform pair sample of
-    size ~sample_coeff*n^(3/2) stands in for full enumeration.
+    size ~sample_coeff*n^(3/2) (at most every pair), from _sampled_pairs,
+    stands in for full enumeration.
     """
     n = g.n
     if n < 4:
@@ -232,16 +287,9 @@ def pigeonhole_pairs(g: Graph, bucket_width: int | None = None, *,
         sizes = _bucket_sizes(degs, w)
         j = int(np.argmax(sizes))  # argmax returns the first (lowest) maximum
         return j * w + w // 2, _bucket_pairs(degs, j * w, w, int(sizes[j]))
-    rng = stream(derive_seed(seed, "pigeonhole"))
-    # the dedup loop must not chase more pairs than exist
+    # the sample must not chase more pairs than exist
     want = max(1, int(min(sample_coeff * n ** 1.5, n * (n - 1) // 2)))
-    seen = set()
-    while len(seen) < want:
-        a = rng.randrange(n)
-        b = rng.randrange(n)
-        if a != b:
-            seen.add((a, b) if a < b else (b, a))
-    ii, jj = np.array(sorted(seen), dtype=np.int32).T
+    ii, jj = _sampled_pairs(stream(derive_seed(seed, "pigeonhole")), n, want)
     buckets = (degs[ii] + degs[jj]) // w
     counts = np.bincount(buckets)
     j = int(np.argmax(counts))  # argmax returns the first (lowest) maximum

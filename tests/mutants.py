@@ -91,6 +91,20 @@ MUTANTS = (
     Mutant("bernoulli: the two 32-bit words swapped", SEEDING,
            "(((w & 0xFFFFFFFF) >> 5 << 26) | (w >> 38))",
            "(((w >> 32) >> 5 << 26) | ((w & 0xFFFFFFFF) >> 6))", ("test_graph_core.py",)),
+    # the bulk reader of the Mersenne-Twister words and its randrange decoder
+    Mutant("mt_words: the state position off by one", SEEDING,
+           '"pos": internal[-1]}}', '"pos": internal[-1] - 1}}', ("test_graph_core.py",)),
+    Mutant("mt_words: the state not written back", SEEDING,
+           'rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss))', "pass",
+           ("test_graph_core.py",)),
+    Mutant("mt_words: the key's word halves swapped on the bulk path", SEEDING,
+           '    state = bits.state["state"]\n',
+           '    words = words.reshape(-1, 2)[:, ::-1].ravel()\n    state = bits.state["state"]\n',
+           ("test_graph_core.py",)),
+    Mutant("randbelow: the rejection kept at r == n", SEEDING,
+           "return r[r < n]", "return r[r <= n]", PAIRS),
+    Mutant("sampled pairs: the odd carry dropped", CONSTRUCT,
+           "carry = vals[end:]", "carry = vals[:0]", PAIRS),
     Mutant("AuditParams: seed check dropped", "src/ramspect/structure_audit.py",
            '_require("non-negative", vars(self), "seed")', "pass", RULES),
     # the window and audit rules given one home each

@@ -3,7 +3,8 @@ lookup, the K_n closed form, the spectrum oracle's block walk marking at
 every step, pmf point lookup, the Monte-Carlo sampler's hits and mode
 mass from one stream drawn in one loop, Bernoulli draws one random() call at a time,
 the pair-by-pair G(n, p) and Paley loops, induced subgraphs repacked bit
-by bit, the all-pairs degree-sum bucket, star degrees by bincount,
+by bit, the all-pairs degree-sum bucket, the sampled bucket drawn one
+randrange call at a time, star degrees by bincount,
 pair-by-pair conflict greedy, event-(4) scan, S/T/X split and int-row verifier of the scaffold construction, the richness
 audit's bad-vertex counts over whole rows and one candidate at a time, its candidate
 family as one generator with a shared budget counter, the extraction's split
@@ -29,7 +30,7 @@ from ramspect.graph_core import (Graph, bit_matrix, check_disjoint_units,
                                  complement_gap_at_least, count_edges, count_edges_many,
                                  iter_bits, mask_of, multiset_gap, neighbor_counts,
                                  pack_rows, popcount, symdiff_size, unit_degree, unit_rows)
-from ramspect.seeding import np_stream
+from ramspect.seeding import derive_seed, np_stream
 
 HOMOGENEOUS_CAP = 64  # exact clique/independence search refuses larger graphs
 
@@ -176,6 +177,29 @@ def bucket_by_enumeration(g: Graph, w: int):
     vertices in row 0."""
     degs = np.array(g.degrees(), dtype=np.int64)
     ii, jj = np.triu_indices(g.n, 1)
+    buckets = (degs[ii] + degs[jj]) // w
+    j = int(np.argmax(np.bincount(buckets)))
+    sel = buckets == j
+    return j * w + w // 2, np.stack([ii[sel], jj[sel]])
+
+
+def sampled_bucket_loop(g: Graph, w: int, sample_coeff: float, seed: int):
+    """(d_prime, pairs) of ramsey_construct.pigeonhole_pairs above its
+    enumeration cap, with the pair sample drawn one randrange call at a
+    time: the first want distinct pairs a < b of consecutive draws a != b,
+    sorted, then bucketed by (deg a + deg b) // w, the lowest bucket
+    winning ties."""
+    n = g.n
+    rng = random.Random(derive_seed(seed, "pigeonhole"))
+    want = max(1, int(min(sample_coeff * n ** 1.5, n * (n - 1) // 2)))
+    seen = set()
+    while len(seen) < want:
+        a = rng.randrange(n)
+        b = rng.randrange(n)
+        if a != b:
+            seen.add((a, b) if a < b else (b, a))
+    ii, jj = np.array(sorted(seen), dtype=np.int32).T
+    degs = np.array(g.degrees(), dtype=np.int64)
     buckets = (degs[ii] + degs[jj]) // w
     j = int(np.argmax(np.bincount(buckets)))
     sel = buckets == j

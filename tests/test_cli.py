@@ -391,6 +391,24 @@ def cli_process(argv, env=(), **kwargs):
         capture_output=True, text=True, env=full, timeout=60, **kwargs)
 
 
+def test_small_draws_leave_numpy_random_unloaded(tmp_path):
+    # below seeding.MT_BULK_WORDS words a draw reads getrandbits, so runs
+    # whose draws are all small never load numpy.random, which costs peak
+    # RSS; a G(300, 1/2) draw is one bulk read and loads it
+    code = ("import sys; from ramspect.cli import main\n"
+            "for argv in sys.argv[1:]:\n"
+            "    assert main(argv.split()) == 0, argv\n"
+            "    print('numpy.random' in sys.modules)\n")
+    argvs = ["phi --gen gnp --n 12", "per-m --gen gnp --n 64 --out w.csv",
+             "generate --gen gnp --n 300 --out g.graph"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code, *argvs], capture_output=True,
+                          text=True, cwd=tmp_path, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-3:] == ["False", "False", "True"]
+
+
 def test_huge_graph_file_is_a_capacity_error(tmp_path):
     # 2^20000 has more decimal digits than int-to-str allows; the message
     # must not need them.  At n = 10^12 the n rows would not fit in memory,

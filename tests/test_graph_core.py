@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ramspect import graph_core as gc
+from ramspect import seeding
 from ramspect.errors import (CapacityError, ContractViolation, GraphParseError,
                              ParameterError)
 from ramspect.seeding import bernoulli
@@ -495,15 +496,42 @@ def test_gnp_is_identical_to_the_pair_by_pair_loop(n, p, seed):
     assert gc.generate("gnp", n=n, p=p, seed=seed).adj == gnp_loop(n, p, seed).adj
 
 
+@settings(max_examples=100)
+@example(count=0, skip=0, crossover=1, gauss=False, seed=0)
+@given(count=st.sampled_from((1, 623, 624, 625, 1249)) | st.integers(0, 3000),
+       skip=st.sampled_from((0, 1, 623, 624)) | st.integers(0, 1300),
+       crossover=st.sampled_from((1, 7, 624, 625, seeding.MT_BULK_WORDS)),
+       gauss=st.booleans(), seed=st.integers(0, 2 ** 80))
+def test_mt_words_are_the_getrandbits_words(count, skip, crossover, gauss, seed):
+    # the same words on both sides of the crossover, and the generator left
+    # at the same point, its 624 words, position and cached gauss alike; a
+    # bulk read draws crossover words at a time
+    fast, slow = random.Random(seed), random.Random(seed)
+    for rng in (fast, slow):
+        rng.getrandbits(32 * skip)
+        if gauss:
+            rng.gauss(0.0, 1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seeding, "MT_BULK_WORDS", crossover)
+        got = seeding.mt_words(fast, count)
+    want = slow.getrandbits(32 * count).to_bytes(4 * count, "little")
+    assert got.dtype == np.uint32 and got.tobytes() == want
+    assert fast.getstate() == slow.getstate()
+
+
 @settings(max_examples=200)
-@example(k=0, p=0.5, seed=0)
+@example(k=0, p=0.5, seed=0, crossover=seeding.MT_BULK_WORDS)
 @given(k=st.integers(0, 300),
        p=st.sampled_from((0.0, 1.0, 0.5)) | st.floats(0.0, 1.0),
-       seed=st.integers(-2 ** 80, 2 ** 80))
-def test_bernoulli_matches_one_random_call_per_draw(k, p, seed):
-    # the same bools, and the generator left at the same point
+       seed=st.integers(-2 ** 80, 2 ** 80),
+       crossover=st.sampled_from((seeding.MT_BULK_WORDS, 1, 64, 601)))
+def test_bernoulli_matches_one_random_call_per_draw(k, p, seed, crossover):
+    # the same bools, and the generator left at the same point, whether the
+    # words are read through getrandbits or numpy's MT19937
     fast, slow = random.Random(seed), random.Random(seed)
-    got = bernoulli(fast, k, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seeding, "MT_BULK_WORDS", crossover)
+        got = bernoulli(fast, k, p)
     assert got.dtype == bool and got.tolist() == bernoulli_loop(slow, k, p)
     assert fast.getstate() == slow.getstate()
 
@@ -523,6 +551,15 @@ def test_gnp_row_blocks_match_the_loop(monkeypatch, chunk, n):
     # and packs its transpose into its own byte columns of every row
     monkeypatch.setattr(gc, "GNP_CHUNK", chunk)
     assert gc.generate("gnp", n=n, p=0.4, seed=n).adj == gnp_loop(n, 0.4, n).adj
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05, 1 / 3, 0.5, 0.95, 1.0])
+@pytest.mark.parametrize("n,seed", [(257, 2 ** 63), (800, 2 ** 64 + 5)])
+def test_gnp_read_through_numpy_matches_the_loop(n, seed, p):
+    # from n = 257 a block's words reach seeding.MT_BULK_WORDS and come from
+    # numpy's MT19937; at n = 800 the first two of three blocks do, and the
+    # last, 160 rows, reads getrandbits where they left the stream
+    assert gc.generate("gnp", n=n, p=p, seed=seed).adj == gnp_loop(n, p, seed).adj
 
 
 def test_gnp_temporaries_stay_below_an_n_by_n_bool_array(monkeypatch):

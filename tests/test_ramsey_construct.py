@@ -18,8 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from ramspect.seeding import derive_seed
 from reference import (bernoulli_loop, bucket_by_enumeration, event4_scan,
-                       independent_units_greedy, select_stx_split, star_degrees,
-                       verify_construction_loop)
+                       independent_units_greedy, sampled_bucket_loop, select_stx_split,
+                       star_degrees, verify_construction_loop)
 
 G256 = gc.generate("gnp", n=256, p=0.5, seed=3)
 M256 = round(1.5 * 0.0003 * 256 * 256)  # window midpoint for default c
@@ -155,6 +155,24 @@ def test_bucket_is_one_contiguous_int32_array_on_both_paths(n):
         # the kept pairs are a subset of the bucket, so strict order makes
         # them a subsequence of it
         assert set(zip(*kept.tolist())) < set(zip(*bucket.tolist()))
+
+
+@settings(max_examples=40)
+@given(n=st.sampled_from((4, 8, 16, 32, 64)) | st.integers(4, 70),
+       near=st.sampled_from((0.9, 0.99, 1.0, 1.01, 3.0)) | st.floats(0.001, 1.2),
+       chunk=st.sampled_from((15, 64, 1001, rc.PAIR_CHUNK)),
+       seed=st.integers(0, 2 ** 64), w=st.sampled_from((1, 3, None)))
+def test_sampled_bucket_matches_the_randrange_loop(n, near, chunk, seed, w):
+    # near = 1 asks for every pair; a draw of 15 words often leaves an odd
+    # value to pair with the next draw's first, and at n = 2**j about half
+    # the randrange draws are rejected
+    g = gc.generate("gnp", n=n, p=0.5, seed=n)
+    coeff = near * (n - 1) / (2 * math.sqrt(n))
+    width = math.ceil(math.sqrt(n)) if w is None else w
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rc, "PAIR_CHUNK", chunk)
+        got = rc.pigeonhole_pairs(g, w, pair_enum_cap=3, sample_coeff=coeff, seed=seed)
+    assert_same_bucket(got, sampled_bucket_loop(g, width, coeff, seed))
 
 
 @pytest.mark.parametrize("skew", [-1, 1])

@@ -238,6 +238,28 @@ def test_every_random_stream_is_built_in_seeding():
     assert all(text in seeding for text in ("random.Random(", "getrandbits", "default_rng"))
 
 
+WORD_READERS = ("getrandbits", "MT19937", "random_raw")
+
+
+def test_the_mersenne_twister_words_are_read_in_seeding_alone():
+    # seeding.mt_words reads the stream's words and states the facts that
+    # make its two readers agree, so no other module calls one of them; no
+    # module draws randrange one value at a time, since seeding.randbelow
+    # decodes its values from those words
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = node.attr if isinstance(node, ast.Attribute) else \
+                node.id if isinstance(node, ast.Name) else \
+                node.name if isinstance(node, ast.alias) else None
+            if name == "randrange" or name in WORD_READERS and path.name != "seeding.py":
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}: {name}")
+    assert not found, found
+    tree = ast.parse((SRC / "seeding.py").read_text())
+    assert {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)} >= {"getrandbits", "random_raw"}
+
+
 def test_int_rows_are_read_from_bytes_in_one_place():
     # graph_core._int_rows turns packed bytes into int rows, the inverse of
     # pack_rows; a second int.from_bytes outside seeding.py, whose seed
