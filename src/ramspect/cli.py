@@ -180,7 +180,7 @@ def _build_graph(ns, cap: int) -> tuple[gc.Graph, dict]:
 def _generate(model: str, n: int, p: float, seed: int, cap: int) -> tuple[gc.Graph, dict]:
     _require_cap("--n", n, cap)
     if model == "paley":
-        return gc.generate("paley", q=n), {"model": "paley", "q": n}
+        return gc.generate("paley", n=n), {"model": "paley", "n": n}
     cfg = {"model": model, "n": n, "seed": seed}
     if model == "gnp":
         cfg["p"] = p

@@ -503,26 +503,25 @@ def _gnp_rows(n: int, p: float, seed: int) -> list[int]:
 GRAPH_MODELS = ("gnp", "paley", "complete", "empty")
 
 
-def generate(model: str, *, n: int | None = None, p: float = 0.5,
-             q: int | None = None, seed: int = 0) -> Graph:
-    """Deterministic graph generators, one per name in GRAPH_MODELS."""
+def generate(model: str, *, n: int | None = None, p: float = 0.5, seed: int = 0) -> Graph:
+    """Deterministic graph generators, one per name in GRAPH_MODELS, each on
+    n vertices; paley takes a prime n = 1 mod 4, and only gnp reads p and
+    seed."""
     if model not in GRAPH_MODELS:
         raise ParameterError(f"unknown model {model!r}")
-    if model == "paley":
-        if q is None:
-            raise ParameterError("paley requires q")
-        if not _is_prime(q) or q % 4 != 1:
-            raise ParameterError(f"paley requires a prime q = 1 mod 4, got {q}")
-        residues = 0
-        for x in range(1, q):
-            residues |= 1 << (x * x % q)
-        # -1 is a residue mod q, so v ~ u iff v - u is one: row u is the
-        # residue row rotated left by u within q bits
-        full = (1 << q) - 1
-        return Graph(q, (((residues << u) | (residues >> (q - u))) & full
-                         for u in range(q)), _checked=True)
     if n is None or n < 0:
         raise ParameterError(f"{model} requires n >= 0")
+    if model == "paley":
+        if not _is_prime(n) or n % 4 != 1:
+            raise ParameterError(f"paley requires a prime n = 1 mod 4, got {n}")
+        residues = 0
+        for x in range(1, n):
+            residues |= 1 << (x * x % n)
+        # -1 is a residue mod n, so v ~ u iff v - u is one: row u is the
+        # residue row rotated left by u within n bits
+        full = (1 << n) - 1
+        return Graph(n, (((residues << u) | (residues >> (n - u))) & full
+                         for u in range(n)), _checked=True)
     if model == "gnp":
         if not 0.0 <= p <= 1.0:
             raise ParameterError(f"gnp requires p in [0,1], got {p}")

@@ -158,8 +158,8 @@ MUTANTS = (
            ("test_cli.py",)),
     # the Paley rows by rotation, and check (4) of per_k_checks
     Mutant("paley: rows rotated by u + 1", GRAPH,
-           "(residues << u) | (residues >> (q - u))",
-           "(residues << u + 1) | (residues >> (q - u - 1))", ("test_graph_core.py",)),
+           "(residues << u) | (residues >> (n - u))",
+           "(residues << u + 1) | (residues >> (n - u - 1))", ("test_graph_core.py",)),
     Mutant("check4: a step of exactly M*rt not counted", "src/ramspect/double_exposure.py",
            "if dl >= big)", "if dl > big)", ("test_double_exposure.py",)),
     Mutant("check4: a falling step counted as negative", "src/ramspect/double_exposure.py",

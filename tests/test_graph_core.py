@@ -91,7 +91,7 @@ def graphs_and_masks(draw):
     graph, with an empty, full, one-vertex or random vertex mask."""
     family = draw(st.sampled_from(("gnp", "complete", "empty", "paley")))
     if family == "paley":
-        g = gc.generate("paley", q=draw(st.sampled_from(PALEY_Q)))
+        g = gc.generate("paley", n=draw(st.sampled_from(PALEY_Q)))
     else:
         g = gc.generate(family, n=draw(st.integers(0, 300)),
                         p=draw(st.sampled_from((0.05, 0.5, 0.95))),
@@ -576,7 +576,7 @@ def test_gnp_temporaries_stay_below_an_n_by_n_bool_array(monkeypatch):
 
 
 def test_generate_paley_13():
-    g = gc.generate("paley", q=13)
+    g = gc.generate("paley", n=13)
     assert g.edge_count() == 39
     assert set(g.degrees()) == {6}
     # quadratic residues mod 13
@@ -588,14 +588,14 @@ def test_generate_paley_13():
 def test_paley_rows_by_rotation_match_the_pair_loop():
     primes = [q for q in range(5, 400, 4) if all(q % d for d in range(2, q))]
     for q in primes:
-        assert gc.generate("paley", q=q).adj == paley_loop(q).adj, q
+        assert gc.generate("paley", n=q).adj == paley_loop(q).adj, q
 
 
 def test_generate_paley_rejects_bad_modulus():
     with pytest.raises(ParameterError):
-        gc.generate("paley", q=15)
+        gc.generate("paley", n=15)
     with pytest.raises(ParameterError):
-        gc.generate("paley", q=7)  # 7 % 4 == 3
+        gc.generate("paley", n=7)  # 7 % 4 == 3
 
 
 def test_generate_rejects_unknown_model():
@@ -630,7 +630,7 @@ def test_load_graph_rejects_malformed(text):
 
 
 def test_homogeneous_number_frozen():
-    assert homogeneous_number(gc.generate("paley", q=13)) == (3, 3)
+    assert homogeneous_number(gc.generate("paley", n=13)) == (3, 3)
     assert homogeneous_number(gc.generate("complete", n=8)) == (8, 1)
     assert homogeneous_number(gc.generate("empty", n=8)) == (1, 8)
     c5 = gc.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
@@ -638,7 +638,7 @@ def test_homogeneous_number_frozen():
 
 
 def test_is_c_ramsey_on_paley():
-    p13 = gc.generate("paley", q=13)
+    p13 = gc.generate("paley", n=13)
     # hom = 3 <= 10 * log2(13)
     assert is_c_ramsey(p13, 10.0)
     assert not is_c_ramsey(gc.generate("complete", n=32), 1.0)

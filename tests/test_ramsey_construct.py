@@ -85,7 +85,7 @@ def assert_same_bucket(got, want):
     assert got[1].tolist() == want[1].tolist()
 
 
-@pytest.mark.parametrize("g", [gc.generate("paley", q=13), gc.generate("paley", q=29),
+@pytest.mark.parametrize("g", [gc.generate("paley", n=13), gc.generate("paley", n=29),
                                gc.generate("complete", n=6), gc.generate("empty", n=5),
                                gc.from_edges(9, [(v, (v + 1) % 9) for v in range(9)])],
                          ids=["paley13", "paley29", "K6", "empty5", "C9"])

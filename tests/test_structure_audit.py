@@ -37,7 +37,7 @@ def bad_count(rows, w, epsilon):
     return sum(side.bit_count() for side in sa._bad_sides(rows, w, epsilon))
 
 
-PALEY13 = gc.generate("paley", q=13)
+PALEY13 = gc.generate("paley", n=13)
 
 
 # ── params and simple checks ─────────────────────────────────────────────
