@@ -165,6 +165,7 @@ def _build_graph(ns, cap: int) -> tuple[gc.Graph, dict]:
     # is refused before any row is built
     if bool(ns.graph) == bool(ns.gen):
         raise ParameterError("exactly one of --graph or --gen is required")
+    _refuse_unread(ns)
     if ns.graph:
         try:  # UTF-8 whatever the locale
             text = Path(ns.graph).read_bytes().decode("utf-8")
@@ -174,17 +175,30 @@ def _build_graph(ns, cap: int) -> tuple[gc.Graph, dict]:
         return g, {"file": ns.graph, "n": g.n}
     if ns.n is None:
         raise ParameterError("--gen requires --n")
-    return _generate(ns.gen, ns.n, ns.p, ns.graph_seed, cap)
+    return _generate(ns.gen, ns.n, ns.p, 0 if ns.graph_seed is None else ns.graph_seed, cap)
 
 
-def _generate(model: str, n: int, p: float, seed: int, cap: int) -> tuple[gc.Graph, dict]:
+def _refuse_unread(ns) -> None:
+    """A graph-source flag the source does not read is an error: a --graph
+    file reads none of --n, --p and --graph-seed, and only gnp draws."""
+    if getattr(ns, "graph", None):
+        source, unread = "--graph", ("n", "p", "graph_seed")
+    elif ns.gen != "gnp":
+        source, unread = f"--gen {ns.gen}", ("p", "graph_seed")
+    else:
+        return
+    for dest in unread:
+        if getattr(ns, dest, None) is not None:
+            raise ParameterError(f"{source} does not read --{dest.replace('_', '-')}")
+
+
+def _generate(model: str, n: int, p: float | None, seed: int, cap: int) -> tuple[gc.Graph, dict]:
+    # the header config names only what the model read
     _require_cap("--n", n, cap)
-    if model == "paley":
-        return gc.generate("paley", n=n), {"model": "paley", "n": n}
-    cfg = {"model": model, "n": n, "seed": seed}
-    if model == "gnp":
-        cfg["p"] = p
-    return gc.generate(model, n=n, p=p, seed=seed), cfg
+    if model != "gnp":
+        return gc.generate(model, n=n), {"model": model, "n": n}
+    p = 0.5 if p is None else p
+    return gc.generate(model, n=n, p=p, seed=seed), {"model": model, "n": n, "seed": seed, "p": p}
 
 
 def _fields(obj, drop=()) -> dict:
@@ -220,6 +234,7 @@ def _pipeline_inputs(ns):
 
 
 def cmd_generate(ns) -> int:
+    _refuse_unread(ns)
     g, cfg = _generate(ns.gen, ns.n, ns.p, ns.seed, VERTEX_CAP)
     _emit(ns, _text_header(ns, cfg), gc.dump_graph(g))
     return 0
@@ -242,24 +257,20 @@ def cmd_spectrum(ns) -> int:
 
 
 def cmd_audit(ns) -> int:
-    g, gsrc = _build_graph(ns, sa.RICHNESS_EXHAUSTIVE_CAP if ns.exhaustive else VERTEX_CAP)
+    g, gsrc = _build_graph(ns, VERTEX_CAP)
     ov = _split_overrides(ns.set, {"audit": _AP_FIELDS})
     params = sa.AuditParams(seed=ns.seed, **ov["audit"])
-    cfg = {"graph": gsrc, "params": asdict(params), "exhaustive": ns.exhaustive}
+    cfg = {"graph": gsrc, "params": asdict(params)}
 
     profile, close_pairs = sa.pair_audit(g, params.c_div, params.epsilon / 2)
     extract = sa.rich_extract(g, params)
-    if ns.exhaustive:
-        status = sa.richness_audit(g, params, exhaustive=True).status
-    else:
-        # the extraction's first round is the budgeted audit, and it records
-        # a round exactly when that audit finds a witness
-        status = "witness_found" if extract.trace else "no_witness_in_budget"
     payload = {
         "density": sa.edge_density(g),
         "diversity_max_count": max(profile) if profile else 0,
         "close_complement_pairs": close_pairs,
-        "richness_status": status,
+        # the extraction's first round is the budgeted audit, and it records
+        # a round exactly when that audit finds a witness
+        "richness_status": "witness_found" if extract.trace else "no_witness_in_budget",
         "extract_trace": {
             "status": extract.status,
             "kept_size": extract.u_mask.bit_count(),
@@ -273,8 +284,9 @@ def cmd_audit(ns) -> int:
 def cmd_lo(ns) -> int:
     # each n builds an n-int coefficient tuple before the exact/MC choice
     _require_cap("--n-list value", max(ns.n_list, default=0), ac.EXACT_WEIGHT_CAP)
-    cfg = {"model": ns.model, "n_values": ns.n_list, "p": ns.p, "trials": ns.trials}
-    fit = ac.lo_scaling_fit(ns.n_list, coeff_model=ns.model, p=ns.p,
+    p = 0.5 if ns.p is None else ns.p
+    cfg = {"model": ns.model, "n_values": ns.n_list, "p": p, "trials": ns.trials}
+    fit = ac.lo_scaling_fit(ns.n_list, coeff_model=ns.model, p=p,
                             trials=ns.trials, seed=ns.seed)
     lines = ["n,max_prob,method"]
     for n, prob, method in zip(fit.n_values, fit.max_probs, fit.methods):
@@ -330,12 +342,13 @@ def cmd_sweep(ns) -> int:
     if not ns.n_list:
         raise ParameterError("--n-list needs at least one n")
     ov = _split_overrides(ns.set, _PIPELINE_FIELDS)
-    cfg = {"mode": ns.mode, "n_values": ns.n_list, "p": ns.p,
+    p = 0.5 if ns.p is None else ns.p
+    cfg = {"mode": ns.mode, "n_values": ns.n_list, "p": p,
            "overrides": {k: v for grp in ov.values() for k, v in grp.items()}}
     _require_cap("--n-list value", max(ns.n_list), VERTEX_CAP)
     rows, failures = [], []
     for n in ns.n_list:
-        g = gc.generate("gnp", n=n, p=ns.p, seed=derive_seed(ns.seed, "graph", n))
+        g = gc.generate("gnp", n=n, p=p, seed=derive_seed(ns.seed, "graph", n))
         cp, ep = _pipeline_params(ov, derive_seed(ns.seed, "sweep", n))
         try:
             if ns.mode == "per-m":
@@ -378,11 +391,11 @@ _FLAGS = {
     "--graph": dict(metavar="FILE",
                     help="edge-list file: header 'n <count>', then 'u v' lines"),
     "--gen": dict(choices=gc.GRAPH_MODELS, help="model of the generated graph"),
-    "--n": dict(type=int, help="vertex count (prime q for paley)"),
-    "--p": dict(type=float, default=0.5, help="gnp edge probability; for lo, Pr(xi_i = 1)"),
-    "--graph-seed": dict(type=int, default=0, help="generator seed"),
-    "--exhaustive": dict(action="store_true",
-                         help="decide richness exhaustively (small n only)"),
+    "--n": dict(type=int, help="vertex count (paley: a prime = 1 mod 4)"),
+    # --p and --graph-seed have no default, so that a source that does not
+    # read them can refuse them; the code that reads them resolves 0.5 and 0
+    "--p": dict(type=float, help="gnp edge probability; for lo, Pr(xi_i = 1) (default 0.5)"),
+    "--graph-seed": dict(type=int, help="gnp generator seed (default 0)"),
     "--model": dict(default="ones", choices=ac.COEFF_MODELS),
     "--n-list": dict(type=_int_list,
                      help="comma-separated n values (lo: 4+, spanning 2 octaves)"),
@@ -408,7 +421,7 @@ _COMMANDS = {
     "phi": (cmd_spectrum, "exact phi spectrum of a small graph", (*_GRAPH, "--out")),
     "psi": (cmd_spectrum, "exact psi spectrum of a small graph", (*_GRAPH, "--out")),
     "audit": (cmd_audit, "density/diversity/richness report (JSON)",
-              (*_GRAPH, "--set", "--exhaustive", "--seed", "--out")),
+              (*_GRAPH, "--set", "--seed", "--out")),
     "lo": (cmd_lo, "anticoncentration max point mass (CSV)",
            ("--model", "--n-list!", "--p", "--trials", "--seed", "--out")),
     "construct": (cmd_construct, "run the scaffold construction (JSON)",

@@ -160,17 +160,15 @@ def describe(action) -> str:
     return s if kind == "_StoreAction" else f"{s} {kind}"
 
 
-GRAPH_FLAGS = ["--graph", "--gen{gnp|paley|complete|empty}", "--n:int",
-               "--p:float=0.5", "--graph-seed:int=0"]
+GRAPH_FLAGS = ["--graph", "--gen{gnp|paley|complete|empty}", "--n:int", "--p:float",
+               "--graph-seed:int"]
 SEED_OUT = ["--seed:int=0", "--out"]
 SURFACE = {
-    "generate": ["--gen!{gnp|paley|complete|empty}", "--n!:int", "--p:float=0.5",
-                 *SEED_OUT],
+    "generate": ["--gen!{gnp|paley|complete|empty}", "--n!:int", "--p:float", *SEED_OUT],
     "phi": [*GRAPH_FLAGS, "--out"],
     "psi": [*GRAPH_FLAGS, "--out"],
-    "audit": [*GRAPH_FLAGS, "--set _AppendAction",
-              "--exhaustive=False _StoreTrueAction", *SEED_OUT],
-    "lo": ["--model{ones|u3|u10}='ones'", "--n-list!:_int_list", "--p:float=0.5",
+    "audit": [*GRAPH_FLAGS, "--set _AppendAction", *SEED_OUT],
+    "lo": ["--model{ones|u3|u10}='ones'", "--n-list!:_int_list", "--p:float",
            "--trials:int=200000", *SEED_OUT],
     "construct": [*GRAPH_FLAGS, "--m:int", "--diagnostics", "--set _AppendAction",
                   *SEED_OUT],
@@ -179,7 +177,7 @@ SURFACE = {
     "theorem": [*GRAPH_FLAGS, "--set _AppendAction", *SEED_OUT, "--sigma:float",
                 "--dump"],
     "sweep": ["--mode{per-m|theorem}='per-m'", "--n-list!:_int_list",
-              "--p:float=0.5", "--set _AppendAction", "--diagnostics", *SEED_OUT],
+              "--p:float", "--set _AppendAction", "--diagnostics", *SEED_OUT],
 }
 
 
@@ -251,39 +249,9 @@ def test_missing_graph_source_exits_one(capsys):
 
 
 def test_capacity_exits_two(capsys):
-    code, _, err = run(capsys, "audit", "--gen", "gnp", "--n", "24",
-                       "--exhaustive")
+    code, _, err = run(capsys, "audit", "--gen", "gnp", "--n", str(cli.VERTEX_CAP + 1))
     assert code == 2
     assert "capacity" in err
-
-
-def test_exhaustive_audit_is_refused_before_the_pair_pass(capsys, monkeypatch):
-    from ramspect import structure_audit as sa
-
-    def refuse(*args):
-        raise AssertionError("ran before the exhaustive cap was checked")
-
-    monkeypatch.setattr(sa, "pair_audit", refuse)
-    monkeypatch.setattr(sa, "rich_extract", refuse)
-    code, _, err = run(capsys, "audit", "--gen", "gnp", "--n",
-                       str(sa.RICHNESS_EXHAUSTIVE_CAP + 1), "--exhaustive")
-    assert code == 2
-    assert err == (f"capacity: --n {sa.RICHNESS_EXHAUSTIVE_CAP + 1} "
-                   f"is above the cap {sa.RICHNESS_EXHAUSTIVE_CAP}\n")
-
-
-def test_exhaustive_audit_of_a_generated_graph_is_refused_before_generation(
-        capsys, monkeypatch):
-    from ramspect import graph_core as gc
-    from ramspect import structure_audit as sa
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("built a graph that the exhaustive cap refuses")
-
-    monkeypatch.setattr(gc, "generate", refuse)
-    code, _, err = run(capsys, "audit", "--gen", "gnp", "--n", "4096", "--exhaustive")
-    assert code == 2
-    assert err == f"capacity: --n 4096 is above the cap {sa.RICHNESS_EXHAUSTIVE_CAP}\n"
 
 
 @pytest.mark.parametrize("cmd", ["phi", "psi"])
@@ -308,24 +276,6 @@ def test_spectrum_above_the_oracle_cap_is_refused_before_any_graph_is_built(
         2, "", f"capacity: graph header n {n} is above the cap {cap}\n")
 
 
-def test_exhaustive_audit_of_a_graph_file_is_refused_at_its_header(
-        tmp_path, capsys, monkeypatch):
-    from ramspect import graph_core as gc
-    from ramspect import structure_audit as sa
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("built the rows of a graph that the exhaustive cap refuses")
-
-    monkeypatch.setattr(gc, "from_edges", refuse)
-    n = sa.RICHNESS_EXHAUSTIVE_CAP + 1
-    f = tmp_path / "big.graph"
-    f.write_text(f"n {n}\n0 1\n")
-    code, out, err = run(capsys, "audit", "--graph", str(f), "--exhaustive")
-    assert (code, out) == (2, "")
-    assert err.splitlines() == [
-        f"capacity: graph header n {n} is above the cap {sa.RICHNESS_EXHAUSTIVE_CAP}"]
-
-
 def test_main_carries_no_value_from_one_call_into_the_next(tmp_path, capsys):
     # the parser is built once per process, so every call must parse afresh
     out = tmp_path / "audit.json"
@@ -336,15 +286,15 @@ def test_main_carries_no_value_from_one_call_into_the_next(tmp_path, capsys):
         return json.loads(out.read_text())["header"]["config"]
 
     fresh = config()
-    first = config("--set", "c_div=0.3", "--set", "epsilon=0.15", "--exhaustive",
-                   "--seed", "5")
+    first = config("--set", "c_div=0.3", "--set", "epsilon=0.15", "--p", "0.3",
+                   "--graph-seed", "3", "--seed", "5")
     assert (first["params"]["c_div"], first["params"]["epsilon"]) == (0.3, 0.15)
-    assert first["exhaustive"] and first["params"]["seed"] == 5
+    assert (first["graph"]["p"], first["graph"]["seed"], first["params"]["seed"]) == (0.3, 3, 5)
     second = config("--set", "delta=0.4")
     assert second == {**fresh, "params": {**fresh["params"], "delta": 0.4}}
     with pytest.raises(SystemExit) as exc:
         cli.main(["audit", "--gen", "gnp", "--n", "12", "--set", "c_div=0.2",
-                  "--exhaustive", "--bogus"])
+                  "--p", "0.3", "--bogus"])
     assert exc.value.code == 1
     assert "usage" in capsys.readouterr().err
     assert config() == fresh

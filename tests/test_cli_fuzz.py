@@ -2,9 +2,10 @@
 exit code (0/1/2/3) with at most one stderr message line and no traceback.
 
 Every graph a case can build has n <= 40, or is refused before it is
-allocated: above PHI_EXACT_CAP for phi/psi, above RICHNESS_EXHAUSTIVE_CAP
-for audit --exhaustive, above VERTEX_CAP for the rest (a graph near that cap
-holds about 2^32 adjacency bits, half a gigabyte).
+allocated: above PHI_EXACT_CAP for phi/psi, above VERTEX_CAP for the rest (a
+graph near that cap holds about 2^32 adjacency bits, half a gigabyte).  A
+graph-source flag that its source does not read (--n, --p or --graph-seed
+beside --graph; --p or --graph-seed beside a model other than gnp) exits 1.
 """
 import contextlib
 import io
@@ -85,8 +86,7 @@ FLAGS = {
                  "--p": GRAPH_SOURCE["--p"], **SEED_OUT},
     "phi": SPECTRUM,
     "psi": SPECTRUM,
-    "audit": {**GRAPH_SOURCE, "--set": OVERRIDES, "--exhaustive": st.none(),
-              **SEED_OUT},
+    "audit": {**GRAPH_SOURCE, "--set": OVERRIDES, **SEED_OUT},
     "lo": {"--model": st.sampled_from(["ones", "u3", "u10", "bad"]),
            "--n-list": N_LISTS, "--p": values("0.5", "0.9"),
            "--trials": values("1", "200"), **SEED_OUT},
@@ -102,8 +102,19 @@ FLAGS = {
 
 
 # chance in ten that a flag is given: the required ones and a graph source
-# mostly are, anything else about half the time
-WEIGHT = {"--gen": 7, "--n": 9, "--n-list": 9, "--graph": 3}
+# mostly are, --p and --graph-seed less often, since only gnp reads them,
+# and anything else about half the time
+WEIGHT = {"--gen": 7, "--n": 9, "--n-list": 9, "--graph": 3, "--p": 3, "--graph-seed": 3}
+
+UNREAD = {"--graph": {"--n", "--p", "--graph-seed"}, "paley": {"--p", "--graph-seed"},
+          "complete": {"--p", "--graph-seed"}, "empty": {"--p", "--graph-seed"}}
+
+
+def gives_an_unread_flag(argv) -> bool:
+    """argv gives a graph-source flag that its source does not read."""
+    opts = dict(zip(argv[1::2], argv[2::2]))  # every flag drawn takes a value
+    source = "--graph" if "--graph" in opts else opts.get("--gen")
+    return bool(UNREAD.get(source, set()) & opts.keys())
 
 
 @st.composite
@@ -114,8 +125,7 @@ def argvs(draw):
     for flag in flags:
         if draw(st.integers(0, 9)) >= WEIGHT.get(flag, 5):
             continue
-        value = draw(flags[flag])
-        argv += [flag] if value is None else [flag, value]
+        argv += [flag, draw(flags[flag])]
     if draw(st.integers(0, 9)) == 0:
         argv.append(draw(st.sampled_from(["--bogus", "stray", "--"])))
     return argv
@@ -146,6 +156,8 @@ def test_any_argv_ends_in_a_documented_exit(argv, workdir):
     assert "Traceback" not in err, (argv, err)
     assert len(message_lines(err)) <= 1, (argv, err)
     assert (code == 0) == (err == ""), (argv, code, err)
+    if gives_an_unread_flag(argv):
+        assert code == 1, (argv, code, err)
 
 
 @pytest.mark.parametrize("argv,code", [
