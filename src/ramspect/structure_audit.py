@@ -4,11 +4,11 @@ A graph is (delta, eps)-rich when for every vertex set W with |W| >= delta*n,
 at most n^delta vertices see fewer than eps*|W| neighbors or fewer than
 eps*|W| non-neighbors inside W.  Richness cannot be decided exhaustively
 beyond toy sizes, so richness_audit scores a candidate family under a budget
-and reports the first violation it finds; exhaustive=True enumerates every
-W (tiny n only) and decides exactly.  _candidate_sets states the budget
-once: the first sample_budget sets of four lazy phases chained in turn
-(neighborhoods, complement neighborhoods, degree-order prefixes, seeded
-random sets), so a phase the budget never reaches costs nothing.
+and reports the first violation it finds; the exact check over every W is
+test code, tests/reference.py::richness_audit_loop.  _candidate_sets states
+the budget once: the first sample_budget sets of four lazy phases chained
+in turn (neighborhoods, complement neighborhoods, degree-order prefixes,
+seeded random sets), so a phase the budget never reaches costs nothing.
 
 pair_audit counts, for each vertex, how many others have a nearly
 identical neighborhood (diversity), and how many pairs have neighborhoods
@@ -55,12 +55,11 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import ContractViolation, ParameterError, _require, _require_cap
+from .errors import ContractViolation, ParameterError, _require
 from .graph_core import (Graph, bit_matrix, induced_subgraph, iter_bits, mask_from_bools,
                          mask_of, neighbor_counts, pack_rows, popcount, prefix_words)
 from .seeding import stream
 
-RICHNESS_EXHAUSTIVE_CAP = 14
 # richness_audit scores candidates in blocks: the first block is small, so a
 # witness among the first candidates stays cheap, and each next one doubles
 AUDIT_BLOCK_FIRST = 32
@@ -263,21 +262,16 @@ def _candidate_sets(g: Graph, delta: float, budget: int, seed: int):
                         prefixes(), random_sets()), budget)
 
 
-def richness_audit(g: Graph, params: AuditParams, exhaustive: bool = False) -> RichnessVerdict:
-    """Search for a witness against (delta, eps)-richness.
+def richness_audit(g: Graph, params: AuditParams) -> RichnessVerdict:
+    """Search the first sample_budget candidates for a witness against
+    (delta, eps)-richness.
 
     A witness is a set W, |W| >= delta*n, for which strictly more than
     n^delta vertices are bad (few neighbors or few non-neighbors in W).
-    exhaustive=True enumerates all W and therefore decides richness.
+    No witness in the budget does not decide richness.
     """
     n = g.n
-    if exhaustive:
-        _require_cap("exhaustive richness n", n, RICHNESS_EXHAUSTIVE_CAP,
-                     "it enumerates all 2^n candidate sets")
-        wmin = math.ceil(params.delta * n)
-        candidates = (w for w in range(1 << n) if w.bit_count() >= wmin)
-    else:
-        candidates = _candidate_sets(g, params.delta, params.sample_budget, params.seed)
+    candidates = _candidate_sets(g, params.delta, params.sample_budget, params.seed)
     limit = n ** params.delta
     rows = pack_rows(g.adj, n)
     tried, size = 0, AUDIT_BLOCK_FIRST

@@ -352,13 +352,19 @@ def family_table_batch(g: Graph, u_mask: int, s_units, t_units, resolved):
 # ── richness ─────────────────────────────────────────────────────────────
 
 
+# the exact audit enumerates all 2^n vertex sets
+RICHNESS_EXHAUSTIVE_CAP = 14
+
+
 def richness_audit_loop(g: Graph, params, exhaustive: bool = False):
     """RichnessVerdict of the candidate-at-a-time audit: one _bad_sides
     popcount per candidate W, in the order richness_audit draws them,
-    stopping at the first W with more than n^delta bad vertices."""
+    stopping at the first W with more than n^delta bad vertices.
+    exhaustive=True enumerates every W with |W| >= delta*n instead, and so
+    decides richness (n <= RICHNESS_EXHAUSTIVE_CAP)."""
     n = g.n
     if exhaustive:
-        _require_cap("exhaustive richness n", n, sa.RICHNESS_EXHAUSTIVE_CAP)
+        _require_cap("exhaustive richness n", n, RICHNESS_EXHAUSTIVE_CAP)
         wmin = math.ceil(params.delta * n)
         candidates = (w for w in range(1 << n) if w.bit_count() >= wmin)
     else:

@@ -314,16 +314,16 @@ def test_budgeted_audit_runs_richness_once(capsys, monkeypatch, argv, n, status)
     calls = []
     real = sa.richness_audit
 
-    def spy(g, params, exhaustive=False):
-        calls.append((g.n, exhaustive))
-        return real(g, params, exhaustive)
+    def spy(g, params):
+        calls.append(g.n)
+        return real(g, params)
 
     monkeypatch.setattr(sa, "richness_audit", spy)
     code, out, _ = run(capsys, "audit", *argv)
     assert code == 0
     doc = json.loads(out)
     assert doc["richness_status"] == status
-    assert [c for c in calls if c[0] == n] == ([(n, False)] if n else [])
+    assert [c for c in calls if c == n] == ([n] if n else [])
     # one audit per extraction round, and one more when the last finds no witness
     trace = doc["extract_trace"]
     assert len(calls) == len(trace["rounds"]) + (trace["status"] == "rich")

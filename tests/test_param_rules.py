@@ -124,10 +124,6 @@ CAP_SITES = {
     "count_edges_many": ((gc, "GRAM_EXACT_CAP"),
                          lambda v: gc.count_edges_many(gc.generate("empty", n=v), [0]),
                          "count_edges_many n"),
-    "richness_audit": ((sa, "RICHNESS_EXHAUSTIVE_CAP"),
-                       lambda v: sa.richness_audit(gc.generate("empty", n=v), sa.AuditParams(),
-                                                   exhaustive=True),
-                       "exhaustive richness n"),
     "phi_exact": ((so, "PHI_EXACT_CAP"), lambda v: so.phi_exact(gc.generate("empty", n=v)),
                   "phi_exact n"),
     "psi_naive": ((so, "PHI_NAIVE_CAP"), lambda v: so.psi_naive(gc.generate("empty", n=v)),
