@@ -3,10 +3,12 @@ that some test must catch.
 
 For each mutant, src/, tests/, bench/ (whose uses of the package count in
 tests/test_source.py) and pyproject.toml are copied to a temporary
-directory, the edit is applied there, and the mutant's test files run with
+directory, the edit is applied there, and the mutant's tests run with
 pytest -x -q under a per-mutant timeout, one pytest process at a time.  A
-run with a failing test kills the mutant; a passing run lets it survive.
-The unmutated copy runs the same test files first, so that a failure is the
+mutant's tests are test files or pytest node ids (file::test), so that a
+mutant whose file is slow runs only the tests that kill it.  A run with a
+failing test kills the mutant; a passing run lets it survive.  The
+unmutated copy runs the same tests first, so that a failure is the
 mutant's.  One line is printed per mutant and a summary at the end; the exit
 status is non-zero when any mutant is not killed.
 
@@ -14,7 +16,8 @@ status is non-zero when any mutant is not killed.
     python tests/mutants.py NAME ...     # the named ones
 
 tests/test_source.py checks that each old text occurs exactly once in its
-file, so a refactor that moves the code must update this table.
+file, and that each test file named exists, so a refactor that moves the
+code must update this table.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ class Mutant(NamedTuple):
     path: str     # the file edited, relative to the repository root
     old: str      # text that occurs exactly once in that file
     new: str
-    tests: tuple  # test files, relative to tests/, one of which should fail
+    tests: tuple  # test files or node ids, relative to tests/; one should fail
 
 
 ERRORS = "src/ramspect/errors.py"
@@ -44,12 +47,18 @@ SEEDING = "src/ramspect/seeding.py"
 RULES = ("test_param_rules.py",)
 ORACLE = "src/ramspect/spectrum_oracle.py"
 CLI = "src/ramspect/cli.py"
+UNREAD = ("test_cli.py::test_a_source_refuses_each_flag_it_does_not_read",)
+DEFAULTS = ("test_cli.py::test_p_and_graph_seed_left_out_read_as_one_half_and_zero",)
 WALK = ("test_spectrum_oracle.py",)
 CONSTRUCT = "src/ramspect/ramsey_construct.py"
 GRAPH = "src/ramspect/graph_core.py"
 PAIRS = ("test_ramsey_construct.py",)
 AUDIT = "src/ramspect/structure_audit.py"
 SCREEN = ("test_structure_audit.py",)
+# on the whole file, two screen mutants spend most of a minute while
+# hypothesis shrinks the failures; they run only the tests that kill them
+OPEN_RECOUNT = ("test_structure_audit.py::test_richness_audit_builds_no_n_by_n_matrix",)
+SECOND_PRODUCT = ("test_structure_audit.py::test_screened_bad_counts_match_the_whole_row_product",)
 EXPOSE = "src/ramspect/double_exposure.py"
 TABLE = ("test_double_exposure.py",)
 AC = "src/ramspect/anticoncentration.py"
@@ -192,11 +201,11 @@ MUTANTS = (
            "open_[:c] |= k[:c] + member.T > over", "open_[:c] |= k[:c] > over", SCREEN),
     Mutant("screen: the open-entry recount skipped", AUDIT,
            "got = np.bitwise_count(both).sum(axis=0, dtype=np.int64)",
-           "got = np.zeros(len(at), dtype=np.int64)", SCREEN),
+           "got = np.zeros(len(at), dtype=np.int64)", OPEN_RECOUNT),
     Mutant("screen: an open vertex's own bit of W not read", AUDIT,
            "(wsize[i] - got - inw < t)", "(wsize[i] - got < t)", SCREEN),
     Mutant("screen: the second product forgets membership past the prefix", AUDIT,
-           "    k[c:] += rest.T  # now", "    # now", SCREEN),
+           "    k[c:] += rest.T  # now", "    # now", SECOND_PRODUCT),
     # the sorted-bucket star count and the packed X-pair verifier
     Mutant("star: searchsorted(side=right)", CONSTRUCT,
            "np.arange(g.n + 1, dtype=first.dtype))",
@@ -251,6 +260,20 @@ MUTANTS = (
            "_split_overrides(ns.set, _PIPELINE_FIELDS)", ("test_cli.py",)),
     Mutant("cli: the MemoryError handler dropped", CLI,
            "    except MemoryError:\n        pass", "", ("test_cli.py",)),
+    # every graph-source flag a command takes is one its source reads, and
+    # the values a left-out --p or --graph-seed resolves to
+    Mutant("cli: the --graph refusal dropped", CLI,
+           'source, unread = "--graph", ("n", "p", "graph_seed")',
+           'source, unread = "--graph", ()', UNREAD),
+    Mutant("cli: the non-gnp --p refusal dropped", CLI,
+           'f"--gen {ns.gen}", ("p", "graph_seed")', 'f"--gen {ns.gen}", ("graph_seed",)',
+           UNREAD),
+    Mutant("cli: a left-out --graph-seed resolved to 1", CLI,
+           "0 if ns.graph_seed is None else ns.graph_seed",
+           "1 if ns.graph_seed is None else ns.graph_seed", DEFAULTS),
+    Mutant("cli: lo resolves a left-out --p to 0.4", CLI,
+           "p = 0.5 if ns.p is None else ns.p\n    cfg = {\"model\": ns.model",
+           "p = 0.4 if ns.p is None else ns.p\n    cfg = {\"model\": ns.model", DEFAULTS),
     Mutant("table: T's running OR read one unit short", EXPOSE,
            "s_pre[k - i] | t_pre[i]", "s_pre[k - i] | t_pre[max(i - 1, 0)]", TABLE),
     Mutant("public names: an unused constant in graph_core", GRAPH,

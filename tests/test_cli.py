@@ -718,6 +718,62 @@ def test_every_graph_command_refuses_a_negative_graph_seed(argv, capsys):
         (1, "", "error: graph_seed must be non-negative, got -1\n")
 
 
+UNREAD_FLAGS = {"--n": "5", "--p": "0.3", "--graph-seed": "9"}
+# (source argv, its name in the message, the graph-source flags it ignores)
+UNREAD_SOURCES = [(["--graph", "K4"], "--graph", ("--n", "--p", "--graph-seed")),
+                  *((["--gen", model, "--n", n], f"--gen {model}", ("--p", "--graph-seed"))
+                    for model, n in (("paley", "13"), ("complete", "5"), ("empty", "5")))]
+UNREAD_CASES = [([cmd, *source, flag, UNREAD_FLAGS[flag]], f"{name} does not read {flag}")
+                for cmd in GRAPH_COMMANDS for source, name, flags in UNREAD_SOURCES
+                for flag in flags]
+UNREAD_CASES += [(["generate", *source, "--p", "0.3"], f"{name} does not read --p")
+                 for source, name, _ in UNREAD_SOURCES[1:]]
+
+
+@pytest.mark.parametrize("argv,message", UNREAD_CASES,
+                         ids=[" ".join(argv) for argv, _ in UNREAD_CASES])
+def test_a_source_refuses_each_flag_it_does_not_read(argv, message, tmp_path, capsys,
+                                                     monkeypatch):
+    # a flag that changes nothing is refused before any graph is built
+    from ramspect import graph_core as gc
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a graph beside a flag its source does not read")
+
+    monkeypatch.setattr(gc, "generate", refuse)
+    monkeypatch.setattr(gc, "from_edges", refuse)
+    f = tmp_path / "k4.graph"
+    f.write_text(K4)
+    argv = [str(f) if a == "K4" else a for a in argv]
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--gen", "gnp", "--n", "30", "--seed", "3"],
+    ["phi", "--gen", "gnp", "--n", "12"],
+    ["audit", "--gen", "gnp", "--n", "40"],
+    ["lo", "--model", "u3", "--n-list", "8,16,32,64", "--trials", "500"],
+    ["sweep", "--n-list", "64,96,128"],
+], ids=lambda argv: argv[0])
+def test_p_and_graph_seed_left_out_read_as_one_half_and_zero(argv, tmp_path):
+    # the files, header included, equal those of the flags given at those values
+    given = {"generate": ["--p", "0.5"], "lo": ["--p", "0.5"], "sweep": ["--p", "0.5"]}
+    left_out, stated = tmp_path / "left_out.txt", tmp_path / "stated.txt"
+    assert cli.main([*argv, "--out", str(left_out)]) == 0
+    extra = given.get(argv[0], ["--p", "0.5", "--graph-seed", "0"])
+    assert cli.main([*argv, *extra, "--out", str(stated)]) == 0
+    assert left_out.read_bytes() == stated.read_bytes()
+
+
+def test_exhaustive_flag_is_gone(capsys):
+    # the exact richness check is test code (reference.richness_audit_loop)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["audit", "--gen", "gnp", "--n", "12", "--exhaustive"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "unrecognized arguments: --exhaustive" in err
+
+
 def test_theorem_diagnostics_flag_is_gone(capsys):
     # theorem records a failed window and goes on, so it never exits 3
     with pytest.raises(SystemExit) as exc:
