@@ -135,7 +135,7 @@ def _dumps(obj) -> str:
 
 
 def _header_obj(ns, config: dict) -> dict:
-    # phi/psi take no --seed: their header reads seed 0
+    # generate, phi and psi take no --seed: their header reads seed 0
     return {"version": VERSION, "seed": getattr(ns, "seed", 0), "config": config}
 
 
@@ -162,20 +162,28 @@ def _json_doc(ns, config: dict, payload: dict) -> str:
 
 def _build_graph(ns, cap: int) -> tuple[gc.Graph, dict]:
     # a vertex count above the command's cap, from --n or the file's header,
-    # is refused before any row is built
-    if bool(ns.graph) == bool(ns.gen):
+    # is refused before any row is built; the header config names only what
+    # the source read
+    graph = getattr(ns, "graph", None)  # generate takes no --graph
+    if bool(graph) == bool(ns.gen):
         raise ParameterError("exactly one of --graph or --gen is required")
     _refuse_unread(ns)
-    if ns.graph:
+    if graph:
         try:  # UTF-8 whatever the locale
-            text = Path(ns.graph).read_bytes().decode("utf-8")
+            text = Path(graph).read_bytes().decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise GraphParseError(f"{ns.graph}: byte {exc.start} is not valid UTF-8") from None
+            raise GraphParseError(f"{graph}: byte {exc.start} is not valid UTF-8") from None
         g = gc.load_graph(text, max_n=cap)
-        return g, {"file": ns.graph, "n": g.n}
+        return g, {"file": graph, "n": g.n}
     if ns.n is None:
         raise ParameterError("--gen requires --n")
-    return _generate(ns.gen, ns.n, ns.p, 0 if ns.graph_seed is None else ns.graph_seed, cap)
+    _require_cap("--n", ns.n, cap)
+    if ns.gen != "gnp":
+        return gc.generate(ns.gen, n=ns.n), {"model": ns.gen, "n": ns.n}
+    p = 0.5 if ns.p is None else ns.p
+    seed = 0 if ns.graph_seed is None else ns.graph_seed
+    cfg = {"model": "gnp", "n": ns.n, "seed": seed, "p": p}
+    return gc.generate("gnp", n=ns.n, p=p, seed=seed), cfg
 
 
 def _refuse_unread(ns) -> None:
@@ -190,15 +198,6 @@ def _refuse_unread(ns) -> None:
     for dest in unread:
         if getattr(ns, dest, None) is not None:
             raise ParameterError(f"{source} does not read --{dest.replace('_', '-')}")
-
-
-def _generate(model: str, n: int, p: float | None, seed: int, cap: int) -> tuple[gc.Graph, dict]:
-    # the header config names only what the model read
-    _require_cap("--n", n, cap)
-    if model != "gnp":
-        return gc.generate(model, n=n), {"model": model, "n": n}
-    p = 0.5 if p is None else p
-    return gc.generate(model, n=n, p=p, seed=seed), {"model": model, "n": n, "seed": seed, "p": p}
 
 
 def _fields(obj, drop=()) -> dict:
@@ -234,8 +233,7 @@ def _pipeline_inputs(ns):
 
 
 def cmd_generate(ns) -> int:
-    _refuse_unread(ns)
-    g, cfg = _generate(ns.gen, ns.n, ns.p, ns.seed, VERTEX_CAP)
+    g, cfg = _build_graph(ns, VERTEX_CAP)
     _emit(ns, _text_header(ns, cfg), gc.dump_graph(g))
     return 0
 
@@ -324,9 +322,8 @@ def cmd_per_m(ns) -> int:
 
 def cmd_theorem(ns) -> int:
     g, gsrc, cp, ep = _pipeline_inputs(ns)
-    cfg = {"graph": gsrc, "cparams": asdict(cp), "eparams": asdict(ep),
-           "sigma": ns.sigma}
-    out = theorem_run(g, cp, ep, sigma=ns.sigma)
+    cfg = {"graph": gsrc, "cparams": asdict(cp), "eparams": asdict(ep)}
+    out = theorem_run(g, cp, ep)
     footer = [f"# total_distinct={out.total_distinct} step={out.step} "
               f"windows_attempted={len(out.windows)}"]
     payload = {"step": out.step, "total_distinct": out.total_distinct,
@@ -402,7 +399,6 @@ _FLAGS = {
     "--trials": dict(type=int, default=200_000),
     "--mode": dict(default="per-m", choices=("per-m", "theorem")),
     "--m": dict(type=int, help="target edge count (default: window midpoint)"),
-    "--sigma": dict(type=float, help="window stride scale override"),
     "--diagnostics": dict(metavar="FILE", help="where to write failure diagnostics (exit 3)"),
     "--set": dict(action="append", metavar="KEY=VALUE",
                   help="parameter override (repeatable)"),
@@ -417,7 +413,7 @@ _GRAPH = ("--graph", "--gen", "--n", "--p", "--graph-seed")
 # and goes on, so it never exits 3
 _COMMANDS = {
     "generate": (cmd_generate, "write a graph file",
-                 ("--gen!", "--n!", "--p", "--seed", "--out")),
+                 ("--gen!", "--n!", "--p", "--graph-seed", "--out")),
     "phi": (cmd_spectrum, "exact phi spectrum of a small graph", (*_GRAPH, "--out")),
     "psi": (cmd_spectrum, "exact psi spectrum of a small graph", (*_GRAPH, "--out")),
     "audit": (cmd_audit, "density/diversity/richness report (JSON)",
@@ -429,7 +425,7 @@ _COMMANDS = {
     "per-m": (cmd_per_m, "one exposure window (CSV)",
               (*_GRAPH, "--m", "--diagnostics", "--set", "--seed", "--out", "--dump")),
     "theorem": (cmd_theorem, "sweep m and union disjoint windows (CSV)",
-                (*_GRAPH, "--set", "--seed", "--out", "--sigma", "--dump")),
+                (*_GRAPH, "--set", "--seed", "--out", "--dump")),
     "sweep": (cmd_sweep, "per-m or theorem across n; CSV + slope",
               ("--mode", "--n-list!", "--p", "--set", "--diagnostics", "--seed", "--out")),
 }
@@ -476,9 +472,9 @@ def main(argv=None) -> int:
     oom = f"capacity: out of memory in {ns.cmd}\n"
     try:
         try:
-            # every command but phi/psi, which draw nothing, takes --seed, and
-            # every graph command --graph-seed; a negative one is refused
-            # here, before any graph is built
+            # every command but generate, phi and psi takes --seed, and every
+            # graph command --graph-seed; a negative one is refused here,
+            # before any graph is built
             _require("non-negative", {"seed": getattr(ns, "seed", None),
                                       "graph_seed": getattr(ns, "graph_seed", None)})
             return ns.func(ns)

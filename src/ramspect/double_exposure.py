@@ -400,23 +400,17 @@ class TheoremOutcome:
 
 
 def theorem_run(g: Graph, cparams: ConstructionParams | None = None,
-                eparams: ExposureParams | None = None,
-                sigma: float | None = None) -> TheoremOutcome:
+                eparams: ExposureParams | None = None) -> TheoremOutcome:
     """Sweep m across the non-empty m window and union disjoint windows.
 
-    Step defaults to a stride just beyond twice the containment radius, so
-    kept windows cannot overlap; a greedy pass additionally drops any
-    window whose smallest size fails to clear the previous kept maximum.
-    Per-window failures are recorded and contribute nothing.  An explicit
-    sigma (stride in units of n^(3/2)) below 2*kappa_window is refused:
-    windows closer than twice the containment radius can only be dropped.
+    The step is 2.2*kappa_window*n^(3/2), a stride just beyond twice the
+    containment radius, so kept windows cannot overlap; a greedy pass
+    additionally drops any window whose smallest size fails to clear the
+    previous kept maximum.  Per-window failures are recorded and
+    contribute nothing.
     """
     cparams = cparams or ConstructionParams()
     eparams = eparams or ExposureParams()
-    floor = 2 * eparams.kappa_window
-    if sigma is not None and not floor <= sigma < math.inf:
-        raise ParameterError(f"sigma must be positive, finite and at least "
-                             f"2*kappa_window = {floor}, got {sigma}")
     n = g.n
     # every window's S lives in a working graph of wn <= n vertices, so
     # c' > sqrt(n) makes resolve_exposure refuse c'*sqrt(wn) > |S| in all of
@@ -425,10 +419,10 @@ def theorem_run(g: Graph, cparams: ConstructionParams | None = None,
         raise ParameterError(f"row range needs k={eparams.c_prime * math.sqrt(n):.1f} "
                              f"first S units but |S| <= n = {n}")
     m_lo, m_hi, _ = m_window(cparams, n)
-    sig = sigma if sigma is not None else 2.2 * eparams.kappa_window
-    stride = sig * n ** 1.5
+    stride = 2.2 * eparams.kappa_window * n ** 1.5
     if not stride < math.inf:
-        raise ParameterError(f"sigma={sig} gives a stride beyond float range at n={n}")
+        raise ParameterError(f"kappa_window={eparams.kappa_window} gives a stride "
+                             f"beyond float range at n={n}")
     step = max(1, round(stride))
     windows = []
     kept = []

@@ -116,7 +116,7 @@ def test_audit_accepts_delta_in_its_range(capsys):
 def test_generate_roundtrips_through_phi(tmp_path, capsys):
     f = tmp_path / "g.graph"
     assert cli.main(["generate", "--gen", "gnp", "--n", "12", "--p", "0.5",
-                     "--seed", "6", "--out", str(f)]) == 0
+                     "--graph-seed", "6", "--out", str(f)]) == 0
     assert f.read_text().startswith("# ramspect ")
     code, out, _ = run(capsys, "phi", "--graph", str(f))
     assert code == 0
@@ -164,7 +164,8 @@ GRAPH_FLAGS = ["--graph", "--gen{gnp|paley|complete|empty}", "--n:int", "--p:flo
                "--graph-seed:int"]
 SEED_OUT = ["--seed:int=0", "--out"]
 SURFACE = {
-    "generate": ["--gen!{gnp|paley|complete|empty}", "--n!:int", "--p:float", *SEED_OUT],
+    "generate": ["--gen!{gnp|paley|complete|empty}", "--n!:int", "--p:float",
+                 "--graph-seed:int", "--out"],
     "phi": [*GRAPH_FLAGS, "--out"],
     "psi": [*GRAPH_FLAGS, "--out"],
     "audit": [*GRAPH_FLAGS, "--set _AppendAction", *SEED_OUT],
@@ -174,8 +175,7 @@ SURFACE = {
                   *SEED_OUT],
     "per-m": [*GRAPH_FLAGS, "--m:int", "--diagnostics", "--set _AppendAction",
               *SEED_OUT, "--dump"],
-    "theorem": [*GRAPH_FLAGS, "--set _AppendAction", *SEED_OUT, "--sigma:float",
-                "--dump"],
+    "theorem": [*GRAPH_FLAGS, "--set _AppendAction", *SEED_OUT, "--dump"],
     "sweep": ["--mode{per-m|theorem}='per-m'", "--n-list!:_int_list",
               "--p:float", "--set _AppendAction", "--diagnostics", *SEED_OUT],
 }
@@ -457,7 +457,7 @@ def test_override_values_follow_field_types():
     ["construct", "--gen", "gnp", "--n", "64", "--set", "pair_sample_coeff=nan",
      "--set", "pair_enum_cap=10"],
     ["audit", "--gen", "gnp", "--n", "40", "--set", "c_div=nan"],
-    ["theorem", "--gen", "gnp", "--n", "64", "--sigma", "1e308"],
+    ["theorem", "--gen", "gnp", "--n", "64", "--set", "kappa_window=1e306"],
     ["theorem", "--gen", "gnp", "--n", "64", "--set", "c_density=1e308"],
     ["theorem", "--gen", "gnp", "--n", "64", "--set", "delta=nan"],
     ["per-m", "--gen", "gnp", "--n", "64", "--set", "c_prime=1e308"],
@@ -583,14 +583,12 @@ def test_sweep_rejects_an_empty_n_list(capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("flag,value", [("--sigma", "-1"), ("--sigma", "0"),
-                                        ("--sigma", "0.49"),
-                                        ("--set", "kappa_window=0")])
+@pytest.mark.parametrize("flag,value", [("--set", "kappa_window=0")])
 def test_theorem_rejects_a_stride_that_is_not_positive(flag, value, capsys):
+    # the stride is 2.2*kappa_window*n^(3/2), so kappa_window alone sets it
     code, _, err = run(capsys, "theorem", "--gen", "gnp", "--n", "256", flag, value)
     assert code == 1
-    name = value.partition("=")[0] if flag == "--set" else "sigma"
-    assert err.startswith(f"error: {name} must be positive") and err.count("\n") == 1
+    assert err.startswith("error: kappa_window must be positive") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["1e308", "inf", "9"])
@@ -687,9 +685,11 @@ def test_lo_refuses_a_negative_seed(model, capsys):
     ["sweep", "--n-list", "64"],
 ], ids=lambda argv: argv[0])
 def test_every_command_refuses_a_negative_seed(argv, capsys):
-    # one seed domain for every command and model, lo's u3 and u10 included
-    assert run(capsys, *argv, "--seed", "-1") == \
-        (1, "", "error: seed must be non-negative, got -1\n")
+    # one seed domain for every command and model, lo's u3 and u10 included;
+    # generate draws from its graph seed alone
+    name = "graph_seed" if argv[0] == "generate" else "seed"
+    assert run(capsys, *argv, f"--{name.replace('_', '-')}", "-1") == \
+        (1, "", f"error: {name} must be non-negative, got -1\n")
 
 
 @pytest.mark.parametrize("cmd", ["phi", "psi"])
@@ -726,8 +726,9 @@ UNREAD_SOURCES = [(["--graph", "K4"], "--graph", ("--n", "--p", "--graph-seed"))
 UNREAD_CASES = [([cmd, *source, flag, UNREAD_FLAGS[flag]], f"{name} does not read {flag}")
                 for cmd in GRAPH_COMMANDS for source, name, flags in UNREAD_SOURCES
                 for flag in flags]
-UNREAD_CASES += [(["generate", *source, "--p", "0.3"], f"{name} does not read --p")
-                 for source, name, _ in UNREAD_SOURCES[1:]]
+UNREAD_CASES += [(["generate", *source, flag, UNREAD_FLAGS[flag]],
+                  f"{name} does not read {flag}")
+                 for source, name, flags in UNREAD_SOURCES[1:] for flag in flags]
 
 
 @pytest.mark.parametrize("argv,message", UNREAD_CASES,
@@ -749,7 +750,7 @@ def test_a_source_refuses_each_flag_it_does_not_read(argv, message, tmp_path, ca
 
 
 @pytest.mark.parametrize("argv", [
-    ["generate", "--gen", "gnp", "--n", "30", "--seed", "3"],
+    ["generate", "--gen", "gnp", "--n", "30"],
     ["phi", "--gen", "gnp", "--n", "12"],
     ["audit", "--gen", "gnp", "--n", "40"],
     ["lo", "--model", "u3", "--n-list", "8,16,32,64", "--trials", "500"],
@@ -757,7 +758,7 @@ def test_a_source_refuses_each_flag_it_does_not_read(argv, message, tmp_path, ca
 ], ids=lambda argv: argv[0])
 def test_p_and_graph_seed_left_out_read_as_one_half_and_zero(argv, tmp_path):
     # the files, header included, equal those of the flags given at those values
-    given = {"generate": ["--p", "0.5"], "lo": ["--p", "0.5"], "sweep": ["--p", "0.5"]}
+    given = {"lo": ["--p", "0.5"], "sweep": ["--p", "0.5"]}
     left_out, stated = tmp_path / "left_out.txt", tmp_path / "stated.txt"
     assert cli.main([*argv, "--out", str(left_out)]) == 0
     extra = given.get(argv[0], ["--p", "0.5", "--graph-seed", "0"])
@@ -772,6 +773,21 @@ def test_exhaustive_flag_is_gone(capsys):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "unrecognized arguments: --exhaustive" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--gen", "gnp", "--n", "5", "--seed", "3"],
+    ["theorem", "--gen", "gnp", "--n", "64", "--sigma", "1"],
+], ids=lambda argv: argv[0])
+def test_generate_seed_and_theorem_sigma_are_gone(argv, capsys):
+    # generate's graph seed is --graph-seed; theorem's stride is set by
+    # kappa_window alone
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 def test_theorem_diagnostics_flag_is_gone(capsys):

@@ -83,7 +83,8 @@ N_LISTS = st.sampled_from(["8,16,32", "10,20,40", "4,40", ",", "x", "-4,8,16",
 
 FLAGS = {
     "generate": {"--gen": GRAPH_SOURCE["--gen"], "--n": GRAPH_SOURCE["--n"],
-                 "--p": GRAPH_SOURCE["--p"], **SEED_OUT},
+                 "--p": GRAPH_SOURCE["--p"], "--graph-seed": GRAPH_SOURCE["--graph-seed"],
+                 "--out": SEED_OUT["--out"]},
     "phi": SPECTRUM,
     "psi": SPECTRUM,
     "audit": {**GRAPH_SOURCE, "--set": OVERRIDES, **SEED_OUT},
@@ -93,8 +94,7 @@ FLAGS = {
     "construct": {**PIPELINE, "--m": values("1", "50", "0"), "--diagnostics": DIAG},
     "per-m": {**PIPELINE, "--m": values("1", "50", "0"), "--diagnostics": DIAG,
               "--dump": st.just("dump.json")},
-    "theorem": {**PIPELINE, "--sigma": values("0.6", "2"),
-                "--dump": st.just("dump.json")},
+    "theorem": {**PIPELINE, "--dump": st.just("dump.json")},
     "sweep": {"--mode": st.sampled_from(["per-m", "theorem", "bad"]),
               "--n-list": N_LISTS, "--p": values("0.5"), "--set": OVERRIDES,
               "--diagnostics": DIAG, **SEED_OUT},

@@ -138,11 +138,11 @@ CASES = {
         {"out.csv": (text_body,
                      "4eb3b78a7397d64b4b2c9de14a03c135f35616f960f9d364fa9da36ac77f2c70")}),
     "generate": (
-        ["generate", "--gen", "gnp", "--n", "40", "--seed", "5"],
+        ["generate", "--gen", "gnp", "--n", "40", "--graph-seed", "5"],
         {"out.txt": (text_body,
                      "b3cdae1bceab9c4b7d378ad25e44a5044be9e73af77a7ceffcb32e8a1ac2b020")}),
     "generate-n1500": (
-        ["generate", "--gen", "gnp", "--n", "1500", "--p", "0.3", "--seed", "11"],
+        ["generate", "--gen", "gnp", "--n", "1500", "--p", "0.3", "--graph-seed", "11"],
         {"out.txt": (text_body,
                      "30b85f2368097723a33532548ed449e039ce796c9a463138a6759cd1ba4c0841")}),
     "theorem": (
