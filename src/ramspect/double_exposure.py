@@ -253,7 +253,6 @@ def _stride_select(items, key_gap: float, values) -> list:
         vals = values[::q]
         if all(b - a >= key_gap for a, b in zip(vals, vals[1:])):
             return sel
-    return [items[0]]
 
 
 @dataclass(frozen=True)

@@ -503,13 +503,13 @@ def _gnp_rows(n: int, p: float, seed: int) -> list[int]:
 GRAPH_MODELS = ("gnp", "paley", "complete", "empty")
 
 
-def generate(model: str, *, n: int | None = None, p: float = 0.5, seed: int = 0) -> Graph:
+def generate(model: str, *, n: int, p: float = 0.5, seed: int = 0) -> Graph:
     """Deterministic graph generators, one per name in GRAPH_MODELS, each on
     n vertices; paley takes a prime n = 1 mod 4, and only gnp reads p and
     seed."""
     if model not in GRAPH_MODELS:
         raise ParameterError(f"unknown model {model!r}")
-    if n is None or n < 0:
+    if n < 0:
         raise ParameterError(f"{model} requires n >= 0")
     if model == "paley":
         if not _is_prime(n) or n % 4 != 1:
