@@ -406,6 +406,21 @@ def test_theorem_keeps_a_window_only_above_the_last_kept_maximum(monkeypatch):
     assert out.total_distinct == 4
 
 
+def test_a_gamma_near_one_fails_check_one_on_every_row():
+    # check 1 asks most cells of a row for gamma*sqrt(n) witnesses, 15.8 of
+    # them at gamma = 0.99 on n = 256: no row of any exposure passes, so the
+    # window is the empty outcome; the default 0.05 asks for 0.8
+    cp = ConstructionParams(seed=4)
+    assert per_m_run(G256, M256, cp, ExposureParams(), result=RES256).distinct_sizes
+    out = per_m_run(G256, M256, cp, ExposureParams(gamma=0.99), result=RES256)
+    assert out.distinct_sizes == ()
+    attempts = out.diagnostics["attempts"]
+    assert len(attempts) == ExposureParams().trials
+    rows = [checks for a in attempts if a["stage"] == "checks" for checks in a["rows"].values()]
+    assert rows and not any(checks[0] for checks in rows)
+    assert {a["stage"] for a in attempts} <= {"expose_gate", "checks"}
+
+
 def test_theorem_is_deterministic():
     a = theorem_run(G256, ConstructionParams(seed=4), ExposureParams(seed=9))
     b = theorem_run(G256, ConstructionParams(seed=4), ExposureParams(seed=9))

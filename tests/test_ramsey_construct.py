@@ -867,3 +867,48 @@ def test_construct_event_knobs_are_respected():
     assert res.kappa3 == 0.0
     hist = res.diagnostics["sampling"]["event_fail_histogram"]  # one slot per event
     assert hist[3] == 0 and hist[4] == 0
+
+
+@pytest.mark.parametrize("key,event", [("kappa1", 0), ("kappa2", 2)])
+def test_a_tiny_event_window_fails_its_event_on_every_attempt(key, event):
+    # kappa1 is event (1)'s e(U0) window, kappa2 event (3)'s degree window:
+    # at 1e-9 neither e(U0) = 4m nor 2/3 of the unit degrees at p*d'' exactly
+    # is met by any of the retry_max draws
+    params = ConstructionParams(seed=4, retry_max=8, **{key: 1e-9})
+    with pytest.raises(ConstructionFailure) as exc:
+        construct(G256, M256, params)
+    assert exc.value.stage == "sample_U0"
+    assert exc.value.diagnostics["event_fail_histogram"][event] == 8
+    ok = construct(G256, M256, replace(params, **{key: getattr(ConstructionParams(), key)}))
+    assert ok.diagnostics["sampling"]["event_fail_histogram"][event] == 0
+
+
+def test_the_kappa5_floor_is_recorded_not_enforced():
+    # d_floor_ok reads d >= kappa5 * n on the working graph; a floor above d
+    # turns it False and changes nothing else
+    res = construct(G256, M256, ConstructionParams(seed=4))
+    assert res.diagnostics["d_floor_ok"]
+    above = construct(G256, M256, ConstructionParams(seed=4,
+                                                     kappa5=(res.d + 1) / res.working_n))
+    assert not above.diagnostics["d_floor_ok"]
+    assert above == res
+
+
+def test_the_match_floor_is_match_coeff_times_n_to_three_quarters():
+    # the construct-matching golden build, star_coeff=100 ruling out a star:
+    # the greedy matching passes a floor half a unit below its size and
+    # fails one half a unit above it
+    g = gc.generate("gnp", n=512, p=0.5, seed=1)
+    m = rc.m_window(ConstructionParams(), 512).mid
+    params = ConstructionParams(seed=3, theta_compl=0.45, star_coeff=100)
+    res = construct(g, m, params)
+    size, wn = res.diagnostics["l_size"], res.working_n
+    assert res.mode == "matching"
+    below = construct(g, m, replace(params, match_coeff=(size - 0.5) / wn ** 0.75))
+    assert below == res
+    with pytest.raises(ConstructionFailure) as exc:
+        construct(g, m, replace(params, match_coeff=(size + 0.5) / wn ** 0.75))
+    diag = exc.value.diagnostics
+    assert exc.value.stage == "star_or_matching"
+    assert diag["matching_size"] == size
+    assert diag["match_floor"] == pytest.approx(size + 0.5)
