@@ -144,6 +144,10 @@ MUTANTS = (
     Mutant("theorem keep: >= for >", "src/ramspect/double_exposure.py",
            "min(out.distinct_sizes) > last_max", "min(out.distinct_sizes) >= last_max",
            ("test_double_exposure.py",)),
+    # the theorem golden file's footer prints the step, 2253 at n = 256
+    Mutant("theorem: the stride factor 2.2 read as 2.0", EXPOSE,
+           "stride = 2.2 * eparams.kappa_window", "stride = 2.0 * eparams.kappa_window",
+           ("test_golden.py::test_artifact_digest_is_pinned[theorem]",)),
     Mutant("theorem keep: emptiness test dropped", "src/ramspect/double_exposure.py",
            "keep = out is not None and bool(out.distinct_sizes) \\",
            "keep = out is not None \\", ("test_double_exposure.py",)),
@@ -268,9 +272,13 @@ MUTANTS = (
     Mutant("cli: the non-gnp --p refusal dropped", CLI,
            'f"--gen {ns.gen}", ("p", "graph_seed")', 'f"--gen {ns.gen}", ("graph_seed",)',
            UNREAD),
+    Mutant("cli: generate's non-gnp --graph-seed refusal dropped", CLI,
+           'f"--gen {ns.gen}", ("p", "graph_seed")',
+           'f"--gen {ns.gen}", ("p", "graph_seed") if ns.cmd != "generate" else ("p",)',
+           UNREAD),
     Mutant("cli: a left-out --graph-seed resolved to 1", CLI,
-           "0 if ns.graph_seed is None else ns.graph_seed",
-           "1 if ns.graph_seed is None else ns.graph_seed", DEFAULTS),
+           "seed = 0 if ns.graph_seed is None else ns.graph_seed",
+           "seed = 1 if ns.graph_seed is None else ns.graph_seed", DEFAULTS),
     Mutant("cli: lo resolves a left-out --p to 0.4", CLI,
            "p = 0.5 if ns.p is None else ns.p\n    cfg = {\"model\": ns.model",
            "p = 0.4 if ns.p is None else ns.p\n    cfg = {\"model\": ns.model", DEFAULTS),

@@ -163,6 +163,24 @@ def test_cli_registers_its_flags_in_one_place():
     assert len(calls) == 1, calls
 
 
+GRAPH_SOURCE_ATTRS = ("gen", "n", "graph_seed")
+
+
+def test_graph_flags_are_read_in_one_place():
+    # cli._build_graph turns --gen, --n and --graph-seed into a graph and its
+    # header config, and cli._refuse_unread refuses the ones a source does
+    # not read; a command that reads them itself is a second route to its graph
+    path = SRC / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = _inside(tree, "_build_graph") | _inside(tree, "_refuse_unread")
+    found = [f"cli.py:{node.lineno}: ns.{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+             and isinstance(node.value, ast.Name) and node.value.id == "ns"
+             and node.attr in GRAPH_SOURCE_ATTRS and id(node) not in allowed]
+    assert not found, found
+    assert _inside(tree, "_build_graph") and _inside(tree, "_refuse_unread")
+
+
 RULE_TEXTS = ("must be positive, got", "must be >= 1")
 
 
