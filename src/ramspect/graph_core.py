@@ -54,7 +54,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ContractViolation, GraphParseError, ParameterError, _require_cap
-from .seeding import bernoulli, stream
+from .seeding import bernoulli_blocks, stream
 
 
 def mask_of(vertices) -> int:
@@ -166,10 +166,16 @@ def pack_rows(rows, n: int) -> np.ndarray:
     return np.frombuffer(buf, dtype="<u8").reshape(len(rows), nbytes // 8)
 
 
-def _int_rows(packed) -> list[int]:
-    """The int rows that rows of little-endian packed bytes hold (byte b,
-    bit j of a row is bit 8b + j), the inverse of pack_rows."""
-    return list(map(int.from_bytes, packed, repeat("little")))
+def _int_rows(packed: np.ndarray) -> list[int]:
+    """The int rows that the rows of a 2-D array of little-endian packed
+    bytes hold (byte b, bit j of a row is bit 8b + j), the inverse of
+    pack_rows.  Viewed as one void item a row, the array's tolist() is one
+    bytes object a row, which int.from_bytes reads without a buffer copy."""
+    width = packed.shape[1]
+    if not width:  # a void item holds at least one byte
+        return [0] * len(packed)
+    rows = np.ascontiguousarray(packed).view(f"V{width}")
+    return list(map(int.from_bytes, rows.ravel().tolist(), repeat("little")))
 
 
 def popcount(words: np.ndarray) -> np.ndarray:
@@ -464,39 +470,44 @@ def _is_prime(q: int) -> bool:
 
 def mask_from_bools(bits: np.ndarray) -> int:
     """The int mask whose bit v is set iff bits[v]."""
-    return _int_rows([np.packbits(bits, bitorder="little")])[0]
+    return _int_rows(np.packbits(bits, bitorder="little")[None])[0]
 
 
-GNP_CHUNK = 1 << 18  # pairs per row block (and bulk draw) of the gnp generator
+GNP_CHUNK = 1 << 18  # pairs per row block of the gnp generator
+_BIT_WEIGHTS = 1 << np.arange(8, dtype=np.uint8)  # row 8i + j of a block is bit j of byte i
 
 
 def _gnp_rows(n: int, p: float, seed: int) -> list[int]:
     """Adjacency rows in which pair (u, v) is an edge iff its draw of
     ``stream(seed).random()``, taken in row-major pair order, is below p.
 
-    The draws come from seeding.bernoulli.  Rows are taken in blocks of a
-    multiple of 8 rows holding about GNP_CHUNK pairs (at least 8 rows), one
-    bulk draw each, of two words a pair: from n = 257 on, every block but
-    perhaps a short last one reaches seeding.MT_BULK_WORDS words, so its
-    words come from numpy's MT19937, one state transfer per block.  A
-    block's upper-triangle bits are packed into its rows and, from a
-    contiguous copy of its transpose, into its byte columns of every row,
-    so no temporary grows with n**2.
+    The draws come from seeding.bernoulli_blocks, one array per block of
+    rows, a multiple of 8 rows holding about GNP_CHUNK pairs (at least 8
+    rows); from n = 257 on all of them are read through one MT19937.  A
+    block's upper-triangle bits are packed into its rows and, each 8 rows
+    weighted 1, 2, ..., 128 and summed, into its byte columns of every
+    row, so no temporary grows with n**2.
     """
-    rng = stream(seed)
     bits = np.zeros((n, -(-n // 8)), np.uint8)
+    column = np.arange(n, dtype=np.min_scalar_type(n))  # the narrowest compares fastest
     step = max(8, GNP_CHUNK // max(n, 1) & ~7)
-    for a in range(0, n, step):
+    sizes = [(b - a) * (2 * n - a - b - 1) // 2  # pairs (u, v), a <= u < b, u < v
+             for a in range(0, n, step) for b in (min(a + step, n),)]
+    # each block's draws are made before the block is allocated, so the
+    # block reuses the memory the draw's temporaries freed
+    a = 0
+    for draws in bernoulli_blocks(stream(seed), sizes, p):
         b = min(a + step, n)
-        size = (b - a) * (2 * n - a - b - 1) // 2  # pairs (u, v), a <= u < b, u < v
-        # drawn before the block is allocated, so the block reuses the memory
-        # the draw's temporaries freed (about half the page faults)
-        draws = bernoulli(rng, size, p)
-        block = np.zeros((b - a, n), bool)
-        block[np.arange(n) > np.arange(a, b)[:, None]] = draws
-        bits[a:b] |= np.packbits(block, axis=1, bitorder="little")
-        bits[:, a >> 3:-(-b // 8)] |= np.packbits(np.ascontiguousarray(block.T), axis=1,
-                                                  bitorder="little")
+        block = np.zeros((-(-(b - a) // 8) * 8, n), np.uint8)
+        rows = block[:b - a]
+        rows[column > column[a:b, None]] = draws
+        # the block's byte columns are still zero from row a down (earlier
+        # blocks wrote rows above a and byte columns left of a >> 3), so
+        # its column bytes are written into them, not or-ed
+        np.einsum("j,ijk->ki", _BIT_WEIGHTS, block.reshape(-1, 8, n)[:, :, a:],
+                  out=bits[a:, a >> 3:-(-b // 8)])
+        bits[a:b] |= np.packbits(rows, axis=1, bitorder="little")
+        a = b
     return _int_rows(bits)
 
 

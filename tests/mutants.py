@@ -59,6 +59,8 @@ SCREEN = ("test_structure_audit.py",)
 # hypothesis shrinks the failures; they run only the tests that kill them
 OPEN_RECOUNT = ("test_structure_audit.py::test_richness_audit_builds_no_n_by_n_matrix",)
 SECOND_PRODUCT = ("test_structure_audit.py::test_screened_bad_counts_match_the_whole_row_product",)
+# the reader's mutants run the one test that reads its words on both paths
+WORDS = "test_graph_core.py::test_mt_words_are_the_getrandbits_words"
 EXPOSE = "src/ramspect/double_exposure.py"
 TABLE = ("test_double_exposure.py",)
 AC = "src/ramspect/anticoncentration.py"
@@ -98,18 +100,27 @@ MUTANTS = (
     Mutant("np_stream: skip ignored", SEEDING,
            "rng.bit_generator.advance(skip)", "pass", SPLIT),
     Mutant("bernoulli: the two 32-bit words swapped", SEEDING,
-           "(((w & 0xFFFFFFFF) >> 5 << 26) | (w >> 38))",
-           "(((w >> 32) >> 5 << 26) | ((w & 0xFFFFFFFF) >> 6))", ("test_graph_core.py",)),
-    # the bulk reader of the Mersenne-Twister words and its randrange decoder
-    Mutant("mt_words: the state position off by one", SEEDING,
-           '"pos": internal[-1]}}', '"pos": internal[-1] - 1}}', ("test_graph_core.py",)),
-    Mutant("mt_words: the state not written back", SEEDING,
+           "high = words[0::2] >> 5\n", "high = words[1::2] >> 5\n", ("test_graph_core.py",)),
+    Mutant("bernoulli: a tie read as below the bound", SEEDING,
+           "words[1::2][tied] >> 6 < low", "words[1::2][tied] >> 6 <= low",
+           ("test_graph_core.py::test_gnp_threshold_is_exact_at_a_bulk_draw",)),
+    # the one reader of the Mersenne-Twister words and its randrange decoder
+    Mutant("mt_pieces: the state position off by one", SEEDING,
+           '"pos": internal[-1]}}', '"pos": internal[-1] - 1}}', (WORDS,)),
+    Mutant("mt_pieces: the state not written back", SEEDING,
            'rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss))', "pass",
+           (WORDS,)),
+    Mutant("mt_pieces: the state written back after the first count only", SEEDING,
+           "            if not left:\n", "            if left == total - counts[0]:\n",
+           ("test_graph_core.py::test_bernoulli_blocks_match_consecutive_loops",)),
+    Mutant("mt_pieces: the last partial piece of a count dropped", SEEDING,
+           "for at in range(0, count, step):", "for at in range(0, count - count % step, step):",
            ("test_graph_core.py",)),
-    Mutant("mt_words: the key's word halves swapped on the bulk path", SEEDING,
-           '    state = bits.state["state"]\n',
-           '    words = words.reshape(-1, 2)[:, ::-1].ravel()\n    state = bits.state["state"]\n',
-           ("test_graph_core.py",)),
+    Mutant("mt_pieces: each pair of words swapped on the bulk path", SEEDING,
+           "            left -= len(piece)\n",
+           "            piece[:len(piece) & ~1] = piece[:len(piece) & ~1].reshape(-1, 2)[:, ::-1]"
+           ".ravel()\n            left -= len(piece)\n",
+           (WORDS,)),
     Mutant("randbelow: the rejection kept at r == n", SEEDING,
            "return r[r < n]", "return r[r <= n]", PAIRS),
     Mutant("sampled pairs: the odd carry dropped", CONSTRUCT,
@@ -169,6 +180,10 @@ MUTANTS = (
     Mutant("cli: phi/psi take the vertex cap", CLI,
            "_build_graph(ns, so.PHI_EXACT_CAP)", "_build_graph(ns, VERTEX_CAP)",
            ("test_cli.py",)),
+    # the gnp rows: each block's byte columns, eight rows to a byte
+    Mutant("gnp: the column bytes' bit order reversed", GRAPH,
+           '"j,ijk->ki", _BIT_WEIGHTS,', '"j,ijk->ki", _BIT_WEIGHTS[::-1],',
+           ("test_graph_core.py::test_gnp_row_blocks_match_the_loop",)),
     # the Paley rows by rotation, and check (4) of per_k_checks
     Mutant("paley: rows rotated by u + 1", GRAPH,
            "(residues << u) | (residues >> (n - u))",
@@ -240,8 +255,11 @@ MUTANTS = (
            "range(0, len(vmap), ROW_CHUNK)", "range(0, len(vmap) - ROW_CHUNK, ROW_CHUNK)",
            ("test_graph_core.py",)),
     Mutant("int rows: bytes read big-endian", GRAPH,
-           'int.from_bytes, packed, repeat("little")', 'int.from_bytes, packed, repeat("big")',
+           'rows.ravel().tolist(), repeat("little")', 'rows.ravel().tolist(), repeat("big")',
            ("test_graph_core.py",)),
+    Mutant("int rows: rows of no bytes dropped", GRAPH,
+           "        return [0] * len(packed)\n", "        return []\n",
+           ("test_graph_core.py::test_rows_of_no_bytes_read_as_zero_rows",)),
     # the Monte-Carlo trials split into runs on one jumped-ahead stream, and
     # the int64 bound of the sampled sums
     Mutant("split: a run skips first outputs, not first * len(a)", AC,

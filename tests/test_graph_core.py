@@ -536,12 +536,83 @@ def test_bernoulli_matches_one_random_call_per_draw(k, p, seed, crossover):
     assert fast.getstate() == slow.getstate()
 
 
+@settings(max_examples=100)
+@example(sizes=[seeding.MT_BULK_WORDS // 2 - 1, 1, seeding.MT_BULK_WORDS // 2 + 1, 0, 3],
+         p=0.5, seed=0, crossover=seeding.MT_BULK_WORDS)
+@example(sizes=[0, 0], p=0.5, seed=0, crossover=1)
+@given(sizes=st.lists(st.integers(0, 40) | st.integers(0, 700), max_size=6),
+       p=st.sampled_from((0.0, 1.0, 0.5)) | st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 80),
+       crossover=st.sampled_from((1, 64, 601, seeding.MT_BULK_WORDS)))
+def test_bernoulli_blocks_match_consecutive_loops(sizes, p, seed, crossover):
+    # blocks of 0 to 1,400 words against crossovers of 1 to 601 words, read
+    # through one MT19937 when they reach the crossover in all: the same
+    # bools as one loop per block, and the generator left where the loops
+    # leave it, not where the first block left it
+    fast, slow = random.Random(seed), random.Random(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seeding, "MT_BULK_WORDS", crossover)
+        got = [block.tolist() for block in seeding.bernoulli_blocks(fast, sizes, p)]
+    assert got == [bernoulli_loop(slow, k, p) for k in sizes]
+    assert fast.getstate() == slow.getstate()
+
+
+def test_gnp_builds_one_mersenne_twister_per_graph(monkeypatch):
+    # G(800, 1/2) draws three blocks, the first two above MT_BULK_WORDS words
+    # and the last below: all three go through one MT19937, whose state is
+    # copied in and out once
+    import numpy.random
+
+    built = []
+
+    def counted(seed):
+        built.append(seed)
+        return bit_generator(seed)
+
+    bit_generator = numpy.random.MT19937
+    monkeypatch.setattr(numpy.random, "MT19937", counted)
+    assert gc.generate("gnp", n=800, p=0.5, seed=3).adj == gnp_loop(800, 0.5, 3).adj
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_gnp_threshold_is_exact_at_the_draw(seed):
     # the one pair of G(2, p) is an edge iff its random() draw r is below p
     r = random.Random(seed).random()
     assert gc.generate("gnp", n=2, p=r, seed=seed).edge_count() == 0
     assert gc.generate("gnp", n=2, p=math.nextafter(r, 2.0), seed=seed).edge_count() == 1
+
+
+HALF = seeding.MT_BULK_WORDS // 2  # draws in one bulk piece
+FIRST_800 = 320 * (2 * 800 - 320 - 1) // 2  # draws in G(800, p)'s first block, 320 rows
+
+
+def _draw_and_pair(n, seed, j):
+    """The j-th random() draw of random.Random(seed), and the j-th pair
+    (u, v), u < v, of n vertices in row-major order."""
+    rng = random.Random(seed)
+    for _ in range(j):
+        rng.random()
+    u = 0
+    while j >= n - 1 - u:
+        j -= n - 1 - u
+        u += 1
+    return rng.random(), u, u + 1 + j
+
+
+@pytest.mark.parametrize("n,j", [
+    (300, HALF - 1), (300, HALF), (300, HALF + 1), (300, 300 * 299 // 2 - 1),
+    (800, 6 * HALF - 1), (800, 6 * HALF), (800, 6 * HALF + 1),
+    (800, FIRST_800 - 1), (800, FIRST_800), (800, FIRST_800 + 1)])
+def test_gnp_threshold_is_exact_at_a_bulk_draw(n, j):
+    # on the MT19937 path, at each boundary of a bulk piece: the first
+    # piece's, the partial last piece of G(800, p)'s first block and its
+    # block boundary, and the last pair; at p = r the draw r's key equals
+    # the bound, so it is the tie that the second word decides
+    seed = n + j
+    r, u, v = _draw_and_pair(n, seed, j)
+    assert not gc.generate("gnp", n=n, p=r, seed=seed).adj[u] >> v & 1
+    assert gc.generate("gnp", n=n, p=math.nextafter(r, 2.0), seed=seed).adj[u] >> v & 1
 
 
 @pytest.mark.parametrize("chunk", [1, 1000, 2000])
@@ -556,9 +627,9 @@ def test_gnp_row_blocks_match_the_loop(monkeypatch, chunk, n):
 @pytest.mark.parametrize("p", [0.0, 0.05, 1 / 3, 0.5, 0.95, 1.0])
 @pytest.mark.parametrize("n,seed", [(257, 2 ** 63), (800, 2 ** 64 + 5)])
 def test_gnp_read_through_numpy_matches_the_loop(n, seed, p):
-    # from n = 257 a block's words reach seeding.MT_BULK_WORDS and come from
-    # numpy's MT19937; at n = 800 the first two of three blocks do, and the
-    # last, 160 rows, reads getrandbits where they left the stream
+    # from n = 257 a graph's words reach seeding.MT_BULK_WORDS and all come
+    # from one numpy MT19937; at n = 800 the first two of three blocks are
+    # above it and the last, 160 rows, below it
     assert gc.generate("gnp", n=n, p=p, seed=seed).adj == gnp_loop(n, p, seed).adj
 
 
@@ -573,6 +644,30 @@ def test_gnp_temporaries_stay_below_an_n_by_n_bool_array(monkeypatch):
         tracemalloc.stop()
     # the packed matrix and the output rows take n*n/8 bytes each
     assert peak < n * n // 2
+
+
+def test_gnp_peak_stays_below_an_n_by_n_half_array():
+    # at the default GNP_CHUNK each block's words are decoded a piece at a
+    # time, so the peak is the packed matrix, the output rows and one
+    # block; a read of a block's words at once, or of all the blocks',
+    # goes past n*n/2 bytes (8 MiB at n = 4096)
+    n = 4096
+    gc.generate("gnp", n=300, p=0.5, seed=1)  # numpy.random loaded outside the count
+    tracemalloc.start()
+    try:
+        gc.generate("gnp", n=n, p=0.5, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n // 2
+
+
+def test_rows_of_no_bytes_read_as_zero_rows():
+    # _int_rows views each row as one void item, which holds at least a
+    # byte, so rows of no bytes take their own path
+    assert gc._int_rows(np.zeros((3, 0), np.uint8)) == [0, 0, 0]
+    assert gc.mask_from_bools(np.zeros(0, bool)) == 0
+    assert gc.mask_from_bools(np.array([True, False, True])) == 0b101
 
 
 def test_generate_paley_13():
