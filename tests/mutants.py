@@ -59,8 +59,6 @@ SCREEN = ("test_structure_audit.py",)
 # hypothesis shrinks the failures; they run only the tests that kill them
 OPEN_RECOUNT = ("test_structure_audit.py::test_richness_audit_builds_no_n_by_n_matrix",)
 SECOND_PRODUCT = ("test_structure_audit.py::test_screened_bad_counts_match_the_whole_row_product",)
-# the reader's mutants run the one test that reads its words on both paths
-WORDS = "test_graph_core.py::test_mt_words_are_the_getrandbits_words"
 EXPOSE = "src/ramspect/double_exposure.py"
 TABLE = ("test_double_exposure.py",)
 AC = "src/ramspect/anticoncentration.py"
@@ -106,10 +104,10 @@ MUTANTS = (
            ("test_graph_core.py::test_gnp_threshold_is_exact_at_a_bulk_draw",)),
     # the one reader of the Mersenne-Twister words and its randrange decoder
     Mutant("mt_pieces: the state position off by one", SEEDING,
-           '"pos": internal[-1]}}', '"pos": internal[-1] - 1}}', (WORDS,)),
+           '"pos": internal[-1]}}', '"pos": internal[-1] - 1}}', ("test_graph_core.py",)),
     Mutant("mt_pieces: the state not written back", SEEDING,
            'rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss))', "pass",
-           (WORDS,)),
+           ("test_graph_core.py",)),
     Mutant("mt_pieces: the state written back after the first count only", SEEDING,
            "            if not left:\n", "            if left == total - counts[0]:\n",
            ("test_graph_core.py::test_bernoulli_blocks_match_consecutive_loops",)),
@@ -120,7 +118,7 @@ MUTANTS = (
            "            left -= len(piece)\n",
            "            piece[:len(piece) & ~1] = piece[:len(piece) & ~1].reshape(-1, 2)[:, ::-1]"
            ".ravel()\n            left -= len(piece)\n",
-           (WORDS,)),
+           ("test_graph_core.py",)),
     Mutant("randbelow: the rejection kept at r == n", SEEDING,
            "return r[r < n]", "return r[r <= n]", PAIRS),
     Mutant("sampled pairs: the odd carry dropped", CONSTRUCT,
