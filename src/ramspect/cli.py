@@ -123,8 +123,6 @@ def _json_default(obj):
         return list(obj.vertices)
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")

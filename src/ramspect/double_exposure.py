@@ -330,9 +330,8 @@ def per_m_run(g: Graph, m: int, cparams: ConstructionParams | None = None,
             length = resolved.big_m * rt
             reps = []
             for j in range(n_int):
+                # a <= span_hi: j < 2*beta*rt/M, or j = 0 and beta >= 0 (check 1 fails below)
                 a = e0 + j * 1.5 * length
-                if a > span_hi:
-                    break
                 b = min(a + length, span_hi)
                 inside = [i for i in rec.i_pass
                           if a <= rec.e_values[i] <= b]

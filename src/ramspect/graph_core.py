@@ -101,9 +101,6 @@ class Graph:
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
-    def __hash__(self):
-        return hash((self.n, self.adj))
-
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count()})"
 
@@ -456,16 +453,8 @@ def neighbor_counts(rows: np.ndarray, member: np.ndarray) -> np.ndarray:
 
 
 def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    if q % 2 == 0:
-        return q == 2
-    f = 3
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 2
-    return True
+    """Whether an odd q is prime; paley tests n % 4 == 1 first."""
+    return q > 1 and all(q % f for f in range(3, math.isqrt(q) + 1, 2))
 
 
 def mask_from_bools(bits: np.ndarray) -> int:
@@ -523,7 +512,7 @@ def generate(model: str, *, n: int, p: float = 0.5, seed: int = 0) -> Graph:
     if n < 0:
         raise ParameterError(f"{model} requires n >= 0")
     if model == "paley":
-        if not _is_prime(n) or n % 4 != 1:
+        if n % 4 != 1 or not _is_prime(n):
             raise ParameterError(f"paley requires a prime n = 1 mod 4, got {n}")
         residues = 0
         for x in range(1, n):

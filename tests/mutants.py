@@ -304,6 +304,70 @@ MUTANTS = (
            'GRAPH_MODELS = ("gnp", "paley", "complete", "empty")\n',
            'GRAPH_MODELS = ("gnp", "paley", "complete", "empty")\nSPARE_CAP = 1 << 10\n',
            ("test_source.py",)),
+    # the refusals, exits and harvest intervals that only the line map's
+    # tests reach (tests/coverage_map.py), one mutant a branch family
+    Mutant("graph: the asymmetry check dropped", GRAPH,
+           "if not (adj[u] >> v) & 1:", "if False:",
+           ("test_graph_core.py::test_graph_refuses_rows_that_are_no_simple_graph",)),
+    Mutant("count_edges: masks that meet let through", GRAPH,
+           "if amask & bmask:", "if False:",
+           ("test_graph_core.py::test_count_edges_across_refuses_masks_that_meet",)),
+    Mutant("gnp: a p outside [0, 1] let through", GRAPH,
+           "if not 0.0 <= p <= 1.0:", "if False:",
+           ("test_graph_core.py::test_generate_refuses_a_negative_n_and_a_gnp_p_out_of_range",)),
+    Mutant("paley: the n % 4 test dropped", GRAPH,
+           "if n % 4 != 1 or not _is_prime(n):", "if not _is_prime(n):",
+           ("test_graph_core.py::test_generate_paley_rejects_bad_modulus",)),
+    Mutant("paley: 1 read as a prime", GRAPH,
+           "return q > 1 and all(", "return all(",
+           ("test_graph_core.py::test_generate_paley_rejects_bad_modulus",)),
+    Mutant("load_graph: a negative count let through", GRAPH,
+           '            if n < 0:\n                raise GraphParseError(f"line {lineno}: negative',
+           '            if False:\n                raise GraphParseError(f"line {lineno}: negative',
+           ("test_graph_core.py::test_load_graph_rejects_malformed",)),
+    Mutant("cli: diagnostics beside --out lose the .diag.json suffix", CLI,
+           'return ns.out + ".diag.json"', 'return ns.out + ".diag"',
+           ("test_cli.py::test_diagnostics_go_beside_out_or_into_the_working_directory",)),
+    Mutant("cli: no command exits 0", CLI,
+           "        parser.print_usage(sys.stderr)\n        return 1",
+           "        parser.print_usage(sys.stderr)\n        return 0",
+           ("test_cli.py::test_no_command_prints_the_usage_and_exits_one",)),
+    Mutant("cli: an OSError left to a traceback", CLI,
+           "except OSError as exc:", "except NotImplementedError as exc:",
+           ("test_cli.py::test_an_out_file_in_a_missing_directory_is_an_io_error",)),
+    Mutant("cli: python -m drops main's exit code", CLI,
+           "    sys.exit(main())", "    main()",
+           ("test_cli.py::test_the_module_runs_as_a_command",)),
+    Mutant("gamma: the (0, 1) check dropped", EXPOSE,
+           "if not 0 < self.gamma < 1:", "if False:",
+           ("test_double_exposure.py::test_exposure_params_reject_a_gamma_outside_zero_one",)),
+    Mutant("resolve: Q below 3*beta let through", EXPOSE,
+           "if q_const < 3 * beta:", "if False:",
+           ("test_double_exposure.py::test_resolve_refuses_constants_the_scaffold_cannot_hold",)),
+    Mutant("resolve: a column range beyond |T| let through", EXPOSE,
+           "if i_hi > len(res.t_units):", "if False:",
+           ("test_double_exposure.py::test_resolve_refuses_constants_the_scaffold_cannot_hold",)),
+    Mutant("expose: an empty U0 let through", EXPOSE,
+           "if u0_mask == 0:", "if False:",
+           ("test_double_exposure.py::test_expose_refuses_an_empty_u0",)),
+    Mutant("selection: an empty selection accepted", EXPOSE,
+           '{"attempt": t, "stage": "selection"})\n            continue\n',
+           '{"attempt": t, "stage": "selection"})\n',
+           ("test_double_exposure.py::"
+            "test_an_attempt_whose_passing_cells_miss_every_interval_is_retried",)),
+    Mutant("harvest: the first interval only", EXPOSE,
+           "for j in range(n_int):", "for j in range(1):",
+           ("test_double_exposure.py::test_the_harvest_takes_a_cell_from_its_second_interval",)),
+    Mutant("star_or_matching: the empty-bucket check dropped", CONSTRUCT,
+           "if h_filtered.shape[1] == 0:", "if False:",
+           ("test_ramsey_construct.py::"
+            "test_a_filter_that_keeps_no_pair_fails_at_star_or_matching",)),
+    Mutant("independent_units: an empty unit list let through", CONSTRUCT,
+           "if not units:", "if False:",
+           ("test_ramsey_construct.py::test_independent_units_refuses_an_empty_unit_list",)),
+    Mutant("sample_U0: a p above 1 let through", CONSTRUCT,
+           "if not 0.0 < p <= 1.0:", "if not 0.0 < p:",
+           ("test_ramsey_construct.py::test_sample_u0_refuses_inputs_it_cannot_sample",)),
     # the capacity rule of errors._require_cap
     Mutant("cap: > flipped to >=", ERRORS, "if value > cap:", "if value >= cap:", RULES),
     Mutant("cap: check dropped", ERRORS, "if value > cap:", "if False:", RULES),

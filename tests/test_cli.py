@@ -576,6 +576,46 @@ def test_per_m_sizes_outside_a_small_window_exit_three(tmp_path, capsys):
     assert all(abs(s - window["center"]) > window["radius"] for s in window["outside"])
 
 
+def test_diagnostics_go_beside_out_or_into_the_working_directory(tmp_path, monkeypatch,
+                                                                capsys):
+    # without --diagnostics an exit-3 run writes FILE.diag.json for --out FILE,
+    # else <command>.diag.json, the dash read as an underscore, in cwd
+    argv = ["per-m", "--gen", "gnp", "--n", "64", "--set", "kappa_window=0.01"]
+    monkeypatch.chdir(tmp_path)
+    for extra, diag in (["--out", "w.csv"], "w.csv.diag.json"), ([], "per_m.diag.json"):
+        code, _, err = run(capsys, *argv, *extra)
+        assert code == 3
+        assert err == f"pipeline failure at stage 'window'; diagnostics in {diag}\n"
+        assert json.loads((tmp_path / diag).read_text())["stage"] == "window"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["per_m.diag.json",
+                                                          "w.csv.diag.json"]
+
+
+def test_an_out_file_in_a_missing_directory_is_an_io_error(tmp_path, capsys):
+    code, out, err = run(capsys, "generate", "--gen", "empty", "--n", "4",
+                         "--out", str(tmp_path / "missing" / "g.graph"))
+    assert (code, out) == (1, "")
+    assert err.startswith("io error: ") and len(err.splitlines()) == 1
+
+
+def test_no_command_prints_the_usage_and_exits_one(capsys):
+    code, out, err = run(capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: ramspect [-h]")
+
+
+def test_the_module_runs_as_a_command():
+    # python -m ramspect.cli is the command where the package is not installed
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramspect.cli", "psi", "--gen", "complete", "--n", "3",
+         "--graph-seed", "1"], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))})
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: --gen complete does not read --graph-seed\n"
+
+
 def test_sweep_rejects_an_empty_n_list(capsys):
     code, out, err = run(capsys, "sweep", "--n-list", ",")
     assert code == 1

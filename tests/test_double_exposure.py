@@ -14,6 +14,7 @@ from ramspect.double_exposure import (ExposureParams, expose, family_table,
 from ramspect.errors import (ConstructionFailure, ContractViolation, ParameterError,
                              RamspectError)
 from ramspect.ramsey_construct import ConstructionParams, construct, m_window
+from ramspect.seeding import derive_seed
 from reference import adjusted_values, bernoulli_loop, family_table_batch, z_family
 
 G256 = gc.generate("gnp", n=256, p=0.5, seed=3)
@@ -57,6 +58,11 @@ def test_expose_is_a_deterministic_subset():
     assert 0.25 * u0.bit_count() < u_a.bit_count() < 0.75 * u0.bit_count()
 
 
+def test_expose_refuses_an_empty_u0():
+    with pytest.raises(ParameterError, match="U0 must be nonempty"):
+        expose(0, seed=0)
+
+
 @settings(max_examples=100)
 @example(vertices={0}, seed=0)
 @given(vertices=st.sets(st.integers(0, 700), min_size=1, max_size=400)
@@ -87,6 +93,19 @@ def test_resolve_rejects_oversized_explicit_scale():
     big = (len(RES256.s_units) + 5) / math.sqrt(256)
     with pytest.raises(ParameterError):
         resolve_exposure(RES256, ExposureParams(c_prime=big))
+
+
+# RES256 has |S| = |T| = 3 on n = 256, so c' = 0.125 is kappa = 2 <= |S|, and
+# its rows run to k = 4; c' = 1/16 asks for one T unit
+@pytest.mark.parametrize("res,params,message", [
+    (RES256, ExposureParams(q_const=0.001), r"Q=0.0010 below 3\*beta=0.0078"),
+    (RES256, ExposureParams(c_prime=0.125), r"row range needs k=4 first S units but \|S\|=3"),
+    (replace(RES256, t_units=()), ExposureParams(c_prime=1 / 16),
+     r"column range needs 1 T units but \|T\|=0"),
+])
+def test_resolve_refuses_constants_the_scaffold_cannot_hold(res, params, message):
+    with pytest.raises(ParameterError, match=message):
+        resolve_exposure(res, params)
 
 
 def test_resolve_honors_explicit_constants():
@@ -347,6 +366,70 @@ def test_per_m_rejects_m_outside_window():
         per_m_run(G256, 50 * M256)
 
 
+def spy_on_selection(monkeypatch) -> list:
+    """Each _stride_select call per_m_run makes, as (items, key_gap, selection)."""
+    real, calls = de._stride_select, []
+
+    def spy(items, key_gap, values):
+        calls.append((list(items), key_gap, real(items, key_gap, values)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(de, "_stride_select", spy)
+    return calls
+
+
+def test_an_attempt_whose_passing_cells_miss_every_interval_is_retried(monkeypatch):
+    # RES256's first exposure passes rows k = 1, e = (2, 5), and k = 2; its
+    # one interval is [2, 2 + 3*beta*n] = [2, 4], so without cell 0 the row
+    # gives no cell.  The patch drops cell 0 from each row of that attempt
+    # and lets check 1 pass, as a beta >= M would with one cell in two
+    # failing: selection comes back empty, and the next exposure is drawn
+    real_checks, rigged = de.per_k_checks, []
+
+    def without_cell_zero(record, g, u0_mask, x_units, x_base, resolved):
+        checks = real_checks(record, g, u0_mask, x_units, x_base, resolved)
+        if not rigged:
+            rigged.append(x_base)  # one per exposure, built before its checks
+        if x_base is rigged[0]:
+            record.i_pass = [i for i in record.i_pass if i]
+            record.x_witnesses.pop(0, None)
+            record.checks = checks = (True, *checks[1:])
+        return checks
+
+    monkeypatch.setattr(de, "per_k_checks", without_cell_zero)
+    calls = spy_on_selection(monkeypatch)
+    out = per_m_run(G256, M256, ConstructionParams(seed=4), ExposureParams(seed=9),
+                    result=RES256)
+    stages = [a["stage"] for a in out.diagnostics["attempts"]]
+    assert stages == ["selection", "accepted"] and out.attempts == 2
+    assert [(items, sel) for items, _, sel in calls if not items] == [([], [])]
+    assert out.distinct_count > 0
+
+
+def test_the_harvest_takes_a_cell_from_its_second_interval(monkeypatch):
+    # the CLI run per-m --gen gnp --n 2048 --graph-seed 0 --seed 3 --set
+    # c_prime=0.09375 --set beta=0.005 --set big_m=0.18: n_int =
+    # floor(2*beta*sqrt(n)/M) = 2 intervals of length M*sqrt(n) = 8.1, from
+    # e_{5,0} = 170 and from 170 + 1.5*8.1.  Cell (5, 2) at 184 lies in the
+    # second; it is within 2Q*sqrt(n) of cell (5, 0), and the separation rule
+    # keeps the lower one
+    g = gc.generate("gnp", n=2048, p=0.5, seed=0)
+    cp = ConstructionParams(seed=3)
+    ep = ExposureParams(seed=derive_seed(3, "exposure"), c_prime=0.09375, beta=0.005,
+                        big_m=0.18)
+    calls = spy_on_selection(monkeypatch)
+    out = per_m_run(g, m_window(cp, 2048).mid, cp, ep)
+    c = out.constants
+    length = c["M"] * math.sqrt(c["n"])
+    assert (c["n"], c["i_hi"]) == (2048, 4)
+    assert math.floor(2 * c["beta"] * math.sqrt(c["n"]) / c["M"]) == 2
+    cells, sep, kept = calls[-1]
+    assert cells == [(170, 5, 0), (184, 5, 2)] and kept == [(170, 5, 0)]
+    assert 170 + 1.5 * length <= 184 <= 170 + 2.5 * length
+    assert 184 - 170 < sep == math.floor(2 * c["Q"] * math.sqrt(c["n"])) + 1
+    assert (out.attempts, out.distinct_count, out.p_selected) == (7, 19, ((5, 0),))
+
+
 # ── theorem sweep ────────────────────────────────────────────────────────
 
 
@@ -441,3 +524,9 @@ def test_theorem_records_a_window_outside_a_small_radius_as_failed():
 def test_exposure_params_reject_a_window_radius_that_is_not_positive(kappa):
     with pytest.raises(ParameterError, match="kappa_window"):
         ExposureParams(kappa_window=kappa)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0, math.nan])
+def test_exposure_params_reject_a_gamma_outside_zero_one(gamma):
+    with pytest.raises(ParameterError, match=r"gamma must lie in \(0, 1\)"):
+        ExposureParams(gamma=gamma)

@@ -51,6 +51,18 @@ def test_from_edges_rejects_bad_input():
         gc.from_edges(3, [(0, 5)])
 
 
+@pytest.mark.parametrize("n,adj,message", [
+    (-1, [], "vertex count must be nonnegative"),
+    (3, [0, 0], "expected 3 adjacency rows, got 2"),
+    (2, [0b100, 0], "row 0 has bits beyond vertex range"),
+    (2, [0b01, 0], "self-loop at vertex 0"),
+    (3, [0b010, 0b000, 0], "asymmetric adjacency at 0,1"),
+])
+def test_graph_refuses_rows_that_are_no_simple_graph(n, adj, message):
+    with pytest.raises(ParameterError, match=message):
+        gc.Graph(n, adj)
+
+
 def test_complement_involution():
     rng = random.Random(7)
     for _ in range(20):
@@ -146,6 +158,11 @@ def test_count_edges_within_and_across():
         assert gc.count_edges(g, gc.mask_of(a)) == brute_count_edges(g, a)
         assert gc.count_edges(g, gc.mask_of(a), gc.mask_of(b)) == \
             brute_count_edges(g, a, b)
+
+
+def test_count_edges_across_refuses_masks_that_meet():
+    with pytest.raises(ContractViolation, match="requires disjoint masks"):
+        gc.count_edges(gc.generate("complete", n=4), 0b0011, 0b0110)
 
 
 MANY_N = (1, 63, 64, 65, 129)  # one vertex, and rows just before, at and after a word edge
@@ -691,11 +708,23 @@ def test_generate_paley_rejects_bad_modulus():
         gc.generate("paley", n=15)
     with pytest.raises(ParameterError):
         gc.generate("paley", n=7)  # 7 % 4 == 3
+    with pytest.raises(ParameterError):
+        gc.generate("paley", n=1)  # 1 % 4 == 1, and 1 is no prime
 
 
 def test_generate_rejects_unknown_model():
     with pytest.raises(ParameterError):
         gc.generate("smallworld", n=5)
+
+
+@pytest.mark.parametrize("model,kwargs,message", [
+    ("empty", dict(n=-1), r"empty requires n >= 0"),
+    ("gnp", dict(n=4, p=1.5), r"gnp requires p in \[0,1\], got 1.5"),
+    ("gnp", dict(n=4, p=-0.25), r"gnp requires p in \[0,1\], got -0.25"),
+])
+def test_generate_refuses_a_negative_n_and_a_gnp_p_out_of_range(model, kwargs, message):
+    with pytest.raises(ParameterError, match=message):
+        gc.generate(model, **kwargs)
 
 
 # ── serialization ────────────────────────────────────────────────────────
@@ -714,7 +743,7 @@ def test_load_graph_ignores_comments_and_blanks():
 
 
 @pytest.mark.parametrize("text", [
-    "", "0 1\n", "n x\n", "n 3\n0 0\n", "n 3\n0 7\n", "n 3\n0\n",
+    "", "0 1\n", "n x\n", "n 3\n0 0\n", "n 3\n0 7\n", "n 3\n0\n", "n -1\n", "n 4\n0 x\n",
 ])
 def test_load_graph_rejects_malformed(text):
     with pytest.raises(GraphParseError):

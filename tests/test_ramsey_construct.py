@@ -255,7 +255,22 @@ def test_star_or_matching_failure_stage():
     assert exc.value.stage == "star_or_matching"
 
 
+def test_a_filter_that_keeps_no_pair_fails_at_star_or_matching():
+    # theta_compl = 1 keeps a pair only when |N(a) symdiff N_bar(b)| >= n
+    g = gc.generate("gnp", n=64, p=0.5, seed=0)
+    cp = ConstructionParams(theta_compl=1.0)
+    with pytest.raises(ConstructionFailure, match="filtered bucket is empty") as exc:
+        construct(g, rc.m_window(cp, 64).mid, cp)
+    assert exc.value.stage == "star_or_matching"
+    assert exc.value.diagnostics["h_size"] > 0
+
+
 # ── conflict-free unit family ────────────────────────────────────────────
+
+
+def test_independent_units_refuses_an_empty_unit_list():
+    with pytest.raises(ParameterError, match="unit list must be nonempty"):
+        rc.independent_units(gc.generate("complete", n=4), (), 0.1)
 
 
 def test_independent_units_are_pairwise_far():
@@ -570,6 +585,18 @@ def test_sample_u0_event4_matches_the_pair_loop(n, star_coeff, monkeypatch):
             outcomes.setdefault(kappa3, set()).add(ok4)
     assert True in outcomes[0.02]
     assert all(outcomes[k] == {False} for k in (0.05, 0.1, 0.2))
+
+
+@pytest.mark.parametrize("g,units,m,message", [
+    (gc.generate("complete", n=8), (), 2, "unit family A must be nonempty"),
+    (gc.generate("empty", n=8), (gc.Unit.single(0),), 2, "graph has no edges"),
+    # p = sqrt(4m/e(G)) = sqrt(32/28) on K_8
+    (gc.generate("complete", n=8), (gc.Unit.single(0),), 8,
+     r"sampling probability p=1.0690 outside \(0, 1\]; m too large for e\(G\)=28"),
+])
+def test_sample_u0_refuses_inputs_it_cannot_sample(g, units, m, message):
+    with pytest.raises(ParameterError, match=message):
+        rc.sample_U0(g, units, m, 4, ConstructionParams())
 
 
 def test_sample_u0_draws_once_per_vertex_per_attempt(monkeypatch):

@@ -241,6 +241,51 @@ def test_every_mutant_edits_text_that_occurs_once():
                                for t in m.tests), m.name
 
 
+def test_every_allowed_line_is_a_raise_named_once_with_a_reason():
+    # tests/coverage_map.py lets a guard go unrun by its text, so a guard
+    # that moves must take its entry along, and only a raise may be left
+    import coverage_map
+
+    root = SRC.parents[1]
+    allow = coverage_map.ALLOW
+    assert len({(a.path, a.text) for a in allow}) == len(allow)
+    for a in allow:
+        source = (root / a.path).read_text()
+        assert source.count(a.text) == 1, a.text
+        raises = {node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Raise)}
+        assert a.text.startswith("raise ") and coverage_map.allowed_line(a) in raises, a.text
+        assert a.reason.strip(), a.text
+
+
+WALK_FIXTURE = '''"""Module docstring."""
+import functools
+
+
+@functools.cache
+def f(x):
+    """Function docstring."""
+    if x < 0:
+        raise ValueError(
+            f"negative {x}")
+    return x
+
+
+if __name__ == "__main__":
+    f(1)
+'''
+
+
+def test_the_line_map_walks_statements_and_leaves_docstrings_out():
+    # each statement maps to the lines whose line events show it ran: a
+    # decorated def its decorators too, a compound statement its header
+    # alone, a multi-line statement all of its lines
+    import coverage_map
+
+    assert coverage_map.statement_lines(WALK_FIXTURE) == {
+        2: {2}, 6: {5, 6}, 8: {8}, 9: {9, 10}, 11: {11}, 14: {14}, 15: {15}}
+
+
 STREAM_TEXTS = ("import random", "from random import", "random.Random(", "getrandbits",
                 "default_rng", "SeedSequence", "np.random")
 
