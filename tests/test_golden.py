@@ -201,6 +201,23 @@ def test_planted_clique_audit_is_pinned(tmp_path):
     assert sha256(json_body(out)) == PLANTED_AUDIT_DIGEST
 
 
+# construct --graph on the file that generate wrote for G(1536, 1/2) at graph
+# seed 2: about 590k edge lines through load_graph, and the same body as
+# construct --gen on that graph
+ROUND_TRIP_DIGEST = "e3fe5a602dbf5f6cdccf24c9998a68b990a29108578a68272ea70c0e34728384"
+
+
+def test_a_graph_file_round_trip_is_pinned(tmp_path):
+    path, out, ref = tmp_path / "g.txt", tmp_path / "out.json", tmp_path / "ref.json"
+    source = ["--gen", "gnp", "--n", "1536", "--graph-seed", "2"]
+    assert cli.main(["generate", *source, "--out", str(path)]) == 0
+    assert cli.main(["construct", "--graph", str(path), "--seed", "3",
+                     "--out", str(out)]) == 0
+    assert sha256(json_body(out)) == ROUND_TRIP_DIGEST
+    assert cli.main(["construct", *source, "--seed", "3", "--out", str(ref)]) == 0
+    assert json_body(out) == json_body(ref)
+
+
 def raw_json_body(path) -> bytes:
     # keys stay in the order the CLI wrote them, so a change of key type
     # (str(i) versus int i) that moves "10" relative to "2" moves the digest
