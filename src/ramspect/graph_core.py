@@ -284,14 +284,16 @@ def check_disjoint_units(units, u0_mask: int) -> None:
 
 
 def unit_rows(g: Graph, x: Unit) -> tuple[int, int]:
-    """Multiplicity masks (m1, m2) of the unit's neighborhood multiset.
+    """Support and double masks (S, D) of the unit's neighborhood multiset.
 
-    m2 covers vertices of multiplicity 2 (pair units only), m1 multiplicity 1.
+    S covers the vertices of multiplicity at least 1 and D those of
+    multiplicity 2 (pair units only), so D lies within S and a vertex's
+    multiplicity is [v in S] + [v in D].
     """
     if x.is_pair:
         a, b = x.vertices
         ra, rb = g.adj[a], g.adj[b]
-        return ra ^ rb, ra & rb
+        return ra | rb, ra & rb
     (v,) = x.vertices
     return g.adj[v], 0
 
@@ -303,17 +305,6 @@ def unit_degree(g: Graph, x: Unit, umask: int) -> int:
     adj, vs = g.adj, x.vertices
     d = (adj[vs[0]] & umask).bit_count()
     return d + (adj[vs[1]] & umask).bit_count() if len(vs) == 2 else d
-
-
-def multiset_gap(x1: int, x2: int, y1: int, y2: int) -> int:
-    """Total multiplicity gap, sum over v of |mult_x(v) - mult_y(v)|, of two
-    multisets given as unit_rows masks (x1, x2) and (y1, y2).
-
-    Where x1 ^ y1 is set the multiplicities differ by one; elsewhere they
-    differ by two exactly where x2 ^ y2 is set.
-    """
-    d1 = x1 ^ y1
-    return d1.bit_count() + 2 * ((x2 ^ y2) & ~d1).bit_count()
 
 
 # _product multiplies 0/1 matrices in float32, which holds every integer of
@@ -355,10 +346,9 @@ def pair_gaps(g: Graph, units, umask: int | None = None) -> np.ndarray:
     """k x k float32 matrix whose (i, j) entry is
     symdiff_size(g, units[i], units[j], umask).
 
-    With S the support (multiplicity >= 1) and D the doubled part of a
-    unit's neighborhood, the multiset gap is |S_x symdiff S_y| +
-    |D_x symdiff D_y|, the symmetric difference of the rows that lay S and
-    D side by side (D is left out when every unit is a single).  Each is
+    The gap |S_x symdiff S_y| + |D_x symdiff D_y| of unit_rows' support
+    and double masks is the symmetric difference of the rows that lay S and
+    D side by side (D is left out when every unit is a single), which is
     |A| + |B| - 2|A & B| over 0/1 rows restricted to umask's columns, the
     intersections one Gram product.  Compare entries against a float
     threshold in float64 (an np.float64 scalar), since a Python float would
@@ -370,10 +360,10 @@ def pair_gaps(g: Graph, units, umask: int | None = None) -> np.ndarray:
     if umask is not None:
         # rows cut to umask have no bit past its top one: a prefix umask
         # such as (1 << h) - 1 unpacks and multiplies h columns only
-        rows = [(m1 & umask, m2 & umask) for m1, m2 in rows]
+        rows = [(s & umask, d & umask) for s, d in rows]
         width = umask.bit_length()
     shift = width if any(x.is_pair for x in units) else 0
-    bits = bit_matrix([m1 | m2 | m2 << shift for m1, m2 in rows], width + shift)
+    bits = bit_matrix([s | d << shift for s, d in rows], width + shift)
     if umask is not None:
         bits = bits[:, bit_matrix([umask | umask << shift], width + shift)[0].astype(bool)]
     gaps = _product(bits)
@@ -386,15 +376,18 @@ def pair_gaps(g: Graph, units, umask: int | None = None) -> np.ndarray:
 
 def symdiff_size(g: Graph, x: Unit, y: Unit, umask: int | None = None) -> int:
     """Size of the multiset symmetric difference of the two unit neighborhoods,
-    restricted to umask (whole vertex set when None).
+    the sum over v of |mult_x(v) - mult_y(v)|, restricted to umask (whole
+    vertex set when None).
 
-    For two singles this is the ordinary set symmetric difference.
+    With (S, D) the unit_rows masks, the S and D terms of a multiplicity
+    move the same way (D lies within S), so the gap is |S_x ^ S_y| +
+    |D_x ^ D_y|, the package's one multiset-gap formula.  For two singles
+    this is the ordinary set symmetric difference.
     """
-    a1, a2 = unit_rows(g, x)
-    b1, b2 = unit_rows(g, y)
-    if umask is not None:
-        a1, a2, b1, b2 = a1 & umask, a2 & umask, b1 & umask, b2 & umask
-    return multiset_gap(a1, a2, b1, b2)
+    sx, dx = unit_rows(g, x)
+    sy, dy = unit_rows(g, y)
+    mask = g.full_mask if umask is None else umask
+    return ((sx ^ sy) & mask).bit_count() + ((dx ^ dy) & mask).bit_count()
 
 
 # ── edge counting ────────────────────────────────────────────────────────

@@ -531,10 +531,11 @@ def verify_construction(g: Graph, res: ConstructionResult,
     Popcounts of int rows and of packed rows, independent of the pair_gaps
     products the stages use.  Each unit's degree into U0 is counted once
     and read by both the degree window and the S/T gap.  Each X unit's
-    multiplicity rows are cut to U0 once and packed, and every X pair is
-    compared in one graph_core.popcount broadcast: the gap of multiset_gap,
-    |x1 ^ y1| + 2|(x2 ^ y2) & ~(x1 ^ y1)|, for all pairs at once, the first
-    pair below the floor in row-major order named in the error.
+    support and double masks (unit_rows) are cut to U0 once and packed, and
+    every X pair is compared in one graph_core.popcount broadcast per mask:
+    the gap of symdiff_size, |S_x ^ S_y| + |D_x ^ D_y|, for all pairs at
+    once, the first pair below the floor in row-major order named in the
+    error.
     """
     n, u0 = res.working_n, res.u0_mask
     units = res.all_units()
@@ -552,10 +553,9 @@ def verify_construction(g: Graph, res: ConstructionResult,
             raise ContractViolation(f"degree gap {gap} below floor {res.gap_floor}")
     sym_floor = res.kappa3 * n
     xs = res.x_units
-    rows = [(m1 & u0, m2 & u0) for m1, m2 in (unit_rows(g, x) for x in xs)]
-    p1, p2 = (pack_rows([r[side] for r in rows], g.n) for side in (0, 1))
-    d1 = p1[:, None] ^ p1
-    gaps = popcount(d1) + 2 * popcount((p2[:, None] ^ p2) & ~d1)
+    rows = [(s & u0, d & u0) for s, d in (unit_rows(g, x) for x in xs)]
+    ps, pd = (pack_rows([r[side] for r in rows], g.n) for side in (0, 1))
+    gaps = popcount(ps[:, None] ^ ps) + popcount(pd[:, None] ^ pd)
     # the upper triangle in row-major order is the pair order of the message
     ii, jj = np.triu_indices(len(xs), 1)
     low = np.flatnonzero(gaps[ii, jj] < sym_floor)

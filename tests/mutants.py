@@ -133,7 +133,7 @@ MUTANTS = (
            "gap = min(dt) - max(ds)", "gap = min(dt) - max(dt)",
            ("test_ramsey_construct.py",)),
     Mutant("verifier: X rows not cut to U0", CONSTRUCT,
-           "rows = [(m1 & u0, m2 & u0) for", "rows = [(m1, m2) for",
+           "rows = [(s & u0, d & u0) for", "rows = [(s, d) for",
            ("test_ramsey_construct.py",)),
     Mutant("m window: floor for the low end", CONSTRUCT,
            "max(1, math.ceil(c * n * n))", "max(1, math.floor(c * n * n))",
@@ -234,7 +234,11 @@ MUTANTS = (
     Mutant("verifier: triangle offset 1 read as 0", CONSTRUCT,
            "np.triu_indices(len(xs), 1)", "np.triu_indices(len(xs), 0)", PAIRS),
     Mutant("verifier: the doubled multiplicity term dropped", CONSTRUCT,
-           " + 2 * popcount((p2[:, None] ^ p2) & ~d1)", "", PAIRS),
+           " + popcount(pd[:, None] ^ pd)", "", PAIRS),
+    # the one multiset-gap encoding: a unit's support and double masks
+    Mutant("unit_rows: support read as ra ^ rb", GRAPH,
+           "return ra | rb, ra & rb", "return ra ^ rb, ra & rb",
+           ("test_graph_core.py::test_symdiff_size_matches_brute_force",)),
     # the exposure table from the degree split
     Mutant("table: the vertices of U kept in Z'", EXPOSE,
            "z = zm & ~u_mask", "z = zm", TABLE),

@@ -28,8 +28,8 @@ from ramspect.double_exposure import PerKRecord
 from ramspect.errors import ContractViolation, ParameterError, RamspectError, _require_cap
 from ramspect.graph_core import (Graph, bit_matrix, check_disjoint_units,
                                  complement_gap_at_least, count_edges, count_edges_many,
-                                 iter_bits, mask_of, multiset_gap, neighbor_counts,
-                                 pack_rows, popcount, symdiff_size, unit_degree, unit_rows)
+                                 iter_bits, mask_of, neighbor_counts,
+                                 pack_rows, popcount, symdiff_size, unit_degree)
 from ramspect.seeding import derive_seed, np_stream
 
 HOMOGENEOUS_CAP = 64  # exact clique/independence search refuses larger graphs
@@ -215,8 +215,8 @@ def star_degrees(h: np.ndarray, n: int) -> np.ndarray:
 def verify_construction_loop(g: Graph, res, params) -> bool:
     """ramsey_construct.verify_construction on int rows throughout: each
     unit's degree into U0 counted once for the degree window and the S/T
-    gap, then every X pair, in row-major order, compared with multiset_gap
-    on its multiplicity rows cut to U0."""
+    gap, then every X pair, in row-major order, compared with symdiff_size
+    inside U0."""
     n, u0 = res.working_n, res.u0_mask
     units = res.all_units()
     check_disjoint_units(units, u0)
@@ -233,10 +233,9 @@ def verify_construction_loop(g: Graph, res, params) -> bool:
             raise ContractViolation(f"degree gap {gap} below floor {res.gap_floor}")
     sym_floor = res.kappa3 * n
     xs = res.x_units
-    rows = [(m1 & u0, m2 & u0) for m1, m2 in (unit_rows(g, x) for x in xs)]
-    for i, (a1, a2) in enumerate(rows):
+    for i, x in enumerate(xs):
         for j in range(i + 1, len(xs)):
-            s = multiset_gap(a1, a2, *rows[j])
+            s = symdiff_size(g, x, xs[j], umask=u0)
             if s < sym_floor:
                 raise ContractViolation(
                     f"x units {xs[i].vertices},{xs[j].vertices} symdiff {s} "

@@ -248,11 +248,12 @@ def brute_symdiff(g, x, y, uvs):
 
 
 def test_multiset_gap_all_multiplicity_pairs():
-    # vertex 0 carries multiplicity a in x and b in y, as unit_rows encodes it
-    def rows(mult):
-        return (1 if mult == 1 else 0), (1 if mult == 2 else 0)
+    # vertex 0, the only vertex with edges, carries multiplicity a in the
+    # pair unit {1, 2} and b in the pair unit {3, 4}
+    x, y = gc.Unit.pair(1, 2), gc.Unit.pair(3, 4)
     for a, b in itertools.product((0, 1, 2), repeat=2):
-        assert gc.multiset_gap(*rows(a), *rows(b)) == abs(a - b), (a, b)
+        g = gc.from_edges(5, [(0, 1 + i) for i in range(a)] + [(0, 3 + i) for i in range(b)])
+        assert gc.symdiff_size(g, x, y) == abs(a - b), (a, b)
 
 
 def test_symdiff_size_matches_brute_force():
@@ -274,8 +275,9 @@ def test_symdiff_close_complement_single_pair():
     # x2's rows are taken in the complement graph
     g = gc.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     x1, x2 = gc.Unit.single(0), gc.Unit.single(3)
-    got = gc.multiset_gap(*gc.unit_rows(g, x1),
-                          *gc.unit_rows(complement(g), x2))
+    (s1, d1), (s2, d2) = gc.unit_rows(g, x1), gc.unit_rows(complement(g), x2)
+    assert d1 == d2 == 0  # singles have no double mask
+    got = (s1 ^ s2).bit_count()
     # N(0) = {1}; complement row of 3 = {0,1}; difference = {0}
     assert got == 1
 

@@ -327,10 +327,10 @@ def test_independent_units_multiword_matches_bitset_greedy(n):
         got = rc.independent_units(g, units, theta)
         assert got == want
         assert len(got) < len(units)
-    # the pair term 2|(x2 ^ y2) & ~(x1 ^ y1)| is what separates pairs here
-    x1, x2 = gc.unit_rows(g, pairs[0])
-    y1, y2 = gc.unit_rows(g, pairs[1])
-    assert ((x2 ^ y2) & ~(x1 ^ y1)).bit_count() > 0
+    # the double term |D_x ^ D_y| is what separates pairs here
+    _, dx = gc.unit_rows(g, pairs[0])
+    _, dy = gc.unit_rows(g, pairs[1])
+    assert (dx ^ dy).bit_count() > 0
 
 
 @pytest.mark.parametrize("n", [130, 200])
@@ -809,7 +809,7 @@ def verdict(verify, g, res, params):
 
 @pytest.mark.parametrize("star_coeff,mode", [(0.25, "star"), (1e6, "matching")])
 def test_verifier_matches_the_int_row_loop(star_coeff, mode):
-    # the packed X-pair broadcast against the pair-by-pair multiset_gap loop,
+    # the packed X-pair broadcast against the pair-by-pair symdiff_size loop,
     # on a sound scaffold and on hand-broken ones: the same verdict, and the
     # same first pair in row-major order named in the same words
     params = ConstructionParams(seed=4, star_coeff=star_coeff)
