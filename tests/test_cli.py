@@ -265,8 +265,7 @@ def test_spectrum_above_the_oracle_cap_is_refused_before_any_graph_is_built(
     def refuse(*args, **kwargs):
         raise AssertionError("built a graph that the oracle cap refuses")
 
-    monkeypatch.setattr(gc, "generate", refuse)
-    monkeypatch.setattr(gc, "from_edges", refuse)
+    monkeypatch.setattr(gc, "Graph", refuse)  # every build path constructs one
     n, cap = so.PHI_EXACT_CAP + 1, so.PHI_EXACT_CAP
     f = tmp_path / "big.graph"
     f.write_text(f"n {n}\n0 1\n")
@@ -781,8 +780,7 @@ def test_a_source_refuses_each_flag_it_does_not_read(argv, message, tmp_path, ca
     def refuse(*args, **kwargs):
         raise AssertionError("built a graph beside a flag its source does not read")
 
-    monkeypatch.setattr(gc, "generate", refuse)
-    monkeypatch.setattr(gc, "from_edges", refuse)
+    monkeypatch.setattr(gc, "Graph", refuse)  # every build path constructs one
     f = tmp_path / "k4.graph"
     f.write_text(K4)
     argv = [str(f) if a == "K4" else a for a in argv]

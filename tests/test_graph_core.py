@@ -752,6 +752,27 @@ def test_load_graph_rejects_malformed(text):
         gc.load_graph(text)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("", "empty input: missing 'n <count>' header"),
+    ("# only a comment\n\n", "empty input: missing 'n <count>' header"),
+    ("0 1\n", "line 1: expected header 'n <count>'"),
+    ("n x\n", "line 1: bad vertex count 'x'"),
+    ("n -1\n", "line 1: negative vertex count"),
+    ("n 4\n0 1\n\n0 x\n", "line 4: non-integer endpoint in '0 x'"),
+    ("n 3\n0\n", "line 2: expected 'u v', got '0'"),
+    ("n 3\n0 7\n", "line 2: endpoint out of range in '0 7'"),
+    # the range check is the only guard: a -1 would index the last row and
+    # shift by a negative count, and an n would index past the rows
+    ("n 4\n-1 2\n", "line 2: endpoint out of range in '-1 2'"),
+    ("n 4\n0 1\n4 0\n", "line 3: endpoint out of range in '4 0'"),
+    ("n 3\n0 1\n2 2\n", "line 3: self-loop 2"),
+])
+def test_load_graph_names_the_first_bad_line(text, message):
+    with pytest.raises(GraphParseError) as exc:
+        gc.load_graph(text)
+    assert str(exc.value) == message
+
+
 # ── homogeneous sets ─────────────────────────────────────────────────────
 
 
