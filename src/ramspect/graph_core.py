@@ -118,18 +118,6 @@ class Graph:
         return self.full_mask & ~self.adj[v] & ~(1 << v)
 
 
-def from_edges(n: int, edges) -> Graph:
-    rows = [0] * n
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParameterError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            raise ParameterError(f"self-loop ({u},{v})")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return Graph(n, rows, _checked=True)
-
-
 ROW_CHUNK = 256  # adjacency rows unpacked at a time: induced_subgraph, neighbor_counts
 
 
@@ -529,10 +517,11 @@ def load_graph(text: str, max_n: int | None = None) -> Graph:
     """Parse the edge-list format: first line "n <N>", then one "u v" per line.
 
     Blank lines and lines starting with '#' are ignored.  A header above
-    max_n is a CapacityError, raised before any row is built.
+    max_n is a CapacityError, raised before any row is built.  Each edge is
+    ORed into its two rows once its line has passed the range and self-loop
+    checks, so the rows form a simple graph and no edge list is held.
     """
     n = None
-    edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -549,6 +538,7 @@ def load_graph(text: str, max_n: int | None = None) -> Graph:
                 raise GraphParseError(f"line {lineno}: negative vertex count")
             if max_n is not None:
                 _require_cap("graph header n", n, max_n)
+            rows = [0] * n
             continue
         if len(parts) != 2:
             raise GraphParseError(f"line {lineno}: expected 'u v', got {line!r}")
@@ -560,10 +550,11 @@ def load_graph(text: str, max_n: int | None = None) -> Graph:
             raise GraphParseError(f"line {lineno}: endpoint out of range in {line!r}")
         if u == v:
             raise GraphParseError(f"line {lineno}: self-loop {u}")
-        edges.append((u, v))
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
     if n is None:
         raise GraphParseError("empty input: missing 'n <count>' header")
-    return from_edges(n, edges)
+    return Graph(n, rows, _checked=True)
 
 
 def dump_graph(g: Graph) -> str:

@@ -26,9 +26,9 @@ the same 624-word state, so it continues the stream of a random.Random:
   625, 5,000, 100,001 and 1,000,003 from several seeds and positions).
 mt_pieces, the one reader of these words, reads the stream through
 getrandbits below MT_BULK_WORDS outputs in all and through one MT19937
-from there on, however many counts it is given; mt_words gathers its
-words into one array, and bernoulli_blocks (bernoulli is its one-count
-form) and randbelow decode them.  Moving the state in and out costs about
+from there on, however many counts it is given, and bernoulli_blocks
+(bernoulli is its one-count form) and randbelow decode its pieces as they
+come.  Moving the state in and out costs about
 0.27 ms, what getrandbits spends on about 2**15 words, so a read of many
 counts, such as the row blocks of one G(n, p), pays it once.  numpy.random,
 which otherwise only np_stream loads, is imported only by a bulk read:
@@ -115,18 +115,6 @@ def mt_pieces(rng: random.Random, counts: Sequence[int]) -> Iterator[np.ndarray]
             yield piece
 
 
-def mt_words(rng: random.Random, count: int) -> np.ndarray:
-    """The next count 32-bit outputs of rng, as uint32 in draw order; rng is
-    left where ``rng.getrandbits(32 * count)`` would leave it.  The words
-    are mt_pieces's, gathered into one array."""
-    words = np.empty(count, "<u4")
-    at = 0
-    for piece in mt_pieces(rng, (count,)):
-        words[at:at + len(piece)] = piece
-        at += len(piece)
-    return words
-
-
 def bernoulli_blocks(rng: random.Random, sizes: Sequence[int],
                      p: float) -> Iterator[np.ndarray]:
     """For each k in sizes in turn, k bools, the j-th True iff the j-th of k
@@ -173,6 +161,8 @@ def randbelow(rng: random.Random, n: int, count: int) -> np.ndarray:
     By the module's Mersenne-Twister facts, each output is one
     getrandbits(k) draw, k = n.bit_length(), as its top k bits, and
     randrange keeps the draws below n and draws again for the others.
+    Each piece of mt_pieces is shifted and filtered as it is read.
     """
-    r = mt_words(rng, count) >> np.uint32(32 - n.bit_length())
-    return r[r < n]
+    shift = 32 - n.bit_length()
+    tops = (piece.astype(np.uint32, copy=False) >> shift for piece in mt_pieces(rng, (count,)))
+    return np.concatenate([r[r < n] for r in tops])

@@ -120,7 +120,10 @@ MUTANTS = (
            ".ravel()\n            left -= len(piece)\n",
            ("test_graph_core.py",)),
     Mutant("randbelow: the rejection kept at r == n", SEEDING,
-           "return r[r < n]", "return r[r <= n]", PAIRS),
+           "[r[r < n] for r in tops]", "[r[r <= n] for r in tops]", PAIRS),
+    Mutant("randbelow: a piece's shift dropped", SEEDING,
+           "copy=False) >> shift for piece", "copy=False) for piece",
+           ("test_graph_core.py::test_randbelow_keeps_the_getrandbits_draws_below_n",)),
     Mutant("sampled pairs: the odd carry dropped", CONSTRUCT,
            "carry = vals[end:]", "carry = vals[:0]", PAIRS),
     Mutant("AuditParams: seed check dropped", "src/ramspect/structure_audit.py",
@@ -325,6 +328,16 @@ MUTANTS = (
     Mutant("paley: 1 read as a prime", GRAPH,
            "return q > 1 and all(", "return all(",
            ("test_graph_core.py::test_generate_paley_rejects_bad_modulus",)),
+    # load_graph's checks, the only ones a file's edges pass
+    Mutant("load_graph: mirror bit dropped", GRAPH,
+           "        rows[v] |= 1 << u\n", "",
+           ("test_graph_core.py::test_dump_load_roundtrip",)),
+    Mutant("load_graph: self-loop check dropped", GRAPH,
+           'if u == v:\n            raise GraphParseError', 'if False:\n            raise GraphParseError',
+           ("test_graph_core.py::test_load_graph_names_the_first_bad_line",)),
+    Mutant("load_graph: range check dropped", GRAPH,
+           "if not (0 <= u < n and 0 <= v < n):", "if False:",
+           ("test_graph_core.py::test_load_graph_names_the_first_bad_line",)),
     Mutant("load_graph: a negative count let through", GRAPH,
            '            if n < 0:\n                raise GraphParseError(f"line {lineno}: negative',
            '            if False:\n                raise GraphParseError(f"line {lineno}: negative',

@@ -1,5 +1,6 @@
-"""Test-only references: exact homogeneous numbers, graph complement, edge
-lookup, the K_n closed form, the spectrum oracle's block walk marking at
+"""Test-only references: graphs from edge lists and random ones drawn pair
+by pair, exact homogeneous numbers, graph complement, edge lookup, the K_n
+closed form, the spectrum oracle's block walk marking at
 every step, pmf point lookup, the Monte-Carlo sampler's hits and mode
 mass from one stream drawn in one loop, Bernoulli draws one random() call at a time,
 the pair-by-pair G(n, p) and Paley loops, induced subgraphs repacked bit
@@ -33,6 +34,24 @@ from ramspect.graph_core import (Graph, bit_matrix, check_disjoint_units,
 from ramspect.seeding import derive_seed, np_stream
 
 HOMOGENEOUS_CAP = 64  # exact clique/independence search refuses larger graphs
+
+
+def from_edges(n: int, edges) -> Graph:
+    rows = [0] * n
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParameterError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ParameterError(f"self-loop ({u},{v})")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(n, rows, _checked=True)
+
+
+def random_graph(rng, n, p=0.5):
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < p]
+    return from_edges(n, edges)
 
 
 def has_edge(g: Graph, u: int, v: int) -> bool:

@@ -15,8 +15,9 @@ from ramspect import seeding
 from ramspect.errors import (CapacityError, ContractViolation, GraphParseError,
                              ParameterError)
 from ramspect.seeding import bernoulli
-from reference import (bernoulli_loop, complement, gnp_loop, has_edge, homogeneous_number,
-                       induced_subgraph_loop, is_c_ramsey, paley_loop)
+from reference import (bernoulli_loop, complement, from_edges, gnp_loop, has_edge,
+                       homogeneous_number, induced_subgraph_loop, is_c_ramsey, paley_loop,
+                       random_graph)
 
 
 def brute_count_edges(g, avs, bvs=None):
@@ -26,17 +27,11 @@ def brute_count_edges(g, avs, bvs=None):
     return sum(1 for u in avs for v in bvs if has_edge(g, u, v))
 
 
-def random_graph(rng, n, p=0.5):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < p]
-    return gc.from_edges(n, edges)
-
-
 # ── construction and basic counts ────────────────────────────────────────
 
 
 def test_from_edges_symmetry_and_counts():
-    g = gc.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert g.n == 4
     assert g.edge_count() == 3
     assert g.degrees() == [1, 2, 2, 1]
@@ -46,9 +41,9 @@ def test_from_edges_symmetry_and_counts():
 
 def test_from_edges_rejects_bad_input():
     with pytest.raises(ParameterError):
-        gc.from_edges(3, [(0, 0)])
+        from_edges(3, [(0, 0)])
     with pytest.raises(ParameterError):
-        gc.from_edges(3, [(0, 5)])
+        from_edges(3, [(0, 5)])
 
 
 @pytest.mark.parametrize("n,adj,message", [
@@ -252,7 +247,7 @@ def test_multiset_gap_all_multiplicity_pairs():
     # pair unit {1, 2} and b in the pair unit {3, 4}
     x, y = gc.Unit.pair(1, 2), gc.Unit.pair(3, 4)
     for a, b in itertools.product((0, 1, 2), repeat=2):
-        g = gc.from_edges(5, [(0, 1 + i) for i in range(a)] + [(0, 3 + i) for i in range(b)])
+        g = from_edges(5, [(0, 1 + i) for i in range(a)] + [(0, 3 + i) for i in range(b)])
         assert gc.symdiff_size(g, x, y) == abs(a - b), (a, b)
 
 
@@ -273,7 +268,7 @@ def test_symdiff_size_matches_brute_force():
 def test_symdiff_close_complement_single_pair():
     # |N(x1) ^ comp-neighborhood(x2)| via the unit helpers, checked by hand:
     # x2's rows are taken in the complement graph
-    g = gc.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
     x1, x2 = gc.Unit.single(0), gc.Unit.single(3)
     (s1, d1), (s2, d2) = gc.unit_rows(g, x1), gc.unit_rows(complement(g), x2)
     assert d1 == d2 == 0  # singles have no double mask
@@ -521,10 +516,11 @@ def test_gnp_is_identical_to_the_pair_by_pair_loop(n, p, seed):
        skip=st.sampled_from((0, 1, 623, 624)) | st.integers(0, 1300),
        crossover=st.sampled_from((1, 7, 624, 625, seeding.MT_BULK_WORDS)),
        gauss=st.booleans(), seed=st.integers(0, 2 ** 80))
-def test_mt_words_are_the_getrandbits_words(count, skip, crossover, gauss, seed):
+def test_mt_pieces_are_the_getrandbits_words(count, skip, crossover, gauss, seed):
     # the same words on both sides of the crossover, and the generator left
     # at the same point, its 624 words, position and cached gauss alike; a
-    # bulk read draws crossover words at a time
+    # bulk read draws crossover words at a time, as uint64 pieces whose
+    # values all fit in 32 bits, so the cast to uint32 keeps every word
     fast, slow = random.Random(seed), random.Random(seed)
     for rng in (fast, slow):
         rng.getrandbits(32 * skip)
@@ -532,10 +528,32 @@ def test_mt_words_are_the_getrandbits_words(count, skip, crossover, gauss, seed)
             rng.gauss(0.0, 1.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(seeding, "MT_BULK_WORDS", crossover)
-        got = seeding.mt_words(fast, count)
+        pieces = list(seeding.mt_pieces(fast, (count,)))
+    assert all(int(piece.max(initial=0)) < 1 << 32 for piece in pieces)
+    got = np.concatenate(pieces, dtype=np.uint32)
     want = slow.getrandbits(32 * count).to_bytes(4 * count, "little")
-    assert got.dtype == np.uint32 and got.tobytes() == want
+    assert got.tobytes() == want
     assert fast.getstate() == slow.getstate()
+
+
+@settings(max_examples=100)
+@example(n=1, count=5, seed=0, crossover=seeding.MT_BULK_WORDS)
+@example(n=2 ** 32 - 1, count=700, seed=0, crossover=64)
+@given(n=st.sampled_from((1, 2, 3, 1000, 3001, 2 ** 31)) | st.integers(1, 2 ** 32 - 1),
+       count=st.integers(0, 1500), seed=st.integers(0, 2 ** 80),
+       crossover=st.sampled_from((seeding.MT_BULK_WORDS, 1, 64, 601)))
+def test_randbelow_keeps_the_getrandbits_draws_below_n(n, count, seed, crossover):
+    # count outputs read as getrandbits(k) draws, k = n.bit_length(), those
+    # below n kept: the values randrange(n) returns, in its order
+    fast, slow = random.Random(seed), random.Random(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seeding, "MT_BULK_WORDS", crossover)
+        got = seeding.randbelow(fast, n, count)
+    want = [r for r in (slow.getrandbits(n.bit_length()) for _ in range(count)) if r < n]
+    assert got.dtype == np.uint32 and got.tolist() == want
+    assert fast.getstate() == slow.getstate()
+    check = random.Random(seed)
+    assert [check.randrange(n) for _ in want] == want
 
 
 @settings(max_examples=200)
@@ -780,7 +798,7 @@ def test_homogeneous_number_frozen():
     assert homogeneous_number(gc.generate("paley", n=13)) == (3, 3)
     assert homogeneous_number(gc.generate("complete", n=8)) == (8, 1)
     assert homogeneous_number(gc.generate("empty", n=8)) == (1, 8)
-    c5 = gc.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    c5 = from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     assert homogeneous_number(c5) == (2, 2)
 
 

@@ -17,7 +17,7 @@ from ramspect.ramsey_construct import (ConstructionFailure, ConstructionParams,
 from hypothesis import example, given, settings, strategies as st
 
 from ramspect.seeding import derive_seed
-from reference import (bernoulli_loop, bucket_by_enumeration, event4_scan,
+from reference import (bernoulli_loop, bucket_by_enumeration, event4_scan, from_edges,
                        independent_units_greedy, sampled_bucket_loop, select_stx_split,
                        star_degrees, verify_construction_loop)
 
@@ -50,7 +50,7 @@ def test_pigeonhole_bucket_center_and_membership():
 def test_pigeonhole_width_one_star():
     # star K_{1,3}: degree sums are 2 (leaf+leaf) and 4 (center+leaf);
     # with width 1 the fullest bucket is the three leaf pairs at d'=2
-    g = gc.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    g = from_edges(4, [(0, 1), (0, 2), (0, 3)])
     d_prime, bucket = rc.pigeonhole_pairs(g, bucket_width=1)
     assert d_prime == 2
     assert sorted(zip(*bucket.tolist())) == [(1, 2), (1, 3), (2, 3)]
@@ -87,7 +87,7 @@ def assert_same_bucket(got, want):
 
 @pytest.mark.parametrize("g", [gc.generate("paley", n=13), gc.generate("paley", n=29),
                                gc.generate("complete", n=6), gc.generate("empty", n=5),
-                               gc.from_edges(9, [(v, (v + 1) % 9) for v in range(9)])],
+                               from_edges(9, [(v, (v + 1) % 9) for v in range(9)])],
                          ids=["paley13", "paley29", "K6", "empty5", "C9"])
 @pytest.mark.parametrize("w", [1, None, 10 ** 6])
 def test_pigeonhole_on_a_regular_graph_is_one_bucket_of_every_pair(g, w):
@@ -104,7 +104,7 @@ def test_pigeonhole_on_a_regular_graph_is_one_bucket_of_every_pair(g, w):
     (5, 2, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),  # every sum < 5
 ])
 def test_pigeonhole_ties_go_to_the_lowest_bucket_at_n_4(w, d_prime, pairs):
-    g = gc.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    g = from_edges(4, [(0, 1), (0, 2), (0, 3)])
     got = rc.pigeonhole_pairs(g, w)
     assert_same_bucket(got, bucket_by_enumeration(g, w))
     assert (got[0], list(zip(*got[1].tolist()))) == (d_prime, pairs)
@@ -433,7 +433,7 @@ def test_conflict_threshold_is_compared_exactly():
     # is a conflict
     theta = ConstructionParams().epsilon ** 2 / 4
     assert theta * 1000 > 10
-    g = gc.from_edges(1000, [(0, v) for v in range(2, 12)])
+    g = from_edges(1000, [(0, v) for v in range(2, 12)])
     units = (gc.Unit.single(0), gc.Unit.single(1))
     assert gc.pair_gaps(g, units)[0, 1] == gc.symdiff_size(g, *units) == 10
     assert rc.independent_units(g, units, theta) == units[:1]
@@ -453,7 +453,7 @@ def near_twin_graph(n, twins, copied, seed):
         for u in cols:
             if u not in (a, b):
                 adj[b, u] = adj[u, b] = adj[a, u]
-    return gc.from_edges(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(adj, 1)))])
+    return from_edges(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(adj, 1)))])
 
 
 def spy_pair_gaps(mp):
@@ -542,7 +542,7 @@ def test_event4_floor_is_compared_exactly():
     kappa3 = 0.063
     while kappa3 * 1000 <= 63:
         kappa3 = math.nextafter(kappa3, 1)
-    g = gc.from_edges(1000, [(0, v) for v in range(2, 1000)])
+    g = from_edges(1000, [(0, v) for v in range(2, 1000)])
     units = (gc.Unit.single(0), gc.Unit.single(1))
     params = ConstructionParams(seed=0, kappa3=kappa3, kappa4=1e9)
     with pytest.raises(ConstructionFailure) as exc:

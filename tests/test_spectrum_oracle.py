@@ -10,13 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from ramspect import graph_core as gc
 from ramspect import spectrum_oracle as so
 from ramspect.errors import CapacityError, ParameterError
-from reference import complement, complete_graph_spectrum, seen_table_eager
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < p]
-    return gc.from_edges(n, edges)
+from reference import (complement, complete_graph_spectrum, from_edges, random_graph,
+                       seen_table_eager)
 
 
 def brute_phi(g):
@@ -35,17 +30,17 @@ def test_phi_k4_frozen():
 
 
 def test_phi_c5_frozen():
-    c5 = gc.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    c5 = from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     assert so.phi_exact(c5).sizes == (0, 1, 2, 3, 5)
 
 
 def test_phi_p4_frozen():
-    p4 = gc.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    p4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert so.phi_exact(p4).sizes == (0, 1, 2, 3)
 
 
 def test_phi_petersen_frozen():
-    pet = gc.from_edges(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+    pet = from_edges(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                              (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
                              (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)])
     assert so.phi_exact(pet).sizes == \
@@ -53,7 +48,7 @@ def test_phi_petersen_frozen():
 
 
 def test_psi_p4_frozen():
-    p4 = gc.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    p4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert so.psi_exact(p4) == \
         ((0, 0), (1, 0), (2, 0), (2, 1), (3, 1), (3, 2), (4, 3))
 
@@ -140,7 +135,7 @@ def small_graphs(draw):
     n = draw(st.one_of(st.integers(0, 3), st.integers(4, 14), st.integers(4, 14)))
     pairs = list(itertools.combinations(range(n), 2))
     bits = draw(st.integers(0, (1 << len(pairs)) - 1))
-    return gc.from_edges(n, [pr for i, pr in enumerate(pairs) if bits >> i & 1])
+    return from_edges(n, [pr for i, pr in enumerate(pairs) if bits >> i & 1])
 
 
 @settings(max_examples=60)
@@ -173,14 +168,14 @@ def walk_graphs(draw):
     else:
         edges = []
     perm = draw(st.permutations(range(n)))
-    return gc.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+    return from_edges(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 @settings(max_examples=40)
 @given(g=walk_graphs())
 # the low block (vertices 0..8) is isolated and the high block a clique, so
 # each step's range is the single index e(T)
-@example(g=gc.from_edges(16, itertools.combinations(range(9, 16), 2)))
+@example(g=from_edges(16, itertools.combinations(range(9, 16), 2)))
 def test_seen_table_matches_the_eager_walk(g):
     for stride in (0, g.n * (g.n - 1) // 2 + 1):
         assert np.array_equal(so._seen_table(g, stride), seen_table_eager(g, stride))

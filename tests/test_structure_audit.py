@@ -12,14 +12,8 @@ from ramspect import graph_core as gc
 from ramspect import structure_audit as sa
 from ramspect.errors import ContractViolation, ParameterError
 from reference import (bad_counts_product, candidate_sets_loop, close_complement_pair_count,
-                       diversity_profile, extract_keep_loop, extract_sides_loop,
-                       richness_audit_loop)
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < p]
-    return gc.from_edges(n, edges)
+                       diversity_profile, extract_keep_loop, extract_sides_loop, from_edges,
+                       random_graph, richness_audit_loop)
 
 
 def bad_sides_ref(g, w, epsilon):
@@ -91,7 +85,7 @@ def test_close_complement_pair_count_matches_brute_force():
     # path 0-1-2-3 by hand: N(0) = {1} against N_bar(3) = {0, 1} and
     # N(1) = {0, 2} against N_bar(2) = {0} each differ in one vertex; the
     # other four pairs differ in two
-    path = gc.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    path = from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert sa.pair_audit(path, 0.1, 2 / 4)[1] == 2
     assert sa.pair_audit(path, 0.1, 3 / 4)[1] == 6
 
@@ -124,7 +118,7 @@ def audit_graph(n, p, seed, plant):
     if plant == "complements":
         adj ^= (np.arange(n)[:, None] % 2) != (np.arange(n) % 2)
     np.fill_diagonal(adj, False)
-    return gc.from_edges(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(adj, 1)))])
+    return from_edges(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(adj, 1)))])
 
 
 @settings(max_examples=120)
@@ -261,7 +255,7 @@ def planted_witness_graph(n, seed):
     adj = np.triu(rng.random((n, n)) < 0.5, 1)
     adj |= adj.T
     adj[:8, n // 2:] = adj[n // 2:, :8] = False
-    g = gc.from_edges(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(adj, 1)))])
+    g = from_edges(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(adj, 1)))])
     return g, gc.mask_of(range(n // 2, n))
 
 
@@ -323,7 +317,7 @@ def tie_graph(epsilon, size, pad=0):
     t = round(epsilon * size)
     edges = [(size + i, u) for i, top in enumerate((t, t - 1, size - t, size - t + 1))
              for u in range(top)]
-    return gc.from_edges(size + 4 + pad, edges), gc.mask_of(range(size))
+    return from_edges(size + 4 + pad, edges), gc.mask_of(range(size))
 
 
 @pytest.mark.parametrize("epsilon,size,pattern", TIE_CASES)
@@ -424,7 +418,7 @@ def planted_graph(n, seed, plant, frac):
         inside = rng.permutation(n)[:round(frac * n)]
         adj[np.ix_(inside, inside)] = plant == "clique"
     np.fill_diagonal(adj, False)
-    return gc.from_edges(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(adj, 1)))])
+    return from_edges(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(adj, 1)))])
 
 
 @settings(max_examples=60)
