@@ -188,11 +188,12 @@ def _refuse_unread(ns) -> None:
     """A graph-source flag the source does not read is an error: a --graph
     file reads none of --n, --p and --graph-seed, and only gnp draws."""
     if getattr(ns, "graph", None):
-        source, unread = "--graph", ("n", "p", "graph_seed")
+        _refuse(ns, "--graph", ("n", "p", "graph_seed"))
     elif ns.gen != "gnp":
-        source, unread = f"--gen {ns.gen}", ("p", "graph_seed")
-    else:
-        return
+        _refuse(ns, f"--gen {ns.gen}", ("p", "graph_seed"))
+
+
+def _refuse(ns, source: str, unread) -> None:
     for dest in unread:
         if getattr(ns, dest, None) is not None:
             raise ParameterError(f"{source} does not read --{dest.replace('_', '-')}")
@@ -281,9 +282,10 @@ def cmd_lo(ns) -> int:
     # each n builds an n-int coefficient tuple before the exact/MC choice
     _require_cap("--n-list value", max(ns.n_list, default=0), ac.EXACT_WEIGHT_CAP)
     p = 0.5 if ns.p is None else ns.p
-    cfg = {"model": ns.model, "n_values": ns.n_list, "p": p, "trials": ns.trials}
+    trials = 200_000 if ns.trials is None else ns.trials
+    cfg = {"model": ns.model, "n_values": ns.n_list, "p": p, "trials": trials}
     fit = ac.lo_scaling_fit(ns.n_list, coeff_model=ns.model, p=p,
-                            trials=ns.trials, seed=ns.seed)
+                            trials=trials, seed=ns.seed)
     lines = ["n,max_prob,method"]
     for n, prob, method in zip(fit.n_values, fit.max_probs, fit.methods):
         lines.append(f"{n},{prob:.12e},{method}")
@@ -387,20 +389,21 @@ _FLAGS = {
                     help="edge-list file: header 'n <count>', then 'u v' lines"),
     "--gen": dict(choices=gc.GRAPH_MODELS, help="model of the generated graph"),
     "--n": dict(type=int, help="vertex count (paley: a prime = 1 mod 4)"),
-    # --p and --graph-seed have no default, so that a source that does not
-    # read them can refuse them; the code that reads them resolves 0.5 and 0
+    # --p, --graph-seed, --seed and --trials have no default, so that a
+    # source or model that does not read them can refuse them; the code that
+    # reads them resolves 0.5, 0, 0 and 200,000
     "--p": dict(type=float, help="gnp edge probability; for lo, Pr(xi_i = 1) (default 0.5)"),
     "--graph-seed": dict(type=int, help="gnp generator seed (default 0)"),
     "--model": dict(default="ones", choices=ac.COEFF_MODELS),
     "--n-list": dict(type=_int_list,
                      help="comma-separated n values (lo: 4+, spanning 2 octaves)"),
-    "--trials": dict(type=int, default=200_000),
+    "--trials": dict(type=int, help="Monte-Carlo trials (default 200000)"),
     "--mode": dict(default="per-m", choices=("per-m", "theorem")),
     "--m": dict(type=int, help="target edge count (default: window midpoint)"),
     "--diagnostics": dict(metavar="FILE", help="where to write failure diagnostics (exit 3)"),
     "--set": dict(action="append", metavar="KEY=VALUE",
                   help="parameter override (repeatable)"),
-    "--seed": dict(type=int, default=0, help="master seed"),
+    "--seed": dict(type=int, help="master seed (default 0)"),
     "--out": dict(metavar="FILE", help="output file (default stdout)"),
     "--dump": dict(metavar="FILE", help="full outcome as JSON"),
 }
@@ -475,6 +478,8 @@ def main(argv=None) -> int:
             # before any graph is built
             _require("non-negative", {"seed": getattr(ns, "seed", None),
                                       "graph_seed": getattr(ns, "graph_seed", None)})
+            if getattr(ns, "seed", 0) is None:  # left out, --seed reads 0
+                ns.seed = 0
             return ns.func(ns)
         except ConstructionFailure as exc:
             # a diagnostics path that cannot be written is an io error below

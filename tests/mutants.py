@@ -290,8 +290,8 @@ MUTANTS = (
     # every graph-source flag a command takes is one its source reads, and
     # the values a left-out --p or --graph-seed resolves to
     Mutant("cli: the --graph refusal dropped", CLI,
-           'source, unread = "--graph", ("n", "p", "graph_seed")',
-           'source, unread = "--graph", ()', UNREAD),
+           '_refuse(ns, "--graph", ("n", "p", "graph_seed"))',
+           '_refuse(ns, "--graph", ())', UNREAD),
     Mutant("cli: the non-gnp --p refusal dropped", CLI,
            'f"--gen {ns.gen}", ("p", "graph_seed")', 'f"--gen {ns.gen}", ("graph_seed",)',
            UNREAD),
@@ -303,8 +303,8 @@ MUTANTS = (
            "seed = 0 if ns.graph_seed is None else ns.graph_seed",
            "seed = 1 if ns.graph_seed is None else ns.graph_seed", DEFAULTS),
     Mutant("cli: lo resolves a left-out --p to 0.4", CLI,
-           "p = 0.5 if ns.p is None else ns.p\n    cfg = {\"model\": ns.model",
-           "p = 0.4 if ns.p is None else ns.p\n    cfg = {\"model\": ns.model", DEFAULTS),
+           "p = 0.5 if ns.p is None else ns.p\n    trials = ",
+           "p = 0.4 if ns.p is None else ns.p\n    trials = ", DEFAULTS),
     Mutant("table: T's running OR read one unit short", EXPOSE,
            "s_pre[k - i] | t_pre[i]", "s_pre[k - i] | t_pre[max(i - 1, 0)]", TABLE),
     Mutant("public names: an unused constant in graph_core", GRAPH,

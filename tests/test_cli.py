@@ -162,7 +162,7 @@ def describe(action) -> str:
 
 GRAPH_FLAGS = ["--graph", "--gen{gnp|paley|complete|empty}", "--n:int", "--p:float",
                "--graph-seed:int"]
-SEED_OUT = ["--seed:int=0", "--out"]
+SEED_OUT = ["--seed:int", "--out"]
 SURFACE = {
     "generate": ["--gen!{gnp|paley|complete|empty}", "--n!:int", "--p:float",
                  "--graph-seed:int", "--out"],
@@ -170,7 +170,7 @@ SURFACE = {
     "psi": [*GRAPH_FLAGS, "--out"],
     "audit": [*GRAPH_FLAGS, "--set _AppendAction", *SEED_OUT],
     "lo": ["--model{ones|u3|u10}='ones'", "--n-list!:_int_list", "--p:float",
-           "--trials:int=200000", *SEED_OUT],
+           "--trials:int", *SEED_OUT],
     "construct": [*GRAPH_FLAGS, "--m:int", "--diagnostics", "--set _AppendAction",
                   *SEED_OUT],
     "per-m": [*GRAPH_FLAGS, "--m:int", "--diagnostics", "--set _AppendAction",
