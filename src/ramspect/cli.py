@@ -478,6 +478,10 @@ def main(argv=None) -> int:
             # before any graph is built
             _require("non-negative", {"seed": getattr(ns, "seed", None),
                                       "graph_seed": getattr(ns, "graph_seed", None)})
+            # lo's ones model is exact and draws nothing, so it reads
+            # neither --seed nor --trials
+            if getattr(ns, "model", None) == "ones":
+                _refuse(ns, "--model ones", ("seed", "trials"))
             if getattr(ns, "seed", 0) is None:  # left out, --seed reads 0
                 ns.seed = 0
             return ns.func(ns)

@@ -305,6 +305,24 @@ MUTANTS = (
     Mutant("cli: lo resolves a left-out --p to 0.4", CLI,
            "p = 0.5 if ns.p is None else ns.p\n    trials = ",
            "p = 0.4 if ns.p is None else ns.p\n    trials = ", DEFAULTS),
+    Mutant("cli: lo's ones model reads --trials", CLI,
+           '"--model ones", ("seed", "trials")', '"--model ones", ("seed",)',
+           ("test_cli.py::test_lo_ones_refuses_the_flags_it_does_not_read",)),
+    Mutant("cli: lo's ones model refuses after the seed resolves", CLI,
+           '            if getattr(ns, "model", None) == "ones":\n'
+           '                _refuse(ns, "--model ones", ("seed", "trials"))\n'
+           '            if getattr(ns, "seed", 0) is None:  # left out, --seed reads 0\n'
+           '                ns.seed = 0\n',
+           '            if getattr(ns, "seed", 0) is None:  # left out, --seed reads 0\n'
+           '                ns.seed = 0\n'
+           '            if getattr(ns, "model", None) == "ones":\n'
+           '                _refuse(ns, "--model ones", ("seed", "trials"))\n',
+           ("test_cli.py::test_lo_csv_columns",)),
+    Mutant("cli: a left-out --seed resolved to 1", CLI,
+           "ns.seed = 0", "ns.seed = 1", DEFAULTS),
+    Mutant("cli: lo resolves a left-out --trials to 1000", CLI,
+           "trials = 200_000 if ns.trials is None", "trials = 1000 if ns.trials is None",
+           DEFAULTS),
     Mutant("table: T's running OR read one unit short", EXPOSE,
            "s_pre[k - i] | t_pre[i]", "s_pre[k - i] | t_pre[max(i - 1, 0)]", TABLE),
     Mutant("public names: an unused constant in graph_core", GRAPH,

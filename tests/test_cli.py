@@ -80,7 +80,7 @@ def test_psi_output_shape(capsys):
 def test_lo_csv_columns(tmp_path):
     out = tmp_path / "lo.csv"
     code = cli.main(["lo", "--model", "ones", "--n-list", "16,32,64,128",
-                     "--trials", "1000", "--out", str(out)])
+                     "--out", str(out)])
     assert code == 0
     lines = body_lines(out)
     assert lines[0] == "n,max_prob,method"
@@ -508,10 +508,25 @@ def test_pmf_drift_exits_one_without_traceback(monkeypatch, capsys):
 
 
 def test_lo_rejects_nonpositive_trials(capsys):
-    code, out, err = run(capsys, "lo", "--n-list", "8,16,32,64", "--trials", "-3")
+    code, out, err = run(capsys, "lo", "--model", "u3", "--n-list", "8,16,32,64",
+                         "--trials", "-3")
     assert code == 1
     assert out == ""
     assert err.splitlines() == ["error: trials must be positive, got -3"]
+
+
+@pytest.mark.parametrize("argv", [["--seed", "3"], ["--trials", "500"],
+                                  ["--model", "ones", "--trials", "-3"]])
+def test_lo_ones_refuses_the_flags_it_does_not_read(argv, monkeypatch, capsys):
+    # the all-ones coefficients take the exact walk and draw nothing, so a
+    # --seed or --trials there would change nothing but the header
+    def no_build(*args):
+        raise AssertionError("coefficients built beside a flag the model does not read")
+
+    monkeypatch.setattr(cli.ac, "model_coefficients", no_build)
+    flag = argv[-2]
+    assert run(capsys, "lo", "--n-list", "8,16,32,64", *argv) == (
+        1, "", f"error: --model ones does not read {flag}\n")
 
 
 def test_lo_caps_n_before_building_coefficients(monkeypatch, capsys):
@@ -791,15 +806,20 @@ def test_a_source_refuses_each_flag_it_does_not_read(argv, message, tmp_path, ca
     ["generate", "--gen", "gnp", "--n", "30"],
     ["phi", "--gen", "gnp", "--n", "12"],
     ["audit", "--gen", "gnp", "--n", "40"],
-    ["lo", "--model", "u3", "--n-list", "8,16,32,64", "--trials", "500"],
+    ["lo", "--model", "u3", "--n-list", "8,16,32,64"],
     ["sweep", "--n-list", "64,96,128"],
 ], ids=lambda argv: argv[0])
 def test_p_and_graph_seed_left_out_read_as_one_half_and_zero(argv, tmp_path):
-    # the files, header included, equal those of the flags given at those values
-    given = {"lo": ["--p", "0.5"], "sweep": ["--p", "0.5"]}
+    # the files, header included, equal those of the flags given at those
+    # values; --seed and lo's --trials, left out, read 0 and 200,000 alike
+    given = {"generate": ["--p", "0.5", "--graph-seed", "0"],
+             "phi": ["--p", "0.5", "--graph-seed", "0"],
+             "audit": ["--p", "0.5", "--graph-seed", "0", "--seed", "0"],
+             "lo": ["--p", "0.5", "--seed", "0", "--trials", "200000"],
+             "sweep": ["--p", "0.5", "--seed", "0"]}
     left_out, stated = tmp_path / "left_out.txt", tmp_path / "stated.txt"
     assert cli.main([*argv, "--out", str(left_out)]) == 0
-    extra = given.get(argv[0], ["--p", "0.5", "--graph-seed", "0"])
+    extra = given[argv[0]]
     assert cli.main([*argv, *extra, "--out", str(stated)]) == 0
     assert left_out.read_bytes() == stated.read_bytes()
 

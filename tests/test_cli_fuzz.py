@@ -5,7 +5,8 @@ Every graph a case can build has n <= 40, or is refused before it is
 allocated: above PHI_EXACT_CAP for phi/psi, above VERTEX_CAP for the rest (a
 graph near that cap holds about 2^32 adjacency bits, half a gigabyte).  A
 graph-source flag that its source does not read (--n, --p or --graph-seed
-beside --graph; --p or --graph-seed beside a model other than gnp) exits 1.
+beside --graph; --p or --graph-seed beside a model other than gnp) exits 1,
+and so does --seed or --trials beside lo's ones model, its default.
 """
 import contextlib
 import io
@@ -111,8 +112,11 @@ UNREAD = {"--graph": {"--n", "--p", "--graph-seed"}, "paley": {"--p", "--graph-s
 
 
 def gives_an_unread_flag(argv) -> bool:
-    """argv gives a graph-source flag that its source does not read."""
+    """argv gives a graph-source flag that its source does not read, or
+    --seed or --trials to lo's ones model."""
     opts = dict(zip(argv[1::2], argv[2::2]))  # every flag drawn takes a value
+    if argv[0] == "lo":
+        return opts.get("--model", "ones") == "ones" and bool({"--seed", "--trials"} & opts.keys())
     source = "--graph" if "--graph" in opts else opts.get("--gen")
     return bool(UNREAD.get(source, set()) & opts.keys())
 
