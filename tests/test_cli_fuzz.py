@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ramspect import cli
 
@@ -135,6 +135,29 @@ def argvs(draw):
     return argv
 
 
+# argvs at n <= 40 that reach exits 0 and 3 of the pipeline commands, which
+# random argvs almost never do; theorem records a failed window and goes on,
+# so no argv of it exits 3.  A diagnostics file in a missing directory
+# cannot be written, so that failure exits 1
+PIPELINE_EXITS = [
+    (["construct", "--gen", "paley", "--n", "37", "--set", "density_factor=0.01",
+      "--set", "c_density=0.01", "--seed", "2"], 0),
+    (["construct", "--gen", "complete", "--n", "40", "--set", "c_density=0.01"], 3),
+    (["construct", "--gen", "complete", "--n", "40", "--set", "c_density=0.01",
+      "--diagnostics", "missing_dir/diag.json"], 1),
+    (["per-m", "--gen", "paley", "--n", "17", "--set", "rich_prepass=false",
+      "--set", "density_factor=0.01", "--set", "c_density=0.01"], 0),
+    (["per-m", "--gen", "complete", "--n", "40", "--set", "c_density=0.01"], 3),
+    (["theorem", "--gen", "paley", "--n", "17", "--set", "c_density=0.02"], 0),
+]
+
+
+def with_pipeline_exits(test):
+    for argv, _ in PIPELINE_EXITS:
+        test = example(argv=argv)(test)
+    return test
+
+
 def run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -152,6 +175,7 @@ def message_lines(err: str) -> list:
             if not (l.startswith("usage:") or l.startswith(" "))]
 
 
+@with_pipeline_exits
 @settings(max_examples=300)
 @given(argv=argvs())
 def test_any_argv_ends_in_a_documented_exit(argv, workdir):
@@ -162,6 +186,12 @@ def test_any_argv_ends_in_a_documented_exit(argv, workdir):
     assert (code == 0) == (err == ""), (argv, code, err)
     if gives_an_unread_flag(argv):
         assert code == 1, (argv, code, err)
+
+
+@pytest.mark.parametrize("argv,code", PIPELINE_EXITS,
+                         ids=[" ".join(argv) for argv, _ in PIPELINE_EXITS])
+def test_the_pipeline_commands_reach_each_exit(argv, code, workdir):
+    assert run_main(argv)[0] == code
 
 
 @pytest.mark.parametrize("argv,code", [
