@@ -389,9 +389,8 @@ _FLAGS = {
                     help="edge-list file: header 'n <count>', then 'u v' lines"),
     "--gen": dict(choices=gc.GRAPH_MODELS, help="model of the generated graph"),
     "--n": dict(type=int, help="vertex count (paley: a prime = 1 mod 4)"),
-    # --p, --graph-seed, --seed and --trials have no default, so that a
-    # source or model that does not read them can refuse them; the code that
-    # reads them resolves 0.5, 0, 0 and 200,000
+    # --p, --graph-seed, --seed and --trials have no default, so that what
+    # does not read them can refuse them; their readers resolve 0.5, 0, 0, 200000
     "--p": dict(type=float, help="gnp edge probability; for lo, Pr(xi_i = 1) (default 0.5)"),
     "--graph-seed": dict(type=int, help="gnp generator seed (default 0)"),
     "--model": dict(default="ones", choices=ac.COEFF_MODELS),
@@ -478,9 +477,7 @@ def main(argv=None) -> int:
             # before any graph is built
             _require("non-negative", {"seed": getattr(ns, "seed", None),
                                       "graph_seed": getattr(ns, "graph_seed", None)})
-            # lo's ones model is exact and draws nothing, so it reads
-            # neither --seed nor --trials
-            if getattr(ns, "model", None) == "ones":
+            if getattr(ns, "model", None) == "ones":  # exact: it draws nothing
                 _refuse(ns, "--model ones", ("seed", "trials"))
             if getattr(ns, "seed", 0) is None:  # left out, --seed reads 0
                 ns.seed = 0

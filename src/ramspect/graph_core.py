@@ -38,8 +38,9 @@ this package reduces to a popcount or to a _product.
 
 Vertex sets are plain int bitmasks throughout ("mask" in signatures).  A Unit
 is either a single vertex or an unordered pair of distinct vertices; pair
-neighborhoods are multisets (multiplicities in {0,1,2}) and all unit-level
-quantities (degrees, symmetric differences) honor multiplicity.
+neighborhoods are multisets (multiplicities in {0,1,2}), which unit_rows
+gives as a support mask S and a double mask D, and all unit-level
+quantities honor multiplicity: two units are |S ^ S'| + |D ^ D'| apart.
 
 Complement neighborhoods follow the complement graph: N_bar(v) excludes v
 itself as well as N(v).
@@ -272,12 +273,9 @@ def check_disjoint_units(units, u0_mask: int) -> None:
 
 
 def unit_rows(g: Graph, x: Unit) -> tuple[int, int]:
-    """Support and double masks (S, D) of the unit's neighborhood multiset.
-
-    S covers the vertices of multiplicity at least 1 and D those of
-    multiplicity 2 (pair units only), so D lies within S and a vertex's
-    multiplicity is [v in S] + [v in D].
-    """
+    """Support and double masks (S, D) of the unit's neighborhood multiset:
+    its vertices of multiplicity at least 1 and 2 (pair units only), so D
+    lies within S and a vertex's multiplicity is [v in S] + [v in D]."""
     if x.is_pair:
         a, b = x.vertices
         ra, rb = g.adj[a], g.adj[b]
@@ -365,13 +363,8 @@ def pair_gaps(g: Graph, units, umask: int | None = None) -> np.ndarray:
 def symdiff_size(g: Graph, x: Unit, y: Unit, umask: int | None = None) -> int:
     """Size of the multiset symmetric difference of the two unit neighborhoods,
     the sum over v of |mult_x(v) - mult_y(v)|, restricted to umask (whole
-    vertex set when None).
-
-    With (S, D) the unit_rows masks, the S and D terms of a multiplicity
-    move the same way (D lies within S), so the gap is |S_x ^ S_y| +
-    |D_x ^ D_y|, the package's one multiset-gap formula.  For two singles
-    this is the ordinary set symmetric difference.
-    """
+    vertex set when None): |S_x ^ S_y| + |D_x ^ D_y| over their unit_rows
+    masks, the package's one multiset-gap formula."""
     sx, dx = unit_rows(g, x)
     sy, dy = unit_rows(g, y)
     mask = g.full_mask if umask is None else umask
@@ -517,9 +510,8 @@ def load_graph(text: str, max_n: int | None = None) -> Graph:
     """Parse the edge-list format: first line "n <N>", then one "u v" per line.
 
     Blank lines and lines starting with '#' are ignored.  A header above
-    max_n is a CapacityError, raised before any row is built.  Each edge is
-    ORed into its two rows once its line has passed the range and self-loop
-    checks, so the rows form a simple graph and no edge list is held.
+    max_n is a CapacityError, raised before any row is built.  An edge is
+    set in its two rows once its line passes the range and self-loop checks.
     """
     n = None
     for lineno, raw in enumerate(text.splitlines(), start=1):

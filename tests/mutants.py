@@ -309,13 +309,13 @@ MUTANTS = (
            '"--model ones", ("seed", "trials")', '"--model ones", ("seed",)',
            ("test_cli.py::test_lo_ones_refuses_the_flags_it_does_not_read",)),
     Mutant("cli: lo's ones model refuses after the seed resolves", CLI,
-           '            if getattr(ns, "model", None) == "ones":\n'
+           '            if getattr(ns, "model", None) == "ones":  # exact: it draws nothing\n'
            '                _refuse(ns, "--model ones", ("seed", "trials"))\n'
            '            if getattr(ns, "seed", 0) is None:  # left out, --seed reads 0\n'
            '                ns.seed = 0\n',
            '            if getattr(ns, "seed", 0) is None:  # left out, --seed reads 0\n'
            '                ns.seed = 0\n'
-           '            if getattr(ns, "model", None) == "ones":\n'
+           '            if getattr(ns, "model", None) == "ones":  # exact: it draws nothing\n'
            '                _refuse(ns, "--model ones", ("seed", "trials"))\n',
            ("test_cli.py::test_lo_csv_columns",)),
     Mutant("cli: a left-out --seed resolved to 1", CLI,

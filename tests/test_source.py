@@ -307,7 +307,7 @@ WORD_READERS = ("getrandbits", "MT19937", "random_raw")
 
 
 def test_the_mersenne_twister_words_are_read_in_seeding_alone():
-    # seeding.mt_words reads the stream's words and states the facts that
+    # seeding.mt_pieces reads the stream's words and states the facts that
     # make its two readers agree, so no other module calls one of them; no
     # module draws randrange one value at a time, since seeding.randbelow
     # decodes its values from those words
