@@ -28,11 +28,11 @@ mt_pieces, the one reader of these words, reads the stream through
 getrandbits below MT_BULK_WORDS outputs in all and through one MT19937
 from there on, however many counts it is given, and bernoulli_blocks
 (bernoulli is its one-count form) and randbelow decode its pieces as they
-come.  Moving the state in and out costs about
-0.27 ms, what getrandbits spends on about 2**15 words, so a read of many
-counts, such as the row blocks of one G(n, p), pays it once.  numpy.random,
-which otherwise only np_stream loads, is imported only by a bulk read:
-loading it raises a process's peak RSS by 2-4 MB.
+come.  Moving the state in and out costs about 0.27 ms, what getrandbits
+spends on about 2**15 words, so a read of many counts, such as the row
+blocks of one G(n, p), pays it once.  numpy.random, which otherwise only
+np_stream loads, is imported only by a bulk read: loading it raises a
+process's peak RSS by 2-4 MB.
 
 np_stream's generator is numpy's PCG64, and the Monte-Carlo sampler splits
 its stream through these facts of numpy's Generator over PCG64:
