@@ -18,7 +18,9 @@ len(a) uniforms from output t * len(a) on (seeding.py states the PCG64
 facts).  So a contiguous run of trials can start its own generator there,
 and _split_trials draws one run per CPU, each on its own thread: the hits
 and value counts are the one-stream loop's, bit for bit, for any CPU count.
-The sums are int64, so an instance whose weight sum |a_i| does not fit is
+A trial's 0/1 draws are packed into uint64 words, and its sum is a signed
+sum of popcounts, one per bit plane of the coefficients (_planes).  The
+sums are int64, so an instance whose weight sum |a_i| does not fit is
 refused before any draw.
 """
 
@@ -33,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, ParameterError, _require, _require_cap
+from .graph_core import popcount
 from .seeding import np_stream
 
 EXACT_WEIGHT_CAP = 10**6  # cap on sum |a_i| for the live-window DP
@@ -124,22 +127,55 @@ class MCEstimate:
     hits: int
 
 
+def _planes(a: np.ndarray, words: int) -> list:
+    """[(weight, mask)] such that sum_i a_i * xi_i is the sum over the list
+    of weight * popcount(x & mask), where x holds the 0/1 draws xi in the
+    given number of uint64 words, xi_i at bit i % 64 of word i // 64.
+
+    There is one mask per sign and per bit b set in some |a_i| of that sign.
+    It holds the i whose a_i has that sign and bit b of |a_i| set, and its
+    weight is 2**b or -2**b.  A sign that no coefficient has gives no mask.
+    The terms of one sign add up to at most the sum of |a_i| over that
+    sign, so every partial sum lies within +-sum |a_i|: the sums are exact
+    in int64 whenever that weight fits.
+    """
+    planes = []
+    for sign in (1, -1):
+        mag = np.zeros(64 * words, dtype=np.int64)
+        mag[:len(a)] = np.maximum(sign * a, 0)
+        for b in range(int(mag.max()).bit_length()):
+            bits = mag >> b & 1
+            if bits.any():
+                planes.append((sign << b, np.packbits(bits, bitorder="little").view(np.uint64)))
+    return planes
+
+
 def _sampled_sums(inst: LOInstance, first: int, trials: int, seed: int):
     """Yield chunks of sampled sum_i a_i * xi_i (offset excluded) for the
     trials first, ..., first + trials - 1 of the one stream of (seed, spawn
     key 0), in which trial t reads the outputs t * len(a) onward."""
     a = np.asarray(inst.coefficients, dtype=np.int64)
-    rng = np_stream(seed, 0, first * len(a))
-    # 2**16 draws per chunk keep the float, bool and int64 blocks in cache;
+    n = len(a)
+    words = -(-n // 64)
+    planes = _planes(a, words)
+    rng = np_stream(seed, 0, first * n)
+    # 2**16 draws per chunk keep the float, bool and packed blocks in cache;
     # rows are drawn in order, so the stream does not depend on the chunk
-    chunk = max(1, (1 << 16) // len(a))
-    u = np.empty((min(chunk, trials), len(a)))
+    chunk = max(1, (1 << 16) // n)
+    u = np.empty((min(chunk, trials), n))
+    # a row's draws fill its first ceil(n/8) bytes; the bytes after them
+    # stay zero, as do the masks there
+    packed = np.zeros((len(u), words), dtype=np.uint64)
+    draw_bytes = packed.view(np.uint8)
     done = 0
     while done < trials:
         b = min(chunk, trials - done)
-        # an int64 product is numpy's own loop, not BLAS, so it starts no
-        # BLAS threads beside the trial runs
-        yield (rng.random(out=u[:b]) < inst.p) @ a
+        draw_bytes[:b, :-(-n // 8)] = np.packbits(rng.random(out=u[:b]) < inst.p, axis=1,
+                                                  bitorder="little")
+        sums = np.zeros(b, dtype=np.int64)
+        for weight, mask in planes:
+            sums += weight * popcount(packed[:b] & mask)
+        yield sums
         done += b
 
 
@@ -149,8 +185,9 @@ def _split_trials(job, trials: int) -> list:
     The trials 0, ..., trials - 1 are cut into W = min(CPUs, trials)
     contiguous runs, W read from the process's CPU affinity (os.cpu_count()
     where that is missing).  Run 0 goes on the calling thread and each other
-    run on a thread of its own; the generator draws, the comparison and the
-    int64 product release the GIL, so the runs overlap.  Every thread is
+    run on a thread of its own.  The generator draws, most of a chunk's
+    time, and the comparison release the GIL, so the runs overlap; the
+    packing and the short per-plane calls barely do.  Every thread is
     joined before this returns or raises, and an exception in a run is
     raised here, that of the lowest run first.
     """

@@ -63,6 +63,7 @@ EXPOSE = "src/ramspect/double_exposure.py"
 TABLE = ("test_double_exposure.py",)
 AC = "src/ramspect/anticoncentration.py"
 SPLIT = ("test_anticoncentration.py",)
+PLANES = ("test_anticoncentration.py::test_plane_sums_match_the_product_loop",)
 
 MUTANTS = (
     # the parameter rules of errors._require
@@ -268,7 +269,7 @@ MUTANTS = (
     # the Monte-Carlo trials split into runs on one jumped-ahead stream, and
     # the int64 bound of the sampled sums
     Mutant("split: a run skips first outputs, not first * len(a)", AC,
-           "np_stream(seed, 0, first * len(a))", "np_stream(seed, 0, first)", SPLIT),
+           "np_stream(seed, 0, first * n)", "np_stream(seed, 0, first)", SPLIT),
     Mutant("split: the last run dropped", AC,
            "    return results\n", "    return results[:-1]\n", SPLIT),
     Mutant("split: run 0 given run 1's count", AC,
@@ -279,6 +280,17 @@ MUTANTS = (
            "            t.join()\n", "            pass\n", SPLIT),
     Mutant("int64 sums: the cap doubled", AC,
            "inst.weight, INT64_MAX,", "inst.weight, 2 * INT64_MAX,", SPLIT),
+    # the bit planes whose popcounts make the sampled sums
+    Mutant("planes: the sign of the negative planes dropped", AC,
+           "planes.append((sign << b,", "planes.append((1 << b,", PLANES),
+    Mutant("planes: a plane weighted 2**(b + 1)", AC,
+           "planes.append((sign << b,", "planes.append((sign << b + 1,", PLANES),
+    Mutant("planes: the last partial byte of the draws left unwritten", AC,
+           "draw_bytes[:b, :-(-n // 8)] = np.packbits(rng.random(out=u[:b]) < inst.p, axis=1,\n"
+           '                                                  bitorder="little")',
+           "draw_bytes[:b, :n // 8] = np.packbits(rng.random(out=u[:b]) < inst.p, axis=1,\n"
+           '                                              bitorder="little")[:, :n // 8]',
+           PLANES),
     # nothing a command accepts goes unread: construct's one override group,
     # the out-of-memory exit, the swap family's running ORs and the rule
     # that every public name has a user outside the tests

@@ -180,6 +180,43 @@ def test_mc_chunks_match_one_shot_sampler(n, trials):
     assert est.hits == int(counts.max())
 
 
+PLANE_LENGTHS = (1, 7, 8, 9, 63, 64, 65, 1025)  # both sides of a byte and of a word
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.sampled_from(PLANE_LENGTHS), signs=st.sampled_from(("mixed", "+", "-")),
+       top=st.sampled_from((0, 1, 3, 17, 40)), p=st.sampled_from((0.3, 0.5, 0.8)),
+       first=st.integers(0, 200),
+       size=st.sampled_from(("one", "chunk - 1", "chunk", "chunk + 1", "two chunks + 3")),
+       seed=st.integers(0, 2 ** 32))
+def test_plane_sums_match_the_product_loop(n, signs, top, p, first, size, seed):
+    # magnitudes up to 2**top, 2**top itself included; one sign leaves the
+    # other without a plane
+    rng = random.Random(seed)
+    mags = [rng.choice((1 << top, rng.randint(1, 1 << top))) for _ in range(n)]
+    sign = {"mixed": lambda: rng.choice((-1, 1)), "+": lambda: 1, "-": lambda: -1}[signs]
+    inst = ac.LOInstance(tuple(sign() * m for m in mags), p=p)
+    chunk = max(1, (1 << 16) // n)
+    trials = {"one": 1, "chunk - 1": max(1, chunk - 1), "chunk": chunk, "chunk + 1": chunk + 1,
+              "two chunks + 3": 2 * chunk + 3}[size]
+    want = np.concatenate(list(sampled_sums_loop(inst, first + trials, seed)))[first:]
+    chunks = list(ac._sampled_sums(inst, first, trials, seed))
+    assert all(c.dtype == np.int64 for c in chunks)
+    assert np.array_equal(np.concatenate(chunks), want)
+
+
+def test_planes_split_the_coefficients_by_sign_and_bit():
+    def planes(coeffs):
+        return [(w, int(mask[0])) for w, mask in ac._planes(np.array(coeffs, np.int64), 1)]
+
+    # bit 1 of (1, 4, 5) is set nowhere, and no coefficient is negative
+    assert planes((1, 4, 5)) == [(1, 0b101), (4, 0b110)]
+    assert planes((-3, -1)) == [(-1, 0b11), (-2, 0b01)]
+    assert planes((6, -1, 2)) == [(2, 0b101), (4, 0b001), (-1, 0b010)]
+    # the masks are zero past the coefficients, up to the end of the last word
+    assert [m.tolist() for _, m in ac._planes(np.ones(65, np.int64), 2)] == [[2 ** 64 - 1, 1]]
+
+
 @pytest.mark.parametrize("key,skip,m", [(0, 0, 5), (0, 1, 5), (3, 7, 1), (0, 1000, 33),
                                         (5, 4096, 100)])
 def test_np_stream_skip_continues_the_unskipped_stream(key, skip, m):
