@@ -18,8 +18,9 @@ len(a) uniforms from output t * len(a) on (seeding.py states the PCG64
 facts).  So a contiguous run of trials can start its own generator there,
 and _split_trials draws one run per CPU, each on its own thread: the hits
 and value counts are the one-stream loop's, bit for bit, for any CPU count.
-A trial's 0/1 draws are packed into uint64 words, and its sum is a signed
-sum of popcounts, one per bit plane of the coefficients (_planes).  The
+A trial's 0/1 draws are packed into uint64 words by graph_core.pack_bools,
+into one zeroed block per run, and its sum is a signed sum of popcounts,
+one per bit plane of the coefficients (_planes, packed the same way).  The
 sums are int64, so an instance whose weight sum |a_i| does not fit is
 refused before any draw.
 """
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, ParameterError, _require, _require_cap
-from .graph_core import popcount
+from .graph_core import pack_bools, popcount
 from .seeding import np_stream
 
 EXACT_WEIGHT_CAP = 10**6  # cap on sum |a_i| for the live-window DP
@@ -127,10 +128,10 @@ class MCEstimate:
     hits: int
 
 
-def _planes(a: np.ndarray, words: int) -> list:
+def _planes(a: np.ndarray) -> list:
     """[(weight, mask)] such that sum_i a_i * xi_i is the sum over the list
-    of weight * popcount(x & mask), where x holds the 0/1 draws xi in the
-    given number of uint64 words, xi_i at bit i % 64 of word i // 64.
+    of weight * popcount(x & mask), where x holds the 0/1 draws xi packed
+    as graph_core.pack_bools packs them, and so does each mask.
 
     There is one mask per sign and per bit b set in some |a_i| of that sign.
     It holds the i whose a_i has that sign and bit b of |a_i| set, and its
@@ -141,12 +142,11 @@ def _planes(a: np.ndarray, words: int) -> list:
     """
     planes = []
     for sign in (1, -1):
-        mag = np.zeros(64 * words, dtype=np.int64)
-        mag[:len(a)] = np.maximum(sign * a, 0)
+        mag = np.maximum(sign * a, 0)
         for b in range(int(mag.max()).bit_length()):
             bits = mag >> b & 1
             if bits.any():
-                planes.append((sign << b, np.packbits(bits, bitorder="little").view(np.uint64)))
+                planes.append((sign << b, pack_bools(bits)))
     return planes
 
 
@@ -156,22 +156,19 @@ def _sampled_sums(inst: LOInstance, first: int, trials: int, seed: int):
     key 0), in which trial t reads the outputs t * len(a) onward."""
     a = np.asarray(inst.coefficients, dtype=np.int64)
     n = len(a)
-    words = -(-n // 64)
-    planes = _planes(a, words)
+    planes = _planes(a)
     rng = np_stream(seed, 0, first * n)
     # 2**16 draws per chunk keep the float, bool and packed blocks in cache;
     # rows are drawn in order, so the stream does not depend on the chunk
     chunk = max(1, (1 << 16) // n)
     u = np.empty((min(chunk, trials), n))
-    # a row's draws fill its first ceil(n/8) bytes; the bytes after them
-    # stay zero, as do the masks there
-    packed = np.zeros((len(u), words), dtype=np.uint64)
-    draw_bytes = packed.view(np.uint8)
+    # one zeroed block for every chunk, packed from no draws: the packer
+    # writes a row's draws into its first bytes, and the rest stay zero
+    packed = pack_bools(np.zeros(u.shape, dtype=bool))
     done = 0
     while done < trials:
         b = min(chunk, trials - done)
-        draw_bytes[:b, :-(-n // 8)] = np.packbits(rng.random(out=u[:b]) < inst.p, axis=1,
-                                                  bitorder="little")
+        pack_bools(rng.random(out=u[:b]) < inst.p, out=packed[:b])
         sums = np.zeros(b, dtype=np.int64)
         for weight, mask in planes:
             sums += weight * popcount(packed[:b] & mask)

@@ -321,6 +321,9 @@ def cmd_per_m(ns) -> int:
 
 
 def cmd_theorem(ns) -> int:
+    """Emit the windows theorem_run keeps.  A failed window is recorded and
+    the run goes on, so theorem exits 0 even when every window fails; its
+    CSV then holds the header and the "# total_distinct=0" footer alone."""
     g, gsrc, cp, ep = _pipeline_inputs(ns)
     cfg = {"graph": gsrc, "cparams": asdict(cp), "eparams": asdict(ep)}
     out = theorem_run(g, cp, ep)

@@ -3,14 +3,16 @@
 A graph on n vertices is stored as one Python integer per vertex: bit u of
 ``adj[v]`` is set iff uv is an edge.  Arbitrary-precision ints give branch-free
 AND/XOR row operations and popcounts via ``int.bit_count``.  Loops over many
-row pairs run on a packed view instead: pack_rows lays a list of rows out as
-an (k, ceil(n/64)) array of little-endian uint64 words, and popcount sums
-``np.bitwise_count`` over the words of each row.  Int masks become packed
-words, bool arrays or 0/1 matrices, and back, only in this module:
-pack_rows and bit_matrix turn int rows into words and 0/1 matrices, and one
-conversion, _int_rows, the inverse of pack_rows, turns little-endian packed
-bytes back into int rows for mask_from_bools, the gnp generator and
-induced_subgraph.
+row pairs run on a packed view instead, in which bit v of a row is bit
+v & 63 of its little-endian uint64 word v >> 6.  That layout, and every
+conversion between int masks, packed words, bools and 0/1 matrices, lives
+in this module alone: pack_rows packs int rows and pack_bools bool rows
+(into a caller's zeroed block when one is given), bits_at reads one bit,
+popcount counts each row's bits and gathered_popcount those of
+op(x[a[i]], y[b[i]]) over gathered row pairs (XOR for the close-complement
+filter, AND for the richness audit), and _unpack, bit_matrix and _int_rows
+turn words and int rows into 0/1 matrices and packed words or bytes into
+int rows.
 
 Counts over many sets at once are 0/1 matrix products, and one private
 function, _product, converts 0/1 matrices to float32 and multiplies them.
@@ -34,7 +36,7 @@ gap by at most their count, so a prefix whose lower bound reaches thr
 settles the pair, and only the other pairs read their whole rows.  Counts
 over all pairs need no gather: they broadcast one packed row against the
 rows after it (see structure_audit.pair_audit).  Every counting routine in
-this package reduces to a popcount or to a _product.
+this package reduces to popcount, gathered_popcount or a _product.
 
 Vertex sets are plain int bitmasks throughout ("mask" in signatures).  A Unit
 is either a single vertex or an unordered pair of distinct vertices; pair
@@ -137,7 +139,7 @@ def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, list[int]]:
     rows = []
     for s in range(0, len(vmap), ROW_CHUNK):
         bits = bit_matrix([g.adj[v] for v in vmap[s:s + ROW_CHUNK]], g.n)[:, cols]
-        rows += _int_rows(np.packbits(bits, axis=1, bitorder="little"))
+        rows += _int_rows(pack_bools(bits))
     return Graph(len(vmap), rows, _checked=True), vmap
 
 
@@ -152,16 +154,36 @@ def pack_rows(rows, n: int) -> np.ndarray:
     return np.frombuffer(buf, dtype="<u8").reshape(len(rows), nbytes // 8)
 
 
+def pack_bools(bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The packed uint64 words of the rows of a bool or 0/1 array of n
+    columns (any leading axes), zero past bit n.  out, when given, is a
+    zeroed uint64 array of the shape returned: only the first ceil(n/8)
+    bytes of each of its rows are written."""
+    n = bits.shape[-1]
+    if out is None:
+        out = np.zeros((*bits.shape[:-1], -(-n // 64)), dtype=np.uint64)
+    out.view(np.uint8)[..., :-(-n // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return out
+
+
 def _int_rows(packed: np.ndarray) -> list[int]:
-    """The int rows that the rows of a 2-D array of little-endian packed
-    bytes hold (byte b, bit j of a row is bit 8b + j), the inverse of
-    pack_rows.  Viewed as one void item a row, the array's tolist() is one
+    """The int rows that the rows of a 2-D array of packed words or bytes
+    hold (byte b, bit j of a row is bit 8b + j), the inverse of pack_rows and
+    pack_bools.  Viewed as one void item a row, the array's tolist() is one
     bytes object a row, which int.from_bytes reads without a buffer copy."""
+    packed = np.ascontiguousarray(packed).view(np.uint8)
     width = packed.shape[1]
     if not width:  # a void item holds at least one byte
         return [0] * len(packed)
-    rows = np.ascontiguousarray(packed).view(f"V{width}")
+    rows = packed.view(f"V{width}")
     return list(map(int.from_bytes, rows.ravel().tolist(), repeat("little")))
+
+
+def bits_at(words: np.ndarray, r, v) -> np.ndarray:
+    """Bit v of packed row r as int64 0/1, elementwise over integer arrays
+    r and v, or bit v of each row of a slice r."""
+    v = np.asarray(v)
+    return (words[r, v >> 6] >> (v & 63).astype(np.uint64) & np.uint64(1)).astype(np.int64)
 
 
 def popcount(words: np.ndarray) -> np.ndarray:
@@ -169,12 +191,15 @@ def popcount(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
-def _xor_popcount(words: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """popcount(words[a[i]] ^ words[b[i]]) for each pair, as int64 (zeros
-    when words has no columns).  np.take gathers rows faster than fancy
-    indexing, and adding the word columns one by one beats a sum over the
-    last axis."""
-    bits = np.bitwise_count(np.take(words, a, axis=0) ^ np.take(words, b, axis=0))
+def gathered_popcount(op, x: np.ndarray, a: np.ndarray, y: np.ndarray,
+                      b: np.ndarray) -> np.ndarray:
+    """popcount(op(x[a[i]], y[b[i]])) for each i, as int64, for a bitwise
+    ufunc op such as np.bitwise_xor or np.bitwise_and over two packed word
+    arrays of the same width (zeros when they have no words).  np.take
+    gathers rows faster than fancy indexing, and adding the word columns
+    one by one beats a sum over the last axis."""
+    rows = np.take(x, a, axis=0)
+    bits = np.bitwise_count(op(rows, np.take(y, b, axis=0), out=rows))
     total = np.zeros(len(a), dtype=np.int64)
     for col in bits.T:
         total += col
@@ -210,26 +235,22 @@ def complement_gap_at_least(rows: np.ndarray, a: np.ndarray, b: np.ndarray, n: i
     words and the edge bit.  On G(n, 1/2) the screen decides every pair; at
     worst every pair reads every word, once.
     """
-    words = rows.shape[1]
-    head = prefix_words(thr, words)
+    head = prefix_words(thr, rows.shape[1])
     seen = min(64 * head, n)
     prefix = np.ascontiguousarray(rows[:, :head])
     suffix = np.ascontiguousarray(rows[:, head:])
-    flat = rows.ravel()
     thr = np.float64(thr)
     keep = np.empty(len(a), dtype=bool)
     for s in range(0, len(a), GAP_CHUNK):
-        # intp once per chunk: np.take would convert narrower indices per
-        # call, and the flat word offsets below must not wrap in int32
+        # intp once per chunk: np.take would convert narrower indices per call
         ca, cb = (np.asarray(x[s:s + GAP_CHUNK], dtype=np.intp) for x in (a, b))
-        pc = _xor_popcount(prefix, ca, cb)
+        pc = gathered_popcount(np.bitwise_xor, prefix, ca, prefix, cb)
         part = seen - 1 - pc >= thr
         rest = np.flatnonzero(~part)
         if len(rest):
             ra, rb = np.take(ca, rest), np.take(cb, rest)
-            pc = np.take(pc, rest) + _xor_popcount(suffix, ra, rb)
-            edge = np.take(flat, ra * words + (rb >> 6)) >> (rb & 63).astype(np.uint64)
-            part[rest] = n - 1 - pc + 2 * (edge & np.uint64(1)).astype(np.int64) >= thr
+            pc = np.take(pc, rest) + gathered_popcount(np.bitwise_xor, suffix, ra, suffix, rb)
+            part[rest] = n - 1 - pc + 2 * bits_at(rows, ra, rb) >= thr
         keep[s:s + GAP_CHUNK] = part
     return keep
 
@@ -433,7 +454,7 @@ def _is_prime(q: int) -> bool:
 
 def mask_from_bools(bits: np.ndarray) -> int:
     """The int mask whose bit v is set iff bits[v]."""
-    return _int_rows(np.packbits(bits, bitorder="little")[None])[0]
+    return _int_rows(pack_bools(bits)[None])[0]
 
 
 GNP_CHUNK = 1 << 18  # pairs per row block of the gnp generator

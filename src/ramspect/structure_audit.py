@@ -16,7 +16,8 @@ that nearly complement each other.  Rich graphs keep both counts
 polynomially small, which is what the audits let an experiment check.
 Both counts read one popcount per pair, |N(x) symdiff N(y)|: the pair
 pass broadcasts each packed uint64 row against the rows after it, and the
-complement gap is n - 1 minus that popcount plus twice the edge bit.
+complement gap is n - 1 minus that popcount plus twice the edge bit, which
+graph_core.bits_at reads.
 
 richness_audit scores the candidates in blocks, in the order they are
 drawn: AUDIT_BLOCK_FIRST of them first, so that an early witness stays
@@ -27,15 +28,17 @@ first 64*prefix_words(eps*n, words) columns (512 of 1024 at the defaults)
 for every vertex v and candidate W, over adjacency rows unpacked a chunk at
 a time.  A vertex with at least ceil(eps*|W|) neighbors and as many
 non-neighbors in that part of W is not bad; only the entries the prefix
-leaves open are counted in full, by a popcount of the packed rows, or by a
-second product over the other columns when most of the block is open.  The
+leaves open are counted in full, by graph_core.gathered_popcount of each
+open vertex's packed row AND the candidate's, or by a second product over
+the other columns when most of the block is open.  The
 bad-vertex counts follow from integer thresholds.  The witness's bad
 vertices are read off the packed rows by a popcount per vertex in
 _bad_sides, the one statement of the bad-vertex rule.  It splits them into
 two sides: sparse, fewer than eps*|W| neighbors in W, and dense, the others
 (fewer than eps*|W| non-neighbors there).  The witness Y is their union,
-and its size must agree with the product's count.  Masks, bools and 0/1
-rows convert through graph_core alone.
+and its size must agree with the product's count.  Masks, bools, 0/1
+rows and packed words convert, and packed bits are read and counted,
+through graph_core alone.
 
 rich_extract mirrors the proof-style cleanup loop: while a richness violation
 (W, Y) exists, take a set S from the larger side of the verdict's split of
@@ -56,8 +59,9 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import ContractViolation, ParameterError, _require
-from .graph_core import (Graph, bit_matrix, induced_subgraph, iter_bits, mask_from_bools,
-                         mask_of, neighbor_counts, pack_rows, popcount, prefix_words)
+from .graph_core import (Graph, bit_matrix, bits_at, gathered_popcount, induced_subgraph,
+                         iter_bits, mask_from_bools, mask_of, neighbor_counts, pack_rows,
+                         popcount, prefix_words)
 from .seeding import stream
 
 # richness_audit scores candidates in blocks: the first block is small, so a
@@ -112,7 +116,7 @@ def pair_audit(g: Graph, c_div: float, threshold_fraction: float) -> tuple[list[
         twin = pc < div_thr
         counts[x] += twin.sum()
         counts[x + 1:] += twin
-        edge = (later[:, x >> 6] >> np.uint64(x & 63) & np.uint64(1)).astype(np.int64)
+        edge = bits_at(later, slice(None), x)
         close_pairs += int(np.count_nonzero(n - 1 - pc + 2 * edge < comp_thr))
     return counts.tolist(), close_pairs
 
@@ -210,23 +214,20 @@ def _open_bad(rows: np.ndarray, wrows: np.ndarray, head: int, k: np.ndarray,
     (all of each row when head is their word count), wrows the
     candidates' packed rows; an open entry (v, i) adds the popcount of the
     rest of row v & wrows[i] to k[v, i], reads v's bit of W, and is decided
-    by the rule of _bad_sides with the integer threshold thr[i].  The rows
-    are gathered word-major, so the popcount sums contiguous rows."""
+    by the rule of _bad_sides with the integer threshold thr[i].  The
+    popcounts are graph_core.gathered_popcount's, the bits of W
+    graph_core.bits_at's."""
     count = len(wsize)
-    rest = np.ascontiguousarray(rows[:, head:].T)
-    wcols = np.ascontiguousarray(wrows.T)
-    wrest = wcols[head:]
+    rest, wrest = rows[:, head:], wrows[:, head:]
     flat = np.flatnonzero(open_)
     kflat = k.ravel()
     bad = np.zeros(count, dtype=np.int64)
     for s in range(0, len(flat), OPEN_CHUNK):
         at = flat[s:s + OPEN_CHUNK]
         v, i = np.divmod(at, count)
-        both = np.take(rest, v, axis=1)
-        both &= np.take(wrest, i, axis=1)
-        got = np.bitwise_count(both).sum(axis=0, dtype=np.int64)
+        got = gathered_popcount(np.bitwise_and, rest, v, wrest, i)
         got += kflat[at].astype(np.int64)
-        inw = (wcols[v >> 6, i] >> (v & 63).astype(np.uint64) & np.uint64(1)).astype(np.int64)
+        inw = bits_at(wrows, i, v)
         t = thr[i]
         hit = (got < t) | (wsize[i] - got - inw < t)
         bad += np.bincount(i[hit], minlength=count)

@@ -1,7 +1,8 @@
 """Line map of Tier-1: the statement lines of src/ramspect that no test runs.
 
 src/, tests/, bench/ and pyproject.toml are copied to a temporary
-directory, and a sitecustomize.py is written into the copy's src/.  Python
+directory, as the mutation harness copies them (mutants.copy_checkout),
+and a sitecustomize.py is written into the copy's src/.  Python
 imports it at start-up in every interpreter that has that src/ on its path:
 the pytest process, which runs Tier-1 in the copy, and each CLI child that
 a test starts, since every one of them puts the checkout's src/ on
@@ -25,13 +26,14 @@ from __future__ import annotations
 
 import ast
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 from typing import NamedTuple
+
+from mutants import copy_checkout
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = "src/ramspect"
@@ -140,16 +142,11 @@ def main() -> int:
     start = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="ramspect-lines-") as tmp:
         work = Path(tmp)
-        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for sub in ("src", "tests", "bench"):
-            shutil.copytree(ROOT / sub, work / sub, ignore=skip)
-        shutil.copy(ROOT / "pyproject.toml", work)
+        env = copy_checkout(work)
         out_dir = work / "lines"
         out_dir.mkdir()
         (work / "src" / "sitecustomize.py").write_text(
             _SITE.format(package=str(work / PACKAGE) + os.sep, out=str(out_dir)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            (str(work / "src"), str(work / "tests"))))
         proc = subprocess.Popen(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              "--continue-on-collection-errors"],

@@ -1,16 +1,17 @@
 """Mutation harness: each mutant in MUTANTS is one small edit to the source
 that some test must catch.
 
-For each mutant, src/, tests/, bench/ (whose uses of the package count in
-tests/test_source.py) and pyproject.toml are copied to a temporary
-directory, the edit is applied there, and the mutant's tests run with
-pytest -x -q under a per-mutant timeout, one pytest process at a time.  A
-mutant's tests are test files or pytest node ids (file::test), so that a
-mutant whose file is slow runs only the tests that kill it.  A run with a
-failing test kills the mutant; a passing run lets it survive.  The
-unmutated copy runs the same tests first, so that a failure is the
-mutant's.  One line is printed per mutant and a summary at the end; the exit
-status is non-zero when any mutant is not killed.
+For each mutant, copy_checkout, which tests/coverage_map.py shares, copies
+src/, tests/, bench/ (whose uses of the package count in
+tests/test_source.py) and pyproject.toml to a temporary directory, the
+edit is applied there, and the mutant's tests run with pytest -x -q under
+a per-mutant timeout, one pytest process at a time.  A mutant's tests are
+test files or pytest node ids (file::test), so that a mutant whose file is
+slow runs only the tests that kill it.  A run with a failing test kills the
+mutant; a passing run lets it survive.  The unmutated copy runs the same
+tests first, so that a failure is the mutant's.  One line is printed per
+mutant and a summary at the end; the exit status is non-zero when any
+mutant is not killed.
 
     python tests/mutants.py              # every mutant
     python tests/mutants.py NAME ...     # the named ones
@@ -64,6 +65,9 @@ TABLE = ("test_double_exposure.py",)
 AC = "src/ramspect/anticoncentration.py"
 SPLIT = ("test_anticoncentration.py",)
 PLANES = ("test_anticoncentration.py::test_plane_sums_match_the_product_loop",)
+LAYOUT = tuple(f"test_graph_core.py::{t}" for t in (
+    "test_pack_bools_inverts_unpack_and_zeroes_the_bits_past_n",
+    "test_bits_at_reads_the_bits_of_int_rows", "test_gathered_popcount_matches_the_int_row_loop"))
 
 MUTANTS = (
     # the parameter rules of errors._require
@@ -154,6 +158,15 @@ MUTANTS = (
     Mutant("prefix_words: a threshold below 0 read as it is", GRAPH,
            "math.ceil(2 * max(thr, 0) / 64) + 1", "math.ceil(2 * thr / 64) + 1",
            ("test_graph_core.py",)),
+    # graph_core's three readers and writers of the packed-word layout
+    Mutant("bits_at: the bit index mask & 63 read as & 31", GRAPH,
+           "(v & 63).astype(np.uint64)", "(v & 31).astype(np.uint64)", LAYOUT),
+    Mutant("pack_bools: the byte count off by one", GRAPH,
+           "out.view(np.uint8)[..., :-(-n // 8)]", "out.view(np.uint8)[..., :-(-n // 8) + 1]",
+           LAYOUT),
+    Mutant("gathered_popcount: the op ignored", GRAPH,
+           "op(rows, np.take(y, b, axis=0), out=rows)",
+           "np.bitwise_xor(rows, np.take(y, b, axis=0), out=rows)", LAYOUT),
     Mutant("theorem keep: >= for >", "src/ramspect/double_exposure.py",
            "min(out.distinct_sizes) > last_max", "min(out.distinct_sizes) >= last_max",
            ("test_double_exposure.py",)),
@@ -221,7 +234,7 @@ MUTANTS = (
     Mutant("screen: the self bit left out of the prefix", AUDIT,
            "open_[:c] |= k[:c] + member.T > over", "open_[:c] |= k[:c] > over", SCREEN),
     Mutant("screen: the open-entry recount skipped", AUDIT,
-           "got = np.bitwise_count(both).sum(axis=0, dtype=np.int64)",
+           "got = gathered_popcount(np.bitwise_and, rest, v, wrest, i)",
            "got = np.zeros(len(at), dtype=np.int64)", OPEN_RECOUNT),
     Mutant("screen: an open vertex's own bit of W not read", AUDIT,
            "(wsize[i] - got - inw < t)", "(wsize[i] - got < t)", SCREEN),
@@ -251,12 +264,12 @@ MUTANTS = (
     Mutant("table: degrees counted into U0, not U", EXPOSE,
            "records = family_table(g, u, ", "records = family_table(g, res.u0_mask, ", TABLE),
     # induced_subgraph a chunk of rows at a time, and the one bytes-to-rows
-    # conversion
+    # conversion; induced_subgraph packs its kept columns with pack_bools
     Mutant("induced: the kept-column take dropped", GRAPH,
            "g.n)[:, cols]", "g.n)", ("test_graph_core.py",)),
     Mutant("induced: kept columns packed big-endian", GRAPH,
-           'np.packbits(bits, axis=1, bitorder="little")',
-           'np.packbits(bits, axis=1, bitorder="big")', ("test_graph_core.py",)),
+           'np.packbits(bits, axis=-1, bitorder="little")',
+           'np.packbits(bits, axis=-1, bitorder="big")', ("test_graph_core.py",)),
     Mutant("induced: the chunk loop stops one chunk early", GRAPH,
            "range(0, len(vmap), ROW_CHUNK)", "range(0, len(vmap) - ROW_CHUNK, ROW_CHUNK)",
            ("test_graph_core.py",)),
@@ -285,12 +298,11 @@ MUTANTS = (
            "planes.append((sign << b,", "planes.append((1 << b,", PLANES),
     Mutant("planes: a plane weighted 2**(b + 1)", AC,
            "planes.append((sign << b,", "planes.append((sign << b + 1,", PLANES),
-    Mutant("planes: the last partial byte of the draws left unwritten", AC,
-           "draw_bytes[:b, :-(-n // 8)] = np.packbits(rng.random(out=u[:b]) < inst.p, axis=1,\n"
-           '                                                  bitorder="little")',
-           "draw_bytes[:b, :n // 8] = np.packbits(rng.random(out=u[:b]) < inst.p, axis=1,\n"
-           '                                              bitorder="little")[:, :n // 8]',
-           PLANES),
+    # the sampler's draws go through pack_bools, into its one zeroed block
+    Mutant("planes: the last partial byte of the draws left unwritten", GRAPH,
+           'out.view(np.uint8)[..., :-(-n // 8)] = np.packbits(bits, axis=-1, bitorder="little")',
+           'out.view(np.uint8)[..., :n // 8] = np.packbits(bits, axis=-1, bitorder="little")'
+           "[..., :n // 8]", PLANES),
     # nothing a command accepts goes unread: construct's one override group,
     # the out-of-memory exit, the swap family's running ORs and the rule
     # that every public name has a user outside the tests
@@ -421,9 +433,19 @@ MUTANTS = (
 )
 
 
-def _pytest(work: Path, tests) -> int | None:
+def copy_checkout(work: Path) -> dict:
+    """Copy src/, tests/, bench/ and pyproject.toml into work, caches left
+    out, and return the environment whose PYTHONPATH is the copy's src/
+    and tests/."""
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for sub in ("src", "tests", "bench"):
+        shutil.copytree(ROOT / sub, work / sub, ignore=skip)
+    shutil.copy(ROOT / "pyproject.toml", work)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join((str(work / "src"), str(work / "tests"))))
+
+
+def _pytest(work: Path, env: dict, tests) -> int | None:
     """pytest's exit status on the given test files in work, None on a timeout."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(work / "src"), str(work / "tests"))))
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            *(f"tests/{t}" for t in tests)]
     try:
@@ -437,17 +459,14 @@ def run(mutant: Mutant | None, tests) -> str:
     """killed, survived, timeout or error for one mutant (None: no edit)."""
     with tempfile.TemporaryDirectory(prefix="ramspect-mutant-") as tmp:
         work = Path(tmp)
-        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for sub in ("src", "tests", "bench"):
-            shutil.copytree(ROOT / sub, work / sub, ignore=skip)
-        shutil.copy(ROOT / "pyproject.toml", work)
+        env = copy_checkout(work)
         if mutant is not None:
             target = work / mutant.path
             text = target.read_text()
             if text.count(mutant.old) != 1:
                 return "error: old text does not occur exactly once"
             target.write_text(text.replace(mutant.old, mutant.new))
-        code = _pytest(work, tests)
+        code = _pytest(work, env, tests)
     # pytest exits 1 when a test fails and 2 when one cannot be collected
     outcomes = {None: "timeout", 0: "survived", 1: "killed", 2: "killed"}
     return outcomes.get(code, f"error: exit {code}")

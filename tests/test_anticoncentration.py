@@ -207,14 +207,14 @@ def test_plane_sums_match_the_product_loop(n, signs, top, p, first, size, seed):
 
 def test_planes_split_the_coefficients_by_sign_and_bit():
     def planes(coeffs):
-        return [(w, int(mask[0])) for w, mask in ac._planes(np.array(coeffs, np.int64), 1)]
+        return [(w, int(mask[0])) for w, mask in ac._planes(np.array(coeffs, np.int64))]
 
     # bit 1 of (1, 4, 5) is set nowhere, and no coefficient is negative
     assert planes((1, 4, 5)) == [(1, 0b101), (4, 0b110)]
     assert planes((-3, -1)) == [(-1, 0b11), (-2, 0b01)]
     assert planes((6, -1, 2)) == [(2, 0b101), (4, 0b001), (-1, 0b010)]
     # the masks are zero past the coefficients, up to the end of the last word
-    assert [m.tolist() for _, m in ac._planes(np.ones(65, np.int64), 2)] == [[2 ** 64 - 1, 1]]
+    assert [m.tolist() for _, m in ac._planes(np.ones(65, np.int64))] == [[2 ** 64 - 1, 1]]
 
 
 @pytest.mark.parametrize("key,skip,m", [(0, 0, 5), (0, 1, 5), (3, 7, 1), (0, 1000, 33),

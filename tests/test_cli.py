@@ -668,6 +668,19 @@ def test_theorem_on_the_empty_graph_refuses_the_empty_m_range(capsys):
     assert run(capsys, "per-m", *argv) == (code, out, err)
 
 
+def test_theorem_exits_zero_with_no_row_when_every_window_fails(capsys):
+    # theorem records a failed window and goes on, so a run whose every
+    # window fails still exits 0: its CSV holds the header and the footer
+    # alone, where sweep exits 3 once every n has failed
+    code, out, err = run(capsys, "theorem", "--gen", "paley", "--n", "17",
+                         "--set", "c_density=0.02")
+    assert (code, err) == (0, "")
+    header, *rows = [l for l in out.splitlines() if not l.startswith("#")]
+    assert header.startswith("m,e_U,") and rows == []
+    footer = out.splitlines()[-1]
+    assert footer.startswith("# total_distinct=0 ") and "windows_attempted=1" in footer
+
+
 @pytest.mark.parametrize("argv", [
     ["per-m", "--gen", "gnp", "--n", "16"],
     ["construct", "--gen", "gnp", "--n", "16"],

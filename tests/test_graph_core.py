@@ -204,6 +204,67 @@ def test_mask_helpers_roundtrip():
     assert sorted(gc.iter_bits(gc.mask_of(vs))) == vs
 
 
+# ── the packed-word layout: one packer, one bit reader, one gathered count ──
+
+PACK_LENGTHS = (1, 7, 8, 9, 63, 64, 65, 1025)  # both sides of a byte and of a word
+
+
+@settings(max_examples=80)
+@given(n=st.sampled_from(PACK_LENGTHS), k=st.integers(1, 4), seed=st.integers(0, 2 ** 32),
+       into=st.booleans())
+def test_pack_bools_inverts_unpack_and_zeroes_the_bits_past_n(n, k, seed, into):
+    rng = np.random.default_rng(seed)
+    bits = rng.random((k, n)) < rng.random()
+    words = -(-n // 64)
+    out = np.zeros((k, words), np.uint64) if into else None
+    got = gc.pack_bools(bits, out=out)
+    assert got.dtype == np.uint64 and got.shape == (k, words)
+    if into:
+        assert got is out
+    assert np.array_equal(gc._unpack(got, n), bits)
+    assert not gc._unpack(got, 64 * words)[:, n:].any()
+    rows = gc._int_rows(got)
+    assert np.array_equal(gc.bit_matrix(rows, n), bits)
+    assert np.array_equal(gc.pack_rows(rows, n), got)
+    # one row on its own, as a 1-D array, packs to that row's words
+    assert np.array_equal(gc.pack_bools(bits[0]), got[0])
+
+
+@settings(max_examples=60)
+@given(n=st.sampled_from(PACK_LENGTHS), seed=st.integers(0, 2 ** 32))
+def test_bits_at_reads_the_bits_of_int_rows(n, seed):
+    rng = random.Random(seed)
+    rows = [rng.getrandbits(n) for _ in range(5)]
+    words = gc.pack_rows(rows, n)
+    r = [rng.randrange(5) for _ in range(64)]
+    c = [rng.randrange(n) for _ in range(64)]
+    got = gc.bits_at(words, np.array(r), np.array(c))
+    assert got.dtype == np.int64
+    assert got.tolist() == [rows[i] >> v & 1 for i, v in zip(r, c)]
+    # bit c of every row in a slice
+    assert gc.bits_at(words, slice(1, None), c[0]).tolist() == [row >> c[0] & 1
+                                                                for row in rows[1:]]
+
+
+GATHER_OPS = {"xor": (np.bitwise_xor, int.__xor__), "and": (np.bitwise_and, int.__and__)}
+
+
+@settings(max_examples=60)
+@given(n=st.sampled_from((0,) + PACK_LENGTHS), op=st.sampled_from(sorted(GATHER_OPS)),
+       pairs=st.integers(0, 40), seed=st.integers(0, 2 ** 32))
+def test_gathered_popcount_matches_the_int_row_loop(n, op, pairs, seed):
+    rng = random.Random(seed)
+    xs = [rng.getrandbits(n) for _ in range(6)]
+    ys = [rng.getrandbits(n) for _ in range(4)]
+    a = [rng.randrange(6) for _ in range(pairs)]
+    b = [rng.randrange(4) for _ in range(pairs)]
+    ufunc, int_op = GATHER_OPS[op]
+    got = gc.gathered_popcount(ufunc, gc.pack_rows(xs, n), np.array(a, np.intp),
+                               gc.pack_rows(ys, n), np.array(b, np.intp))
+    assert got.dtype == np.int64
+    assert got.tolist() == [int_op(xs[i], ys[j]).bit_count() for i, j in zip(a, b)]
+
+
 # ── units ────────────────────────────────────────────────────────────────
 
 
@@ -346,13 +407,14 @@ def test_complement_gap_screen_and_fallback_both_decide_pairs(
     a, b = np.triu_indices(n, 1)
     a, b = a[:gc.GAP_CHUNK], b[:gc.GAP_CHUNK]
     calls = []
-    real = gc._xor_popcount
+    real = gc.gathered_popcount
 
-    def spy(words, x, y):
-        calls.append((words.shape[1], len(x)))
-        return real(words, x, y)
+    def spy(op, x, a, y, b):
+        assert op is np.bitwise_xor and x is y
+        calls.append((x.shape[1], len(a)))
+        return real(op, x, a, y, b)
 
-    monkeypatch.setattr(gc, "_xor_popcount", spy)
+    monkeypatch.setattr(gc, "gathered_popcount", spy)
     got = gc.complement_gap_at_least(gc.pack_rows(g.adj, n), a, b, n, theta * n)
     assert got.tolist() == comp_row_rule(g, a.tolist(), b.tolist(), theta * n)
     (head, screened), (tail, fallback) = calls

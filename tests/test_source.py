@@ -348,6 +348,45 @@ def test_int_rows_are_read_from_bytes_in_one_place():
     assert _inside(ast.parse((SRC / "graph_core.py").read_text()), "_int_rows")
 
 
+LAYOUT_CALLS = ("packbits", "unpackbits")
+# modules whose bitwise_count counts something other than packed rows:
+# the oracle's int subset indices
+BITWISE_COUNT_ELSEWHERE = ("spectrum_oracle.py",)
+# modules whose >> 6 or & 63 is no word index: random() keeps b >> 6 of
+# an output word b (seeding.bernoulli)
+SHIFT_ELSEWHERE = ("seeding.py",)
+
+
+def test_the_packed_word_layout_lives_in_graph_core():
+    # bit v of a packed row is bit v & 63 of its little-endian word v >> 6,
+    # a fact graph_core alone states: pack_rows and pack_bools pack,
+    # _unpack and _int_rows unpack, bits_at reads one bit, and popcount and
+    # gathered_popcount count; a module that does one of these itself
+    # states the layout a second time
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "graph_core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            name = node.attr if isinstance(node, ast.Attribute) else \
+                node.id if isinstance(node, ast.Name) else \
+                node.name if isinstance(node, ast.alias) else None
+            if name in LAYOUT_CALLS or name == "bitwise_count" \
+                    and path.name not in BITWISE_COUNT_ELSEWHERE:
+                found.append(f"{where}: {name}")
+            elif isinstance(node, ast.keyword) and node.arg == "bitorder":
+                found.append(f"{where}: bitorder=")
+            elif isinstance(node, ast.BinOp) and isinstance(node.right, ast.Constant) \
+                    and (isinstance(node.op, ast.RShift) and node.right.value == 6
+                         or isinstance(node.op, ast.BitAnd) and node.right.value == 63) \
+                    and path.name not in SHIFT_ELSEWHERE:
+                found.append(f"{where}: {ast.unparse(node)}")
+    assert not found, found
+    tree = ast.parse((SRC / "graph_core.py").read_text())
+    assert all(_inside(tree, name) for name in ("pack_bools", "bits_at", "gathered_popcount"))
+
+
 THREAD_TEXTS = ("threading", "Thread(", "concurrent.futures", "multiprocessing")
 
 
